@@ -26,7 +26,7 @@ type block = {
   b_len : int;
   b_cost : int;  (** Sum of member issue costs. *)
   b_kernel : int;  (** Members retiring in ring 0. *)
-  b_long_latency : bool;  (** Any member casts a PMI shadow. *)
+  b_shadow : int;  (** PMI shadow relative to block entry; -1 = none. *)
 }
 
 (* One contiguous decoded image.  [slots] is indexed by [addr - base],
@@ -106,12 +106,12 @@ let build_block entry =
       | Some next -> collect next (node :: acc) (n + 1)
   in
   let nodes = Array.of_list (collect entry [] 1) in
-  let cost = ref 0 and kernel = ref 0 and long = ref false in
+  let cost = ref 0 and kernel = ref 0 and shadow = ref (-1) in
   Array.iter
     (fun n ->
+      if n.long_latency then shadow := max !shadow (!cost + n.latency);
       cost := !cost + n.issue_cost;
-      if n.kernel then incr kernel;
-      if n.long_latency then long := true)
+      if n.kernel then incr kernel)
     nodes;
   {
     b_nodes = nodes;
@@ -119,7 +119,7 @@ let build_block entry =
     b_len = Array.length nodes;
     b_cost = !cost;
     b_kernel = !kernel;
-    b_long_latency = !long;
+    b_shadow = !shadow;
   }
 
 let block_at t addr =

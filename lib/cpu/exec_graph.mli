@@ -48,7 +48,10 @@ type block = {
   b_len : int;
   b_cost : int;  (** Sum of member issue costs. *)
   b_kernel : int;  (** Members retiring in ring 0. *)
-  b_long_latency : bool;  (** Any member casts a PMI shadow. *)
+  b_shadow : int;
+      (** The PMI shadow the block casts, relative to the cycle count at
+          block entry: max over long-latency members of (issue cost of
+          the members before it + its latency); -1 when none. *)
 }
 
 (** Can [Exec.step] of this instruction return anything but [Fall]?

@@ -10,7 +10,15 @@ type retirement = {
   mutable shadow_active : bool;
 }
 
-type observer = retirement -> unit
+type block = { id : int; nodes : Exec_graph.node array }
+
+type hooks = {
+  on_retire : retirement -> unit;
+  on_block : block -> taken_src:int -> taken_tgt:int -> cycles:int -> int;
+  window : int -> int;
+}
+
+type observer = { attach : unit -> hooks }
 
 type run_stats = {
   retired : int;
@@ -63,12 +71,13 @@ let default_engine () =
    branches (the guard always passes) and indirect ones (it degrades
    into a monomorphic inline cache). *)
 type compiled = {
-  c_nodes : Exec_graph.node array;
+  c_block : block;  (** Members, and the id observers key them by. *)
   c_kernels : Exec.kernel array;
   c_last : Exec_graph.node;
   c_len : int;
   c_cost : int;  (** Sum of member issue costs. *)
   c_kernel_count : int;  (** Members retiring in ring 0. *)
+  c_shadow : int;  (** PMI shadow relative to block entry; -1 = none. *)
   mutable c_fall : compiled option;
   mutable c_taken_addr : int;  (** Address [c_taken] resolves; -1 = none. *)
   mutable c_taken : compiled option;
@@ -79,7 +88,7 @@ type t = {
   st : State.t;
   process : Process.t;
   engine : engine;
-  mutable observers_rev : observer list;
+  mutable observers_rev : hooks list;
       (* Accumulated in reverse; frozen to an array at [run] time so
          [add_observer] stays O(1) instead of re-copying an array. *)
   kernel_entry : int option;
@@ -88,6 +97,7 @@ type t = {
          arrays, so resolving an indirect branch target to compiled
          code costs the same as [Exec_graph.node_at]. *)
   scratch : retirement;
+  mutable compiled_blocks : int;  (* next [block.id] *)
 }
 
 let fault fmt = Format.kasprintf (fun s -> raise (Machine_fault s)) fmt
@@ -128,13 +138,14 @@ let create ~process ?(seed = 42L) ?engine () =
         cycles = 0;
         shadow_active = false;
       };
+    compiled_blocks = 0;
   }
 
 let state t = t.st
 let process t = t.process
 let engine t = t.engine
 
-let add_observer t obs = t.observers_rev <- obs :: t.observers_rev
+let add_observer t obs = t.observers_rev <- obs.attach () :: t.observers_rev
 
 (* The sentinel "return address" pushed below the entry frame: returning
    to it ends the run. *)
@@ -149,14 +160,17 @@ let compiled_at t addr =
       match Exec_graph.block_at t.graph addr with
       | None -> fault "branch to unmapped address %#x" addr
       | Some (b : Exec_graph.block) ->
+          let id = t.compiled_blocks in
+          t.compiled_blocks <- id + 1;
           let c =
             {
-              c_nodes = b.b_nodes;
+              c_block = { id; nodes = b.b_nodes };
               c_kernels = Array.map Exec.compile b.b_nodes;
               c_last = b.b_last;
               c_len = b.b_len;
               c_cost = b.b_cost;
               c_kernel_count = b.b_kernel;
+              c_shadow = b.b_shadow;
               c_fall = None;
               c_taken_addr = -1;
               c_taken = None;
@@ -200,7 +214,7 @@ let run_legacy t ~entry ~max_instructions =
     scratch.cycles <- !cycles;
     scratch.shadow_active <- shadow_active;
     for k = 0 to nobs - 1 do
-      observers.(k) scratch
+      observers.(k).on_retire scratch
     done
   in
   (* One dispatch on [control] per retirement does everything: branch
@@ -279,22 +293,27 @@ let run_legacy t ~entry ~max_instructions =
 (* ------------------------------------------------------------------ *)
 (* Tiered engines.
 
-   Two block-level specializations share the successor logic:
+   One block-level loop, two bodies per block:
 
-   - [exec_armed] retires node by node with exactly the legacy loop's
-     ordering — runaway check, [st.ip], kernel, shadow/cycle/counter
-     updates, observer notification — so armed runs are bit-identical
-     to the seed loop while still dodging its mnemonic dispatch and
-     [node_at] resolution.
+   - [exec_block] runs the whole block straight-line, updates the
+     counters per block (the PMI shadow through the block's static
+     [c_shadow]) and tells each observer once.  It is entered only when
+     the block fits under [horizon]: the instruction budget and every
+     observer's window.  No kernel (nor fault handler) reads
+     [State.t.ip], so only the terminator's store is kept; the post-run
+     value matches the legacy engine's.
 
-   - [exec_bare] runs a whole block straight-line with per-block
-     counter updates.  It is only entered when no observer is armed
-     (nothing can see intermediate cycle counts or the PMI shadow) and
-     when the whole block fits the remaining instruction budget;
-     otherwise it delegates the block to [exec_armed], whose
-     per-instruction budget check raises [Runaway] at exactly the
-     retirement the legacy loop would.  That due-by-N budgeting is
-     what keeps sampling semantics identical across engines. *)
+   - [exec_detailed] retires node by node with exactly the legacy
+     loop's ordering — runaway check, [st.ip], kernel, shadow/cycle/
+     counter updates, per-retirement notification — so a block that
+     could overflow a sampling counter, advance a pending PMI or exceed
+     the budget is bit-identical to the seed loop, including the
+     retirement at which [Runaway] is raised.  The windows are queried
+     again after it.
+
+   That due-by-N budgeting is what keeps sampling semantics identical
+   across engines.  Without observers the horizon is the budget, so a
+   bare run is [exec_block] throughout. *)
 
 let run_tiered t ~entry ~max_instructions ~chain =
   let st = t.st in
@@ -337,14 +356,49 @@ let run_tiered t ~entry ~max_instructions ~chain =
       c'
     end
   in
+  (* Retirement index up to which whole blocks may run bare. *)
+  let horizon = ref max_instructions in
+  let set_window w =
+    horizon :=
+      if w >= max_instructions - !retired then max_instructions
+      else !retired + w
+  in
+  let query_windows () =
+    let w = ref max_int in
+    for k = 0 to nobs - 1 do
+      let wk = observers.(k).window !cycles in
+      if wk < !w then w := wk
+    done;
+    set_window !w
+  in
+  let notify_block (c : compiled) taken_src taken_tgt =
+    let w = ref max_int in
+    for k = 0 to nobs - 1 do
+      let wk =
+        observers.(k).on_block c.c_block ~taken_src ~taken_tgt ~cycles:!cycles
+      in
+      if wk < !w then w := wk
+    done;
+    set_window !w
+  in
   let notify (node : Exec_graph.node) shadow_active =
     scratch.node <- node;
     scratch.retired_index <- !retired - 1;
     scratch.cycles <- !cycles;
     scratch.shadow_active <- shadow_active;
     for k = 0 to nobs - 1 do
-      observers.(k) scratch
+      observers.(k).on_retire scratch
     done
+  in
+  (* The terminator of a detailed block: its notification, then the
+     windows the block left behind. *)
+  let notify_last node shadow_active taken_src taken_tgt =
+    if nobs > 0 then begin
+      scratch.taken_src <- taken_src;
+      scratch.taken_tgt <- taken_tgt;
+      notify node shadow_active
+    end;
+    query_windows ()
   in
   (* Timing-model and counter updates for one retirement; returns
      whether a long-latency shadow inhibited PMI at this retirement.
@@ -361,8 +415,50 @@ let run_tiered t ~entry ~max_instructions ~chain =
     if node.kernel then incr kernel_retired;
     shadow_active
   in
-  let rec exec_armed (c : compiled) =
-    let kernels = c.c_kernels and nodes = c.c_nodes in
+  let rec exec (c : compiled) =
+    if !retired + c.c_len <= !horizon then exec_block c else exec_detailed c
+  and exec_block (c : compiled) =
+    let kernels = c.c_kernels in
+    let lastk = c.c_len - 1 in
+    for k = 0 to lastk - 1 do
+      ignore ((Array.unsafe_get kernels k) st : Exec.control)
+    done;
+    let node = c.c_last in
+    st.ip <- node.Exec_graph.addr;
+    let control = (Array.unsafe_get kernels lastk) st in
+    let cycle_before = !cycles in
+    retired := !retired + c.c_len;
+    cycles := cycle_before + c.c_cost;
+    kernel_retired := !kernel_retired + c.c_kernel_count;
+    if c.c_shadow >= 0 then begin
+      let until = cycle_before + c.c_shadow in
+      if until > !shadow_until then shadow_until := until
+    end;
+    match control with
+    | Exec.Fall ->
+        if nobs > 0 then notify_block c (-1) (-1);
+        exec (fall_of c)
+    | Exec.Taken tgt ->
+        incr taken_branches;
+        if nobs > 0 then notify_block c node.addr tgt;
+        if tgt <> sentinel then exec (taken_of c tgt)
+    | Exec.Syscall_enter ra -> (
+        match t.kernel_entry with
+        | None -> fault "SYSCALL with no kernel mapped (at %#x)" node.addr
+        | Some kentry ->
+            State.set_gpr st Operand.RCX (Int64.of_int ra);
+            st.ring <- Ring.Kernel;
+            incr taken_branches;
+            if nobs > 0 then notify_block c node.addr kentry;
+            exec (taken_of c kentry))
+    | Exec.Sysret_exit tgt ->
+        st.ring <- Ring.User;
+        incr taken_branches;
+        if nobs > 0 then notify_block c node.addr tgt;
+        if tgt <> sentinel then exec (taken_of c tgt)
+    | Exec.Halt -> if nobs > 0 then notify_block c (-1) (-1)
+  and exec_detailed (c : compiled) =
+    let kernels = c.c_kernels and nodes = c.c_block.nodes in
     let lastk = c.c_len - 1 in
     for k = 0 to lastk - 1 do
       if !retired >= max_instructions then raise (Runaway !retired);
@@ -383,20 +479,12 @@ let run_tiered t ~entry ~max_instructions ~chain =
     let shadow_active = retire node in
     match control with
     | Exec.Fall ->
-        if nobs > 0 then begin
-          scratch.taken_src <- -1;
-          scratch.taken_tgt <- -1;
-          notify node shadow_active
-        end;
-        exec_armed (fall_of c)
+        notify_last node shadow_active (-1) (-1);
+        exec (fall_of c)
     | Exec.Taken tgt ->
         incr taken_branches;
-        if nobs > 0 then begin
-          scratch.taken_src <- node.addr;
-          scratch.taken_tgt <- tgt;
-          notify node shadow_active
-        end;
-        if tgt <> sentinel then exec_armed (taken_of c tgt)
+        notify_last node shadow_active node.addr tgt;
+        if tgt <> sentinel then exec (taken_of c tgt)
     | Exec.Syscall_enter ra -> (
         match t.kernel_entry with
         | None -> fault "SYSCALL with no kernel mapped (at %#x)" node.addr
@@ -404,71 +492,17 @@ let run_tiered t ~entry ~max_instructions ~chain =
             State.set_gpr st Operand.RCX (Int64.of_int ra);
             st.ring <- Ring.Kernel;
             incr taken_branches;
-            if nobs > 0 then begin
-              scratch.taken_src <- node.addr;
-              scratch.taken_tgt <- kentry;
-              notify node shadow_active
-            end;
-            exec_armed (taken_of c kentry))
+            notify_last node shadow_active node.addr kentry;
+            exec (taken_of c kentry))
     | Exec.Sysret_exit tgt ->
         st.ring <- Ring.User;
         incr taken_branches;
-        if nobs > 0 then begin
-          scratch.taken_src <- node.addr;
-          scratch.taken_tgt <- tgt;
-          notify node shadow_active
-        end;
-        if tgt <> sentinel then exec_armed (taken_of c tgt)
-    | Exec.Halt ->
-        if nobs > 0 then begin
-          scratch.taken_src <- -1;
-          scratch.taken_tgt <- -1;
-          notify node shadow_active
-        end
+        notify_last node shadow_active node.addr tgt;
+        if tgt <> sentinel then exec (taken_of c tgt)
+    | Exec.Halt -> notify_last node shadow_active (-1) (-1)
   in
-  let rec exec_bare (c : compiled) =
-    if !retired + c.c_len > max_instructions then
-      (* The block cannot fully retire within budget: fall back to the
-         per-instruction loop, which raises [Runaway] at the exact
-         retirement the legacy engine would. *)
-      exec_armed c
-    else begin
-      (* No kernel (nor fault handler) reads [State.t.ip], so the
-         per-instruction [st.ip] stores of the armed loop are dead here;
-         the terminator's store below keeps the post-run value identical
-         to the legacy engine's. *)
-      let kernels = c.c_kernels in
-      let lastk = c.c_len - 1 in
-      for k = 0 to lastk - 1 do
-        ignore ((Array.unsafe_get kernels k) st : Exec.control)
-      done;
-      let node = c.c_last in
-      st.ip <- node.Exec_graph.addr;
-      let control = (Array.unsafe_get kernels lastk) st in
-      retired := !retired + c.c_len;
-      cycles := !cycles + c.c_cost;
-      kernel_retired := !kernel_retired + c.c_kernel_count;
-      match control with
-      | Exec.Fall -> exec_bare (fall_of c)
-      | Exec.Taken tgt ->
-          incr taken_branches;
-          if tgt <> sentinel then exec_bare (taken_of c tgt)
-      | Exec.Syscall_enter ra -> (
-          match t.kernel_entry with
-          | None -> fault "SYSCALL with no kernel mapped (at %#x)" node.addr
-          | Some kentry ->
-              State.set_gpr st Operand.RCX (Int64.of_int ra);
-              st.ring <- Ring.Kernel;
-              incr taken_branches;
-              exec_bare (taken_of c kentry))
-      | Exec.Sysret_exit tgt ->
-          st.ring <- Ring.User;
-          incr taken_branches;
-          if tgt <> sentinel then exec_bare (taken_of c tgt)
-      | Exec.Halt -> ()
-    end
-  in
-  if nobs > 0 then exec_armed c0 else exec_bare c0;
+  query_windows ();
+  exec c0;
   {
     retired = !retired;
     cycles = !cycles;

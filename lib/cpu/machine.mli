@@ -1,11 +1,24 @@
 (** The CPU simulator's top-level run loop.
 
-    The machine retires instructions one by one, charging cycles per the
-    timing model and notifying registered observers of every retirement.
-    Observers implement both software instrumentation (exact counting) and
-    the PMU (sampled counting) — running them side by side over a single
-    deterministic execution is what lets the experiments compare methods
-    on identical ground truth. *)
+    The machine retires instructions, charging cycles per the timing
+    model, and reports what retires to registered observers.  Observers
+    implement both software instrumentation (exact counting) and the
+    PMU (sampled counting) — running them side by side over a single
+    deterministic execution is what lets the experiments compare
+    methods on identical ground truth.
+
+    Observers are told at {e block} granularity wherever they can be:
+    before every block each one has reported a window — how many
+    retirements it can absorb with one notification per retired block
+    — and a block that fits the smallest window runs as a bare block
+    body on the tiered engines.  A block that does
+    not fit the window (it could overflow a sampling counter, advance a
+    pending PMI or exceed the instruction budget) retires instruction
+    by instruction through the per-retirement hook instead.  The
+    [Legacy] engine drives only the per-retirement hook, so it is the
+    differential oracle for the law every observer keeps: its block
+    hook has the effect of folding its per-retirement hook over the
+    block's members. *)
 
 open Hbbp_program
 
@@ -22,7 +35,38 @@ type retirement = {
           long-latency instruction was still in flight. *)
 }
 
-type observer = retirement -> unit
+(** A compiled basic block, as block-level notifications name it. *)
+type block = {
+  id : int;
+      (** Dense per machine (0, 1, … in compile order), so observers
+          can key per-block static summaries by it. *)
+  nodes : Exec_graph.node array;  (** Members in execution order. *)
+}
+
+(** One attachment of an observer to a machine. *)
+type hooks = {
+  on_retire : retirement -> unit;
+      (** Per-instruction detail: called once per retirement outside
+          the window, and for every retirement on the [Legacy] engine. *)
+  on_block : block -> taken_src:int -> taken_tgt:int -> cycles:int -> int;
+      (** [on_block b ~taken_src ~taken_tgt ~cycles]: the whole of [b]
+          retired inside the window, with no per-instruction calls.
+          [taken_src]/[taken_tgt] describe its terminator ([-1] unless
+          it branched) and [cycles] is the cumulative cycle count after
+          it.  Returns the new window. *)
+  window : int -> int;
+      (** [window cycles]: how many retirements of the next block the
+          observer can absorb through [on_block], given the current
+          cumulative cycle count; [0] asks for per-instruction detail,
+          [max_int] means any block.  Queried when a run starts and
+          after every block retired instruction by instruction; with
+          [on_block]'s result, every block is measured against a
+          window reported just before it. *)
+}
+
+(** [attach] runs once per {!add_observer}, so per-block state keyed
+    by {!block.id} is private to one machine. *)
+type observer = { attach : unit -> hooks }
 
 type run_stats = {
   retired : int;
@@ -37,11 +81,11 @@ exception Runaway of int
 exception Machine_fault of string
 
 (** How [run] drives the execution graph.  All engines retire
-    bit-identical streams — same {!run_stats}, same observer
-    notifications, same faults — and differ only in dispatch cost:
+    bit-identical streams — same {!run_stats}, same observer results,
+    same faults — and differ only in dispatch cost:
 
-    - [Legacy]: the seed per-instruction loop; the differential-testing
-      reference.
+    - [Legacy]: the seed per-instruction loop, notifying observers per
+      retirement only; the differential-testing reference.
     - [Block]: per basic block, one cached closure of pre-compiled
       instruction kernels executes the whole block straight-line; the
       dense block cache is consulted at every block boundary.
@@ -70,7 +114,8 @@ val state : t -> State.t
 val process : t -> Process.t
 val engine : t -> engine
 
-(** O(1); the observer set is frozen when [run] starts. *)
+(** Attaches [observer] (calls its [attach]); the observer set is
+    frozen when [run] starts. *)
 val add_observer : t -> observer -> unit
 
 (** [run t ~entry ()] — executes from [entry] until the entry function

@@ -17,7 +17,7 @@ type sample = {
 type counter = {
   config : counter_config;
   mutable value : int;  (* progress towards the next overflow *)
-  mutable total : int64;
+  mutable total : int;
 }
 
 type pending = {
@@ -66,6 +66,11 @@ type t = {
   mutable misrotated_snapshots : int;
   mutable dropped_records : int;
   mutable faults : Faults.pmu_injector option;
+  tracks_branches : bool;
+      (* Some counter samples.  Without one, nothing ever reads the LBR
+         or draws a skid, so the LBR model (and its record-drop draws)
+         is skipped: a counting-only PMU is the per-block increments
+         plus the terminator's taken flag. *)
       (* Chaos hook; [None] unless a fault plan with PMU faults is armed
          at creation, so the disarmed hot path is one field load. *)
 }
@@ -87,7 +92,7 @@ let create model configs =
     model;
     counters =
       Array.of_list
-        (List.map (fun config -> { config; value = 0; total = 0L }) configs);
+        (List.map (fun config -> { config; value = 0; total = 0 }) configs);
     lbr = Lbr.create ~depth:model.lbr_depth;
     prng = Prng.create ~seed:model.seed;
     samples_rev = [];
@@ -104,15 +109,19 @@ let create model configs =
     misrotated_snapshots = 0;
     dropped_records = 0;
     faults = Faults.pmu_injector ();
+    tracks_branches =
+      List.exists
+        (fun c -> match c.mode with Sampling _ -> true | Counting -> false)
+        configs;
   }
 
-(* How much a retirement advances a counter for a given event. *)
-let increment (e : Pmu_event.t) (r : Machine.retirement) ~cycles_delta =
-  let m = r.node.instr.Instruction.mnemonic in
+(* How much retiring [m] advances a counter for [e], for every event
+   but the two that depend on the retirement rather than the
+   instruction: taken branches and cycles. *)
+let static_increment (e : Pmu_event.t) m =
   match e with
   | Pmu_event.Inst_retired_any | Pmu_event.Inst_retired_prec_dist -> 1
-  | Pmu_event.Br_inst_retired_near_taken -> if r.taken_src >= 0 then 1 else 0
-  | Pmu_event.Cpu_clk_unhalted -> cycles_delta
+  | Pmu_event.Br_inst_retired_near_taken | Pmu_event.Cpu_clk_unhalted -> 0
   | Pmu_event.Arith_divider_cycles -> (
       match Mnemonic.category m with
       | Mnemonic.Divide -> Latency.latency m
@@ -151,6 +160,14 @@ let increment (e : Pmu_event.t) (r : Machine.retirement) ~cycles_delta =
             | (Mnemonic.Sse | Mnemonic.Avx2), Mnemonic.Int_elem -> 1
             | _, _ -> 0)
         | _ -> 0)
+
+(* How much a retirement advances a counter, given the cycles it
+   charged and whether it was a taken branch. *)
+let increment (e : Pmu_event.t) (node : Exec_graph.node) ~taken ~cycles_delta =
+  match e with
+  | Pmu_event.Br_inst_retired_near_taken -> if taken then 1 else 0
+  | Pmu_event.Cpu_clk_unhalted -> cycles_delta
+  | _ -> static_increment e node.instr.Instruction.mnemonic
 
 (* Mild anomaly (all branches, low rate): the buffer is mis-rotated by
    one slot — the triggering branch appears oldest, one genuine stream is
@@ -275,24 +292,28 @@ let skid_for t (e : Pmu_event.t) =
       Pmu_model.draw_skid t.prng t.model.precise_skid
   | _ -> Pmu_model.draw_skid t.prng t.model.imprecise_skid
 
-let observer t : Machine.observer =
- fun r ->
+(* LBR tracking of one retired taken branch — except records lost to
+   the quirk — with the record-drop draws it triggers; [quirk] is
+   [Pmu_model.is_quirk_branch] of [src]. *)
+let record_taken t ~src ~tgt ~quirk =
+  if t.drop_next_push then begin
+    t.drop_next_push <- false;
+    t.dropped_records <- t.dropped_records + 1
+  end
+  else Lbr.push t.lbr ~src ~tgt;
+  if
+    (quirk && Prng.bool t.prng t.model.quirk_drop_probability)
+    || Prng.bool t.prng t.model.global_drop_probability
+  then t.drop_next_push <- true
+
+let on_retire t (r : Machine.retirement) =
   let cycles_delta = r.cycles - t.last_cycles in
   t.last_cycles <- r.cycles;
-  (* 1. LBR tracks every retired taken branch — except records lost to
-     the quirk. *)
-  if r.taken_src >= 0 then begin
-    if t.drop_next_push then begin
-      t.drop_next_push <- false;
-      t.dropped_records <- t.dropped_records + 1
-    end
-    else Lbr.push t.lbr ~src:r.taken_src ~tgt:r.taken_tgt;
-    if
-      (Pmu_model.is_quirk_branch t.model r.taken_src
-      && Prng.bool t.prng t.model.quirk_drop_probability)
-      || Prng.bool t.prng t.model.global_drop_probability
-    then t.drop_next_push <- true
-  end;
+  let taken = r.taken_src >= 0 in
+  (* 1. LBR tracks every retired taken branch. *)
+  if taken && t.tracks_branches then
+    record_taken t ~src:r.taken_src ~tgt:r.taken_tgt
+      ~quirk:(Pmu_model.is_quirk_branch t.model r.taken_src);
   (* 2. Advance pending PMIs (created at earlier retirements). *)
   if t.pendings <> [] then begin
     let still_pending = ref [] in
@@ -303,7 +324,7 @@ let observer t : Machine.observer =
           if shadow_blocked then still_pending := p :: !still_pending
           else deliver t p r
         else begin
-          let applicable = (not p.branch_based) || r.taken_src >= 0 in
+          let applicable = (not p.branch_based) || taken in
           if applicable then p.skid_left <- p.skid_left - 1;
           if p.skid_left <= 0 && applicable then
             if
@@ -322,14 +343,14 @@ let observer t : Machine.observer =
   end;
   (* 3. Count, detect overflows, create new pendings.  A for-loop, not
      [Array.iteri]: the latter allocates a fresh closure over [r] and
-     [cycles_delta] on every retirement of an armed run. *)
+     [cycles_delta] on every retirement. *)
   let counters = t.counters in
   for idx = 0 to Array.length counters - 1 do
     let c = Array.unsafe_get counters idx in
     begin
-      let inc = increment c.config.event r ~cycles_delta in
+      let inc = increment c.config.event r.node ~taken ~cycles_delta in
       if inc > 0 then begin
-        c.total <- Int64.add c.total (Int64.of_int inc);
+        c.total <- c.total + inc;
         match c.config.mode with
         | Counting -> ()
         | Sampling { period; _ } ->
@@ -341,7 +362,7 @@ let observer t : Machine.observer =
                   Pmu_event.Br_inst_retired_near_taken
               in
               let trigger =
-                if branch_based && r.taken_src >= 0 then
+                if branch_based && taken then
                   Some { Lbr.src = r.taken_src; tgt = r.taken_tgt }
                 else None
               in
@@ -373,9 +394,124 @@ let observer t : Machine.observer =
     end
   done
 
+(* Retirements of the next block a sampling counter can absorb without
+   overflowing.  The machine asks again after every block, so a
+   taken-branch counter with room for one more branch absorbs any block
+   (a block retires at most one taken branch); events advancing by at
+   most one per retirement absorb their room; cycle-weighted sampling
+   events always take the per-instruction path. *)
+let room c ~period =
+  let room = period - 1 - c.value in
+  match c.config.event with
+  | Pmu_event.Br_inst_retired_near_taken -> if room >= 1 then max_int else 0
+  | Pmu_event.Cpu_clk_unhalted | Pmu_event.Arith_divider_cycles -> 0
+  | _ -> max 0 room
+
+let slack t =
+  let w = ref max_int in
+  for idx = 0 to Array.length t.counters - 1 do
+    let c = Array.unsafe_get t.counters idx in
+    match c.config.mode with
+    | Counting -> ()
+    | Sampling { period; _ } ->
+        let r = room c ~period in
+        if r < !w then w := r
+  done;
+  !w
+
+(* A pending PMI advances per retirement, and a cycle count that does
+   not continue this PMU's last one (a machine run restarted without
+   [reset]) would make the first retirement's cycle delta differ from
+   its issue cost: both need per-instruction detail. *)
+let window t cycles =
+  if t.pendings <> [] || t.last_cycles <> cycles then 0 else slack t
+
+(* What a block adds regardless of how it retires: each counter's
+   static increment (indexed like [t.counters]) and whether its
+   terminator — the only member that can branch — is a quirk branch. *)
+type summary = { incs : int array; quirk : bool }
+
+(* One attachment's summaries, by block id. *)
+type summaries = { mutable slots : summary option array }
+
+let summarize t (b : Machine.block) =
+  {
+    incs =
+      Array.map
+        (fun c ->
+          Array.fold_left
+            (fun acc (n : Exec_graph.node) ->
+              acc + static_increment c.config.event n.instr.Instruction.mnemonic)
+            0 b.nodes)
+        t.counters;
+    quirk =
+      Pmu_model.is_quirk_branch t.model
+        b.nodes.(Array.length b.nodes - 1).Exec_graph.addr;
+  }
+
+let summary t summaries (b : Machine.block) =
+  let id = b.id in
+  let n = Array.length summaries.slots in
+  match if id < n then Array.unsafe_get summaries.slots id else None with
+  | Some s -> s
+  | None ->
+      let s = summarize t b in
+      if id >= n then begin
+        let slots = Array.make (max (id + 1) (2 * n)) None in
+        Array.blit summaries.slots 0 slots 0 n;
+        summaries.slots <- slots
+      end;
+      summaries.slots.(id) <- Some s;
+      s
+
+(* The fold of [on_retire] over a block that the window guarantees
+   neither overflows a sampling counter nor meets a pending PMI: LBR
+   and drop draws at the taken terminator, then the counter advance. *)
+let on_block t summaries (b : Machine.block) ~taken_src ~taken_tgt ~cycles =
+  let cycles_delta = cycles - t.last_cycles in
+  t.last_cycles <- cycles;
+  let s = summary t summaries b in
+  let taken = taken_src >= 0 in
+  if taken && t.tracks_branches then
+    record_taken t ~src:taken_src ~tgt:taken_tgt ~quirk:s.quirk;
+  let counters = t.counters in
+  let w = ref max_int in
+  for idx = 0 to Array.length counters - 1 do
+    let c = Array.unsafe_get counters idx in
+    let inc =
+      match c.config.event with
+      | Pmu_event.Br_inst_retired_near_taken -> if taken then 1 else 0
+      | Pmu_event.Cpu_clk_unhalted -> cycles_delta
+      | _ -> Array.unsafe_get s.incs idx
+    in
+    c.total <- c.total + inc;
+    match c.config.mode with
+    | Counting -> ()
+    | Sampling { period; _ } ->
+        c.value <- c.value + inc;
+        let r = room c ~period in
+        if r < !w then w := r
+  done;
+  !w
+
+let observer t : Machine.observer =
+  {
+    attach =
+      (fun () ->
+        let summaries = { slots = [||] } in
+        {
+          Machine.on_retire = (fun r -> on_retire t r);
+          on_block =
+            (fun b ~taken_src ~taken_tgt ~cycles ->
+              on_block t summaries b ~taken_src ~taken_tgt ~cycles);
+          window = (fun cycles -> window t cycles);
+        });
+  }
+
 let samples t = List.rev t.samples_rev
 let counts t =
-  Array.to_list (Array.map (fun c -> (c.config.event, c.total)) t.counters)
+  Array.to_list
+    (Array.map (fun c -> (c.config.event, Int64.of_int c.total)) t.counters)
 
 let pmi_count t = t.pmi_count
 
@@ -394,7 +530,7 @@ let reset t =
   Array.iter
     (fun c ->
       c.value <- 0;
-      c.total <- 0L)
+      c.total <- 0)
     t.counters;
   Lbr.clear t.lbr;
   t.samples_rev <- [];

@@ -6,6 +6,15 @@
     enabled.  The sampling path implements the skid, shadowing and LBR
     anomaly models from {!Pmu_model}.
 
+    As a {!Machine} observer the PMU pays per block outside PMI windows:
+    its window is how many retirements of the next block its sampling
+    counters absorb without overflowing (0 while a PMI is pending), and
+    a block retired inside it costs the per-block counter advance plus,
+    on a taken terminator, the LBR push and record-drop draws — in the
+    order the per-retirement hook makes them.  A PMU with no sampling
+    counter never reads its LBR, so it models none: it is the per-block
+    static increments plus the terminator's taken flag.
+
     Chaos hook: when a fault plan with PMU faults is armed
     ({!Hbbp_faults.Faults.arm}) at {!create} time, the PMU additionally
     injects sample loss (random and bursty), extra skid / PMI jitter and
@@ -38,7 +47,7 @@ type t
     with its dual-LBR collection). *)
 val create : Pmu_model.t -> counter_config list -> t
 
-(** Register this PMU on a machine. *)
+(** Register this PMU on a machine ({!Machine.add_observer}). *)
 val observer : t -> Machine.observer
 
 (** Samples in delivery order. *)

@@ -1,12 +1,22 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: a mutable [int64] field would
+   allocate a fresh box on every draw, and armed runs draw per taken
+   branch (the LBR record-drop model). *)
+type t = Bytes.t
 
-let create ~seed = { state = seed }
+(* Unchecked: every [t] is exactly 8 bytes long. *)
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let create ~seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -16,9 +26,11 @@ let int t bound =
   let v = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFFFL) in
   v mod bound
 
-let float t =
+(* Scaling by 2^-53 is exact, so the product equals the quotient by
+   2^53 and costs a multiply instead of a divide. *)
+let[@inline] float t =
   let v = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
+  Int64.to_float v *. 0x1p-53
 
 let bool t p = float t < p
 

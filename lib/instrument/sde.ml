@@ -52,6 +52,12 @@ let emulation_cost (i : Instruction.t) =
    allocation of [Hashtbl.find_opt] on the armed hot path. *)
 type seg = { s_base : int; s_limit : int; s_ids : int array }
 
+(* Block-level executions of one machine attachment not yet folded into
+   the totals: [execs.(id)] per compiled block id, [pending] the blocks
+   whose entry is non-zero.  Every reader folds them in first ({!flush}),
+   so a block retired at block level costs one increment. *)
+type tally = { mutable execs : int array; mutable pending : Machine.block list }
+
 type t = {
   config : config;
   leaders : seg array;  (* sorted by base; one per map with blocks *)
@@ -59,11 +65,11 @@ type t = {
   map_of_block : int array;  (* flat id -> index into maps *)
   local_id : int array;  (* flat id -> block id within its map *)
   counts : int array;  (* flat id -> exact execution count *)
-  histogram : int64 array;  (* indexed by mnemonic code *)
-  mutable total : int64;
+  histogram : int array;  (* indexed by mnemonic code *)
+  mutable total : int;
   mutable lost_kernel : int;
   mutable emulation_cycles : int;
-  mutable native_cycles : int;
+  mutable tallies : tally list;
 }
 
 let create config maps =
@@ -101,11 +107,11 @@ let create config maps =
     map_of_block = Array.map fst pairs;
     local_id = Array.map snd pairs;
     counts = Array.make !flat_count 0;
-    histogram = Array.make (Mnemonic.max_code + 1) 0L;
-    total = 0L;
+    histogram = Array.make (Mnemonic.max_code + 1) 0;
+    total = 0;
     lost_kernel = 0;
     emulation_cycles = 0;
-    native_cycles = 0;
+    tallies = [];
   }
 
 (* Flat id of the block leader at [addr], or -1. *)
@@ -122,35 +128,80 @@ let flat_of_addr t addr =
   in
   find 0
 
-let observer t : Machine.observer =
- fun r ->
-  let node = r.node in
-  if Ring.equal node.Exec_graph.ring Ring.Kernel then begin
+(* [n] retirements of [node]; the per-retirement hook is [n = 1]. *)
+let count_node t (node : Exec_graph.node) n =
+  if Ring.equal node.ring Ring.Kernel then begin
     (* Invisible to user-mode instrumentation; native time still passes. *)
-    t.lost_kernel <- t.lost_kernel + 1;
-    t.emulation_cycles <- t.emulation_cycles + node.Exec_graph.issue_cost
+    t.lost_kernel <- t.lost_kernel + n;
+    t.emulation_cycles <- t.emulation_cycles + (n * node.issue_cost)
   end
   else begin
-    let code = Mnemonic.to_code node.Exec_graph.instr.Instruction.mnemonic in
-    t.histogram.(code) <- Int64.add t.histogram.(code) 1L;
-    t.total <- Int64.add t.total 1L;
-    t.emulation_cycles <-
-      t.emulation_cycles + emulation_cost node.Exec_graph.instr;
-    let flat = flat_of_addr t node.Exec_graph.addr in
+    let code = Mnemonic.to_code node.instr.Instruction.mnemonic in
+    t.histogram.(code) <- t.histogram.(code) + n;
+    t.total <- t.total + n;
+    t.emulation_cycles <- t.emulation_cycles + (n * emulation_cost node.instr);
+    let flat = flat_of_addr t node.addr in
     if flat >= 0 then begin
-      t.counts.(flat) <- t.counts.(flat) + 1;
-      t.emulation_cycles <- t.emulation_cycles + t.config.probe_cost
+      t.counts.(flat) <- t.counts.(flat) + n;
+      t.emulation_cycles <- t.emulation_cycles + (n * t.config.probe_cost)
     end
+  end
+
+let on_block tally (b : Machine.block) =
+  let id = b.id in
+  let n = Array.length tally.execs in
+  if id >= n then begin
+    let execs = Array.make (max (id + 1) (2 * n)) 0 in
+    Array.blit tally.execs 0 execs 0 n;
+    tally.execs <- execs
   end;
-  t.native_cycles <- r.cycles
+  let k = Array.unsafe_get tally.execs id in
+  if k = 0 then tally.pending <- b :: tally.pending;
+  Array.unsafe_set tally.execs id (k + 1)
+
+(* Fold the pending block executions in: [n] executions of a block
+   count each of its members [n] times — the fold of the per-retirement
+   hook over the block, which may overlap other blocks, hold several
+   leaders and contain kernel members. *)
+let flush t =
+  List.iter
+    (fun tally ->
+      List.iter
+        (fun (b : Machine.block) ->
+          let n = tally.execs.(b.id) in
+          tally.execs.(b.id) <- 0;
+          Array.iter (fun node -> count_node t node n) b.nodes)
+        tally.pending;
+      tally.pending <- [])
+    t.tallies
+
+(* Exact counting never needs per-instruction detail: the window is
+   unbounded, and a block costs one increment of its execution tally. *)
+let observer t : Machine.observer =
+  {
+    attach =
+      (fun () ->
+        let tally = { execs = [||]; pending = [] } in
+        t.tallies <- tally :: t.tallies;
+        {
+          Machine.on_retire = (fun r -> count_node t r.node 1);
+          on_block =
+            (fun b ~taken_src:_ ~taken_tgt:_ ~cycles:_ ->
+              on_block tally b;
+              max_int);
+          window = (fun _ -> max_int);
+        });
+  }
 
 let block_count t map (block : Basic_block.t) =
+  flush t;
   match flat_of_addr t block.addr with
   | flat when flat >= 0 && t.maps.(t.map_of_block.(flat)) == map ->
       t.counts.(flat)
   | _ -> 0
 
 let block_counts t =
+  flush t;
   let out = ref [] in
   Array.iteri
     (fun flat count ->
@@ -162,18 +213,19 @@ let block_counts t =
   List.rev !out
 
 let histogram t =
+  flush t;
   let out = ref [] in
   Array.iteri
     (fun code count ->
-      if Int64.compare count 0L > 0 then
+      if count > 0 then
         match Mnemonic.of_code code with
         | Some m ->
             let count =
               match t.config.bug_mnemonic with
-              | Some bug when Mnemonic.equal bug m -> Int64.div count 2L
+              | Some bug when Mnemonic.equal bug m -> count / 2
               | Some _ | None -> count
             in
-            out := (m, count) :: !out
+            out := (m, Int64.of_int count) :: !out
         | None -> ())
     t.histogram;
   List.rev !out
@@ -182,17 +234,24 @@ let total_instructions t =
   (* The injected bug drops half the executions of one mnemonic from the
      tool's internal accounting, exactly the kind of defect the paper's
      PMU cross-check caught on x264ref (footnote 2). *)
-  match t.config.bug_mnemonic with
-  | None -> t.total
-  | Some bug ->
-      Int64.sub t.total (Int64.div t.histogram.(Mnemonic.to_code bug) 2L)
-let lost_kernel_instructions t = t.lost_kernel
-let instrumented_cycles t = t.emulation_cycles
+  flush t;
+  Int64.of_int
+    (match t.config.bug_mnemonic with
+    | None -> t.total
+    | Some bug -> t.total - (t.histogram.(Mnemonic.to_code bug) / 2))
+
+let lost_kernel_instructions t =
+  flush t;
+  t.lost_kernel
+
+let instrumented_cycles t =
+  flush t;
+  t.emulation_cycles
 
 let reset t =
+  flush t;
   Array.fill t.counts 0 (Array.length t.counts) 0;
-  Array.fill t.histogram 0 (Array.length t.histogram) 0L;
-  t.total <- 0L;
+  Array.fill t.histogram 0 (Array.length t.histogram) 0;
+  t.total <- 0;
   t.lost_kernel <- 0;
-  t.emulation_cycles <- 0;
-  t.native_cycles <- 0
+  t.emulation_cycles <- 0

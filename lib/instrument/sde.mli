@@ -2,8 +2,14 @@
 
     As an observer over the simulated execution it counts {e exactly}:
     per-basic-block execution counts and a per-mnemonic histogram.  These
-    are the paper's ground truth.  Two realities of the real tool are
-    modelled faithfully:
+    are the paper's ground truth.  Like PIN's basic-block-level
+    instrumentation it pays per block, not per instruction: its
+    {!Machine} window is unbounded, so on the tiered engines a retired
+    block costs one increment of that block's execution tally, and the
+    readers below count each member of a tallied block once per
+    execution — the same result the per-retirement hook gives on the
+    legacy engine.  Two realities of the real tool are modelled
+    faithfully:
 
     - it sees {b user-mode code only} (kernel retirements are invisible
       and tallied as lost);

@@ -30,14 +30,26 @@ let mix h v = (h * 0x1000193) lxor v
 let run_hashed engine ?max_instructions (w : Workload.t) =
   let machine = Machine.create ~process:w.Workload.live_process ~engine () in
   let hash = ref 0x811c9dc5 and retired = ref 0 in
-  Machine.add_observer machine (fun r ->
-      incr retired;
-      let h = mix !hash r.Machine.node.Exec_graph.addr in
-      let h = mix h r.Machine.taken_src in
-      let h = mix h r.Machine.taken_tgt in
-      let h = mix h r.Machine.retired_index in
-      let h = mix h r.Machine.cycles in
-      hash := mix h (Bool.to_int r.Machine.shadow_active));
+  let on_retire (r : Machine.retirement) =
+    incr retired;
+    let h = mix !hash r.node.Exec_graph.addr in
+    let h = mix h r.taken_src in
+    let h = mix h r.taken_tgt in
+    let h = mix h r.retired_index in
+    let h = mix h r.cycles in
+    hash := mix h (Bool.to_int r.shadow_active)
+  in
+  (* A zero window: every retirement takes the per-instruction hook. *)
+  Machine.add_observer machine
+    {
+      Machine.attach =
+        (fun () ->
+          {
+            Machine.on_retire;
+            on_block = (fun _ ~taken_src:_ ~taken_tgt:_ ~cycles:_ -> 0);
+            window = (fun _ -> 0);
+          });
+    };
   let outcome =
     match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
     | stats -> Finished stats
@@ -221,6 +233,213 @@ let test_fuzz_random_programs () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Observer identity: the tiered engines tell SDE and the PMUs about
+   whole blocks inside their windows, the legacy engine tells them
+   about every retirement.  Everything the observers report must agree
+   — for each observer alone and all three together, with a fault plan
+   armed, under budgets that stop a run mid-window, and over random
+   programs with sampling periods so small that almost every block
+   meets a PMI window.                                                 *)
+
+type observers = { sde : bool; sampling : bool; counting : bool }
+
+let observer_sets =
+  [
+    ("sde-only", { sde = true; sampling = false; counting = false });
+    ("sampling-only", { sde = false; sampling = true; counting = false });
+    ("counting-only", { sde = false; sampling = false; counting = true });
+    ("all three", { sde = true; sampling = true; counting = true });
+  ]
+
+let sampling_pmu ~ebs ~lbr =
+  Pmu.create Pmu_model.default
+    [
+      { Pmu.event = Pmu_event.Inst_retired_prec_dist;
+        mode = Pmu.Sampling { period = ebs; lbr = true } };
+      { Pmu.event = Pmu_event.Br_inst_retired_near_taken;
+        mode = Pmu.Sampling { period = lbr; lbr = true } };
+    ]
+
+(* Every event class: per-instruction static, taken-branch, cycle. *)
+let counting_pmu () =
+  Pmu.create Pmu_model.default
+    (List.map
+       (fun event -> { Pmu.event; mode = Pmu.Counting })
+       [ Pmu_event.Inst_retired_any; Pmu_event.Br_inst_retired_near_taken;
+         Pmu_event.Cpu_clk_unhalted; Pmu_event.Fp_comp_ops_sse ])
+
+let pmu_result pmu = (Pmu.samples pmu, Pmu.counts pmu, Pmu.health pmu)
+
+let observe engine ?max_instructions ~ebs ~lbr set (w : Workload.t) =
+  let machine = Machine.create ~process:w.Workload.live_process ~engine () in
+  let sde =
+    if set.sde then begin
+      let maps =
+        List.filter_map
+          (fun (img : Hbbp_program.Image.t) ->
+            if Hbbp_program.Ring.equal img.ring Hbbp_program.Ring.User then
+              Some (Hbbp_program.Bb_map.of_image_exn img)
+            else None)
+          (Hbbp_program.Process.images w.Workload.live_process)
+      in
+      let sde = Hbbp_instrument.Sde.create Hbbp_instrument.Sde.default_config maps in
+      Machine.add_observer machine (Hbbp_instrument.Sde.observer sde);
+      Some sde
+    end
+    else None
+  in
+  let sampling = if set.sampling then Some (sampling_pmu ~ebs ~lbr) else None in
+  let counting = if set.counting then Some (counting_pmu ()) else None in
+  Option.iter (fun p -> Machine.add_observer machine (Pmu.observer p)) sampling;
+  Option.iter (fun p -> Machine.add_observer machine (Pmu.observer p)) counting;
+  let outcome =
+    match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
+    | stats -> Finished stats
+    | exception Machine.Runaway n -> Ran_away n
+    | exception Machine.Machine_fault msg -> Faulted msg
+  in
+  let sde_result =
+    Option.map
+      (fun sde ->
+        let module S = Hbbp_instrument.Sde in
+        ( List.map
+            (fun (_, (b : Hbbp_program.Basic_block.t), n) -> (b.addr, n))
+            (S.block_counts sde),
+          S.histogram sde,
+          S.total_instructions sde,
+          S.lost_kernel_instructions sde,
+          S.instrumented_cycles sde ))
+      sde
+  in
+  (outcome, sde_result, Option.map pmu_result sampling,
+   Option.map pmu_result counting)
+
+let check_observers ~what ?max_instructions ?(ebs = 1009) ?(lbr = 211) set
+    (w : Workload.t) =
+  let reference = observe Machine.Legacy ?max_instructions ~ebs ~lbr set w in
+  List.for_all
+    (fun engine ->
+      let ((o, sde, sampling, counting) as got) =
+        observe engine ?max_instructions ~ebs ~lbr set w
+      in
+      let ro, rsde, rsampling, rcounting = reference in
+      if got = reference then true
+      else
+        Alcotest.failf
+          "%s: %s engine's observers diverge from legacy (outcome %s/%s, \
+           sde %b, sampling %b, counting %b)"
+          what (Machine.engine_name engine) (pp_outcome o) (pp_outcome ro)
+          (sde = rsde) (sampling = rsampling) (counting = rcounting))
+    engines
+
+let each_set f = List.iter (fun (name, set) -> f name set) observer_sets
+
+let test_observers_registry () =
+  List.iter
+    (fun name ->
+      let w = Hbbp_workloads.Registry.find name in
+      each_set (fun set_name set ->
+          ignore
+            (check_observers
+               ~what:(Printf.sprintf "%s %s" name set_name)
+               ~max_instructions:100_000 set w
+              : bool)))
+    Hbbp_workloads.Registry.names
+
+let with_plan spec f =
+  match Hbbp_faults.Fault_plan.of_string spec with
+  | Error msg -> Alcotest.failf "bad plan %S: %s" spec msg
+  | Ok plan ->
+      Hbbp_faults.Faults.arm plan;
+      Fun.protect ~finally:Hbbp_faults.Faults.disarm f
+
+let test_observers_fault_plan () =
+  with_plan
+    "seed=7,pmu.drop=0.05,pmu.burst_every=50,pmu.burst_len=4,pmu.skid=2,\
+     pmu.jitter=3,lbr.truncate=8,lbr.stuck=0.05,lbr.misrotate=0.05"
+    (fun () ->
+      List.iter
+        (fun name ->
+          let w = Hbbp_workloads.Registry.find name in
+          each_set (fun set_name set ->
+              ignore
+                (check_observers
+                   ~what:(Printf.sprintf "%s %s (faults)" name set_name)
+                   set w
+                  : bool)))
+        [ "hello"; "mcf" ])
+
+(* Budgets that stop a run while every window is open, right at a block
+   boundary, and inside per-instruction stretches. *)
+let test_observers_runaway () =
+  let w = Hbbp_workloads.Registry.find "hello" in
+  List.iter
+    (fun budget ->
+      each_set (fun set_name set ->
+          ignore
+            (check_observers
+               ~what:(Printf.sprintf "hello %s budget=%d" set_name budget)
+               ~max_instructions:budget ~ebs:97 ~lbr:13 set w
+              : bool)))
+    [ 1; 2; 3; 7; 100; 1_001; 4_099; 65_537 ]
+
+(* A PMU kept across two runs without [Pmu.reset]: the second run's
+   cycle count restarts below the PMU's last one, so its first
+   cycle-counter delta is not the retirement's issue cost. *)
+let test_observers_rerun () =
+  let w = Hbbp_workloads.Registry.find "mcf" in
+  let run engine =
+    let machine = Machine.create ~process:w.Workload.live_process ~engine () in
+    let sampling = sampling_pmu ~ebs:97 ~lbr:13 and counting = counting_pmu () in
+    Machine.add_observer machine (Pmu.observer sampling);
+    Machine.add_observer machine (Pmu.observer counting);
+    for _ = 1 to 2 do
+      match Machine.run machine ~entry:w.Workload.entry ~max_instructions:50_000 () with
+      | _ -> ()
+      | exception Machine.Runaway _ -> ()
+    done;
+    (pmu_result sampling, pmu_result counting)
+  in
+  let reference = run Machine.Legacy in
+  List.iter
+    (fun engine ->
+      checkb
+        (Printf.sprintf "%s: re-run PMU results equal legacy"
+           (Machine.engine_name engine))
+        true
+        (run engine = reference))
+    engines
+
+let fuzz_workload seed =
+  let name = Printf.sprintf "ofuzz%d" seed in
+  let seed64 = Int64.of_int ((seed * 0x9e3779b9) + 1) in
+  let ctx = Hbbp_workloads.Codegen.create_ctx ~seed:seed64 in
+  let funcs =
+    Hbbp_workloads.Codegen.synthetic_funcs ctx ~name:("f_" ^ name)
+      ~helpers:(1 + (seed mod 3))
+      (fuzz_params seed64)
+  in
+  Hbbp_workloads.Codegen.user_workload ~name funcs
+
+let period_gen =
+  QCheck2.Gen.(oneof [ int_range 1 3; int_range 4 64; int_range 65 2_000 ])
+
+let prop_observers_random_programs =
+  QCheck2.Test.make ~name:"observer identity on random programs" ~count:25
+    ~print:(fun (seed, ebs, lbr, budget) ->
+      Printf.sprintf "seed=%d ebs=%d lbr=%d budget=%s" seed ebs lbr
+        (match budget with Some b -> string_of_int b | None -> "none"))
+    QCheck2.Gen.(
+      quad (int_range 1 100_000) period_gen period_gen
+        (opt (int_range 1 200_000)))
+    (fun (seed, ebs, lbr, max_instructions) ->
+      let w = fuzz_workload seed in
+      List.for_all
+        (fun (name, set) ->
+          check_observers ~what:name ?max_instructions ~ebs ~lbr set w)
+        observer_sets)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "executor"
@@ -243,5 +462,17 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "random programs" `Quick test_fuzz_random_programs;
+        ] );
+      ( "observers",
+        [
+          Alcotest.test_case "registry (capped), each observer set" `Quick
+            test_observers_registry;
+          Alcotest.test_case "fault plan armed" `Quick
+            test_observers_fault_plan;
+          Alcotest.test_case "runaway budgets mid-window" `Quick
+            test_observers_runaway;
+          Alcotest.test_case "PMU re-run without reset" `Quick
+            test_observers_rerun;
+          QCheck_alcotest.to_alcotest prop_observers_random_programs;
         ] );
     ]
