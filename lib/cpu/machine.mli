@@ -65,7 +65,7 @@ type hooks = {
 }
 
 (** [attach] runs once per {!add_observer}, so per-block state keyed
-    by {!block.id} is private to one machine. *)
+    by [block.id] is private to one machine. *)
 type observer = { attach : unit -> hooks }
 
 type run_stats = {

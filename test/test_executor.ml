@@ -326,8 +326,8 @@ let check_observers ~what ?max_instructions ?(ebs = 1009) ?(lbr = 211) set
       if got = reference then true
       else
         Alcotest.failf
-          "%s: %s engine's observers diverge from legacy (outcome %s/%s, \
-           sde %b, sampling %b, counting %b)"
+          "%s: %s engine's observers diverge from legacy (outcome %s/%s; \
+           equal: sde %b, sampling %b, counting %b)"
           what (Machine.engine_name engine) (pp_outcome o) (pp_outcome ro)
           (sde = rsde) (sampling = rsampling) (counting = rcounting))
     engines
@@ -410,6 +410,56 @@ let test_observers_rerun () =
         (run engine = reference))
     engines
 
+(* Sampling on the other event classes: at most one per retirement
+   (FP / SIMD-integer ops, any instruction) and cycle-weighted (cycles,
+   divider), whose windows differ, on FP-heavy random programs. *)
+let test_observers_other_events () =
+  let sample events =
+    Pmu.create Pmu_model.default
+      (List.map
+         (fun (event, period) ->
+           { Pmu.event; mode = Pmu.Sampling { period; lbr = true } })
+         events)
+  in
+  let per_op () =
+    sample [ (Pmu_event.Fp_comp_ops_sse, 7); (Pmu_event.Simd_int_128, 5) ]
+  and cycle_weighted () =
+    sample
+      [ (Pmu_event.Cpu_clk_unhalted, 97); (Pmu_event.Arith_divider_cycles, 61) ]
+  in
+  (* One machine per PMU: the cycle-weighted one's zero window would
+     otherwise send every block down the per-instruction path. *)
+  let run engine (w : Workload.t) =
+    List.map
+      (fun pmu ->
+        let p = pmu () in
+        let machine =
+          Machine.create ~process:w.Workload.live_process ~engine ()
+        in
+        Machine.add_observer machine (Pmu.observer p);
+        (match
+           Machine.run machine ~entry:w.Workload.entry
+             ~max_instructions:300_000 ()
+         with
+        | _ -> ()
+        | exception Machine.Runaway _ -> ());
+        pmu_result p)
+      [ per_op; cycle_weighted ]
+  in
+  List.iter
+    (fun name ->
+      let w = Hbbp_workloads.Registry.find name in
+      let reference = run Machine.Legacy w in
+      List.iter
+        (fun engine ->
+          checkb
+            (Printf.sprintf "%s: %s PMU results equal legacy" name
+               (Machine.engine_name engine))
+            true
+            (run engine w = reference))
+        engines)
+    [ "fitter-sse"; "test40"; "mcf" ]
+
 let fuzz_workload seed =
   let name = Printf.sprintf "ofuzz%d" seed in
   let seed64 = Int64.of_int ((seed * 0x9e3779b9) + 1) in
@@ -473,6 +523,8 @@ let () =
             test_observers_runaway;
           Alcotest.test_case "PMU re-run without reset" `Quick
             test_observers_rerun;
+          Alcotest.test_case "sampling on every event class" `Quick
+            test_observers_other_events;
           QCheck_alcotest.to_alcotest prop_observers_random_programs;
         ] );
     ]
