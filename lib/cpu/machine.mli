@@ -10,12 +10,12 @@
     Observers are told at {e block} granularity wherever they can be:
     before every block each one has reported a window — how many
     retirements it can absorb with one notification per retired block
-    — and a block that fits the smallest window runs as a bare block
-    body on the tiered engines.  A block that does
-    not fit the window (it could overflow a sampling counter, advance a
-    pending PMI or exceed the instruction budget) retires instruction
-    by instruction through the per-retirement hook instead.  The
-    [Legacy] engine drives only the per-retirement hook, so it is the
+    — and on the tiered engines a block that fits the smallest window
+    and the instruction budget runs as a bare block body.  A block that
+    does not fit (it could overflow a sampling counter, advance a
+    pending PMI or exceed the budget) retires instruction by
+    instruction through the per-retirement hook instead.  The [Legacy]
+    engine drives only the per-retirement hook, so it is the
     differential oracle for the law every observer keeps: its block
     hook has the effect of folding its per-retirement hook over the
     block's members. *)
@@ -46,8 +46,9 @@ type block = {
 (** One attachment of an observer to a machine. *)
 type hooks = {
   on_retire : retirement -> unit;
-      (** Per-instruction detail: called once per retirement outside
-          the window, and for every retirement on the [Legacy] engine. *)
+      (** Per-instruction detail: called for every retirement of a
+          block that does not fit the window, and for every retirement
+          on the [Legacy] engine. *)
   on_block : block -> taken_src:int -> taken_tgt:int -> cycles:int -> int;
       (** [on_block b ~taken_src ~taken_tgt ~cycles]: the whole of [b]
           retired inside the window, with no per-instruction calls.
