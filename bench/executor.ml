@@ -7,17 +7,17 @@
      the legacy engine's aggregate rate over the machine bench set;
    - armed with the production observers (SDE, sampling PMU, counting
      PMU), the superblock engine must keep at least
-     [required_armed_ratio] of its bare rate — observers pay per block
-     and per instruction only inside PMI windows.  Block-level observers
-     measure 0.26-0.34x on this set (per-instruction observers: 0.07x);
-     the gate sits at half the lowest, so host noise cannot trip it. *)
+     [required_armed_ratio] of its bare rate over the registry —
+     observers pay per block and per instruction only inside PMI
+     windows.  Block-level observers measure 0.48-0.50x (per-instruction
+     observers: 0.10x); the gate sits at about half that. *)
 
 let required_ratio = 2.0
-let required_armed_ratio = 0.13
+let required_armed_ratio = 0.25
 
 let run ppf =
   Bench_util.header ppf
-    "Executor perf gates: superblock >= 2x legacy, armed >= 0.13x bare";
+    "Executor perf gates: superblock >= 2x legacy, armed >= 0.25x bare";
   let runs = Perf.machine_throughput () @ Perf.armed_throughput () in
   List.iter
     (fun (r : Perf.engine_run) ->

@@ -66,13 +66,13 @@ type t = {
   mutable misrotated_snapshots : int;
   mutable dropped_records : int;
   mutable faults : Faults.pmu_injector option;
+      (* Chaos hook; [None] unless a fault plan with PMU faults is armed
+         at creation, so the disarmed hot path is one field load. *)
   tracks_branches : bool;
       (* Some counter samples.  Without one, nothing ever reads the LBR
          or draws a skid, so the LBR model (and its record-drop draws)
          is skipped: a counting-only PMU is the per-block increments
          plus the terminator's taken flag. *)
-      (* Chaos hook; [None] unless a fault plan with PMU faults is armed
-         at creation, so the disarmed hot path is one field load. *)
 }
 
 let create model configs =
