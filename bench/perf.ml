@@ -238,15 +238,20 @@ let run ppf =
     machine_runs;
   let aggregate_names =
     List.map Hbbp_cpu.Machine.engine_name Hbbp_cpu.Machine.all_engines
-    @ [ "bare-superblock"; "armed-superblock" ]
   in
   List.iter
     (fun name ->
-      Format.fprintf ppf "Machine.run bench-set aggregate %-16s %9.2fM \
+      Format.fprintf ppf "Machine.run bench-set aggregate %-10s %9.2fM \
                           retired/s@."
         name
         (engine_rate machine_runs name /. 1e6))
     aggregate_names;
+  let bare = engine_rate machine_runs "bare-superblock"
+  and armed = engine_rate machine_runs "armed-superblock" in
+  Format.fprintf ppf
+    "Machine.run registry aggregate bare-superblock %.2fM retired/s, \
+     armed-superblock %.2fM retired/s (armed/bare %.3f)@."
+    (bare /. 1e6) (armed /. 1e6) (armed /. bare);
   if not identical then
     failwith "BENCH pipeline: parallel profiles differ from sequential";
 
@@ -279,7 +284,8 @@ let run ppf =
   "machine_run": [
 %s
   ],
-  "machine_run_retired_per_sec": { %s }
+  "machine_run_retired_per_sec": { %s },
+  "armed_vs_bare": { "workloads": "registry", "bare_superblock_retired_per_sec": %.0f, "armed_superblock_retired_per_sec": %.0f, "ratio": %.3f }
 }
 |}
     (U.json_header ~bench:"pipeline")
@@ -287,7 +293,7 @@ let run ppf =
     (float_of_int retired /. seq_s)
     requested_jobs par_jobs par_s
     (float_of_int retired /. par_s)
-    speedup identical machine_json aggregate_json;
+    speedup identical machine_json aggregate_json bare armed (armed /. bare);
   Format.fprintf ppf "wrote BENCH_pipeline.json@.";
   (* The sweep already profiled everything: seed the shared cache so any
      targets after this one in the same run are free. *)
