@@ -123,5 +123,8 @@ val add_observer : t -> observer -> unit
     returns (to the sentinel return address) or retires [HLT].
     @raise Runaway when [max_instructions] (default [2_000_000_000]) is hit.
     @raise Machine_fault on execution falling off mapped code, or SYSCALL
-    with no kernel mapped. *)
+    with no kernel mapped.  An exception raised inside a block that ran
+    as a bare body (a fault in an instruction kernel) leaves the
+    observers without that block's retirements before the fault, which
+    the [Legacy] engine would have reported one by one. *)
 val run : t -> entry:int -> ?max_instructions:int -> unit -> run_stats
