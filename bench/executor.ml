@@ -8,16 +8,17 @@
    - armed with the production observers (SDE, sampling PMU, counting
      PMU), the superblock engine must keep at least
      [required_armed_ratio] of its bare rate over the registry —
-     observers pay per block and per instruction only inside PMI
-     windows.  Block-level observers measure 0.48-0.50x (per-instruction
-     observers: 0.10x); the gate sits at about half that. *)
+     observers consume logged blocks in batches and pay per
+     instruction only inside PMI windows.  Batched observers measure
+     ~0.70x (one call per block: ~0.49x; per instruction: 0.10x); the
+     gate sits at about half that. *)
 
 let required_ratio = 2.0
-let required_armed_ratio = 0.25
+let required_armed_ratio = 0.35
 
 let run ppf =
   Bench_util.header ppf
-    "Executor perf gates: superblock >= 2x legacy, armed >= 0.25x bare";
+    "Executor perf gates: superblock >= 2x legacy, armed >= 0.35x bare";
   let runs = Perf.machine_throughput () @ Perf.armed_throughput () in
   List.iter
     (fun (r : Perf.engine_run) ->

@@ -12,10 +12,21 @@ type retirement = {
 
 type block = { id : int; nodes : Exec_graph.node array }
 
+type log = {
+  ids : int array;
+  targets : int array;
+  mutable len : int;
+  mutable retired : int;
+  mutable taken : int;
+  mutable cycles : int;
+  mutable blocks : block array;
+}
+
 type hooks = {
   on_retire : retirement -> unit;
-  on_block : block -> taken_src:int -> taken_tgt:int -> cycles:int -> int;
+  on_blocks : log -> unit;
   window : int -> int;
+  taken_window : unit -> int;
 }
 
 type observer = { attach : unit -> hooks }
@@ -97,10 +108,17 @@ type t = {
          arrays, so resolving an indirect branch target to compiled
          code costs the same as [Exec_graph.node_at]. *)
   scratch : retirement;
+  mutable log : log option;
+      (* Allocated by the first run with observers, so bare machines
+         allocate none. *)
+  mutable blocks : block array;
+      (* Compiled blocks by id, handed to observers as [log.blocks]. *)
   mutable compiled_blocks : int;  (* next [block.id] *)
 }
 
 let fault fmt = Format.kasprintf (fun s -> raise (Machine_fault s)) fmt
+
+let log_capacity = 1024
 
 let create ~process ?(seed = 42L) ?engine () =
   let graph = Exec_graph.build_exn process in
@@ -138,6 +156,8 @@ let create ~process ?(seed = 42L) ?engine () =
         cycles = 0;
         shadow_active = false;
       };
+    log = None;
+    blocks = [||];
     compiled_blocks = 0;
   }
 
@@ -162,9 +182,17 @@ let compiled_at t addr =
       | Some (b : Exec_graph.block) ->
           let id = t.compiled_blocks in
           t.compiled_blocks <- id + 1;
+          let block = { id; nodes = b.b_nodes } in
+          let n = Array.length t.blocks in
+          if id = n then begin
+            let blocks = Array.make (max 64 (2 * n)) block in
+            Array.blit t.blocks 0 blocks 0 n;
+            t.blocks <- blocks
+          end;
+          t.blocks.(id) <- block;
           let c =
             {
-              c_block = { id; nodes = b.b_nodes };
+              c_block = block;
               c_kernels = Array.map Exec.compile b.b_nodes;
               c_last = b.b_last;
               c_len = b.b_len;
@@ -297,23 +325,31 @@ let run_legacy t ~entry ~max_instructions =
 
    - [exec_block] runs the whole block straight-line, updates the
      counters per block (the PMI shadow through the block's static
-     [c_shadow]) and tells each observer once.  It is entered only when
-     the block fits under [horizon]: the instruction budget and every
-     observer's window.  No kernel (nor fault handler) reads
-     [State.t.ip], so only the terminator's store is kept; the post-run
-     value matches the legacy engine's.
+     [c_shadow]) and, when observers are attached, appends the block
+     to the block log: its id, and the target if it branched — no
+     call.  It is entered only when the block fits the horizons: the
+     instruction budget and every observer's retirement window, and a
+     taken-branch window with room for one more branch.  No kernel (nor
+     fault handler) reads [State.t.ip], so only the terminator's store
+     is kept; the post-run value matches the legacy engine's.
 
    - [exec_detailed] retires node by node with exactly the legacy
      loop's ordering — runaway check, [st.ip], kernel, shadow/cycle/
      counter updates, per-retirement notification — so a block that
      could overflow a sampling counter, advance a pending PMI or exceed
      the budget is bit-identical to the seed loop, including the
-     retirement at which [Runaway] is raised.  The windows are queried
-     again after it.
+     retirement at which [Runaway] is raised.
+
+   The log is handed to every observer's [on_blocks] when the next
+   block does not fit, when the log is full, at run end and before an
+   exception leaves the run.  The windows are queried afresh after
+   every flush except the final one and after every detailed block, so
+   they are fresh whenever the log is empty: a block runs detailed
+   exactly when it does not fit windows reported just before it.
 
    That due-by-N budgeting is what keeps sampling semantics identical
-   across engines.  Without observers the horizon is the budget, so a
-   bare run is [exec_block] throughout. *)
+   across engines.  Without observers the horizon is the budget and
+   nothing is logged, so a bare run is [exec_block] throughout. *)
 
 let run_tiered t ~entry ~max_instructions ~chain =
   let st = t.st in
@@ -325,6 +361,21 @@ let run_tiered t ~entry ~max_instructions ~chain =
   let observers = Array.of_list (List.rev t.observers_rev) in
   let nobs = Array.length observers in
   let scratch = t.scratch in
+  let log =
+    match t.log with
+    | Some log -> log
+    | None ->
+        let cap = if nobs > 0 then log_capacity else 0 in
+        let log =
+          { ids = Array.make cap 0; targets = Array.make cap 0; len = 0;
+            retired = 0; taken = 0; cycles = 0; blocks = [||] }
+        in
+        (* Without observers nothing is logged: an empty log serves. *)
+        if nobs > 0 then t.log <- Some log;
+        log
+  in
+  let ids = log.ids and targets = log.targets in
+  log.len <- 0;
   let c0 =
     match Exec_graph.node_at t.graph entry with
     | None -> fault "entry point %#x is not mapped code" entry
@@ -356,30 +407,46 @@ let run_tiered t ~entry ~max_instructions ~chain =
       c'
     end
   in
-  (* Retirement index up to which whole blocks may run bare. *)
+  (* Retirement index and taken-branch count up to which whole blocks
+     may run bare. *)
   let horizon = ref max_instructions in
-  let set_window w =
-    horizon :=
-      if w >= max_instructions - !retired then max_instructions
-      else !retired + w
-  in
+  let taken_horizon = ref max_int in
   let query_windows () =
-    let w = ref max_int in
+    let w = ref max_int and tw = ref max_int in
     for k = 0 to nobs - 1 do
-      let wk = observers.(k).window !cycles in
-      if wk < !w then w := wk
+      let o = observers.(k) in
+      let wk = o.window !cycles in
+      if wk < !w then w := wk;
+      let tk = o.taken_window () in
+      if tk < !tw then tw := tk
     done;
-    set_window !w
+    horizon :=
+      if !w >= max_instructions - !retired then max_instructions
+      else !retired + !w;
+    taken_horizon :=
+      if !tw >= max_int - !taken_branches then max_int
+      else !taken_branches + !tw
   in
-  let notify_block (c : compiled) taken_src taken_tgt =
-    let w = ref max_int in
-    for k = 0 to nobs - 1 do
-      let wk =
-        observers.(k).on_block c.c_block ~taken_src ~taken_tgt ~cycles:!cycles
-      in
-      if wk < !w then w := wk
-    done;
-    set_window !w
+  (* Counters at the last flush or detailed block: the batch totals
+     are measured from them. *)
+  let batch_retired = ref 0 and batch_taken = ref 0 in
+  let flush () =
+    if log.len > 0 then begin
+      log.retired <- !retired - !batch_retired;
+      log.taken <- !taken_branches - !batch_taken;
+      log.cycles <- !cycles;
+      log.blocks <- t.blocks;
+      for k = 0 to nobs - 1 do
+        observers.(k).on_blocks log
+      done;
+      log.len <- 0
+    end;
+    batch_retired := !retired;
+    batch_taken := !taken_branches
+  in
+  let sync () =
+    flush ();
+    query_windows ()
   in
   let notify (node : Exec_graph.node) shadow_active =
     scratch.node <- node;
@@ -398,7 +465,7 @@ let run_tiered t ~entry ~max_instructions ~chain =
       scratch.taken_tgt <- taken_tgt;
       notify node shadow_active
     end;
-    query_windows ()
+    sync ()
   in
   (* Timing-model and counter updates for one retirement; returns
      whether a long-latency shadow inhibited PMI at this retirement.
@@ -416,7 +483,13 @@ let run_tiered t ~entry ~max_instructions ~chain =
     shadow_active
   in
   let rec exec (c : compiled) =
-    if !retired + c.c_len <= !horizon then exec_block c else exec_detailed c
+    if !retired + c.c_len <= !horizon && !taken_branches < !taken_horizon
+    then exec_block c
+    else if log.len > 0 then begin
+      sync ();
+      exec c
+    end
+    else exec_detailed c
   and exec_block (c : compiled) =
     let kernels = c.c_kernels in
     let lastk = c.c_len - 1 in
@@ -436,27 +509,51 @@ let run_tiered t ~entry ~max_instructions ~chain =
     end;
     match control with
     | Exec.Fall ->
-        if nobs > 0 then notify_block c (-1) (-1);
+        if nobs > 0 then begin
+          let n = log.len in
+          Array.unsafe_set ids n c.c_block.id;
+          log.len <- n + 1;
+          if n + 1 = log_capacity then sync ()
+        end;
         exec (fall_of c)
-    | Exec.Taken tgt ->
+    | Exec.Halt ->
+        if nobs > 0 then begin
+          let n = log.len in
+          Array.unsafe_set ids n c.c_block.id;
+          log.len <- n + 1
+        end
+    | Exec.Taken _ | Exec.Syscall_enter _ | Exec.Sysret_exit _ ->
+        let tgt =
+          match control with
+          | Exec.Syscall_enter ra -> (
+              match t.kernel_entry with
+              | None ->
+                  (* The block never retires whole, so the batch totals
+                     a flush reports must not count it. *)
+                  retired := !retired - c.c_len;
+                  cycles := cycle_before;
+                  fault "SYSCALL with no kernel mapped (at %#x)" node.addr
+              | Some kentry ->
+                  State.set_gpr st Operand.RCX (Int64.of_int ra);
+                  st.ring <- Ring.Kernel;
+                  kentry)
+          | Exec.Sysret_exit tgt ->
+              st.ring <- Ring.User;
+              tgt
+          | Exec.Taken tgt -> tgt
+          | Exec.Fall | Exec.Halt -> assert false
+        in
         incr taken_branches;
-        if nobs > 0 then notify_block c node.addr tgt;
+        if nobs > 0 then begin
+          let n = log.len in
+          Array.unsafe_set ids n (lnot c.c_block.id);
+          Array.unsafe_set targets n tgt;
+          log.len <- n + 1;
+          if n + 1 = log_capacity then sync ()
+        end;
+        (* Returning to the sentinel frame ends the run; the kernel
+           entry never is the sentinel. *)
         if tgt <> sentinel then exec (taken_of c tgt)
-    | Exec.Syscall_enter ra -> (
-        match t.kernel_entry with
-        | None -> fault "SYSCALL with no kernel mapped (at %#x)" node.addr
-        | Some kentry ->
-            State.set_gpr st Operand.RCX (Int64.of_int ra);
-            st.ring <- Ring.Kernel;
-            incr taken_branches;
-            if nobs > 0 then notify_block c node.addr kentry;
-            exec (taken_of c kentry))
-    | Exec.Sysret_exit tgt ->
-        st.ring <- Ring.User;
-        incr taken_branches;
-        if nobs > 0 then notify_block c node.addr tgt;
-        if tgt <> sentinel then exec (taken_of c tgt)
-    | Exec.Halt -> if nobs > 0 then notify_block c (-1) (-1)
   and exec_detailed (c : compiled) =
     let kernels = c.c_kernels and nodes = c.c_block.nodes in
     let lastk = c.c_len - 1 in
@@ -502,7 +599,12 @@ let run_tiered t ~entry ~max_instructions ~chain =
     | Exec.Halt -> notify_last node shadow_active (-1) (-1)
   in
   query_windows ();
-  exec c0;
+  (match exec c0 with
+  | () -> flush ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      flush ();
+      Printexc.raise_with_backtrace e bt);
   {
     retired = !retired;
     cycles = !cycles;

@@ -7,18 +7,25 @@
     deterministic execution is what lets the experiments compare
     methods on identical ground truth.
 
-    Observers are told at {e block} granularity wherever they can be:
-    before every block each one has reported a window — how many
-    retirements it can absorb with one notification per retired block
-    — and on the tiered engines a block that fits the smallest window
-    and the instruction budget runs as a bare block body.  A block that
-    does not fit (it could overflow a sampling counter, advance a
-    pending PMI or exceed the budget) retires instruction by
-    instruction through the per-retirement hook instead.  The [Legacy]
-    engine drives only the per-retirement hook, so it is the
-    differential oracle for the law every observer keeps: its block
-    hook has the effect of folding its per-retirement hook over the
-    block's members. *)
+    Observers are told in bulk wherever they can be.  Each one reports
+    two windows: how many retirements, and how many taken branches, it
+    can absorb without per-instruction detail.  On the tiered engines a
+    block that fits the budget and both smallest windows (with room for
+    one more taken branch) runs as a bare block body and is appended to
+    the machine's {e block log} — no observer call.  The log is
+    allocated once, by the machine's first run with observers.  The log is handed
+    to every observer's [on_blocks] hook, with the batch's totals, at
+    four points: when the next block does not fit (the windows are then
+    queried afresh, so a block runs detailed exactly when it does not
+    fit windows reported just before it), when the log is full, at run
+    end, and before an exception leaves {!run}.  A block that does not
+    fit (it could overflow a sampling counter, advance a pending PMI or
+    exceed the budget) retires instruction by instruction through the
+    per-retirement hook instead.  The [Legacy] engine drives only the
+    per-retirement hook, so it is the differential oracle for the law
+    every observer keeps: [on_blocks] has the effect of folding its
+    per-retirement hook over the members of the logged blocks, in log
+    order. *)
 
 open Hbbp_program
 
@@ -35,7 +42,7 @@ type retirement = {
           long-latency instruction was still in flight. *)
 }
 
-(** A compiled basic block, as block-level notifications name it. *)
+(** A compiled basic block, as the block log names it. *)
 type block = {
   id : int;
       (** Dense per machine (0, 1, … in compile order), so observers
@@ -43,26 +50,50 @@ type block = {
   nodes : Exec_graph.node array;  (** Members in execution order. *)
 }
 
+(** A batch of whole blocks retired in order since the last flush.
+    Owned by the machine and reused across batches: observers read it
+    inside [on_blocks] and must copy anything they keep (the [blocks]
+    table excepted, which only grows). *)
+type log = private {
+  ids : int array;
+      (** Entry [k < len] is the id of the [k]th block retired,
+          complemented ([lnot id]) when its terminator branched. *)
+  targets : int array;
+      (** For a branched entry, the branch target; unspecified
+          otherwise.  The source is the block's last member. *)
+  mutable len : int;  (** Entries in the batch, at most {!log_capacity}. *)
+  mutable retired : int;  (** Instructions the batch retired. *)
+  mutable taken : int;  (** Taken branches the batch retired. *)
+  mutable cycles : int;  (** Cumulative cycle count after the batch. *)
+  mutable blocks : block array;
+      (** Every block compiled so far, by id; slots past the last
+          compiled id are filler. *)
+}
+
+(** Entries a log holds before it is flushed. *)
+val log_capacity : int
+
 (** One attachment of an observer to a machine. *)
 type hooks = {
   on_retire : retirement -> unit;
       (** Per-instruction detail: called for every retirement of a
-          block that does not fit the window, and for every retirement
+          block that does not fit the windows, and for every retirement
           on the [Legacy] engine. *)
-  on_block : block -> taken_src:int -> taken_tgt:int -> cycles:int -> int;
-      (** [on_block b ~taken_src ~taken_tgt ~cycles]: the whole of [b]
-          retired inside the window, with no per-instruction calls.
-          [taken_src]/[taken_tgt] describe its terminator ([-1] unless
-          it branched) and [cycles] is the cumulative cycle count after
-          it.  Returns the new window. *)
+  on_blocks : log -> unit;
+      (** A batch of whole blocks that retired inside the windows, with
+          no per-instruction calls. *)
   window : int -> int;
-      (** [window cycles]: how many retirements of the next block the
-          observer can absorb through [on_block], given the current
-          cumulative cycle count; [0] asks for per-instruction detail,
-          [max_int] means any block.  Queried when a run starts and
-          after every block retired instruction by instruction; with
-          [on_block]'s result, every block is measured against a
-          window reported just before it. *)
+      (** [window cycles]: how many retirements the observer can absorb
+          through [on_blocks], given the current cumulative cycle
+          count; [0] asks for per-instruction detail, [max_int] means
+          any number. *)
+  taken_window : unit -> int;
+      (** How many taken branches the observer can absorb through
+          [on_blocks]; a block runs bare only with room for one more.
+          Both windows are queried together, when a run starts, after
+          every flush except the final one and after every block retired
+          instruction by instruction, and bound the whole batch that
+          follows. *)
 }
 
 (** [attach] runs once per {!add_observer}, so per-block state keyed
@@ -123,8 +154,11 @@ val add_observer : t -> observer -> unit
     returns (to the sentinel return address) or retires [HLT].
     @raise Runaway when [max_instructions] (default [2_000_000_000]) is hit.
     @raise Machine_fault on execution falling off mapped code, or SYSCALL
-    with no kernel mapped.  An exception raised inside a block that ran
-    as a bare body (a fault in an instruction kernel) leaves the
-    observers without that block's retirements before the fault, which
-    the [Legacy] engine would have reported one by one. *)
+    with no kernel mapped.  Every exception is raised after the block
+    log has been flushed, so the observers hold every block retired
+    before the faulting one.  An exception raised inside a block that
+    ran as a bare body (a fault in an instruction kernel, or SYSCALL
+    with no kernel mapped) leaves them without that block's retirements
+    before the fault, which the [Legacy] engine would have reported one
+    by one. *)
 val run : t -> entry:int -> ?max_instructions:int -> unit -> run_stats

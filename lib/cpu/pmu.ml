@@ -71,8 +71,9 @@ type t = {
   tracks_branches : bool;
       (* Some counter samples.  Without one, nothing ever reads the LBR
          or draws a skid, so the LBR model (and its record-drop draws)
-         is skipped: a counting-only PMU is the per-block increments
-         plus the terminator's taken flag. *)
+         is skipped: a counting-only PMU is the batch totals (and,
+         for events other than retirements, taken branches and cycles,
+         the per-block static increments). *)
 }
 
 let create model configs =
@@ -394,47 +395,65 @@ let on_retire t (r : Machine.retirement) =
     end
   done
 
-(* Retirements of the next block a sampling counter can absorb without
-   overflowing.  The machine asks again after every block, so a
-   taken-branch counter with room for one more branch absorbs any block
-   (a block retires at most one taken branch); events advancing by at
-   most one per retirement absorb their room; cycle-weighted sampling
-   events always take the per-instruction path. *)
+(* How many more units of its event a sampling counter absorbs
+   without overflowing.  An int comparison, not [Stdlib.max]: without
+   cross-module inlining the polymorphic one is a C call. *)
 let room c ~period =
   let room = period - 1 - c.value in
-  match c.config.event with
-  | Pmu_event.Br_inst_retired_near_taken -> if room >= 1 then max_int else 0
-  | Pmu_event.Cpu_clk_unhalted | Pmu_event.Arith_divider_cycles -> 0
-  | _ -> max 0 room
+  if room > 0 then room else 0
 
-let slack t =
+(* Retirements the sampling counters absorb: events advancing by at
+   most one per retirement absorb their room, cycle-weighted events
+   always take the per-instruction path, and the taken-branch event is
+   bounded by [taken_window] instead.  A pending PMI advances per
+   retirement, and a cycle count that does not continue this PMU's last
+   one (a machine run restarted without [reset]) would make the first
+   retirement's cycle delta differ from its issue cost: both need
+   per-instruction detail. *)
+let window t cycles =
+  if t.pendings <> [] || t.last_cycles <> cycles then 0
+  else begin
+    let w = ref max_int in
+    for idx = 0 to Array.length t.counters - 1 do
+      let c = Array.unsafe_get t.counters idx in
+      match c.config.mode with
+      | Counting -> ()
+      | Sampling { period; _ } ->
+          let r =
+            match c.config.event with
+            | Pmu_event.Br_inst_retired_near_taken -> max_int
+            | Pmu_event.Cpu_clk_unhalted | Pmu_event.Arith_divider_cycles -> 0
+            | _ -> room c ~period
+          in
+          if r < !w then w := r
+    done;
+    !w
+  end
+
+(* Taken branches the taken-branch sampling counters absorb. *)
+let taken_window t =
   let w = ref max_int in
   for idx = 0 to Array.length t.counters - 1 do
     let c = Array.unsafe_get t.counters idx in
-    match c.config.mode with
-    | Counting -> ()
-    | Sampling { period; _ } ->
+    match (c.config.event, c.config.mode) with
+    | Pmu_event.Br_inst_retired_near_taken, Sampling { period; _ } ->
         let r = room c ~period in
         if r < !w then w := r
+    | _, (Sampling _ | Counting) -> ()
   done;
   !w
 
-(* A pending PMI advances per retirement, and a cycle count that does
-   not continue this PMU's last one (a machine run restarted without
-   [reset]) would make the first retirement's cycle delta differ from
-   its issue cost: both need per-instruction detail. *)
-let window t cycles =
-  if t.pendings <> [] || t.last_cycles <> cycles then 0 else slack t
-
 (* What a block adds regardless of how it retires: each counter's
-   static increment (indexed like [t.counters]) and whether its
-   terminator — the only member that can branch — is a quirk branch. *)
-type summary = { incs : int array; quirk : bool }
+   static increment (indexed like [t.counters]), and its terminator —
+   the only member that can branch — with whether it is a quirk
+   branch. *)
+type summary = { incs : int array; src : int; quirk : bool }
 
 (* One attachment's summaries, by block id. *)
 type summaries = { mutable slots : summary option array }
 
 let summarize t (b : Machine.block) =
+  let src = b.nodes.(Array.length b.nodes - 1).Exec_graph.addr in
   {
     incs =
       Array.map
@@ -444,55 +463,69 @@ let summarize t (b : Machine.block) =
               acc + static_increment c.config.event n.instr.Instruction.mnemonic)
             0 b.nodes)
         t.counters;
-    quirk =
-      Pmu_model.is_quirk_branch t.model
-        b.nodes.(Array.length b.nodes - 1).Exec_graph.addr;
+    src;
+    quirk = Pmu_model.is_quirk_branch t.model src;
   }
 
-let summary t summaries (b : Machine.block) =
-  let id = b.id in
-  let n = Array.length summaries.slots in
-  match if id < n then Array.unsafe_get summaries.slots id else None with
+(* [summaries.slots] must cover [log.blocks]. *)
+let summary t summaries (log : Machine.log) id =
+  match Array.unsafe_get summaries.slots id with
   | Some s -> s
   | None ->
-      let s = summarize t b in
-      if id >= n then begin
-        let slots = Array.make (max (id + 1) (2 * n)) None in
-        Array.blit summaries.slots 0 slots 0 n;
-        summaries.slots <- slots
-      end;
+      let s = summarize t log.blocks.(id) in
       summaries.slots.(id) <- Some s;
       s
 
-(* The fold of [on_retire] over a block that the window guarantees
-   neither overflows a sampling counter nor meets a pending PMI: LBR
-   and drop draws at the taken terminator, then the counter advance. *)
-let on_block t summaries (b : Machine.block) ~taken_src ~taken_tgt ~cycles =
-  let cycles_delta = cycles - t.last_cycles in
-  t.last_cycles <- cycles;
-  let s = summary t summaries b in
-  let taken = taken_src >= 0 in
-  if taken && t.tracks_branches then
-    record_taken t ~src:taken_src ~tgt:taken_tgt ~quirk:s.quirk;
+let entry_id e = if e < 0 then lnot e else e
+
+(* The fold of [on_retire] over a batch that the windows guarantee
+   neither overflows a sampling counter nor meets a pending PMI: the
+   LBR push and drop draws at each taken terminator in log order, then
+   each counter's advance by the batch total — summed entry by entry
+   only for events other than retirements, taken branches and cycles. *)
+let on_blocks t summaries (log : Machine.log) =
+  let cycles_delta = log.cycles - t.last_cycles in
+  t.last_cycles <- log.cycles;
+  let n = Array.length summaries.slots in
+  if n < Array.length log.blocks then begin
+    let slots = Array.make (Array.length log.blocks) None in
+    Array.blit summaries.slots 0 slots 0 n;
+    summaries.slots <- slots
+  end;
+  let ids = log.ids and len = log.len in
+  if t.tracks_branches && log.taken > 0 then
+    for k = 0 to len - 1 do
+      let e = Array.unsafe_get ids k in
+      if e < 0 then begin
+        let s = summary t summaries log (lnot e) in
+        record_taken t ~src:s.src ~tgt:(Array.unsafe_get log.targets k)
+          ~quirk:s.quirk
+      end
+    done;
   let counters = t.counters in
-  let w = ref max_int in
   for idx = 0 to Array.length counters - 1 do
     let c = Array.unsafe_get counters idx in
     let inc =
       match c.config.event with
-      | Pmu_event.Br_inst_retired_near_taken -> if taken then 1 else 0
+      | Pmu_event.Inst_retired_any | Pmu_event.Inst_retired_prec_dist ->
+          log.retired
+      | Pmu_event.Br_inst_retired_near_taken -> log.taken
       | Pmu_event.Cpu_clk_unhalted -> cycles_delta
-      | _ -> Array.unsafe_get s.incs idx
+      | Pmu_event.Arith_divider_cycles | Pmu_event.Fp_comp_ops_sse
+      | Pmu_event.Fp_comp_ops_avx | Pmu_event.Fp_comp_ops_x87
+      | Pmu_event.Simd_int_128 ->
+          let sum = ref 0 in
+          for k = 0 to len - 1 do
+            let s = summary t summaries log (entry_id (Array.unsafe_get ids k)) in
+            sum := !sum + Array.unsafe_get s.incs idx
+          done;
+          !sum
     in
     c.total <- c.total + inc;
     match c.config.mode with
     | Counting -> ()
-    | Sampling { period; _ } ->
-        c.value <- c.value + inc;
-        let r = room c ~period in
-        if r < !w then w := r
-  done;
-  !w
+    | Sampling _ -> c.value <- c.value + inc
+  done
 
 let observer t : Machine.observer =
   {
@@ -501,10 +534,9 @@ let observer t : Machine.observer =
         let summaries = { slots = [||] } in
         {
           Machine.on_retire = (fun r -> on_retire t r);
-          on_block =
-            (fun b ~taken_src ~taken_tgt ~cycles ->
-              on_block t summaries b ~taken_src ~taken_tgt ~cycles);
+          on_blocks = (fun log -> on_blocks t summaries log);
           window = (fun cycles -> window t cycles);
+          taken_window = (fun () -> taken_window t);
         });
   }
 

@@ -6,14 +6,20 @@
     enabled.  The sampling path implements the skid, shadowing and LBR
     anomaly models from {!Pmu_model}.
 
-    As a {!Machine} observer the PMU pays per block outside PMI windows:
-    its window is how many retirements of the next block its sampling
-    counters absorb without overflowing (0 while a PMI is pending), and
-    a block retired inside it costs the per-block counter advance plus,
-    on a taken terminator, the LBR push and record-drop draws — in the
-    order the per-retirement hook makes them.  A PMU with no sampling
-    counter never reads its LBR, so it models none: it is the per-block
-    static increments plus the terminator's taken flag.
+    As a {!Machine} observer the PMU pays per batch of blocks outside
+    PMI windows.  It reports two windows: in retirements, the smallest
+    room before overflow among its sampling counters of events that
+    advance by at most one per retirement (0 while a PMI is pending,
+    and always 0 with a cycle-weighted sampling counter); in taken
+    branches, the taken-branch sampling counter's room.  A flushed
+    block log costs the LBR push and record-drop draws for its taken
+    entries, in log order — the order the per-retirement hook makes
+    them, so the PRNG sequence is unchanged — and one advance per
+    counter by the batch total for retirement, taken-branch and cycle
+    events; only the other events sum per-block static increments
+    entry by entry.  A PMU with no sampling counter never reads its
+    LBR, so it models none: counting the production events is O(1)
+    per flush.
 
     Chaos hook: when a fault plan with PMU faults is armed
     ({!Hbbp_faults.Faults.arm}) at {!create} time, the PMU additionally

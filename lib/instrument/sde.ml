@@ -53,10 +53,15 @@ let emulation_cost (i : Instruction.t) =
 type seg = { s_base : int; s_limit : int; s_ids : int array }
 
 (* Block-level executions of one machine attachment not yet folded into
-   the totals: [execs.(id)] per compiled block id, [pending] the blocks
-   whose entry is non-zero.  Every reader folds them in first ({!flush}),
-   so a block retired at block level costs one increment. *)
-type tally = { mutable execs : int array; mutable pending : Machine.block list }
+   the totals: [execs.(id)] per compiled block id, [blocks] the
+   machine's table of them ([Machine.log.blocks]) and [dirty] whether
+   any entry is non-zero.  Every reader folds them in first ({!flush}),
+   so a logged block costs one increment. *)
+type tally = {
+  mutable execs : int array;
+  mutable blocks : Machine.block array;
+  mutable dirty : bool;
+}
 
 type t = {
   config : config;
@@ -147,49 +152,56 @@ let count_node t (node : Exec_graph.node) n =
     end
   end
 
-let on_block tally (b : Machine.block) =
-  let id = b.id in
+let on_blocks tally (log : Machine.log) =
   let n = Array.length tally.execs in
-  if id >= n then begin
-    let execs = Array.make (max (id + 1) (2 * n)) 0 in
+  if n < Array.length log.blocks then begin
+    let execs = Array.make (Array.length log.blocks) 0 in
     Array.blit tally.execs 0 execs 0 n;
     tally.execs <- execs
   end;
-  let k = Array.unsafe_get tally.execs id in
-  if k = 0 then tally.pending <- b :: tally.pending;
-  Array.unsafe_set tally.execs id (k + 1)
+  tally.blocks <- log.blocks;
+  tally.dirty <- true;
+  let execs = tally.execs and ids = log.ids in
+  for k = 0 to log.len - 1 do
+    let e = Array.unsafe_get ids k in
+    let id = if e < 0 then lnot e else e in
+    Array.unsafe_set execs id (Array.unsafe_get execs id + 1)
+  done
 
-(* Fold the pending block executions in: [n] executions of a block
+(* Fold the tallied block executions in: [n] executions of a block
    count each of its members [n] times — the fold of the per-retirement
    hook over the block, which may overlap other blocks, hold several
    leaders and contain kernel members. *)
 let flush t =
   List.iter
     (fun tally ->
-      List.iter
-        (fun (b : Machine.block) ->
-          let n = tally.execs.(b.id) in
-          tally.execs.(b.id) <- 0;
-          Array.iter (fun node -> count_node t node n) b.nodes)
-        tally.pending;
-      tally.pending <- [])
+      if tally.dirty then begin
+        tally.dirty <- false;
+        Array.iteri
+          (fun id n ->
+            if n > 0 then begin
+              tally.execs.(id) <- 0;
+              Array.iter
+                (fun node -> count_node t node n)
+                tally.blocks.(id).Machine.nodes
+            end)
+          tally.execs
+      end)
     t.tallies
 
-(* Exact counting never needs per-instruction detail: the window is
-   unbounded, and a block costs one increment of its execution tally. *)
+(* Exact counting never needs per-instruction detail: both windows are
+   unbounded, and a logged block costs one increment of its tally. *)
 let observer t : Machine.observer =
   {
     attach =
       (fun () ->
-        let tally = { execs = [||]; pending = [] } in
+        let tally = { execs = [||]; blocks = [||]; dirty = false } in
         t.tallies <- tally :: t.tallies;
         {
           Machine.on_retire = (fun r -> count_node t r.node 1);
-          on_block =
-            (fun b ~taken_src:_ ~taken_tgt:_ ~cycles:_ ->
-              on_block tally b;
-              max_int);
+          on_blocks = (fun log -> on_blocks tally log);
           window = (fun _ -> max_int);
+          taken_window = (fun () -> max_int);
         });
   }
 

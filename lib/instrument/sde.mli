@@ -3,10 +3,12 @@
     As an observer over the simulated execution it counts {e exactly}:
     per-basic-block execution counts and a per-mnemonic histogram.  These
     are the paper's ground truth.  Like PIN's basic-block-level
-    instrumentation it pays per block, not per instruction: its
-    {!Machine} window is unbounded, so on the tiered engines a retired
-    block costs one increment of that block's execution tally, and the
-    readers below count each member of a tallied block once per
+    instrumentation it pays per block, not per instruction: both its
+    {!Machine} windows are unbounded, so on the tiered engines its
+    batches end only where another observer's window or the block
+    log's capacity ends them, and each logged block costs one increment
+    of that block's execution tally.  The readers below fold the tally
+    in first, counting each member of a tallied block once per
     execution — the same result the per-retirement hook gives on the
     legacy engine.  Two realities of the real tool are modelled
     faithfully:

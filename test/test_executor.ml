@@ -27,6 +27,13 @@ type outcome =
 
 let mix h v = (h * 0x1000193) lxor v
 
+let outcome_of run =
+  match run () with
+  | stats -> Finished stats
+  | exception Machine.Runaway n -> Ran_away n
+  | exception Machine.Machine_fault msg -> Faulted msg
+  | exception Memory.Fault addr -> Faulted (Printf.sprintf "memory %#x" addr)
+
 let run_hashed engine ?max_instructions (w : Workload.t) =
   let machine = Machine.create ~process:w.Workload.live_process ~engine () in
   let hash = ref 0x811c9dc5 and retired = ref 0 in
@@ -46,24 +53,19 @@ let run_hashed engine ?max_instructions (w : Workload.t) =
         (fun () ->
           {
             Machine.on_retire;
-            on_block = (fun _ ~taken_src:_ ~taken_tgt:_ ~cycles:_ -> 0);
+            on_blocks = (fun _ -> ());
             window = (fun _ -> 0);
+            taken_window = (fun () -> 0);
           });
     };
   let outcome =
-    match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
-    | stats -> Finished stats
-    | exception Machine.Runaway n -> Ran_away n
-    | exception Machine.Machine_fault msg -> Faulted msg
+    outcome_of (Machine.run machine ~entry:w.Workload.entry ?max_instructions)
   in
   (outcome, !hash, !retired)
 
 let run_bare engine ?max_instructions (w : Workload.t) =
   let machine = Machine.create ~process:w.Workload.live_process ~engine () in
-  match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
-  | stats -> Finished stats
-  | exception Machine.Runaway n -> Ran_away n
-  | exception Machine.Machine_fault msg -> Faulted msg
+  outcome_of (Machine.run machine ~entry:w.Workload.entry ?max_instructions)
 
 let pp_outcome = function
   | Finished s ->
@@ -293,10 +295,7 @@ let observe engine ?max_instructions ~ebs ~lbr set (w : Workload.t) =
   Option.iter (fun p -> Machine.add_observer machine (Pmu.observer p)) sampling;
   Option.iter (fun p -> Machine.add_observer machine (Pmu.observer p)) counting;
   let outcome =
-    match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
-    | stats -> Finished stats
-    | exception Machine.Runaway n -> Ran_away n
-    | exception Machine.Machine_fault msg -> Faulted msg
+    outcome_of (Machine.run machine ~entry:w.Workload.entry ?max_instructions)
   in
   let sde_result =
     Option.map
@@ -489,6 +488,128 @@ let prop_observers_random_programs =
           check_observers ~what:name ?max_instructions ~ebs ~lbr set w)
         observer_sets)
 
+(* Block-log boundaries: batches that end only because the log is full
+   (SDE alone never bounds a window; sampling periods larger than the
+   log), taken-branch periods so small that the taken window closes
+   after every branch or two, and periods straddling the capacity. *)
+let test_log_full_flushes () =
+  let cap = Machine.log_capacity in
+  let hello = Hbbp_workloads.Registry.find "hello" in
+  let sde_only = { sde = true; sampling = false; counting = false } in
+  ignore (check_observers ~what:"hello sde-only (uncapped)" sde_only hello : bool);
+  List.iter
+    (fun name ->
+      let w = Hbbp_workloads.Registry.find name in
+      each_set (fun set_name set ->
+          ignore
+            (check_observers
+               ~what:(Printf.sprintf "%s %s ebs=%d lbr=%d" name set_name
+                        (7 * cap) (3 * cap))
+               ~max_instructions:300_000 ~ebs:(7 * cap) ~lbr:(3 * cap) set w
+              : bool)))
+    [ "hello"; "mcf" ]
+
+let test_taken_periods () =
+  List.iter
+    (fun name ->
+      let w = Hbbp_workloads.Registry.find name in
+      List.iter
+        (fun lbr ->
+          each_set (fun set_name set ->
+              ignore
+                (check_observers
+                   ~what:(Printf.sprintf "%s %s lbr=%d" name set_name lbr)
+                   ~max_instructions:60_000 ~ebs:4_099 ~lbr set w
+                  : bool)))
+        [ 1; 2; 3 ])
+    [ "hello"; "mcf"; "test40" ]
+
+let prop_observers_log_capacity =
+  let cap = Machine.log_capacity in
+  let straddle =
+    QCheck2.Gen.(
+      oneof [ int_range (cap - 4) (cap + 4); int_range (2 * cap - 4) (2 * cap + 4) ])
+  in
+  QCheck2.Test.make ~name:"observer identity, periods straddling the log"
+    ~count:10
+    ~print:(fun (seed, ebs, lbr) ->
+      Printf.sprintf "seed=%d ebs=%d lbr=%d" seed ebs lbr)
+    QCheck2.Gen.(triple (int_range 1 100_000) straddle straddle)
+    (fun (seed, ebs, lbr) ->
+      let w = fuzz_workload seed in
+      List.for_all
+        (fun (name, set) -> check_observers ~what:name ~ebs ~lbr set w)
+        observer_sets)
+
+(* A fault inside a block that runs as a bare body: the observers must
+   hold every block retired before it — the log is flushed before the
+   exception leaves [Machine.run] — and nothing of the faulting block,
+   whose first two members retired before the fault.  The loop retires
+   a log and a half of blocks first, so a full flush precedes the fault
+   and half a log is pending at it.  The [Legacy] reference is cut by
+   budget just before the faulting block. *)
+let faulting_workloads () =
+  let open Hbbp_program.Asm in
+  let module M = Hbbp_isa.Mnemonic in
+  List.map
+    (fun (name, fault) ->
+      Hbbp_workloads.Codegen.user_workload ~name
+        [
+          func ("f_" ^ name)
+            [
+              i M.MOV [ rcx; imm (3 * Machine.log_capacity / 2) ];
+              i M.MOV [ rbx; imm 0x100 ] (* unmapped *);
+              label "loop";
+              i M.ADD [ rax; rcx ];
+              i M.DEC [ rcx ];
+              i M.JNZ [ L "loop" ];
+              i M.ADD [ rdx; imm 1 ];
+              i M.ADD [ rdx; imm 2 ];
+              fault;
+              i M.RET_NEAR [];
+            ];
+        ])
+    [
+      ("memory-fault", i M.MOV [ rax; mem Hbbp_isa.Operand.RBX ]);
+      ("syscall-no-kernel", i M.SYSCALL []);
+    ]
+
+let test_observers_fault_in_bare_block () =
+  let pre_fault_members = 2 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let name = w.Workload.name in
+      let outcome, _, notified = run_hashed Machine.Legacy w in
+      (match outcome with
+      | Faulted _ -> ()
+      | o -> Alcotest.failf "%s: expected a fault, got %s" name (pp_outcome o));
+      let budget = notified - pre_fault_members in
+      each_set (fun set_name set ->
+          let observe engine ?max_instructions () =
+            observe engine ?max_instructions ~ebs:1_000_003 ~lbr:100_003 set w
+          in
+          let _, rsde, rsampling, rcounting =
+            observe Machine.Legacy ~max_instructions:budget ()
+          in
+          List.iter
+            (fun engine ->
+              if engine <> Machine.Legacy then begin
+                let o, sde, sampling, counting = observe engine () in
+                (match o with
+                | Faulted _ -> ()
+                | o ->
+                    Alcotest.failf "%s %s: %s expected a fault, got %s" name
+                      set_name (Machine.engine_name engine) (pp_outcome o));
+                if (sde, sampling, counting) <> (rsde, rsampling, rcounting) then
+                  Alcotest.failf
+                    "%s %s: %s observers differ from legacy cut before the \
+                     faulting block (equal: sde %b, sampling %b, counting %b)"
+                    name set_name (Machine.engine_name engine) (sde = rsde)
+                    (sampling = rsampling) (counting = rcounting)
+              end)
+            engines))
+    (faulting_workloads ())
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -526,5 +647,11 @@ let () =
           Alcotest.test_case "sampling on every event class" `Quick
             test_observers_other_events;
           QCheck_alcotest.to_alcotest prop_observers_random_programs;
+          Alcotest.test_case "log-full flushes" `Quick test_log_full_flushes;
+          Alcotest.test_case "taken-branch periods 1-3" `Quick
+            test_taken_periods;
+          QCheck_alcotest.to_alcotest prop_observers_log_capacity;
+          Alcotest.test_case "fault inside a bare block" `Quick
+            test_observers_fault_in_bare_block;
         ] );
     ]
