@@ -202,43 +202,14 @@ let jobs_arg =
            $(b,HBBP_JOBS) or the host's recommended domain count). \
            Results are identical for every N.")
 
-let engine_conv =
-  let parse s =
-    match Hbbp_cpu.Machine.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  Arg.conv
-    (parse, fun ppf e ->
-       Format.pp_print_string ppf (Hbbp_cpu.Machine.engine_name e))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,superblock) (chained block closures, \
-           default), $(b,block) (per-block closures, dispatcher between \
-           blocks) or $(b,legacy) (per-instruction loop).  Every engine \
-           retires a bit-identical stream; the choice only affects \
-           simulation speed.  Defaults to $(b,HBBP_ENGINE) when set.")
-
-let config_with_engine engine =
-  match engine with
-  | None -> Pipeline.default_config
-  | Some engine -> { Pipeline.default_config with Pipeline.engine }
-
 let profile_cmd =
-  let run positional named jobs engine faults trace metrics stream =
+  let run positional named jobs faults trace metrics stream =
     let names = positional @ named in
     if names = [] then die "profile: no workload given (see 'hbbp list')";
     let ws = List.map find_workload names in
     with_telemetry trace metrics stream @@ fun () ->
     with_faults faults @@ fun () ->
-    let profiles =
-      Pipeline.run_many ?jobs ~config:(config_with_engine engine) ws
-    in
+    let profiles = Pipeline.run_many ?jobs ws in
     List.iter
       (fun (p : Pipeline.profile) ->
         Format.printf "%a@.@." Report.summary p;
@@ -256,8 +227,8 @@ let profile_cmd =
          "Profile workload(s) end to end and report accuracy/overheads; \
           multiple workloads run in parallel (-j)")
     Term.(
-      const run $ workloads_pos_arg $ workload_opt_arg $ jobs_arg $ engine_arg
-      $ faults_arg $ trace_arg $ metrics_arg $ metrics_stream_arg)
+      const run $ workloads_pos_arg $ workload_opt_arg $ jobs_arg $ faults_arg
+      $ trace_arg $ metrics_arg $ metrics_stream_arg)
 
 (* ---- mix ----------------------------------------------------------- *)
 
@@ -428,8 +399,7 @@ let shard_delay () =
   | Some s -> ( match float_of_string_opt s with Some d -> d | None -> 0.0)
 
 let collect_cmd =
-  let run names output shards jobs engine faults resume trace metrics stream
-      =
+  let run names output shards jobs faults resume trace metrics stream =
     if shards < 1 then die "collect: --shards must be at least 1";
     let ws = List.map find_workload names in
     install_signal_handlers ();
@@ -446,9 +416,8 @@ let collect_cmd =
         (fun name w ->
           let path = if single then output else name ^ ".hbbp" in
           match
-            Recover.collect_sharded ~config:(config_with_engine engine)
-              ~resume ~should_stop ~inter_shard_delay_s:delay ~shards ~path
-              w
+            Recover.collect_sharded ~resume ~should_stop
+              ~inter_shard_delay_s:delay ~shards ~path w
           with
           | paths, statuses ->
               List.iter2
@@ -463,9 +432,7 @@ let collect_cmd =
               exit_interrupted ~hint:"rerun with --resume")
         names ws
     else begin
-      let archives =
-        Pipeline.collect_many ?jobs ~config:(config_with_engine engine) ws
-      in
+      let archives = Pipeline.collect_many ?jobs ws in
       List.iter2
         (fun name (archive : Hbbp_collector.Perf_data.t) ->
           let path = if single then output else name ^ ".hbbp" in
@@ -499,8 +466,7 @@ let collect_cmd =
           $(b,--resume), converging to byte-identical archives")
     Term.(
       const run $ workloads_arg $ output_arg $ shards_arg $ jobs_arg
-      $ engine_arg $ faults_arg $ resume_arg $ trace_arg $ metrics_arg
-      $ metrics_stream_arg)
+      $ faults_arg $ resume_arg $ trace_arg $ metrics_arg $ metrics_stream_arg)
 
 let archives_arg =
   Arg.(
@@ -1152,17 +1118,14 @@ let doctor_cmd =
             "Shards to split the archive into, i.e. parallel task \
              granularity (default: twice the maximum job count).")
   in
-  let run positional named json max_jobs shards engine trace metrics stream =
+  let run positional named json max_jobs shards trace metrics stream =
     let names =
       match positional @ named with [] -> [ "mcf"; "hello" ] | ns -> ns
     in
     let ws = List.map find_workload names in
     with_telemetry trace metrics stream @@ fun () ->
     let reports =
-      List.map
-        (fun w ->
-          Doctor.run ?max_jobs ?shards ~config:(config_with_engine engine) w)
-        ws
+      List.map (fun w -> Doctor.run ?max_jobs ?shards w) ws
     in
     if json then
       print_endline
@@ -1189,7 +1152,7 @@ let doctor_cmd =
           different counts (determinism violation)")
     Term.(
       const run $ workloads_pos_arg $ workload_opt_arg $ json $ max_jobs
-      $ shards $ engine_arg $ trace_arg $ metrics_arg $ metrics_stream_arg)
+      $ shards $ trace_arg $ metrics_arg $ metrics_stream_arg)
 
 (* ---- capabilities --------------------------------------------------- *)
 

@@ -99,7 +99,7 @@ let default_config =
     count_events = [ Pmu_event.Inst_retired_any ];
     thresholds = default_thresholds;
     keep_records = false;
-    engine = Machine.default_engine ();
+    engine = Machine.Superblock;
     repair = Report;
   }
 

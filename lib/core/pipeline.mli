@@ -93,10 +93,10 @@ type config = {
           so holding every record alive is opt-in.  [record_count] is
           always populated. *)
   engine : Machine.engine;
-      (** Execution engine for the simulated runs.  All engines retire
+      (** Execution engine for the simulated runs.  Both engines retire
           bit-identical streams; this only selects dispatch cost.
-          Default {!Machine.default_engine} (superblock unless the
-          [HBBP_ENGINE] environment variable overrides it). *)
+          Default [Machine.Superblock]; [Machine.Legacy] is the
+          reference the differential tests compare against. *)
   repair : repair_mode;
       (** Count-repair policy for every reconstruction this config
           drives.  Default {!Report}. *)

@@ -806,7 +806,7 @@ let step (st : State.t) (node : Exec_graph.node) =
       Fall
 
 (* ------------------------------------------------------------------ *)
-(* Compiled instruction kernels (tier 1 of the tiered executor).
+(* Compiled instruction kernels.
 
    [compile node] pre-resolves everything [step] re-derives on every
    execution — the mnemonic dispatch, operand constructor matches,
@@ -814,9 +814,15 @@ let step (st : State.t) (node : Exec_graph.node) =
    and direct branch targets — into one specialized closure.  The
    closures compute {e exactly} the state transitions of [step], in the
    same order, so a run through compiled kernels is bit-identical to a
-   stepped run; anything without a specialization (or with a malformed
-   operand list) falls back to a [step] thunk, which also preserves the
-   exact fault behaviour of the legacy path. *)
+   stepped run.
+
+   [step] and [compile_flat] are the only two semantics.  The
+   specializer covers the mnemonic/operand shapes the bundled workloads
+   retire, and no others: anything else (rare forms, cross-lane
+   shuffles, transcendentals, malformed operand lists) runs through a
+   [step] thunk, which also preserves the exact fault behaviour of the
+   reference.  [bench executor] gates the share of registry retirements
+   that take the thunk. *)
 
 (* Pre-resolved effective address: register codes and displacement are
    baked in; only the register file is read at execution. *)
@@ -834,67 +840,15 @@ let compile_ea (m : Operand.mem) =
         + (Int64.to_int (Bigarray.Array1.unsafe_get st.gprs x) * scale)
         + disp
 
-let compile_rd_int (op : Operand.t) : State.t -> int64 =
-  match op with
-  | Operand.Reg (Operand.Gpr g) ->
-      let c = Operand.gpr_code g in
-      fun st -> Bigarray.Array1.unsafe_get st.gprs c
-  | Operand.Imm v -> fun _ -> v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      fun st -> Memory.read_i64 st.mem (ea st)
-  | Operand.Reg _ | Operand.Rel _ -> fun st -> rd_int st op
-
-let compile_wr_int (op : Operand.t) : State.t -> int64 -> unit =
-  match op with
-  | Operand.Reg (Operand.Gpr g) ->
-      let c = Operand.gpr_code g in
-      fun st v -> Bigarray.Array1.unsafe_set st.gprs c v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      fun st v -> Memory.write_i64 st.mem (ea st) v
-  | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> fun st v -> wr_int st op v
-
-let compile_rd_fp ~wide (op : Operand.t) : State.t -> float =
-  match op with
-  | Operand.Reg (Operand.Xmm i | Operand.Ymm i) ->
-      fun st -> Array.unsafe_get (Array.unsafe_get st.vregs i) 0
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      if wide then fun st -> Memory.read_f64 st.mem (ea st)
-      else fun st -> Memory.read_f32 st.mem (ea st)
-  | Operand.Imm v ->
-      let f = Int64.to_float v in
-      fun _ -> f
-  | Operand.Reg _ | Operand.Rel _ -> fun st -> rd_fp st ~wide op
-
-let compile_wr_fp ~wide (op : Operand.t) : State.t -> float -> unit =
-  match op with
-  | Operand.Reg (Operand.Xmm i | Operand.Ymm i) ->
-      fun st v -> Array.unsafe_set (Array.unsafe_get st.vregs i) 0 v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      if wide then fun st v -> Memory.write_f64 st.mem (ea st) v
-      else fun st v -> Memory.write_f32 st.mem (ea st) v
-  | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
-      fun st v -> wr_fp st ~wide op v
-
-(* Per-lane vector binop with the operand shapes pre-matched.  Writing
-   lane [k] before reading lane [k+1] is equivalent to [vec_binop]'s
-   copy-then-write because no binop reads across lanes and register
-   aliasing is lane-independent. *)
+(* Per-lane vector binop over registers (SSE two-operand and AVX
+   three-operand forms).  Writing lane [k] before reading lane [k+1] is
+   equivalent to [vec_binop]'s copy-then-write because no binop reads
+   across lanes and register aliasing is lane-independent. *)
 let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
     (State.t -> control) option =
   let i = node.instr in
-  let ops = i.operands in
   let lanes = lanes_of i in
-  let wide = is_wide i.mnemonic in
-  let width = if wide then 8 else 4 in
-  let lane_read st a k =
-    if wide then Memory.read_f64 st.State.mem (a + (k * width))
-    else Memory.read_f32 st.State.mem (a + (k * width))
-  in
-  match ops with
+  match i.operands with
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
        Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
       Some
@@ -904,16 +858,6 @@ let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
           for k = 0 to lanes - 1 do
             Array.unsafe_set dv k
               (f (Array.unsafe_get dv k) (Array.unsafe_get sv k))
-          done;
-          Fall)
-  | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d); Operand.Mem m |] ->
-      let ea = compile_ea m in
-      Some
-        (fun st ->
-          let dv = Array.unsafe_get st.vregs d in
-          let a = ea st in
-          for k = 0 to lanes - 1 do
-            Array.unsafe_set dv k (f (Array.unsafe_get dv k) (lane_read st a k))
           done;
           Fall)
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
@@ -929,26 +873,12 @@ let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
               (f (Array.unsafe_get av k) (Array.unsafe_get bv k))
           done;
           Fall)
-  | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
-       Operand.Reg (Operand.Xmm s1 | Operand.Ymm s1); Operand.Mem m |] ->
-      let ea = compile_ea m in
-      Some
-        (fun st ->
-          let dv = Array.unsafe_get st.vregs d
-          and av = Array.unsafe_get st.vregs s1 in
-          let a = ea st in
-          for k = 0 to lanes - 1 do
-            Array.unsafe_set dv k (f (Array.unsafe_get av k) (lane_read st a k))
-          done;
-          Fall)
   | _ -> None
 
 let compile_vec_unop (node : Exec_graph.node) (f : float -> float) :
     (State.t -> control) option =
   let i = node.instr in
   let lanes = lanes_of i in
-  let wide = is_wide i.mnemonic in
-  let width = if wide then 8 else 4 in
   match i.operands with
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
        Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
@@ -960,19 +890,6 @@ let compile_vec_unop (node : Exec_graph.node) (f : float -> float) :
             Array.unsafe_set dv k (f (Array.unsafe_get sv k))
           done;
           Fall)
-  | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d); Operand.Mem m |] ->
-      let ea = compile_ea m in
-      Some
-        (fun st ->
-          let dv = Array.unsafe_get st.vregs d in
-          let a = ea st in
-          for k = 0 to lanes - 1 do
-            Array.unsafe_set dv k
-              (f
-                 (if wide then Memory.read_f64 st.mem (a + (k * width))
-                  else Memory.read_f32 st.mem (a + (k * width))))
-          done;
-          Fall)
   | _ -> None
 
 (* Vector register/memory moves (MOVAPS family). *)
@@ -981,10 +898,9 @@ let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
   let lanes = lanes_of i in
   let wide = is_wide i.mnemonic in
   let width = if wide then 8 else 4 in
-  let ops = i.operands in
-  match (ops.(0), ops.(Array.length ops - 1)) with
-  | ( Operand.Reg (Operand.Xmm d | Operand.Ymm d),
-      Operand.Reg (Operand.Xmm s | Operand.Ymm s) ) ->
+  match i.operands with
+  | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
+       Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
       Some
         (fun (st : State.t) ->
           Array.blit
@@ -993,7 +909,7 @@ let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
             (Array.unsafe_get st.vregs d)
             0 lanes;
           Fall)
-  | Operand.Reg (Operand.Xmm d | Operand.Ymm d), Operand.Mem m ->
+  | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d); Operand.Mem m |] ->
       let ea = compile_ea m in
       Some
         (fun st ->
@@ -1005,7 +921,7 @@ let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
                else Memory.read_f32 st.mem (a + (k * width)))
           done;
           Fall)
-  | Operand.Mem m, Operand.Reg (Operand.Xmm s | Operand.Ymm s) ->
+  | [| Operand.Mem m; Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
       let ea = compile_ea m in
       Some
         (fun st ->
@@ -1020,38 +936,27 @@ let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
           Fall)
   | _ -> None
 
-(* x87 right-hand side, pre-matched. *)
-let compile_x87_rhs (i : Instruction.t) : (State.t -> float) option =
-  if Array.length i.operands = 0 then Some (fun st -> State.x87_get st 1)
-  else
-    match i.operands.(0) with
-    | Operand.Reg (Operand.St k) -> Some (fun st -> State.x87_get st k)
-    | Operand.Mem m ->
-        let ea = compile_ea m in
-        Some (fun st -> Memory.read_f64 st.State.mem (ea st))
-    | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None
-
 let some (f : State.t -> control) = Some f
 
 (* ------------------------------------------------------------------ *)
-(* Flat hot-form kernels.
+(* Flat kernels.
 
-   The composed forms below assemble kernels from small rd/wr closures.
-   With the unboxed register file that composition has a hidden cost:
-   every [int64] or [float] crossing a closure boundary is re-boxed
-   (one minor allocation each), so a register-register ALU op pays
-   three allocations per retirement and a helper call per flag group.
-   For the operand shapes that dominate real instruction mixes —
-   register/register, register/immediate, simple loads, the x87 stack
-   forms and scalar-SSE register forms — we emit single flat closures
-   whose whole read/compute/flags/write sequence stays inside one
-   function body, where the compiler keeps every intermediate unboxed.
-   Flag updates are written out inline and are field-for-field those
-   of [set_add_flags]/[set_sub_flags]/[set_logic_flags]/[set_zs]. *)
+   Each scalar kernel is one closure whose whole read/compute/flags/
+   write sequence stays inside one function body, where the compiler
+   keeps every intermediate unboxed.  Assembling kernels from small
+   read/write closures instead would re-box every [int64] or [float]
+   crossing a closure boundary (one minor allocation each): three
+   allocations per register-register ALU op and a helper call per flag
+   group.  Flag updates are written out inline and are field-for-field
+   those of [set_add_flags]/[set_sub_flags]/[set_logic_flags]/[set_zs].
+   Packed forms loop over lanes through the helpers above. *)
 
 module BA = Bigarray.Array1
 
 let rsp_code = Operand.gpr_code Operand.RSP
+and rax_code = Operand.gpr_code Operand.RAX
+and rcx_code = Operand.gpr_code Operand.RCX
+and rdx_code = Operand.gpr_code Operand.RDX
 
 let direct_target_of (node : Exec_graph.node) =
   match node.target with
@@ -1157,12 +1062,13 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Fall)
   (* ---- stack ---- *)
   | PUSH, [| Operand.Reg (Operand.Gpr s) |] ->
+      (* The value is read first: PUSH RSP stores the old stack pointer. *)
       let sc = Operand.gpr_code s in
       some (fun st ->
+          let v = BA.unsafe_get st.gprs sc in
           let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
           BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp)
-            (BA.unsafe_get st.gprs sc);
+          Memory.write_i64 st.mem (Int64.to_int rsp) v;
           Fall)
   | PUSH, [| Operand.Imm v |] ->
       some (fun st ->
@@ -1178,7 +1084,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           BA.unsafe_set st.gprs rsp_code (Int64.add rsp 8L);
           BA.unsafe_set st.gprs dc v;
           Fall)
-  | RET_NEAR, _ ->
+  | RET_NEAR, [||] ->
       some (fun st ->
           let rsp = BA.unsafe_get st.gprs rsp_code in
           let v = Memory.read_i64 st.mem (Int64.to_int rsp) in
@@ -1195,6 +1101,22 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
               Memory.write_i64 st.mem (Int64.to_int rsp) ra;
               tk)
       | None -> None)
+  | CALL_NEAR, [| Operand.Reg (Operand.Gpr s) |] ->
+      let sc = Operand.gpr_code s in
+      let ra = Int64.of_int (node.addr + node.len) in
+      some (fun st ->
+          let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
+          BA.unsafe_set st.gprs rsp_code rsp;
+          Memory.write_i64 st.mem (Int64.to_int rsp) ra;
+          Taken (Int64.to_int (BA.unsafe_get st.gprs sc)))
+  | SYSCALL, [||] ->
+      let c = Syscall_enter (node.addr + node.len) in
+      some (fun _ -> c)
+  | SYSRET, [||] ->
+      some (fun st ->
+          Sysret_exit (Int64.to_int (BA.unsafe_get st.gprs rcx_code)))
+  (* The kernel's live probe site: a NOP as long as the JMP it replaces. *)
+  | NOP, [| Operand.Rel _ |] -> some (fun _ -> Fall)
   (* ---- integer ALU, inline flags ---- *)
   | ADD, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
@@ -1464,6 +1386,26 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.sf <- r < 0L;
           BA.unsafe_set st.gprs dc r;
           Fall)
+  | DIV, [| Operand.Reg (Operand.Gpr s) |] ->
+      (* Division by zero yields 0/0 remainder, as in [step]. *)
+      let sc = Operand.gpr_code s in
+      some (fun st ->
+          let a = BA.unsafe_get st.gprs rax_code
+          and b = BA.unsafe_get st.gprs sc in
+          let q = if b = 0L then 0L else Int64.div a b in
+          let r = if b = 0L then 0L else Int64.rem a b in
+          BA.unsafe_set st.gprs rax_code q;
+          BA.unsafe_set st.gprs rdx_code r;
+          st.zf <- q = 0L;
+          st.sf <- q < 0L;
+          Fall)
+  | CDQE, [||] ->
+      some (fun st ->
+          BA.unsafe_set st.gprs rax_code
+            (Int64.shift_right
+               (Int64.shift_left (BA.unsafe_get st.gprs rax_code) 32)
+               32);
+          Fall)
   | SHL, [| Operand.Reg (Operand.Gpr d); Operand.Imm v |] ->
       let dc = Operand.gpr_code d in
       let sh = Int64.to_int v land 63 in
@@ -1492,7 +1434,8 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           BA.unsafe_set st.gprs dc r;
           Fall)
   (* ---- conditional branches, condition inlined per mnemonic ---- *)
-  | (JZ | JNZ | JLE | JNLE | JL | JNL | JB | JNB | JBE | JNBE | JS | JNS), _
+  | ( (JZ | JNZ | JLE | JNLE | JL | JNL | JB | JNB | JBE | JNBE | JS | JNS),
+      [| Operand.Rel _ |] )
     -> (
       match direct_target_of node with
       | None -> None
@@ -1557,7 +1500,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Array.unsafe_set st.x87 top b;
           Array.unsafe_set st.x87 j a;
           Fall)
-  | (FADD | FSUB | FMUL), [| Operand.Reg (Operand.St k) |] ->
+  | (FADD | FSUB | FMUL | FDIV), [| Operand.Reg (Operand.St k) |] ->
       let m = i.mnemonic in
       some (fun st ->
           let top = st.x87_top in
@@ -1567,7 +1510,8 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             (match m with
             | FADD -> a +. b
             | FSUB -> a -. b
-            | _ -> a *. b);
+            | FMUL -> a *. b
+            | _ -> if b = 0.0 then 0.0 else a /. b);
           Fall)
   | (FADD | FSUB | FMUL), [| Operand.Mem m |] ->
       let mn = i.mnemonic in
@@ -1591,7 +1535,8 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             0
             (Array.unsafe_get (Array.unsafe_get st.vregs s) 0);
           Fall)
-  | (MOVSS | MOVSD), [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ->
+  | (MOVSS | MOVSD | VMOVSS), [| Operand.Reg (Operand.Xmm d); Operand.Mem m |]
+    ->
       let wide = is_wide i.mnemonic in
       let ea = compile_ea m in
       some (fun st ->
@@ -1674,7 +1619,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
               Array.unsafe_set dv 0
                 (if b = 0.0 then 0.0 else Array.unsafe_get dv 0 /. b);
               Fall))
-  | ( (COMISS | COMISD | UCOMISS | UCOMISD),
+  | ( (COMISS | COMISD | UCOMISS | UCOMISD | VCOMISS),
       [| Operand.Reg (Operand.Xmm x); Operand.Reg (Operand.Xmm y) |] ) ->
       some (fun st ->
           let a = Array.unsafe_get (Array.unsafe_get st.vregs x) 0
@@ -1683,6 +1628,40 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.cf <- a < b;
           st.sf <- false;
           st.off <- false;
+          Fall)
+  | ( (VADDSS | VMULSS),
+      [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm x);
+         Operand.Reg (Operand.Xmm y) |] ) -> (
+      match i.mnemonic with
+      | VADDSS ->
+          some (fun st ->
+              Array.unsafe_set
+                (Array.unsafe_get st.vregs d)
+                0
+                (Array.unsafe_get (Array.unsafe_get st.vregs x) 0
+                +. Array.unsafe_get (Array.unsafe_get st.vregs y) 0);
+              Fall)
+      | _ ->
+          some (fun st ->
+              Array.unsafe_set
+                (Array.unsafe_get st.vregs d)
+                0
+                (Array.unsafe_get (Array.unsafe_get st.vregs x) 0
+                *. Array.unsafe_get (Array.unsafe_get st.vregs y) 0);
+              Fall))
+  | ( (SQRTSS | SQRTSD),
+      [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |] ) ->
+      some (fun st ->
+          let v = Array.unsafe_get (Array.unsafe_get st.vregs s) 0 in
+          Array.unsafe_set (Array.unsafe_get st.vregs d) 0 (sqrt (Float.abs v));
+          Fall)
+  | CVTSI2SD, [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Gpr s) |] ->
+      let sc = Operand.gpr_code s in
+      some (fun st ->
+          Array.unsafe_set
+            (Array.unsafe_get st.vregs d)
+            0
+            (Int64.to_float (BA.unsafe_get st.gprs sc));
           Fall)
   | FCHS, [||] ->
       some (fun st ->
@@ -1725,478 +1704,36 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             Array.unsafe_set dv k v
           done;
           Fall)
-  | _ -> None
-
-(* The specializing compiler proper.  Returns [None] for anything whose
-   execution should go through [step] (rare forms, cross-lane shuffles,
-   malformed operand lists).  Flat hot-form kernels take precedence;
-   the composed forms cover the remaining shapes. *)
-let compile_specialized (node : Exec_graph.node) : (State.t -> control) option
-    =
-  match compile_flat node with
-  | Some _ as k -> k
-  | None ->
-  let i = node.instr in
-  let ops = i.operands in
-  let next_addr = node.addr + node.len in
-  (* Direct branch target, resolved like [branch_target] but at compile
-     time; [None] when there is no Rel operand (register/memory forms
-     keep their dynamic resolution). *)
-  let direct_target =
-    match node.target with
-    | Some t -> Some t.Exec_graph.addr
-    | None -> (
-        match Instruction.rel_displacement i with
-        | Some disp -> Some (next_addr + disp)
-        | None -> None)
-  in
-  match i.mnemonic with
-  (* ---- data transfer ---- *)
-  | MOV ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | MOVZX ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.logand (rd st) 0xFFFFL); Fall)
-  | MOVSX ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st ->
-          wr st (Int64.shift_right (Int64.shift_left (rd st) 48) 48);
-          Fall)
-  | MOVSXD ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st ->
-          wr st (Int64.shift_right (Int64.shift_left (rd st) 32) 32);
-          Fall)
-  | LEA -> (
-      match ops.(1) with
-      | Operand.Mem m ->
-          let ea = compile_ea m and wr = compile_wr_int ops.(0) in
-          some (fun st -> wr st (Int64.of_int (ea st)); Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | CMOVZ | CMOVNZ ->
-      let m = i.mnemonic in
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> (if condition st m then wr st (rd st)); Fall)
-  | SETZ | SETNZ | SETLE ->
-      let m = i.mnemonic in
-      let wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (if condition st m then 1L else 0L); Fall)
-  | PUSH ->
-      let rd = compile_rd_int ops.(0) in
-      some (fun st -> push st (rd st); Fall)
-  | POP ->
-      let wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (pop st); Fall)
-  (* ---- integer arithmetic ---- *)
-  | ADD ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let r = Int64.add a b in
-          set_add_flags st a b r;
-          wr0 st r;
-          Fall)
-  | ADC ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let c = if st.cf then 1L else 0L in
-          let r = Int64.add (Int64.add a b) c in
-          set_add_flags st a b r;
-          wr0 st r;
-          Fall)
-  | SUB ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let r = Int64.sub a b in
-          set_sub_flags st a b r;
-          wr0 st r;
-          Fall)
-  | SBB ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let c = if st.cf then 1L else 0L in
-          let r = Int64.sub (Int64.sub a b) c in
-          set_sub_flags st a b r;
-          wr0 st r;
-          Fall)
-  | INC ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.add (rd0 st) 1L in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | DEC ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.sub (rd0 st) 1L in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | NEG ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let v = rd0 st in
-          let r = Int64.neg v in
-          set_zs st r;
-          st.cf <- v <> 0L;
-          wr0 st r;
-          Fall)
-  | IMUL ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.mul (rd0 st) (rd1 st) in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | MUL ->
-      let rd0 = compile_rd_int ops.(0) in
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          let r = Int64.mul (Bigarray.Array1.unsafe_get st.gprs rax) (rd0 st) in
-          set_zs st r;
-          Bigarray.Array1.unsafe_set st.gprs rax r;
-          Bigarray.Array1.unsafe_set st.gprs rdx 0L;
-          Fall)
-  | IDIV | DIV ->
-      let rd0 = compile_rd_int ops.(0) in
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          let a = Bigarray.Array1.unsafe_get st.gprs rax and b = rd0 st in
-          let q, r =
-            if b = 0L then (0L, 0L)
-            else (Int64.div a b, Int64.rem a b)
-          in
-          Bigarray.Array1.unsafe_set st.gprs rax q;
-          Bigarray.Array1.unsafe_set st.gprs rdx r;
-          set_zs st q;
-          Fall)
-  | CDQ ->
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          Bigarray.Array1.unsafe_set st.gprs rdx
-            (if Bigarray.Array1.unsafe_get st.gprs rax < 0L then -1L
-             else 0L);
-          Fall)
-  | CDQE ->
-      let rax = Operand.gpr_code Operand.RAX in
-      some (fun st ->
-          let v = Bigarray.Array1.unsafe_get st.gprs rax in
-          Bigarray.Array1.unsafe_set st.gprs rax
-            (Int64.shift_right (Int64.shift_left v 32) 32);
-          Fall)
-  (* ---- logic / compare / shift ---- *)
-  | AND ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logand (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | OR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logor (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | XOR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logxor (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | NOT ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st -> wr0 st (Int64.lognot (rd0 st)); Fall)
-  | TEST ->
-      let rd0 = compile_rd_int ops.(0) and rd1 = compile_rd_int ops.(1) in
-      some (fun st ->
-          set_logic_flags st (Int64.logand (rd0 st) (rd1 st));
-          Fall)
-  | CMP ->
-      let rd0 = compile_rd_int ops.(0) and rd1 = compile_rd_int ops.(1) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          set_sub_flags st a b (Int64.sub a b);
-          Fall)
-  | SHL ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_left (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | SHR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_right_logical (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | SAR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_right (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  (* ---- control flow ---- *)
-  | JMP -> (
-      match ops.(0) with
-      | Operand.Rel _ -> (
-          match direct_target with
-          | Some tgt ->
-              let tk = Taken tgt in
-              some (fun _ -> tk)
-          | None -> None)
-      | (Operand.Reg _ | Operand.Mem _) as op ->
-          let rd = compile_rd_int op in
-          some (fun st -> Taken (Int64.to_int (rd st)))
-      | Operand.Imm v ->
-          let tk = Taken (Int64.to_int v) in
-          some (fun _ -> tk))
-  | (JZ | JNZ | JLE | JNLE | JL | JNL | JB | JNB | JBE | JNBE | JS | JNS) as m
-    -> (
-      match direct_target with
-      | Some tgt ->
-          let tk = Taken tgt in
-          some (fun st -> if condition st m then tk else Fall)
-      | None -> None)
-  | CALL_NEAR -> (
-      let ra = Int64.of_int next_addr in
-      match ops.(0) with
-      | Operand.Rel _ -> (
-          match direct_target with
-          | Some tgt ->
-              let tk = Taken tgt in
-              some (fun st -> push st ra; tk)
-          | None -> None)
-      | (Operand.Reg _ | Operand.Mem _) as op ->
-          let rd = compile_rd_int op in
-          some (fun st ->
-              push st ra;
-              Taken (Int64.to_int (rd st)))
-      | Operand.Imm v ->
-          let tk = Taken (Int64.to_int v) in
-          some (fun st -> push st ra; tk))
-  | RET_NEAR -> some (fun st -> Taken (Int64.to_int (pop st)))
-  | SYSCALL ->
-      let c = Syscall_enter next_addr in
-      some (fun _ -> c)
-  | SYSRET ->
-      let rcx = Operand.gpr_code Operand.RCX in
-      some (fun st -> Sysret_exit (Int64.to_int (Bigarray.Array1.unsafe_get st.gprs rcx)))
-  | HLT -> some (fun _ -> Halt)
-  (* ---- no-ops ---- *)
-  | MFENCE | LFENCE | SFENCE | PAUSE | NOP -> some (fun _ -> Fall)
-  (* ---- x87 ---- *)
-  | FLD -> (
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st -> State.x87_push st (State.x87_get st k); Fall)
-      | Operand.Mem m ->
-          let ea = compile_ea m in
-          some (fun st ->
-              State.x87_push st (Memory.read_f64 st.mem (ea st));
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | FST | FSTP -> (
-      let pops = Mnemonic.equal i.mnemonic FSTP in
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st ->
-              State.x87_set st k (State.x87_get st 0);
-              if pops then ignore (State.x87_pop st);
-              Fall)
-      | Operand.Mem m ->
-          let ea = compile_ea m in
-          some (fun st ->
-              Memory.write_f64 st.mem (ea st) (State.x87_get st 0);
-              if pops then ignore (State.x87_pop st);
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | FXCH -> (
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st ->
-              let a = State.x87_get st 0 and b = State.x87_get st k in
-              State.x87_set st 0 b;
-              State.x87_set st k a;
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Mem _ | Operand.Rel _ -> None)
-  | FADD -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 +. rhs st); Fall)
-      | None -> None)
-  | FSUB -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 -. rhs st); Fall)
-      | None -> None)
-  | FMUL -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 *. rhs st); Fall)
-      | None -> None)
-  | FDIV -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st ->
-              let d = rhs st in
-              State.x87_set st 0
-                (if d = 0.0 then 0.0 else State.x87_get st 0 /. d);
-              Fall)
-      | None -> None)
-  (* ---- scalar SSE/AVX fp ---- *)
-  | MOVSS | MOVSD | VMOVSS | VMOVSD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | ADDSS | ADDSD | VADDSS | VADDSD | SUBSS | SUBSD | VSUBSS | MULSS | MULSD
-  | VMULSS | VMULSD | DIVSS | DIVSD | VDIVSS | VDIVSD | MAXSS | MINSS ->
-      let f : float -> float -> float =
-        match i.mnemonic with
-        | ADDSS | ADDSD | VADDSS | VADDSD -> ( +. )
-        | SUBSS | SUBSD | VSUBSS -> ( -. )
-        | MULSS | MULSD | VMULSS | VMULSD -> ( *. )
-        | MAXSS -> Float.max
-        | MINSS -> Float.min
-        | _ -> fun a b -> if b = 0.0 then 0.0 else a /. b
-      in
-      let wide = is_wide i.mnemonic in
-      let three = Array.length ops >= 3 in
-      let rda = compile_rd_fp ~wide ops.(if three then 1 else 0)
-      and rdb = compile_rd_fp ~wide ops.(if three then 2 else 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (f (rda st) (rdb st)); Fall)
-  | SQRTSS | SQRTSD | VSQRTSD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (sqrt (Float.abs (rd st))); Fall)
-  | COMISS | COMISD | UCOMISS | UCOMISD | VUCOMISD | VCOMISS ->
-      let wide = is_wide i.mnemonic in
-      let rda = compile_rd_fp ~wide ops.(0)
-      and rdb = compile_rd_fp ~wide ops.(1) in
-      some (fun st ->
-          let a = rda st and b = rdb st in
-          st.zf <- a = b;
-          st.cf <- a < b;
-          st.sf <- false;
-          st.off <- false;
-          Fall)
-  | CVTSI2SS | CVTSI2SD | VCVTSI2SD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_int ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (Int64.to_float (rd st)); Fall)
-  | CVTSD2SI | CVTSS2SI | VCVTSD2SI ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.of_float (Float.round (rd st))); Fall)
-  | CVTTSD2SI ->
-      let rd = compile_rd_fp ~wide:true ops.(1)
-      and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.of_float (Float.trunc (rd st))); Fall)
-  | CVTSS2SD ->
-      let rd = compile_rd_fp ~wide:false ops.(1)
-      and wr = compile_wr_fp ~wide:true ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | CVTSD2SS ->
-      let rd = compile_rd_fp ~wide:true ops.(1)
-      and wr = compile_wr_fp ~wide:false ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  (* ---- vector moves ---- *)
-  | MOVAPS | MOVUPS | MOVAPD | MOVUPD | MOVDQA | MOVDQU
-  | VMOVAPS | VMOVUPS | VMOVAPD | VMOVUPD ->
-      compile_vec_mov node
-  (* ---- packed arithmetic / logic / integer ---- *)
-  | ADDPS | ADDPD | VADDPS | VADDPD | PADDD | PADDQ | VPADDD ->
-      compile_vec_binop node ( +. )
-  | SUBPS | SUBPD | VSUBPS | VSUBPD | PSUBD -> compile_vec_binop node ( -. )
-  | MULPS | MULPD | VMULPS | VMULPD | PMULLD | VPMULLD ->
-      compile_vec_binop node ( *. )
-  | DIVPS | DIVPD | VDIVPS | VDIVPD ->
+  (* ---- packed SSE/AVX, one loop over the lanes ---- *)
+  | (MOVAPS | MOVDQA | VMOVAPS), _ -> compile_vec_mov node
+  | (ADDPS | VADDPS | VADDPD | PADDD), _ -> compile_vec_binop node ( +. )
+  | (SUBPS | VSUBPS), _ -> compile_vec_binop node ( -. )
+  | (MULPS | VMULPS | PMULLD), _ -> compile_vec_binop node ( *. )
+  | (DIVPS | VDIVPS), _ ->
       compile_vec_binop node (fun a b -> if b = 0.0 then 0.0 else a /. b)
-  | SQRTPS | SQRTPD | VSQRTPS | VSQRTPD ->
-      compile_vec_unop node (fun v -> sqrt (Float.abs v))
-  | MAXPS | VMAXPS -> compile_vec_binop node Float.max
-  | MINPS | VMINPS -> compile_vec_binop node Float.min
-  | CMPPS -> compile_vec_binop node (fun a b -> if a < b then 1.0 else 0.0)
-  | PCMPEQD -> compile_vec_binop node (fun a b -> if a = b then 1.0 else 0.0)
-  | ANDPS | ANDPD | PAND | VANDPS | VPAND ->
-      compile_vec_binop node (bits32 Int32.logand)
-  | ORPS | POR -> compile_vec_binop node (bits32 Int32.logor)
-  | XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR ->
-      compile_vec_binop node (bits32 Int32.logxor)
-  (* ---- FMA ---- *)
-  | VFMADD213PS | VFMADD213PD -> (
+  | (XORPS | PXOR | VXORPS), _ -> compile_vec_binop node (bits32 Int32.logxor)
+  | (SQRTPS | VSQRTPS), _ -> compile_vec_unop node (fun v -> sqrt (Float.abs v))
+  | ( (VFMADD213PS | VFMADD213PD),
+      [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
+         Operand.Reg (Operand.Xmm a | Operand.Ymm a);
+         Operand.Reg (Operand.Xmm b | Operand.Ymm b) |] ) ->
+      (* dst := src1 * dst + src2 *)
       let lanes = lanes_of i in
-      match ops with
-      | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
-           Operand.Reg (Operand.Xmm a | Operand.Ymm a);
-           Operand.Reg (Operand.Xmm b | Operand.Ymm b) |] ->
-          some (fun (st : State.t) ->
-              let dv = Array.unsafe_get st.vregs d
-              and av = Array.unsafe_get st.vregs a
-              and bv = Array.unsafe_get st.vregs b in
-              for k = 0 to lanes - 1 do
-                Array.unsafe_set dv k
-                  ((Array.unsafe_get av k *. Array.unsafe_get dv k)
-                  +. Array.unsafe_get bv k)
-              done;
-              Fall)
-      | _ -> None)
-  | VFMADD231SS | VFMADD231SD ->
-      let wide = is_wide i.mnemonic in
-      let rdd = compile_rd_fp ~wide ops.(0)
-      and rda = compile_rd_fp ~wide ops.(1)
-      and rdb = compile_rd_fp ~wide ops.(2)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st ((rda st *. rdb st) +. rdd st); Fall)
-  (* Everything else (shuffles, broadcasts, gathers, sync RMW, system,
-     transcendentals, rare x87 forms) executes through [step]. *)
+      some (fun st ->
+          let dv = Array.unsafe_get st.vregs d
+          and av = Array.unsafe_get st.vregs a
+          and bv = Array.unsafe_get st.vregs b in
+          for k = 0 to lanes - 1 do
+            Array.unsafe_set dv k
+              ((Array.unsafe_get av k *. Array.unsafe_get dv k)
+              +. Array.unsafe_get bv k)
+          done;
+          Fall)
   | _ -> None
 
 type kernel = State.t -> control
 
 let compile (node : Exec_graph.node) : kernel =
-  match compile_specialized node with
+  match compile_flat node with
   | Some k -> k
   | None | (exception _) -> fun st -> step st node

@@ -34,8 +34,8 @@ type kernel = State.t -> control
     thunk, so compiling never changes behaviour, only cost. *)
 val compile : Exec_graph.node -> kernel
 
-(** [compile_specialized node] is the specializer behind {!compile}:
-    [None] means the node would run through the [step] fallback.
-    Exposed so tests and benchmarks can measure specialization
-    coverage on real workloads. *)
-val compile_specialized : Exec_graph.node -> kernel option
+(** [compile_flat node] is the specializer behind {!compile}: [None]
+    means the node runs through the [step] fallback.  Exposed so tests
+    and benchmarks can check each specialized shape against [step] and
+    measure specialization coverage on real workloads. *)
+val compile_flat : Exec_graph.node -> kernel option

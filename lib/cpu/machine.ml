@@ -45,39 +45,22 @@ exception Machine_fault of string
 (* Engines.
 
    [Legacy] is the seed per-instruction loop, kept verbatim as the
-   differential-testing reference.  [Block] executes cached basic-block
-   closures and returns to the dense block cache at every block
-   boundary.  [Superblock] additionally chains direct successors
-   (fall-through and taken edges) through mutable pointers patched on
-   first traversal, so steady-state execution only consults the cache
-   when an indirect target changes.  All three retire bit-identical
-   streams; they differ only in dispatch cost. *)
-type engine = Legacy | Block | Superblock
+   differential-testing reference.  [Superblock] executes cached
+   basic-block closures and chains direct successors (fall-through and
+   taken edges) through mutable pointers patched on first traversal, so
+   steady-state execution only consults the cache when an indirect
+   target changes.  Both retire bit-identical streams; they differ only
+   in dispatch cost. *)
+type engine = Legacy | Superblock
 
 let engine_name = function
   | Legacy -> "legacy"
-  | Block -> "block"
   | Superblock -> "superblock"
 
-let engine_of_string = function
-  | "legacy" -> Some Legacy
-  | "block" -> Some Block
-  | "superblock" -> Some Superblock
-  | _ -> None
+let all_engines = [ Legacy; Superblock ]
 
-let all_engines = [ Legacy; Block; Superblock ]
-
-(* The env override exists for A/B without touching call sites (the CLI
-   flag is the documented interface); unknown values silently keep the
-   default so a stale variable cannot change semantics — engines are
-   bit-identical anyway. *)
-let default_engine () =
-  match Sys.getenv_opt "HBBP_ENGINE" with
-  | Some s -> ( match engine_of_string s with Some e -> e | None -> Superblock)
-  | None -> Superblock
-
-(* A basic block compiled to straight-line kernels (tier 1) plus the
-   mutable successor links that superblock chaining patches (tier 2).
+(* A basic block compiled to straight-line kernels plus the mutable
+   successor links that superblock chaining patches.
    [c_taken] is keyed by [c_taken_addr] so one slot serves both direct
    branches (the guard always passes) and indirect ones (it degrades
    into a monomorphic inline cache). *)
@@ -120,12 +103,9 @@ let fault fmt = Format.kasprintf (fun s -> raise (Machine_fault s)) fmt
 
 let log_capacity = 1024
 
-let create ~process ?(seed = 42L) ?engine () =
+let create ~process ?(seed = 42L) ?(engine = Superblock) () =
   let graph = Exec_graph.build_exn process in
   let st = State.create ~seed () in
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
   let dummy_node =
     (* Any node serves as the scratch record's initial value. *)
     let exception Found of Exec_graph.node in
@@ -209,7 +189,8 @@ let compiled_at t addr =
 
 (* ------------------------------------------------------------------ *)
 (* Legacy engine: the seed per-instruction loop, unchanged.  Kept as
-   the reference the tiered engines are differentially tested against. *)
+   the reference the superblock engine is differentially tested
+   against. *)
 
 let run_legacy t ~entry ~max_instructions =
   let st = t.st in
@@ -319,7 +300,7 @@ let run_legacy t ~entry ~max_instructions =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tiered engines.
+(* Superblock engine.
 
    One block-level loop, two bodies per block:
 
@@ -351,7 +332,7 @@ let run_legacy t ~entry ~max_instructions =
    across engines.  Without observers the horizon is the budget and
    nothing is logged, so a bare run is [exec_block] throughout. *)
 
-let run_tiered t ~entry ~max_instructions ~chain =
+let run_superblock t ~entry ~max_instructions =
   let st = t.st in
   let retired = ref 0 in
   let cycles = ref 0 in
@@ -381,8 +362,8 @@ let run_tiered t ~entry ~max_instructions ~chain =
     | None -> fault "entry point %#x is not mapped code" entry
     | Some _ -> compiled_at t entry
   in
-  (* Successor resolution; [chain] decides whether the link is patched
-     into the block (superblock) or re-looked-up per transition. *)
+  (* Successor resolution, patching the link into the block on first
+     traversal. *)
   let fall_of (c : compiled) =
     match c.c_fall with
     | Some c' -> c'
@@ -392,7 +373,7 @@ let run_tiered t ~entry ~max_instructions ~chain =
         | None -> fault "execution fell off code at %#x" (last.addr + last.len)
         | Some n ->
             let c' = compiled_at t n.Exec_graph.addr in
-            if chain then c.c_fall <- Some c';
+            c.c_fall <- Some c';
             c')
   in
   let taken_of (c : compiled) tgt =
@@ -400,10 +381,8 @@ let run_tiered t ~entry ~max_instructions ~chain =
       match c.c_taken with Some c' -> c' | None -> assert false
     else begin
       let c' = compiled_at t tgt in
-      if chain then begin
-        c.c_taken_addr <- tgt;
-        c.c_taken <- Some c'
-      end;
+      c.c_taken_addr <- tgt;
+      c.c_taken <- Some c';
       c'
     end
   in
@@ -621,5 +600,4 @@ let run t ~entry ?(max_instructions = 2_000_000_000) () =
   st.ip <- entry;
   match t.engine with
   | Legacy -> run_legacy t ~entry ~max_instructions
-  | Block -> run_tiered t ~entry ~max_instructions ~chain:false
-  | Superblock -> run_tiered t ~entry ~max_instructions ~chain:true
+  | Superblock -> run_superblock t ~entry ~max_instructions

@@ -9,7 +9,7 @@
 
     Observers are told in bulk wherever they can be.  Each one reports
     two windows: how many retirements, and how many taken branches, it
-    can absorb without per-instruction detail.  On the tiered engines a
+    can absorb without per-instruction detail.  On the [Superblock] engine a
     block that fits the budget and both smallest windows (with room for
     one more taken branch) runs as a bare block body and is appended to
     the machine's {e block log} — no observer call.  The log is
@@ -112,34 +112,30 @@ exception Runaway of int
 
 exception Machine_fault of string
 
-(** How [run] drives the execution graph.  All engines retire
+(** How [run] drives the execution graph.  Both engines retire
     bit-identical streams — same {!run_stats}, same observer results,
     same faults — and differ only in dispatch cost:
 
-    - [Legacy]: the seed per-instruction loop, notifying observers per
-      retirement only; the differential-testing reference.
-    - [Block]: per basic block, one cached closure of pre-compiled
-      instruction kernels executes the whole block straight-line; the
-      dense block cache is consulted at every block boundary.
-    - [Superblock]: additionally chains direct fall-through/taken
-      successors through pointers patched on first traversal, so
-      steady-state execution re-enters the dispatcher only when an
-      indirect target (RET, indirect JMP/CALL) changes destination. *)
-type engine = Legacy | Block | Superblock
+    - [Legacy]: the seed per-instruction loop over {!Exec.step},
+      notifying observers per retirement only; the differential-testing
+      reference.
+    - [Superblock]: per basic block, cached pre-compiled instruction
+      kernels ({!Exec.compile}) execute the whole block straight-line,
+      and direct fall-through/taken successors are chained through
+      pointers patched on first traversal, so steady-state execution
+      re-enters the dispatcher only when an indirect target (RET,
+      indirect JMP/CALL) changes destination.  The production
+      engine. *)
+type engine = Legacy | Superblock
 
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
 val all_engines : engine list
-
-(** [Superblock] unless the [HBBP_ENGINE] environment variable names
-    another engine (unknown values are ignored). *)
-val default_engine : unit -> engine
 
 type t
 
 (** [create ~process ()] builds the execution graph from the process's
     {e live} images.  [seed] feeds workload-visible randomness;
-    [engine] defaults to {!default_engine}. *)
+    [engine] defaults to [Superblock]. *)
 val create : process:Process.t -> ?seed:int64 -> ?engine:engine -> unit -> t
 
 val state : t -> State.t

@@ -1,10 +1,12 @@
-(* Differential tests for the tiered executor: every engine (legacy
-   per-instruction loop, cached block closures, chained superblocks)
-   must retire a bit-identical stream.  Identity is checked at four
-   depths — run statistics, the full observer-visible retirement
-   stream (hashed), PMU sample archives byte for byte, and fused
-   pipeline reconstructions — over the bundled registry workloads,
-   tight-budget Runaway runs and seeded random synthetic programs. *)
+(* Differential tests for the executor: the superblock engine (chained
+   block closures of compiled kernels) must retire a stream bit-identical
+   to the legacy per-instruction loop over [Exec.step].  Identity is
+   checked at four depths — run statistics, the full observer-visible
+   retirement stream (hashed), PMU sample archives byte for byte, and
+   fused pipeline reconstructions — over the bundled registry
+   workloads, tight-budget Runaway runs and seeded random synthetic
+   programs; and instruction by instruction, every shape the kernel
+   specializer compiles against [Exec.step] on generated states. *)
 
 open Hbbp_cpu
 open Hbbp_core
@@ -611,6 +613,206 @@ let test_observers_fault_in_bare_block () =
     (faulting_workloads ())
 
 (* ------------------------------------------------------------------ *)
+(* Kernels against [step]: for every operand shape [Exec.compile_flat]
+   specializes, [Exec.compile] and [Exec.step] run on two states built
+   from one seed — generated registers, immediates, vector lanes, x87
+   stack and flags, and memory operands based in a mapped scratch
+   window — and must return the same control and leave the same
+   registers, flags, x87 stack and window memory, or raise the same
+   exception.  The shapes are found by asking the specializer about
+   every mnemonic over every operand-kind list of up to three operands,
+   so each arm it keeps is covered without being listed here.          *)
+
+module Operand = Hbbp_isa.Operand
+module Mnemonic = Hbbp_isa.Mnemonic
+module Instruction = Hbbp_isa.Instruction
+
+type kind = K_gpr | K_imm | K_mem | K_xmm | K_ymm | K_st | K_rel
+
+let kinds = [ K_gpr; K_imm; K_mem; K_xmm; K_ymm; K_st; K_rel ]
+
+let node_of instr =
+  {
+    Exec_graph.addr = Layout.user_code_base;
+    instr;
+    len = 4;
+    ring = Hbbp_program.Ring.User;
+    kernel = false;
+    issue_cost = 1;
+    latency = 1;
+    long_latency = false;
+    fall = None;
+    target = None;
+  }
+
+(* Every (mnemonic, operand kinds) the specializer compiles, decided on
+   placeholder operands: no arm looks at operand values. *)
+let specialized_shapes =
+  lazy
+    (let placeholder = function
+       | K_gpr -> Operand.Reg (Operand.Gpr Operand.RAX)
+       | K_imm -> Operand.Imm 1L
+       | K_mem -> Operand.mem Operand.RBX
+       | K_xmm -> Operand.Reg (Operand.Xmm 1)
+       | K_ymm -> Operand.Reg (Operand.Ymm 1)
+       | K_st -> Operand.Reg (Operand.St 1)
+       | K_rel -> Operand.Rel 8
+     in
+     let rec lists n =
+       if n = 0 then [ [] ]
+       else
+         let shorter = lists (n - 1) in
+         List.concat_map (fun k -> List.map (fun l -> k :: l) shorter) kinds
+     in
+     let shapes = List.concat_map lists [ 0; 1; 2; 3 ] in
+     List.concat_map
+       (fun m ->
+         List.filter
+           (fun ks ->
+             let instr = Instruction.make m (List.map placeholder ks) in
+             match Exec.compile_flat (node_of instr) with
+             | Some _ -> true
+             | None | (exception _) -> false)
+           shapes
+         |> List.map (fun ks -> (m, ks)))
+       Mnemonic.all)
+
+(* Memory operands address [window, window + window_size): bases land
+   in its middle half, indexes stay below 16 and displacements within
+   64 bytes, which leaves room for an 8-lane access.  The stack pointer
+   points into it too. *)
+let window = Layout.user_data_base
+let window_size = 1024
+
+let random_gpr rs = List.nth Operand.all_gprs (Random.State.int rs 16)
+
+let random_int64 rs =
+  match Random.State.int rs 5 with
+  | 0 -> 0L
+  | 1 -> Int64.of_int (Random.State.int rs 64)
+  | 2 -> Int64.of_int (-Random.State.int rs 64)
+  | 3 -> [| Int64.min_int; Int64.max_int; -1L; 1L |].(Random.State.int rs 4)
+  | _ -> Random.State.bits64 rs
+
+let random_float rs =
+  match Random.State.int rs 5 with
+  | 0 -> if Random.State.bool rs then 0.0 else -0.0
+  | 1 -> float_of_int (Random.State.int rs 21 - 10)
+  | 2 -> Random.State.float rs 2e6 -. 1e6
+  | 3 -> ldexp (Random.State.float rs 1.0) (Random.State.int rs 200 - 100)
+  | _ -> Random.State.float rs 1.0
+
+let random_operand rs = function
+  | K_gpr -> Operand.Reg (Operand.Gpr (random_gpr rs))
+  | K_imm -> Operand.Imm (random_int64 rs)
+  | K_mem ->
+      let base = random_gpr rs and index = random_gpr rs in
+      Operand.Mem
+        {
+          Operand.base;
+          index =
+            (if Random.State.bool rs && not (Operand.equal_gpr index base)
+             then Some index
+             else None);
+          scale = [| 1; 2; 4; 8 |].(Random.State.int rs 4);
+          disp = Random.State.int rs 129 - 64;
+        }
+  | K_xmm -> Operand.Reg (Operand.Xmm (Random.State.int rs 16))
+  | K_ymm -> Operand.Reg (Operand.Ymm (Random.State.int rs 16))
+  | K_st -> Operand.Reg (Operand.St (Random.State.int rs 8))
+  | K_rel -> Operand.Rel (Random.State.int rs 2001 - 1000)
+
+(* One initial state, to be loaded into both machines: random registers
+   and window memory, then the stack pointer and every memory operand's
+   registers aimed at the window (one base in sixteen at unmapped
+   memory, so faults are compared too). *)
+let initial_state rs (instr : Instruction.t) =
+  let gprs = Array.init 16 (fun _ -> random_int64 rs) in
+  gprs.(Operand.gpr_code Operand.RSP) <-
+    Int64.of_int (window + (window_size / 2));
+  Array.iter
+    (function
+      | Operand.Mem m ->
+          Option.iter
+            (fun ix ->
+              gprs.(Operand.gpr_code ix) <-
+                Int64.of_int (Random.State.int rs 16))
+            m.Operand.index;
+          gprs.(Operand.gpr_code m.Operand.base) <-
+            (if Random.State.int rs 16 = 0 then 0x100L
+             else
+               Int64.of_int
+                 (window + (window_size / 4)
+                 + Random.State.int rs (window_size / 2)))
+      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> ())
+    instr.operands;
+  let vregs =
+    Array.init 16 (fun _ -> Array.init 8 (fun _ -> random_float rs))
+  in
+  let x87 = Array.init 8 (fun _ -> random_float rs) in
+  let top = Random.State.int rs 8 in
+  let flags = Array.init 4 (fun _ -> Random.State.bool rs) in
+  let words = Array.init (window_size / 8) (fun _ -> Random.State.bits64 rs) in
+  fun (st : State.t) ->
+    Array.iteri (fun k v -> Bigarray.Array1.set st.gprs k v) gprs;
+    Array.iteri (fun k lanes -> Array.blit lanes 0 st.vregs.(k) 0 8) vregs;
+    Array.blit x87 0 st.x87 0 8;
+    st.x87_top <- top;
+    st.zf <- flags.(0);
+    st.sf <- flags.(1);
+    st.cf <- flags.(2);
+    st.off <- flags.(3);
+    Array.iteri (fun k v -> Memory.write_i64 st.mem (window + (8 * k)) v) words
+
+(* Floats by their bits, so NaN lanes compare too. *)
+let snapshot (st : State.t) =
+  ( Array.init 16 (fun k -> Bigarray.Array1.get st.gprs k),
+    Array.map (Array.map Int64.bits_of_float) st.vregs,
+    Array.map Int64.bits_of_float st.x87,
+    st.x87_top,
+    (st.zf, st.sf, st.cf, st.off),
+    Array.init (window_size / 8) (fun k ->
+        Memory.read_i64 st.mem (window + (8 * k))) )
+
+let kernel_state = lazy (State.create ())
+let step_state = lazy (State.create ())
+
+let check_kernel_against_step rs (m, ks) =
+  let instr =
+    Instruction.make m (List.map (random_operand rs) ks)
+  in
+  let node = node_of instr in
+  let load = initial_state rs instr in
+  let run f st =
+    load st;
+    match f st with c -> Ok c | exception e -> Error e
+  in
+  let kst = Lazy.force kernel_state and sst = Lazy.force step_state in
+  let got = run (Exec.compile node) kst
+  and want = run (fun st -> Exec.step st node) sst in
+  let same =
+    match (got, want) with
+    | Ok a, Ok b -> a = b && snapshot kst = snapshot sst
+    | Error a, Error b -> a = b
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  if not same then
+    QCheck2.Test.fail_reportf "%s: kernel and step disagree (%s vs %s)"
+      (Instruction.to_string instr)
+      (match got with Ok _ -> "returned" | Error e -> Printexc.to_string e)
+      (match want with Ok _ -> "returned" | Error e -> Printexc.to_string e);
+  true
+
+let prop_kernels_match_step =
+  QCheck2.Test.make ~name:"every specialized shape matches step" ~count:100
+    ~print:string_of_int QCheck2.Gen.(no_shrink (int_bound 0x3FFF_FFFF))
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      List.for_all
+        (check_kernel_against_step rs)
+        (Lazy.force specialized_shapes))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "executor"
@@ -634,6 +836,7 @@ let () =
         [
           Alcotest.test_case "random programs" `Quick test_fuzz_random_programs;
         ] );
+      ("kernels", [ QCheck_alcotest.to_alcotest prop_kernels_match_step ]);
       ( "observers",
         [
           Alcotest.test_case "registry (capped), each observer set" `Quick
