@@ -12,19 +12,112 @@ exception Fault of string
 let fault fmt = Format.kasprintf (fun s -> raise (Fault s)) fmt
 
 (* ------------------------------------------------------------------ *)
+(* Memory access: the one path [step] and every compiled kernel take.
+   Each helper tests the hot region, then loads or stores the bytes
+   here, little-endian like [Memory]'s own accessors.  Calling those
+   accessors instead would box every [int64] and [float] that crosses
+   the module boundary (nothing is inlined across modules without
+   flambda, or under [-opaque]); inlined into a kernel, the value stays
+   in a register.  A miss goes through [Memory.region_for], which
+   raises [Memory.Fault addr] on an unmapped access.                   *)
+
+let[@inline] region (mem : Memory.t) addr len =
+  let r = Array.unsafe_get mem.Memory.regions mem.Memory.hot in
+  let off = addr - r.Memory.base in
+  if off >= 0 && off + len <= Bytes.length r.Memory.data then r
+  else Memory.region_for mem addr len
+
+let[@inline] load_i64 mem addr =
+  let r = region mem addr 8 in
+  Bytes.get_int64_le r.Memory.data (addr - r.Memory.base)
+
+let[@inline] store_i64 mem addr v =
+  let r = region mem addr 8 in
+  Bytes.set_int64_le r.Memory.data (addr - r.Memory.base) v
+
+let[@inline] load_f64 mem addr = Int64.float_of_bits (load_i64 mem addr)
+let[@inline] store_f64 mem addr v = store_i64 mem addr (Int64.bits_of_float v)
+
+let[@inline] load_f32 mem addr =
+  let r = region mem addr 4 in
+  Int32.float_of_bits
+    (Bytes.get_int32_le r.Memory.data (addr - r.Memory.base))
+
+let[@inline] store_f32 mem addr v =
+  let r = region mem addr 4 in
+  Bytes.set_int32_le r.Memory.data (addr - r.Memory.base)
+    (Int32.bits_of_float v)
+
+(* ------------------------------------------------------------------ *)
+(* Lane operations: the one definition of what a binary FP, packed or
+   x87 op computes on one lane, for [step] and the kernels alike.  A
+   constant constructor rather than a [float -> float -> float]
+   closure: matched inside the inlined [lane], operands and result stay
+   unboxed in a kernel's lane loop, where a closure call boxes all
+   three.  Division by zero yields 0 to keep the machine total
+   (workloads are written to avoid it); bitwise ops work on the IEEE
+   bits of each lane, so the XOR-zeroing idiom produces exact zeros.   *)
+
+type lane_op = Add | Sub | Mul | Div | Max | Min | And | Or | Xor | Lt | Eq
+
+let[@inline] lane op a b =
+  match op with
+  | Add -> a +. b
+  | Sub -> a -. b
+  | Mul -> a *. b
+  | Div -> if b = 0.0 then 0.0 else a /. b
+  | Max -> Float.max a b
+  | Min -> Float.min a b
+  | And ->
+      Int32.float_of_bits
+        (Int32.logand (Int32.bits_of_float a) (Int32.bits_of_float b))
+  | Or ->
+      Int32.float_of_bits
+        (Int32.logor (Int32.bits_of_float a) (Int32.bits_of_float b))
+  | Xor ->
+      Int32.float_of_bits
+        (Int32.logxor (Int32.bits_of_float a) (Int32.bits_of_float b))
+  | Lt -> if a < b then 1.0 else 0.0
+  | Eq -> if a = b then 1.0 else 0.0
+
+let lane_op_of (m : Mnemonic.t) =
+  match m with
+  | ADDSS | ADDSD | VADDSS | VADDSD | ADDPS | ADDPD | VADDPS | VADDPD | PADDD
+  | PADDQ | VPADDD | FADD ->
+      Add
+  | SUBSS | SUBSD | VSUBSS | SUBPS | SUBPD | VSUBPS | VSUBPD | PSUBD | FSUB ->
+      Sub
+  | MULSS | MULSD | VMULSS | VMULSD | MULPS | MULPD | VMULPS | VMULPD | PMULLD
+  | VPMULLD | FMUL ->
+      Mul
+  | DIVSS | DIVSD | VDIVSS | VDIVSD | DIVPS | DIVPD | VDIVPS | VDIVPD | FDIV ->
+      Div
+  | MAXSS | MAXPS | VMAXPS -> Max
+  | MINSS | MINPS | VMINPS -> Min
+  | ANDPS | ANDPD | PAND | VANDPS | VPAND -> And
+  | ORPS | POR -> Or
+  | XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR -> Xor
+  | CMPPS -> Lt
+  | PCMPEQD -> Eq
+  | _ -> fault "%s has no lane operation" (Mnemonic.to_string m)
+
+(* Square root of the magnitude, so negative inputs stay total. *)
+let[@inline] sqrt_abs v = sqrt (Float.abs v)
+
+(* ------------------------------------------------------------------ *)
 (* Integer operand access                                              *)
 
 let rd_int (st : State.t) = function
   | Operand.Reg (Operand.Gpr g) -> State.get_gpr st g
   | Operand.Imm v -> v
-  | Operand.Mem m -> Memory.read_i64 st.mem (State.effective_address st m)
+  | Operand.Mem m -> load_i64 st.mem (State.effective_address st m)
   | Operand.Reg _ -> fault "integer read from vector register"
   | Operand.Rel _ -> fault "integer read from Rel operand"
 
 let wr_int (st : State.t) op v =
   match op with
   | Operand.Reg (Operand.Gpr g) -> State.set_gpr st g v
-  | Operand.Mem m -> Memory.write_i64 st.mem (State.effective_address st m) v
+  | Operand.Mem m -> store_i64 st.mem (State.effective_address st m) v
   | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
       fault "integer write to non-lvalue"
 
@@ -82,11 +175,11 @@ let condition (st : State.t) (m : Mnemonic.t) =
 let push (st : State.t) v =
   let rsp = Int64.sub (State.get_gpr st Operand.RSP) 8L in
   State.set_gpr st Operand.RSP rsp;
-  Memory.write_i64 st.mem (Int64.to_int rsp) v
+  store_i64 st.mem (Int64.to_int rsp) v
 
 let pop (st : State.t) =
   let rsp = State.get_gpr st Operand.RSP in
-  let v = Memory.read_i64 st.mem (Int64.to_int rsp) in
+  let v = load_i64 st.mem (Int64.to_int rsp) in
   State.set_gpr st Operand.RSP (Int64.add rsp 8L);
   v
 
@@ -99,7 +192,7 @@ let rd_fp (st : State.t) ~wide = function
       st.vregs.(i).(0)
   | Operand.Mem m ->
       let a = State.effective_address st m in
-      if wide then Memory.read_f64 st.mem a else Memory.read_f32 st.mem a
+      if wide then load_f64 st.mem a else load_f32 st.mem a
   | Operand.Imm v -> Int64.to_float v
   | Operand.Reg _ | Operand.Rel _ -> fault "fp read from bad operand"
 
@@ -109,7 +202,7 @@ let wr_fp (st : State.t) ~wide op v =
       st.vregs.(i).(0) <- v
   | Operand.Mem m ->
       let a = State.effective_address st m in
-      if wide then Memory.write_f64 st.mem a v else Memory.write_f32 st.mem a v
+      if wide then store_f64 st.mem a v else store_f32 st.mem a v
   | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
       fault "fp write to non-lvalue"
 
@@ -146,8 +239,8 @@ let rd_vec (st : State.t) ~lanes ~wide op =
       let a = State.effective_address st m in
       let width = if wide then 8 else 4 in
       Array.init lanes (fun k ->
-          if wide then Memory.read_f64 st.mem (a + (k * width))
-          else Memory.read_f32 st.mem (a + (k * width)))
+          if wide then load_f64 st.mem (a + (k * width))
+          else load_f32 st.mem (a + (k * width)))
   | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
       fault "vector read from bad operand"
 
@@ -160,15 +253,15 @@ let wr_vec (st : State.t) ~wide op values =
       let width = if wide then 8 else 4 in
       Array.iteri
         (fun k v ->
-          if wide then Memory.write_f64 st.mem (a + (k * width)) v
-          else Memory.write_f32 st.mem (a + (k * width)) v)
+          if wide then store_f64 st.mem (a + (k * width)) v
+          else store_f32 st.mem (a + (k * width)) v)
         values
   | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
       fault "vector write to non-lvalue"
 
-(* Binary vector op: SSE form [op dst, src] computes dst := f dst src;
-   AVX three-operand form [op dst, a, b] computes dst := f a b. *)
-let vec_binop st (i : Instruction.t) f =
+(* Binary vector op: SSE form [op dst, src] computes dst := dst op src;
+   AVX three-operand form [op dst, a, b] computes dst := a op b. *)
+let vec_binop st (i : Instruction.t) op =
   let lanes = lanes_of i in
   let wide = is_wide i.mnemonic in
   let a, b =
@@ -179,29 +272,25 @@ let vec_binop st (i : Instruction.t) f =
       ( rd_vec st ~lanes ~wide i.operands.(0),
         rd_vec st ~lanes ~wide i.operands.(1) )
   in
-  wr_vec st ~wide i.operands.(0) (Array.init lanes (fun k -> f a.(k) b.(k)))
+  wr_vec st ~wide i.operands.(0)
+    (Array.init lanes (fun k -> lane op a.(k) b.(k)))
 
-let vec_unop st (i : Instruction.t) f =
+let vec_sqrt st (i : Instruction.t) =
   let lanes = lanes_of i in
   let wide = is_wide i.mnemonic in
   let src = i.operands.(Array.length i.operands - 1) in
   let a = rd_vec st ~lanes ~wide src in
-  wr_vec st ~wide i.operands.(0) (Array.map f a)
-
-(* Bitwise ops work on the IEEE bits of each lane so that the common
-   XOR-zeroing idiom produces exact zeros. *)
-let bits32 f a b =
-  Int32.float_of_bits (f (Int32.bits_of_float a) (Int32.bits_of_float b))
+  wr_vec st ~wide i.operands.(0) (Array.map sqrt_abs a)
 
 (* Scalar binary op over lane 0 / memory. *)
-let fp_binop st (i : Instruction.t) f =
+let fp_binop st (i : Instruction.t) op =
   let wide = is_wide i.mnemonic in
   let a, b =
     if Array.length i.operands >= 3 then
       (rd_fp st ~wide i.operands.(1), rd_fp st ~wide i.operands.(2))
     else (rd_fp st ~wide i.operands.(0), rd_fp st ~wide i.operands.(1))
   in
-  wr_fp st ~wide i.operands.(0) (f a b)
+  wr_fp st ~wide i.operands.(0) (lane op a b)
 
 let fp_compare (st : State.t) (i : Instruction.t) =
   let wide = is_wide i.mnemonic in
@@ -226,7 +315,7 @@ let x87_rhs (st : State.t) (i : Instruction.t) =
   else
     match i.operands.(0) with
     | Operand.Reg (Operand.St k) -> State.x87_get st k
-    | Operand.Mem m -> Memory.read_f64 st.mem (State.effective_address st m)
+    | Operand.Mem m -> load_f64 st.mem (State.effective_address st m)
     | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ ->
         fault "bad x87 operand"
 
@@ -489,28 +578,28 @@ let step (st : State.t) (node : Exec_graph.node) =
           State.x87_push st v;
           Fall
       | Operand.Mem m ->
-          State.x87_push st (Memory.read_f64 st.mem (State.effective_address st m));
+          State.x87_push st (load_f64 st.mem (State.effective_address st m));
           Fall
       | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> fault "bad FLD operand")
   | FILD -> (
       match ops.(0) with
       | Operand.Mem m ->
           State.x87_push st
-            (Int64.to_float (Memory.read_i64 st.mem (State.effective_address st m)));
+            (Int64.to_float (load_i64 st.mem (State.effective_address st m)));
           Fall
       | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> fault "bad FILD operand")
   | FST | FSTP -> (
       let v = State.x87_get st 0 in
       (match ops.(0) with
       | Operand.Reg (Operand.St k) -> State.x87_set st k v
-      | Operand.Mem m -> Memory.write_f64 st.mem (State.effective_address st m) v
+      | Operand.Mem m -> store_f64 st.mem (State.effective_address st m) v
       | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> fault "bad FST operand");
       if Mnemonic.equal i.mnemonic FSTP then ignore (State.x87_pop st);
       Fall)
   | FISTP -> (
       match ops.(0) with
       | Operand.Mem m ->
-          Memory.write_i64 st.mem (State.effective_address st m)
+          store_i64 st.mem (State.effective_address st m)
             (Int64.of_float (State.x87_get st 0));
           ignore (State.x87_pop st);
           Fall
@@ -524,21 +613,12 @@ let step (st : State.t) (node : Exec_graph.node) =
           Fall
       | Operand.Reg _ | Operand.Imm _ | Operand.Mem _ | Operand.Rel _ ->
           fault "bad FXCH operand")
-  | FADD ->
-      State.x87_set st 0 (State.x87_get st 0 +. x87_rhs st i);
-      Fall
-  | FSUB ->
-      State.x87_set st 0 (State.x87_get st 0 -. x87_rhs st i);
-      Fall
-  | FMUL ->
-      State.x87_set st 0 (State.x87_get st 0 *. x87_rhs st i);
-      Fall
-  | FDIV ->
-      let d = x87_rhs st i in
-      State.x87_set st 0 (if d = 0.0 then 0.0 else State.x87_get st 0 /. d);
+  | FADD | FSUB | FMUL | FDIV ->
+      let b = x87_rhs st i in
+      State.x87_set st 0 (lane (lane_op_of i.mnemonic) (State.x87_get st 0) b);
       Fall
   | FSQRT ->
-      State.x87_set st 0 (sqrt (Float.abs (State.x87_get st 0)));
+      State.x87_set st 0 (sqrt_abs (State.x87_get st 0));
       Fall
   | FABS ->
       State.x87_set st 0 (Float.abs (State.x87_get st 0));
@@ -576,28 +656,14 @@ let step (st : State.t) (node : Exec_graph.node) =
       let wide = is_wide i.mnemonic in
       wr_fp st ~wide ops.(0) (rd_fp st ~wide ops.(Array.length ops - 1));
       Fall
-  | ADDSS | ADDSD | VADDSS | VADDSD ->
-      fp_binop st i ( +. );
-      Fall
-  | SUBSS | SUBSD | VSUBSS ->
-      fp_binop st i ( -. );
-      Fall
-  | MULSS | MULSD | VMULSS | VMULSD ->
-      fp_binop st i ( *. );
-      Fall
-  | DIVSS | DIVSD | VDIVSS | VDIVSD ->
-      fp_binop st i (fun a b -> if b = 0.0 then 0.0 else a /. b);
+  | ADDSS | ADDSD | VADDSS | VADDSD | SUBSS | SUBSD | VSUBSS | MULSS | MULSD
+  | VMULSS | VMULSD | DIVSS | DIVSD | VDIVSS | VDIVSD | MAXSS | MINSS ->
+      fp_binop st i (lane_op_of i.mnemonic);
       Fall
   | SQRTSS | SQRTSD | VSQRTSD ->
       let wide = is_wide i.mnemonic in
       wr_fp st ~wide ops.(0)
-        (sqrt (Float.abs (rd_fp st ~wide ops.(Array.length ops - 1))));
-      Fall
-  | MAXSS ->
-      fp_binop st i Float.max;
-      Fall
-  | MINSS ->
-      fp_binop st i Float.min;
+        (sqrt_abs (rd_fp st ~wide ops.(Array.length ops - 1)));
       Fall
   | COMISS | COMISD | UCOMISS | UCOMISD | VUCOMISD | VCOMISS ->
       fp_compare st i;
@@ -629,53 +695,16 @@ let step (st : State.t) (node : Exec_graph.node) =
       wr_vec st ~wide ops.(0)
         (rd_vec st ~lanes ~wide ops.(Array.length ops - 1));
       Fall
-  (* ---- packed arithmetic ---- *)
-  | ADDPS | ADDPD | VADDPS | VADDPD ->
-      vec_binop st i ( +. );
-      Fall
-  | SUBPS | SUBPD | VSUBPS | VSUBPD ->
-      vec_binop st i ( -. );
-      Fall
-  | MULPS | MULPD | VMULPS | VMULPD ->
-      vec_binop st i ( *. );
-      Fall
-  | DIVPS | DIVPD | VDIVPS | VDIVPD ->
-      vec_binop st i (fun a b -> if b = 0.0 then 0.0 else a /. b);
+  (* ---- packed arithmetic, logic (over lane bits) and integer ---- *)
+  | ADDPS | ADDPD | VADDPS | VADDPD | SUBPS | SUBPD | VSUBPS | VSUBPD | MULPS
+  | MULPD | VMULPS | VMULPD | DIVPS | DIVPD | VDIVPS | VDIVPD | MAXPS | VMAXPS
+  | MINPS | VMINPS | CMPPS | ANDPS | ANDPD | PAND | VANDPS | VPAND | ORPS | POR
+  | XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR | PADDD | PADDQ | VPADDD
+  | PSUBD | PMULLD | VPMULLD | PCMPEQD ->
+      vec_binop st i (lane_op_of i.mnemonic);
       Fall
   | SQRTPS | SQRTPD | VSQRTPS | VSQRTPD ->
-      vec_unop st i (fun v -> sqrt (Float.abs v));
-      Fall
-  | MAXPS | VMAXPS ->
-      vec_binop st i Float.max;
-      Fall
-  | MINPS | VMINPS ->
-      vec_binop st i Float.min;
-      Fall
-  | CMPPS ->
-      vec_binop st i (fun a b -> if a < b then 1.0 else 0.0);
-      Fall
-  (* ---- packed logic (bitwise over lane bits) ---- *)
-  | ANDPS | ANDPD | PAND | VANDPS | VPAND ->
-      vec_binop st i (bits32 Int32.logand);
-      Fall
-  | ORPS | POR ->
-      vec_binop st i (bits32 Int32.logor);
-      Fall
-  | XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR ->
-      vec_binop st i (bits32 Int32.logxor);
-      Fall
-  (* ---- packed integer ---- *)
-  | PADDD | PADDQ | VPADDD ->
-      vec_binop st i ( +. );
-      Fall
-  | PSUBD ->
-      vec_binop st i ( -. );
-      Fall
-  | PMULLD | VPMULLD ->
-      vec_binop st i ( *. );
-      Fall
-  | PCMPEQD ->
-      vec_binop st i (fun a b -> if a = b then 1.0 else 0.0);
+      vec_sqrt st i;
       Fall
   | PSLLD ->
       let sh = float_of_int (1 lsl (int_of_imm ops.(1) land 31)) in
@@ -774,7 +803,7 @@ let step (st : State.t) (node : Exec_graph.node) =
           let indices = st.vregs.(State.vreg_index idx) in
           let r =
             Array.init lanes (fun k ->
-                Memory.read_f32 st.mem (base + (4 * int_of_float indices.(k))))
+                load_f32 st.mem (base + (4 * int_of_float indices.(k))))
           in
           wr_vec st ~wide:false ops.(0) r;
           Fall
@@ -818,7 +847,7 @@ let step (st : State.t) (node : Exec_graph.node) =
 
    [step] and [compile_flat] are the only two semantics.  The
    specializer covers the mnemonic/operand shapes the bundled workloads
-   retire, and no others: anything else (rare forms, cross-lane
+   retire, and no others: anything else (rare forms, most cross-lane
    shuffles, transcendentals, malformed operand lists) runs through a
    [step] thunk, which also preserves the exact fault behaviour of the
    reference.  [bench executor] gates the share of registry retirements
@@ -844,7 +873,7 @@ let compile_ea (m : Operand.mem) =
    three-operand forms).  Writing lane [k] before reading lane [k+1] is
    equivalent to [vec_binop]'s copy-then-write because no binop reads
    across lanes and register aliasing is lane-independent. *)
-let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
+let compile_vec_binop (node : Exec_graph.node) (op : lane_op) :
     (State.t -> control) option =
   let i = node.instr in
   let lanes = lanes_of i in
@@ -857,7 +886,7 @@ let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
           and sv = Array.unsafe_get st.vregs s in
           for k = 0 to lanes - 1 do
             Array.unsafe_set dv k
-              (f (Array.unsafe_get dv k) (Array.unsafe_get sv k))
+              (lane op (Array.unsafe_get dv k) (Array.unsafe_get sv k))
           done;
           Fall)
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
@@ -870,13 +899,12 @@ let compile_vec_binop (node : Exec_graph.node) (f : float -> float -> float) :
           and bv = Array.unsafe_get st.vregs s2 in
           for k = 0 to lanes - 1 do
             Array.unsafe_set dv k
-              (f (Array.unsafe_get av k) (Array.unsafe_get bv k))
+              (lane op (Array.unsafe_get av k) (Array.unsafe_get bv k))
           done;
           Fall)
   | _ -> None
 
-let compile_vec_unop (node : Exec_graph.node) (f : float -> float) :
-    (State.t -> control) option =
+let compile_vec_sqrt (node : Exec_graph.node) : (State.t -> control) option =
   let i = node.instr in
   let lanes = lanes_of i in
   match i.operands with
@@ -887,17 +915,18 @@ let compile_vec_unop (node : Exec_graph.node) (f : float -> float) :
           let dv = Array.unsafe_get st.vregs d
           and sv = Array.unsafe_get st.vregs s in
           for k = 0 to lanes - 1 do
-            Array.unsafe_set dv k (f (Array.unsafe_get sv k))
+            Array.unsafe_set dv k (sqrt_abs (Array.unsafe_get sv k))
           done;
           Fall)
   | _ -> None
 
-(* Vector register/memory moves (MOVAPS family). *)
+(* Vector register/memory moves (MOVAPS family).  The lane width is
+   chosen outside the lane loop; memory lanes go one by one, so a
+   partly unmapped access faults at the first bad lane, as in [step]. *)
 let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
   let i = node.instr in
   let lanes = lanes_of i in
   let wide = is_wide i.mnemonic in
-  let width = if wide then 8 else 4 in
   match i.operands with
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
        Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
@@ -911,29 +940,40 @@ let compile_vec_mov (node : Exec_graph.node) : (State.t -> control) option =
           Fall)
   | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d); Operand.Mem m |] ->
       let ea = compile_ea m in
-      Some
-        (fun st ->
-          let dv = Array.unsafe_get st.vregs d in
-          let a = ea st in
-          for k = 0 to lanes - 1 do
-            Array.unsafe_set dv k
-              (if wide then Memory.read_f64 st.mem (a + (k * width))
-               else Memory.read_f32 st.mem (a + (k * width)))
-          done;
-          Fall)
+      if wide then
+        Some
+          (fun st ->
+            let dv = Array.unsafe_get st.vregs d and a = ea st in
+            for k = 0 to lanes - 1 do
+              Array.unsafe_set dv k (load_f64 st.mem (a + (8 * k)))
+            done;
+            Fall)
+      else
+        Some
+          (fun st ->
+            let dv = Array.unsafe_get st.vregs d and a = ea st in
+            for k = 0 to lanes - 1 do
+              Array.unsafe_set dv k (load_f32 st.mem (a + (4 * k)))
+            done;
+            Fall)
   | [| Operand.Mem m; Operand.Reg (Operand.Xmm s | Operand.Ymm s) |] ->
       let ea = compile_ea m in
-      Some
-        (fun st ->
-          let sv = Array.unsafe_get st.vregs s in
-          let a = ea st in
-          for k = 0 to lanes - 1 do
-            if wide then
-              Memory.write_f64 st.mem (a + (k * width)) (Array.unsafe_get sv k)
-            else
-              Memory.write_f32 st.mem (a + (k * width)) (Array.unsafe_get sv k)
-          done;
-          Fall)
+      if wide then
+        Some
+          (fun st ->
+            let sv = Array.unsafe_get st.vregs s and a = ea st in
+            for k = 0 to lanes - 1 do
+              store_f64 st.mem (a + (8 * k)) (Array.unsafe_get sv k)
+            done;
+            Fall)
+      else
+        Some
+          (fun st ->
+            let sv = Array.unsafe_get st.vregs s and a = ea st in
+            for k = 0 to lanes - 1 do
+              store_f32 st.mem (a + (4 * k)) (Array.unsafe_get sv k)
+            done;
+            Fall)
   | _ -> None
 
 let some (f : State.t -> control) = Some f
@@ -949,7 +989,11 @@ let some (f : State.t -> control) = Some f
    allocations per register-register ALU op and a helper call per flag
    group.  Flag updates are written out inline and are field-for-field
    those of [set_add_flags]/[set_sub_flags]/[set_logic_flags]/[set_zs].
-   Packed forms loop over lanes through the helpers above. *)
+   Memory goes through the inlined [load_*]/[store_*] helpers and FP
+   arithmetic through the inlined [lane], for the same reason: a
+   function passed as a value, or one in another module, is a call
+   that boxes.  Packed forms loop over lanes through the helpers
+   above. *)
 
 module BA = Bigarray.Array1
 
@@ -982,16 +1026,16 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
   | MOV, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
       let dc = Operand.gpr_code d and ea = compile_ea m in
       some (fun st ->
-          BA.unsafe_set st.gprs dc (Memory.read_i64 st.mem (ea st));
+          BA.unsafe_set st.gprs dc (load_i64 st.mem (ea st));
           Fall)
   | MOV, [| Operand.Mem m; Operand.Reg (Operand.Gpr s) |] ->
       let sc = Operand.gpr_code s and ea = compile_ea m in
       some (fun st ->
-          Memory.write_i64 st.mem (ea st) (BA.unsafe_get st.gprs sc);
+          store_i64 st.mem (ea st) (BA.unsafe_get st.gprs sc);
           Fall)
   | MOV, [| Operand.Mem m; Operand.Imm v |] ->
       let ea = compile_ea m in
-      some (fun st -> Memory.write_i64 st.mem (ea st) v; Fall)
+      some (fun st -> store_i64 st.mem (ea st) v; Fall)
   | MOVZX, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
       some (fun st ->
@@ -1011,7 +1055,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       some (fun st ->
           BA.unsafe_set st.gprs dc
             (Int64.shift_right
-               (Int64.shift_left (Memory.read_i64 st.mem (ea st)) 32)
+               (Int64.shift_left (load_i64 st.mem (ea st)) 32)
                32);
           Fall)
   | LEA, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] -> (
@@ -1068,26 +1112,26 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           let v = BA.unsafe_get st.gprs sc in
           let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
           BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp) v;
+          store_i64 st.mem (Int64.to_int rsp) v;
           Fall)
   | PUSH, [| Operand.Imm v |] ->
       some (fun st ->
           let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
           BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp) v;
+          store_i64 st.mem (Int64.to_int rsp) v;
           Fall)
   | POP, [| Operand.Reg (Operand.Gpr d) |] ->
       let dc = Operand.gpr_code d in
       some (fun st ->
           let rsp = BA.unsafe_get st.gprs rsp_code in
-          let v = Memory.read_i64 st.mem (Int64.to_int rsp) in
+          let v = load_i64 st.mem (Int64.to_int rsp) in
           BA.unsafe_set st.gprs rsp_code (Int64.add rsp 8L);
           BA.unsafe_set st.gprs dc v;
           Fall)
   | RET_NEAR, [||] ->
       some (fun st ->
           let rsp = BA.unsafe_get st.gprs rsp_code in
-          let v = Memory.read_i64 st.mem (Int64.to_int rsp) in
+          let v = load_i64 st.mem (Int64.to_int rsp) in
           BA.unsafe_set st.gprs rsp_code (Int64.add rsp 8L);
           Taken (Int64.to_int v))
   | CALL_NEAR, [| Operand.Rel _ |] -> (
@@ -1098,7 +1142,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           some (fun st ->
               let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
               BA.unsafe_set st.gprs rsp_code rsp;
-              Memory.write_i64 st.mem (Int64.to_int rsp) ra;
+              store_i64 st.mem (Int64.to_int rsp) ra;
               tk)
       | None -> None)
   | CALL_NEAR, [| Operand.Reg (Operand.Gpr s) |] ->
@@ -1107,7 +1151,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       some (fun st ->
           let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
           BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp) ra;
+          store_i64 st.mem (Int64.to_int rsp) ra;
           Taken (Int64.to_int (BA.unsafe_get st.gprs sc)))
   | SYSCALL, [||] ->
       let c = Syscall_enter (node.addr + node.len) in
@@ -1148,7 +1192,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let dc = Operand.gpr_code d and ea = compile_ea m in
       some (fun st ->
           let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
+          let b = load_i64 st.mem (ea st) in
           let r = Int64.add a b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1187,7 +1231,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let dc = Operand.gpr_code d and ea = compile_ea m in
       some (fun st ->
           let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
+          let b = load_i64 st.mem (ea st) in
           let r = Int64.sub a b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1224,7 +1268,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let dc = Operand.gpr_code d and ea = compile_ea m in
       some (fun st ->
           let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
+          let b = load_i64 st.mem (ea st) in
           let r = Int64.sub a b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1236,7 +1280,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let ea = compile_ea m in
       let sb = b < 0L and xb = Int64.logxor b Int64.min_int in
       some (fun st ->
-          let a = Memory.read_i64 st.mem (ea st) in
+          let a = load_i64 st.mem (ea st) in
           let r = Int64.sub a b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1380,7 +1424,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       some (fun st ->
           let r =
             Int64.mul (BA.unsafe_get st.gprs dc)
-              (Memory.read_i64 st.mem (ea st))
+              (load_i64 st.mem (ea st))
           in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1469,7 +1513,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
   | FLD, [| Operand.Mem m |] ->
       let ea = compile_ea m in
       some (fun st ->
-          let v = Memory.read_f64 st.mem (ea st) in
+          let v = load_f64 st.mem (ea st) in
           let top = (st.x87_top - 1) land 7 in
           st.x87_top <- top;
           Array.unsafe_set st.x87 top v;
@@ -1488,7 +1532,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let ea = compile_ea m in
       some (fun st ->
           let top = st.x87_top in
-          Memory.write_f64 st.mem (ea st) (Array.unsafe_get st.x87 top);
+          store_f64 st.mem (ea st) (Array.unsafe_get st.x87 top);
           if pops then st.x87_top <- (top + 1) land 7;
           Fall)
   | FXCH, [| Operand.Reg (Operand.St k) |] ->
@@ -1501,30 +1545,20 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Array.unsafe_set st.x87 j a;
           Fall)
   | (FADD | FSUB | FMUL | FDIV), [| Operand.Reg (Operand.St k) |] ->
-      let m = i.mnemonic in
+      let op = lane_op_of i.mnemonic in
       some (fun st ->
           let top = st.x87_top in
-          let a = Array.unsafe_get st.x87 top
-          and b = Array.unsafe_get st.x87 ((top + k) land 7) in
           Array.unsafe_set st.x87 top
-            (match m with
-            | FADD -> a +. b
-            | FSUB -> a -. b
-            | FMUL -> a *. b
-            | _ -> if b = 0.0 then 0.0 else a /. b);
+            (lane op
+               (Array.unsafe_get st.x87 top)
+               (Array.unsafe_get st.x87 ((top + k) land 7)));
           Fall)
   | (FADD | FSUB | FMUL), [| Operand.Mem m |] ->
-      let mn = i.mnemonic in
-      let ea = compile_ea m in
+      let op = lane_op_of i.mnemonic and ea = compile_ea m in
       some (fun st ->
+          let b = load_f64 st.mem (ea st) in
           let top = st.x87_top in
-          let a = Array.unsafe_get st.x87 top
-          and b = Memory.read_f64 st.mem (ea st) in
-          Array.unsafe_set st.x87 top
-            (match mn with
-            | FADD -> a +. b
-            | FSUB -> a -. b
-            | _ -> a *. b);
+          Array.unsafe_set st.x87 top (lane op (Array.unsafe_get st.x87 top) b);
           Fall)
   (* ---- scalar SSE register forms, lane 0 inlined ---- *)
   | (MOVSS | MOVSD), [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |]
@@ -1543,82 +1577,41 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Array.unsafe_set
             (Array.unsafe_get st.vregs d)
             0
-            (if wide then Memory.read_f64 st.mem (ea st)
-             else Memory.read_f32 st.mem (ea st));
+            (if wide then load_f64 st.mem (ea st)
+             else load_f32 st.mem (ea st));
           Fall)
   | (MOVSS | MOVSD), [| Operand.Mem m; Operand.Reg (Operand.Xmm s) |] ->
       let wide = is_wide i.mnemonic in
       let ea = compile_ea m in
       some (fun st ->
           let v = Array.unsafe_get (Array.unsafe_get st.vregs s) 0 in
-          if wide then Memory.write_f64 st.mem (ea st) v
-          else Memory.write_f32 st.mem (ea st) v;
+          if wide then store_f64 st.mem (ea st) v
+          else store_f32 st.mem (ea st) v;
           Fall)
   | ( (ADDSS | ADDSD | SUBSS | SUBSD | MULSS | MULSD | DIVSS | DIVSD),
-      [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |] ) -> (
-      match i.mnemonic with
-      | ADDSS | ADDSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0
-                +. Array.unsafe_get (Array.unsafe_get st.vregs s) 0);
-              Fall)
-      | SUBSS | SUBSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0
-                -. Array.unsafe_get (Array.unsafe_get st.vregs s) 0);
-              Fall)
-      | MULSS | MULSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0
-                *. Array.unsafe_get (Array.unsafe_get st.vregs s) 0);
-              Fall)
-      | _ ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              let b = Array.unsafe_get (Array.unsafe_get st.vregs s) 0 in
-              Array.unsafe_set dv 0
-                (if b = 0.0 then 0.0 else Array.unsafe_get dv 0 /. b);
-              Fall))
+      [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |] ) ->
+      let op = lane_op_of i.mnemonic in
+      some (fun st ->
+          let dv = Array.unsafe_get st.vregs d in
+          Array.unsafe_set dv 0
+            (lane op (Array.unsafe_get dv 0)
+               (Array.unsafe_get (Array.unsafe_get st.vregs s) 0));
+          Fall)
   | ( (ADDSS | ADDSD | SUBSS | SUBSD | MULSS | MULSD | DIVSS | DIVSD),
-      [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ) -> (
-      let wide = is_wide i.mnemonic in
-      let ea = compile_ea m in
-      let rd_mem st a =
-        if wide then Memory.read_f64 st.State.mem a
-        else Memory.read_f32 st.State.mem a
-      in
-      match i.mnemonic with
-      | ADDSS | ADDSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 +. rd_mem st (ea st));
-              Fall)
-      | SUBSS | SUBSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 -. rd_mem st (ea st));
-              Fall)
-      | MULSS | MULSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 *. rd_mem st (ea st));
-              Fall)
-      | _ ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              let b = rd_mem st (ea st) in
-              Array.unsafe_set dv 0
-                (if b = 0.0 then 0.0 else Array.unsafe_get dv 0 /. b);
-              Fall))
+      [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ) ->
+      let op = lane_op_of i.mnemonic and ea = compile_ea m in
+      if is_wide i.mnemonic then
+        some (fun st ->
+            let b = load_f64 st.mem (ea st) in
+            let dv = Array.unsafe_get st.vregs d in
+            Array.unsafe_set dv 0 (lane op (Array.unsafe_get dv 0) b);
+            Fall)
+      else
+        some (fun st ->
+            let b = load_f32 st.mem (ea st) in
+            let dv = Array.unsafe_get st.vregs d in
+            Array.unsafe_set dv 0 (lane op (Array.unsafe_get dv 0) b);
+            Fall)
   | ( (COMISS | COMISD | UCOMISS | UCOMISD | VCOMISS),
       [| Operand.Reg (Operand.Xmm x); Operand.Reg (Operand.Xmm y) |] ) ->
       some (fun st ->
@@ -1631,29 +1624,21 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Fall)
   | ( (VADDSS | VMULSS),
       [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm x);
-         Operand.Reg (Operand.Xmm y) |] ) -> (
-      match i.mnemonic with
-      | VADDSS ->
-          some (fun st ->
-              Array.unsafe_set
-                (Array.unsafe_get st.vregs d)
-                0
-                (Array.unsafe_get (Array.unsafe_get st.vregs x) 0
-                +. Array.unsafe_get (Array.unsafe_get st.vregs y) 0);
-              Fall)
-      | _ ->
-          some (fun st ->
-              Array.unsafe_set
-                (Array.unsafe_get st.vregs d)
-                0
-                (Array.unsafe_get (Array.unsafe_get st.vregs x) 0
-                *. Array.unsafe_get (Array.unsafe_get st.vregs y) 0);
-              Fall))
+         Operand.Reg (Operand.Xmm y) |] ) ->
+      let op = lane_op_of i.mnemonic in
+      some (fun st ->
+          Array.unsafe_set
+            (Array.unsafe_get st.vregs d)
+            0
+            (lane op
+               (Array.unsafe_get (Array.unsafe_get st.vregs x) 0)
+               (Array.unsafe_get (Array.unsafe_get st.vregs y) 0));
+          Fall)
   | ( (SQRTSS | SQRTSD),
       [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |] ) ->
       some (fun st ->
           let v = Array.unsafe_get (Array.unsafe_get st.vregs s) 0 in
-          Array.unsafe_set (Array.unsafe_get st.vregs d) 0 (sqrt (Float.abs v));
+          Array.unsafe_set (Array.unsafe_get st.vregs d) 0 (sqrt_abs v);
           Fall)
   | CVTSI2SD, [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Gpr s) |] ->
       let sc = Operand.gpr_code s in
@@ -1676,7 +1661,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
   | FILD, [| Operand.Mem m |] ->
       let ea = compile_ea m in
       some (fun st ->
-          let v = Int64.to_float (Memory.read_i64 st.mem (ea st)) in
+          let v = Int64.to_float (load_i64 st.mem (ea st)) in
           let top = (st.x87_top - 1) land 7 in
           st.x87_top <- top;
           Array.unsafe_set st.x87 top v;
@@ -1698,7 +1683,7 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       let lanes = State.lane_count dr (Mnemonic.element i.mnemonic) in
       let ea = compile_ea m in
       some (fun st ->
-          let v = Memory.read_f32 st.mem (ea st) in
+          let v = load_f32 st.mem (ea st) in
           let dv = Array.unsafe_get st.vregs d in
           for k = 0 to lanes - 1 do
             Array.unsafe_set dv k v
@@ -1706,13 +1691,33 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           Fall)
   (* ---- packed SSE/AVX, one loop over the lanes ---- *)
   | (MOVAPS | MOVDQA | VMOVAPS), _ -> compile_vec_mov node
-  | (ADDPS | VADDPS | VADDPD | PADDD), _ -> compile_vec_binop node ( +. )
-  | (SUBPS | VSUBPS), _ -> compile_vec_binop node ( -. )
-  | (MULPS | VMULPS | PMULLD), _ -> compile_vec_binop node ( *. )
-  | (DIVPS | VDIVPS), _ ->
-      compile_vec_binop node (fun a b -> if b = 0.0 then 0.0 else a /. b)
-  | (XORPS | PXOR | VXORPS), _ -> compile_vec_binop node (bits32 Int32.logxor)
-  | (SQRTPS | VSQRTPS), _ -> compile_vec_unop node (fun v -> sqrt (Float.abs v))
+  | ( ( ADDPS | VADDPS | VADDPD | PADDD | SUBPS | VSUBPS | MULPS | VMULPS
+      | PMULLD | DIVPS | VDIVPS | XORPS | PXOR | VXORPS ),
+      _ ) ->
+      compile_vec_binop node (lane_op_of i.mnemonic)
+  | (SQRTPS | VSQRTPS), _ -> compile_vec_sqrt node
+  | ( SHUFPS,
+      [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s);
+         Operand.Imm sel |] ) ->
+      (* All four selected lanes are read before any is written, so
+         [SHUFPS x, x, imm] sees the old lanes, as in [step]. *)
+      let sel = Int64.to_int sel in
+      let l0 = sel land 3
+      and l1 = (sel lsr 2) land 3
+      and l2 = (sel lsr 4) land 3
+      and l3 = (sel lsr 6) land 3 in
+      some (fun st ->
+          let dv = Array.unsafe_get st.vregs d
+          and sv = Array.unsafe_get st.vregs s in
+          let x0 = Array.unsafe_get dv l0
+          and x1 = Array.unsafe_get dv l1
+          and x2 = Array.unsafe_get sv l2
+          and x3 = Array.unsafe_get sv l3 in
+          Array.unsafe_set dv 0 x0;
+          Array.unsafe_set dv 1 x1;
+          Array.unsafe_set dv 2 x2;
+          Array.unsafe_set dv 3 x3;
+          Fall)
   | ( (VFMADD213PS | VFMADD213PD),
       [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
          Operand.Reg (Operand.Xmm a | Operand.Ymm a);

@@ -19,43 +19,33 @@ let create specs =
     regions;
   { regions; hot = 0 }
 
-(* Hot path: consult the last-hit region first — consecutive accesses
+(* Consult the last-hit region first — consecutive accesses
    overwhelmingly land in the same region (stack runs, array sweeps) —
-   and fall back to a linear scan that refreshes the cache.  Regions
-   never overlap, so which region resolves an address is unique and the
-   cache cannot change results, only the number of compares.  Each
-   accessor resolves inline (rather than through a [find] returning a
-   tuple) so the per-access cost is the compare pair and the byte load,
-   with no allocation. *)
+   and fall back to a scan that refreshes the cache.  Regions never
+   overlap, so which region resolves an address is unique and the cache
+   cannot change results, only the number of compares.  The scan is a
+   top-level function rather than a local closure, so a miss (CALL/RET
+   alternating between stack and data) allocates nothing. *)
+
+let rec scan t addr len k =
+  if k = Array.length t.regions then raise (Fault addr)
+  else
+    let r = Array.unsafe_get t.regions k in
+    let off = addr - r.base in
+    if off >= 0 && off + len <= Bytes.length r.data then begin
+      t.hot <- k;
+      r
+    end
+    else scan t addr len (k + 1)
 
 let region_for t addr len =
-  let regions = t.regions in
-  let r = Array.unsafe_get regions t.hot in
+  let r = Array.unsafe_get t.regions t.hot in
   let off = addr - r.base in
-  if off >= 0 && off + len <= Bytes.length r.data then r
-  else begin
-    let n = Array.length regions in
-    let rec scan k =
-      if k = n then raise (Fault addr)
-      else
-        let r = Array.unsafe_get regions k in
-        let off = addr - r.base in
-        if off >= 0 && off + len <= Bytes.length r.data then begin
-          t.hot <- k;
-          r
-        end
-        else scan (k + 1)
-    in
-    scan 0
-  end
+  if off >= 0 && off + len <= Bytes.length r.data then r else scan t addr len 0
 
 let read_u8 t addr =
   let r = region_for t addr 1 in
   Bytes.get_uint8 r.data (addr - r.base)
-
-let write_u8 t addr v =
-  let r = region_for t addr 1 in
-  Bytes.set_uint8 r.data (addr - r.base) (v land 0xff)
 
 let read_i64 t addr =
   let r = region_for t addr 8 in
@@ -68,16 +58,13 @@ let write_i64 t addr v =
 let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
 let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
 
-let read_i32 t addr =
+let read_f32 t addr =
   let r = region_for t addr 4 in
-  Bytes.get_int32_le r.data (addr - r.base)
+  Int32.float_of_bits (Bytes.get_int32_le r.data (addr - r.base))
 
-let write_i32 t addr v =
+let write_f32 t addr v =
   let r = region_for t addr 4 in
-  Bytes.set_int32_le r.data (addr - r.base) v
-
-let read_f32 t addr = Int32.float_of_bits (read_i32 t addr)
-let write_f32 t addr v = write_i32 t addr (Int32.bits_of_float v)
+  Bytes.set_int32_le r.data (addr - r.base) (Int32.bits_of_float v)
 
 let is_mapped t addr =
   match region_for t addr 1 with

@@ -617,9 +617,10 @@ let test_observers_fault_in_bare_block () =
    specializes, [Exec.compile] and [Exec.step] run on two states built
    from one seed — generated registers, immediates, vector lanes, x87
    stack and flags, and memory operands based in a mapped scratch
-   window — and must return the same control and leave the same
-   registers, flags, x87 stack and window memory, or raise the same
-   exception.  The shapes are found by asking the specializer about
+   window or near the end of a region — and must return the same
+   control and leave the same registers, flags, x87 stack and window
+   memory, or raise the same exception after writing the same bytes.
+   The shapes are found by asking the specializer about
    every mnemonic over every operand-kind list of up to three operands,
    so each arm it keeps is covered without being listed here.          *)
 
@@ -677,12 +678,30 @@ let specialized_shapes =
          |> List.map (fun ks -> (m, ks)))
        Mnemonic.all)
 
-(* Memory operands address [window, window + window_size): bases land
-   in its middle half, indexes stay below 16 and displacements within
-   64 bytes, which leaves room for an 8-lane access.  The stack pointer
-   points into it too. *)
+(* Memory operands mostly address [window, window + window_size): bases
+   land in its middle half, indexes stay below 16 and displacements
+   within 64 bytes, which leaves room for an 8-lane access.  One base in
+   eight lands in the last 64 bytes of the user-data region and one in
+   eight in those of the stack region, so 8-byte and multi-lane
+   accesses fault part-way through; one in sixteen is unmapped.  The
+   stack pointer points into the window, or one time in eight near the
+   end of the stack.  The snapshot covers the window and the last
+   [edge] bytes of both regions, everything a fault can leave written. *)
 let window = Layout.user_data_base
 let window_size = 1024
+let data_end = Layout.user_data_base + Layout.user_data_size
+let stack_end = Layout.user_stack_base + Layout.user_stack_size
+let edge = 256
+
+let windows =
+  [ (window, window_size); (data_end - edge, edge); (stack_end - edge, edge) ]
+
+let random_base rs =
+  match Random.State.int rs 16 with
+  | 0 -> 0x100
+  | 1 | 2 -> data_end - 64 + Random.State.int rs 64
+  | 3 | 4 -> stack_end - 64 + Random.State.int rs 64
+  | _ -> window + (window_size / 4) + Random.State.int rs (window_size / 2)
 
 let random_gpr rs = List.nth Operand.all_gprs (Random.State.int rs 16)
 
@@ -724,12 +743,14 @@ let random_operand rs = function
 
 (* One initial state, to be loaded into both machines: random registers
    and window memory, then the stack pointer and every memory operand's
-   registers aimed at the window (one base in sixteen at unmapped
-   memory, so faults are compared too). *)
+   registers aimed as above.  Memory's hot region is left at one of the
+   three regions, so accesses also take the miss path. *)
 let initial_state rs (instr : Instruction.t) =
   let gprs = Array.init 16 (fun _ -> random_int64 rs) in
   gprs.(Operand.gpr_code Operand.RSP) <-
-    Int64.of_int (window + (window_size / 2));
+    Int64.of_int
+      (if Random.State.int rs 8 = 0 then stack_end - 64 + Random.State.int rs 64
+       else window + (window_size / 2));
   Array.iter
     (function
       | Operand.Mem m ->
@@ -739,11 +760,7 @@ let initial_state rs (instr : Instruction.t) =
                 Int64.of_int (Random.State.int rs 16))
             m.Operand.index;
           gprs.(Operand.gpr_code m.Operand.base) <-
-            (if Random.State.int rs 16 = 0 then 0x100L
-             else
-               Int64.of_int
-                 (window + (window_size / 4)
-                 + Random.State.int rs (window_size / 2)))
+            Int64.of_int (random_base rs)
       | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> ())
     instr.operands;
   let vregs =
@@ -752,7 +769,16 @@ let initial_state rs (instr : Instruction.t) =
   let x87 = Array.init 8 (fun _ -> random_float rs) in
   let top = Random.State.int rs 8 in
   let flags = Array.init 4 (fun _ -> Random.State.bool rs) in
-  let words = Array.init (window_size / 8) (fun _ -> Random.State.bits64 rs) in
+  let words =
+    List.map
+      (fun (base, size) ->
+        (base, Array.init (size / 8) (fun _ -> Random.State.bits64 rs)))
+      windows
+  in
+  let hot =
+    [| Layout.user_data_base; Layout.user_stack_base; Layout.kernel_data_base |]
+    .(Random.State.int rs 3)
+  in
   fun (st : State.t) ->
     Array.iteri (fun k v -> Bigarray.Array1.set st.gprs k v) gprs;
     Array.iteri (fun k lanes -> Array.blit lanes 0 st.vregs.(k) 0 8) vregs;
@@ -762,7 +788,17 @@ let initial_state rs (instr : Instruction.t) =
     st.sf <- flags.(1);
     st.cf <- flags.(2);
     st.off <- flags.(3);
-    Array.iteri (fun k v -> Memory.write_i64 st.mem (window + (8 * k)) v) words
+    List.iter
+      (fun (base, ws) ->
+        Array.iteri (fun k v -> Memory.write_i64 st.mem (base + (8 * k)) v) ws)
+      words;
+    ignore (Memory.is_mapped st.mem hot : bool)
+
+let memory_snapshot (st : State.t) =
+  List.map
+    (fun (base, size) ->
+      Array.init (size / 8) (fun k -> Memory.read_i64 st.mem (base + (8 * k))))
+    windows
 
 (* Floats by their bits, so NaN lanes compare too. *)
 let snapshot (st : State.t) =
@@ -771,8 +807,7 @@ let snapshot (st : State.t) =
     Array.map Int64.bits_of_float st.x87,
     st.x87_top,
     (st.zf, st.sf, st.cf, st.off),
-    Array.init (window_size / 8) (fun k ->
-        Memory.read_i64 st.mem (window + (8 * k))) )
+    memory_snapshot st )
 
 let kernel_state = lazy (State.create ())
 let step_state = lazy (State.create ())
@@ -793,7 +828,7 @@ let check_kernel_against_step rs (m, ks) =
   let same =
     match (got, want) with
     | Ok a, Ok b -> a = b && snapshot kst = snapshot sst
-    | Error a, Error b -> a = b
+    | Error a, Error b -> a = b && memory_snapshot kst = memory_snapshot sst
     | Ok _, Error _ | Error _, Ok _ -> false
   in
   if not same then
@@ -811,6 +846,87 @@ let prop_kernels_match_step =
       List.for_all
         (check_kernel_against_step rs)
         (Lazy.force specialized_shapes))
+
+(* The executor's memory path against [Memory]'s own accessors.  Kernel
+   and [step] share that path, so comparing them cannot catch a fault
+   in it; here a load or store of each width, through its kernel, at
+   every address from 12 bytes before the end of each region to 4 past
+   it, with the hot region left at each region in turn, must read and
+   write the bytes [Memory] reads and writes and fault where it
+   faults. *)
+let test_memory_path () =
+  let kst = State.create () and rst = State.create () in
+  let rax = Operand.Reg (Operand.Gpr Operand.RAX)
+  and xmm0 = Operand.Reg (Operand.Xmm 0)
+  and at = Operand.mem Operand.RBX in
+  let outcome f = match f () with v -> Ok v | exception e -> Error e in
+  let bytes (st : State.t) lo hi =
+    List.init (hi - lo) (fun k ->
+        if Memory.is_mapped st.mem (lo + k) then Memory.read_u8 st.mem (lo + k)
+        else -1)
+  in
+  List.iter
+    (fun (base, size) ->
+      let stop = base + size in
+      let pattern = Array.init 4 (fun k -> Int64.of_int ((k * 0x0101) + 0x1234)) in
+      for addr = stop - 12 to stop + 4 do
+        List.iter
+          (fun (hot, _) ->
+            List.iter
+              (fun (name, m, ops, (reference : State.t -> unit), result) ->
+                let load (st : State.t) =
+                  Array.iteri
+                    (fun k v -> Memory.write_i64 st.mem (stop - 32 + (8 * k)) v)
+                    pattern;
+                  Bigarray.Array1.set st.gprs (Operand.gpr_code Operand.RBX)
+                    (Int64.of_int addr);
+                  Bigarray.Array1.set st.gprs (Operand.gpr_code Operand.RAX)
+                    0x0102030405060708L;
+                  Array.fill st.vregs.(0) 0 8 (-1.5);
+                  ignore (Memory.is_mapped st.mem hot : bool)
+                in
+                load kst;
+                load rst;
+                let kernel =
+                  Exec.compile (node_of (Instruction.make m ops))
+                in
+                let got = outcome (fun () -> ignore (kernel kst : Exec.control))
+                and want = outcome (fun () -> reference rst) in
+                if
+                  not
+                    (got = want
+                    && result kst = result rst
+                    && bytes kst (stop - 32) (stop + 8)
+                       = bytes rst (stop - 32) (stop + 8))
+                then
+                  Alcotest.failf "%s at %#x (hot region %#x): kernel and \
+                                  Memory disagree"
+                    name addr hot)
+              [
+                ( "MOV load", Hbbp_isa.Mnemonic.MOV, [ rax; at ],
+                  (fun st ->
+                    State.set_gpr st Operand.RAX (Memory.read_i64 st.mem addr)),
+                  fun st -> State.get_gpr st Operand.RAX );
+                ( "MOV store", Hbbp_isa.Mnemonic.MOV, [ at; rax ],
+                  (fun st ->
+                    Memory.write_i64 st.mem addr (State.get_gpr st Operand.RAX)),
+                  fun st -> State.get_gpr st Operand.RAX );
+                ( "MOVSD load", Hbbp_isa.Mnemonic.MOVSD, [ xmm0; at ],
+                  (fun st -> st.vregs.(0).(0) <- Memory.read_f64 st.mem addr),
+                  fun st -> Int64.bits_of_float st.vregs.(0).(0) );
+                ( "MOVSD store", Hbbp_isa.Mnemonic.MOVSD, [ at; xmm0 ],
+                  (fun st -> Memory.write_f64 st.mem addr st.vregs.(0).(0)),
+                  fun st -> Int64.bits_of_float st.vregs.(0).(0) );
+                ( "MOVSS load", Hbbp_isa.Mnemonic.MOVSS, [ xmm0; at ],
+                  (fun st -> st.vregs.(0).(0) <- Memory.read_f32 st.mem addr),
+                  fun st -> Int64.bits_of_float st.vregs.(0).(0) );
+                ( "MOVSS store", Hbbp_isa.Mnemonic.MOVSS, [ at; xmm0 ],
+                  (fun st -> Memory.write_f32 st.mem addr st.vregs.(0).(0)),
+                  fun st -> Int64.bits_of_float st.vregs.(0).(0) );
+              ])
+          Layout.memory_regions
+      done)
+    Layout.memory_regions
 
 (* ------------------------------------------------------------------ *)
 
@@ -836,7 +952,12 @@ let () =
         [
           Alcotest.test_case "random programs" `Quick test_fuzz_random_programs;
         ] );
-      ("kernels", [ QCheck_alcotest.to_alcotest prop_kernels_match_step ]);
+      ( "kernels",
+        [
+          QCheck_alcotest.to_alcotest prop_kernels_match_step;
+          Alcotest.test_case "memory path agrees with Memory" `Quick
+            test_memory_path;
+        ] );
       ( "observers",
         [
           Alcotest.test_case "registry (capped), each observer set" `Quick
