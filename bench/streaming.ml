@@ -5,7 +5,11 @@
    mergeable accumulators.  Each mode runs in a fresh child process so
    [Gc.top_heap_words] is a clean high-water mark (it never shrinks, so
    in-process comparison would measure whichever mode ran first).
-   Writes BENCH_streaming.json. *)
+
+   Gate: the minor words [Pipeline.Partial.feed] allocates per record,
+   fed in default-sized chunks over every registry archive.  The count
+   is exact and host-independent; the bench exits non-zero above
+   [max_feed_words_per_record].  Writes BENCH_streaming.json. *)
 
 open Hbbp_core
 module Perf_data = Hbbp_collector.Perf_data
@@ -49,6 +53,41 @@ let child role paths out =
   let peak = (Gc.quick_stat ()).Gc.top_heap_words in
   Bench_util.write_out out "%d %d %d %.6f\n" base peak records dt;
   exit 0
+
+let max_feed_words_per_record = 64.0
+
+(* [records] cut into chunks of the streaming reader's default size. *)
+let rec chunks records =
+  let rec take n acc = function
+    | r :: rest when n > 0 -> take (n - 1) (r :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  match take Perf_data.Stream.default_chunk_records [] records with
+  | [], _ -> []
+  | chunk, rest -> chunk :: chunks rest
+
+(* Minor words allocated inside [Partial.feed] per record, summed over
+   [archives] (the decoded record lists are built before counting). *)
+let feed_words_per_record archives =
+  let words = ref 0.0 and records = ref 0 in
+  List.iter
+    (fun (a : Perf_data.t) ->
+      let static =
+        Hbbp_analyzer.Static.create_exn (Perf_data.analysis_process a)
+      in
+      let p =
+        Pipeline.Partial.create ~static ~ebs_period:a.Perf_data.ebs_period
+          ~lbr_period:a.Perf_data.lbr_period ()
+      in
+      List.iter
+        (fun chunk ->
+          let w0 = Gc.minor_words () in
+          Pipeline.Partial.feed p chunk;
+          words := !words +. (Gc.minor_words () -. w0))
+        (chunks a.Perf_data.records);
+      records := !records + List.length a.Perf_data.records)
+    archives;
+  !words /. float_of_int !records
 
 type measurement = {
   peak_bytes : int;  (** Analysis-attributable heap high-water mark. *)
@@ -137,6 +176,7 @@ let run ppf =
   let ratio =
     float_of_int batch.peak_bytes /. float_of_int streaming.peak_bytes
   in
+  let feed_words = feed_words_per_record archives in
   Format.fprintf ppf "peak-heap ratio batch/streaming: %.2fx@." ratio;
   if batch.m_records <> n_records || streaming.m_records <> n_records then
     failwith "BENCH streaming: modes disagree on record count";
@@ -154,6 +194,7 @@ let run ppf =
   "ebs_period": %d,
   "lbr_period": %d,
   "chunk_records": %d,
+  "feed_minor_words_per_record": %.3f,
   %s,
   %s,
   %s,
@@ -162,7 +203,17 @@ let run ppf =
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
-    Perf_data.Stream.default_chunk_records (mode "batch" batch)
+    Perf_data.Stream.default_chunk_records feed_words (mode "batch" batch)
     (mode "streaming" streaming)
     (mode "sharded" sharded) ratio;
-  Format.fprintf ppf "wrote BENCH_streaming.json@."
+  Format.fprintf ppf "wrote BENCH_streaming.json@.";
+  Format.fprintf ppf
+    "Partial.feed: %.3f minor words per record over the registry (gate: <= \
+     %.0f)@."
+    feed_words max_feed_words_per_record;
+  if feed_words > max_feed_words_per_record then begin
+    Format.fprintf ppf "FAIL: Partial.feed allocates more than %.0f words \
+      per record@." max_feed_words_per_record;
+    exit 1
+  end;
+  Format.fprintf ppf "PASS@."

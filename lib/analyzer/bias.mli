@@ -43,9 +43,12 @@ type params = {
 
 val default_params : params
 
-(** Pass-one accumulator: per-branch integer tallies (entry[0]/deep
-    sightings, adjacent/failed streams).  Merges across shards with
-    plain addition — exactly associative and commutative. *)
+(** Accumulator: per-branch integer tallies (entry[0]/deep sightings,
+    adjacent/failed streams) and the set of distinct adjacent streams
+    [(owner source, target, source)] — everything {!finalize} needs, so
+    detection is a single pass over the snapshots.  Merges across shards
+    with plain addition and set union — exactly associative and
+    commutative.  [add] allocates nothing once a stream has been seen. *)
 module Acc : sig
   type acc
 
@@ -55,31 +58,36 @@ module Acc : sig
   (** Pure: returns a fresh accumulator, inputs are unchanged. *)
   val merge : acc -> acc -> acc
 
-  (** Checkpoint support: per-branch tallies as key-sorted assoc lists
-      (deterministic serialization); [import (export acc)] is
-      behaviourally identical to [acc] — [finalize] sorts its stats,
-      so table iteration order never reaches the output. *)
+  (** Checkpoint support: per-branch tallies as assoc lists sorted by
+      source address, and the stream set as sorted triples
+      (deterministic serialization); [import static (export static acc)]
+      is behaviourally identical to [acc] — [finalize] sorts its stats,
+      so iteration order never reaches the output.  Both take the static
+      view the accumulator was fed against. *)
   type repr = {
     r_entry0 : (int * int) list;
     r_deep : (int * int) list;
     r_adjacent : (int * int) list;
     r_failed : (int * int) list;
+    r_streams : (int * int * int) list;
+        (** Distinct [(owner source, target, source)] streams. *)
     r_snapshots : int;
     r_deep_total : int;
   }
 
-  val export : acc -> repr
-  val import : repr -> acc
+  val export : Static.t -> acc -> repr
+  val import : Static.t -> repr -> acc
 end
 
 (** [finalize static acc ~replay] — resolve flags from the merged
-    tallies, then (only when something was flagged) run the
-    contamination pass over the snapshots again via [replay] — an
-    iterator re-yielding the accumulated snapshots in order.  With
-    [replay = None] contamination is skipped: only the flagged branches'
-    own blocks (plus the static one-hop spill) are marked.  Branch stats
-    are sorted by entry[0] share with a source-address tiebreak, so the
-    result is deterministic however the accumulator was assembled. *)
+    tallies, then (only when something was flagged) contaminate: every
+    accumulated stream adjacent to a flagged branch's record is walked
+    once and its blocks flagged, plus a static one-hop spill.  Branch
+    stats are sorted by entry[0] share with a source-address tiebreak,
+    so the result is deterministic however the accumulator was
+    assembled.  [replay] is ignored: contamination reads the stream set,
+    not the snapshots.  The argument is kept only so that perfbench
+    ([perfbench/layers.ml], which passes it) still compiles. *)
 val finalize :
   ?params:params ->
   Static.t ->
@@ -87,7 +95,6 @@ val finalize :
   replay:((Sample_db.lbr_sample -> unit) -> unit) option ->
   t
 
-(** One-shot detection; equals accumulate + [finalize] with an in-memory
-    replay. *)
+(** One-shot detection; equals accumulate + [finalize]. *)
 val detect : ?params:params -> Static.t -> Sample_db.lbr_sample array -> t
 val flagged_blocks : t -> int list

@@ -11,9 +11,9 @@ module Acc = struct
     { raw = Array.make (Static.total_blocks static) 0; unattributed = 0 }
 
   let add static acc (s : Sample_db.ebs_sample) =
-    match Static.find static s.ip with
-    | Some gid -> acc.raw.(gid) <- acc.raw.(gid) + 1
-    | None -> acc.unattributed <- acc.unattributed + 1
+    let gid = Static.gid_at static s.ip in
+    if gid >= 0 then acc.raw.(gid) <- acc.raw.(gid) + 1
+    else acc.unattributed <- acc.unattributed + 1
 
   let merge a b =
     if Array.length a.raw <> Array.length b.raw then

@@ -13,11 +13,15 @@ type t = {
    float sums are not associative, so merging finalized weights would
    not be bit-stable across shard splits.  Instead the accumulator keeps
    the state in the integer domain: one visit-tally row per snapshot
-   stream count [k] ([by_k.(k).(gid)] = block visits from k-stream
-   snapshots).  Integer rows merge exactly (associative and
-   commutative), and [finalize] converts rows to weights in a fixed
-   order (ascending k), so any partition of the snapshot stream yields
-   bit-identical results. *)
+   stream count [k] (block visits from k-stream snapshots).  Integer
+   rows merge exactly (associative and commutative), and [finalize]
+   converts rows to weights in a fixed order (ascending k), so any
+   partition of the snapshot stream yields bit-identical results.
+
+   A walk covers an interval of block ids, so each row is kept as a
+   difference array ([total_blocks + 1] long: +1 at the first block, -1
+   past the last): a stream costs two bumps whatever its length.
+   [tallies] prefix-sums a row back into per-block visits. *)
 module Acc = struct
   type acc = {
     total_blocks : int;
@@ -26,17 +30,25 @@ module Acc = struct
     mutable usable : int;
     mutable inconsistent : int;
     mutable discarded : int;
+    span : Stream_walk.span;
+    mutable firsts : int array;  (** One snapshot's usable streams. *)
+    mutable lasts : int array;
   }
 
-  let create static =
+  let create_sized total_blocks =
     {
-      total_blocks = Static.total_blocks static;
+      total_blocks;
       by_k = [||];
       snapshots = 0;
       usable = 0;
       inconsistent = 0;
       discarded = 0;
+      span = Stream_walk.span ();
+      firsts = [||];
+      lasts = [||];
     }
+
+  let create static = create_sized (Static.total_blocks static)
 
   let row acc k =
     if k >= Array.length acc.by_k then begin
@@ -45,35 +57,50 @@ module Acc = struct
       acc.by_k <- grown
     end;
     if Array.length acc.by_k.(k) = 0 then
-      acc.by_k.(k) <- Array.make acc.total_blocks 0;
+      acc.by_k.(k) <- Array.make (acc.total_blocks + 1) 0;
     acc.by_k.(k)
 
   let add static acc (s : Sample_db.lbr_sample) =
     acc.snapshots <- acc.snapshots + 1;
     let n = Array.length s.entries in
     if n >= 2 then begin
+      if Array.length acc.firsts < n then begin
+        acc.firsts <- Array.make n 0;
+        acc.lasts <- Array.make n 0
+      end;
       (* Two passes: classify the snapshot's streams first, then
          normalise the snapshot to one sample over its usable streams
          (= 1/(N-1) when all N-1 are usable, the paper's weighting). *)
-      let walked = ref [] in
+      let walked = ref 0 in
       for idx = 1 to n - 1 do
         let target = s.entries.(idx - 1).Hbbp_cpu.Lbr.tgt in
         let src = s.entries.(idx).Hbbp_cpu.Lbr.src in
-        match Stream_walk.walk static ~target ~src with
-        | Stream_walk.Blocks gids ->
-            acc.usable <- acc.usable + 1;
-            walked := gids :: !walked
+        match Stream_walk.walk static acc.span ~target ~src with
+        | Stream_walk.Interval ->
+            acc.firsts.(!walked) <- acc.span.first;
+            acc.lasts.(!walked) <- acc.span.last;
+            incr walked
         | Stream_walk.Inconsistent -> acc.inconsistent <- acc.inconsistent + 1
         | Stream_walk.Bad -> acc.discarded <- acc.discarded + 1
       done;
-      match !walked with
-      | [] -> ()
-      | streams ->
-          let r = row acc (List.length streams) in
-          List.iter
-            (List.iter (fun gid -> r.(gid) <- r.(gid) + 1))
-            streams
+      acc.usable <- acc.usable + !walked;
+      if !walked > 0 then begin
+        let r = row acc !walked in
+        for i = 0 to !walked - 1 do
+          r.(acc.firsts.(i)) <- r.(acc.firsts.(i)) + 1;
+          r.(acc.lasts.(i) + 1) <- r.(acc.lasts.(i) + 1) - 1
+        done
+      end
     end
+
+  let tallies acc r =
+    let out = Array.make acc.total_blocks 0 in
+    let run = ref 0 in
+    for gid = 0 to acc.total_blocks - 1 do
+      run := !run + r.(gid);
+      out.(gid) <- !run
+    done;
+    out
 
   let merge a b =
     if a.total_blocks <> b.total_blocks then
@@ -87,10 +114,9 @@ module Acc = struct
           match (pick a k, pick b k) with
           | [||], [||] -> [||]
           | [||], r | r, [||] -> Array.copy r
-          | ra, rb -> Array.init a.total_blocks (fun g -> ra.(g) + rb.(g)))
+          | ra, rb -> Array.mapi (fun g n -> n + rb.(g)) ra)
     in
-    {
-      total_blocks = a.total_blocks;
+    { (create_sized a.total_blocks) with
       by_k;
       snapshots = a.snapshots + b.snapshots;
       usable = a.usable + b.usable;
@@ -99,8 +125,9 @@ module Acc = struct
     }
 
   (* Checkpoint support: integer state only, so the round trip is
-     exact.  Empty rows stay empty (length 0), preserving the sparse
-     representation [merge] and [finalize] rely on. *)
+     exact.  Rows travel as per-block visit tallies; empty rows stay
+     empty (length 0), preserving the sparse representation [merge] and
+     [finalize] rely on. *)
   type repr = {
     r_total_blocks : int;
     r_by_k : int array array;
@@ -113,7 +140,9 @@ module Acc = struct
   let export acc =
     {
       r_total_blocks = acc.total_blocks;
-      r_by_k = Array.map Array.copy acc.by_k;
+      r_by_k =
+        Array.map (fun r -> if Array.length r = 0 then r else tallies acc r)
+          acc.by_k;
       r_snapshots = acc.snapshots;
       r_usable = acc.usable;
       r_inconsistent = acc.inconsistent;
@@ -121,9 +150,15 @@ module Acc = struct
     }
 
   let import r =
-    {
-      total_blocks = r.r_total_blocks;
-      by_k = Array.map Array.copy r.r_by_k;
+    let differences row =
+      if Array.length row = 0 then [||]
+      else
+        Array.init (r.r_total_blocks + 1) (fun gid ->
+            (if gid < r.r_total_blocks then row.(gid) else 0)
+            - if gid > 0 then row.(gid - 1) else 0)
+    in
+    { (create_sized r.r_total_blocks) with
+      by_k = Array.map differences r.r_by_k;
       snapshots = r.r_snapshots;
       usable = r.r_usable;
       inconsistent = r.r_inconsistent;
@@ -140,7 +175,7 @@ let finalize _static ~period (acc : Acc.acc) =
         Array.iteri
           (fun gid n ->
             if n > 0 then weight.(gid) <- weight.(gid) +. (float_of_int n *. w))
-          r
+          (Acc.tallies acc r)
       end)
     acc.Acc.by_k;
   let bbec = Bbec.create Bbec.Lbr acc.Acc.total_blocks in

@@ -1,31 +1,30 @@
-open Hbbp_program
-
-type result = Blocks of int list | Inconsistent | Bad
+type span = { mutable first : int; mutable last : int }
+type result = Interval | Inconsistent | Bad
 
 let max_walk = 512
+let span () = { first = 0; last = 0 }
 
-let walk static ~target ~src =
+(* Block ids are dense in layout order within an image, so a walk that
+   succeeds covers exactly [first, last].  Straight-line flow from
+   [first] can reach no further than the first always-taken terminator
+   (the barrier) or, if there is none, the end of the image; the block
+   holding [src] must lie within that limit, and within [max_walk]
+   steps of [first]. *)
+let walk static span ~target ~src =
   if src < target then Bad
   else
-    match Static.find_starting static target with
-    | None -> Bad
-    | Some start_gid ->
-        let rec go gid acc steps =
-          if steps > max_walk then Bad
-          else
-            let _, _, block = Static.block static gid in
-            if Basic_block.contains block src then Blocks (List.rev (gid :: acc))
-            else
-              (* The stream claims execution fell through this block. *)
-              match block.term with
-              | Basic_block.Term_cond _ | Basic_block.Term_fallthrough -> (
-                  match Static.next_in_layout static gid with
-                  | Some next -> go next (gid :: acc) (steps + 1)
-                  | None -> Bad)
-              | Basic_block.Term_jump _ | Basic_block.Term_indirect_jump
-              | Basic_block.Term_call _ | Basic_block.Term_ret
-              | Basic_block.Term_syscall | Basic_block.Term_sysret
-              | Basic_block.Term_halt ->
-                  Inconsistent
-        in
-        go start_gid [] 0
+    let first = Static.gid_starting_at static target in
+    if first < 0 then Bad
+    else
+      let barrier = Static.barrier static first in
+      let limit = if barrier < 0 then Static.image_end static first else barrier in
+      let last = Static.gid_at static src in
+      if first <= last && last <= limit then
+        if last - first > max_walk then Bad
+        else begin
+          span.first <- first;
+          span.last <- last;
+          Interval
+        end
+      else if barrier >= 0 && barrier - first <= max_walk then Inconsistent
+      else Bad

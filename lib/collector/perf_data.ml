@@ -522,7 +522,7 @@ let save_sharded ?version t ~shards ~path =
 (* Chunked streaming reader                                            *)
 
 module Stream = struct
-  let default_chunk_records = 4096
+  let default_chunk_records = 256
 
   (* Refill granularity of the pending buffer (it grows as needed when a
      single record straddles more than this). *)

@@ -137,7 +137,9 @@ val sharded_bytes :
 module Stream : sig
   type stream
 
-  (** Default records per {!next} chunk (4096). *)
+  (** Default records per {!next} chunk (256): a chunk of decoded
+      16-deep LBR snapshots is then ~18k words, small enough to die in
+      the minor heap instead of being promoted. *)
   val default_chunk_records : int
 
   (** Open an archive for streaming.  Fails with the same typed errors

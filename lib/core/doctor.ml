@@ -97,28 +97,6 @@ let partial_of_shard ~static ~ebs_period ~lbr_period path =
           Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
           p)
 
-(* Bias-contamination replay over the shard files, same as
-   [Pipeline.analyze_archives] uses — only consulted when pass one
-   flagged a branch. *)
-let replay_paths paths f =
-  List.iter
-    (fun path ->
-      match Perf_data.Stream.open_file path with
-      | Error _ -> ()
-      | Ok s ->
-          Fun.protect
-            ~finally:(fun () -> Perf_data.Stream.close s)
-            (fun () ->
-              let rec pump () =
-                match Perf_data.Stream.next s with
-                | Some chunk ->
-                    f chunk;
-                    pump ()
-                | None -> ()
-              in
-              pump ()))
-    paths
-
 (* One full analysis pass at a given job count.  Returns the
    reconstruction plus everything measured on the way. *)
 let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
@@ -156,7 +134,7 @@ let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
     | p :: rest -> List.fold_left Pipeline.Partial.merge p rest
     | [] -> invalid_arg "Doctor: no shards"
   in
-  let r = Pipeline.finalize ~replay:(replay_paths paths) merged in
+  let r = Pipeline.finalize merged in
   let t1 = now () in
   (* Busy-time imbalance over the workers that actually ran tasks: the
      even-partition ideal is 1.0; the serial bottleneck worker shows up

@@ -246,7 +246,8 @@ module Partial = struct
      bytes as an uninterrupted one. *)
 
   let magic = "HBBPPART"
-  let serialize_version = 1
+  (* Version 2 added the bias accumulator's stream set. *)
+  let serialize_version = 2
 
   let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
@@ -307,7 +308,7 @@ module Partial = struct
             Array.iter (w_i64 p) row)
           by_k);
     section (fun p ->
-        let r = Bias.Acc.export t.bias_acc in
+        let r = Bias.Acc.export t.static t.bias_acc in
         w_i64 p r.Bias.Acc.r_snapshots;
         w_i64 p r.Bias.Acc.r_deep_total;
         let table bindings =
@@ -321,7 +322,15 @@ module Partial = struct
         table r.Bias.Acc.r_entry0;
         table r.Bias.Acc.r_deep;
         table r.Bias.Acc.r_adjacent;
-        table r.Bias.Acc.r_failed);
+        table r.Bias.Acc.r_failed;
+        let streams = r.Bias.Acc.r_streams in
+        w_i64 p (List.length streams);
+        List.iter
+          (fun (owner, target, src) ->
+            w_i64 p owner;
+            w_i64 p target;
+            w_i64 p src)
+          streams);
     section (fun p ->
         let faults = List.rev t.faults_rev in
         w_i64 p (List.length faults);
@@ -471,12 +480,22 @@ module Partial = struct
             let deep = table () in
             let adjacent = table () in
             let failed = table () in
-            Bias.Acc.import
+            let n = r_i64 s in
+            if n < 0 then raise (Bad "negative stream count");
+            let streams =
+              List.init n (fun _ ->
+                  let owner = r_i64 s in
+                  let target = r_i64 s in
+                  let src = r_i64 s in
+                  (owner, target, src))
+            in
+            Bias.Acc.import static
               {
                 Bias.Acc.r_entry0 = entry0;
                 r_deep = deep;
                 r_adjacent = adjacent;
                 r_failed = failed;
+                r_streams = streams;
                 r_snapshots = snapshots;
                 r_deep_total = deep_total;
               })
@@ -642,14 +661,13 @@ let fallback_criteria = function
   | `Ebs_only -> Criteria.Length_rule { cutoff = 0; bias_to_ebs = false }
   | `Lbr_only -> Criteria.Length_rule { cutoff = max_int; bias_to_ebs = false }
 
-(* Turn accumulated partial state into a reconstruction.  [replay]
-   re-yields the record stream for the bias contamination pass, which
-   only runs when pass one flagged something; without it, contamination
-   is skipped (see {!Bias.finalize}).  All reconstruction entry points —
-   batch, streaming, merged shards — go through here, which is what
-   makes them bit-identical. *)
+(* Turn accumulated partial state into a reconstruction.  The partial
+   holds everything bias contamination needs, so [replay] is ignored
+   (see pipeline.mli).  All reconstruction entry points — batch,
+   streaming, merged shards — go through here, which is what makes them
+   bit-identical. *)
 let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
-    ?(repair = Report) ?replay (p : Partial.t) =
+    ?(repair = Report) ?replay:_ (p : Partial.t) =
   let span name f = Trace.with_span ~cat:"analyze" name f in
   let static = Partial.static p in
   let ebs =
@@ -662,24 +680,9 @@ let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
         Lbr_estimator.finalize static ~period:(Partial.lbr_period p)
           p.Partial.lbr_acc)
   in
-  let bias_replay =
-    Option.map
-      (fun iter f ->
-        iter (fun chunk ->
-            List.iter
-              (fun (r : Record.t) ->
-                match r with
-                | Record.Sample s
-                  when Pmu_event.equal s.Record.event
-                         Pmu_event.Br_inst_retired_near_taken ->
-                    f { Sample_db.entries = s.Record.lbr; ring = s.Record.ring }
-                | _ -> ())
-              chunk))
-      replay
-  in
   let bias =
     span "bias_finalize" (fun () ->
-        Bias.finalize static p.Partial.bias_acc ~replay:bias_replay)
+        Bias.finalize static p.Partial.bias_acc ~replay:None)
   in
   let quality, fallback =
     assess_quality thresholds ~ledger:(Partial.faults p)
@@ -811,15 +814,13 @@ let reconstruct ?criteria ?thresholds ?repair ?(ledger = []) ~static
   let p = Partial.create ~static ~ebs_period ~lbr_period () in
   Partial.note_faults p ledger;
   Partial.feed p records;
-  finalize ?criteria ?thresholds ?repair ~replay:(fun f -> f records) p
+  finalize ?criteria ?thresholds ?repair p
 
 (* Chunked streaming reconstruction: [chunks ()] yields record chunks
-   until [None]; state stays bounded by the accumulators plus one chunk.
-   [replay] must re-yield the same stream when provided — the bias
-   contamination pass needs a second look only when pass one flags a
-   branch, so clean streams are single-pass. *)
-let reconstruct_stream ?criteria ?thresholds ?repair ?(ledger = []) ?replay
-    ~static ~ebs_period ~lbr_period chunks =
+   until [None]; state stays bounded by the accumulators plus one
+   chunk. *)
+let reconstruct_stream ?criteria ?thresholds ?repair ?(ledger = []) ~static
+    ~ebs_period ~lbr_period chunks =
   let p = Partial.create ~static ~ebs_period ~lbr_period () in
   Partial.note_faults p ledger;
   let rec pump () =
@@ -830,15 +831,14 @@ let reconstruct_stream ?criteria ?thresholds ?repair ?(ledger = []) ?replay
     | None -> ()
   in
   pump ();
-  finalize ?criteria ?thresholds ?repair ?replay p
+  finalize ?criteria ?thresholds ?repair p
 
 (* Merging finalized reconstructions re-finalizes the merged partial
    state — the estimator/bias accumulators are the mergeable core; the
    finalized arrays themselves are not (fallback and bias are
-   non-linear).  [replay] re-yields the {e combined} stream for the
-   contamination pass. *)
-let merge_reconstructions ?criteria ?thresholds ?repair ?replay a b =
-  finalize ?criteria ?thresholds ?repair ?replay
+   non-linear). *)
+let merge_reconstructions ?criteria ?thresholds ?repair a b =
+  finalize ?criteria ?thresholds ?repair
     (Partial.merge a.r_partial b.r_partial)
 
 let collect_archive ?(config = default_config) (w : Workload.t) =
@@ -944,28 +944,7 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records paths =
       | p :: rest -> List.fold_left Partial.merge p rest
       | [] -> assert false
     in
-    (* Second pass for bias contamination — only consulted when pass one
-       flagged a branch, so clean runs never reopen the files. *)
-    let replay f =
-      List.iter
-        (fun path ->
-          match Perf_data.Stream.open_file ?chunk_records path with
-          | Error _ -> () (* readable moments ago; best effort *)
-          | Ok s ->
-              Fun.protect
-                ~finally:(fun () -> Perf_data.Stream.close s)
-                (fun () ->
-                  let rec pump () =
-                    match Perf_data.Stream.next s with
-                    | Some chunk ->
-                        f chunk;
-                        pump ()
-                    | None -> ()
-                  in
-                  pump ()))
-        paths
-    in
-    Ok (Option.get !meta, finalize ?criteria ?thresholds ?repair ~replay merged)
+    Ok (Option.get !meta, finalize ?criteria ?thresholds ?repair merged)
   with
   | Fail msg -> Error msg
   | Sys_error msg -> Error msg

@@ -229,14 +229,13 @@ type reconstruction = {
 }
 
 (** [finalize partial] — turn accumulated state into a reconstruction:
-    estimator finalization, bias resolution, quality assessment over the
-    partial's merged totals (ledger faults, lost records, channel
-    starvation → fallback), fusion.  [replay] re-yields the partial's
-    record stream for the bias contamination pass; it is only consulted
-    when bias pass one flagged a branch, so clean streams stay
-    single-pass.  With [replay] omitted, contamination is skipped
-    ({!Hbbp_analyzer.Bias.finalize}).  [repair] selects the count-repair
-    policy (default [Report]). *)
+    estimator finalization, bias resolution and contamination (from the
+    stream set the partial accumulated, {!Hbbp_analyzer.Bias.finalize}),
+    quality assessment over the partial's merged totals (ledger faults,
+    lost records, channel starvation → fallback), fusion.  [repair]
+    selects the count-repair policy (default [Report]).  [replay] is
+    ignored; it is kept only so that perfbench ([perfbench/layers.ml],
+    which passes it) still compiles. *)
 val finalize :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
@@ -267,16 +266,14 @@ val reconstruct :
 
 (** [reconstruct_stream ~static ~ebs_period ~lbr_period chunks] —
     chunked reconstruction: [chunks ()] yields record chunks until
-    [None]; resident state is the accumulators plus one chunk.  [replay]
-    must re-yield the same stream when provided (bias contamination,
-    second pass — only taken when pass one flags).  Bit-identical to
-    {!reconstruct} on the concatenated chunks. *)
+    [None]; resident state is the accumulators plus one chunk, and each
+    chunk is read once.  Bit-identical to {!reconstruct} on the
+    concatenated chunks. *)
 val reconstruct_stream :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
   ?repair:repair_mode ->
   ?ledger:Perf_data.fault list ->
-  ?replay:((Record.t list -> unit) -> unit) ->
   static:Static.t ->
   ebs_period:int ->
   lbr_period:int ->
@@ -287,15 +284,13 @@ val reconstruct_stream :
     of two reconstructions over the same static view ([a]'s stream
     followed by [b]'s): estimates add exactly, and quality/fallback/bias
     are re-resolved over the {e combined} totals — merging two degraded
-    shards can yield a [Full] result and vice versa.  [replay] re-yields
-    the combined stream for bias contamination.
+    shards can yield a [Full] result and vice versa.
     @raise Invalid_argument when the partials don't share a static view
     or disagree on periods. *)
 val merge_reconstructions :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
   ?repair:repair_mode ->
-  ?replay:((Record.t list -> unit) -> unit) ->
   reconstruction ->
   reconstruction ->
   reconstruction
@@ -323,8 +318,9 @@ val analyze_archive :
   reconstruction
 
 (** [analyze_archives paths] — streaming multi-archive analysis: each
-    archive is chunk-streamed off disk ({!Perf_data.Stream}) into its
-    own partial, partials merge in path order, and the result is
+    archive is opened once and chunk-streamed off disk
+    ({!Perf_data.Stream}) into its own partial, partials merge in path
+    order, and the result is
     finalized over the merged totals (salvage ledgers, lost records and
     channel thresholds included).  All archives must carry the same
     workload name and sampling periods — the shards

@@ -128,49 +128,50 @@ let collect_sharded ?config ?version ?(resume = false)
 
 let default_checkpoint_every = 1
 
-(* One archive streamed into a fresh partial over the shared static
-   view — the same fold Pipeline.analyze_archives performs, via the
-   public Stream API. *)
-let partial_of_path ?chunk_records ~static ~meta0 path =
-  let render e = Format.asprintf "%a" Perf_data.pp_error e in
+let open_stream ?chunk_records path =
+  match Perf_data.Stream.open_file ?chunk_records path with
+  | Ok s -> Ok s
+  | Error e -> Error (Format.asprintf "%s: %a" path Perf_data.pp_error e)
+
+(* One open archive streamed into a fresh partial over the shared
+   static view, then closed — the same fold Pipeline.analyze_archives
+   performs, via the public Stream API. *)
+let partial_of_stream ~static ~meta0 path s =
   Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
   @@ fun () ->
-  match Perf_data.Stream.open_file ?chunk_records path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path (render e))
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Perf_data.Stream.close s)
-        (fun () ->
-          let m = Perf_data.Stream.meta s in
-          if
-            m.Perf_data.workload_name <> meta0.Perf_data.workload_name
-            || m.Perf_data.ebs_period <> meta0.Perf_data.ebs_period
-            || m.Perf_data.lbr_period <> meta0.Perf_data.lbr_period
-          then
-            Error
-              (Printf.sprintf
-                 "%s: shard metadata mismatch (workload %S, periods %d/%d; \
-                  expected %S, %d/%d)"
-                 path m.Perf_data.workload_name m.Perf_data.ebs_period
-                 m.Perf_data.lbr_period meta0.Perf_data.workload_name
-                 meta0.Perf_data.ebs_period meta0.Perf_data.lbr_period)
-          else begin
-            let p =
-              Pipeline.Partial.create ~static
-                ~ebs_period:m.Perf_data.ebs_period
-                ~lbr_period:m.Perf_data.lbr_period ()
-            in
-            let rec pump () =
-              match Perf_data.Stream.next s with
-              | Some chunk ->
-                  Pipeline.Partial.feed p chunk;
-                  pump ()
-              | None -> ()
-            in
-            pump ();
-            Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
-            Ok p
-          end)
+  Fun.protect
+    ~finally:(fun () -> Perf_data.Stream.close s)
+    (fun () ->
+      let m = Perf_data.Stream.meta s in
+      if
+        m.Perf_data.workload_name <> meta0.Perf_data.workload_name
+        || m.Perf_data.ebs_period <> meta0.Perf_data.ebs_period
+        || m.Perf_data.lbr_period <> meta0.Perf_data.lbr_period
+      then
+        Error
+          (Printf.sprintf
+             "%s: shard metadata mismatch (workload %S, periods %d/%d; \
+              expected %S, %d/%d)"
+             path m.Perf_data.workload_name m.Perf_data.ebs_period
+             m.Perf_data.lbr_period meta0.Perf_data.workload_name
+             meta0.Perf_data.ebs_period meta0.Perf_data.lbr_period)
+      else begin
+        let p =
+          Pipeline.Partial.create ~static
+            ~ebs_period:m.Perf_data.ebs_period
+            ~lbr_period:m.Perf_data.lbr_period ()
+        in
+        let rec pump () =
+          match Perf_data.Stream.next s with
+          | Some chunk ->
+              Pipeline.Partial.feed p chunk;
+              pump ()
+          | None -> ()
+        in
+        pump ();
+        Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
+        Ok p
+      end)
 
 (* [prefix_of done_paths paths] — [Some rest] when [done_paths] is a
    prefix of [paths] (the checkpoint matches this invocation). *)
@@ -189,19 +190,18 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   let ( let* ) = Result.bind in
   (* Metadata and the shared static view always come from the first
      archive, resumed or not — restore needs the same static instance
-     every partial merges against. *)
-  let* meta0, static =
-    match Perf_data.Stream.open_file ?chunk_records (List.hd paths) with
-    | Error e ->
-        Error
-          (Format.asprintf "%s: %a" (List.hd paths) Perf_data.pp_error e)
-    | Ok s ->
-        Fun.protect
-          ~finally:(fun () -> Perf_data.Stream.close s)
-          (fun () ->
-            let m = Perf_data.Stream.meta s in
-            Ok (m, Static.create_exn (Perf_data.analysis_process m)))
+     every partial merges against.  That archive stays open until the
+     fold consumes it, or the checkpoint turns out to cover it, so every
+     archive is opened once. *)
+  let* s0 = open_stream ?chunk_records (List.hd paths) in
+  let first = ref (Some s0) in
+  let close_first () =
+    Option.iter Perf_data.Stream.close !first;
+    first := None
   in
+  Fun.protect ~finally:close_first @@ fun () ->
+  let meta0 = Perf_data.Stream.meta s0 in
+  let static = Static.create_exn (Perf_data.analysis_process meta0) in
   (* A checkpoint is trusted only when it loads cleanly, restores
      cleanly, and names a prefix of the requested paths; anything else
      falls back to a full run (a resume must never produce different
@@ -229,7 +229,9 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   in
   let done_rev, merged, rest =
     match restored with
-    | Some (done_paths, p, rest) -> (List.rev done_paths, Some p, rest)
+    | Some (done_paths, p, rest) ->
+        close_first ();
+        (List.rev done_paths, Some p, rest)
     | None -> ([], None, paths)
   in
   let done_rev = ref done_rev and merged = ref merged in
@@ -254,7 +256,14 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
           save_checkpoint ();
           raise Interrupted
         end;
-        let* p = partial_of_path ?chunk_records ~static ~meta0 path in
+        let* s =
+          match !first with
+          | Some s ->
+              first := None;
+              Ok s
+          | None -> open_stream ?chunk_records path
+        in
+        let* p = partial_of_stream ~static ~meta0 path s in
         (merged :=
            match !merged with
            | None -> Some p
@@ -268,27 +277,6 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   match !merged with
   | None -> Error "no archives were analyzed"
   | Some m ->
-      (* Bias contamination second pass over the combined stream —
-         identical to Pipeline.analyze_archives. *)
-      let replay f =
-        List.iter
-          (fun path ->
-            match Perf_data.Stream.open_file ?chunk_records path with
-            | Error _ -> ()
-            | Ok s ->
-                Fun.protect
-                  ~finally:(fun () -> Perf_data.Stream.close s)
-                  (fun () ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk ->
-                          f chunk;
-                          pump ()
-                      | None -> ()
-                    in
-                    pump ()))
-          paths
-      in
-      let r = Pipeline.finalize ?criteria ?thresholds ?repair ~replay m in
+      let r = Pipeline.finalize ?criteria ?thresholds ?repair m in
       Checkpoint.remove ~path:checkpoint;
       Ok (meta0, r)

@@ -60,7 +60,8 @@ val default_checkpoint_every : int
     run.  [should_stop] is polled between archives; when it reports
     true the current state is checkpointed and {!Interrupted} raised.
     On success the checkpoint file is deleted and the result is
-    byte-identical to the uninterrupted analysis. *)
+    byte-identical to the uninterrupted analysis.  Each archive is
+    opened once (the first one also supplies the metadata). *)
 val analyze_archives :
   ?criteria:Criteria.t ->
   ?thresholds:Pipeline.thresholds ->

@@ -83,16 +83,20 @@ let test_walk_single_block () =
   let static, loop_addr = walk_fixture () in
   let _, _, block = Static.block static (Option.get (Static.find_starting static loop_addr)) in
   let src = Basic_block.last_addr block in
-  match Stream_walk.walk static ~target:loop_addr ~src with
-  | Stream_walk.Blocks [ gid ] ->
-      checki "walk covers the loop block"
-        (Option.get (Static.find_starting static loop_addr))
-        gid
+  let span = Stream_walk.span () in
+  match Stream_walk.walk static span ~target:loop_addr ~src with
+  | Stream_walk.Interval ->
+      let gid = Option.get (Static.find_starting static loop_addr) in
+      checki "walk starts at the loop block" gid span.first;
+      checki "walk ends at the loop block" gid span.last
   | _ -> Alcotest.fail "expected a single-block walk"
 
 let test_walk_backwards_is_bad () =
   let static, loop_addr = walk_fixture () in
-  match Stream_walk.walk static ~target:loop_addr ~src:(loop_addr - 8) with
+  match
+    Stream_walk.walk static (Stream_walk.span ()) ~target:loop_addr
+      ~src:(loop_addr - 8)
+  with
   | Stream_walk.Bad -> ()
   | _ -> Alcotest.fail "expected Bad"
 
@@ -119,10 +123,182 @@ let test_walk_through_jump_is_inconsistent () =
   (* Claim straight-line flow from main entry to inside "after": crosses
      the JMP. *)
   match
-    Stream_walk.walk static ~target:0x400000 ~src:(List.assoc "after" addrs)
+    Stream_walk.walk static (Stream_walk.span ()) ~target:0x400000
+      ~src:(List.assoc "after" addrs)
   with
   | Stream_walk.Inconsistent -> ()
   | _ -> Alcotest.fail "expected Inconsistent"
+
+(* The block-by-block list walker that interval walks replaced, kept
+   here as their oracle.  It shares nothing with [Stream_walk] beyond
+   [Static.block]: block starts come from [Static.iter], fall-through
+   successors from [Bb_map.next_block].  The [Bad_*] cases say why
+   the walk gave up. *)
+type oracle_walk =
+  | Blocks of int list
+  | Crossed_barrier
+  | Bad_endpoint
+  | Bad_cap
+  | Bad_image_end
+
+let oracle_walk static starts ~target ~src =
+  if src < target then Bad_endpoint
+  else
+    match Hashtbl.find_opt starts target with
+    | None -> Bad_endpoint
+    | Some start_gid ->
+        let rec go gid acc steps =
+          if steps > Stream_walk.max_walk then Bad_cap
+          else
+            let _, map, block = Static.block static gid in
+            if Basic_block.contains block src then
+              Blocks (List.rev (gid :: acc))
+            else
+              match block.Basic_block.term with
+              | Basic_block.Term_cond _ | Basic_block.Term_fallthrough -> (
+                  match Bb_map.next_block map block with
+                  | Some next ->
+                      go (Option.get (Static.global_id static map next))
+                        (gid :: acc) (steps + 1)
+                  | None -> Bad_image_end)
+              | _ -> Crossed_barrier
+        in
+        go start_gid [] 0
+
+(* A 600-block run of conditional branches (a barrier JMP in block 550)
+   whose image ends in a fall-through block, plus a second image laid
+   out after it: the only fixture that reaches the 512-block cap and
+   the end of an image. *)
+let chain_process () =
+  let n = 600 in
+  let b k = Printf.sprintf "b%d" k in
+  let body =
+    List.concat
+      (List.init n (fun k ->
+           let branch = if k = 550 then Mnemonic.JMP else Mnemonic.JNZ in
+           [ label (b k); i Mnemonic.ADD [ rax; imm 1 ];
+             i branch [ L (b (k + 1)) ] ]))
+    @ [ label (b n); i Mnemonic.ADD [ rax; imm 2 ] ]
+  in
+  let chain =
+    assemble ~name:"chain" ~base:0x400000 ~ring:Ring.User
+      [ func "chain" body ]
+  in
+  let tail = assemble ~name:"tail" ~base:0x800000 ~ring:Ring.User lib_funcs in
+  Process.create [ chain; tail ]
+
+let walk_statics =
+  lazy
+    (Static.create_exn (chain_process ())
+    :: List.concat_map
+         (fun name ->
+           let w = Hbbp_workloads.Registry.find name in
+           let analysis = w.Hbbp_core.Workload.analysis_process
+           and live = w.Hbbp_core.Workload.live_process in
+           let disk = Static.create_exn analysis in
+           if analysis == live then [ disk ]
+           else [ disk; Kernel_patch.patch_static disk ~live ])
+         Hbbp_workloads.Registry.names)
+
+(* Per static: block start -> gid, and every block with its image. *)
+let walk_tables =
+  lazy
+    (List.map
+       (fun static ->
+         let starts = Hashtbl.create 1024 and blocks = ref [] in
+         Static.iter
+           (fun gid img b ->
+             Hashtbl.replace starts b.Basic_block.addr gid;
+             blocks := (gid, img.Image.name, b) :: !blocks)
+           static;
+         (static, starts, Array.of_list (List.rev !blocks)))
+       (Lazy.force walk_statics))
+
+(* Whether both walkers agree on one pair, and the oracle's outcome. *)
+let compare_walks static starts ~target ~src =
+  let span = Stream_walk.span () in
+  let got = Stream_walk.walk static span ~target ~src in
+  let want = oracle_walk static starts ~target ~src in
+  let agree =
+    match (got, want) with
+    | Stream_walk.Interval, Blocks gids ->
+        gids = List.init (span.last - span.first + 1) (fun k -> span.first + k)
+    | Stream_walk.Inconsistent, Crossed_barrier -> true
+    | Stream_walk.Bad, (Bad_endpoint | Bad_cap | Bad_image_end) -> true
+    | _ -> false
+  in
+  (agree, want)
+
+(* Random (target, src) pairs over every registry static (disk and
+   kernel-patched) and the chain fixture.  [target] is usually a block
+   start; [src] is an instruction up to 600 blocks further on, a block
+   of another image, an arbitrary nearby address, or one below
+   [target]. *)
+let prop_walk_matches_oracle =
+  QCheck2.Test.make ~name:"interval walk = list walk, every registry static"
+    ~count:300
+    QCheck2.Gen.(quad (0 -- 9) nat nat nat)
+    (fun (kind, a, b, c) ->
+      List.for_all
+        (fun (static, starts, blocks) ->
+          let n = Array.length blocks in
+          let g, img, block = blocks.(a mod n) in
+          let target =
+            if c mod 10 = 0 then block.Basic_block.addr + (c mod 7)
+            else block.Basic_block.addr
+          in
+          let pick (_, _, (b : Basic_block.t)) =
+            b.addrs.(c mod Array.length b.addrs)
+          in
+          let src =
+            match kind with
+            | 0 | 1 | 2 | 3 | 4 -> pick blocks.(min (n - 1) (g + (b mod 601)))
+            | 5 | 6 -> (
+                let others =
+                  List.filter
+                    (fun (_, name, _) -> name <> img)
+                    (Array.to_list blocks)
+                in
+                match others with
+                | [] -> pick blocks.(b mod n)
+                | _ -> pick (List.nth others (b mod List.length others)))
+            | 7 | 8 -> target + (b mod 4096)
+            | _ -> target - 1 - (b mod 64)
+          in
+          fst (compare_walks static starts ~target ~src))
+        (Lazy.force walk_tables))
+
+(* Fixed cases on the chain fixture: each outcome the oracle can give,
+   the cap, the end of an image and a source in another image. *)
+let test_walk_oracle_edges () =
+  match Lazy.force walk_tables with
+  | (static, starts, blocks) :: _ ->
+      let block k = (fun (_, _, b) -> b) blocks.(k) in
+      let first k = (block k).Basic_block.addr in
+      let last k = Basic_block.last_addr (block k) in
+      let tail = last (Array.length blocks - 1) in
+      checkb "the chain and the tail are two images" true
+        (Static.image_end static 0 = 600 && Array.length blocks = 602);
+      List.iter
+        (fun (what, target, src, expect) ->
+          let agree, got = compare_walks static starts ~target ~src in
+          checkb what true agree;
+          checkb (what ^ ": expected outcome") true (expect got))
+        [
+          ( "513 blocks", first 0, last 512,
+            function Blocks gids -> List.length gids = 513 | _ -> false );
+          ( "514 blocks hit the cap", first 0, last 513,
+            function Bad_cap -> true | _ -> false );
+          ( "barrier", first 540, last 560,
+            function Crossed_barrier -> true | _ -> false );
+          ( "barrier past the cap", first 0, last 560,
+            function Bad_cap -> true | _ -> false );
+          ( "src in another image runs off the end", first 560, tail,
+            function Bad_image_end -> true | _ -> false );
+          ( "backwards", first 10, last 9,
+            function Bad_endpoint -> true | _ -> false );
+        ]
+  | [] -> Alcotest.fail "no statics"
 
 (* ------------------------------------------------------------------ *)
 (* Estimators on synthetic samples                                     *)
@@ -417,6 +593,9 @@ let () =
           Alcotest.test_case "backwards" `Quick test_walk_backwards_is_bad;
           Alcotest.test_case "through jump" `Quick
             test_walk_through_jump_is_inconsistent;
+          QCheck_alcotest.to_alcotest prop_walk_matches_oracle;
+          Alcotest.test_case "oracle edge cases" `Quick
+            test_walk_oracle_edges;
         ] );
       ( "estimators",
         [

@@ -383,6 +383,96 @@ let test_analyze_resume_identical () =
     (Bytes.equal uninterrupted fallback);
   cleanup base paths
 
+(* Resuming must carry the bias accumulator's stream set: on [hello],
+   where bias flags branches, contamination reads that set, so a resume
+   whose checkpoint dropped it would finalize different flags. *)
+let hello_shards =
+  lazy
+    (let base = fresh_base "hello" in
+     let archive =
+       Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello")
+     in
+     (base, Perf_data.save_sharded archive ~shards:4 ~path:base))
+
+let digest (r : Pipeline.reconstruction) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( r.Pipeline.r_bias.Hbbp_analyzer.Bias.flags,
+            r.Pipeline.r_bias.Hbbp_analyzer.Bias.stats,
+            r.Pipeline.r_lbr,
+            r.Pipeline.r_ebs.Hbbp_analyzer.Ebs_estimator.raw,
+            r.Pipeline.r_hbbp.Hbbp_analyzer.Bbec.counts,
+            r.Pipeline.r_quality )
+          []))
+
+let analyzed = function
+  | Ok ((_ : Perf_data.t), r) -> r
+  | Error msg -> Alcotest.failf "analysis failed: %s" msg
+
+let interrupt_after n ~checkpoint paths =
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    !polls > n
+  in
+  match Recover.analyze_archives ~checkpoint ~should_stop paths with
+  | _ -> Alcotest.failf "expected Interrupted after %d archives" n
+  | exception Recover.Interrupted -> ()
+
+let test_resume_carries_streams () =
+  let base, paths = Lazy.force hello_shards in
+  let ckpt = base ^ ".ckpt" in
+  let whole = analyzed (Pipeline.analyze_archives paths) in
+  checkb "hello: bias flags blocks" true
+    (Hbbp_analyzer.Bias.flagged_blocks whole.Pipeline.r_bias <> []);
+  List.iter
+    (fun n ->
+      interrupt_after n ~checkpoint:ckpt paths;
+      let resumed =
+        analyzed (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "resumed after %d of 4 = uninterrupted" n)
+        (digest whole) (digest resumed))
+    [ 1; 3 ]
+
+(* A version-1 checkpoint predates the stream set: restoring it is a
+   typed error, and a resume falls back to a clean full analysis. *)
+let test_v1_checkpoint_restarts () =
+  let base, paths = Lazy.force hello_shards in
+  let ckpt = base ^ ".ckpt" in
+  let whole = analyzed (Pipeline.analyze_archives paths) in
+  interrupt_after 2 ~checkpoint:ckpt paths;
+  let ck =
+    match Checkpoint.load ~path:ckpt with
+    | Some (Ok ck) -> ck
+    | Some (Error e) -> Alcotest.failf "checkpoint: %s" e
+    | None -> Alcotest.fail "no checkpoint after interruption"
+  in
+  (* The version byte follows the 8-byte magic. *)
+  let v1 = Bytes.copy ck.Checkpoint.partial in
+  Bytes.set_uint8 v1 8 1;
+  (match
+     Pipeline.Partial.restore
+       ~static:(Pipeline.Partial.static whole.Pipeline.r_partial)
+       v1
+   with
+  | Ok _ -> Alcotest.fail "version-1 partial restored"
+  | Error e ->
+      Alcotest.(check string) "typed restore error" "unsupported version 1" e);
+  Checkpoint.save { ck with Checkpoint.partial = v1 } ~path:ckpt;
+  let restores = Metrics.counter "checkpoint.restores" in
+  let restores0 = Metrics.counter_value restores in
+  let restarted =
+    analyzed (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+  in
+  checki "version-1 checkpoint not restored" restores0
+    (Metrics.counter_value restores);
+  Alcotest.(check string) "restarted analysis = uninterrupted"
+    (digest whole) (digest restarted);
+  cleanup base paths
+
 let () =
   Alcotest.run "recovery"
     [
@@ -413,5 +503,9 @@ let () =
         [
           Alcotest.test_case "resume is byte-identical" `Quick
             test_analyze_resume_identical;
+          Alcotest.test_case "resume carries the bias stream set" `Quick
+            test_resume_carries_streams;
+          Alcotest.test_case "version-1 checkpoint restarts cleanly" `Quick
+            test_v1_checkpoint_restarts;
         ] );
     ]

@@ -360,28 +360,55 @@ let test_merge_reconstructions_matches_batch () =
           in
           let head = Pipeline.finalize (partial_of [ p0 ]) in
           let tail = Pipeline.finalize (partial_of [ p1; p2 ]) in
-          let replay f =
-            List.iter
-              (fun p ->
-                match Perf_data.Stream.open_file p with
-                | Error _ -> ()
-                | Ok s ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk -> f chunk; pump ()
-                      | None -> ()
-                    in
-                    pump ();
-                    Perf_data.Stream.close s)
-              shard_paths
-          in
-          let merged = Pipeline.merge_reconstructions ~replay head tail in
+          let merged = Pipeline.merge_reconstructions head tail in
           let _, all =
             ok_or_fail "all shards" (Pipeline.analyze_archives shard_paths)
           in
           checkb "merge_reconstructions = one-shot shard analysis" true
             (recon_equal merged all)
       | _ -> Alcotest.fail "expected exactly 3 shards")
+
+(* Bias contamination reads the stream set the partial accumulated, so
+   the entry points that never see the records twice — a chunk stream
+   without a replay, and merged per-shard reconstructions — contaminate
+   exactly as batch does.  [hello] is a workload whose bias detector
+   flags branches. *)
+let test_contamination_without_replay () =
+  let archive = Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello") in
+  let static = Static.create_exn (Perf_data.analysis_process archive) in
+  let ebs_period = archive.Perf_data.ebs_period
+  and lbr_period = archive.Perf_data.lbr_period in
+  let records = archive.Perf_data.records in
+  let batch = Pipeline.reconstruct ~static ~ebs_period ~lbr_period records in
+  checkb "hello: bias flags blocks" true
+    (Bias.flagged_blocks batch.Pipeline.r_bias <> []);
+  let split k xs =
+    let n = List.length xs in
+    List.init k (fun j ->
+        List.filteri (fun i _ -> i * k / n = j) xs)
+  in
+  let pending = ref (split 37 records) in
+  let streamed =
+    Pipeline.reconstruct_stream ~static ~ebs_period ~lbr_period (fun () ->
+        match !pending with
+        | [] -> None
+        | chunk :: rest ->
+            pending := rest;
+            Some chunk)
+  in
+  checkb "reconstruct_stream without replay = reconstruct" true
+    (recon_equal batch streamed);
+  let shards =
+    List.map
+      (Pipeline.reconstruct ~static ~ebs_period ~lbr_period)
+      (split 4 records)
+  in
+  let merged =
+    List.fold_left Pipeline.merge_reconstructions (List.hd shards)
+      (List.tl shards)
+  in
+  checkb "merge_reconstructions of shards = reconstruct" true
+    (recon_equal batch merged)
 
 (* ------------------------------------------------------------------ *)
 (* Damaged archives: streaming salvage = batch salvage, byte for byte  *)
@@ -602,6 +629,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_bbec_merge_laws;
           Alcotest.test_case "merge_reconstructions = one-shot" `Quick
             test_merge_reconstructions_matches_batch;
+          Alcotest.test_case "contamination without a replay" `Quick
+            test_contamination_without_replay;
         ] );
       ( "identity",
         [
