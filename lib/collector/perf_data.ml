@@ -455,8 +455,8 @@ let of_bytes data =
    serialized bytes first, exactly as before: they model damage to the
    data, not to the write path (that is the io.* family, injected
    inside Durable itself). *)
-let save ?version t ~path =
-  let data = Faults.mangle_archive (to_bytes ?version t) in
+let save t ~path =
+  let data = Faults.mangle_archive (to_bytes t) in
   Hbbp_durable.Durable.write_bytes ~path data
 
 let load ~path =
@@ -482,9 +482,9 @@ let shard_path path index shards =
 (* The exact bytes each shard would hold on disk (mangled per the
    armed archive-fault plan, like [save]) without writing anything —
    the unit of work resumable collection compares and publishes. *)
-let sharded_bytes ?version t ~shards ~path =
+let sharded_bytes t ~shards ~path =
   if shards < 1 then invalid_arg "Perf_data.sharded_bytes: shards < 1";
-  if shards = 1 then [ (path, Faults.mangle_archive (to_bytes ?version t)) ]
+  if shards = 1 then [ (path, Faults.mangle_archive (to_bytes t)) ]
   else begin
     let records = Array.of_list t.records in
     let n = Array.length records in
@@ -492,12 +492,12 @@ let sharded_bytes ?version t ~shards ~path =
         let lo = i * n / shards and hi = (i + 1) * n / shards in
         let slice = Array.to_list (Array.sub records lo (hi - lo)) in
         ( shard_path path i shards,
-          Faults.mangle_archive (to_bytes ?version { t with records = slice })
+          Faults.mangle_archive (to_bytes { t with records = slice })
         ))
   end
 
-let save_sharded ?version t ~shards ~path =
-  let parts = sharded_bytes ?version t ~shards ~path in
+let save_sharded t ~shards ~path =
+  let parts = sharded_bytes t ~shards ~path in
   let written =
     List.mapi
       (fun i (p, data) ->
@@ -816,17 +816,3 @@ module Stream = struct
         close_in_noerr ic;
         Error Truncated
 end
-
-let fold_file ?chunk_records ~init ~f path =
-  match Stream.open_file ?chunk_records path with
-  | Error e -> Error e
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Stream.close s)
-        (fun () ->
-          let rec go acc =
-            match Stream.next s with
-            | Some chunk -> go (f acc chunk)
-            | None -> (Stream.meta s, acc, Stream.ledger s)
-          in
-          Ok (go init))

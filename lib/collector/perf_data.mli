@@ -86,18 +86,20 @@ val to_bytes : ?version:int -> t -> bytes
     typed [Error] — never raises, whatever the input bytes. *)
 val of_bytes : bytes -> (read, error) result
 
-(** [save ?version t ~path] — write the archive atomically
+(** [save t ~path] — write the archive (current version) atomically
     ({!Hbbp_durable.Durable.write_bytes}: tmp + fsync + rename), so a
     crash mid-write never leaves a torn file.  When a fault plan with
     archive faults is armed ({!Hbbp_faults.Faults.arm}), the serialized
     bytes are mangled (bit flips / truncation) before hitting disk. *)
-val save : ?version:int -> t -> path:string -> unit
+val save : t -> path:string -> unit
 
+(** [load ~path] — read and {!of_bytes} the file.
+    @raise Sys_error when it cannot be opened or read. *)
 val load : path:string -> (read, error) result
 
 (** {1 Sharded writing}
 
-    [save_sharded ?version t ~shards ~path] splits the record stream
+    [save_sharded t ~shards ~path] splits the record stream
     into [shards] contiguous slices and writes one archive per slice
     (identical metadata, so each shard is independently analyzable);
     returns the paths written.  ["trace.hbbp"] with 3 shards becomes
@@ -107,19 +109,17 @@ val load : path:string -> (read, error) result
     shard is published atomically, and a complete {!Manifest} sidecar
     is written last.
     @raise Invalid_argument when [shards < 1]. *)
-val save_sharded :
-  ?version:int -> t -> shards:int -> path:string -> string list
+val save_sharded : t -> shards:int -> path:string -> string list
 
 (** [shard_path path i shards] — the name of shard [i]:
     ["trace.hbbp"] → ["trace.0of3.hbbp"]. *)
 val shard_path : string -> int -> int -> string
 
-(** [sharded_bytes ?version t ~shards ~path] — the exact
+(** [sharded_bytes t ~shards ~path] — the exact
     (path, bytes) each shard of {!save_sharded} would publish, without
     touching the filesystem (archive-fault mangling included).  The
     unit of comparison for resumable collection. *)
-val sharded_bytes :
-  ?version:int -> t -> shards:int -> path:string -> (string * bytes) list
+val sharded_bytes : t -> shards:int -> path:string -> (string * bytes) list
 
 (** {1 Chunked streaming reader}
 
@@ -133,7 +133,9 @@ val sharded_bytes :
     damage.  (A parse fault is only classified once the remaining
     payload is fully buffered, so a damaged archive can cost its tail in
     memory — but clean archives stream in O(chunk) space.  v1 archives
-    have no section structure and fall back to buffered reading.) *)
+    have no section structure and fall back to buffered reading.)  The
+    analysis drivers all fold a stream through
+    [Hbbp_core.Pipeline.archive_partial]. *)
 module Stream : sig
   type stream
 
@@ -145,7 +147,8 @@ module Stream : sig
   (** Open an archive for streaming.  Fails with the same typed errors
       as {!of_bytes} (bad magic/version, or damaged {e metadata}
       sections — record damage is salvaged, not an error).
-      @raise Invalid_argument when [chunk_records < 1]. *)
+      @raise Invalid_argument when [chunk_records < 1].
+      @raise Sys_error when the file cannot be opened. *)
   val open_file : ?chunk_records:int -> string -> (stream, error) result
 
   (** The archive's metadata with [records = []] — enough for
@@ -163,13 +166,3 @@ module Stream : sig
 
   val close : stream -> unit
 end
-
-(** [fold_file ~init ~f path] — stream every record chunk of the archive
-    at [path] through [f]; returns the metadata (with [records = []]),
-    the final accumulator and the salvage ledger. *)
-val fold_file :
-  ?chunk_records:int ->
-  init:'acc ->
-  f:('acc -> Record.t list -> 'acc) ->
-  string ->
-  (t * 'acc * fault list, error) result

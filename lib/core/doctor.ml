@@ -74,32 +74,16 @@ type report = {
 let allocated_words (s : Gc.stat) =
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* Stream one shard into a fresh partial.  The static view is shared
-   (immutable) so merged partials satisfy [Partial.merge]'s physical
-   equality check. *)
-let partial_of_shard ~static ~ebs_period ~lbr_period path =
-  match Perf_data.Stream.open_file path with
-  | Error e ->
-      failwith (Format.asprintf "doctor: %s: %a" path Perf_data.pp_error e)
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Perf_data.Stream.close s)
-        (fun () ->
-          let p = Pipeline.Partial.create ~static ~ebs_period ~lbr_period () in
-          let rec pump () =
-            match Perf_data.Stream.next s with
-            | Some chunk ->
-                Pipeline.Partial.feed p chunk;
-                pump ()
-            | None -> ()
-          in
-          pump ();
-          Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
-          p)
+(* The doctor reads only shards it has just written, so a failure there
+   is a bug, raised as [Failure]. *)
+let or_fail = function Ok v -> v | Error e -> failwith ("doctor: " ^ e)
 
 (* One full analysis pass at a given job count.  Returns the
-   reconstruction plus everything measured on the way. *)
-let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
+   reconstruction plus everything measured on the way.  Each shard goes
+   through the drivers' per-archive step; the static view is shared
+   (immutable) so the partials satisfy [Partial.merge]'s physical
+   equality check. *)
+let analyze_at ~static ~meta ~paths ~jobs =
   Trace.with_span ~cat:"doctor"
     ~args:[ ("jobs", string_of_int jobs) ]
     "analyze"
@@ -117,7 +101,11 @@ let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
               let dom = (Domain.self () :> int) in
               let g0 = Gc.quick_stat () in
               let w0 = now () in
-              let p = partial_of_shard ~static ~ebs_period ~lbr_period path in
+              let p =
+                or_fail
+                  (Result.bind (Pipeline.open_archive path)
+                     (Pipeline.archive_partial ~static ~meta path))
+              in
               let w1 = now () in
               let g1 = Gc.quick_stat () in
               Mutex.lock task_lock;
@@ -285,13 +273,11 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         (List.sort_uniq compare (base :: paths)))
   @@ fun () ->
-  let static = Static.create_exn (Perf_data.analysis_process archive) in
-  let ebs_period = archive.Perf_data.ebs_period in
-  let lbr_period = archive.Perf_data.lbr_period in
+  let static = or_fail (Pipeline.archive_static base archive) in
   let before = Metrics.snapshot () in
   let results =
     List.init max_jobs (fun k ->
-        analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs:(k + 1))
+        analyze_at ~static ~meta:archive ~paths ~jobs:(k + 1))
   in
   let after = Metrics.snapshot () in
   let t1 =

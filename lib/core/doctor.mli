@@ -11,6 +11,11 @@
     attribution unit), task-size statistics, and the runtime profiler's
     exclusive per-span allocation accounting.
 
+    Each pass maps the per-archive step of the analysis drivers
+    ({!Pipeline.open_archive}, {!Pipeline.archive_partial}, metadata
+    check included) over the shards on the pool, then merges and
+    finalizes, so the doctor measures the code [hbbp analyze] runs.
+
     The doctor also cross-checks the pool's determinism contract: every
     job count must produce an identical reconstruction
     ([rep_consistent]). *)
@@ -59,7 +64,8 @@ type report = {
 (** [run workload] — collect, shard and attribute.  [max_jobs] defaults
     to [min 4 recommended_domain_count]; [shards] to [2 * max_jobs].
     Enables the metrics registry and runtime profiler for the duration
-    if they were off, and restores them after. *)
+    if they were off, and restores them after.
+    @raise Failure if a shard the doctor just wrote fails to analyze. *)
 val run :
   ?max_jobs:int -> ?shards:int -> ?config:Pipeline.config -> Workload.t ->
   report

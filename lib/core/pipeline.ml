@@ -238,22 +238,17 @@ module Partial = struct
     }
 
   (* ---------------------------------------------------------------- *)
-  (* Checkpoint serialization: the archive's v2 framing style — magic,
-     version byte, CRC-guarded length-prefixed sections — over the
+  (* Checkpoint serialization: the {!Checkpoint.Codec} framing over the
      accumulator state.  Everything in a partial is integer-domain
      (tallies, counts, sorted assoc lists), so serialize/restore is an
      exact round trip and a resumed analysis finalizes to the same
      bytes as an uninterrupted one. *)
 
+  open Checkpoint.Codec
+
   let magic = "HBBPPART"
   (* Version 2 added the bias accumulator's stream set. *)
   let serialize_version = 2
-
-  let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
-
-  let w_str buf s =
-    w_i64 buf (String.length s);
-    Buffer.add_string buf s
 
   let section_code = function
     | Perf_data.Header -> 0
@@ -269,281 +264,185 @@ module Partial = struct
     | _ -> None
 
   let serialize t =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf magic;
-    Buffer.add_uint8 buf serialize_version;
-    let section write_payload =
-      let p = Buffer.create 1024 in
-      write_payload p;
-      let payload = Buffer.to_bytes p in
-      w_i64 buf (Bytes.length payload);
-      w_i64 buf (Hbbp_util.Crc32.bytes payload);
-      Buffer.add_bytes buf payload
-    in
-    section (fun p ->
-        w_i64 p t.ebs_period;
-        w_i64 p t.lbr_period;
-        w_i64 p t.records;
-        w_i64 p t.ebs_samples;
-        w_i64 p t.lbr_snapshots;
-        w_i64 p t.other_samples;
-        w_i64 p t.lost);
-    section (fun p ->
-        let raw, unattributed = Ebs_estimator.Acc.export t.ebs_acc in
-        w_i64 p unattributed;
-        w_i64 p (Array.length raw);
-        Array.iter (w_i64 p) raw);
-    section (fun p ->
-        let r = Lbr_estimator.Acc.export t.lbr_acc in
-        w_i64 p r.Lbr_estimator.Acc.r_total_blocks;
-        w_i64 p r.Lbr_estimator.Acc.r_snapshots;
-        w_i64 p r.Lbr_estimator.Acc.r_usable;
-        w_i64 p r.Lbr_estimator.Acc.r_inconsistent;
-        w_i64 p r.Lbr_estimator.Acc.r_discarded;
-        let by_k = r.Lbr_estimator.Acc.r_by_k in
-        w_i64 p (Array.length by_k);
-        Array.iter
-          (fun row ->
-            w_i64 p (Array.length row);
-            Array.iter (w_i64 p) row)
-          by_k);
-    section (fun p ->
-        let r = Bias.Acc.export t.static t.bias_acc in
-        w_i64 p r.Bias.Acc.r_snapshots;
-        w_i64 p r.Bias.Acc.r_deep_total;
-        let table bindings =
-          w_i64 p (List.length bindings);
+    frame ~magic ~version:serialize_version
+      [
+        (fun p ->
+          w_i64 p t.ebs_period;
+          w_i64 p t.lbr_period;
+          w_i64 p t.records;
+          w_i64 p t.ebs_samples;
+          w_i64 p t.lbr_snapshots;
+          w_i64 p t.other_samples;
+          w_i64 p t.lost);
+        (fun p ->
+          let raw, unattributed = Ebs_estimator.Acc.export t.ebs_acc in
+          w_i64 p unattributed;
+          w_ints p raw);
+        (fun p ->
+          let r = Lbr_estimator.Acc.export t.lbr_acc in
+          w_i64 p r.Lbr_estimator.Acc.r_total_blocks;
+          w_i64 p r.Lbr_estimator.Acc.r_snapshots;
+          w_i64 p r.Lbr_estimator.Acc.r_usable;
+          w_i64 p r.Lbr_estimator.Acc.r_inconsistent;
+          w_i64 p r.Lbr_estimator.Acc.r_discarded;
+          w_list p w_ints (Array.to_list r.Lbr_estimator.Acc.r_by_k));
+        (fun p ->
+          let r = Bias.Acc.export t.static t.bias_acc in
+          w_i64 p r.Bias.Acc.r_snapshots;
+          w_i64 p r.Bias.Acc.r_deep_total;
           List.iter
-            (fun (k, v) ->
-              w_i64 p k;
-              w_i64 p v)
-            bindings
-        in
-        table r.Bias.Acc.r_entry0;
-        table r.Bias.Acc.r_deep;
-        table r.Bias.Acc.r_adjacent;
-        table r.Bias.Acc.r_failed;
-        let streams = r.Bias.Acc.r_streams in
-        w_i64 p (List.length streams);
-        List.iter
-          (fun (owner, target, src) ->
-            w_i64 p owner;
-            w_i64 p target;
-            w_i64 p src)
-          streams);
-    section (fun p ->
-        let faults = List.rev t.faults_rev in
-        w_i64 p (List.length faults);
-        List.iter
-          (fun f ->
-            match f with
-            | Perf_data.Checksum_mismatch s ->
-                Buffer.add_uint8 p 0;
-                Buffer.add_uint8 p (section_code s)
-            | Perf_data.Truncated_records { expected; salvaged } ->
-                Buffer.add_uint8 p 1;
-                w_i64 p (match expected with None -> -1 | Some e -> e);
-                w_i64 p salvaged
-            | Perf_data.Corrupt_records { index; reason; salvaged } ->
-                Buffer.add_uint8 p 2;
-                w_i64 p index;
-                w_i64 p salvaged;
-                w_str p reason)
-          faults);
-    Buffer.to_bytes buf
-
-  exception Bad of string
-
-  type cursor = { data : bytes; mutable pos : int; limit : int }
-
-  let need c n =
-    if c.pos + n > c.limit then raise (Bad "truncated checkpoint state")
-
-  let r_i64 c =
-    need c 8;
-    let v = Int64.to_int (Bytes.get_int64_le c.data c.pos) in
-    c.pos <- c.pos + 8;
-    v
-
-  let r_u8 c =
-    need c 1;
-    let v = Bytes.get_uint8 c.data c.pos in
-    c.pos <- c.pos + 1;
-    v
-
-  let r_str c =
-    let n = r_i64 c in
-    if n < 0 then raise (Bad "negative string length");
-    need c n;
-    let s = Bytes.sub_string c.data c.pos n in
-    c.pos <- c.pos + n;
-    s
-
-  let r_array c =
-    let n = r_i64 c in
-    if n < 0 then raise (Bad "negative array length");
-    Array.init n (fun _ -> r_i64 c)
-
-  (* One CRC-guarded section: bounds the cursor to the payload, runs
-     the parser, then checks the parser consumed exactly the payload. *)
-  let r_section c parse =
-    let len = r_i64 c in
-    if len < 0 then raise (Bad "negative section length");
-    let crc = r_i64 c in
-    need c len;
-    if Hbbp_util.Crc32.bytes ~off:c.pos ~len c.data <> crc then
-      raise (Bad "section CRC mismatch");
-    let sub = { data = c.data; pos = c.pos; limit = c.pos + len } in
-    let v = parse sub in
-    if sub.pos <> sub.limit then raise (Bad "trailing section bytes");
-    c.pos <- c.pos + len;
-    v
+            (w_list p (fun p (k, v) ->
+                 w_i64 p k;
+                 w_i64 p v))
+            [
+              r.Bias.Acc.r_entry0;
+              r.Bias.Acc.r_deep;
+              r.Bias.Acc.r_adjacent;
+              r.Bias.Acc.r_failed;
+            ];
+          w_list p
+            (fun p (owner, target, src) ->
+              w_i64 p owner;
+              w_i64 p target;
+              w_i64 p src)
+            r.Bias.Acc.r_streams);
+        (fun p ->
+          w_list p
+            (fun p -> function
+              | Perf_data.Checksum_mismatch s ->
+                  Buffer.add_uint8 p 0;
+                  Buffer.add_uint8 p (section_code s)
+              | Perf_data.Truncated_records { expected; salvaged } ->
+                  Buffer.add_uint8 p 1;
+                  w_i64 p (match expected with None -> -1 | Some e -> e);
+                  w_i64 p salvaged
+              | Perf_data.Corrupt_records { index; reason; salvaged } ->
+                  Buffer.add_uint8 p 2;
+                  w_i64 p index;
+                  w_i64 p salvaged;
+                  w_str p reason)
+            (List.rev t.faults_rev));
+      ]
 
   let restore ~static data =
-    try
-      if Bytes.length data < String.length magic + 1 then
-        raise (Bad "truncated header");
-      if
-        not
-          (String.equal
-             (Bytes.sub_string data 0 (String.length magic))
-             magic)
-      then raise (Bad "bad magic");
-      let c =
-        { data; pos = String.length magic; limit = Bytes.length data }
-      in
-      (match r_u8 c with
-      | v when v = serialize_version -> ()
-      | v -> raise (Bad (Printf.sprintf "unsupported version %d" v)));
-      let ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
-          other_samples, lost =
-        r_section c (fun s ->
-            let ebs_period = r_i64 s in
-            let lbr_period = r_i64 s in
-            let records = r_i64 s in
-            let ebs_samples = r_i64 s in
-            let lbr_snapshots = r_i64 s in
-            let other_samples = r_i64 s in
-            let lost = r_i64 s in
-            ( ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
-              other_samples, lost ))
-      in
-      let ebs_acc =
-        r_section c (fun s ->
-            let unattributed = r_i64 s in
-            let raw = r_array s in
-            if Array.length raw <> Static.total_blocks static then
-              raise (Bad "EBS block count does not match the static view");
-            Ebs_estimator.Acc.import (raw, unattributed))
-      in
-      let lbr_acc =
-        r_section c (fun s ->
-            let total_blocks = r_i64 s in
-            if total_blocks <> Static.total_blocks static then
-              raise (Bad "LBR block count does not match the static view");
-            let snapshots = r_i64 s in
-            let usable = r_i64 s in
-            let inconsistent = r_i64 s in
-            let discarded = r_i64 s in
-            let n_k = r_i64 s in
-            if n_k < 0 then raise (Bad "negative row count");
-            let by_k = Array.init n_k (fun _ -> r_array s) in
-            Array.iter
-              (fun row ->
-                let n = Array.length row in
-                if n <> 0 && n <> total_blocks then
-                  raise (Bad "LBR row length mismatch"))
-              by_k;
-            Lbr_estimator.Acc.import
-              {
-                Lbr_estimator.Acc.r_total_blocks = total_blocks;
-                r_by_k = by_k;
-                r_snapshots = snapshots;
-                r_usable = usable;
-                r_inconsistent = inconsistent;
-                r_discarded = discarded;
-              })
-      in
-      let bias_acc =
-        r_section c (fun s ->
-            let snapshots = r_i64 s in
-            let deep_total = r_i64 s in
-            let table () =
-              let n = r_i64 s in
-              if n < 0 then raise (Bad "negative table size");
-              List.init n (fun _ ->
-                  let k = r_i64 s in
-                  let v = r_i64 s in
-                  (k, v))
-            in
-            let entry0 = table () in
-            let deep = table () in
-            let adjacent = table () in
-            let failed = table () in
-            let n = r_i64 s in
-            if n < 0 then raise (Bad "negative stream count");
-            let streams =
-              List.init n (fun _ ->
-                  let owner = r_i64 s in
-                  let target = r_i64 s in
-                  let src = r_i64 s in
-                  (owner, target, src))
-            in
-            Bias.Acc.import static
-              {
-                Bias.Acc.r_entry0 = entry0;
-                r_deep = deep;
-                r_adjacent = adjacent;
-                r_failed = failed;
-                r_streams = streams;
-                r_snapshots = snapshots;
-                r_deep_total = deep_total;
-              })
-      in
-      let faults =
-        r_section c (fun s ->
-            let n = r_i64 s in
-            if n < 0 then raise (Bad "negative fault count");
-            List.init n (fun _ ->
-                match r_u8 s with
-                | 0 -> (
-                    let code = r_u8 s in
-                    match section_of_code code with
-                    | Some sec -> Perf_data.Checksum_mismatch sec
-                    | None ->
-                        raise (Bad (Printf.sprintf "bad section code %d" code)))
-                | 1 ->
-                    let expected = r_i64 s in
-                    let salvaged = r_i64 s in
-                    Perf_data.Truncated_records
-                      {
-                        expected = (if expected < 0 then None else Some expected);
-                        salvaged;
-                      }
-                | 2 ->
-                    let index = r_i64 s in
-                    let salvaged = r_i64 s in
-                    let reason = r_str s in
-                    Perf_data.Corrupt_records { index; reason; salvaged }
-                | t -> raise (Bad (Printf.sprintf "bad fault tag %d" t))))
-      in
-      if c.pos <> c.limit then raise (Bad "trailing bytes");
-      Ok
-        {
-          static;
-          ebs_period;
-          lbr_period;
-          ebs_acc;
-          lbr_acc;
-          bias_acc;
-          records;
-          ebs_samples;
-          lbr_snapshots;
-          other_samples;
-          lost;
-          faults_rev = List.rev faults;
-        }
-    with Bad msg -> Error msg
+    unframe ~magic ~version:serialize_version data @@ fun c ->
+    let ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
+        other_samples, lost =
+      r_section c (fun s ->
+          let ebs_period = r_i64 s in
+          let lbr_period = r_i64 s in
+          let records = r_i64 s in
+          let ebs_samples = r_i64 s in
+          let lbr_snapshots = r_i64 s in
+          let other_samples = r_i64 s in
+          let lost = r_i64 s in
+          ( ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
+            other_samples, lost ))
+    in
+    let ebs_acc =
+      r_section c (fun s ->
+          let unattributed = r_i64 s in
+          let raw = r_ints s in
+          if Array.length raw <> Static.total_blocks static then
+            raise (Bad "EBS block count does not match the static view");
+          Ebs_estimator.Acc.import (raw, unattributed))
+    in
+    let lbr_acc =
+      r_section c (fun s ->
+          let total_blocks = r_i64 s in
+          if total_blocks <> Static.total_blocks static then
+            raise (Bad "LBR block count does not match the static view");
+          let snapshots = r_i64 s in
+          let usable = r_i64 s in
+          let inconsistent = r_i64 s in
+          let discarded = r_i64 s in
+          let by_k = Array.of_list (r_list s r_ints) in
+          Array.iter
+            (fun row ->
+              let n = Array.length row in
+              if n <> 0 && n <> total_blocks then
+                raise (Bad "LBR row length mismatch"))
+            by_k;
+          Lbr_estimator.Acc.import
+            {
+              Lbr_estimator.Acc.r_total_blocks = total_blocks;
+              r_by_k = by_k;
+              r_snapshots = snapshots;
+              r_usable = usable;
+              r_inconsistent = inconsistent;
+              r_discarded = discarded;
+            })
+    in
+    let bias_acc =
+      r_section c (fun s ->
+          let snapshots = r_i64 s in
+          let deep_total = r_i64 s in
+          let pair s =
+            let k = r_i64 s in
+            let v = r_i64 s in
+            (k, v)
+          in
+          let entry0 = r_list s pair in
+          let deep = r_list s pair in
+          let adjacent = r_list s pair in
+          let failed = r_list s pair in
+          let streams =
+            r_list s (fun s ->
+                let owner = r_i64 s in
+                let target = r_i64 s in
+                let src = r_i64 s in
+                (owner, target, src))
+          in
+          Bias.Acc.import static
+            {
+              Bias.Acc.r_entry0 = entry0;
+              r_deep = deep;
+              r_adjacent = adjacent;
+              r_failed = failed;
+              r_streams = streams;
+              r_snapshots = snapshots;
+              r_deep_total = deep_total;
+            })
+    in
+    let faults =
+      r_section c (fun s ->
+          r_list s (fun s ->
+              match r_u8 s with
+              | 0 -> (
+                  let code = r_u8 s in
+                  match section_of_code code with
+                  | Some sec -> Perf_data.Checksum_mismatch sec
+                  | None ->
+                      raise (Bad (Printf.sprintf "bad section code %d" code)))
+              | 1 ->
+                  let expected = r_i64 s in
+                  let salvaged = r_i64 s in
+                  Perf_data.Truncated_records
+                    {
+                      expected = (if expected < 0 then None else Some expected);
+                      salvaged;
+                    }
+              | 2 ->
+                  let index = r_i64 s in
+                  let salvaged = r_i64 s in
+                  let reason = r_str s in
+                  Perf_data.Corrupt_records { index; reason; salvaged }
+              | t -> raise (Bad (Printf.sprintf "bad fault tag %d" t))))
+    in
+    {
+      static;
+      ebs_period;
+      lbr_period;
+      ebs_acc;
+      lbr_acc;
+      bias_acc;
+      records;
+      ebs_samples;
+      lbr_snapshots;
+      other_samples;
+      lost;
+      faults_rev = List.rev faults;
+    }
 end
 
 type reconstruction = {
@@ -816,31 +715,6 @@ let reconstruct ?criteria ?thresholds ?repair ?(ledger = []) ~static
   Partial.feed p records;
   finalize ?criteria ?thresholds ?repair p
 
-(* Chunked streaming reconstruction: [chunks ()] yields record chunks
-   until [None]; state stays bounded by the accumulators plus one
-   chunk. *)
-let reconstruct_stream ?criteria ?thresholds ?repair ?(ledger = []) ~static
-    ~ebs_period ~lbr_period chunks =
-  let p = Partial.create ~static ~ebs_period ~lbr_period () in
-  Partial.note_faults p ledger;
-  let rec pump () =
-    match chunks () with
-    | Some chunk ->
-        Partial.feed p chunk;
-        pump ()
-    | None -> ()
-  in
-  pump ();
-  finalize ?criteria ?thresholds ?repair p
-
-(* Merging finalized reconstructions re-finalizes the merged partial
-   state — the estimator/bias accumulators are the mergeable core; the
-   finalized arrays themselves are not (fallback and bias are
-   non-linear). *)
-let merge_reconstructions ?criteria ?thresholds ?repair a b =
-  finalize ?criteria ?thresholds ?repair
-    (Partial.merge a.r_partial b.r_partial)
-
 let collect_archive ?(config = default_config) (w : Workload.t) =
   Trace.with_span ~cat:"pipeline"
     ~args:[ ("workload", w.Workload.name) ]
@@ -872,82 +746,78 @@ let analyze_archive ?criteria ?thresholds ?repair ?ledger
     ~ebs_period:archive.Perf_data.ebs_period
     ~lbr_period:archive.Perf_data.lbr_period archive.Perf_data.records
 
-(* Streaming multi-archive analysis: one partial per archive (chunked
-   off the file, never materializing a record list), merged in path
-   order, finalized over the merged totals.  All archives must agree on
-   workload name and sampling periods (shards of one collection do);
-   the static view is built once, from the first archive's metadata. *)
+(* ------------------------------------------------------------------ *)
+(* The per-archive step every archive-reading driver folds through     *)
+
+let open_archive ?chunk_records path =
+  match Perf_data.Stream.open_file ?chunk_records path with
+  | Ok s -> Ok s
+  | Error e -> Error (Format.asprintf "%s: %a" path Perf_data.pp_error e)
+  | exception Sys_error msg -> Error msg
+
+let archive_static path meta =
+  match Static.create (Perf_data.analysis_process meta) with
+  | Ok static -> Ok static
+  | Error e -> Error (Format.asprintf "%s: %a" path Disasm.pp_error e)
+  | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" path msg)
+
+let archive_partial ~static ~meta path s =
+  Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
+  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Perf_data.Stream.close s) @@ fun () ->
+  let m = Perf_data.Stream.meta s in
+  if
+    m.Perf_data.workload_name <> meta.Perf_data.workload_name
+    || m.Perf_data.ebs_period <> meta.Perf_data.ebs_period
+    || m.Perf_data.lbr_period <> meta.Perf_data.lbr_period
+  then
+    Error
+      (Printf.sprintf
+         "%s: shard metadata mismatch (workload %S, periods %d/%d; expected \
+          %S, %d/%d)"
+         path m.Perf_data.workload_name m.Perf_data.ebs_period
+         m.Perf_data.lbr_period meta.Perf_data.workload_name
+         meta.Perf_data.ebs_period meta.Perf_data.lbr_period)
+  else
+    let p =
+      Partial.create ~static ~ebs_period:m.Perf_data.ebs_period
+        ~lbr_period:m.Perf_data.lbr_period ()
+    in
+    let rec pump () =
+      match Perf_data.Stream.next s with
+      | Some chunk ->
+          Partial.feed p chunk;
+          pump ()
+      | None -> Partial.note_faults p (Perf_data.Stream.ledger s)
+    in
+    match pump () with () -> Ok p | exception Sys_error msg -> Error msg
+
+(* The static view is built once, from the first archive's metadata;
+   that archive stays open from the metadata read to its fold. *)
 let analyze_archives ?criteria ?thresholds ?repair ?chunk_records paths =
   if paths = [] then invalid_arg "Pipeline.analyze_archives: no archives";
-  let render e = Format.asprintf "%a" Perf_data.pp_error e in
-  let exception Fail of string in
-  try
-    let meta = ref None and static = ref None in
-    let partial_of_path path =
-      Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
-      @@ fun () ->
-      match Perf_data.Stream.open_file ?chunk_records path with
-      | Error e -> raise (Fail (Printf.sprintf "%s: %s" path (render e)))
-      | Ok s ->
-          Fun.protect
-            ~finally:(fun () -> Perf_data.Stream.close s)
-            (fun () ->
-              let m = Perf_data.Stream.meta s in
-              let st =
-                match !static with
-                | None ->
-                    let st =
-                      Static.create_exn (Perf_data.analysis_process m)
-                    in
-                    meta := Some m;
-                    static := Some st;
-                    st
-                | Some st ->
-                    let m0 = Option.get !meta in
-                    if
-                      m.Perf_data.workload_name
-                      <> m0.Perf_data.workload_name
-                      || m.Perf_data.ebs_period <> m0.Perf_data.ebs_period
-                      || m.Perf_data.lbr_period <> m0.Perf_data.lbr_period
-                    then
-                      raise
-                        (Fail
-                           (Printf.sprintf
-                              "%s: shard metadata mismatch (workload %S, \
-                               periods %d/%d; expected %S, %d/%d)"
-                              path m.Perf_data.workload_name
-                              m.Perf_data.ebs_period m.Perf_data.lbr_period
-                              m0.Perf_data.workload_name
-                              m0.Perf_data.ebs_period
-                              m0.Perf_data.lbr_period));
-                    st
-              in
-              let p =
-                Partial.create ~static:st
-                  ~ebs_period:m.Perf_data.ebs_period
-                  ~lbr_period:m.Perf_data.lbr_period ()
-              in
-              let rec pump () =
-                match Perf_data.Stream.next s with
-                | Some chunk ->
-                    Partial.feed p chunk;
-                    pump ()
-                | None -> ()
-              in
-              pump ();
-              Partial.note_faults p (Perf_data.Stream.ledger s);
-              p)
-    in
-    let partials = List.map partial_of_path paths in
-    let merged =
-      match partials with
-      | p :: rest -> List.fold_left Partial.merge p rest
-      | [] -> assert false
-    in
-    Ok (Option.get !meta, finalize ?criteria ?thresholds ?repair merged)
-  with
-  | Fail msg -> Error msg
-  | Sys_error msg -> Error msg
+  let ( let* ) = Result.bind in
+  let first = List.hd paths in
+  let* s0 = open_archive ?chunk_records first in
+  let meta = Perf_data.Stream.meta s0 in
+  let* static =
+    match archive_static first meta with
+    | Ok _ as ok -> ok
+    | Error _ as e ->
+        Perf_data.Stream.close s0;
+        e
+  in
+  let* merged =
+    List.fold_left
+      (fun acc path ->
+        let* m = acc in
+        let* s = open_archive ?chunk_records path in
+        let* p = archive_partial ~static ~meta path s in
+        Ok (Partial.merge m p))
+      (archive_partial ~static ~meta first s0)
+      (List.tl paths)
+  in
+  Ok (meta, finalize ?criteria ?thresholds ?repair merged)
 
 (* Run-level counters: execution volume plus the PMU's sampling-health
    accounting (the repo observing its own collection quality, the way

@@ -192,7 +192,7 @@ module Partial : sig
   (** {2 Checkpointing}
 
       A partial serializes to a versioned, CRC-guarded binary blob
-      (the archive's v2 section framing over the accumulator state).
+      ({!Checkpoint.Codec} framing over the accumulator state).
       The state is integer-domain throughout, so
       [restore ~static (serialize p)] rebuilds a partial that
       finalizes {e byte-identically} to [p] — the property [--resume]
@@ -224,8 +224,11 @@ type reconstruction = {
       (** Count-repair report ([None] when the repair mode is [Off]).
           [r_hbbp] is the repaired BBEC iff the mode was [Apply]. *)
   r_partial : Partial.t;
-      (** The mergeable state this reconstruction was finalized from
-          (enables {!merge_reconstructions}). *)
+      (** The mergeable state this reconstruction was finalized from:
+          [finalize (Partial.merge a.r_partial b.r_partial)] is the
+          reconstruction of [a]'s stream followed by [b]'s, with
+          quality, fallback and bias re-resolved over the combined
+          totals. *)
 }
 
 (** [finalize partial] — turn accumulated state into a reconstruction:
@@ -264,37 +267,6 @@ val reconstruct :
   Record.t list ->
   reconstruction
 
-(** [reconstruct_stream ~static ~ebs_period ~lbr_period chunks] —
-    chunked reconstruction: [chunks ()] yields record chunks until
-    [None]; resident state is the accumulators plus one chunk, and each
-    chunk is read once.  Bit-identical to {!reconstruct} on the
-    concatenated chunks. *)
-val reconstruct_stream :
-  ?criteria:Criteria.t ->
-  ?thresholds:thresholds ->
-  ?repair:repair_mode ->
-  ?ledger:Perf_data.fault list ->
-  static:Static.t ->
-  ebs_period:int ->
-  lbr_period:int ->
-  (unit -> Record.t list option) ->
-  reconstruction
-
-(** [merge_reconstructions a b] — re-finalize the merged partial state
-    of two reconstructions over the same static view ([a]'s stream
-    followed by [b]'s): estimates add exactly, and quality/fallback/bias
-    are re-resolved over the {e combined} totals — merging two degraded
-    shards can yield a [Full] result and vice versa.
-    @raise Invalid_argument when the partials don't share a static view
-    or disagree on periods. *)
-val merge_reconstructions :
-  ?criteria:Criteria.t ->
-  ?thresholds:thresholds ->
-  ?repair:repair_mode ->
-  reconstruction ->
-  reconstruction ->
-  reconstruction
-
 (** [collect_archive ?config workload] — run only the collection side and
     package it as a portable archive. *)
 val collect_archive : ?config:config -> Workload.t -> Perf_data.t
@@ -317,18 +289,47 @@ val analyze_archive :
   Perf_data.t ->
   reconstruction
 
-(** [analyze_archives paths] — streaming multi-archive analysis: each
-    archive is opened once and chunk-streamed off disk
-    ({!Perf_data.Stream}) into its own partial, partials merge in path
-    order, and the result is
-    finalized over the merged totals (salvage ledgers, lost records and
-    channel thresholds included).  All archives must carry the same
-    workload name and sampling periods — the shards
-    {!Perf_data.save_sharded} writes do; the returned metadata (with
-    [records = []]) comes from the first archive.  [Error] carries a
-    rendered diagnostic (unreadable archive or shard metadata
-    mismatch).  Bit-identical to loading everything and running batch
-    {!analyze_archive} on the concatenated records.
+(** {2 The per-archive step}
+
+    Every driver that analyzes archives off disk — {!analyze_archives},
+    {!Recover.analyze_archives} and {!Doctor} — folds each archive
+    through these three functions, and every failure on the way is a
+    rendered [Error] naming the archive, never an exception. *)
+
+(** [open_archive path] — {!Perf_data.Stream.open_file}, with a typed
+    read error or an OS error (missing or unreadable file) rendered
+    into [Error]. *)
+val open_archive :
+  ?chunk_records:int -> string -> (Perf_data.Stream.stream, string) result
+
+(** [archive_static path meta] — the shared static view of an archive's
+    metadata ({!Perf_data.analysis_process}, live kernel text patched
+    in).  Images that do not disassemble, or that overlap, are
+    [Error "<path>: ..."]. *)
+val archive_static : string -> Perf_data.t -> (Static.t, string) result
+
+(** [archive_partial ~static ~meta path s] — check that the open
+    stream [s] has [meta]'s workload name and sampling periods (shards
+    of one collection do), feed every chunk into a fresh partial over
+    [static] inside one [analyze]/[archive] telemetry span, note the
+    salvage ledger, and close [s] whatever the outcome. *)
+val archive_partial :
+  static:Static.t ->
+  meta:Perf_data.t ->
+  string ->
+  Perf_data.Stream.stream ->
+  (Partial.t, string) result
+
+(** [analyze_archives paths] — streaming multi-archive analysis: the
+    first archive's metadata supplies the static view
+    ({!archive_static}), every archive is opened once and folded
+    through {!archive_partial}, partials merge in path order, and the
+    result is finalized over the merged totals (salvage ledgers, lost
+    records and channel thresholds included).  The returned metadata
+    (with [records = []]) comes from the first archive.  [Error]
+    carries the first failure of the per-archive step.  Bit-identical
+    to loading everything and running batch {!analyze_archive} on the
+    concatenated records.
     @raise Invalid_argument when [paths] is empty. *)
 val analyze_archives :
   ?criteria:Criteria.t ->

@@ -37,7 +37,6 @@ val shard_paths : shards:int -> path:string -> string list
     testing). *)
 val collect_sharded :
   ?config:Pipeline.config ->
-  ?version:int ->
   ?resume:bool ->
   ?should_stop:(unit -> bool) ->
   ?inter_shard_delay_s:float ->
@@ -61,7 +60,13 @@ val default_checkpoint_every : int
     true the current state is checkpointed and {!Interrupted} raised.
     On success the checkpoint file is deleted and the result is
     byte-identical to the uninterrupted analysis.  Each archive is
-    opened once (the first one also supplies the metadata). *)
+    opened once (the first one also supplies the metadata) and folded
+    through the same per-archive step as {!Pipeline.analyze_archives}
+    ({!Pipeline.archive_partial}), so a missing, unreadable or
+    undisassemblable archive, or a shard metadata mismatch, is the
+    same rendered [Error].  A typed error ends the analysis like a
+    success does: the checkpoint file is deleted; only {!Interrupted}
+    leaves one behind. *)
 val analyze_archives :
   ?criteria:Criteria.t ->
   ?thresholds:Pipeline.thresholds ->

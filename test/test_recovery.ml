@@ -133,6 +133,46 @@ let test_checkpoint_roundtrip () =
     | Ok _ -> Alcotest.failf "truncation to %d bytes accepted" len
   done
 
+(* Lengths and counts read off disk are bounded by the bytes left: a
+   section length near max_int (whose sum with the read position
+   overflows) and an array count far beyond the data are typed errors,
+   never exceptions, even behind a valid CRC. *)
+let test_crafted_lengths () =
+  let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let framed magic version payloads =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf magic;
+    Buffer.add_uint8 buf version;
+    List.iter
+      (fun ints ->
+        let p = Buffer.create 64 in
+        List.iter (w_i64 p) ints;
+        let payload = Buffer.to_bytes p in
+        w_i64 buf (Bytes.length payload);
+        w_i64 buf (Hbbp_util.Crc32.bytes payload);
+        Buffer.add_bytes buf payload)
+      payloads;
+    Buffer.to_bytes buf
+  in
+  let overlong = Buffer.create 32 in
+  Buffer.add_string overlong "HBBPCKPT";
+  Buffer.add_uint8 overlong 1;
+  w_i64 overlong max_int;
+  w_i64 overlong 0;
+  (match Checkpoint.of_bytes (Buffer.to_bytes overlong) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "overlong checkpoint section accepted");
+  let static =
+    Hbbp_analyzer.Static.create_exn
+      (Perf_data.analysis_process (Lazy.force reference_archive))
+  in
+  let huge_count =
+    framed "HBBPPART" 2 [ [ 1; 1; 0; 0; 0; 0; 0 ]; [ 0; 1 lsl 40; 7 ] ]
+  in
+  match Pipeline.Partial.restore ~static huge_count with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "partial with a huge array count accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Manifest format                                                     *)
 
@@ -473,6 +513,57 @@ let test_v1_checkpoint_restarts () =
     (digest whole) (digest restarted);
   cleanup base paths
 
+(* A typed error ends a checkpointed analysis like a success: it names
+   the archive, and no checkpoint is left behind — even when archives
+   before the failing one were already checkpointed. *)
+let expect_error_without_checkpoint ~what ~prefix ~checkpoint result =
+  (match result with
+  | Ok _ -> Alcotest.failf "%s: expected an error" what
+  | Error msg ->
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: %S does not start with %S" what msg prefix);
+  checkb (what ^ ": no checkpoint left behind") false
+    (Sys.file_exists checkpoint)
+
+let test_missing_archive_is_typed () =
+  let base = fresh_base "missing" in
+  let ckpt = base ^ ".ckpt" in
+  let paths =
+    Perf_data.save_sharded (Lazy.force reference_archive) ~shards:2 ~path:base
+  in
+  let missing = base ^ ".missing" in
+  expect_error_without_checkpoint ~what:"missing after two shards"
+    ~prefix:(missing ^ ": ") ~checkpoint:ckpt
+    (Recover.analyze_archives ~checkpoint:ckpt (paths @ [ missing ]));
+  expect_error_without_checkpoint ~what:"missing, resumed"
+    ~prefix:(missing ^ ": ") ~checkpoint:ckpt
+    (Recover.analyze_archives ~resume:true ~checkpoint:ckpt [ missing ]);
+  cleanup base paths
+
+let test_undisassemblable_is_typed () =
+  let base = fresh_base "garbage" in
+  let ckpt = base ^ ".ckpt" in
+  let a = Lazy.force reference_archive in
+  let garbage (img : Hbbp_program.Image.t) =
+    Hbbp_program.Image.make ~name:img.name ~base:img.base
+      ~code:(Bytes.make (Bytes.length img.code) '\xff')
+      ~symbols:img.symbols ~ring:img.ring
+  in
+  let bad =
+    {
+      a with
+      Perf_data.analysis_images =
+        List.mapi
+          (fun k img -> if k = 0 then garbage img else img)
+          a.Perf_data.analysis_images;
+    }
+  in
+  Durable.write_bytes ~path:base (Perf_data.to_bytes bad);
+  expect_error_without_checkpoint ~what:"undisassemblable archive"
+    ~prefix:(base ^ ": disassembly error") ~checkpoint:ckpt
+    (Recover.analyze_archives ~checkpoint:ckpt [ base ]);
+  cleanup base []
+
 let () =
   Alcotest.run "recovery"
     [
@@ -489,6 +580,8 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "partial round-trip & corruption" `Quick
             test_partial_roundtrip;
+          Alcotest.test_case "crafted lengths are typed errors" `Quick
+            test_crafted_lengths;
         ] );
       ( "collect",
         [
@@ -507,5 +600,9 @@ let () =
             test_resume_carries_streams;
           Alcotest.test_case "version-1 checkpoint restarts cleanly" `Quick
             test_v1_checkpoint_restarts;
+          Alcotest.test_case "missing archive is a typed error" `Quick
+            test_missing_archive_is_typed;
+          Alcotest.test_case "undisassemblable image is a typed error" `Quick
+            test_undisassemblable_is_typed;
         ] );
     ]

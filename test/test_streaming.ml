@@ -316,7 +316,7 @@ let test_streaming_identity_every_workload () =
           check_same "3 shards merged" sharded))
     names archives
 
-let test_merge_reconstructions_matches_batch () =
+let test_partial_merge_matches_batch () =
   let archive, _, _ = Lazy.force fixture in
   with_tmp_file @@ fun path ->
   let shard_paths = Perf_data.save_sharded archive ~shards:3 ~path in
@@ -326,52 +326,42 @@ let test_merge_reconstructions_matches_batch () =
     (fun () ->
       match shard_paths with
       | [ p0; p1; p2 ] ->
-          (* Merging partials requires one shared static view, so build
-             both reconstructions over the same one (the documented
-             discipline for [merge_reconstructions]). *)
+          (* Merging partials requires one shared static view, so every
+             shard goes through the drivers' per-archive step over the
+             same one. *)
           let static =
-            Static.create_exn (Perf_data.analysis_process archive)
+            ok_or_fail "static" (Pipeline.archive_static path archive)
           in
           let partial_of paths =
-            let p =
-              Pipeline.Partial.create ~static
-                ~ebs_period:archive.Perf_data.ebs_period
-                ~lbr_period:archive.Perf_data.lbr_period ()
+            let parts =
+              List.map
+                (fun path ->
+                  ok_or_fail path
+                    (Result.bind (Pipeline.open_archive path)
+                       (Pipeline.archive_partial ~static ~meta:archive path)))
+                paths
             in
-            List.iter
-              (fun path ->
-                match Perf_data.Stream.open_file path with
-                | Error e ->
-                    Alcotest.failf "%s: %a" path Perf_data.pp_error e
-                | Ok s ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk ->
-                          Pipeline.Partial.feed p chunk;
-                          pump ()
-                      | None -> ()
-                    in
-                    pump ();
-                    Pipeline.Partial.note_faults p
-                      (Perf_data.Stream.ledger s);
-                    Perf_data.Stream.close s)
-              paths;
-            p
+            List.fold_left Pipeline.Partial.merge (List.hd parts)
+              (List.tl parts)
           in
           let head = Pipeline.finalize (partial_of [ p0 ]) in
           let tail = Pipeline.finalize (partial_of [ p1; p2 ]) in
-          let merged = Pipeline.merge_reconstructions head tail in
+          let merged =
+            Pipeline.finalize
+              (Pipeline.Partial.merge head.Pipeline.r_partial
+                 tail.Pipeline.r_partial)
+          in
           let _, all =
             ok_or_fail "all shards" (Pipeline.analyze_archives shard_paths)
           in
-          checkb "merge_reconstructions = one-shot shard analysis" true
+          checkb "Partial.merge + finalize = one-shot shard analysis" true
             (recon_equal merged all)
       | _ -> Alcotest.fail "expected exactly 3 shards")
 
 (* Bias contamination reads the stream set the partial accumulated, so
-   the entry points that never see the records twice — a chunk stream
-   without a replay, and merged per-shard reconstructions — contaminate
-   exactly as batch does.  [hello] is a workload whose bias detector
+   the paths that never see the records twice — a chunk stream without
+   a replay, and merged per-shard partials — contaminate exactly as
+   batch does.  [hello] is a workload whose bias detector
    flags branches. *)
 let test_contamination_without_replay () =
   let archive = Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello") in
@@ -387,27 +377,23 @@ let test_contamination_without_replay () =
     List.init k (fun j ->
         List.filteri (fun i _ -> i * k / n = j) xs)
   in
-  let pending = ref (split 37 records) in
-  let streamed =
-    Pipeline.reconstruct_stream ~static ~ebs_period ~lbr_period (fun () ->
-        match !pending with
-        | [] -> None
-        | chunk :: rest ->
-            pending := rest;
-            Some chunk)
-  in
-  checkb "reconstruct_stream without replay = reconstruct" true
-    (recon_equal batch streamed);
+  let p = Pipeline.Partial.create ~static ~ebs_period ~lbr_period () in
+  List.iter (Pipeline.Partial.feed p) (split 37 records);
+  checkb "Partial.feed per chunk without replay = reconstruct" true
+    (recon_equal batch (Pipeline.finalize p));
   let shards =
     List.map
-      (Pipeline.reconstruct ~static ~ebs_period ~lbr_period)
+      (fun shard ->
+        (Pipeline.reconstruct ~static ~ebs_period ~lbr_period shard)
+          .Pipeline.r_partial)
       (split 4 records)
   in
   let merged =
-    List.fold_left Pipeline.merge_reconstructions (List.hd shards)
-      (List.tl shards)
+    Pipeline.finalize
+      (List.fold_left Pipeline.Partial.merge (List.hd shards)
+         (List.tl shards))
   in
-  checkb "merge_reconstructions of shards = reconstruct" true
+  checkb "Partial.merge + finalize of shards = reconstruct" true
     (recon_equal batch merged)
 
 (* ------------------------------------------------------------------ *)
@@ -528,6 +514,47 @@ let test_fuzz_stream_bit_flip_every_byte () =
       done)
     [ 1; 2 ]
 
+(* The per-archive step renders every failure as an error naming the
+   archive, never an exception: a path that does not exist (first or
+   later), and a CRC-valid archive whose image bytes do not
+   disassemble. *)
+let expect_error ~what ~prefix = function
+  | Ok _ -> Alcotest.failf "%s: expected an error" what
+  | Error msg ->
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: %S does not start with %S" what msg prefix
+
+let undisassemblable (a : Perf_data.t) =
+  let garbage (img : Image.t) =
+    Image.make ~name:img.name ~base:img.base
+      ~code:(Bytes.make (Bytes.length img.code) '\xff')
+      ~symbols:img.symbols ~ring:img.ring
+  in
+  {
+    a with
+    Perf_data.analysis_images =
+      List.mapi
+        (fun k img -> if k = 0 then garbage img else img)
+        a.Perf_data.analysis_images;
+  }
+
+let test_missing_archive_is_typed () =
+  with_tmp_file @@ fun path ->
+  Perf_data.save (tiny_archive ()) ~path;
+  let missing = path ^ ".missing" in
+  List.iter
+    (fun paths ->
+      expect_error ~what:"missing archive" ~prefix:(missing ^ ": ")
+        (Pipeline.analyze_archives paths))
+    [ [ missing ]; [ path; missing ] ]
+
+let test_undisassemblable_is_typed () =
+  with_tmp_file @@ fun path ->
+  write_file path (Perf_data.to_bytes (undisassemblable (tiny_archive ())));
+  expect_error ~what:"undisassemblable archive"
+    ~prefix:(path ^ ": disassembly error")
+    (Pipeline.analyze_archives [ path ])
+
 (* ------------------------------------------------------------------ *)
 (* keep_records opt-in and sharded writing                             *)
 
@@ -627,8 +654,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_ebs_merge_shard_split;
           QCheck_alcotest.to_alcotest prop_lbr_merge_shard_split;
           QCheck_alcotest.to_alcotest prop_bbec_merge_laws;
-          Alcotest.test_case "merge_reconstructions = one-shot" `Quick
-            test_merge_reconstructions_matches_batch;
+          Alcotest.test_case "Partial.merge + finalize = one-shot" `Quick
+            test_partial_merge_matches_batch;
           Alcotest.test_case "contamination without a replay" `Quick
             test_contamination_without_replay;
         ] );
@@ -643,6 +670,10 @@ let () =
             test_fuzz_stream_truncation_every_offset;
           Alcotest.test_case "bit flip at every byte" `Slow
             test_fuzz_stream_bit_flip_every_byte;
+          Alcotest.test_case "missing archive is a typed error" `Quick
+            test_missing_archive_is_typed;
+          Alcotest.test_case "undisassemblable image is a typed error" `Quick
+            test_undisassemblable_is_typed;
         ] );
       ( "records",
         [
