@@ -26,6 +26,7 @@ module Pool = Hbbp_util.Domain_pool
 module Trace = Hbbp_telemetry.Trace
 module Metrics = Hbbp_telemetry.Metrics
 module Runtime_profiler = Hbbp_telemetry.Runtime_profiler
+module Json = Hbbp_telemetry.Json
 
 let now = Unix.gettimeofday
 
@@ -324,19 +325,6 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (r : report) =
   let buf = Buffer.create 1024 in
   let run_json (jr : jobs_run) =
@@ -357,14 +345,14 @@ let to_json (r : report) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"sampler\":\"%s\",\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
-       (escape r.rep_workload) r.rep_shards r.rep_records
-       (escape r.rep_sampler) r.rep_consistent r.rep_degraded
+       (Json.escape r.rep_workload) r.rep_shards r.rep_records
+       (Json.escape r.rep_sampler) r.rep_consistent r.rep_degraded
        (String.concat "," (List.map run_json r.rep_runs))
        (String.concat ","
           (List.map
              (fun s ->
                Printf.sprintf "{\"span\":\"%s\",\"words\":%d}"
-                 (escape s.site_span) s.site_words)
+                 (Json.escape s.site_span) s.site_words)
              r.rep_alloc_sites)));
   Buffer.contents buf
 

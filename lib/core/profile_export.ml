@@ -1,23 +1,8 @@
 open Hbbp_program
 open Hbbp_analyzer
+module Json = Hbbp_telemetry.Json
 
 let schema_version = 1
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Finite floats only; counts are sums of finite samples, but guard the
    serialization anyway — NaN/inf would produce invalid JSON. *)
@@ -94,10 +79,10 @@ let to_json ?(workload = "") ?repair static (bbec : Bbec.t) =
   add "{\n";
   add (Printf.sprintf "  \"schema_version\": %d,\n" schema_version);
   add "  \"format\": \"hbbp-pgo\",\n";
-  add (Printf.sprintf "  \"workload\": \"%s\",\n" (json_escape workload));
+  add (Printf.sprintf "  \"workload\": \"%s\",\n" (Json.escape workload));
   add
     (Printf.sprintf "  \"method\": \"%s\",\n"
-       (json_escape (Bbec.method_to_string bbec.Bbec.method_)));
+       (Json.escape (Bbec.method_to_string bbec.Bbec.method_)));
   add (Printf.sprintf "  \"total_flow\": %s,\n" (flt !total_flow));
   (match repair with
   | None -> add "  \"repair\": null,\n"
@@ -136,10 +121,10 @@ let to_json ?(workload = "") ?repair static (bbec : Bbec.t) =
       if i > 0 then add ",";
       add "\n    {\n";
       add
-        (Printf.sprintf "      \"name\": \"%s\",\n" (json_escape fn.fn_name));
+        (Printf.sprintf "      \"name\": \"%s\",\n" (Json.escape fn.fn_name));
       add
         (Printf.sprintf "      \"image\": \"%s\",\n"
-           (json_escape fn.fn_image));
+           (Json.escape fn.fn_image));
       add (Printf.sprintf "      \"ring\": \"%s\",\n" fn.fn_ring);
       add (Printf.sprintf "      \"entry_address\": %d,\n" fn.fn_entry);
       add

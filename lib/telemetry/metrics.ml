@@ -153,19 +153,6 @@ let snapshot () =
 
 let find snapshot name = List.assoc_opt name snapshot
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* %.17g round-trips floats; %g keeps integers readable. *)
 let json_float v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -180,7 +167,7 @@ let json_object snapshot =
   List.iteri
     (fun k (name, v) ->
       if k > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (escape name));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape name));
       match v with
       | Counter n ->
           Buffer.add_string buf

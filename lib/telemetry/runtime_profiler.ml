@@ -159,7 +159,6 @@ let probe_close ~name:_ ~cat:_ =
 type sampler_mode = Sampler_off | Sampler_memprof | Sampler_words
 
 let sampler = ref Sampler_off
-let sampler_mode () = !sampler
 
 let sampler_mode_name = function
   | Sampler_off -> "off"
@@ -229,7 +228,3 @@ let disable () =
     disarm_sampler ();
     Atomic.set enabled_flag false
   end
-
-(* Point-in-time GC reading, independent of span boundaries — the
-   doctor uses it to bracket whole analysis runs. *)
-let current_stat () = Gc.quick_stat ()

@@ -51,9 +51,4 @@ type sampler_mode =
 val arm_sampler : ?sampling_rate:float -> unit -> sampler_mode
 
 val disarm_sampler : unit -> unit
-val sampler_mode : unit -> sampler_mode
 val sampler_mode_name : sampler_mode -> string
-
-(** A point-in-time [Gc.quick_stat], for bracketing whole runs (the
-    doctor's per-domain GC deltas). *)
-val current_stat : unit -> Gc.stat

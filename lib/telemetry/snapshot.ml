@@ -8,12 +8,7 @@
    stage spans give long runs a steady pulse.  A snapshot is emitted
    when either [every_spans] closes have accumulated or [interval_s]
    wall-clock has passed since the last emission, whichever comes
-   first.
-
-   Every line carries a monotonic sequence number; the last [retention]
-   lines are also kept in an in-memory ring ({!recent}) — the live
-   status a future [hbbp serve] endpoint reads without touching the
-   file. *)
+   first.  Every line carries a gap-free monotonic sequence number. *)
 
 type t = {
   oc : out_channel;
@@ -28,19 +23,12 @@ type t = {
   mutable closed : int;
   mutable spans_since : int;
   mutable last_emit : float;
-  (* Ring of the last [retention] emitted lines, newest at
-     [(seq - 1) mod retention]. *)
-  ring : string option array;
   lock : Mutex.t;
 }
 
 let state : t option ref = ref None
 
 let active () = !state <> None
-
-let default_every_spans = 64
-let default_interval_s = 1.0
-let default_retention = 128
 
 let now = Unix.gettimeofday
 
@@ -55,7 +43,6 @@ let render t =
 
 let emit_locked t =
   let line = render t in
-  t.ring.(t.seq mod Array.length t.ring) <- Some line;
   t.seq <- t.seq + 1;
   t.spans_since <- 0;
   t.last_emit <- now ();
@@ -64,18 +51,9 @@ let emit_locked t =
   output_string t.oc (line ^ "\n");
   flush t.oc
 
-let emit_now () =
-  match !state with
-  | None -> ()
-  | Some t ->
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> emit_locked t)
-
 (* Span-close tick: cheap count-and-compare; the full snapshot price is
    paid only on emission.  Ticks arrive from every domain — the mutex
-   serializes emission and ring updates. *)
+   serializes emission. *)
 let tick () =
   match !state with
   | None -> ()
@@ -91,13 +69,9 @@ let tick () =
             || now () -. t.last_emit >= t.interval_s
           then emit_locked t)
 
-let configure ?(every_spans = default_every_spans)
-    ?(interval_s = default_interval_s) ?(retention = default_retention) ~path
-    () =
+let configure ?(every_spans = 64) ?(interval_s = 1.0) ~path () =
   if every_spans < 1 then
     invalid_arg "Snapshot.configure: every_spans must be at least 1";
-  if retention < 1 then
-    invalid_arg "Snapshot.configure: retention must be at least 1";
   (match !state with
   | Some t ->
       (* Reconfigure: close the previous stream first. *)
@@ -117,7 +91,6 @@ let configure ?(every_spans = default_every_spans)
       closed = 0;
       spans_since = 0;
       last_emit = now ();
-      ring = Array.make retention None;
       lock = Mutex.create ();
     }
   in
@@ -127,22 +100,6 @@ let configure ?(every_spans = default_every_spans)
 
 let seq () = match !state with None -> 0 | Some t -> t.seq
 let path () = Option.map (fun t -> t.path) !state
-
-let recent () =
-  match !state with
-  | None -> []
-  | Some t ->
-      Mutex.lock t.lock;
-      let n = Array.length t.ring in
-      let lines = ref [] in
-      (* Oldest retained first: seq - retention .. seq - 1. *)
-      for s = max 0 (t.seq - n) to t.seq - 1 do
-        match t.ring.(s mod n) with
-        | Some line -> lines := (s, line) :: !lines
-        | None -> ()
-      done;
-      Mutex.unlock t.lock;
-      List.rev !lines
 
 (* Final snapshot + teardown.  Idempotent. *)
 let finalize () =

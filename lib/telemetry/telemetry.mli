@@ -25,8 +25,6 @@ val configure :
   ?trace:string ->
   ?metrics:metrics_format ->
   ?metrics_stream:string ->
-  ?stream_every_spans:int ->
-  ?stream_interval_s:float ->
   ?runtime_profile:bool ->
   ?alloc_sample:bool ->
   unit ->

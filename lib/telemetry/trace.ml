@@ -84,11 +84,6 @@ let rec now () =
 
 let now_us () = (now () -. Atomic.get epoch) *. 1e6
 
-(* Convert an absolute [Unix.gettimeofday] second count into trace
-   microseconds, for events recorded outside a span (e.g. the pool's
-   task timeline replayed at shutdown). *)
-let us_of_abs t = (t -. Atomic.get epoch) *. 1e6
-
 (* Per-domain buffer.  Only its owner domain appends; [reset] is the
    lone cross-domain write and is documented quiescent-only.  Each span
    carries a per-track sequence number taken when it {e opens}, so spans
@@ -160,23 +155,21 @@ let reset () =
     !buffers;
   Mutex.unlock registry_lock
 
-let counter ?ts_us name values =
+let counter name values =
   if Atomic.get mode land trace_bit <> 0 then begin
     let b = Domain.DLS.get key in
-    let ts = match ts_us with Some t -> t | None -> now_us () in
     b.events_rev <-
-      Counter { e_name = name; e_track = b.track; e_ts_us = ts;
+      Counter { e_name = name; e_track = b.track; e_ts_us = now_us ();
                 e_values = values }
       :: b.events_rev
   end
 
-let instant ?(cat = "hbbp") ?(args = []) ?ts_us name =
+let instant ?(cat = "hbbp") ?(args = []) name =
   if Atomic.get mode land trace_bit <> 0 then begin
     let b = Domain.DLS.get key in
-    let ts = match ts_us with Some t -> t | None -> now_us () in
     b.events_rev <-
-      Instant { e_name = name; e_cat = cat; e_track = b.track; e_ts_us = ts;
-                e_args = args }
+      Instant { e_name = name; e_cat = cat; e_track = b.track;
+                e_ts_us = now_us (); e_args = args }
       :: b.events_rev
   end
 
@@ -259,28 +252,13 @@ let event_count () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf "{";
   List.iteri
     (fun k (key, v) ->
       if k > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (escape key) (escape v)))
+      Buffer.add_string buf
+        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape key) (Json.escape v)))
     args;
   Buffer.add_string buf "}"
 
@@ -310,7 +288,8 @@ let export () =
       Buffer.add_string buf
         (Printf.sprintf
            ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":"
-           (escape s.name) (escape s.cat) s.start_us s.dur_us s.track);
+           (Json.escape s.name) (Json.escape s.cat) s.start_us s.dur_us
+           s.track);
       add_args buf s.args;
       Buffer.add_string buf "}")
     all;
@@ -321,19 +300,19 @@ let export () =
           Buffer.add_string buf
             (Printf.sprintf
                ",{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-               (escape e_name) e_ts_us e_track);
+               (Json.escape e_name) e_ts_us e_track);
           List.iteri
             (fun k (key, v) ->
               if k > 0 then Buffer.add_string buf ",";
               Buffer.add_string buf
-                (Printf.sprintf "\"%s\":%.3f" (escape key) v))
+                (Printf.sprintf "\"%s\":%.3f" (Json.escape key) v))
             e_values;
           Buffer.add_string buf "}}"
       | Instant { e_name; e_cat; e_track; e_ts_us; e_args } ->
           Buffer.add_string buf
             (Printf.sprintf
                ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":"
-               (escape e_name) (escape e_cat) e_ts_us e_track);
+               (Json.escape e_name) (Json.escape e_cat) e_ts_us e_track);
           add_args buf e_args;
           Buffer.add_string buf "}")
     evs;

@@ -69,15 +69,12 @@ val with_span :
 
 (** [counter name values] — record one sample of the named counter
     track ([values] are series-name/value pairs plotted together).
-    No-op unless tracing is enabled.  [ts_us] overrides the timestamp
-    (trace microseconds, see {!us_of_abs}) for retroactive samples. *)
-val counter : ?ts_us:float -> string -> (string * float) list -> unit
+    No-op unless tracing is enabled. *)
+val counter : string -> (string * float) list -> unit
 
 (** [instant name] — record an instant marker (thread scope).  No-op
     unless tracing is enabled. *)
-val instant :
-  ?cat:string -> ?args:(string * string) list -> ?ts_us:float -> string ->
-  unit
+val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 
 (** Innermost span currently open on {e this} domain, if any — the
     attribution target for sampled allocations. *)
@@ -114,10 +111,6 @@ val span_count : unit -> int
 val events : unit -> event list
 
 val event_count : unit -> int
-
-(** Convert an absolute [Unix.gettimeofday] time to trace microseconds
-    (for [?ts_us] on retroactively recorded events). *)
-val us_of_abs : float -> float
 
 (** The full Chrome [trace_event] JSON document ([{"traceEvents": ...}]
     with complete-"X" events, counter-"C" and instant-"i" events, plus

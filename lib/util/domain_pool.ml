@@ -11,58 +11,11 @@ let default_jobs () =
 
 let now = Unix.gettimeofday
 
-(* ------------------------------------------------------------------ *)
-(* Cancellation tokens                                                 *)
-
-module Token = struct
-  type t = {
-    flag : bool Atomic.t;
-    deadline : float option;  (* absolute gettimeofday, from create *)
-    started : float;
-  }
-
-  exception Cancelled
-
-  let create ?deadline_s () =
-    let started = now () in
-    {
-      flag = Atomic.make false;
-      deadline = Option.map (fun d -> started +. d) deadline_s;
-      started;
-    }
-
-  let cancel t = Atomic.set t.flag true
-
-  let cancelled t =
-    Atomic.get t.flag
-    || match t.deadline with Some d -> now () > d | None -> false
-
-  let check t = if cancelled t then raise Cancelled
-  let elapsed_s t = now () -. t.started
-end
-
-exception Timeout of { index : int; elapsed_s : float }
-
-let () =
-  Printexc.register_printer (function
-    | Timeout { index; elapsed_s } ->
-        Some
-          (Printf.sprintf "Domain_pool.Timeout(index=%d, elapsed_s=%.3f)"
-             index elapsed_s)
-    | _ -> None)
-
 type worker_stats = { tasks : int; busy_s : float; wait_s : float }
 
 let utilization (s : worker_stats) =
   let total = s.busy_s +. s.wait_s in
   if total <= 0.0 then 0.0 else s.busy_s /. total
-
-type worker_timeline = { intervals : (float * float) array; dropped : int }
-
-(* Newest [timeline_capacity] task intervals are kept per worker; older
-   ones are counted in [dropped].  4096 tasks ≈ tens of full bench
-   sweeps — big enough that a drop means a genuinely task-stormy run. *)
-let timeline_capacity = 4096
 
 (* One accounting cell per worker (cell 0 doubles as the caller's cell
    on the single-job sequential path).  Workers update their own cell
@@ -71,19 +24,7 @@ type cell = {
   mutable c_tasks : int;
   mutable c_busy_s : float;
   mutable c_wait_s : float;
-  (* Ring of (start, stop) gettimeofday pairs, oldest overwritten. *)
-  t_ring : (float * float) array;
-  mutable t_next : int;
-  mutable t_len : int;
-  mutable t_dropped : int;
 }
-
-(* Under the pool lock, alongside the busy/tasks update. *)
-let note_interval cell ~t0 ~t1 =
-  cell.t_ring.(cell.t_next) <- (t0, t1);
-  cell.t_next <- (cell.t_next + 1) mod timeline_capacity;
-  if cell.t_len < timeline_capacity then cell.t_len <- cell.t_len + 1
-  else cell.t_dropped <- cell.t_dropped + 1
 
 type t = {
   n_jobs : int;
@@ -124,7 +65,6 @@ let worker pool idx =
         Mutex.lock pool.lock;
         cell.c_tasks <- cell.c_tasks + 1;
         cell.c_busy_s <- cell.c_busy_s +. (t1 -. t0);
-        note_interval cell ~t0 ~t1;
         Mutex.unlock pool.lock;
         complete ();
         next ()
@@ -153,15 +93,7 @@ let create ?jobs () =
       workers = [];
       cells =
         Array.init n_jobs (fun _ ->
-            {
-              c_tasks = 0;
-              c_busy_s = 0.0;
-              c_wait_s = 0.0;
-              t_ring = Array.make timeline_capacity (0.0, 0.0);
-              t_next = 0;
-              t_len = 0;
-              t_dropped = 0;
-            });
+            { c_tasks = 0; c_busy_s = 0.0; c_wait_s = 0.0 });
     }
   in
   if n_jobs > 1 then
@@ -179,69 +111,55 @@ let stats pool =
   Mutex.unlock pool.lock;
   out
 
-let timeline pool =
-  Mutex.lock pool.lock;
-  let out =
-    Array.map
-      (fun c ->
-        (* Chronological: the ring's oldest entry sits at [t_next] once
-           it has wrapped, at 0 before. *)
-        let first =
-          if c.t_len < timeline_capacity then 0 else c.t_next
-        in
-        {
-          intervals =
-            Array.init c.t_len (fun k ->
-                c.t_ring.((first + k) mod timeline_capacity));
-          dropped = c.t_dropped;
-        })
-      pool.cells
-  in
-  Mutex.unlock pool.lock;
-  out
+(* Serializes the read-add-set of the time gauges when two pools shut
+   down at once. *)
+let fold_lock = Mutex.create ()
 
 (* Fold the pool's lifetime accounting into the metrics registry —
-   called once, by the first [shutdown]. *)
+   called once, by the first [shutdown].  Counters and time gauges both
+   accumulate, so after several pools every [pool.*] metric covers all
+   of them, and each utilization is recomputed from the summed times. *)
 let emit_metrics pool =
   if Metrics.enabled () then begin
     let all = stats pool in
-    let tasks = Array.fold_left (fun acc s -> acc + s.tasks) 0 all in
-    let busy = Array.fold_left (fun acc s -> acc +. s.busy_s) 0.0 all in
-    let wait = Array.fold_left (fun acc s -> acc +. s.wait_s) 0.0 all in
-    Metrics.add (Metrics.counter "pool.tasks") tasks;
-    Metrics.set
-      (Metrics.gauge "pool.utilization")
-      (if busy +. wait <= 0.0 then 0.0 else busy /. (busy +. wait));
+    Mutex.lock fold_lock;
+    Metrics.add
+      (Metrics.counter "pool.tasks")
+      (Array.fold_left (fun acc s -> acc + s.tasks) 0 all);
     Array.iteri
       (fun k s ->
         let name part = Printf.sprintf "pool.domain%d.%s" k part in
+        let accumulate part v =
+          let g = Metrics.gauge (name part) in
+          let total = Metrics.gauge_value g +. v in
+          Metrics.set g total;
+          total
+        in
         Metrics.add (Metrics.counter (name "tasks")) s.tasks;
-        Metrics.set (Metrics.gauge (name "busy_s")) s.busy_s;
-        Metrics.set (Metrics.gauge (name "wait_s")) s.wait_s;
-        Metrics.set (Metrics.gauge (name "utilization")) (utilization s))
-      all
+        let busy_s = accumulate "busy_s" s.busy_s in
+        let wait_s = accumulate "wait_s" s.wait_s in
+        Metrics.set
+          (Metrics.gauge (name "utilization"))
+          (utilization { tasks = 0; busy_s; wait_s }))
+      all;
+    (* The registry holds every domain slot any pool has used. *)
+    let sum suffix =
+      List.fold_left
+        (fun acc (n, v) ->
+          match v with
+          | Metrics.Gauge g
+            when String.starts_with ~prefix:"pool.domain" n
+                 && String.ends_with ~suffix n ->
+              acc +. g
+          | _ -> acc)
+        0.0 (Metrics.snapshot ())
+    in
+    Metrics.set
+      (Metrics.gauge "pool.utilization")
+      (utilization
+         { tasks = 0; busy_s = sum ".busy_s"; wait_s = sum ".wait_s" });
+    Mutex.unlock fold_lock
   end
-
-(* Replay each worker's retained task intervals as a 0/1 "busy" counter
-   track, so Perfetto shows the pool's occupancy as square waves aligned
-   with the pipeline spans.  Counter tracks are keyed by name, so each
-   worker gets its own; timestamps come from the recorded wall-clock
-   pairs, not from emission time. *)
-let emit_timeline pool =
-  if Trace.enabled () then
-    Array.iteri
-      (fun k (tl : worker_timeline) ->
-        let name = Printf.sprintf "pool.worker%d.busy" k in
-        Array.iter
-          (fun (t0, t1) ->
-            Trace.counter ~ts_us:(Trace.us_of_abs t0) name [ ("busy", 1.0) ];
-            Trace.counter ~ts_us:(Trace.us_of_abs t1) name [ ("busy", 0.0) ])
-          tl.intervals;
-        if tl.dropped > 0 && Metrics.enabled () then
-          Metrics.add
-            (Metrics.counter (Printf.sprintf "pool.domain%d.timeline_dropped" k))
-            tl.dropped)
-      (timeline pool)
 
 let shutdown pool =
   Mutex.lock pool.lock;
@@ -252,15 +170,13 @@ let shutdown pool =
     Mutex.unlock pool.lock;
     List.iter Domain.join pool.workers;
     pool.workers <- [];
-    emit_metrics pool;
-    emit_timeline pool
+    emit_metrics pool
   end
 
-(* The shared fan-out engine: [apply k x] runs task [k].  Both the
-   plain and the supervised map go through here, so the lowest-index
-   exception law holds identically for ordinary failures and typed
-   timeouts. *)
-let map_core pool apply xs =
+(* Every task runs inside a [pool]/[task] span: the trace's record of
+   when each worker was busy. *)
+let map_core pool f xs =
+  let apply x = Trace.with_span ~cat:"pool" "task" (fun () -> f x) in
   let n = Array.length xs in
   if pool.closed then invalid_arg "Domain_pool: pool is shut down";
   if n = 0 then [||]
@@ -270,14 +186,12 @@ let map_core pool apply xs =
        The first exception propagates immediately — which is the
        lowest-indexed one, since tasks run in order. *)
     let cell = pool.cells.(0) in
-    Array.mapi
-      (fun k x ->
+    Array.map
+      (fun x ->
         let t0 = now () in
-        let v = apply k x in
-        let t1 = now () in
+        let v = apply x in
         cell.c_tasks <- cell.c_tasks + 1;
-        cell.c_busy_s <- cell.c_busy_s +. (t1 -. t0);
-        note_interval cell ~t0 ~t1;
+        cell.c_busy_s <- cell.c_busy_s +. (now () -. t0);
         v)
       xs
   end
@@ -288,7 +202,7 @@ let map_core pool apply xs =
     let done_lock = Mutex.create () in
     let all_done = Condition.create () in
     let task k () =
-      (match apply k xs.(k) with
+      (match apply xs.(k) with
       | v ->
           Mutex.lock done_lock;
           results.(k) <- Some v;
@@ -325,101 +239,7 @@ let map_core pool apply xs =
         Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_array pool f xs =
-  map_core pool
-    (fun _ x -> Trace.with_span ~cat:"pool" "task" (fun () -> f x))
-    xs
-
-let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
-
-(* ------------------------------------------------------------------ *)
-(* Supervised map: per-task deadlines, cooperative cancellation, a
-   watchdog for workers that stop cooperating.                         *)
-
-(* Watchdog view of one in-flight task.  The mutable fields are only
-   ever written by the watchdog domain itself; workers publish/retract
-   whole slots through the enclosing Atomic. *)
-type supervision_slot = {
-  s_tok : Token.t;
-  mutable s_cancelled_at : float;
-  mutable s_flagged : bool;
-}
-
-let watchdog_loop slots ~interval_s ~stop =
-  let grace = 2.0 *. interval_s in
-  while not (Atomic.get stop) do
-    Unix.sleepf interval_s;
-    Array.iter
-      (fun cell ->
-        match Atomic.get cell with
-        | None -> ()
-        | Some s ->
-            if Token.cancelled s.s_tok then begin
-              if s.s_cancelled_at = 0.0 then begin
-                (* Past deadline: make the cancellation explicit so
-                   chunk-boundary checks fire even if the task's own
-                   clock reads lag. *)
-                Token.cancel s.s_tok;
-                s.s_cancelled_at <- now ()
-              end
-              else if (not s.s_flagged) && now () -. s.s_cancelled_at > grace
-              then begin
-                (* Cancelled a while ago and still running: the worker
-                   is not reaching its chunk boundaries. *)
-                s.s_flagged <- true;
-                Metrics.add (Metrics.counter "pool.watchdog_stuck") 1
-              end
-            end)
-      slots
-  done
-
-let default_watchdog_interval deadline_s =
-  Float.max 0.001 (Float.min 0.25 (deadline_s /. 4.0))
-
-let map_supervised_array pool ?deadline_s ?watchdog_interval_s f xs =
-  let n = Array.length xs in
-  let slots = Array.init n (fun _ -> Atomic.make None) in
-  let watchdog =
-    match deadline_s with
-    | Some d when pool.n_jobs > 1 && n > 0 ->
-        let interval_s =
-          match watchdog_interval_s with
-          | Some i -> Float.max 0.001 i
-          | None -> default_watchdog_interval d
-        in
-        let stop = Atomic.make false in
-        let dom = Domain.spawn (fun () -> watchdog_loop slots ~interval_s ~stop) in
-        Some (stop, dom)
-    | _ -> None
-  in
-  let apply k x =
-    let tok = Token.create ?deadline_s () in
-    Atomic.set slots.(k)
-      (Some { s_tok = tok; s_cancelled_at = 0.0; s_flagged = false });
-    Fun.protect
-      ~finally:(fun () -> Atomic.set slots.(k) None)
-      (fun () ->
-        try Trace.with_span ~cat:"pool" "task" (fun () -> f tok x)
-        with Token.Cancelled ->
-          Metrics.add (Metrics.counter "pool.timeouts") 1;
-          raise (Timeout { index = k; elapsed_s = Token.elapsed_s tok }))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match watchdog with
-      | Some (stop, dom) ->
-          Atomic.set stop true;
-          Domain.join dom
-      | None -> ())
-    (fun () -> map_core pool apply xs)
-
-let map_supervised pool ?deadline_s ?watchdog_interval_s f xs =
-  Array.to_list
-    (map_supervised_array pool ?deadline_s ?watchdog_interval_s f
-       (Array.of_list xs))
-
-let map_reduce pool ~map:f ~fold ~init xs =
-  List.fold_left fold init (map pool f xs)
+let map pool f xs = Array.to_list (map_core pool f (Array.of_list xs))
 
 let with_pool ?jobs f =
   let pool = create ?jobs () in

@@ -1,10 +1,13 @@
 (** A fixed-size pool of OCaml 5 domains with a shared work queue.
 
-    The pool exists to fan independent, deterministic tasks out over
-    cores: profiling runs, training-set construction, bench sweeps.
-    Tasks must not share mutable state — each closure owns everything it
-    touches — which is what makes results identical regardless of the
-    job count.
+    The pool has one job: {!map} over independent, deterministic tasks
+    — workloads, shards, bench sweeps.  Tasks must not share mutable
+    state — each closure owns everything it touches — which is what
+    makes results identical regardless of the job count.
+
+    Every task runs inside a [pool]/[task] trace span, which is the
+    trace's record of when each worker was busy; {!stats} keeps the
+    same accounting as numbers.
 
     A pool with [jobs = 1] spawns no domains at all: every [map] runs
     sequentially in the calling domain — a plain [List.map] plus the
@@ -17,34 +20,6 @@
 (** [default_jobs ()] — the [HBBP_JOBS] environment variable when set to
     a positive integer, otherwise {!Domain.recommended_domain_count}. *)
 val default_jobs : unit -> int
-
-(** Cooperative cancellation.  A token is handed to each supervised
-    task; long-running work calls {!Token.check} at chunk boundaries
-    and unwinds via {!Token.Cancelled} when the task was cancelled or
-    overran its deadline.  Checks are two atomic/clock reads — cheap
-    enough for per-chunk use. *)
-module Token : sig
-  type t
-
-  exception Cancelled
-
-  (** [create ?deadline_s ()] — a live token; with [deadline_s] it
-      auto-cancels that many seconds after creation. *)
-  val create : ?deadline_s:float -> unit -> t
-
-  val cancel : t -> unit
-  val cancelled : t -> bool
-
-  (** Raise {!Cancelled} if {!cancelled}. *)
-  val check : t -> unit
-
-  (** Seconds since [create]. *)
-  val elapsed_s : t -> float
-end
-
-(** A supervised task overran its deadline (raised in the caller by
-    {!map_supervised}, for the lowest-indexed timed-out task). *)
-exception Timeout of { index : int; elapsed_s : float }
 
 type t
 
@@ -69,24 +44,11 @@ val jobs : t -> int
     (length {!jobs}).  Safe to call at any time; a consistent snapshot
     is taken under the pool lock.  When metrics are enabled
     ({!Hbbp_telemetry.Metrics.enabled}), {!shutdown} also folds these
-    numbers into the registry as [pool.tasks], [pool.utilization] and
-    per-domain [pool.domain<k>.*] metrics. *)
+    numbers into the registry: [pool.tasks], [pool.utilization] and
+    per-domain [pool.domain<k>.{tasks,busy_s,wait_s,utilization}].
+    Every metric accumulates over all pools shut down while metrics
+    are on; the utilizations are recomputed from the summed times. *)
 val stats : t -> worker_stats array
-
-(** The newest {!timeline_capacity} task intervals of one worker,
-    oldest first, as absolute [Unix.gettimeofday] (start, stop) pairs;
-    [dropped] counts older intervals the ring has forgotten. *)
-type worker_timeline = { intervals : (float * float) array; dropped : int }
-
-val timeline_capacity : int
-
-(** [timeline pool] — per-worker task timelines, indexed like {!stats}
-    (the sequential path records into slot 0).  A consistent snapshot
-    under the pool lock.  When tracing is enabled, {!shutdown} replays
-    these intervals into the trace as per-worker [pool.worker<k>.busy]
-    0/1 counter tracks — the pool's occupancy rendered as square waves
-    aligned with the pipeline spans. *)
-val timeline : t -> worker_timeline array
 
 (** [map pool f xs] — apply [f] to every element, in parallel across the
     pool's workers, returning results in input order.  If one or more
@@ -94,46 +56,6 @@ val timeline : t -> worker_timeline array
     element is re-raised in the caller (with its backtrace) after all
     tasks have settled, so the failure surfaced is deterministic. *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [map_supervised pool ?deadline_s ?watchdog_interval_s f xs] —
-    {!map}, but each task receives a fresh {!Token.t} (deadline
-    [deadline_s] from task start) and is expected to {!Token.check} it
-    at chunk boundaries.  A task that unwinds via {!Token.Cancelled}
-    surfaces as {!Timeout} — subject to the same lowest-index law as
-    ordinary exceptions, and counted in the [pool.timeouts] metric.
-
-    With more than one job and a deadline, a watchdog domain polls the
-    in-flight tokens every [watchdog_interval_s] (default
-    [deadline_s / 4], clamped to [1ms, 250ms]): it force-cancels
-    overrunning tasks and counts workers that still haven't unwound
-    two intervals later in [pool.watchdog_stuck] — the signature of a
-    task that stopped reaching its chunk boundaries.  The watchdog
-    never kills a domain (OCaml offers no safe preemption); it makes
-    the hang visible instead of silent. *)
-val map_supervised :
-  t ->
-  ?deadline_s:float ->
-  ?watchdog_interval_s:float ->
-  (Token.t -> 'a -> 'b) ->
-  'a list ->
-  'b list
-
-val map_supervised_array :
-  t ->
-  ?deadline_s:float ->
-  ?watchdog_interval_s:float ->
-  (Token.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map_reduce pool ~map ~fold ~init xs] — parallel map, then a
-    sequential in-order fold in the calling domain (deterministic for
-    non-commutative folds). *)
-val map_reduce :
-  t -> map:('a -> 'b) -> fold:('acc -> 'b -> 'acc) -> init:'acc -> 'a list ->
-  'acc
 
 (** [shutdown pool] — drain and join the workers.  Idempotent.  Using
     the pool afterwards raises [Invalid_argument]. *)

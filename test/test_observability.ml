@@ -1,6 +1,6 @@
 (* Tests for the observability additions: the continuous JSONL metric
-   stream (Snapshot), the health rollup (Health), per-worker pool
-   timelines, and the doctor's parallel-efficiency attribution. *)
+   stream (Snapshot), the health rollup (Health), the pool's task spans,
+   and the doctor's parallel-efficiency attribution. *)
 
 open Hbbp_core
 module Trace = Hbbp_telemetry.Trace
@@ -39,12 +39,12 @@ let starts_with ~prefix s = String.starts_with ~prefix s
 (* ------------------------------------------------------------------ *)
 (* Snapshot stream                                                     *)
 
-let test_stream_seq_and_retention () =
+let test_stream_seq () =
   let path = Filename.temp_file "hbbp-test-stream" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Snapshot.configure ~every_spans:1 ~retention:4 ~path ();
+      Snapshot.configure ~every_spans:1 ~path ();
       checkb "stream active" true (Snapshot.active ());
       checks "path reported" path (Option.get (Snapshot.path ()));
       checkb "configure enabled metrics" true (Metrics.enabled ());
@@ -56,17 +56,6 @@ let test_stream_seq_and_retention () =
       done;
       checki "one line per span at every_spans=1" 6 (Snapshot.seq ());
       checki "no spans recorded" 0 (Trace.span_count ());
-      (* The ring retains only the newest [retention] lines. *)
-      let recent = Snapshot.recent () in
-      checki "ring bounded by retention" 4 (List.length recent);
-      Alcotest.(check (list int))
-        "ring holds the newest seqs, oldest first" [ 2; 3; 4; 5 ]
-        (List.map fst recent);
-      List.iter
-        (fun (s, line) ->
-          checkb "line carries its seq" true
-            (starts_with ~prefix:(Printf.sprintf "{\"seq\":%d," s) line))
-        recent;
       Snapshot.finalize ();
       checkb "inactive after finalize" false (Snapshot.active ());
       (* File holds every line (6 ticks + the final flush), seq gap-free
@@ -121,11 +110,8 @@ let test_stream_reconfigure () =
       checki "second stream has tick + final" 2 (List.length (read_lines p2)))
 
 let test_stream_rejects_bad_config () =
-  (match Snapshot.configure ~every_spans:0 ~path:"/dev/null" () with
+  match Snapshot.configure ~every_spans:0 ~path:"/dev/null" () with
   | () -> Alcotest.fail "every_spans=0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  match Snapshot.configure ~retention:0 ~path:"/dev/null" () with
-  | () -> Alcotest.fail "retention=0 must be rejected"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -212,40 +198,48 @@ let test_health_gc_promotion_gate () =
 (* ------------------------------------------------------------------ *)
 (* Pool timelines                                                      *)
 
+(* The [pool]/[task] spans are the pool's only timeline: one per task,
+   on the track of the domain that ran it, so the per-track span counts
+   must match the per-worker task counts of [Pool.stats]. *)
 let test_pool_timeline () =
   let tasks = 8 in
   let check_timeline jobs =
-    Pool.with_pool ~jobs (fun pool ->
-        let (_ : unit list) =
-          Pool.map pool
-            (fun _ -> ignore (Sys.opaque_identity (ref 0)))
-            (List.init tasks Fun.id)
-        in
-        let tl = Pool.timeline pool in
-        checki "one timeline per worker" jobs (Array.length tl);
-        let total =
-          Array.fold_left
-            (fun acc (w : Pool.worker_timeline) ->
-              acc + Array.length w.intervals)
-            0 tl
-        in
-        checki "every task left an interval" tasks total;
-        Array.iter
-          (fun (w : Pool.worker_timeline) ->
-            checki "nothing dropped" 0 w.dropped;
-            Array.iter
-              (fun (t0, t1) -> checkb "interval well-formed" true (t1 >= t0))
-              w.intervals;
-            (* Chronological within a worker. *)
-            ignore
-              (Array.fold_left
-                 (fun prev (t0, _) ->
-                   checkb "intervals ordered" true (t0 >= prev);
-                   t0)
-                 0.0 w.intervals))
-          tl)
+    Trace.reset ();
+    Trace.enable ();
+    let stats =
+      Pool.with_pool ~jobs (fun pool ->
+          let (_ : unit list) =
+            Pool.map pool
+              (fun _ -> ignore (Sys.opaque_identity (ref 0)))
+              (List.init tasks Fun.id)
+          in
+          Pool.stats pool)
+    in
+    Trace.disable ();
+    let task_spans =
+      List.filter
+        (fun (s : Trace.span) -> s.cat = "pool" && s.name = "task")
+        (Trace.spans ())
+    in
+    checki "one task span per task" tasks (List.length task_spans);
+    let per_track =
+      List.map
+        (fun track ->
+          List.length
+            (List.filter (fun (s : Trace.span) -> s.track = track) task_spans))
+        (List.sort_uniq compare
+           (List.map (fun (s : Trace.span) -> s.track) task_spans))
+    in
+    Alcotest.(check (list int))
+      "span counts per track = worker task counts"
+      (List.sort compare
+         (List.filter_map
+            (fun (s : Pool.worker_stats) ->
+              if s.tasks > 0 then Some s.tasks else None)
+            (Array.to_list stats)))
+      (List.sort compare per_track)
   in
-  (* The sequential path must account intervals too, not return zeros. *)
+  (* The sequential path must trace its tasks too. *)
   check_timeline 1;
   check_timeline 3
 
@@ -328,8 +322,8 @@ let () =
     [
       ( "stream",
         [
-          Alcotest.test_case "seq, retention and ring" `Quick
-            (clean test_stream_seq_and_retention);
+          Alcotest.test_case "seq and gap-free lines" `Quick
+            (clean test_stream_seq);
           Alcotest.test_case "interval-driven emission" `Quick
             (clean test_stream_interval_emission);
           Alcotest.test_case "reconfigure moves the stream" `Quick

@@ -41,55 +41,6 @@ let test_exception_propagation () =
       check_ilist "pool survives failure" [ 2; 4 ]
         (Pool.map pool (fun x -> 2 * x) [ 1; 2 ]))
 
-(* The supervised path must obey the same ordering and lowest-index
-   laws as plain map, with Token.Cancelled surfacing as typed Timeout
-   rather than a leaked domain or a raw exception. *)
-let test_supervised_ok () =
-  let xs = List.init 20 Fun.id in
-  let expected = List.map (fun x -> x * x) xs in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      check_ilist "supervised squares in order" expected
-        (Pool.map_supervised pool ~deadline_s:30.0
-           (fun tok x ->
-             Pool.Token.check tok;
-             x * x)
-           xs))
-
-let test_supervised_timeout_lowest_index () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      (match
-         Pool.map_supervised pool ~deadline_s:0.02
-           ~watchdog_interval_s:0.005
-           (fun tok x ->
-             if x >= 4 then begin
-               (* Overrun the deadline while checking cooperatively:
-                  the token, not wall clock, must end the task. *)
-               let t0 = Unix.gettimeofday () in
-               while Unix.gettimeofday () -. t0 < 2.0 do
-                 Pool.Token.check tok
-               done
-             end;
-             x)
-           (List.init 10 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected a Timeout to propagate"
-      | exception Pool.Timeout { index; elapsed_s } ->
-          checki "lowest-indexed timed-out task wins" 4 index;
-          checkb "positive elapsed time" true (elapsed_s > 0.0));
-      (* A timed-out batch must not poison the pool. *)
-      check_ilist "pool survives timeout" [ 2; 4 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2 ]))
-
-let test_map_reduce () =
-  let total =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Pool.map_reduce pool
-          ~map:(fun x -> x + 1)
-          ~fold:( + ) ~init:0
-          (List.init 50 Fun.id))
-  in
-  checki "sum of 1..50" (50 * 51 / 2) total
-
 let test_shutdown () =
   let pool = Pool.create ~jobs:2 () in
   checki "jobs" 2 (Pool.jobs pool);
@@ -190,10 +141,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_map_order;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
-          Alcotest.test_case "supervised ordering" `Quick test_supervised_ok;
-          Alcotest.test_case "timeout lowest-index law" `Quick
-            test_supervised_timeout_lowest_index;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
         ] );

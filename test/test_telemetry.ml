@@ -1,7 +1,8 @@
 (* Tests for the telemetry layer: metrics-registry semantics (including
    atomicity under the domain pool), span nesting and ordering in the
-   Chrome trace export, Domain_pool stats accounting, and the invariant
-   that enabling telemetry leaves Pipeline.run profiles byte-identical. *)
+   Chrome trace export, the shared JSON string escaper, Domain_pool stats
+   and pool.* metric accounting, and the invariant that enabling
+   telemetry leaves Pipeline.run profiles byte-identical. *)
 
 open Hbbp_core
 module Trace = Hbbp_telemetry.Trace
@@ -148,6 +149,13 @@ let test_trace_export_shape () =
   checkb "has thread metadata" true (contains "thread_name");
   checkb "escapes arg strings" true (contains "quo\\\"ted")
 
+let test_json_escape () =
+  checks "quote, backslash, short escapes, \\u escape"
+    "a\\\"b\\\\c\\nd\\te\\rf\\u0001g"
+    (Hbbp_telemetry.Json.escape "a\"b\\c\nd\te\rf\x01g");
+  checks "plain text passes through" "caf\xc3\xa9 {x}"
+    (Hbbp_telemetry.Json.escape "caf\xc3\xa9 {x}")
+
 let test_counter_and_instant_export () =
   Trace.enable ();
   Trace.counter "t.heap" [ ("words", 123.0); ("top", 456.0) ];
@@ -209,6 +217,45 @@ let test_pool_stats_accounting () =
   (* The sequential path must report equivalent accounting, not zeros. *)
   check_pool 1;
   check_pool 3
+
+(* [shutdown] folds every pool into the same [pool.*] metrics: the time
+   gauges must hold the sums over both pools, and each utilization the
+   busy share of those sums — not the last pool's numbers beside the
+   task counts of both. *)
+let test_pool_metrics_accumulate () =
+  Metrics.enable ();
+  let run_pool jobs =
+    let pool = Pool.create ~jobs () in
+    let (_ : unit list) =
+      Pool.map pool (fun _ -> Unix.sleepf 0.002) (List.init 6 Fun.id)
+    in
+    Pool.shutdown pool;
+    Pool.stats pool
+  in
+  let a = run_pool 2 and b = run_pool 1 in
+  let field k get =
+    let at s = if k < Array.length s then get s.(k) else 0.0 in
+    at a +. at b
+  in
+  let gauge name = Metrics.gauge_value (Metrics.gauge name) in
+  let checkf = Alcotest.(check (float 1e-9)) in
+  let share busy_s wait_s = Pool.utilization { tasks = 0; busy_s; wait_s } in
+  checki "tasks add up" 12
+    (Metrics.counter_value (Metrics.counter "pool.tasks"));
+  let total_busy = ref 0.0 and total_wait = ref 0.0 in
+  for k = 0 to 1 do
+    let name part = Printf.sprintf "pool.domain%d.%s" k part in
+    let busy = field k (fun s -> s.Pool.busy_s) in
+    let wait = field k (fun s -> s.Pool.wait_s) in
+    total_busy := !total_busy +. busy;
+    total_wait := !total_wait +. wait;
+    checkf "busy_s is the sum over pools" busy (gauge (name "busy_s"));
+    checkf "wait_s is the sum over pools" wait (gauge (name "wait_s"));
+    checkf "domain utilization of the sums" (share busy wait)
+      (gauge (name "utilization"))
+  done;
+  checkf "pool utilization of the sums" (share !total_busy !total_wait)
+    (gauge "pool.utilization")
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline determinism with telemetry enabled                         *)
@@ -416,6 +463,7 @@ let () =
             (clean test_span_survives_exception);
           Alcotest.test_case "export shape" `Quick
             (clean test_trace_export_shape);
+          Alcotest.test_case "json string escaper" `Quick test_json_escape;
           Alcotest.test_case "counter and instant export" `Quick
             (clean test_counter_and_instant_export);
           Alcotest.test_case "spans across domains" `Quick
@@ -442,6 +490,8 @@ let () =
         [
           Alcotest.test_case "accounting for every job count" `Quick
             (clean test_pool_stats_accounting);
+          Alcotest.test_case "metrics accumulate over pools" `Quick
+            (clean test_pool_metrics_accumulate);
         ] );
       ( "determinism",
         [
