@@ -4,18 +4,21 @@
    domains can be *slower* than running it sequentially.  The doctor
    turns that one number into an attribution: it collects one archive,
    shards it, then replays the shard-stream → merge → finalize path at
-   every job count from 1 to N, measuring per run
+   every job count from 1 to N.  Each pass runs inside a
+   [doctor/analyze] span with tracing and the runtime profiler on, and
+   every number it reports is read back from the spans recorded inside
+   that span:
 
    - wall clock, split into the parallel stream phase and the serial
-     merge+finalize tail (the Amdahl term);
-   - per-worker busy/wait from the pool's own accounting, giving
-     utilization and busy-time imbalance;
-   - per-domain GC activity, bracketed around each task with
-     domain-local [Gc.quick_stat] (OCaml gives no GC *time*, so event
-     and word counts are the honest attribution unit);
-   - task-size statistics from the per-task wall clocks;
-   - the top allocation sites by span, from the runtime profiler's
-     exclusive [alloc.span.*.words] accounting.
+     [doctor/merge] tail (merge + finalize, the Amdahl term);
+   - per-domain tasks, busy time and GC activity from the [pool/task]
+     spans grouped by track, with the profiler's inclusive [gc.*] args
+     (domain-local allocated words; collection counts are process-wide,
+     and OCaml gives no GC *time*, so counts are the attribution unit);
+   - task-size statistics, busy-time imbalance, and utilization as
+     busy time over [jobs × stream];
+   - allocation sites: each span's self allocation on its own track,
+     keyed [cat/name].
 
    Every job count must produce the identical reconstruction (the
    pool's determinism contract); the doctor cross-checks that too. *)
@@ -24,11 +27,8 @@ open Hbbp_analyzer
 open Hbbp_collector
 module Pool = Hbbp_util.Domain_pool
 module Trace = Hbbp_telemetry.Trace
-module Metrics = Hbbp_telemetry.Metrics
 module Runtime_profiler = Hbbp_telemetry.Runtime_profiler
 module Json = Hbbp_telemetry.Json
-
-let now = Unix.gettimeofday
 
 (* ------------------------------------------------------------------ *)
 (* Report types                                                        *)
@@ -36,10 +36,10 @@ let now = Unix.gettimeofday
 type domain_gc = {
   dg_domain : int;  (** Runtime domain id ([Domain.self]). *)
   dg_tasks : int;
-  dg_busy_s : float;  (** Sum of this domain's task wall clocks. *)
+  dg_busy_s : float;  (** Sum of this domain's task spans. *)
   dg_minor : int;
   dg_major : int;
-  dg_allocated_words : float;
+  dg_allocated_words : int;
 }
 
 type jobs_run = {
@@ -65,175 +65,158 @@ type report = {
   rep_runs : jobs_run list;
   rep_consistent : bool;
   rep_degraded : bool;
-  rep_sampler : string;
   rep_alloc_sites : alloc_site list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Measurement                                                         *)
-
-let allocated_words (s : Gc.stat) =
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+(* Reading the span tree                                               *)
 
 (* The doctor reads only shards it has just written, so a failure there
    is a bug, raised as [Failure]. *)
 let or_fail = function Ok v -> v | Error e -> failwith ("doctor: " ^ e)
 
-(* One full analysis pass at a given job count.  Returns the
-   reconstruction plus everything measured on the way.  Each shard goes
+let secs (s : Trace.span) = s.dur_us /. 1e6
+let is (cat, name) (s : Trace.span) = s.cat = cat && s.name = name
+let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
+
+(* A profiler arg of a span; the profiler omits zeros. *)
+let arg (s : Trace.span) key =
+  Option.fold ~none:0 ~some:int_of_string (List.assoc_opt key s.args)
+
+(* The last [doctor/analyze] span recorded on this domain, and the
+   list of it and every span recorded inside it.  [Trace.spans] lists a
+   span before the spans nested in it, so everything inside lies in the
+   suffix that starts at it. *)
+let analyze_spans () =
+  let track = (Domain.self () :> int) in
+  let rec last found = function
+    | [] -> found
+    | (s : Trace.span) :: rest ->
+        last
+          (if s.track = track && is ("doctor", "analyze") s then s :: rest
+           else found)
+          rest
+  in
+  match last [] (Trace.spans ()) with
+  | [] -> invalid_arg "Doctor: no analyze span recorded"
+  | a :: rest ->
+      let inside (s : Trace.span) =
+        s.start_us +. s.dur_us <= a.start_us +. a.dur_us
+      in
+      (a, a :: List.filter inside rest)
+
+(* Each span's self allocation, keyed [cat/name]: its inclusive
+   [gc.alloc] minus its direct children's on the same track.  In
+   [Trace.spans] order a span's parent is the last span seen one level
+   up on its track. *)
+let self_alloc spans =
+  let open_at = Hashtbl.create 16 in
+  List.map
+    (fun (s : Trace.span) ->
+      let self = ref (arg s "gc.alloc") in
+      (match Hashtbl.find_opt open_at (s.track, s.depth - 1) with
+      | Some parent -> parent := !parent - arg s "gc.alloc"
+      | None -> ());
+      Hashtbl.replace open_at (s.track, s.depth) self;
+      (s.cat ^ "/" ^ s.name, self))
+    spans
+  |> List.map (fun (key, self) -> (key, !self))
+
+(* Everything measured in one pass, from its analyze span [a] and the
+   spans inside it. *)
+let jobs_run ~jobs (a : Trace.span) spans =
+  let merge = sum secs (List.filter (is ("doctor", "merge")) spans) in
+  let stream = secs a -. merge in
+  let tasks = List.filter (is ("pool", "task")) spans in
+  let domains =
+    List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.track) tasks)
+    |> List.map (fun track ->
+           let ts =
+             List.filter (fun (s : Trace.span) -> s.track = track) tasks
+           in
+           let total key =
+             List.fold_left (fun acc s -> acc + arg s key) 0 ts
+           in
+           {
+             dg_domain = track;
+             dg_tasks = List.length ts;
+             dg_busy_s = sum secs ts;
+             dg_minor = total "gc.minor";
+             dg_major = total "gc.major";
+             dg_allocated_words = total "gc.alloc";
+           })
+  in
+  let busy = sum (fun d -> d.dg_busy_s) domains in
+  let mean n x = if n = 0 then 0.0 else x /. float_of_int n in
+  let mean_busy = mean (List.length domains) busy in
+  {
+    jr_jobs = jobs;
+    jr_wall_s = secs a;
+    jr_stream_s = stream;
+    jr_merge_s = merge;
+    (* Filled in relative to the jobs=1 run afterwards. *)
+    jr_speedup = 1.0;
+    jr_efficiency = 1.0;
+    jr_utilization =
+      (if stream > 0.0 then busy /. (float_of_int jobs *. stream) else 1.0);
+    (* Busy-time imbalance over the domains that ran tasks: the
+       even-partition ideal is 1.0; a serial bottleneck shows up as
+       max/mean > 1. *)
+    jr_imbalance =
+      (if mean_busy > 0.0 then
+         List.fold_left (fun m d -> Float.max m d.dg_busy_s) 0.0 domains
+         /. mean_busy
+       else 1.0);
+    jr_task_mean_s = mean (List.length tasks) (sum secs tasks);
+    jr_task_max_s = List.fold_left (fun m s -> Float.max m (secs s)) 0.0 tasks;
+    jr_domains = domains;
+  }
+
+(* One full analysis pass at a given job count: the reconstruction, its
+   measurements, and its spans' self allocation.  Each shard goes
    through the drivers' per-archive step; the static view is shared
    (immutable) so the partials satisfy [Partial.merge]'s physical
    equality check. *)
 let analyze_at ~static ~meta ~paths ~jobs =
-  Trace.with_span ~cat:"doctor"
-    ~args:[ ("jobs", string_of_int jobs) ]
-    "analyze"
-  @@ fun () ->
-  (* Per-task measurements: (domain id, wall s, quick_stat before/after).
-     Appended under a lock from whichever domain ran the task. *)
-  let task_lock = Mutex.create () in
-  let task_log : (int * float * Gc.stat * Gc.stat) list ref = ref [] in
-  let t0 = now () in
-  let partials, worker_stats =
-    Pool.with_pool ~jobs (fun pool ->
-        let ps =
-          Pool.map pool
-            (fun path ->
-              let dom = (Domain.self () :> int) in
-              let g0 = Gc.quick_stat () in
-              let w0 = now () in
-              let p =
-                or_fail
-                  (Result.bind (Pipeline.open_archive path)
-                     (Pipeline.archive_partial ~static ~meta path))
-              in
-              let w1 = now () in
-              let g1 = Gc.quick_stat () in
-              Mutex.lock task_lock;
-              task_log := (dom, w1 -. w0, g0, g1) :: !task_log;
-              Mutex.unlock task_lock;
-              p)
-            paths
-        in
-        (ps, Pool.stats pool))
-  in
-  let t_stream = now () in
-  let merged =
+  let r =
+    Trace.with_span ~cat:"doctor"
+      ~args:[ ("jobs", string_of_int jobs) ]
+      "analyze"
+    @@ fun () ->
+    let partials =
+      Pool.run ~jobs
+        (fun path ->
+          or_fail
+            (Result.bind (Pipeline.open_archive path)
+               (Pipeline.archive_partial ~static ~meta path)))
+        paths
+    in
+    Trace.with_span ~cat:"doctor" "merge" @@ fun () ->
     match partials with
-    | p :: rest -> List.fold_left Pipeline.Partial.merge p rest
+    | p :: rest ->
+        Pipeline.finalize (List.fold_left Pipeline.Partial.merge p rest)
     | [] -> invalid_arg "Doctor: no shards"
   in
-  let r = Pipeline.finalize merged in
-  let t1 = now () in
-  (* Busy-time imbalance over the workers that actually ran tasks: the
-     even-partition ideal is 1.0; the serial bottleneck worker shows up
-     as max/mean > 1. *)
-  let active =
-    List.filter
-      (fun (s : Pool.worker_stats) -> s.Pool.tasks > 0)
-      (Array.to_list worker_stats)
-  in
-  let busy = List.map (fun (s : Pool.worker_stats) -> s.Pool.busy_s) active in
-  let wait = List.map (fun (s : Pool.worker_stats) -> s.Pool.wait_s) active in
-  let sum = List.fold_left ( +. ) 0.0 in
-  let imbalance =
-    match busy with
-    | [] -> 1.0
-    | _ ->
-        let mean = sum busy /. float_of_int (List.length busy) in
-        if mean <= 0.0 then 1.0
-        else List.fold_left Float.max 0.0 busy /. mean
-  in
-  let utilization =
-    let b = sum busy and w = sum wait in
-    if b +. w <= 0.0 then 1.0 else b /. (b +. w)
-  in
-  let walls = List.map (fun (_, w, _, _) -> w) !task_log in
-  let task_mean =
-    match walls with
-    | [] -> 0.0
-    | _ -> sum walls /. float_of_int (List.length walls)
-  in
-  let task_max = List.fold_left Float.max 0.0 walls in
-  (* Aggregate GC deltas by the domain that ran the task. *)
-  let by_domain = Hashtbl.create 8 in
-  List.iter
-    (fun (dom, wall, g0, g1) ->
-      let cur =
-        match Hashtbl.find_opt by_domain dom with
-        | Some c -> c
-        | None ->
-            {
-              dg_domain = dom;
-              dg_tasks = 0;
-              dg_busy_s = 0.0;
-              dg_minor = 0;
-              dg_major = 0;
-              dg_allocated_words = 0.0;
-            }
-      in
-      Hashtbl.replace by_domain dom
-        {
-          cur with
-          dg_tasks = cur.dg_tasks + 1;
-          dg_busy_s = cur.dg_busy_s +. wall;
-          dg_minor =
-            cur.dg_minor + g1.Gc.minor_collections - g0.Gc.minor_collections;
-          dg_major =
-            cur.dg_major + g1.Gc.major_collections - g0.Gc.major_collections;
-          dg_allocated_words =
-            cur.dg_allocated_words +. allocated_words g1
-            -. allocated_words g0;
-        })
-    !task_log;
-  let domains =
-    List.sort
-      (fun a b -> compare a.dg_domain b.dg_domain)
-      (Hashtbl.fold (fun _ v acc -> v :: acc) by_domain [])
-  in
-  ( r,
-    {
-      jr_jobs = jobs;
-      jr_wall_s = t1 -. t0;
-      jr_stream_s = t_stream -. t0;
-      jr_merge_s = t1 -. t_stream;
-      (* Filled in relative to the jobs=1 run afterwards. *)
-      jr_speedup = 1.0;
-      jr_efficiency = 1.0;
-      jr_utilization = utilization;
-      jr_imbalance = imbalance;
-      jr_task_mean_s = task_mean;
-      jr_task_max_s = task_max;
-      jr_domains = domains;
-    } )
+  let a, spans = analyze_spans () in
+  (r, jobs_run ~jobs a spans, self_alloc spans)
 
-(* Exclusive per-span allocation deltas between two registry
-   snapshots. *)
-let alloc_sites_between ~before ~after =
-  let words_of snap =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Metrics.Counter n
-          when String.starts_with ~prefix:"alloc.span." name
-               && Filename.check_suffix name ".words" ->
-            let span =
-              String.sub name 11 (String.length name - 11 - 6)
-            in
-            Some (span, n)
-        | _ -> None)
-      snap
-  in
-  let base = words_of before in
-  List.filter_map
-    (fun (span, n) ->
-      let n0 =
-        match List.assoc_opt span base with Some n0 -> n0 | None -> 0
-      in
-      if n - n0 > 0 then Some { site_span = span; site_words = n - n0 }
-      else None)
-    (words_of after)
-  |> List.sort (fun a b -> compare b.site_words a.site_words)
+(* Self allocation summed over every pass, by [cat/name], descending. *)
+let alloc_sites results =
+  let words = Hashtbl.create 16 in
+  List.iter
+    (fun (_, _, selfs) ->
+      List.iter
+        (fun (key, n) ->
+          Hashtbl.replace words key
+            (n + Option.value ~default:0 (Hashtbl.find_opt words key)))
+        selfs)
+    results;
+  Hashtbl.fold
+    (fun site_span site_words acc ->
+      if site_words > 0 then { site_span; site_words } :: acc else acc)
+    words []
+  |> List.sort (fun a b ->
+         compare (b.site_words, a.site_span) (a.site_words, b.site_span))
 
 let default_max_jobs () = min 4 (Domain.recommended_domain_count ())
 
@@ -242,23 +225,25 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
     match max_jobs with Some n -> max 1 n | None -> default_max_jobs ()
   in
   let shards = match shards with Some n -> max 1 n | None -> 2 * max_jobs in
+  (* Every number comes from the span tree, so trace with the profiler
+     on.  Tracing that was off is emptied first, so no stale span falls
+     inside an analyze span, and emptied again after. *)
+  let tracing = Trace.enabled ()
+  and profiling = Runtime_profiler.enabled () in
+  if not tracing then Trace.reset ();
+  Trace.enable ();
+  Runtime_profiler.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not profiling then Runtime_profiler.disable ();
+      if not tracing then begin
+        Trace.disable ();
+        Trace.reset ()
+      end)
+  @@ fun () ->
   Trace.with_span ~cat:"doctor"
     ~args:[ ("workload", w.Workload.name) ]
     "doctor"
-  @@ fun () ->
-  (* The profiler and registry feed the allocation-site table; remember
-     what was already on so the doctor restores rather than tears down
-     someone else's observability. *)
-  let metrics_were_on = Metrics.enabled () in
-  let profiler_was_on = Runtime_profiler.enabled () in
-  Metrics.enable ();
-  Runtime_profiler.enable ();
-  let sampler = Runtime_profiler.arm_sampler () in
-  Fun.protect
-    ~finally:(fun () ->
-      Runtime_profiler.disarm_sampler ();
-      if not profiler_was_on then Runtime_profiler.disable ();
-      if not metrics_were_on then Metrics.disable ())
   @@ fun () ->
   let archive =
     Trace.with_span ~cat:"doctor" "collect" (fun () ->
@@ -275,18 +260,16 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
         (List.sort_uniq compare (base :: paths)))
   @@ fun () ->
   let static = or_fail (Pipeline.archive_static base archive) in
-  let before = Metrics.snapshot () in
   let results =
     List.init max_jobs (fun k ->
         analyze_at ~static ~meta:archive ~paths ~jobs:(k + 1))
   in
-  let after = Metrics.snapshot () in
   let t1 =
-    match results with (_, jr) :: _ -> jr.jr_wall_s | [] -> assert false
+    match results with (_, jr, _) :: _ -> jr.jr_wall_s | [] -> assert false
   in
   let runs =
     List.map
-      (fun (_, jr) ->
+      (fun (_, jr, _) ->
         let j = float_of_int jr.jr_jobs in
         {
           jr with
@@ -299,13 +282,13 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
   let counts (r : Pipeline.reconstruction) = r.Pipeline.r_hbbp.Bbec.counts in
   let consistent =
     match results with
-    | (r0, _) :: rest ->
-        List.for_all (fun (r, _) -> compare (counts r0) (counts r) = 0) rest
+    | (r0, _, _) :: rest ->
+        List.for_all (fun (r, _, _) -> compare (counts r0) (counts r) = 0) rest
     | [] -> true
   in
   let degraded =
     match results with
-    | (r, _) :: _ -> (
+    | (r, _, _) :: _ -> (
         match r.Pipeline.r_quality with
         | Pipeline.Full -> false
         | Pipeline.Degraded _ -> true)
@@ -318,8 +301,7 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
     rep_runs = runs;
     rep_consistent = consistent;
     rep_degraded = degraded;
-    rep_sampler = Runtime_profiler.sampler_mode_name sampler;
-    rep_alloc_sites = alloc_sites_between ~before ~after;
+    rep_alloc_sites = alloc_sites results;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -337,16 +319,16 @@ let to_json (r : report) =
          (List.map
             (fun d ->
               Printf.sprintf
-                "{\"domain\":%d,\"tasks\":%d,\"busy_s\":%.6f,\"minor_collections\":%d,\"major_collections\":%d,\"allocated_words\":%.0f}"
+                "{\"domain\":%d,\"tasks\":%d,\"busy_s\":%.6f,\"minor_collections\":%d,\"major_collections\":%d,\"allocated_words\":%d}"
                 d.dg_domain d.dg_tasks d.dg_busy_s d.dg_minor d.dg_major
                 d.dg_allocated_words)
             jr.jr_domains))
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"sampler\":\"%s\",\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
+       "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
        (Json.escape r.rep_workload) r.rep_shards r.rep_records
-       (Json.escape r.rep_sampler) r.rep_consistent r.rep_degraded
+       r.rep_consistent r.rep_degraded
        (String.concat "," (List.map run_json r.rep_runs))
        (String.concat ","
           (List.map
@@ -358,8 +340,8 @@ let to_json (r : report) =
 
 let pp ppf (r : report) =
   Format.fprintf ppf
-    "doctor: workload %s, %d records over %d shard(s); sampler %s@."
-    r.rep_workload r.rep_records r.rep_shards r.rep_sampler;
+    "doctor: workload %s, %d records over %d shard(s)@."
+    r.rep_workload r.rep_records r.rep_shards;
   Format.fprintf ppf "  %4s %9s %9s %9s %8s %11s %12s %10s@." "jobs" "wall s"
     "stream s" "merge s" "speedup" "efficiency" "utilization" "imbalance";
   List.iter
@@ -377,7 +359,7 @@ let pp ppf (r : report) =
         (fun d ->
           Format.fprintf ppf
             "    domain %-3d %5d task(s) %8.4fs busy, %6d minor / %4d major \
-             collections, %.0f words@."
+             collections, %d words@."
             d.dg_domain d.dg_tasks d.dg_busy_s d.dg_minor d.dg_major
             d.dg_allocated_words)
         last.jr_domains

@@ -1,9 +1,7 @@
-(** Runtime introspection: per-domain GC accounting at span boundaries
-    plus an opt-in allocation sampler.
+(** Runtime introspection: per-domain GC accounting at span boundaries.
 
-    When enabled, every {!Trace.with_span} boundary takes a domain-local
-    [Gc.quick_stat] and accounts the delta since the previous boundary
-    on that domain:
+    When enabled, every {!Trace.with_span} boundary reads the GC and
+    accounts the delta since the previous boundary on that domain:
 
     - globally, as [gc.minor_collections], [gc.major_collections],
       [gc.compactions], [gc.allocated_words], [gc.promoted_words]
@@ -14,41 +12,28 @@
     - in the trace, as per-domain ["gc"] counter tracks (heap size,
       cumulative allocation — Perfetto renders them as graphs aligned
       with the pipeline stages), ["gc.major"] / ["gc.compact"] instant
-      markers, and inclusive [gc.*] args on each span.
+      markers, and inclusive integer args on each span: [gc.alloc],
+      [gc.promoted], [gc.minor], [gc.major] (zeros omitted).
+
+    Allocated and promoted words are {e domain-local}: [Gc.minor_words]
+    (exact) plus the direct-major part of [Gc.counters], so a span is
+    charged only for what its own domain allocated, never for a worker
+    it waited on.  Collection counts and heap words are
+    {e process-wide} in OCaml 5 ([Gc.quick_stat]): a span's [gc.minor]
+    counts every collection that completed while it was open, and the
+    [gc.*_collections] counters sum those over domains.
 
     The profiler only {e reads} runtime state, so arming it cannot
-    change profile bytes (test-enforced).  Overhead is two
-    [Gc.quick_stat] calls per span, paid only while enabled; the
-    disabled cost of an instrumentation site is unchanged. *)
+    change profile bytes (test-enforced).  It costs one GC read per
+    span boundary, paid only while enabled; the disabled cost of an
+    instrumentation site is unchanged. *)
 
 val enabled : unit -> bool
 
 (** Install the span-boundary probe ({!Trace.set_probe}).  GC metrics
-    flow only while {!Metrics.enabled}; trace tracks only while
-    {!Trace.enabled}. *)
+    flow only while {!Metrics.enabled}; trace tracks and span args only
+    while {!Trace.enabled}. *)
 val enable : unit -> unit
 
-(** Remove the probe and disarm the sampler.  Call only while no span
-    is in flight. *)
+(** Remove the probe.  Call only while no span is in flight. *)
 val disable : unit -> unit
-
-(** {1 Allocation sampler} *)
-
-type sampler_mode =
-  | Sampler_off
-  | Sampler_memprof  (** statmemprof live ([Gc.Memprof]). *)
-  | Sampler_words
-      (** [Gc.Memprof.start] unavailable on this runtime (OCaml 5.1/5.2
-          multicore raises) — allocation attribution falls back to the
-          boundary probe's quick_stat word deltas. *)
-
-(** [arm_sampler ?sampling_rate ()] — try to start [Gc.Memprof] with a
-    tracker that attributes each sampled allocation to the innermost
-    open span ([alloc.samples], [alloc.sampled_words],
-    [alloc.span.<name>.samples]); returns the mode actually armed.
-    The tracker never retains blocks, so sampling cannot perturb
-    results. *)
-val arm_sampler : ?sampling_rate:float -> unit -> sampler_mode
-
-val disarm_sampler : unit -> unit
-val sampler_mode_name : sampler_mode -> string

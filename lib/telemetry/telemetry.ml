@@ -13,59 +13,22 @@ let parse_format = function
         other;
       None
 
-let parse_bool ~var = function
-  | "0" | "false" | "no" | "off" -> Some false
-  | "1" | "true" | "yes" | "on" -> Some true
-  | other ->
-      Printf.eprintf "hbbp: ignoring %s=%s (expected a boolean)\n%!" var other;
-      None
+let active () =
+  !trace_path <> None || !metrics_format <> None || Snapshot.active ()
 
-(* HBBP_ALLOC_SAMPLE accepts a boolean (default rate) or a sampling
-   rate in (0, 1]. *)
-let parse_sample ~var s =
-  match parse_bool ~var:"" s with
-  | Some true -> Some (Some 1e-3)
-  | Some false -> Some None
-  | None -> (
-      match float_of_string_opt s with
-      | Some r when r > 0.0 && r <= 1.0 -> Some (Some r)
-      | Some _ | None ->
-          Printf.eprintf
-            "hbbp: ignoring %s=%s (expected a boolean or a rate in (0,1])\n%!"
-            var s;
-          None)
-
-let opt_or_env ~parse explicit var =
-  match explicit with
-  | Some _ as v -> v
-  | None -> Option.bind (Sys.getenv_opt var) parse
-
-let configure ?trace ?metrics ?metrics_stream ?runtime_profile ?alloc_sample
-    () =
+let configure ?trace ?metrics ?metrics_stream () =
   let trace =
     match trace with Some _ as t -> t | None -> Sys.getenv_opt "HBBP_TRACE"
   in
   let metrics =
-    opt_or_env ~parse:parse_format metrics "HBBP_METRICS"
+    match metrics with
+    | Some _ as m -> m
+    | None -> Option.bind (Sys.getenv_opt "HBBP_METRICS") parse_format
   in
   let metrics_stream =
     match metrics_stream with
     | Some _ as s -> s
     | None -> Sys.getenv_opt "HBBP_METRICS_STREAM"
-  in
-  let runtime_profile =
-    opt_or_env
-      ~parse:(parse_bool ~var:"HBBP_RUNTIME_PROFILE")
-      runtime_profile "HBBP_RUNTIME_PROFILE"
-  in
-  let alloc_sample =
-    match alloc_sample with
-    | Some true -> Some (Some 1e-3)
-    | Some false -> Some None
-    | None ->
-        Option.bind
-          (Sys.getenv_opt "HBBP_ALLOC_SAMPLE")
-          (parse_sample ~var:"HBBP_ALLOC_SAMPLE")
   in
   (match trace with
   | Some path when path <> "" ->
@@ -81,28 +44,12 @@ let configure ?trace ?metrics ?metrics_stream ?runtime_profile ?alloc_sample
   | Some path when path <> "" ->
       Snapshot.configure ~path ()
   | Some _ | None -> ());
-  (* The runtime profiler rides along whenever any sink is armed — GC
-     attribution is the point of tracing/metering a run — unless
-     explicitly opted out ([~runtime_profile:false] /
-     HBBP_RUNTIME_PROFILE=0). *)
-  let any_sink =
-    !trace_path <> None || !metrics_format <> None || Snapshot.active ()
-  in
-  let want_profile =
-    match runtime_profile with Some b -> b | None -> any_sink
-  in
-  if want_profile then begin
+  (* The runtime profiler rides along whenever any sink is armed: GC
+     attribution is the point of tracing/metering a run. *)
+  if active () then begin
     Runtime_profiler.enable ();
-    profiling := true;
-    match alloc_sample with
-    | Some (Some rate) ->
-        ignore (Runtime_profiler.arm_sampler ~sampling_rate:rate ())
-    | Some None | None -> ()
+    profiling := true
   end
-
-let active () =
-  !trace_path <> None || !metrics_format <> None || Snapshot.active ()
-  || !profiling
 
 (* Mirror the retry/durable-write tallies into the registry as
    counters (delta-based, so repeated folds never double-count) the

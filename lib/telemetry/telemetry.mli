@@ -10,11 +10,8 @@
     - metrics snapshot printed at exit: [?metrics] / [HBBP_METRICS=json|table]
     - continuous JSONL metric stream ({!Snapshot}): [?metrics_stream] /
       [HBBP_METRICS_STREAM=FILE]
-    - runtime profiler ({!Runtime_profiler}): on automatically whenever
-      any of the above is armed; opt out with [~runtime_profile:false] /
-      [HBBP_RUNTIME_PROFILE=0], force on with [true] / [=1]
-    - allocation sampler: opt in with [~alloc_sample:true] /
-      [HBBP_ALLOC_SAMPLE=1] (or a sampling rate in (0,1]) *)
+    - runtime profiler ({!Runtime_profiler}): on exactly when any of
+      the above is armed *)
 
 type metrics_format = [ `Json | `Table ]
 
@@ -25,8 +22,6 @@ val configure :
   ?trace:string ->
   ?metrics:metrics_format ->
   ?metrics_stream:string ->
-  ?runtime_profile:bool ->
-  ?alloc_sample:bool ->
   unit ->
   unit
 

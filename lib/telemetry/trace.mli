@@ -77,7 +77,7 @@ val counter : string -> (string * float) list -> unit
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 
 (** Innermost span currently open on {e this} domain, if any — the
-    attribution target for sampled allocations. *)
+    span the runtime profiler charges an interval's allocation to. *)
 val current_span : unit -> string option
 
 (** {1 Span-boundary hooks} *)

@@ -286,15 +286,27 @@ let test_doctor_report () =
       let dg_tasks =
         List.fold_left (fun a d -> a + d.Doctor.dg_tasks) 0 r.jr_domains
       in
-      checki "every task GC-bracketed" report.Doctor.rep_shards dg_tasks)
+      checki "one pool/task span per shard" report.Doctor.rep_shards dg_tasks;
+      checkb "task spans carry their allocation" true
+        (List.for_all
+           (fun d -> d.Doctor.dg_allocated_words > 0)
+           r.jr_domains))
     report.Doctor.rep_runs;
   checkb "profiler attributed allocation spans" true
     (report.Doctor.rep_alloc_sites <> []);
   List.iter
     (fun (s : Doctor.alloc_site) ->
-      checkb "site words positive" true (s.site_words > 0))
+      checkb "site words positive" true (s.site_words > 0);
+      checkb "site keyed cat/name" true (String.contains s.site_span '/'))
     report.Doctor.rep_alloc_sites;
-  checkb "sampler mode reported" true (report.Doctor.rep_sampler <> "");
+  checkb "pool tasks are a site" true
+    (List.exists
+       (fun (s : Doctor.alloc_site) -> s.site_span = "pool/task")
+       report.Doctor.rep_alloc_sites);
+  checkb "the enclosing doctor span is not a site" true
+    (List.for_all
+       (fun (s : Doctor.alloc_site) -> s.site_span <> "doctor/doctor")
+       report.Doctor.rep_alloc_sites);
   (* JSON rendering is a single object with the headline fields. *)
   let json = Doctor.to_json report in
   let contains sub =
@@ -305,17 +317,29 @@ let test_doctor_report () =
   checkb "json has workload" true (contains "\"workload\"");
   checkb "json has runs" true (contains "\"runs\"");
   checkb "json has consistency bit" true (contains "\"consistent\"");
-  checkb "json has alloc sites" true (contains "\"alloc_sites\"")
+  checkb "json has alloc sites" true (contains "\"alloc_sites\"");
+  checkb "json has no sampler" false (contains "\"sampler\"")
 
 let test_doctor_leaves_telemetry_off () =
   checkb "metrics off before" false (Metrics.enabled ());
+  checkb "tracing off before" false (Trace.enabled ());
   let w = mk_workload ~seed:0xD0C8L "doc-b" in
   let (_ : Doctor.report) = Doctor.run ~max_jobs:1 ~shards:2 w in
-  (* The doctor armed metrics + profiler for itself and must restore the
-     caller's (off) state. *)
-  checkb "metrics restored to off" false (Metrics.enabled ());
+  (* The doctor armed tracing + profiler for itself and must restore the
+     caller's (off) state, leaving no span behind. *)
+  checkb "metrics still off" false (Metrics.enabled ());
+  checkb "tracing restored to off" false (Trace.enabled ());
+  checki "no spans left" 0 (Trace.span_count ());
   checkb "profiler restored to off" false
-    (Hbbp_telemetry.Runtime_profiler.enabled ())
+    (Hbbp_telemetry.Runtime_profiler.enabled ());
+  (* Tracing that was on stays on and keeps the doctor's spans. *)
+  Trace.enable ();
+  let (_ : Doctor.report) = Doctor.run ~max_jobs:1 ~shards:2 w in
+  checkb "tracing still on" true (Trace.enabled ());
+  checkb "doctor spans kept" true
+    (List.exists
+       (fun (s : Trace.span) -> s.cat = "doctor" && s.name = "doctor")
+       (Trace.spans ()))
 
 let () =
   Alcotest.run "observability"

@@ -323,7 +323,7 @@ let test_profiler_gc_metrics () =
     (fun () ->
       Trace.with_span "rp-outer" (fun () ->
           Trace.with_span "rp-inner" (fun () ->
-              (* Allocate enough that the quick_stat word delta is
+              (* Allocate enough that the word delta is
                  unmistakably nonzero. *)
               ignore (Sys.opaque_identity (Array.init 100_000 string_of_int)))));
   let snap = Metrics.snapshot () in
@@ -355,37 +355,61 @@ let test_profiler_disabled_leaves_no_trace () =
   checkb "no gc metrics after disable" true
     (Metrics.find snap "gc.allocated_words" = None)
 
-let test_sampler_armed_byte_identity () =
-  let ws = [ mk_workload ~seed:0xACEDL "samp-a" ] in
-  let off = List.map Pipeline.run ws in
+(* A span on the main domain that waits on a pool is charged only for
+   what the main domain allocated; the workers' allocation lands on
+   their own task spans. *)
+let test_profiler_worker_allocation () =
+  let refs_per_task = 300_000 in
+  let allocated = 2 * 2 * refs_per_task in
   Metrics.enable ();
   Profiler.enable ();
-  let mode = Profiler.arm_sampler () in
-  let on =
-    Fun.protect
-      ~finally:(fun () ->
-        Profiler.disarm_sampler ();
-        Profiler.disable ())
-      (fun () -> List.map Pipeline.run ws)
+  Fun.protect ~finally:Profiler.disable (fun () ->
+      Trace.with_span "rp-wait" (fun () ->
+          ignore @@ Pool.run ~jobs:2
+            (fun n ->
+              for _ = 1 to n do
+                ignore (Sys.opaque_identity (ref 0))
+              done)
+            [ refs_per_task; refs_per_task ]));
+  let span_words name =
+    let key = "alloc.span." ^ name ^ ".words" in
+    match Metrics.find (Metrics.snapshot ()) key with
+    | Some (Metrics.Counter n) -> n
+    | _ -> 0
   in
-  checkb "sampler armed in some mode" true (mode <> Profiler.Sampler_off);
+  checkb "waiting span not charged for the workers" true
+    (span_words "rp-wait" < allocated / 10);
+  checkb "task spans carry the workers' allocation" true
+    (span_words "task" >= allocated)
+
+let test_profiled_byte_identity () =
+  let ws = [ mk_workload ~seed:0xACEDL "prof-a" ] in
+  let keep = { Pipeline.default_config with Pipeline.keep_records = true } in
+  let off = List.map (Pipeline.run ~config:keep) ws in
+  Trace.enable ();
+  Metrics.enable ();
+  Profiler.enable ();
+  let on =
+    Fun.protect ~finally:Profiler.disable (fun () ->
+        List.map (Pipeline.run ~config:keep) ws)
+  in
   List.iter2
     (fun a b ->
-      checkb "profiles byte-identical with sampler armed" true
+      checkb "profiles byte-identical with trace, metrics and profiler" true
         (profiles_equal a b))
     off on;
-  (* Whichever mode armed, the per-span allocation attribution must have
-     landed somewhere. *)
-  let snap = Metrics.snapshot () in
   let any_span_alloc =
     List.exists
       (fun (name, v) ->
-        String.length name > 11
-        && String.sub name 0 11 = "alloc.span."
-        && (match v with Metrics.Counter n -> n > 0 | _ -> false))
-      snap
+        String.starts_with ~prefix:"alloc.span." name
+        && match v with Metrics.Counter n -> n > 0 | _ -> false)
+      (Metrics.snapshot ())
   in
-  checkb "span allocation attributed" true any_span_alloc
+  checkb "span allocation attributed" true any_span_alloc;
+  checkb "spans carry inclusive allocation" true
+    (List.exists
+       (fun (s : Trace.span) -> List.mem_assoc "gc.alloc" s.args)
+       (Trace.spans ()))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry.configure / finalize lifecycle                            *)
@@ -475,9 +499,12 @@ let () =
             (clean test_profiler_gc_metrics);
           Alcotest.test_case "disable removes the probe" `Quick
             (clean test_profiler_disabled_leaves_no_trace);
-          Alcotest.test_case "sampler armed keeps profiles byte-identical"
+          Alcotest.test_case "worker allocation on worker spans"
             `Quick
-            (clean test_sampler_armed_byte_identity);
+            (clean test_profiler_worker_allocation);
+          Alcotest.test_case "profiled run is byte-identical"
+            `Quick
+            (clean test_profiled_byte_identity);
         ] );
       ( "lifecycle",
         [
