@@ -93,6 +93,34 @@ let preload ?jobs:j () =
       Hashtbl.replace cache w.Workload.name p)
     entries profiles
 
+(* ---- same-process overhead rounds ----------------------------------- *)
+
+(* A 1% overhead gate on a shared host, where per-round timings spread
+   by several percent, is only meaningful as a median of per-round
+   ratios over many rounds, each timing the two variants back to back
+   in alternating order so host drift and heap state hit both alike. *)
+let overhead_rounds = 101
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (Unix.gettimeofday () -. t0, v)
+
+(* [alternating round a b] — [(timed a, timed b)], with [a] run first on
+   even rounds and [b] first on odd ones. *)
+let alternating round a b =
+  if round mod 2 = 0 then
+    let ra = timed a in
+    (ra, timed b)
+  else
+    let rb = timed b in
+    (timed a, rb)
+
+(* Median of [f] over [xs] (the upper one for an even count). *)
+let median f xs =
+  let sorted = List.sort compare (List.map f xs) in
+  List.nth sorted (List.length sorted / 2)
+
 (* ---- unified BENCH_*.json header ----------------------------------- *)
 
 (* Every BENCH_*.json opens with the same header fields, so tooling that

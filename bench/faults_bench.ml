@@ -3,8 +3,7 @@
    writer cost nothing when disarmed, and shows what a mild armed plan
    does to throughput and output.  Writes BENCH_faults.json.
 
-   Three series over the same workloads, interleaved so drift hits all
-   of them equally, best of [rounds] each:
+   Three series over the same workloads, [U.overhead_rounds] rounds:
 
    - baseline:       faults disarmed (the default state);
    - armed-inert:    the all-zero plan armed — every hook still resolves
@@ -13,15 +12,17 @@
    - armed-mild:     a small multi-layer plan (sample drops, LBR
      corruption, record loss) actually injecting.
 
-   A microbench of the disarmed PMU hook site reports the per-sample
-   cost of the [option] load in nanoseconds. *)
+   Each round times baseline and armed-inert back to back in alternating
+   order, then armed-mild; an overhead is the median over rounds of the
+   per-round ratio to the baseline, minus one.  Gate: the armed-inert
+   overhead must stay within 1%.  A microbench of the disarmed PMU hook
+   site reports the per-sample cost of the [option] load in
+   nanoseconds. *)
 
 open Hbbp_core
 module Plan = Hbbp_faults.Fault_plan
 module Faults = Hbbp_faults.Faults
 module U = Bench_util
-
-let now = Unix.gettimeofday
 
 let workloads () =
   [
@@ -30,11 +31,6 @@ let workloads () =
   ]
 
 let run_all ws = List.map (fun w -> Pipeline.run w) ws
-
-let time f =
-  let t0 = now () in
-  let v = f () in
-  (v, now () -. t0)
 
 let mild_plan =
   match
@@ -67,7 +63,7 @@ let disarmed_hook_ns () =
   let best f =
     let b = ref infinity in
     for _ = 1 to 3 do
-      let (), dt = time f in
+      let dt, () = U.timed f in
       if dt < !b then b := dt
     done;
     !b
@@ -80,61 +76,62 @@ let run ppf =
   Faults.disarm ();
   Faults.reset_tally ();
   let ws = workloads () in
-  let rounds = 3 in
-  let baseline_s = ref infinity
-  and inert_s = ref infinity
-  and mild_s = ref infinity in
-  let baseline_profiles = ref [] and inert_profiles = ref [] in
-  let mild_profiles = ref [] in
-  for _ = 1 to rounds do
-    (* baseline (disarmed) *)
-    let ps, dt = time (fun () -> run_all ws) in
-    if dt < !baseline_s then baseline_s := dt;
-    baseline_profiles := ps;
-    (* armed-inert (all-zero plan: hooks still disarmed in effect) *)
-    Faults.arm Plan.none;
-    let ps, dt = time (fun () -> run_all ws) in
-    Faults.disarm ();
-    if dt < !inert_s then inert_s := dt;
-    inert_profiles := ps;
-    (* armed-mild (really injecting) *)
-    Faults.reset_tally ();
-    Faults.arm mild_plan;
-    let ps, dt = time (fun () -> run_all ws) in
-    Faults.disarm ();
-    if dt < !mild_s then mild_s := dt;
-    mild_profiles := ps
-  done;
+  let rounds = U.overhead_rounds in
+  let baseline () = run_all ws in
+  let armed plan () =
+    Faults.arm plan;
+    Fun.protect ~finally:Faults.disarm baseline
+  in
+  (* Untimed warmup of every series: the first round otherwise pays for
+     heap growth on behalf of all three. *)
+  ignore (baseline (), armed Plan.none (), armed mild_plan ());
+  let identical = ref true and mild_profiles = ref [] in
+  let samples =
+    List.init rounds (fun round ->
+        let (tb, base), (ti, inert) =
+          U.alternating round baseline (armed Plan.none)
+        in
+        if not (List.for_all2 Perf.profiles_equal base inert) then
+          identical := false;
+        (* The tally reported is the last mild round's. *)
+        Faults.reset_tally ();
+        let tm, mild = U.timed (armed mild_plan) in
+        mild_profiles := mild;
+        (tb, ti, tm))
+  in
   let tally = Faults.tally () in
   Faults.reset_tally ();
-  let identical =
-    List.for_all2 Perf.profiles_equal !baseline_profiles !inert_profiles
-  in
   let degraded =
     List.filter
       (fun (p : Pipeline.profile) -> p.quality <> Pipeline.Full)
       !mild_profiles
   in
-  let frac v = (v -. !baseline_s) /. !baseline_s in
-  let inert_overhead = frac !inert_s and mild_overhead = frac !mild_s in
+  let median_s f = U.median f samples in
+  let baseline_s = median_s (fun (b, _, _) -> b)
+  and inert_s = median_s (fun (_, i, _) -> i)
+  and mild_s = median_s (fun (_, _, m) -> m) in
+  let inert_overhead = median_s (fun (b, i, _) -> i /. b) -. 1.0
+  and mild_overhead = median_s (fun (b, _, m) -> m /. b) -. 1.0 in
   let hook_ns = disarmed_hook_ns () in
-  Format.fprintf ppf "%d workloads, best of %d rounds@." (List.length ws)
-    rounds;
-  Format.fprintf ppf "baseline (disarmed):      %8.3f s@." !baseline_s;
+  Format.fprintf ppf
+    "%d workloads, %d interleaved rounds (median round; overheads: median \
+     per-round ratio)@."
+    (List.length ws) rounds;
+  Format.fprintf ppf "baseline (disarmed):      %8.3f s@." baseline_s;
   Format.fprintf ppf "armed inert plan:         %8.3f s  (%+.2f%% = noise)@."
-    !inert_s (100.0 *. inert_overhead);
-  Format.fprintf ppf "armed mild plan:          %8.3f s  (%+.2f%%)@." !mild_s
+    inert_s (100.0 *. inert_overhead);
+  Format.fprintf ppf "armed mild plan:          %8.3f s  (%+.2f%%)@." mild_s
     (100.0 *. mild_overhead);
   Format.fprintf ppf "disarmed hook cost:       %8.1f ns/site@." hook_ns;
   Format.fprintf ppf "profiles byte-identical with inert plan armed: %b@."
-    identical;
+    !identical;
   Format.fprintf ppf "mild plan: %d/%d profiles degraded, tally:@."
     (List.length degraded)
     (List.length !mild_profiles);
   List.iter
     (fun (k, n) -> Format.fprintf ppf "  %-28s %8d@." k n)
     tally;
-  if not identical then
+  if not !identical then
     failwith "BENCH faults: arming the inert plan changed profile bytes";
   U.write_out "BENCH_faults.json"
     {|{
@@ -153,8 +150,16 @@ let run ppf =
 }
 |}
     (U.json_header ~bench:"faults")
-    (List.length ws) rounds !baseline_s !inert_s !mild_s inert_overhead
-    mild_overhead hook_ns identical (List.length degraded)
+    (List.length ws) rounds baseline_s inert_s mild_s inert_overhead
+    mild_overhead hook_ns !identical (List.length degraded)
     (String.concat ", "
        (List.map (fun (k, n) -> Printf.sprintf {|"%s": %d|} k n) tally));
-  Format.fprintf ppf "wrote BENCH_faults.json@."
+  Format.fprintf ppf "wrote BENCH_faults.json@.";
+  (* Gate: an armed plan that injects nothing must be free.  Every hook
+     still resolves to [None], so anything beyond 1% is a real
+     regression of the disarmed path. *)
+  if inert_overhead > 0.01 then
+    failwith
+      (Printf.sprintf
+         "BENCH faults: armed-inert overhead %.2f%% exceeds the 1%% budget"
+         (100.0 *. inert_overhead))

@@ -22,8 +22,7 @@ open Hbbp_core
 module Perf_data = Hbbp_collector.Perf_data
 module U = Bench_util
 
-let now = Unix.gettimeofday
-let rounds = 101
+let rounds = U.overhead_rounds
 let shards = 4
 
 let run ppf =
@@ -62,11 +61,6 @@ let run ppf =
     partial_bytes
       (Recover.analyze_archives ~checkpoint_every:1 ~checkpoint:ckpt paths)
   in
-  let timed f =
-    let t0 = now () in
-    let r = f () in
-    (now () -. t0, r)
-  in
   (* Untimed warmup of every variant: the first round otherwise pays
      for page-cache population and major-heap growth on behalf of all
      three, skewing the comparison by far more than the 1% gate. *)
@@ -74,15 +68,8 @@ let run ppf =
   let identical = ref true in
   let samples =
     List.init rounds (fun round ->
-        let (tb, base), (td, drv) =
-          if round mod 2 = 0 then
-            let b = timed baseline in
-            (b, timed driver)
-          else
-            let d = timed driver in
-            (timed baseline, d)
-        in
-        let tc, ckpted = timed checkpointed in
+        let (tb, base), (td, drv) = U.alternating round baseline driver in
+        let tc, ckpted = U.timed checkpointed in
         if not (Bytes.equal base drv && Bytes.equal base ckpted) then
           identical := false;
         if Sys.file_exists ckpt then
@@ -95,12 +82,10 @@ let run ppf =
   let baseline_s = total (fun (b, _, _) -> b)
   and driver_s = total (fun (_, d, _) -> d)
   and checkpointed_s = total (fun (_, _, c) -> c) in
-  let median_ratio f =
-    let rs = List.sort compare (List.map f samples) in
-    List.nth rs (rounds / 2)
+  let driver_overhead = U.median (fun (b, d, _) -> d /. b) samples -. 1.0 in
+  let checkpointed_overhead =
+    U.median (fun (b, _, c) -> c /. b) samples -. 1.0
   in
-  let driver_overhead = median_ratio (fun (b, d, _) -> d /. b) -. 1.0 in
-  let checkpointed_overhead = median_ratio (fun (b, _, c) -> c /. b) -. 1.0 in
   Format.fprintf ppf
     "archives: %d shards of %s, %d interleaved rounds (overheads: median \
      per-round ratio)@."

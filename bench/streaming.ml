@@ -6,10 +6,16 @@
    [Gc.top_heap_words] is a clean high-water mark (it never shrinks, so
    in-process comparison would measure whichever mode ran first).
 
-   Gate: the minor words [Pipeline.Partial.feed] allocates per record,
-   fed in default-sized chunks over every registry archive.  The count
-   is exact and host-independent; the bench exits non-zero above
-   [max_feed_words_per_record].  Writes BENCH_streaming.json. *)
+   Gates, all measured in this one process:
+   - the minor words [Pipeline.Partial.feed] allocates per record, fed
+     in default-sized chunks over every registry archive;
+   - the minor words [Perf_data.Stream.next] allocates per record
+     decoding those archives from disk;
+   - the speedup of [Crc32.update] over a bytewise one-table CRC-32.
+   The two word counts are exact and host-independent; the speedup is a
+   same-process ratio.  The bench exits non-zero above
+   [max_feed_words_per_record] or [max_next_words_per_record], or below
+   [min_crc_speedup].  Writes BENCH_streaming.json. *)
 
 open Hbbp_core
 module Perf_data = Hbbp_collector.Perf_data
@@ -56,6 +62,12 @@ let child role paths out =
 
 let max_feed_words_per_record = 64.0
 
+(* A decoded 16-deep sample is ~47 words: the interleaved LBR array
+   (33), the sample record (6), its [Sample] box (2) and the chunk
+   list's cons cells (3 + 3 for the reversal). *)
+let max_next_words_per_record = 52.0
+let min_crc_speedup = 2.5
+
 (* [records] cut into chunks of the streaming reader's default size. *)
 let rec chunks records =
   let rec take n acc = function
@@ -88,6 +100,80 @@ let feed_words_per_record archives =
       records := !records + List.length a.Perf_data.records)
     archives;
   !words /. float_of_int !records
+
+(* Minor words [Stream.next] allocates per record, decoding every
+   archive from a v2 file (opening it, which parses the metadata
+   sections, is not counted). *)
+let next_words_per_record archives =
+  let path = Filename.temp_file "hbbp-bench-next" ".hbbp" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let words = ref 0.0 and records = ref 0 in
+  List.iter
+    (fun (a : Perf_data.t) ->
+      Perf_data.save a ~path;
+      match Perf_data.Stream.open_file path with
+      | Error e ->
+          failwith
+            (Format.asprintf "BENCH streaming: %a" Perf_data.pp_error e)
+      | Ok s ->
+          let rec go () =
+            let w0 = Gc.minor_words () in
+            let chunk = Perf_data.Stream.next s in
+            words := !words +. (Gc.minor_words () -. w0);
+            match chunk with
+            | Some rs ->
+                records := !records + List.length rs;
+                go ()
+            | None -> ()
+          in
+          go ();
+          Perf_data.Stream.close s)
+    archives;
+  !words /. float_of_int !records
+
+(* The bytewise one-table CRC-32 that slicing-by-8 replaced: the
+   reference the speedup is measured against. *)
+let bytewise_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let bytewise_crc data =
+  let c = ref 0xFFFFFFFF in
+  for k = 0 to Bytes.length data - 1 do
+    c :=
+      bytewise_table.((!c lxor Bytes.get_uint8 data k) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Median over interleaved rounds (alternating which goes first) of the
+   per-round time ratio bytewise / [Crc32.bytes], over 4 MiB of
+   pseudo-random bytes; also the sliced throughput in MB/s (median). *)
+let crc_speedup () =
+  let rounds = 21 in
+  let st = Random.State.make [| 20 |] in
+  let data =
+    Bytes.init (4 lsl 20) (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  if bytewise_crc data <> Hbbp_util.Crc32.bytes data then
+    failwith "BENCH streaming: Crc32 disagrees with the bytewise CRC";
+  let samples =
+    List.init rounds (fun round ->
+        let (bytewise_s, _), (sliced_s, _) =
+          U.alternating round
+            (fun () -> bytewise_crc data)
+            (fun () -> Hbbp_util.Crc32.bytes data)
+        in
+        (bytewise_s, sliced_s))
+  in
+  ( U.median (fun (b, s) -> b /. s) samples,
+    U.median (fun (_, s) -> float_of_int (Bytes.length data) /. s /. 1e6) samples
+  )
 
 type measurement = {
   peak_bytes : int;  (** Analysis-attributable heap high-water mark. *)
@@ -177,6 +263,8 @@ let run ppf =
     float_of_int batch.peak_bytes /. float_of_int streaming.peak_bytes
   in
   let feed_words = feed_words_per_record archives in
+  let next_words = next_words_per_record archives in
+  let crc_speedup, crc_mb_s = crc_speedup () in
   Format.fprintf ppf "peak-heap ratio batch/streaming: %.2fx@." ratio;
   if batch.m_records <> n_records || streaming.m_records <> n_records then
     failwith "BENCH streaming: modes disagree on record count";
@@ -195,6 +283,9 @@ let run ppf =
   "lbr_period": %d,
   "chunk_records": %d,
   "feed_minor_words_per_record": %.3f,
+  "next_minor_words_per_record": %.3f,
+  "crc32_speedup_over_bytewise": %.2f,
+  "crc32_mb_per_s": %.0f,
   %s,
   %s,
   %s,
@@ -203,7 +294,8 @@ let run ppf =
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
-    Perf_data.Stream.default_chunk_records feed_words (mode "batch" batch)
+    Perf_data.Stream.default_chunk_records feed_words next_words crc_speedup
+    crc_mb_s (mode "batch" batch)
     (mode "streaming" streaming)
     (mode "sharded" sharded) ratio;
   Format.fprintf ppf "wrote BENCH_streaming.json@.";
@@ -211,9 +303,28 @@ let run ppf =
     "Partial.feed: %.3f minor words per record over the registry (gate: <= \
      %.0f)@."
     feed_words max_feed_words_per_record;
-  if feed_words > max_feed_words_per_record then begin
-    Format.fprintf ppf "FAIL: Partial.feed allocates more than %.0f words \
-      per record@." max_feed_words_per_record;
-    exit 1
-  end;
+  Format.fprintf ppf
+    "Stream.next: %.3f minor words per record over the registry (gate: <= \
+     %.0f)@."
+    next_words max_next_words_per_record;
+  Format.fprintf ppf
+    "Crc32.update: %.2fx the bytewise CRC, %.0f MB/s (gate: >= %.1fx)@."
+    crc_speedup crc_mb_s min_crc_speedup;
+  let failures =
+    List.filter_map
+      (fun (failed, msg) -> if failed then Some msg else None)
+      [
+        ( feed_words > max_feed_words_per_record,
+          Printf.sprintf "Partial.feed allocates more than %.0f words per record"
+            max_feed_words_per_record );
+        ( next_words > max_next_words_per_record,
+          Printf.sprintf "Stream.next allocates more than %.0f words per record"
+            max_next_words_per_record );
+        ( crc_speedup < min_crc_speedup,
+          Printf.sprintf "Crc32.update is less than %.1fx the bytewise CRC"
+            min_crc_speedup );
+      ]
+  in
+  List.iter (fun msg -> Format.fprintf ppf "FAIL: %s@." msg) failures;
+  if failures <> [] then exit 1;
   Format.fprintf ppf "PASS@."

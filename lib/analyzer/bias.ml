@@ -149,17 +149,19 @@ module Acc = struct
      merges the following stream, which then usually fails to walk — a
      high failure rate is the observable signature of record loss. *)
   let add static acc (s : Sample_db.lbr_sample) =
-    let n = Array.length s.entries in
+    let e = s.entries in
+    let n = Hbbp_cpu.Lbr.entries e in
     if n >= 2 then begin
       size static acc;
       acc.snapshots <- acc.snapshots + 1;
-      let first = s.entries.(0).Hbbp_cpu.Lbr.src in
+      let first = e.(0) in
       let owner_gid = ref (Static.gid_ending_at static first) in
       add_count acc.entry0 !owner_gid first 1;
+      (* Flat snapshot: entry [k]'s source at [2k], target at [2k + 1]. *)
       for k = 1 to n - 1 do
-        let owner = s.entries.(k - 1).Hbbp_cpu.Lbr.src in
-        let target = s.entries.(k - 1).Hbbp_cpu.Lbr.tgt in
-        let src = s.entries.(k).Hbbp_cpu.Lbr.src in
+        let owner = e.((2 * k) - 2) in
+        let target = e.((2 * k) - 1) in
+        let src = e.(2 * k) in
         let src_gid = Static.gid_ending_at static src in
         add_count acc.deep src_gid src 1;
         acc.deep_total <- acc.deep_total + 1;

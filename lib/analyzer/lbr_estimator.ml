@@ -62,7 +62,7 @@ module Acc = struct
 
   let add static acc (s : Sample_db.lbr_sample) =
     acc.snapshots <- acc.snapshots + 1;
-    let n = Array.length s.entries in
+    let n = Hbbp_cpu.Lbr.entries s.entries in
     if n >= 2 then begin
       if Array.length acc.firsts < n then begin
         acc.firsts <- Array.make n 0;
@@ -73,8 +73,9 @@ module Acc = struct
          (= 1/(N-1) when all N-1 are usable, the paper's weighting). *)
       let walked = ref 0 in
       for idx = 1 to n - 1 do
-        let target = s.entries.(idx - 1).Hbbp_cpu.Lbr.tgt in
-        let src = s.entries.(idx).Hbbp_cpu.Lbr.src in
+        (* Flat snapshot: entry [k]'s source at [2k], target at [2k + 1]. *)
+        let target = s.entries.((2 * idx) - 1) in
+        let src = s.entries.(2 * idx) in
         match Stream_walk.walk static acc.span ~target ~src with
         | Stream_walk.Interval ->
             acc.firsts.(!walked) <- acc.span.first;

@@ -3,7 +3,7 @@ open Hbbp_cpu
 module Record = Hbbp_collector.Record
 
 type ebs_sample = { ip : int; ring : Ring.t }
-type lbr_sample = { entries : Lbr.entry array; ring : Ring.t }
+type lbr_sample = { entries : Lbr.snapshot; ring : Ring.t }
 
 type t = {
   ebs : ebs_sample array;

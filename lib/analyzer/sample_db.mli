@@ -10,7 +10,11 @@ open Hbbp_program
 open Hbbp_cpu
 
 type ebs_sample = { ip : int; ring : Ring.t }
-type lbr_sample = { entries : Lbr.entry array; ring : Ring.t }
+
+(** [entries] is a {!Hbbp_cpu.Lbr.snapshot}: oldest first, entry [k]'s
+    source at [2k] and target at [2k + 1] — the decoded
+    {!Hbbp_collector.Record.sample} array itself, never copied. *)
+type lbr_sample = { entries : Lbr.snapshot; ring : Ring.t }
 
 type t = {
   ebs : ebs_sample array;

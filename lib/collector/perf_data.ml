@@ -143,12 +143,10 @@ let w_record buf (r : Record.t) =
       w_i64 buf s.Record.ip;
       w_ring buf s.Record.ring;
       w_i64 buf s.Record.time;
-      w_i64 buf (Array.length s.Record.lbr);
-      Array.iter
-        (fun (e : Lbr.entry) ->
-          w_i64 buf e.src;
-          w_i64 buf e.tgt)
-        s.Record.lbr
+      (* Entry count, then each entry's source and target: the flat
+         snapshot's own interleaved order. *)
+      w_i64 buf (Lbr.entries s.Record.lbr);
+      Array.iter (w_i64 buf) s.Record.lbr
   | Record.Lost n ->
       w_u8 buf 4;
       w_i64 buf n
@@ -278,6 +276,30 @@ let r_kernel_text c =
   let code = r_bytes c in
   (name, code)
 
+(* The encoded event names, for matching a sample's event in place
+   against the archive bytes: no string is allocated per record. *)
+let event_names =
+  Array.of_list (List.map (fun e -> (Pmu_event.to_string e, e)) Pmu_event.all)
+
+let rec name_at data pos name i =
+  i = String.length name
+  || (Bytes.get data (pos + i) = name.[i] && name_at data pos name (i + 1))
+
+let rec event_at data pos n k =
+  if k = Array.length event_names then
+    raise (Parse (Corrupt ("event " ^ Bytes.sub_string data pos n)))
+  else
+    let name, e = event_names.(k) in
+    if String.length name = n && name_at data pos name 0 then e
+    else event_at data pos n (k + 1)
+
+let r_event c =
+  let n = r_i64 c in
+  need c n;
+  let e = event_at c.data c.pos n 0 in
+  c.pos <- c.pos + n;
+  e
+
 let r_record c =
   match r_u8 c with
   | 0 ->
@@ -295,22 +317,15 @@ let r_record c =
       let child = r_i64 c in
       Record.Fork { parent; child }
   | 3 ->
-      let event_name = r_string c in
-      let event =
-        match Pmu_event.of_string event_name with
-        | Some e -> e
-        | None -> raise (Parse (Corrupt ("event " ^ event_name)))
-      in
+      let event = r_event c in
       let ip = r_i64 c in
       let ring = r_ring c in
       let time = r_i64 c in
       let n = r_count c ~min_item_size:16 in
-      let lbr =
-        Array.init n (fun _ ->
-            let src = r_i64 c in
-            let tgt = r_i64 c in
-            { Lbr.src; tgt })
-      in
+      let lbr = Array.make (2 * n) 0 in
+      for k = 0 to (2 * n) - 1 do
+        lbr.(k) <- r_i64 c
+      done;
       Record.Sample { Record.event; ip; lbr; ring; time }
   | 4 -> Record.Lost (r_i64 c)
   | tag -> raise (Parse (Corrupt (Printf.sprintf "record tag %d" tag)))
@@ -588,18 +603,20 @@ module Stream = struct
      checksum verdict covers the whole section, exactly like the batch
      reader's whole-payload CRC. *)
   let drain (c : chunked) =
-    let scratch = Bytes.create read_block in
-    let rec go () =
-      if c.fed < c.avail then begin
-        let n = input c.ic scratch 0 (min read_block (c.avail - c.fed)) in
-        if n > 0 then begin
-          c.crc <- Hbbp_util.Crc32.update c.crc ~off:0 ~len:n scratch;
-          c.fed <- c.fed + n;
-          go ()
+    if c.fed < c.avail then begin
+      let scratch = Bytes.create read_block in
+      let rec go () =
+        if c.fed < c.avail then begin
+          let n = input c.ic scratch 0 (min read_block (c.avail - c.fed)) in
+          if n > 0 then begin
+            c.crc <- Hbbp_util.Crc32.update c.crc ~off:0 ~len:n scratch;
+            c.fed <- c.fed + n;
+            go ()
+          end
         end
-      end
-    in
-    go ()
+      in
+      go ()
+    end
 
   (* Final ledger, reproducing the batch reader's entries and order:
      a records-section checksum mismatch first (only decidable for a
@@ -631,6 +648,10 @@ module Stream = struct
   let next_chunked (s : stream) (c : chunked) =
     if c.finished then None
     else begin
+      (* One cursor over the pending bytes, rebuilt only after a refill
+         (which moves or replaces the buffer). *)
+      let pending () = { data = c.buf; pos = c.b_start; limit = c.b_stop } in
+      let cur = ref (pending ()) in
       let out = ref [] and n_out = ref 0 in
       let finished = ref false in
       while (not !finished) && !n_out < s.chunk_records do
@@ -639,15 +660,15 @@ module Stream = struct
           finished := true
         end
         else begin
-          let cur = { data = c.buf; pos = c.b_start; limit = c.b_stop } in
-          match r_record cur with
+          match r_record !cur with
           | r ->
-              c.b_start <- cur.pos;
+              c.b_start <- !cur.pos;
               c.emitted <- c.emitted + 1;
               out := r :: !out;
               incr n_out
           | exception Parse e ->
-              if not (refill c) then begin
+              if refill c then cur := pending ()
+              else begin
                 c.parse_fault <-
                   Some
                     (records_fault ~expected:(Some c.expected)

@@ -4,7 +4,7 @@ open Hbbp_cpu
 type sample = {
   event : Pmu_event.t;
   ip : int;
-  lbr : Lbr.entry array;
+  lbr : Lbr.snapshot;
   ring : Ring.t;
   time : int;
 }
@@ -23,7 +23,7 @@ let pp ppf = function
   | Fork { parent; child } -> Format.fprintf ppf "FORK %d -> %d" parent child
   | Sample s ->
       Format.fprintf ppf "SAMPLE %a ip=%#x lbr=%d [%a] t=%d" Pmu_event.pp
-        s.event s.ip (Array.length s.lbr) Ring.pp s.ring s.time
+        s.event s.ip (Lbr.entries s.lbr) Ring.pp s.ring s.time
   | Lost n -> Format.fprintf ppf "LOST %d" n
 
 let samples records =

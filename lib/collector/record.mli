@@ -11,7 +11,9 @@ open Hbbp_cpu
 type sample = {
   event : Pmu_event.t;
   ip : int;  (** Eventing IP. *)
-  lbr : Lbr.entry array;  (** Oldest first; may be empty. *)
+  lbr : Lbr.snapshot;
+      (** Oldest first, interleaved: entry [k]'s source at [2k], its
+          target at [2k + 1] ({!Hbbp_cpu.Lbr.snapshot}); may be empty. *)
   ring : Ring.t;
   time : int;  (** Cycle timestamp. *)
 }

@@ -8,7 +8,7 @@ type counter_config = { event : Pmu_event.t; mode : counter_mode }
 type sample = {
   event : Pmu_event.t;
   ip : int;
-  lbr : Lbr.entry array;
+  lbr : Lbr.snapshot;
   ring : Ring.t;
   retired_index : int;
   cycles : int;
@@ -24,7 +24,8 @@ type pending = {
   counter_idx : int;
   mutable skid_left : int;
   branch_based : bool;  (* skid counts taken branches, not retirements *)
-  trigger : Lbr.entry option;  (* the branch that caused the overflow *)
+  trigger : (int * int) option;
+      (* source and target of the branch that caused the overflow *)
   mutable waiting_shadow : bool;
 }
 
@@ -53,9 +54,10 @@ type t = {
   mutable pendings : pending list;
   mutable pmi_count : int;
   mutable last_cycles : int;
-  mutable stuck_entry : Lbr.entry option;
-      (* The quirk: a branch record stuck in the oldest LBR slots. *)
-  mutable stuck_left : int;  (* Snapshots the stuck record persists for. *)
+  mutable stuck_src : int;
+  mutable stuck_tgt : int;
+      (* The quirk: a branch record stuck in the oldest LBR slots... *)
+  mutable stuck_left : int;  (* ...for this many more snapshots. *)
   mutable drop_next_push : bool;
       (* The quirk's second face: the recording of the taken branch that
          follows a quirky one is occasionally lost. *)
@@ -100,7 +102,8 @@ let create model configs =
     pendings = [];
     pmi_count = 0;
     last_cycles = 0;
-    stuck_entry = None;
+    stuck_src = 0;
+    stuck_tgt = 0;
     stuck_left = 0;
     drop_next_push = false;
     skid_hist = Array.make (max_skid_bucket + 2) 0;
@@ -175,7 +178,10 @@ let increment (e : Pmu_event.t) (node : Exec_graph.node) ~taken ~cycles_delta =
    lost and one bogus stream fabricated. *)
 let misrotate snap =
   let n = Array.length snap in
-  Array.init n (fun k -> if k = 0 then snap.(n - 1) else snap.(k - 1))
+  let out = Array.make n 0 in
+  Array.blit snap (n - 2) out 0 2;
+  Array.blit snap 0 out 2 (n - 2);
+  out
 
 (* The hard quirk (hash-selected branches): the triggering branch's
    record gets STUCK in the two oldest slots of the buffer and persists
@@ -186,12 +192,13 @@ let misrotate snap =
    bogus streams anchored at the stuck branch's source/target fabricate
    weight over the blocks around it: concentrated over- and
    under-counting, as in Table 3. *)
-let stick snap (e : Lbr.entry) =
+let stick snap ~src ~tgt =
   let out = Array.copy snap in
-  let n = Array.length out in
-  if n > 2 then begin
-    out.(0) <- e;
-    out.(1) <- e
+  if Lbr.entries out > 2 then begin
+    out.(0) <- src;
+    out.(1) <- tgt;
+    out.(2) <- src;
+    out.(3) <- tgt
   end;
   out
 
@@ -203,46 +210,49 @@ let snapshot_lbr t ~branch_based ~trigger =
     if not branch_based then snap
     else begin
       (match trigger with
-      | Some (entry : Lbr.entry)
-        when Pmu_model.is_quirk_branch t.model entry.src
+      | Some (src, tgt)
+        when Pmu_model.is_quirk_branch t.model src
              && Prng.bool t.prng t.model.quirk_probability ->
-          t.stuck_entry <- Some entry;
+          t.stuck_src <- src;
+          t.stuck_tgt <- tgt;
           t.stuck_left <- 2 + Prng.int t.prng 5
       | Some _ | None -> ());
-      match t.stuck_entry with
-      | Some e when t.stuck_left > 0 ->
-          t.stuck_left <- t.stuck_left - 1;
-          if t.stuck_left = 0 then t.stuck_entry <- None;
-          t.stuck_snapshots <- t.stuck_snapshots + 1;
-          stick snap e
-      | Some _ | None ->
-          if Prng.bool t.prng t.model.global_anomaly_probability then begin
-            t.misrotated_snapshots <- t.misrotated_snapshots + 1;
-            misrotate snap
-          end
-          else snap
+      if t.stuck_left > 0 then begin
+        t.stuck_left <- t.stuck_left - 1;
+        t.stuck_snapshots <- t.stuck_snapshots + 1;
+        stick snap ~src:t.stuck_src ~tgt:t.stuck_tgt
+      end
+      else if Prng.bool t.prng t.model.global_anomaly_probability then begin
+        t.misrotated_snapshots <- t.misrotated_snapshots + 1;
+        misrotate snap
+      end
+      else snap
     end
   end
 
 (* Injected LBR corruption (chaos testing): forced stuck/mis-rotated
    snapshots reuse the genuine quirk transforms; truncation keeps only
    the newest entries, as if the buffer stopped short. *)
-let inject_lbr_faults inj ~(trigger : Lbr.entry option) snap =
+let inject_lbr_faults inj ~trigger snap =
   if Array.length snap = 0 then snap
   else begin
     let f = Faults.lbr_fault inj in
     let snap =
       if f.Faults.stick then
-        let e =
-          match trigger with Some e -> e | None -> snap.(Array.length snap - 1)
+        let src, tgt =
+          match trigger with
+          | Some e -> e
+          | None ->
+              let newest = Lbr.entries snap - 1 in
+              (Lbr.src snap newest, Lbr.tgt snap newest)
         in
-        stick snap e
+        stick snap ~src ~tgt
       else snap
     in
     let snap = if f.Faults.misrotate then misrotate snap else snap in
     let keep = f.Faults.truncate in
-    if keep > 0 && keep < Array.length snap then
-      Array.sub snap (Array.length snap - keep) keep
+    if keep > 0 && keep < Lbr.entries snap then
+      Array.sub snap (Array.length snap - (2 * keep)) (2 * keep)
     else snap
   end
 
@@ -364,7 +374,7 @@ let on_retire t (r : Machine.retirement) =
               in
               let trigger =
                 if branch_based && taken then
-                  Some { Lbr.src = r.taken_src; tgt = r.taken_tgt }
+                  Some (r.taken_src, r.taken_tgt)
                 else None
               in
               let skid = skid_for t c.config.event in
@@ -569,7 +579,6 @@ let reset t =
   t.pendings <- [];
   t.pmi_count <- 0;
   t.last_cycles <- 0;
-  t.stuck_entry <- None;
   t.stuck_left <- 0;
   t.drop_next_push <- false;
   Array.fill t.skid_hist 0 (Array.length t.skid_hist) 0;

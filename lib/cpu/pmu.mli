@@ -39,7 +39,7 @@ type counter_config = { event : Pmu_event.t; mode : counter_mode }
 type sample = {
   event : Pmu_event.t;
   ip : int;  (** Eventing IP (where the PMI observed retirement). *)
-  lbr : Lbr.entry array;  (** Oldest first; empty if LBR capture is off. *)
+  lbr : Lbr.snapshot;  (** Oldest first; empty if LBR capture is off. *)
   ring : Ring.t;
   retired_index : int;
   cycles : int;

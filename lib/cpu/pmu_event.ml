@@ -35,9 +35,6 @@ let all =
     Arith_divider_cycles;
   ]
 
-let of_string s =
-  List.find_opt (fun e -> String.equal (to_string e) s) all
-
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let is_precise = function

@@ -24,8 +24,6 @@ val pp : Format.formatter -> t -> unit
     e.g. ["INST_RETIRED:PREC_DIST"]. *)
 val to_string : t -> string
 
-val of_string : string -> t option
-
 (** [is_precise e] — can the event be requested in a precise (PEBS-like)
     variant?  On x86 precise events can only run on one counter at a
     time; the collector relies on this restriction being modelled. *)

@@ -1,27 +1,82 @@
-(* Standard reflected CRC-32, polynomial 0xEDB88320. *)
+(* Standard reflected CRC-32, polynomial 0xEDB88320, slicing-by-8.
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+   The table holds eight 256-entry slices back to back: entry
+   [k * 256 + b] is the CRC register after byte [b] followed by [k] zero
+   bytes.  Slice 0 is the classic bytewise table; slice [k] extends slice
+   [k - 1] by one zero byte.  Eight input bytes then fold into the
+   register with eight independent lookups instead of eight dependent
+   table steps. *)
+let build_tables () =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+      else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
+
+(* Built on first use, so a program that never checksums allocates
+   nothing for it.  An [Atomic] rather than a [Lazy]: forcing one lazy
+   value from two domains at once raises, while two domains racing here
+   just build the same table twice. *)
+let tables : int array Atomic.t = Atomic.make [||]
+
+let get_tables () =
+  let t = Atomic.get tables in
+  if Array.length t > 0 then t
+  else begin
+    let t = build_tables () in
+    Atomic.set tables t;
+    t
+  end
 
 type state = int
 
 let init () = 0xFFFFFFFF
 
+(* Every index below is masked to a byte and offset by a slice base
+   below 2048, so the loads from the 2048-entry table cannot go out of
+   bounds. *)
+let[@inline] lookup (t : int array) slice byte =
+  Array.unsafe_get t ((slice * 256) + byte)
+
 let update st ?(off = 0) ?len data =
   let len = match len with Some l -> l | None -> Bytes.length data - off in
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Crc32.update: slice out of range";
-  let t = Lazy.force table in
-  let crc = ref st in
-  for i = off to off + len - 1 do
-    crc := t.((!crc lxor Bytes.get_uint8 data i) land 0xFF) lxor (!crc lsr 8)
+  let t = get_tables () in
+  let stop = off + len in
+  let crc = ref st and i = ref off in
+  while !i + 8 <= stop do
+    let lo =
+      !crc lxor (Int32.to_int (Bytes.get_int32_le data !i) land 0xFFFFFFFF)
+    in
+    let hi = Int32.to_int (Bytes.get_int32_le data (!i + 4)) land 0xFFFFFFFF in
+    crc :=
+      lookup t 7 (lo land 0xFF)
+      lxor lookup t 6 ((lo lsr 8) land 0xFF)
+      lxor lookup t 5 ((lo lsr 16) land 0xFF)
+      lxor lookup t 4 (lo lsr 24)
+      lxor lookup t 3 (hi land 0xFF)
+      lxor lookup t 2 ((hi lsr 8) land 0xFF)
+      lxor lookup t 1 ((hi lsr 16) land 0xFF)
+      lxor lookup t 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    crc :=
+      lookup t 0 ((!crc lxor Bytes.get_uint8 data !i) land 0xFF)
+      lxor (!crc lsr 8);
+    incr i
   done;
   !crc
 

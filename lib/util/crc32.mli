@@ -1,4 +1,6 @@
-(** CRC-32 (IEEE 802.3, the zlib/gzip polynomial), table-driven.
+(** CRC-32 (IEEE 802.3, the zlib/gzip polynomial), slicing-by-8: eight
+    table lookups per 8-byte word, read with two little-endian 32-bit
+    loads, and a bytewise loop for the last [len mod 8] bytes.
 
     Used by the v2 archive format to give every section an integrity
     checksum, so the reader can tell torn writes and bit rot from valid

@@ -335,9 +335,13 @@ let test_lbr_estimator_weights () =
   let src = Basic_block.last_addr block in
   (* One snapshot with 3 entries, all loop backedges: 2 usable streams,
      each covering the loop block with weight 1/2 -> bbec = 1 * period. *)
-  let entry = { Lbr.src; tgt = loop_addr } in
   let samples =
-    [| { Sample_db.entries = [| entry; entry; entry |]; ring = Ring.User } |]
+    [|
+      {
+        Sample_db.entries = [| src; loop_addr; src; loop_addr; src; loop_addr |];
+        ring = Ring.User;
+      };
+    |]
   in
   let est = Lbr_estimator.estimate static ~period:211 samples in
   checki "2 usable streams" 2 est.Lbr_estimator.usable_streams;
@@ -366,10 +370,7 @@ let test_lbr_estimator_inconsistent_counted () =
     [|
       {
         Sample_db.entries =
-          [|
-            { Lbr.src = after + 100; tgt = 0x400000 };
-            { Lbr.src = after + 3; tgt = 0 };
-          |];
+          [| after + 100; 0x400000; after + 3; 0 |];
         ring = Ring.User;
       };
     |]
@@ -388,17 +389,18 @@ let test_bias_detection () =
   let gid = Option.get (Static.find_starting static loop_addr) in
   let _, _, block = Static.block static gid in
   let src = Basic_block.last_addr block in
-  let hot = { Lbr.src; tgt = loop_addr } in
   let ret_block_gid = Option.get (Static.find static (Basic_block.end_addr block)) in
   ignore ret_block_gid;
   (* 100 snapshots where [hot] is stuck at entry[0] but appears at no
      deep slot: textbook entry[0] anomaly.  Fill deep slots with another
      branch. *)
-  let other = { Lbr.src = src - 100; tgt = loop_addr } in
+  let other = src - 100 in
   let samples =
     Array.init 100 (fun _ ->
         {
-          Sample_db.entries = [| hot; other; other; other |];
+          Sample_db.entries =
+            [| src; loop_addr; other; loop_addr; other; loop_addr; other;
+               loop_addr |];
           ring = Ring.User;
         })
   in
@@ -414,12 +416,15 @@ let test_bias_quiet_on_uniform () =
   let gid = Option.get (Static.find_starting static loop_addr) in
   let _, _, block = Static.block static gid in
   let src = Basic_block.last_addr block in
-  let e = { Lbr.src; tgt = loop_addr } in
   (* The same branch everywhere: entry0 share = 1 but so is deep share:
      no anomaly. *)
   let samples =
     Array.init 100 (fun _ ->
-        { Sample_db.entries = [| e; e; e; e |]; ring = Ring.User })
+        {
+          Sample_db.entries =
+            Array.init 8 (fun k -> if k land 1 = 0 then src else loop_addr);
+          ring = Ring.User;
+        })
   in
   let bias = Bias.detect static samples in
   checkb "uniform presence not flagged" false bias.Bias.flags.(gid)
@@ -559,7 +564,7 @@ let test_sample_db_split () =
       {
         Hbbp_collector.Record.event;
         ip = 0x400000;
-        lbr = [| { Lbr.src = 1; tgt = 2 } |];
+        lbr = [| 1; 2 |];
         ring = Ring.User;
         time = 0;
       }

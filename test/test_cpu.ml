@@ -327,22 +327,48 @@ let test_syscall_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* LBR                                                                 *)
 
+let check_int_array = Alcotest.(check (array int))
+
 let test_lbr_ring () =
   let l = Lbr.create ~depth:4 in
   checki "empty" 0 (Array.length (Lbr.snapshot l));
-  for k = 1 to 6 do
+  for k = 1 to 2 do
+    Lbr.push l ~src:k ~tgt:(k * 10)
+  done;
+  check_int_array "partial: oldest first" [| 1; 10; 2; 20 |] (Lbr.snapshot l);
+  for k = 3 to 6 do
     Lbr.push l ~src:k ~tgt:(k * 10)
   done;
   let snap = Lbr.snapshot l in
-  checki "depth bounded" 4 (Array.length snap);
-  checki "oldest is 3" 3 snap.(0).Lbr.src;
-  checki "newest is 6" 6 snap.(3).Lbr.src;
-  Lbr.overwrite_oldest l { Lbr.src = 99; tgt = 990 };
+  checki "depth bounded" 4 (Lbr.entries snap);
+  check_int_array "wrapped: oldest first" [| 3; 30; 4; 40; 5; 50; 6; 60 |] snap;
+  checki "oldest is 3" 3 (Lbr.src snap 0);
+  checki "newest is 6" 6 (Lbr.src snap 3);
+  checki "newest target" 60 (Lbr.tgt snap 3);
+  (* Every wrap position: after [depth + j] pushes the snapshot is the
+     last [depth] pushes, oldest first. *)
+  for j = 0 to 8 do
+    let l = Lbr.create ~depth:4 in
+    let pushes = 4 + j in
+    for k = 1 to pushes do
+      Lbr.push l ~src:k ~tgt:(-k)
+    done;
+    check_int_array
+      (Printf.sprintf "wrap after %d pushes" pushes)
+      (Array.init 8 (fun w ->
+           let k = pushes - 3 + (w / 2) in
+           if w land 1 = 0 then k else -k))
+      (Lbr.snapshot l)
+  done;
+  Lbr.overwrite_oldest l ~src:99 ~tgt:990;
   let snap = Lbr.snapshot l in
-  checki "oldest clobbered" 99 snap.(0).Lbr.src;
-  checki "newest intact" 6 snap.(3).Lbr.src;
+  checki "oldest clobbered" 99 (Lbr.src snap 0);
+  checki "oldest target clobbered" 990 (Lbr.tgt snap 0);
+  checki "newest intact" 6 (Lbr.src snap 3);
   Lbr.clear l;
-  checki "cleared" 0 (Lbr.fill_level l)
+  checki "cleared" 0 (Lbr.fill_level l);
+  Lbr.overwrite_oldest l ~src:1 ~tgt:2;
+  checki "overwrite on empty is a no-op" 0 (Array.length (Lbr.snapshot l))
 
 (* ------------------------------------------------------------------ *)
 (* PMU                                                                 *)

@@ -197,8 +197,67 @@ let test_lbr_corruption () =
     (List.mem_assoc "lbr.forced_misrotated" t);
   List.iter
     (fun (s : Record.sample) ->
-      checkb "snapshots truncated to 4" true (Array.length s.Record.lbr <= 4))
+      checkb "snapshots truncated to 4" true (Lbr.entries s.Record.lbr <= 4))
     (Record.samples p.Pipeline.records)
+
+
+(* Each forced LBR fault acts on the right slots of the flat snapshot
+   (entry [k]'s source at [2k], target at [2k + 1]).  The injector draws
+   from its own PRNG, so the armed run delivers the same samples as the
+   clean one and each faulted snapshot is a function of its clean twin:
+   stuck rewrites entries 0 and 1 with one branch (the trigger, or the
+   newest entry for a non-branch event), mis-rotation moves the newest
+   entry to the front, truncation keeps the newest entries. *)
+let test_lbr_fault_slots () =
+  let w = mk_workload ~seed:0xFA03L "lbr" in
+  let snapshots () =
+    List.map
+      (fun (s : Record.sample) -> (s.Record.event, s.Record.ip, s.Record.lbr))
+      (Record.samples (run_keep w).Pipeline.records)
+  in
+  let clean = snapshots () in
+  let faulted spec =
+    Faults.arm (plan_of_spec spec);
+    let f = snapshots () in
+    Faults.disarm ();
+    checki (spec ^ ": same samples") (List.length clean) (List.length f);
+    List.map2
+      (fun (e, ip, c) (e', ip', f) ->
+        checkb (spec ^ ": aligned") true (Pmu_event.equal e e' && ip = ip');
+        (e, c, f))
+      clean f
+  in
+  let words = Array.length in
+  let deep = ref 0 in
+  List.iter
+    (fun (e, c, f) ->
+      let n = words c in
+      if Lbr.entries c > 2 then begin
+        incr deep;
+        checkb "stuck: entries 0 and 1 equal" true
+          (f.(0) = f.(2) && f.(1) = f.(3));
+        checkb "stuck: deeper entries intact" true
+          (Array.sub f 4 (n - 4) = Array.sub c 4 (n - 4));
+        if not (Pmu_event.equal e Pmu_event.Br_inst_retired_near_taken) then
+          checkb "stuck: no trigger -> newest entry" true
+            (f.(0) = c.(n - 2) && f.(1) = c.(n - 1))
+      end
+      else checkb "stuck: short snapshot untouched" true (f = c))
+    (faulted "seed=5,lbr.stuck=1");
+  checkb "some snapshots deep enough to stick" true (!deep > 0);
+  List.iter
+    (fun (_, c, f) ->
+      let n = words c in
+      if n > 0 then
+        checkb "misrotate: newest entry first, the rest shifted" true
+          (f = Array.append (Array.sub c (n - 2) 2) (Array.sub c 0 (n - 2))))
+    (faulted "seed=5,lbr.misrotate=1");
+  List.iter
+    (fun (_, c, f) ->
+      let n = words c in
+      checkb "truncate: newest 3 entries kept" true
+        (f = if n > 6 then Array.sub c (n - 6) 6 else c))
+    (faulted "seed=5,lbr.truncate=3")
 
 let test_stream_faults_degrade () =
   let w = mk_workload ~seed:0xFA04L "stream" in
@@ -299,10 +358,10 @@ let tiny_archive () =
         sample
           ~lbr:
             [|
-              { Lbr.src = Layout.user_code_base + 8;
-                tgt = Layout.user_code_base };
-              { Lbr.src = Layout.user_code_base + 16;
-                tgt = Layout.user_code_base + 4 };
+              Layout.user_code_base + 8;
+              Layout.user_code_base;
+              Layout.user_code_base + 16;
+              Layout.user_code_base + 4;
             |]
           Pmu_event.Br_inst_retired_near_taken
           (Layout.user_code_base + 8);
@@ -769,6 +828,7 @@ let () =
         [
           tc "pmu sample drops" `Quick test_pmu_drops;
           tc "lbr corruption" `Quick test_lbr_corruption;
+          tc "lbr faults act on the right slots" `Quick test_lbr_fault_slots;
           tc "stream faults degrade" `Quick test_stream_faults_degrade;
         ] );
       ( "archive",

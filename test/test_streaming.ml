@@ -76,6 +76,57 @@ let test_crc_slice_validation () =
   checkb "negative len rejected" true
     (bad (fun () -> Crc32.update (Crc32.init ()) ~off:0 ~len:(-1) data))
 
+(* Bytewise reference CRC-32: the textbook one-table loop, kept here as
+   the oracle for the sliced implementation. *)
+let oracle_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let oracle_crc ~off ~len data =
+  let c = ref 0xFFFFFFFF in
+  for k = off to off + len - 1 do
+    c :=
+      oracle_table.((!c lxor Bytes.get_uint8 data k) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_known_answers () =
+  checki "check value of \"123456789\"" 0xCBF43926 (Crc32.string "123456789");
+  checki "empty input" 0 (Crc32.string "");
+  (* 5000 bytes, (7k + 3) mod 256; the value is zlib's crc32. *)
+  let v = Bytes.init 5000 (fun k -> Char.chr (((k * 7) + 3) land 0xFF)) in
+  checki "5000-byte vector" 0x1ABD04D4 (Crc32.bytes v);
+  checki "oracle agrees on the vector" 0x1ABD04D4
+    (oracle_crc ~off:0 ~len:5000 v);
+  (* Every alignment and every length across the 8-byte step. *)
+  for off = 0 to 7 do
+    for len = 0 to 80 do
+      if Crc32.bytes ~off ~len v <> oracle_crc ~off ~len v then
+        Alcotest.failf "off %d len %d differs from the oracle" off len
+    done
+  done
+
+(* Random content, unaligned [off], [len] 0..80 (across the 8-byte
+   boundary), and the slice split in two at every position. *)
+let prop_crc_oracle =
+  QCheck2.Test.make ~name:"sliced crc32 = bytewise oracle, every split"
+    ~count:300
+    QCheck2.Gen.(triple (0 -- 15) (0 -- 80) (string_size (return 96)))
+    (fun (off, len, s) ->
+      let data = Bytes.of_string s in
+      let expected = oracle_crc ~off ~len data in
+      Crc32.bytes ~off ~len data = expected
+      && List.for_all
+           (fun cut ->
+             let st = Crc32.update (Crc32.init ()) ~off ~len:(cut - off) data in
+             Crc32.finish (Crc32.update st ~off:cut ~len:(off + len - cut) data)
+             = expected)
+           (List.init (len + 1) (fun k -> off + k)))
+
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures: one collected archive, its static view, its db     *)
 
@@ -437,10 +488,10 @@ let tiny_archive () =
         sample
           ~lbr:
             [|
-              { Lbr.src = Layout.user_code_base + 8;
-                tgt = Layout.user_code_base };
-              { Lbr.src = Layout.user_code_base + 16;
-                tgt = Layout.user_code_base + 4 };
+              Layout.user_code_base + 8;
+              Layout.user_code_base;
+              Layout.user_code_base + 16;
+              Layout.user_code_base + 4;
             |]
           Pmu_event.Br_inst_retired_near_taken
           (Layout.user_code_base + 8);
@@ -513,6 +564,98 @@ let test_fuzz_stream_bit_flip_every_byte () =
           path flipped
       done)
     [ 1; 2 ]
+
+(* The encoder's bytes for an archive holding every record kind, pinned
+   to the digests of the format as first shipped: an encoder change (or
+   a wrong CRC table, on which encoder and decoder would still agree)
+   cannot drift unseen. *)
+let test_encoder_bytes_pinned () =
+  let a = tiny_archive () in
+  List.iter
+    (fun (version, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "v%d digest" version)
+        expected
+        (Digest.to_hex (Digest.bytes (Perf_data.to_bytes ~version a))))
+    [ (1, "9c97bb2920f82d3214e70d8285edada0");
+      (2, "4a3db7b1d075ef853d4a0e727c8876e4") ]
+
+(* [tiny_archive]'s v2 bytes with the records section replaced by
+   [records] (declared [count] records, correct CRC), so the only damage
+   is in the record bytes themselves. *)
+let with_records_section ~count records =
+  let data = Perf_data.to_bytes (tiny_archive ()) in
+  let pos = ref 9 (* magic + version *) in
+  for _ = 1 to 3 do
+    pos := !pos + 24 + Int64.to_int (Bytes.get_int64_le data !pos)
+  done;
+  let payload = Buffer.to_bytes records in
+  let buf = Buffer.create 512 in
+  Buffer.add_subbytes buf data 0 !pos;
+  List.iter
+    (fun v -> Buffer.add_int64_le buf (Int64.of_int v))
+    [ Bytes.length payload; count; Crc32.bytes payload ];
+  Buffer.add_bytes buf payload;
+  Buffer.to_bytes buf
+
+(* A [Lost 1] record, then a sample whose event name, LBR count and
+   entries are given. *)
+let lost_then_sample ~event ~lbr_count ~entries =
+  let b = Buffer.create 256 in
+  let w_i64 v = Buffer.add_int64_le b (Int64.of_int v) in
+  Buffer.add_uint8 b 4;
+  w_i64 1;
+  Buffer.add_uint8 b 3;
+  w_i64 (String.length event);
+  Buffer.add_string b event;
+  w_i64 0x1000 (* ip *);
+  Buffer.add_uint8 b 0 (* user ring *);
+  w_i64 7 (* time *);
+  w_i64 lbr_count;
+  List.iter w_i64 entries;
+  b
+
+let check_decode_fault ~what data expected =
+  with_tmp_file @@ fun path ->
+  check_same_verdict ~what path data;
+  match Perf_data.of_bytes data with
+  | Error e -> Alcotest.failf "%s: hard error %a" what Perf_data.pp_error e
+  | Ok { Perf_data.archive; ledger } ->
+      checkb (what ^ ": prefix salvaged") true
+        (archive.Perf_data.records = [ Record.Lost 1 ]);
+      checkb (what ^ ": typed fault") true (ledger = [ expected ])
+
+let test_decoder_typed_faults () =
+  let corrupt reason =
+    Perf_data.Corrupt_records { index = 1; reason; salvaged = 1 }
+  in
+  check_decode_fault ~what:"unknown event name"
+    (with_records_section ~count:2
+       (lost_then_sample ~event:"INST_RETIRED:ANYWAY" ~lbr_count:0
+          ~entries:[]))
+    (corrupt "event INST_RETIRED:ANYWAY");
+  check_decode_fault ~what:"implausible LBR count"
+    (with_records_section ~count:2
+       (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN"
+          ~lbr_count:(1 lsl 40) ~entries:[ 1; 2 ]))
+    (corrupt (Printf.sprintf "implausible count %d" (1 lsl 40)));
+  (* Cut inside the second entry: the count guard sees the missing bytes
+     before any entry is read. *)
+  let whole =
+    with_records_section ~count:2
+      (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN" ~lbr_count:2
+         ~entries:[ 0x10; 0x20; 0x30; 0x40 ])
+  in
+  check_decode_fault ~what:"truncated mid-entry"
+    (Bytes.sub whole 0 (Bytes.length whole - 12))
+    (corrupt "implausible count 2");
+  (* The intact version decodes to the flat snapshot, in order. *)
+  match Perf_data.of_bytes whole with
+  | Ok { Perf_data.archive = { records = [ _; Record.Sample s ]; _ }; ledger = [] }
+    ->
+      checkb "flat snapshot decoded in order" true
+        (s.Record.lbr = [| 0x10; 0x20; 0x30; 0x40 |])
+  | _ -> Alcotest.fail "intact crafted archive did not decode"
 
 (* The per-archive step renders every failure as an error naming the
    archive, never an exception: a path that does not exist (first or
@@ -639,6 +782,9 @@ let () =
       ( "crc32",
         [
           QCheck_alcotest.to_alcotest prop_crc_incremental;
+          Alcotest.test_case "known answers + every alignment" `Quick
+            test_crc_known_answers;
+          QCheck_alcotest.to_alcotest prop_crc_oracle;
           Alcotest.test_case "slice validation" `Quick
             test_crc_slice_validation;
         ] );
@@ -670,6 +816,10 @@ let () =
             test_fuzz_stream_truncation_every_offset;
           Alcotest.test_case "bit flip at every byte" `Slow
             test_fuzz_stream_bit_flip_every_byte;
+          Alcotest.test_case "encoder bytes pinned" `Quick
+            test_encoder_bytes_pinned;
+          Alcotest.test_case "decoder faults are typed, stream = batch"
+            `Quick test_decoder_typed_faults;
           Alcotest.test_case "missing archive is a typed error" `Quick
             test_missing_archive_is_typed;
           Alcotest.test_case "undisassemblable image is a typed error" `Quick
