@@ -81,22 +81,11 @@ let metrics_arg =
           "After the run, print the metrics-registry snapshot as $(b,json) \
            or $(b,table). Defaults to $(b,HBBP_METRICS) when set.")
 
-let metrics_stream_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-stream" ] ~docv:"FILE"
-        ~doc:
-          "While the run executes, append full metric-registry snapshots \
-           to $(docv) as JSONL (one object per line with a monotonic \
-           $(i,seq)), so long runs are observable before they finish. \
-           Defaults to $(b,HBBP_METRICS_STREAM) when set.")
-
 (* Arm telemetry before the work, flush it after (also on [die]/raise:
    [exit] does not run the finalizer, which is fine — a failed run has
    nothing worth flushing). *)
-let with_telemetry trace metrics stream f =
-  Telemetry.configure ?trace ?metrics ?metrics_stream:stream ();
+let with_telemetry trace metrics f =
+  Telemetry.configure ?trace ?metrics ();
   let v = f () in
   Telemetry.finalize Format.std_formatter;
   v
@@ -204,11 +193,11 @@ let jobs_arg =
            Results are identical for every N.")
 
 let profile_cmd =
-  let run positional named jobs faults trace metrics stream =
+  let run positional named jobs faults trace metrics =
     let names = positional @ named in
     if names = [] then die "profile: no workload given (see 'hbbp list')";
     let ws = List.map find_workload names in
-    with_telemetry trace metrics stream @@ fun () ->
+    with_telemetry trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let profiles = Pipeline.run_many ?jobs ws in
     List.iter
@@ -229,7 +218,7 @@ let profile_cmd =
           multiple workloads run in parallel (-j)")
     Term.(
       const run $ workloads_pos_arg $ workload_opt_arg $ jobs_arg $ faults_arg
-      $ trace_arg $ metrics_arg $ metrics_stream_arg)
+      $ trace_arg $ metrics_arg)
 
 (* ---- mix ----------------------------------------------------------- *)
 
@@ -335,8 +324,8 @@ let train_cmd =
   let dot =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit graphviz instead of ASCII.")
   in
-  let run dot jobs faults trace metrics stream =
-    with_telemetry trace metrics stream @@ fun () ->
+  let run dot jobs faults trace metrics =
+    with_telemetry trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let tree, dataset =
       Training.build ?jobs (Hbbp_workloads.Training_set.all ())
@@ -361,7 +350,7 @@ let train_cmd =
        ~doc:
          "Run the HBBP criteria search on the training corpus (profiled \
           in parallel, -j)")
-    Term.(const run $ dot $ jobs_arg $ faults_arg $ trace_arg $ metrics_arg $ metrics_stream_arg)
+    Term.(const run $ dot $ jobs_arg $ faults_arg $ trace_arg $ metrics_arg)
 
 (* ---- collect / analyze --------------------------------------------- *)
 
@@ -400,11 +389,11 @@ let shard_delay () =
   | Some s -> ( match float_of_string_opt s with Some d -> d | None -> 0.0)
 
 let collect_cmd =
-  let run names output shards jobs faults resume trace metrics stream =
+  let run names output shards jobs faults resume trace metrics =
     if shards < 1 then die "collect: --shards must be at least 1";
     let ws = List.map find_workload names in
     install_signal_handlers ();
-    with_telemetry trace metrics stream @@ fun () ->
+    with_telemetry trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let single = match names with [ _ ] -> true | _ -> false in
     let delay = shard_delay () in
@@ -467,7 +456,7 @@ let collect_cmd =
           $(b,--resume), converging to byte-identical archives")
     Term.(
       const run $ workloads_arg $ output_arg $ shards_arg $ jobs_arg
-      $ faults_arg $ resume_arg $ trace_arg $ metrics_arg $ metrics_stream_arg)
+      $ faults_arg $ resume_arg $ trace_arg $ metrics_arg)
 
 let archives_arg =
   Arg.(
@@ -534,10 +523,9 @@ let analyze_cmd =
   let top =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Rows to print.")
   in
-  let run paths top checkpoint resume repair profile_out trace metrics stream
-      =
+  let run paths top checkpoint resume repair profile_out trace metrics =
     install_signal_handlers ();
-    with_telemetry trace metrics stream @@ fun () ->
+    with_telemetry trace metrics @@ fun () ->
     let checkpoint =
       match (checkpoint, resume) with
       | (Some _ as c), _ -> c
@@ -601,15 +589,14 @@ let analyze_cmd =
           unreadable or shard metadata disagrees")
     Term.(
       const run $ archives_arg $ top $ checkpoint_arg $ resume_arg
-      $ repair_mode_arg $ emit_profile_arg $ trace_arg $ metrics_arg
-      $ metrics_stream_arg)
+      $ repair_mode_arg $ emit_profile_arg $ trace_arg $ metrics_arg)
 
 (* ---- stats ---------------------------------------------------------- *)
 
 let stats_cmd =
-  (* One reconstruction's stat block — everything comes off the merged
-     partial state and the finalized estimators, so the same printer
-     serves a single archive and a merged shard set. *)
+  (* Print one reconstruction's stat block and return its quality.  It
+     all comes off the merged partial state and the finalized
+     estimators, so one printer serves an archive and a shard set. *)
   let print_stats header meta (r : Pipeline.reconstruction) =
     let partial = r.Pipeline.r_partial in
     let lbr = r.Pipeline.r_lbr in
@@ -659,55 +646,68 @@ let stats_cmd =
           faults);
     Format.printf "  quality             %a@." Pipeline.pp_quality
       r.Pipeline.r_quality;
-    match r.Pipeline.r_quality with Pipeline.Full -> false | Pipeline.Degraded _ -> true
+    r.Pipeline.r_quality
   in
   let health_arg =
     Arg.(
       value & flag
       & info [ "health" ]
           ~doc:
-            "After the analysis, print the rolled-up health verdict \
-             (ok/warn/critical with reasons) assembled from the run's \
-             degrade.*, verify.*, lbr.*, pmu.*, faults.*, pool.* and \
-             gc.* metrics; a critical verdict also exits 2.")
+            "After the statistics, print the verdict that decides the exit \
+             code, $(b,full) or $(b,degraded), with the reconstruction's \
+             degrade reasons.")
   in
-  let run paths health trace metrics stream =
-    let degraded = ref false in
-    let critical = ref false in
-    (* The rollup reads the metrics registry, so --health turns it on
-       even when no snapshot printing was requested. *)
-    if health then Hbbp_telemetry.Metrics.enable ();
-    with_telemetry trace metrics stream (fun () ->
-        (* Per-archive stats stream each file independently... *)
-        List.iter
+  let run paths health trace metrics =
+    let degraded =
+      with_telemetry trace metrics @@ fun () ->
+      (* Per-archive stats stream each file independently... *)
+      let own =
+        List.map
           (fun path ->
             match Pipeline.analyze_archives [ path ] with
             | Error msg -> die "%s" msg
-            | Ok (meta, r) ->
-                if print_stats path meta r then degraded := true)
-          paths;
-        (* ... and several archives also get the merged view (when their
-           metadata is compatible, i.e. they are shards of one
-           collection).  The merged verdict drives the exit code: shards
-           that starve a channel individually can be healthy together. *)
-        if List.length paths > 1 then
-          (match Pipeline.analyze_archives paths with
+            | Ok (meta, r) -> (path, print_stats path meta r))
+          paths
+      in
+      (* ... and several archives also get the merged view (when their
+         metadata is compatible, i.e. they are shards of one
+         collection).  The merged verdict drives the exit code: shards
+         that starve a channel individually can be healthy together. *)
+      let verdicts =
+        if List.length paths < 2 then own
+        else
+          match Pipeline.analyze_archives paths with
           | Error msg ->
-              Format.eprintf "hbbp: no merged view: %s@." msg
+              Format.eprintf "hbbp: no merged view: %s@." msg;
+              own
           | Ok (meta, r) ->
+              let label =
+                Printf.sprintf "merged (%d archives)" (List.length paths)
+              in
               Format.printf "@.";
-              degraded :=
-                print_stats
-                  (Printf.sprintf "merged (%d archives)" (List.length paths))
-                  meta r);
-        if health then begin
-          let verdict = Telemetry.health () in
-          Format.printf "@.%a" Hbbp_telemetry.Health.pp verdict;
-          match verdict with
-          | Hbbp_telemetry.Health.Critical _ -> critical := true
-          | Hbbp_telemetry.Health.Ok | Hbbp_telemetry.Health.Warn _ -> ()
-        end);
-    if !degraded || !critical then exit 2
+              [ (label, print_stats label meta r) ]
+      in
+      let degraded =
+        List.exists
+          (function _, Pipeline.Degraded _ -> true | _, Pipeline.Full -> false)
+          verdicts
+      in
+      if health then begin
+        Format.printf "@.health: %s@."
+          (if degraded then "degraded" else "full");
+        List.iter
+          (function
+            | _, Pipeline.Full -> ()
+            | label, Pipeline.Degraded reasons ->
+                List.iter
+                  (Format.printf "  - %s: %a@." label
+                     Pipeline.pp_degrade_reason)
+                  reasons)
+          verdicts
+      end;
+      degraded
+    in
+    if degraded then exit 2
   in
   Cmd.v
     (Cmd.info "stats"
@@ -715,13 +715,12 @@ let stats_cmd =
          "Print collection and sampling-health statistics of archive(s), \
           streamed in bounded chunks: record volume, sample split, \
           stream-walk failure rate, bias flags, salvage/integrity status; \
-          several archives also report their merged reconstruction, and \
-          $(b,--health) a rolled-up ok/warn/critical verdict. Exits 2 \
-          when the (merged) reconstruction is degraded or the verdict is \
-          critical, 1 when an archive is unreadable")
+          several archives also report their merged reconstruction. \
+          $(b,--health) repeats the deciding verdict with its reasons. \
+          Exits 2 when the (merged) reconstruction is degraded, 1 when an \
+          archive is unreadable")
     Term.(
-      const run $ archives_arg $ health_arg $ trace_arg $ metrics_arg
-      $ metrics_stream_arg)
+      const run $ archives_arg $ health_arg $ trace_arg $ metrics_arg)
 
 (* ---- lint ----------------------------------------------------------- *)
 
@@ -868,11 +867,11 @@ let lint_cmd =
           lr_flow = Some flow_report;
         }
   in
-  let run targets json flow trace metrics stream =
+  let run targets json flow trace metrics =
     let archives, workloads =
       List.partition Sys.file_exists targets
     in
-    with_telemetry trace metrics stream @@ fun () ->
+    with_telemetry trace metrics @@ fun () ->
     let results =
       List.map (lint_workload ~flow) workloads
       @ (if archives = [] then [] else [ lint_archives archives ])
@@ -913,7 +912,7 @@ let lint_cmd =
           agreement) and flow-check archive reconstructions against \
           Kirchhoff conservation. Exits 0 when clean, 2 on findings, 1 \
           when a target is unreadable")
-    Term.(const run $ targets $ json $ flow $ trace_arg $ metrics_arg $ metrics_stream_arg)
+    Term.(const run $ targets $ json $ flow $ trace_arg $ metrics_arg)
 
 (* ---- repair --------------------------------------------------------- *)
 
@@ -1014,8 +1013,8 @@ let repair_cmd =
           ( r.Pipeline.r_static,
             meta.Hbbp_collector.Perf_data.workload_name ) )
   in
-  let run targets json profile_out trace metrics stream =
-    with_telemetry trace metrics stream @@ fun () ->
+  let run targets json profile_out trace metrics =
+    with_telemetry trace metrics @@ fun () ->
     let archives, workloads = List.partition Sys.file_exists targets in
     let results =
       List.map repair_workload workloads
@@ -1061,7 +1060,7 @@ let repair_cmd =
           threshold, 1 when a target is unreadable")
     Term.(
       const run $ targets $ json $ emit_profile_arg $ trace_arg
-      $ metrics_arg $ metrics_stream_arg)
+      $ metrics_arg)
 
 (* ---- loops ---------------------------------------------------------- *)
 
@@ -1105,12 +1104,12 @@ let doctor_cmd =
             "Shards to split the archive into, i.e. parallel task \
              granularity (default: twice the maximum job count).")
   in
-  let run positional named json max_jobs shards trace metrics stream =
+  let run positional named json max_jobs shards trace metrics =
     let names =
       match positional @ named with [] -> [ "mcf"; "hello" ] | ns -> ns
     in
     let ws = List.map find_workload names in
-    with_telemetry trace metrics stream @@ fun () ->
+    with_telemetry trace metrics @@ fun () ->
     let reports =
       List.map (fun w -> Doctor.run ?max_jobs ?shards w) ws
     in
@@ -1139,7 +1138,7 @@ let doctor_cmd =
           different counts (determinism violation)")
     Term.(
       const run $ workloads_pos_arg $ workload_opt_arg $ json $ max_jobs
-      $ shards $ trace_arg $ metrics_arg $ metrics_stream_arg)
+      $ shards $ trace_arg $ metrics_arg)
 
 (* ---- capabilities --------------------------------------------------- *)
 

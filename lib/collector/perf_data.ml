@@ -204,8 +204,13 @@ exception Parse of error
 
 (* A bounded cursor: [limit] caps every read, so a corrupt length in one
    v2 section can never pull bytes from the next one, and no arithmetic
-   on attacker-controlled lengths can overflow past the buffer. *)
-type cursor = { data : bytes; mutable pos : int; limit : int }
+   on attacker-controlled lengths can overflow past the buffer.
+   [declared] is where the section's header says its payload ends: past
+   [limit] when the payload is physically cut (or, while streaming, not
+   yet buffered), else [limit]. *)
+type cursor = { data : bytes; mutable pos : int; limit : int; declared : int }
+
+let cursor data ~pos ~limit = { data; pos; limit; declared = limit }
 
 let remaining c = c.limit - c.pos
 let need c n = if n < 0 || n > remaining c then raise (Parse Truncated)
@@ -240,11 +245,15 @@ let r_bytes c =
 (* Guard a parsed item count against the bytes that could possibly back
    it (every item needs at least [min_item_size] bytes), so a flipped
    count field raises a typed error instead of attempting a giant
-   allocation. *)
+   allocation.  A count the declared payload could hold but the bytes
+   present cannot is a cut, not a corruption. *)
 let r_count c ~min_item_size =
   let n = r_i64 c in
   if min_item_size > 0 && n > remaining c / min_item_size then
-    raise (Parse (Corrupt (Printf.sprintf "implausible count %d" n)));
+    raise
+      (Parse
+         (if n <= (c.declared - c.pos) / min_item_size then Truncated
+          else Corrupt (Printf.sprintf "implausible count %d" n)));
   n
 
 let r_list c ?(min_item_size = 1) f =
@@ -391,7 +400,10 @@ let r_section c =
   let avail = min len (remaining c) in
   let complete = avail = len in
   let crc_ok = complete && Crc32.bytes ~off:c.pos ~len c.data = crc in
-  let sub = { data = c.data; pos = c.pos; limit = c.pos + avail } in
+  let sub =
+    { data = c.data; pos = c.pos; limit = c.pos + avail;
+      declared = c.pos + len }
+  in
   c.pos <- c.pos + avail;
   (sub, count, complete, crc_ok)
 
@@ -456,7 +468,7 @@ let of_bytes data =
       not (String.equal (Bytes.sub_string data 0 (String.length magic)) magic)
     then raise (Parse Bad_magic);
     let c =
-      { data; pos = String.length magic; limit = Bytes.length data }
+      cursor data ~pos:(String.length magic) ~limit:(Bytes.length data)
     in
     match r_u8 c with
     | 1 -> Ok (of_bytes_v1 c)
@@ -555,8 +567,8 @@ module Stream = struct
     mutable b_stop : int;
     mutable crc : Hbbp_util.Crc32.state;
     crc_declared : int;
+    len : int;  (** Declared payload length. *)
     avail : int;  (** Payload bytes physically present in the file. *)
-    complete : bool;  (** [avail = payload_len]. *)
     expected : int;  (** Declared record count. *)
     mutable fed : int;  (** Payload bytes consumed from the file. *)
     mutable emitted : int;  (** Records handed out so far. *)
@@ -628,14 +640,15 @@ module Stream = struct
     c.finished <- true;
     let crc_ok = Hbbp_util.Crc32.finish c.crc = c.crc_declared in
     let checksum =
-      if c.complete && not crc_ok then [ Checksum_mismatch Records ] else []
+      if c.avail = c.len && not crc_ok then [ Checksum_mismatch Records ]
+      else []
     in
     checksum
     @
     match c.parse_fault with
     | Some f -> [ f ]
     | None ->
-        if (not c.complete) && c.emitted >= c.expected then
+        if c.avail < c.len && c.emitted >= c.expected then
           [ Truncated_records
               { expected = Some c.expected; salvaged = c.emitted } ]
         else []
@@ -650,7 +663,10 @@ module Stream = struct
     else begin
       (* One cursor over the pending bytes, rebuilt only after a refill
          (which moves or replaces the buffer). *)
-      let pending () = { data = c.buf; pos = c.b_start; limit = c.b_stop } in
+      let pending () =
+        { data = c.buf; pos = c.b_start; limit = c.b_stop;
+          declared = c.b_stop + c.len - c.fed }
+      in
       let cur = ref (pending ()) in
       let out = ref [] and n_out = ref 0 in
       let finished = ref false in
@@ -730,7 +746,7 @@ module Stream = struct
     let left = total - pos_in ic in
     if left < 24 then raise (Parse Truncated);
     let hdr = read_exactly ic 24 in
-    let hc = { data = hdr; pos = 0; limit = 24 } in
+    let hc = cursor hdr ~pos:0 ~limit:24 in
     let len = r_i64 hc in
     let count = r_i64 hc in
     let crc = r_i64 hc in
@@ -738,7 +754,7 @@ module Stream = struct
     let payload = read_exactly ic len in
     if Crc32.bytes payload <> crc then
       raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
-    parse { data = payload; pos = 0; limit = len } count
+    parse (cursor payload ~pos:0 ~limit:len) count
 
   let open_v2 ic ~total ~chunk_records =
     let workload_name = ref "" and ebs_period = ref 0 and lbr_period = ref 0 in
@@ -765,7 +781,7 @@ module Stream = struct
       let left = total - pos_in ic in
       if left < 24 then raise (Parse Truncated);
       let hdr = read_exactly ic 24 in
-      let hc = { data = hdr; pos = 0; limit = 24 } in
+      let hc = cursor hdr ~pos:0 ~limit:24 in
       let len = r_i64 hc in
       let count = r_i64 hc in
       let crc = r_i64 hc in
@@ -790,7 +806,7 @@ module Stream = struct
             crc = Hbbp_util.Crc32.init ();
             crc_declared;
             avail;
-            complete = avail = len;
+            len;
             expected;
             fed = 0;
             emitted = 0;
@@ -818,7 +834,7 @@ module Stream = struct
              bounding is a v2-only property. *)
           let rest = read_exactly ic (total - pos_in ic) in
           let { archive; ledger } =
-            of_bytes_v1 { data = rest; pos = 0; limit = Bytes.length rest }
+            of_bytes_v1 (cursor rest ~pos:0 ~limit:(Bytes.length rest))
           in
           {
             meta = { archive with records = [] };

@@ -28,7 +28,7 @@ let () =
     | _ -> None)
 
 (* Process-wide tallies, mirrored into the telemetry registry by
-   [Telemetry.health]/[finalize] the same way [Faults.tally] is. *)
+   [Telemetry.finalize] the same way [Faults.tally] is. *)
 let attempts_cell = Atomic.make 0
 let exhausted_cell = Atomic.make 0
 

@@ -159,11 +159,9 @@ let json_float v =
     Printf.sprintf "%.1f" v
   else Printf.sprintf "%.17g" v
 
-(* The bare {...} metrics object, for embedding (JSONL snapshot lines,
-   health payloads). *)
-let json_object snapshot =
+let to_json snapshot =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{";
+  Buffer.add_string buf "{\"metrics\":{";
   List.iteri
     (fun k (name, v) ->
       if k > 0 then Buffer.add_string buf ",";
@@ -185,11 +183,8 @@ let json_object snapshot =
                (String.concat ","
                   (List.map string_of_int (Array.to_list buckets)))))
     snapshot;
-  Buffer.add_string buf "}";
+  Buffer.add_string buf "}}\n";
   Buffer.contents buf
-
-let to_json snapshot =
-  Printf.sprintf "{\"metrics\":%s}\n" (json_object snapshot)
 
 let hist_cell bounds buckets count sum =
   let mean = if count = 0 then 0.0 else sum /. float_of_int count in

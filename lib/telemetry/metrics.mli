@@ -75,8 +75,4 @@ val snapshot : unit -> snapshot
 val find : snapshot -> string -> value option
 val to_json : snapshot -> string
 
-(** The bare [{...}] metrics object without the [{"metrics": ...}]
-    wrapper or trailing newline — for embedding in JSONL stream lines
-    and health payloads. *)
-val json_object : snapshot -> string
 val pp_table : Format.formatter -> snapshot -> unit

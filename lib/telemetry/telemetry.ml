@@ -13,10 +13,9 @@ let parse_format = function
         other;
       None
 
-let active () =
-  !trace_path <> None || !metrics_format <> None || Snapshot.active ()
+let active () = !trace_path <> None || !metrics_format <> None
 
-let configure ?trace ?metrics ?metrics_stream () =
+let configure ?trace ?metrics () =
   let trace =
     match trace with Some _ as t -> t | None -> Sys.getenv_opt "HBBP_TRACE"
   in
@@ -24,11 +23,6 @@ let configure ?trace ?metrics ?metrics_stream () =
     match metrics with
     | Some _ as m -> m
     | None -> Option.bind (Sys.getenv_opt "HBBP_METRICS") parse_format
-  in
-  let metrics_stream =
-    match metrics_stream with
-    | Some _ as s -> s
-    | None -> Sys.getenv_opt "HBBP_METRICS_STREAM"
   in
   (match trace with
   | Some path when path <> "" ->
@@ -40,10 +34,6 @@ let configure ?trace ?metrics ?metrics_stream () =
       metrics_format := Some fmt;
       Metrics.enable ()
   | None -> ());
-  (match metrics_stream with
-  | Some path when path <> "" ->
-      Snapshot.configure ~path ()
-  | Some _ | None -> ());
   (* The runtime profiler rides along whenever any sink is armed: GC
      attribution is the point of tracing/metering a run. *)
   if active () then begin
@@ -62,22 +52,17 @@ let fold_resilience_tallies () =
       if v > cur then Metrics.add c (v - cur))
     (Hbbp_durable.Retry.tally () @ Hbbp_durable.Durable.tally ())
 
-let health () =
-  fold_resilience_tallies ();
-  Health.evaluate (Metrics.snapshot ())
-
-(* Teardown order matters: the profiler probe and the snapshot tick go
-   first (so the final trace/metrics flushes see quiescent hooks), then
-   outputs are written, then both subsystems are disabled and cleared so
-   a span opened after finalize is a ~2 ns no-op and a later [configure]
-   starts from scratch. *)
+(* Teardown order matters: the profiler probe goes first (so the final
+   trace/metrics flushes see a quiescent hook), then outputs are
+   written, then both subsystems are disabled and cleared so a span
+   opened after finalize is a ~2 ns no-op and a later [configure] starts
+   from scratch. *)
 let finalize ppf =
   if !profiling then begin
     Runtime_profiler.disable ();
     profiling := false
   end;
   fold_resilience_tallies ();
-  Snapshot.finalize ();
   (match !trace_path with
   | Some path ->
       trace_path := None;

@@ -24,48 +24,37 @@ type event =
     }
 
 (* One atomic word gates every instrumentation site: bit 0 = span
-   recording (tracing proper), bit 1 = boundary hooks armed (runtime
-   profiler probe and/or snapshot tick).  The disabled [with_span] fast
-   path is a single atomic load and compare with zero — the same cost
-   as the original boolean — which is what keeps the disabled span
-   budget at ~2 ns. *)
+   recording (tracing proper), bit 1 = the runtime profiler's boundary
+   probe armed.  The disabled [with_span] fast path is a single atomic
+   load and compare with zero — the same cost as the original boolean —
+   which is what keeps the disabled span budget at ~2 ns. *)
 let trace_bit = 1
-let hook_bit = 2
+let probe_bit = 2
 let mode = Atomic.make 0
 
 let enabled () = Atomic.get mode land trace_bit <> 0
 
-(* Span-boundary hooks.  [probe] is consulted at span open/close (the
-   runtime profiler captures GC deltas there); [tick] fires once per
-   span close (the snapshot emitter counts spans there).  Both are set
-   quiescently — before the instrumented work starts — and read without
-   a lock; an OCaml ref read cannot tear. *)
+(* Span-boundary hook.  [probe] is consulted at span open/close (the
+   runtime profiler captures GC deltas there).  It is set quiescently —
+   before the instrumented work starts — and read without a lock; an
+   OCaml ref read cannot tear. *)
 type probe = {
   p_open : unit -> unit;
   p_close : name:string -> cat:string -> (string * string) list;
 }
 
 let probe : probe option ref = ref None
-let tick : (unit -> unit) option ref = ref None
 
-let update_hook_bit () =
+let set_probe p =
+  probe := p;
   let rec go () =
     let m = Atomic.get mode in
     let m' =
-      if !probe <> None || !tick <> None then m lor hook_bit
-      else m land lnot hook_bit
+      if Option.is_some p then m lor probe_bit else m land lnot probe_bit
     in
     if m <> m' && not (Atomic.compare_and_set mode m m') then go ()
   in
   go ()
-
-let set_probe p =
-  probe := p;
-  update_hook_bit ()
-
-let set_tick t =
-  tick := t;
-  update_hook_bit ()
 
 (* Trace epoch: gettimeofday at [enable]; span timestamps are relative
    to it.  The wall clock can step backwards (NTP); [now] monotonizes it
@@ -201,8 +190,7 @@ let with_span ?(cat = "hbbp") ?(args = []) name f =
           :: b.spans_rev
       end;
       b.depth <- depth;
-      (match b.open_names with _ :: tl -> b.open_names <- tl | [] -> ());
-      match !tick with Some t -> t () | None -> ()
+      match b.open_names with _ :: tl -> b.open_names <- tl | [] -> ()
     in
     match f () with
     | v ->

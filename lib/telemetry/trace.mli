@@ -16,12 +16,11 @@
 
     Beyond spans, the module records {e counter} samples (rendered as
     counter tracks — e.g. heap size over time) and {e instant} events
-    (vertical markers — e.g. a major GC), and exposes two span-boundary
-    hooks: a {!probe} the runtime profiler uses to capture GC deltas
-    per span, and a per-close {!set_tick} callback the snapshot emitter
-    counts spans with.  Hooks arm the instrumentation sites without
-    turning span recording on, so a metrics-stream-only run still pays
-    nothing for trace buffers. *)
+    (vertical markers — e.g. a major GC), and exposes one span-boundary
+    hook: a {!probe} the runtime profiler uses to capture GC deltas per
+    span.  The probe arms the instrumentation sites without turning
+    span recording on, so a metrics-only run still pays nothing for
+    trace buffers. *)
 
 type span = {
   name : string;
@@ -80,7 +79,7 @@ val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
     span the runtime profiler charges an interval's allocation to. *)
 val current_span : unit -> string option
 
-(** {1 Span-boundary hooks} *)
+(** {1 Span-boundary hook} *)
 
 (** [p_open] runs when a span opens, [p_close] when it closes; the args
     [p_close] returns are appended to the recorded span.  Both run even
@@ -94,10 +93,6 @@ type probe = {
 (** Install (or clear, with [None]) the span-boundary probe.  Set only
     while no span is in flight. *)
 val set_probe : probe option -> unit
-
-(** Install (or clear) the per-span-close tick callback.  Set only
-    while no span is in flight. *)
-val set_tick : (unit -> unit) option -> unit
 
 (** {1 Reading the buffers} *)
 

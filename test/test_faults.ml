@@ -369,18 +369,39 @@ let tiny_archive () =
       ];
   }
 
+(* Where the v2 records payload starts: past the magic, the version
+   byte and three metadata sections, then the records section header. *)
+let records_payload_start data =
+  let pos = ref 9 in
+  for _ = 1 to 3 do
+    pos := !pos + 24 + Int64.to_int (Bytes.get_int64_le data !pos)
+  done;
+  !pos + 24
+
 let test_fuzz_truncation_every_offset () =
   let a = tiny_archive () in
   List.iter
     (fun version ->
       let data = Perf_data.to_bytes ~version a in
       checkb "tiny archive stays small" true (Bytes.length data < 8192);
+      let payload = records_payload_start data in
       for n = 0 to Bytes.length data do
         match Perf_data.of_bytes (Bytes.sub data 0 n) with
         | Ok { Perf_data.ledger; _ } ->
             if not (n = Bytes.length data || ledger <> []) then
               Alcotest.failf "v%d: clean Ok on truncated prefix %d/%d" version
-                n (Bytes.length data)
+                n (Bytes.length data);
+            (* A v2 cut inside the records payload is a truncation, never
+               a corruption: the section header declares the bytes the
+               cut removed. *)
+            if version = 2 && n > payload && n < Bytes.length data then
+              List.iter
+                (function
+                  | Perf_data.Corrupt_records { reason; _ } ->
+                      Alcotest.failf "v2: cut at %d/%d reported corrupt (%s)"
+                        n (Bytes.length data) reason
+                  | _ -> ())
+                ledger
         | Error _ -> ()
         | exception e ->
             Alcotest.failf "v%d: truncation at %d raised %s" version n

@@ -1,12 +1,9 @@
-(* Tests for the observability additions: the continuous JSONL metric
-   stream (Snapshot), the health rollup (Health), the pool's task spans,
-   and the doctor's parallel-efficiency attribution. *)
+(* Tests for the pool's task spans and the doctor's parallel-efficiency
+   attribution. *)
 
 open Hbbp_core
 module Trace = Hbbp_telemetry.Trace
 module Metrics = Hbbp_telemetry.Metrics
-module Snapshot = Hbbp_telemetry.Snapshot
-module Health = Hbbp_telemetry.Health
 module Pool = Hbbp_util.Domain_pool
 
 let checkb = Alcotest.(check bool)
@@ -15,185 +12,12 @@ let checks = Alcotest.(check string)
 
 let clean f () =
   let finally () =
-    Snapshot.finalize ();
     Trace.disable ();
     Trace.reset ();
     Metrics.disable ();
     Metrics.reset ()
   in
   Fun.protect ~finally f
-
-let read_lines path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !lines
-
-let starts_with ~prefix s = String.starts_with ~prefix s
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot stream                                                     *)
-
-let test_stream_seq () =
-  let path = Filename.temp_file "hbbp-test-stream" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Snapshot.configure ~every_spans:1 ~path ();
-      checkb "stream active" true (Snapshot.active ());
-      checks "path reported" path (Option.get (Snapshot.path ()));
-      checkb "configure enabled metrics" true (Metrics.enabled ());
-      (* Span recording stays off: the tick arms the site, not the
-         buffers. *)
-      checkb "tracing not required" false (Trace.enabled ());
-      for _ = 1 to 6 do
-        Trace.with_span "pulse" (fun () -> ())
-      done;
-      checki "one line per span at every_spans=1" 6 (Snapshot.seq ());
-      checki "no spans recorded" 0 (Trace.span_count ());
-      Snapshot.finalize ();
-      checkb "inactive after finalize" false (Snapshot.active ());
-      (* File holds every line (6 ticks + the final flush), seq gap-free
-         from 0. *)
-      let lines = read_lines path in
-      checki "all lines on disk" 7 (List.length lines);
-      List.iteri
-        (fun i line ->
-          checkb "gap-free monotonic seq" true
-            (starts_with ~prefix:(Printf.sprintf "{\"seq\":%d," i) line);
-          checkb "line carries a metrics object" true
-            (let sub = "\"metrics\":{" in
-             let n = String.length sub and m = String.length line in
-             let rec go j =
-               j + n <= m && (String.sub line j n = sub || go (j + 1))
-             in
-             go 0))
-        lines;
-      (* finalize is idempotent. *)
-      Snapshot.finalize ())
-
-let test_stream_interval_emission () =
-  let path = Filename.temp_file "hbbp-test-stream" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (* Huge span threshold, tiny interval: emission must come from the
-         clock, not the span count. *)
-      Snapshot.configure ~every_spans:1_000_000 ~interval_s:0.01 ~path ();
-      Trace.with_span "warm" (fun () -> ());
-      Unix.sleepf 0.02;
-      Trace.with_span "late" (fun () -> ());
-      checkb "interval drove an emission" true (Snapshot.seq () >= 1);
-      Snapshot.finalize ())
-
-let test_stream_reconfigure () =
-  let p1 = Filename.temp_file "hbbp-test-stream" ".jsonl" in
-  let p2 = Filename.temp_file "hbbp-test-stream" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove p1;
-      Sys.remove p2)
-    (fun () ->
-      Snapshot.configure ~every_spans:1 ~path:p1 ();
-      Trace.with_span "one" (fun () -> ());
-      Snapshot.configure ~every_spans:1 ~path:p2 ();
-      checki "seq restarts on reconfigure" 0 (Snapshot.seq ());
-      checks "stream moved" p2 (Option.get (Snapshot.path ()));
-      Trace.with_span "two" (fun () -> ());
-      Snapshot.finalize ();
-      checki "first stream kept its lines" 1 (List.length (read_lines p1));
-      checki "second stream has tick + final" 2 (List.length (read_lines p2)))
-
-let test_stream_rejects_bad_config () =
-  match Snapshot.configure ~every_spans:0 ~path:"/dev/null" () with
-  | () -> Alcotest.fail "every_spans=0 must be rejected"
-  | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Health rollup                                                       *)
-
-let with_registry f =
-  Metrics.reset ();
-  Metrics.enable ();
-  f ();
-  let v = Health.evaluate (Metrics.snapshot ()) in
-  Metrics.disable ();
-  Metrics.reset ();
-  v
-
-let test_health_ok_on_clean_registry () =
-  let s = with_registry (fun () -> ()) in
-  checks "clean is ok" "ok" (Health.status_name s);
-  checki "no reasons" 0 (List.length (Health.reasons s));
-  checks "json shape" "{\"status\":\"ok\",\"reasons\":[]}" (Health.to_json s)
-
-let test_health_flow_violation_is_critical () =
-  let s =
-    with_registry (fun () ->
-        Metrics.incr (Metrics.counter "verify.flow_violations"))
-  in
-  checks "flow violation is critical" "critical" (Health.status_name s);
-  checkb "reason names the subsystem" true
-    (match Health.reasons s with r :: _ -> starts_with ~prefix:"verify:" r
-                               | [] -> false)
-
-let test_health_stream_failure_tiers () =
-  let at rate =
-    with_registry (fun () ->
-        Metrics.set (Metrics.gauge "lbr.stream_failure_rate") rate)
-  in
-  checks "low failure rate is ok" "ok" (Health.status_name (at 0.05));
-  checks "warn tier" "warn" (Health.status_name (at 0.20));
-  checks "critical tier" "critical" (Health.status_name (at 0.60))
-
-let test_health_pool_starvation_warns () =
-  let s =
-    with_registry (fun () ->
-        Metrics.add (Metrics.counter "pool.tasks") 100;
-        Metrics.set (Metrics.gauge "pool.utilization") 0.25)
-  in
-  checks "starved pool warns" "warn" (Health.status_name s);
-  checkb "points at the doctor" true
-    (List.exists
-       (fun r ->
-         let sub = "hbbp doctor" in
-         let n = String.length sub and m = String.length r in
-         let rec go i = i + n <= m && (String.sub r i n = sub || go (i + 1)) in
-         go 0)
-       (Health.reasons s))
-
-let test_health_criticals_listed_first () =
-  let s =
-    with_registry (fun () ->
-        Metrics.incr (Metrics.counter "faults.lost_record");
-        Metrics.incr (Metrics.counter "verify.flow_violations"))
-  in
-  match Health.reasons s with
-  | first :: rest ->
-      checkb "critical reason first" true (starts_with ~prefix:"verify:" first);
-      checkb "warning follows" true
-        (List.exists (starts_with ~prefix:"faults:") rest)
-  | [] -> Alcotest.fail "expected reasons"
-
-let test_health_gc_promotion_gate () =
-  (* Below the volume gate the ratio is not judged at all. *)
-  let small =
-    with_registry (fun () ->
-        Metrics.add (Metrics.counter "gc.allocated_words") 1000;
-        Metrics.add (Metrics.counter "gc.promoted_words") 900)
-  in
-  checks "tiny volume not judged" "ok" (Health.status_name small);
-  let big =
-    with_registry (fun () ->
-        Metrics.add (Metrics.counter "gc.allocated_words") 10_000_000;
-        Metrics.add (Metrics.counter "gc.promoted_words") 8_000_000)
-  in
-  checks "heavy promotion warns" "warn" (Health.status_name big)
 
 (* ------------------------------------------------------------------ *)
 (* Pool timelines                                                      *)
@@ -344,32 +168,6 @@ let test_doctor_leaves_telemetry_off () =
 let () =
   Alcotest.run "observability"
     [
-      ( "stream",
-        [
-          Alcotest.test_case "seq and gap-free lines" `Quick
-            (clean test_stream_seq);
-          Alcotest.test_case "interval-driven emission" `Quick
-            (clean test_stream_interval_emission);
-          Alcotest.test_case "reconfigure moves the stream" `Quick
-            (clean test_stream_reconfigure);
-          Alcotest.test_case "rejects invalid configuration" `Quick
-            (clean test_stream_rejects_bad_config);
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "clean registry is ok" `Quick
-            (clean test_health_ok_on_clean_registry);
-          Alcotest.test_case "flow violation is critical" `Quick
-            (clean test_health_flow_violation_is_critical);
-          Alcotest.test_case "stream failure tiers" `Quick
-            (clean test_health_stream_failure_tiers);
-          Alcotest.test_case "pool starvation warns" `Quick
-            (clean test_health_pool_starvation_warns);
-          Alcotest.test_case "criticals listed first" `Quick
-            (clean test_health_criticals_listed_first);
-          Alcotest.test_case "gc promotion volume gate" `Quick
-            (clean test_health_gc_promotion_gate);
-        ] );
       ( "pool_timeline",
         [
           Alcotest.test_case "per-worker task intervals" `Quick

@@ -640,7 +640,8 @@ let test_decoder_typed_faults () =
           ~lbr_count:(1 lsl 40) ~entries:[ 1; 2 ]))
     (corrupt (Printf.sprintf "implausible count %d" (1 lsl 40)));
   (* Cut inside the second entry: the count guard sees the missing bytes
-     before any entry is read. *)
+     before any entry is read, and the section header declares them, so
+     this is a truncation. *)
   let whole =
     with_records_section ~count:2
       (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN" ~lbr_count:2
@@ -648,7 +649,7 @@ let test_decoder_typed_faults () =
   in
   check_decode_fault ~what:"truncated mid-entry"
     (Bytes.sub whole 0 (Bytes.length whole - 12))
-    (corrupt "implausible count 2");
+    (Perf_data.Truncated_records { expected = Some 2; salvaged = 1 });
   (* The intact version decodes to the flat snapshot, in order. *)
   match Perf_data.of_bytes whole with
   | Ok { Perf_data.archive = { records = [ _; Record.Sample s ]; _ }; ledger = [] }
