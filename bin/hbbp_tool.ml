@@ -418,7 +418,7 @@ let collect_cmd =
                     | Recover.Written -> "wrote")
                     p)
                 paths statuses
-          | exception Recover.Interrupted ->
+          | exception Pipeline.Interrupted ->
               exit_interrupted ~hint:"rerun with --resume")
         names ws
     else begin
@@ -532,17 +532,11 @@ let analyze_cmd =
       | None, true -> Some (List.hd paths ^ ".ckpt")
       | None, false -> None
     in
-    let result =
-      match checkpoint with
-      | None -> Pipeline.analyze_archives ~repair paths
-      | Some checkpoint -> (
-          try
-            Recover.analyze_archives ~repair ~resume ~should_stop ~checkpoint
-              paths
-          with Recover.Interrupted ->
-            exit_interrupted ~hint:"rerun with --resume")
-    in
-    match result with
+    match
+      Pipeline.analyze_archives ~repair ?checkpoint ~resume ~should_stop paths
+    with
+    | exception Pipeline.Interrupted ->
+        exit_interrupted ~hint:"rerun with --resume"
     | Error msg -> die "%s" msg
     | Ok (meta, r) ->
         let partial = r.Pipeline.r_partial in
@@ -660,32 +654,56 @@ let stats_cmd =
   let run paths health trace metrics =
     let degraded =
       with_telemetry trace metrics @@ fun () ->
-      (* Per-archive stats stream each file independently... *)
-      let own =
-        List.map
-          (fun path ->
-            match Pipeline.analyze_archives [ path ] with
-            | Error msg -> die "%s" msg
-            | Ok (meta, r) -> (path, print_stats path meta r))
-          paths
+      let ok = function Ok v -> v | Error msg -> die "%s" msg in
+      (* Each archive is decoded once, into a partial finalized for its
+         own stat block. *)
+      let own path m static s =
+        let p = ok (Pipeline.archive_partial ~static ~meta:m path s) in
+        (p, (path, print_stats path m (Pipeline.finalize p)))
       in
-      (* ... and several archives also get the merged view (when their
-         metadata is compatible, i.e. they are shards of one
-         collection).  The merged verdict drives the exit code: shards
-         that starve a channel individually can be healthy together. *)
+      let path0 = List.hd paths in
+      let s0 = ok (Pipeline.open_archive path0) in
+      let meta0 = Hbbp_collector.Perf_data.Stream.meta s0 in
+      let static0 = ok (Pipeline.archive_static path0 meta0) in
+      let p0, v0 = own path0 meta0 static0 s0 in
+      (* An archive whose metadata matches the first one's (a shard of
+         the same collection) shares its static view and joins the
+         merged partial; any other is analyzed on its own static view
+         and leaves no merged view. *)
+      let merged, own_rev =
+        List.fold_left
+          (fun (merged, vs) path ->
+            let s = ok (Pipeline.open_archive path) in
+            let m = Hbbp_collector.Perf_data.Stream.meta s in
+            let shared = Pipeline.check_shard_meta ~meta:meta0 path m in
+            let static =
+              if Result.is_ok shared then static0
+              else ok (Pipeline.archive_static path m)
+            in
+            let p, v = own path m static s in
+            ( Result.bind merged (fun acc ->
+                  Result.map (fun () -> Pipeline.Partial.merge acc p) shared),
+              v :: vs ))
+          (Ok p0, [ v0 ])
+          (List.tl paths)
+      in
+      let own = List.rev own_rev in
+      (* Several archives also get the merged view.  The merged verdict
+         drives the exit code: shards that starve a channel
+         individually can be healthy together. *)
       let verdicts =
         if List.length paths < 2 then own
         else
-          match Pipeline.analyze_archives paths with
+          match merged with
           | Error msg ->
               Format.eprintf "hbbp: no merged view: %s@." msg;
               own
-          | Ok (meta, r) ->
+          | Ok m ->
               let label =
                 Printf.sprintf "merged (%d archives)" (List.length paths)
               in
               Format.printf "@.";
-              [ (label, print_stats label meta r) ]
+              [ (label, print_stats label meta0 (Pipeline.finalize m)) ]
       in
       let degraded =
         List.exists

@@ -2,8 +2,10 @@
    published, with the exact size and CRC-32 of each, and whether the
    set is complete.  The manifest is rewritten (atomically, via
    Durable) after every shard, so after a kill -9 at any point the
-   manifest names exactly the shards that were durably published —
-   what `--resume` trusts instead of re-reading every archive. *)
+   manifest names exactly the shards that were durably published.
+   `--resume` skips the collection only when the manifest is complete
+   and every shard it names verifies; anything less re-collects the
+   whole workload and re-publishes the shards whose bytes differ. *)
 
 module Durable = Hbbp_durable.Durable
 module Crc32 = Hbbp_util.Crc32
@@ -123,7 +125,3 @@ let shard_ok ~dir s =
   | exception Sys_error _ -> false
   | data ->
       String.length data = s.size && Crc32.string data = s.crc32
-
-let verified_indices ~dir t =
-  List.filter_map (fun s -> if shard_ok ~dir s then Some s.index else None)
-    t.written

@@ -3,8 +3,10 @@
     Lives next to the archive at [<path>.manifest] and is rewritten
     atomically after every published shard, so at any kill point it
     names exactly the set of durably published shards.  [--resume]
-    reads it back, re-verifies each named shard by size and CRC-32,
-    and only re-collects what is missing or torn.
+    reads it back: when it is complete and every named shard verifies
+    by size and CRC-32, the collection is skipped.  Anything less makes
+    the resume re-collect the whole workload and re-publish only the
+    shards whose bytes differ from what is on disk.
 
     The format is line-oriented text:
 
@@ -51,6 +53,3 @@ val load : archive_path:string -> (t, string) result option
 (** Does the named shard exist in [dir] with the recorded size and
     CRC-32? *)
 val shard_ok : dir:string -> shard -> bool
-
-(** Indices of the written shards that verify on disk. *)
-val verified_indices : dir:string -> t -> int list

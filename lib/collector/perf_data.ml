@@ -81,12 +81,12 @@ type read = { archive : t; ledger : fault list }
 
 let magic = "HBBPDATA"
 
-(* v1: one flat length-prefixed stream, no integrity data.
-   v2: the same primitives, but grouped into four sections — header,
-   images, kernel text, records — each preceded by (payload length,
-   item count, CRC-32).  Readers can verify integrity before parsing
-   and salvage the record stream independently of the metadata. *)
-let current_version = 2
+(* Version 2: length-prefixed primitives grouped into four sections —
+   header, images, kernel text, records — each preceded by (payload
+   length, item count, CRC-32).  Readers can verify integrity before
+   parsing and salvage the record stream independently of the
+   metadata. *)
+let version = 2
 
 (* -- writer -- *)
 
@@ -160,7 +160,7 @@ let w_kernel_text buf (name, code) =
   w_string buf name;
   w_bytes buf code
 
-(* A v2 section: payload length, item count, CRC-32 of the payload,
+(* A section: payload length, item count, CRC-32 of the payload,
    then the payload itself. *)
 let w_section buf ~count payload =
   let p = Buffer.contents payload in
@@ -169,33 +169,25 @@ let w_section buf ~count payload =
   w_i64 buf (Crc32.string p);
   Buffer.add_string buf p
 
-let to_bytes ?(version = current_version) t =
+let to_bytes t =
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf magic;
   w_u8 buf version;
-  (match version with
-  | 1 ->
-      w_header_payload buf t;
-      w_list buf w_image t.analysis_images;
-      w_list buf w_kernel_text t.live_kernel_text;
-      w_list buf w_record t.records
-  | 2 ->
-      let payload f =
-        let b = Buffer.create 4096 in
-        f b;
-        b
-      in
-      w_section buf ~count:0 (payload (fun b -> w_header_payload b t));
-      w_section buf
-        ~count:(List.length t.analysis_images)
-        (payload (fun b -> List.iter (w_image b) t.analysis_images));
-      w_section buf
-        ~count:(List.length t.live_kernel_text)
-        (payload (fun b -> List.iter (w_kernel_text b) t.live_kernel_text));
-      w_section buf
-        ~count:(List.length t.records)
-        (payload (fun b -> List.iter (w_record b) t.records))
-  | v -> invalid_arg (Printf.sprintf "Perf_data.to_bytes: unknown version %d" v));
+  let payload f =
+    let b = Buffer.create 4096 in
+    f b;
+    b
+  in
+  w_section buf ~count:0 (payload (fun b -> w_header_payload b t));
+  w_section buf
+    ~count:(List.length t.analysis_images)
+    (payload (fun b -> List.iter (w_image b) t.analysis_images));
+  w_section buf
+    ~count:(List.length t.live_kernel_text)
+    (payload (fun b -> List.iter (w_kernel_text b) t.live_kernel_text));
+  w_section buf
+    ~count:(List.length t.records)
+    (payload (fun b -> List.iter (w_record b) t.records));
   Buffer.to_bytes buf
 
 (* -- reader -- *)
@@ -203,7 +195,7 @@ let to_bytes ?(version = current_version) t =
 exception Parse of error
 
 (* A bounded cursor: [limit] caps every read, so a corrupt length in one
-   v2 section can never pull bytes from the next one, and no arithmetic
+   section can never pull bytes from the next one, and no arithmetic
    on attacker-controlled lengths can overflow past the buffer.
    [declared] is where the section's header says its payload ends: past
    [limit] when the payload is physically cut (or, while streaming, not
@@ -358,38 +350,6 @@ let records_fault ~expected ~salvaged = function
   | Bad_magic | Bad_version _ ->
       Corrupt_records { index = salvaged; reason = "malformed"; salvaged }
 
-(* -- v1 reader: metadata errors are fatal, the trailing record list is
-   salvaged to its parseable prefix -- *)
-
-let of_bytes_v1 c =
-  let workload_name = r_string c in
-  let ebs_period = r_i64 c in
-  let lbr_period = r_i64 c in
-  let analysis_images = r_list c ~min_item_size:26 r_image in
-  let live_kernel_text = r_list c ~min_item_size:16 r_kernel_text in
-  let ledger = ref [] in
-  let records =
-    match r_count c ~min_item_size:1 with
-    | exception Parse e ->
-        ledger := [ records_fault ~expected:None ~salvaged:0 e ];
-        []
-    | expected -> (
-        let records, salvaged, err = r_records_salvage c ~expected in
-        match err with
-        | None -> records
-        | Some e ->
-            ledger := [ records_fault ~expected:(Some expected) ~salvaged e ];
-            records)
-  in
-  {
-    archive =
-      { workload_name; ebs_period; lbr_period; analysis_images;
-        live_kernel_text; records };
-    ledger = !ledger;
-  }
-
-(* -- v2 reader -- *)
-
 (* Read one section header and return a cursor bounded to its payload,
    plus the declared item count and integrity flags.  [complete] is
    false when the payload itself is cut short. *)
@@ -416,7 +376,7 @@ let r_meta_section c ~section parse =
     raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
   parse sub count
 
-let of_bytes_v2 c =
+let of_cursor c =
   let workload_name = ref "" and ebs_period = ref 0 and lbr_period = ref 0 in
   r_meta_section c ~section:Header (fun sub _ ->
       workload_name := r_string sub;
@@ -471,8 +431,7 @@ let of_bytes data =
       cursor data ~pos:(String.length magic) ~limit:(Bytes.length data)
     in
     match r_u8 c with
-    | 1 -> Ok (of_bytes_v1 c)
-    | 2 -> Ok (of_bytes_v2 c)
+    | v when v = version -> Ok (of_cursor c)
     | v -> raise (Parse (Bad_version v))
   with Parse e -> Error e
 
@@ -555,12 +514,7 @@ module Stream = struct
      single record straddles more than this). *)
   let read_block = 1 lsl 16
 
-  type source =
-    | Buffered of Record.t list ref
-        (* v1 fallback: the record list is materialized up front. *)
-    | Chunked of chunked
-
-  and chunked = {
+  type chunked = {
     ic : in_channel;
     mutable buf : bytes;  (** Pending (read but unparsed) payload bytes. *)
     mutable b_start : int;
@@ -580,12 +534,12 @@ module Stream = struct
     meta : t;  (** [records = []]. *)
     chunk_records : int;
     mutable s_ledger : fault list option;  (** [Some] once known. *)
-    source : source;
+    source : chunked;
   }
 
   let meta s = s.meta
 
-  (* -- byte plumbing for the chunked (v2) source -- *)
+  (* -- byte plumbing for the chunked source -- *)
 
   let refill (c : chunked) =
     if c.fed >= c.avail then false
@@ -697,23 +651,7 @@ module Stream = struct
       match List.rev !out with [] -> None | chunk -> Some chunk
     end
 
-  let next s =
-    match s.source with
-    | Buffered rest -> (
-        match !rest with
-        | [] -> None
-        | records ->
-            let rec take acc n rs =
-              if n = 0 then (List.rev acc, rs)
-              else
-                match rs with
-                | [] -> (List.rev acc, [])
-                | r :: tl -> take (r :: acc) (n - 1) tl
-            in
-            let chunk, tl = take [] s.chunk_records records in
-            rest := tl;
-            Some chunk)
-    | Chunked c -> next_chunked s c
+  let next s = next_chunked s s.source
 
   (* The ledger is complete once the stream is exhausted; calling it
      earlier drains the remaining records. *)
@@ -727,10 +665,7 @@ module Stream = struct
         drain_all ();
         (match s.s_ledger with Some l -> l | None -> [])
 
-  let close s =
-    match s.source with
-    | Buffered _ -> ()
-    | Chunked c -> close_in c.ic
+  let close s = close_in s.source.ic
 
   (* -- opening -- *)
 
@@ -739,7 +674,7 @@ module Stream = struct
     really_input ic b 0 n;
     b
 
-  (* A v2 metadata section, streamed: header, bounded payload, CRC
+  (* A metadata section, streamed: header, bounded payload, CRC
      verdict — same rules as the batch [r_meta_section] (must be
      complete and checksum-clean). *)
   let r_meta_section_stream ic ~total ~section parse =
@@ -756,7 +691,7 @@ module Stream = struct
       raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
     parse (cursor payload ~pos:0 ~limit:len) count
 
-  let open_v2 ic ~total ~chunk_records =
+  let open_sections ic ~total ~chunk_records =
     let workload_name = ref "" and ebs_period = ref 0 and lbr_period = ref 0 in
     r_meta_section_stream ic ~total ~section:Header (fun sub _ ->
         workload_name := r_string sub;
@@ -775,8 +710,26 @@ module Stream = struct
         lbr_period = !lbr_period; analysis_images; live_kernel_text;
         records = [] }
     in
+    let chunked ~len ~expected ~crc_declared ~finished =
+      {
+        ic;
+        buf = Bytes.create read_block;
+        b_start = 0;
+        b_stop = 0;
+        crc = Hbbp_util.Crc32.init ();
+        crc_declared;
+        avail = min len (total - pos_in ic);
+        len;
+        expected;
+        fed = 0;
+        emitted = 0;
+        parse_fault = None;
+        finished;
+      }
+    in
     (* Records section header: unreadable (truncated or malformed) means
-       an empty, fully-faulted stream — same as the batch reader. *)
+       an already-finished, empty stream with the batch reader's
+       ledger. *)
     match
       let left = total - pos_in ic in
       if left < 24 then raise (Parse Truncated);
@@ -793,28 +746,16 @@ module Stream = struct
           chunk_records;
           s_ledger =
             Some [ Truncated_records { expected = None; salvaged = 0 } ];
-          source = Buffered (ref []);
+          source =
+            chunked ~len:0 ~expected:0 ~crc_declared:0 ~finished:true;
         }
     | len, expected, crc_declared ->
-        let avail = min len (total - pos_in ic) in
-        let c =
-          {
-            ic;
-            buf = Bytes.create read_block;
-            b_start = 0;
-            b_stop = 0;
-            crc = Hbbp_util.Crc32.init ();
-            crc_declared;
-            avail;
-            len;
-            expected;
-            fed = 0;
-            emitted = 0;
-            parse_fault = None;
-            finished = false;
-          }
-        in
-        { meta; chunk_records; s_ledger = None; source = Chunked c }
+        {
+          meta;
+          chunk_records;
+          s_ledger = None;
+          source = chunked ~len ~expected ~crc_declared ~finished:false;
+        }
 
   let open_file ?(chunk_records = default_chunk_records) path =
     if chunk_records < 1 then
@@ -828,21 +769,7 @@ module Stream = struct
         raise (Parse Bad_magic);
       if total < String.length magic + 1 then raise (Parse Truncated);
       match input_byte ic with
-      | 1 ->
-          (* v1 has no section structure to stream: fall back to the
-             batch reader and chunk the materialized list.  Memory
-             bounding is a v2-only property. *)
-          let rest = read_exactly ic (total - pos_in ic) in
-          let { archive; ledger } =
-            of_bytes_v1 (cursor rest ~pos:0 ~limit:(Bytes.length rest))
-          in
-          {
-            meta = { archive with records = [] };
-            chunk_records;
-            s_ledger = Some ledger;
-            source = Buffered (ref archive.records);
-          }
-      | 2 -> open_v2 ic ~total ~chunk_records
+      | v when v = version -> open_sections ic ~total ~chunk_records
       | v -> raise (Parse (Bad_version v))
     with
     | s -> Ok s

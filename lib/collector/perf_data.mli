@@ -7,12 +7,12 @@
       (paper section III.C: the self-modifying kernel remedy needs it);
     - the record stream (comm/mmap/samples/lost).
 
-    The current format (v2) is a length-prefixed little-endian binary
+    The format (version 2) is a length-prefixed little-endian binary
     with a magic header and {b four checksummed sections} (header,
     images, kernel text, records): each section carries its payload
     length, item count and CRC-32, so readers detect truncation and bit
-    rot before parsing.  v1 archives (flat, no integrity data) are still
-    readable.
+    rot before parsing.  Any other version byte, including the retired
+    version 1 (flat, no integrity data), is [Bad_version].
 
     Reading {b salvages} rather than aborts: a truncated or corrupt
     record stream yields its parseable prefix plus a typed fault
@@ -61,10 +61,10 @@ val section_name : section -> string
     analysis of it is degraded. *)
 type fault =
   | Checksum_mismatch of section
-      (** Section payload present but CRC-32 did not match (v2 only). *)
+      (** Section payload present but CRC-32 did not match. *)
   | Truncated_records of { expected : int option; salvaged : int }
       (** The record stream was cut short; [expected] is the declared
-          record count when known (v2, or a v1 count that was readable). *)
+          record count when the records section header was readable. *)
   | Corrupt_records of { index : int; reason : string; salvaged : int }
       (** Record [index] failed to parse; the stream was kept up to it. *)
 
@@ -75,12 +75,8 @@ type read = { archive : t; ledger : fault list }
 
 (** {1 Serialization} *)
 
-val current_version : int
-
-(** [to_bytes ?version t] — serialize; [version] is [2] (default,
-    checksummed sections) or [1] (legacy flat format).
-    @raise Invalid_argument on any other version. *)
-val to_bytes : ?version:int -> t -> bytes
+(** [to_bytes t] — serialize in the checksummed-section format. *)
+val to_bytes : t -> bytes
 
 (** Total: returns [Ok] (with a ledger describing any salvage) or a
     typed [Error] — never raises, whatever the input bytes. *)
@@ -132,8 +128,7 @@ val sharded_bytes : t -> shards:int -> path:string -> (string * bytes) list
     {!Stream.ledger} match the batch reader byte for byte, whatever the
     damage.  (A parse fault is only classified once the remaining
     payload is fully buffered, so a damaged archive can cost its tail in
-    memory — but clean archives stream in O(chunk) space.  v1 archives
-    have no section structure and fall back to buffered reading.)  The
+    memory — but clean archives stream in O(chunk) space.)  The
     analysis drivers all fold a stream through
     [Hbbp_core.Pipeline.archive_partial]. *)
 module Stream : sig

@@ -257,7 +257,7 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (List.sort_uniq compare (base :: paths)))
+        (List.sort_uniq compare (base :: Manifest.path_for base :: paths)))
   @@ fun () ->
   let static = or_fail (Pipeline.archive_static base archive) in
   let results =

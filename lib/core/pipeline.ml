@@ -761,11 +761,7 @@ let archive_static path meta =
   | Error e -> Error (Format.asprintf "%s: %a" path Disasm.pp_error e)
   | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" path msg)
 
-let archive_partial ~static ~meta path s =
-  Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
-  @@ fun () ->
-  Fun.protect ~finally:(fun () -> Perf_data.Stream.close s) @@ fun () ->
-  let m = Perf_data.Stream.meta s in
+let check_shard_meta ~meta path (m : Perf_data.t) =
   if
     m.Perf_data.workload_name <> meta.Perf_data.workload_name
     || m.Perf_data.ebs_period <> meta.Perf_data.ebs_period
@@ -778,46 +774,138 @@ let archive_partial ~static ~meta path s =
          path m.Perf_data.workload_name m.Perf_data.ebs_period
          m.Perf_data.lbr_period meta.Perf_data.workload_name
          meta.Perf_data.ebs_period meta.Perf_data.lbr_period)
-  else
-    let p =
-      Partial.create ~static ~ebs_period:m.Perf_data.ebs_period
-        ~lbr_period:m.Perf_data.lbr_period ()
-    in
-    let rec pump () =
-      match Perf_data.Stream.next s with
-      | Some chunk ->
-          Partial.feed p chunk;
-          pump ()
-      | None -> Partial.note_faults p (Perf_data.Stream.ledger s)
-    in
-    match pump () with () -> Ok p | exception Sys_error msg -> Error msg
+  else Ok ()
 
-(* The static view is built once, from the first archive's metadata;
-   that archive stays open from the metadata read to its fold. *)
-let analyze_archives ?criteria ?thresholds ?repair ?chunk_records paths =
+let archive_partial ~static ~meta path s =
+  Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
+  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Perf_data.Stream.close s) @@ fun () ->
+  let m = Perf_data.Stream.meta s in
+  Result.bind (check_shard_meta ~meta path m) @@ fun () ->
+  let p =
+    Partial.create ~static ~ebs_period:m.Perf_data.ebs_period
+      ~lbr_period:m.Perf_data.lbr_period ()
+  in
+  let rec pump () =
+    match Perf_data.Stream.next s with
+    | Some chunk ->
+        Partial.feed p chunk;
+        pump ()
+    | None -> Partial.note_faults p (Perf_data.Stream.ledger s)
+  in
+  match pump () with () -> Ok p | exception Sys_error msg -> Error msg
+
+exception Interrupted
+
+let () =
+  Printexc.register_printer (function
+    | Interrupted -> Some "Pipeline.Interrupted"
+    | _ -> None)
+
+(* [Some rest] when [done_paths] is a prefix of [paths]. *)
+let rec prefix_of done_paths paths =
+  match (done_paths, paths) with
+  | [], rest -> Some rest
+  | d :: ds, p :: ps when String.equal d p -> prefix_of ds ps
+  | _ -> None
+
+(* A checkpoint is trusted only when it loads cleanly, restores cleanly
+   over [static], and names a prefix of [paths]; anything else falls
+   back to a full run (a resume must never produce different bytes than
+   the uninterrupted analysis).  [Some (done_rev, partial, rest)]. *)
+let restore_checkpoint ~static ~path paths =
+  match Checkpoint.load ~path with
+  | Some (Ok { Checkpoint.done_paths = _ :: _ as done_paths; partial }) -> (
+      match prefix_of done_paths paths with
+      | None -> None
+      | Some rest -> (
+          match Partial.restore ~static partial with
+          | Error _ -> None
+          | Ok p ->
+              Metrics.add (Metrics.counter "checkpoint.restores") 1;
+              Some (List.rev done_paths, p, rest)))
+  | Some (Ok _) | Some (Error _) | None -> None
+
+(* The static view is built once, from the first archive's metadata,
+   resumed or not: a restored partial must share the static instance
+   every later partial merges against.  That archive stays open until
+   the fold consumes it, or a checkpoint turns out to cover it, so every
+   archive is opened once.  Partials merge associatively over integers,
+   so restoring a checkpointed prefix and folding the rest finalizes
+   byte-identically to an uninterrupted run. *)
+let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
+    ?(resume = false) ?(should_stop = fun () -> false) paths =
   if paths = [] then invalid_arg "Pipeline.analyze_archives: no archives";
   let ( let* ) = Result.bind in
   let first = List.hd paths in
-  let* s0 = open_archive ?chunk_records first in
-  let meta = Perf_data.Stream.meta s0 in
-  let* static =
-    match archive_static first meta with
-    | Ok _ as ok -> ok
-    | Error _ as e ->
-        Perf_data.Stream.close s0;
-        e
+  let save done_rev m =
+    Option.iter
+      (fun path ->
+        Checkpoint.save
+          { Checkpoint.done_paths = List.rev done_rev;
+            partial = Partial.serialize m }
+          ~path)
+      checkpoint
   in
-  let* merged =
-    List.fold_left
-      (fun acc path ->
-        let* m = acc in
-        let* s = open_archive ?chunk_records path in
-        let* p = archive_partial ~static ~meta path s in
-        Ok (Partial.merge m p))
-      (archive_partial ~static ~meta first s0)
-      (List.tl paths)
+  let analyze () =
+    let* s = open_archive ?chunk_records first in
+    let meta = Perf_data.Stream.meta s in
+    let s0 = ref (Some s) in
+    let close_s0 () =
+      Option.iter Perf_data.Stream.close !s0;
+      s0 := None
+    in
+    Fun.protect ~finally:close_s0 @@ fun () ->
+    let* static = archive_static first meta in
+    let open_next path =
+      match !s0 with
+      | Some s ->
+          s0 := None;
+          Ok s
+      | None -> open_archive ?chunk_records path
+    in
+    (* Fold [path] into [merged] ([None] before the first archive). *)
+    let step done_rev merged path =
+      if Option.is_some checkpoint && should_stop () then begin
+        Option.iter (save done_rev) merged;
+        raise Interrupted
+      end;
+      let* s = open_next path in
+      let* p = archive_partial ~static ~meta path s in
+      let m = match merged with None -> p | Some m -> Partial.merge m p in
+      save (path :: done_rev) m;
+      Ok (path :: done_rev, m)
+    in
+    let rec fold (done_rev, m) = function
+      | [] -> Ok m
+      | path :: rest ->
+          let* acc = step done_rev (Some m) path in
+          fold acc rest
+    in
+    let restored =
+      match checkpoint with
+      | Some path when resume -> restore_checkpoint ~static ~path paths
+      | Some _ | None -> None
+    in
+    let* m =
+      match restored with
+      | Some (done_rev, p, rest) ->
+          close_s0 ();
+          fold (done_rev, p) rest
+      | None ->
+          let* acc = step [] None first in
+          fold acc (List.tl paths)
+    in
+    Ok (meta, finalize ?criteria ?thresholds ?repair m)
   in
-  Ok (meta, finalize ?criteria ?thresholds ?repair merged)
+  match checkpoint with
+  | None -> analyze ()
+  | Some path ->
+      (* Success and a typed error both end the analysis: only an
+         interruption leaves a checkpoint to resume from. *)
+      let result = analyze () in
+      Checkpoint.remove ~path;
+      result
 
 (* Run-level counters: execution volume plus the PMU's sampling-health
    accounting (the repo observing its own collection quality, the way

@@ -292,9 +292,9 @@ val analyze_archive :
 (** {2 The per-archive step}
 
     Every driver that analyzes archives off disk — {!analyze_archives},
-    {!Recover.analyze_archives} and {!Doctor} — folds each archive
-    through these three functions, and every failure on the way is a
-    rendered [Error] naming the archive, never an exception. *)
+    [hbbp stats] and {!Doctor} — folds each archive through these
+    functions, and every failure on the way is a rendered [Error] naming
+    the archive, never an exception. *)
 
 (** [open_archive path] — {!Perf_data.Stream.open_file}, with a typed
     read error or an OS error (missing or unreadable file) rendered
@@ -308,9 +308,15 @@ val open_archive :
     [Error "<path>: ..."]. *)
 val archive_static : string -> Perf_data.t -> (Static.t, string) result
 
-(** [archive_partial ~static ~meta path s] — check that the open
-    stream [s] has [meta]'s workload name and sampling periods (shards
-    of one collection do), feed every chunk into a fresh partial over
+(** [check_shard_meta ~meta path m] — [Ok ()] when the metadata [m]
+    of the archive at [path] has [meta]'s workload name and sampling
+    periods (shards of one collection do), else the rendered
+    ["<path>: shard metadata mismatch ..."]. *)
+val check_shard_meta :
+  meta:Perf_data.t -> string -> Perf_data.t -> (unit, string) result
+
+(** [archive_partial ~static ~meta path s] — {!check_shard_meta} on the
+    open stream [s], then feed every chunk into a fresh partial over
     [static] inside one [analyze]/[archive] telemetry span, note the
     salvage ledger, and close [s] whatever the outcome. *)
 val archive_partial :
@@ -319,6 +325,13 @@ val archive_partial :
   string ->
   Perf_data.Stream.stream ->
   (Partial.t, string) result
+
+(** Raised by {!analyze_archives} (and by resumable collection,
+    [Recover.collect_sharded]) when [should_stop] reported true at a
+    safe point.  All progress up to that point has been durably
+    published (checkpoint / manifest), so a later resume continues from
+    it. *)
+exception Interrupted
 
 (** [analyze_archives paths] — streaming multi-archive analysis: the
     first archive's metadata supplies the static view
@@ -330,12 +343,28 @@ val archive_partial :
     carries the first failure of the per-archive step.  Bit-identical
     to loading everything and running batch {!analyze_archive} on the
     concatenated records.
+
+    With [checkpoint], the merged state is saved there as a
+    {!Checkpoint} after every consumed archive.  [should_stop] is then
+    polled before each archive; when it reports true the state so far
+    is checkpointed and {!Interrupted} raised.  With [resume] as well,
+    a checkpoint that loads cleanly, restores cleanly against the first
+    archive's static view, and names a prefix of [paths] is continued
+    from ([checkpoint.restores] metric); any damage or mismatch
+    silently falls back to a full run.  Success and a typed error both
+    delete the checkpoint file; only {!Interrupted} leaves one behind.
+    The result is byte-identical whether the run was checkpointed,
+    resumed or neither.  Without [checkpoint], [resume] and
+    [should_stop] are ignored: there is nowhere to save progress to.
     @raise Invalid_argument when [paths] is empty. *)
 val analyze_archives :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
   ?repair:repair_mode ->
   ?chunk_records:int ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  ?should_stop:(unit -> bool) ->
   string list ->
   (Perf_data.t * reconstruction, string) result
 

@@ -369,8 +369,8 @@ let tiny_archive () =
       ];
   }
 
-(* Where the v2 records payload starts: past the magic, the version
-   byte and three metadata sections, then the records section header. *)
+(* Where the records payload starts: past the magic, the version byte
+   and three metadata sections, then the records section header. *)
 let records_payload_start data =
   let pos = ref 9 in
   for _ = 1 to 3 do
@@ -379,76 +379,60 @@ let records_payload_start data =
   !pos + 24
 
 let test_fuzz_truncation_every_offset () =
-  let a = tiny_archive () in
-  List.iter
-    (fun version ->
-      let data = Perf_data.to_bytes ~version a in
-      checkb "tiny archive stays small" true (Bytes.length data < 8192);
-      let payload = records_payload_start data in
-      for n = 0 to Bytes.length data do
-        match Perf_data.of_bytes (Bytes.sub data 0 n) with
-        | Ok { Perf_data.ledger; _ } ->
-            if not (n = Bytes.length data || ledger <> []) then
-              Alcotest.failf "v%d: clean Ok on truncated prefix %d/%d" version
-                n (Bytes.length data);
-            (* A v2 cut inside the records payload is a truncation, never
-               a corruption: the section header declares the bytes the
-               cut removed. *)
-            if version = 2 && n > payload && n < Bytes.length data then
-              List.iter
-                (function
-                  | Perf_data.Corrupt_records { reason; _ } ->
-                      Alcotest.failf "v2: cut at %d/%d reported corrupt (%s)"
-                        n (Bytes.length data) reason
-                  | _ -> ())
-                ledger
-        | Error _ -> ()
-        | exception e ->
-            Alcotest.failf "v%d: truncation at %d raised %s" version n
-              (Printexc.to_string e)
-      done)
-    [ 1; 2 ]
+  let data = Perf_data.to_bytes (tiny_archive ()) in
+  checkb "tiny archive stays small" true (Bytes.length data < 8192);
+  let payload = records_payload_start data in
+  for n = 0 to Bytes.length data do
+    match Perf_data.of_bytes (Bytes.sub data 0 n) with
+    | Ok { Perf_data.ledger; _ } ->
+        if not (n = Bytes.length data || ledger <> []) then
+          Alcotest.failf "clean Ok on truncated prefix %d/%d" n
+            (Bytes.length data);
+        (* A cut inside the records payload is a truncation, never a
+           corruption: the section header declares the bytes the cut
+           removed. *)
+        if n > payload && n < Bytes.length data then
+          List.iter
+            (function
+              | Perf_data.Corrupt_records { reason; _ } ->
+                  Alcotest.failf "cut at %d/%d reported corrupt (%s)" n
+                    (Bytes.length data) reason
+              | _ -> ())
+            ledger
+    | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "truncation at %d raised %s" n (Printexc.to_string e)
+  done
 
 let test_fuzz_bit_flip_every_byte () =
-  let a = tiny_archive () in
-  List.iter
-    (fun version ->
-      let data = Perf_data.to_bytes ~version a in
-      for off = 0 to Bytes.length data - 1 do
-        let flipped = Bytes.copy data in
-        Bytes.set_uint8 flipped off
-          (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
-        match Perf_data.of_bytes flipped with
-        | Ok _ | Error _ -> ()
-        | exception e ->
-            Alcotest.failf "v%d: flip at byte %d raised %s" version off
-              (Printexc.to_string e)
-      done)
-    [ 1; 2 ]
+  let data = Perf_data.to_bytes (tiny_archive ()) in
+  for off = 0 to Bytes.length data - 1 do
+    let flipped = Bytes.copy data in
+    Bytes.set_uint8 flipped off
+      (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
+    match Perf_data.of_bytes flipped with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "flip at byte %d raised %s" off (Printexc.to_string e)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Round-trip edge cases                                               *)
 
-let roundtrip_both_versions a =
-  List.iter
-    (fun version ->
-      let data = Perf_data.to_bytes ~version a in
-      match Perf_data.of_bytes data with
-      | Error e ->
-          Alcotest.failf "v%d: %s" version
-            (Format.asprintf "%a" Perf_data.pp_error e)
-      | Ok { Perf_data.archive = a'; ledger } ->
-          checki "clean ledger" 0 (List.length ledger);
-          checkb "canonical bytes" true
-            (Bytes.equal data (Perf_data.to_bytes ~version a')))
-    [ 1; 2 ]
+let roundtrip a =
+  let data = Perf_data.to_bytes a in
+  match Perf_data.of_bytes data with
+  | Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Perf_data.pp_error e)
+  | Ok { Perf_data.archive = a'; ledger } ->
+      checki "clean ledger" 0 (List.length ledger);
+      checkb "canonical bytes" true (Bytes.equal data (Perf_data.to_bytes a'))
 
 let test_roundtrip_empty_records () =
-  roundtrip_both_versions { (tiny_archive ()) with Perf_data.records = [] }
+  roundtrip { (tiny_archive ()) with Perf_data.records = [] }
 
 let test_roundtrip_empty_lbr_sample () =
   let a = tiny_archive () in
-  roundtrip_both_versions
+  roundtrip
     {
       a with
       Perf_data.records =
@@ -477,7 +461,7 @@ let test_roundtrip_kernel_only_images () =
       records = [];
     }
   in
-  roundtrip_both_versions a;
+  roundtrip a;
   (* The patched analysis process is still constructible. *)
   let p = Perf_data.analysis_process a in
   checkb "kernel image present" true

@@ -165,6 +165,27 @@ let test_doctor_leaves_telemetry_off () =
        (fun (s : Trace.span) -> s.cat = "doctor" && s.name = "doctor")
        (Trace.spans ()))
 
+(* Everything the doctor writes is scratch: the base file, the shards
+   and their manifest all go when it returns. *)
+let test_doctor_leaves_no_files () =
+  let dir = Filename.temp_file "hbbp-doctor-tmp" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let saved = Filename.get_temp_dir_name () in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  Filename.set_temp_dir_name dir;
+  let w = mk_workload ~seed:0xD0C9L "doc-c" in
+  let (_ : Doctor.report) = Doctor.run ~max_jobs:1 ~shards:2 w in
+  Alcotest.(check (list string)) "temp dir left empty" []
+    (Array.to_list (Sys.readdir dir))
+
 let () =
   Alcotest.run "observability"
     [
@@ -179,5 +200,7 @@ let () =
             (clean test_doctor_report);
           Alcotest.test_case "restores telemetry state" `Quick
             (clean test_doctor_leaves_telemetry_off);
+          Alcotest.test_case "leaves no files behind" `Quick
+            (clean test_doctor_leaves_no_files);
         ] );
     ]

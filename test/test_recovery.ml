@@ -232,7 +232,9 @@ let check_archive_set ~shards ~base paths =
       checkb "manifest complete" true m.Manifest.complete;
       checki "all shards verified" shards
         (List.length
-           (Manifest.verified_indices ~dir:(Filename.dirname base) m))
+           (List.filter
+              (Manifest.shard_ok ~dir:(Filename.dirname base))
+              m.Manifest.written))
   | Some (Error e) -> Alcotest.failf "manifest: %s" e
   | None -> Alcotest.fail "manifest missing");
   List.iter
@@ -286,7 +288,7 @@ let test_collect_interrupt () =
      Recover.collect_sharded ~should_stop:stop ~shards ~path:base w
    with
   | _ -> Alcotest.fail "expected Interrupted"
-  | exception Recover.Interrupted -> ());
+  | exception Pipeline.Interrupted -> ());
   (match Manifest.load ~archive_path:base with
   | Some (Ok m) ->
       checkb "interrupted manifest incomplete" false m.Manifest.complete;
@@ -384,12 +386,12 @@ let test_analyze_resume_identical () =
     Perf_data.save_sharded (Lazy.force reference_archive) ~shards ~path:base
   in
   let uninterrupted = serialize_result (Pipeline.analyze_archives paths) in
-  (* The resumable driver without an interruption is equivalent — and
+  (* A checkpointed run without an interruption is equivalent — and
      deletes its checkpoint on success. *)
   let straight =
-    serialize_result (Recover.analyze_archives ~checkpoint:ckpt paths)
+    serialize_result (Pipeline.analyze_archives ~checkpoint:ckpt paths)
   in
-  checkb "resumable driver equivalent when uninterrupted" true
+  checkb "checkpointed run equivalent when uninterrupted" true
     (Bytes.equal uninterrupted straight);
   checkb "checkpoint removed on success" false (Sys.file_exists ckpt);
   (* Interrupt after two archives, resume, compare. *)
@@ -398,15 +400,15 @@ let test_analyze_resume_identical () =
     incr polls;
     !polls > 2
   in
-  (match Recover.analyze_archives ~checkpoint:ckpt ~should_stop:stop paths with
+  (match Pipeline.analyze_archives ~checkpoint:ckpt ~should_stop:stop paths with
   | _ -> Alcotest.fail "expected Interrupted"
-  | exception Recover.Interrupted -> ());
+  | exception Pipeline.Interrupted -> ());
   checkb "checkpoint exists after interruption" true (Sys.file_exists ckpt);
   let restores = Metrics.counter "checkpoint.restores" in
   let restores0 = Metrics.counter_value restores in
   let resumed =
     serialize_result
-      (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+      (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
   in
   checki "restore accounted" (restores0 + 1) (Metrics.counter_value restores);
   checkb "resumed analysis byte-identical" true
@@ -417,7 +419,7 @@ let test_analyze_resume_identical () =
   Durable.write_file ~path:ckpt "garbage, not a checkpoint";
   let fallback =
     serialize_result
-      (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+      (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
   in
   checkb "damaged checkpoint falls back to a full run" true
     (Bytes.equal uninterrupted fallback);
@@ -456,9 +458,9 @@ let interrupt_after n ~checkpoint paths =
     incr polls;
     !polls > n
   in
-  match Recover.analyze_archives ~checkpoint ~should_stop paths with
+  match Pipeline.analyze_archives ~checkpoint ~should_stop paths with
   | _ -> Alcotest.failf "expected Interrupted after %d archives" n
-  | exception Recover.Interrupted -> ()
+  | exception Pipeline.Interrupted -> ()
 
 let test_resume_carries_streams () =
   let base, paths = Lazy.force hello_shards in
@@ -470,7 +472,7 @@ let test_resume_carries_streams () =
     (fun n ->
       interrupt_after n ~checkpoint:ckpt paths;
       let resumed =
-        analyzed (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+        analyzed (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
       in
       Alcotest.(check string)
         (Printf.sprintf "resumed after %d of 4 = uninterrupted" n)
@@ -505,7 +507,7 @@ let test_v1_checkpoint_restarts () =
   let restores = Metrics.counter "checkpoint.restores" in
   let restores0 = Metrics.counter_value restores in
   let restarted =
-    analyzed (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+    analyzed (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
   in
   checki "version-1 checkpoint not restored" restores0
     (Metrics.counter_value restores);
@@ -534,10 +536,10 @@ let test_missing_archive_is_typed () =
   let missing = base ^ ".missing" in
   expect_error_without_checkpoint ~what:"missing after two shards"
     ~prefix:(missing ^ ": ") ~checkpoint:ckpt
-    (Recover.analyze_archives ~checkpoint:ckpt (paths @ [ missing ]));
+    (Pipeline.analyze_archives ~checkpoint:ckpt (paths @ [ missing ]));
   expect_error_without_checkpoint ~what:"missing, resumed"
     ~prefix:(missing ^ ": ") ~checkpoint:ckpt
-    (Recover.analyze_archives ~resume:true ~checkpoint:ckpt [ missing ]);
+    (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt [ missing ]);
   cleanup base paths
 
 let test_undisassemblable_is_typed () =
@@ -561,7 +563,7 @@ let test_undisassemblable_is_typed () =
   Durable.write_bytes ~path:base (Perf_data.to_bytes bad);
   expect_error_without_checkpoint ~what:"undisassemblable archive"
     ~prefix:(base ^ ": disassembly error") ~checkpoint:ckpt
-    (Recover.analyze_archives ~checkpoint:ckpt [ base ]);
+    (Pipeline.analyze_archives ~checkpoint:ckpt [ base ]);
   cleanup base []
 
 let () =

@@ -537,50 +537,53 @@ let check_same_verdict ~what path data =
         Perf_data.pp_error e
 
 let test_fuzz_stream_truncation_every_offset () =
-  let a = tiny_archive () in
+  let data = Perf_data.to_bytes (tiny_archive ()) in
   with_tmp_file @@ fun path ->
-  List.iter
-    (fun version ->
-      let data = Perf_data.to_bytes ~version a in
-      for n = 0 to Bytes.length data do
-        check_same_verdict
-          ~what:(Printf.sprintf "v%d truncated to %d" version n)
-          path (Bytes.sub data 0 n)
-      done)
-    [ 1; 2 ]
+  for n = 0 to Bytes.length data do
+    check_same_verdict
+      ~what:(Printf.sprintf "truncated to %d" n)
+      path (Bytes.sub data 0 n)
+  done
 
 let test_fuzz_stream_bit_flip_every_byte () =
-  let a = tiny_archive () in
+  let data = Perf_data.to_bytes (tiny_archive ()) in
   with_tmp_file @@ fun path ->
-  List.iter
-    (fun version ->
-      let data = Perf_data.to_bytes ~version a in
-      for off = 0 to Bytes.length data - 1 do
-        let flipped = Bytes.copy data in
-        Bytes.set_uint8 flipped off
-          (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
-        check_same_verdict
-          ~what:(Printf.sprintf "v%d flip at %d" version off)
-          path flipped
-      done)
-    [ 1; 2 ]
+  for off = 0 to Bytes.length data - 1 do
+    let flipped = Bytes.copy data in
+    Bytes.set_uint8 flipped off
+      (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
+    check_same_verdict ~what:(Printf.sprintf "flip at %d" off) path flipped
+  done
 
 (* The encoder's bytes for an archive holding every record kind, pinned
-   to the digests of the format as first shipped: an encoder change (or
+   to the digest of the format as first shipped: an encoder change (or
    a wrong CRC table, on which encoder and decoder would still agree)
    cannot drift unseen. *)
 let test_encoder_bytes_pinned () =
-  let a = tiny_archive () in
-  List.iter
-    (fun (version, expected) ->
-      Alcotest.(check string)
-        (Printf.sprintf "v%d digest" version)
-        expected
-        (Digest.to_hex (Digest.bytes (Perf_data.to_bytes ~version a))))
-    [ (1, "9c97bb2920f82d3214e70d8285edada0");
-      (2, "4a3db7b1d075ef853d4a0e727c8876e4") ]
+  Alcotest.(check string)
+    "digest" "4a3db7b1d075ef853d4a0e727c8876e4"
+    (Digest.to_hex (Digest.bytes (Perf_data.to_bytes (tiny_archive ()))))
 
-(* [tiny_archive]'s v2 bytes with the records section replaced by
+(* A version-1 header is refused, by the batch reader and the stream
+   alike: the flat v1 format is no longer read. *)
+let test_v1_refused () =
+  let data = Perf_data.to_bytes (tiny_archive ()) in
+  Bytes.set_uint8 data 8 1;
+  (match Perf_data.of_bytes data with
+  | Error (Perf_data.Bad_version 1) -> ()
+  | _ -> Alcotest.fail "of_bytes: expected Bad_version 1");
+  with_tmp_file @@ fun path ->
+  write_file path data;
+  match Perf_data.Stream.open_file path with
+  | Error (Perf_data.Bad_version 1) -> ()
+  | Ok s ->
+      Perf_data.Stream.close s;
+      Alcotest.fail "Stream.open_file: opened a v1 archive"
+  | Error e ->
+      Alcotest.failf "Stream.open_file: expected Bad_version 1, got %a"
+        Perf_data.pp_error e
+
+(* [tiny_archive]'s bytes with the records section replaced by
    [records] (declared [count] records, correct CRC), so the only damage
    is in the record bytes themselves. *)
 let with_records_section ~count records =
@@ -819,6 +822,8 @@ let () =
             test_fuzz_stream_bit_flip_every_byte;
           Alcotest.test_case "encoder bytes pinned" `Quick
             test_encoder_bytes_pinned;
+          Alcotest.test_case "version-1 header is refused" `Quick
+            test_v1_refused;
           Alcotest.test_case "decoder faults are typed, stream = batch"
             `Quick test_decoder_typed_faults;
           Alcotest.test_case "missing archive is a typed error" `Quick
