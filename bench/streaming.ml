@@ -11,11 +11,16 @@
      in default-sized chunks over every registry archive;
    - the minor words [Perf_data.Stream.next] allocates per record
      decoding those archives from disk;
-   - the speedup of [Crc32.update] over a bytewise one-table CRC-32.
-   The two word counts are exact and host-independent; the speedup is a
-   same-process ratio.  The bench exits non-zero above
-   [max_feed_words_per_record] or [max_next_words_per_record], or below
-   [min_crc_speedup].  Writes BENCH_streaming.json. *)
+   - the speedup of [Crc32.update] over a bytewise one-table CRC-32;
+   - the stream walks each LBR-estimator and bias accumulator performs,
+     fed one registry archive each (as one partial is), against the
+     distinct (target, src) pairs fed to it, which the bench counts from
+     the samples on its own.
+   The word and walk counts are exact and host-independent; the speedup
+   is a same-process ratio.  The bench exits non-zero above
+   [max_feed_words_per_record] or [max_next_words_per_record], below
+   [min_crc_speedup], or when an accumulator walks more streams than it
+   was fed distinct pairs.  Writes BENCH_streaming.json. *)
 
 open Hbbp_core
 module Perf_data = Hbbp_collector.Perf_data
@@ -100,6 +105,42 @@ let feed_words_per_record archives =
       records := !records + List.length a.Perf_data.records)
     archives;
   !words /. float_of_int !records
+
+type walk_count = {
+  streams : int;  (** Adjacent (target, src) pairs fed, repeats included. *)
+  distinct : int;  (** Distinct pairs among them. *)
+  lbr_walks : int;  (** [Lbr_estimator.Acc.walks] after feeding them. *)
+  bias_walks : int;  (** [Bias.Acc.walks] after feeding them. *)
+}
+
+(* One LBR-estimator and one bias accumulator per archive, fed its LBR
+   snapshots as [Partial.feed] feeds them, and the pairs counted here
+   without them: every adjacent pair of a snapshot of two or more
+   entries. *)
+let walk_counts archives =
+  let open Hbbp_analyzer in
+  List.map
+    (fun (a : Perf_data.t) ->
+      let static = Static.create_exn (Perf_data.analysis_process a) in
+      let lbr = Lbr_estimator.Acc.create static and bias = Bias.Acc.create () in
+      let pairs = Hashtbl.create 1024 and streams = ref 0 in
+      Array.iter
+        (fun (s : Sample_db.lbr_sample) ->
+          Lbr_estimator.Acc.add static lbr s;
+          Bias.Acc.add static bias s;
+          let e = s.Sample_db.entries in
+          for k = 1 to Hbbp_cpu.Lbr.entries e - 1 do
+            Hashtbl.replace pairs (e.((2 * k) - 1), e.(2 * k)) ();
+            incr streams
+          done)
+        (Sample_db.of_records a.Perf_data.records).Sample_db.lbr;
+      {
+        streams = !streams;
+        distinct = Hashtbl.length pairs;
+        lbr_walks = Lbr_estimator.Acc.walks lbr;
+        bias_walks = Bias.Acc.walks bias;
+      })
+    archives
 
 (* Minor words [Stream.next] allocates per record, decoding every
    archive from a v2 file (opening it, which parses the metadata
@@ -246,7 +287,7 @@ let run ppf =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: shard_paths))
+        (path :: Hbbp_collector.Manifest.path_for path :: shard_paths))
   @@ fun () ->
   let batch = spawn_child "batch" [ path ] in
   let streaming = spawn_child "stream" [ path ] in
@@ -264,6 +305,24 @@ let run ppf =
   in
   let feed_words = feed_words_per_record archives in
   let next_words = next_words_per_record archives in
+  let walks = walk_counts archives in
+  let total =
+    List.fold_left
+      (fun t w ->
+        {
+          streams = t.streams + w.streams;
+          distinct = t.distinct + w.distinct;
+          lbr_walks = t.lbr_walks + w.lbr_walks;
+          bias_walks = t.bias_walks + w.bias_walks;
+        })
+      { streams = 0; distinct = 0; lbr_walks = 0; bias_walks = 0 }
+      walks
+  in
+  let over_walked =
+    List.filter
+      (fun w -> w.lbr_walks > w.distinct || w.bias_walks > w.distinct)
+      walks
+  in
   let crc_speedup, crc_mb_s = crc_speedup () in
   Format.fprintf ppf "peak-heap ratio batch/streaming: %.2fx@." ratio;
   if batch.m_records <> n_records || streaming.m_records <> n_records then
@@ -284,6 +343,10 @@ let run ppf =
   "chunk_records": %d,
   "feed_minor_words_per_record": %.3f,
   "next_minor_words_per_record": %.3f,
+  "lbr_streams": %d,
+  "distinct_stream_pairs": %d,
+  "lbr_estimator_walks": %d,
+  "bias_walks": %d,
   "crc32_speedup_over_bytewise": %.2f,
   "crc32_mb_per_s": %.0f,
   %s,
@@ -294,7 +357,8 @@ let run ppf =
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
-    Perf_data.Stream.default_chunk_records feed_words next_words crc_speedup
+    Perf_data.Stream.default_chunk_records feed_words next_words
+    total.streams total.distinct total.lbr_walks total.bias_walks crc_speedup
     crc_mb_s (mode "batch" batch)
     (mode "streaming" streaming)
     (mode "sharded" sharded) ratio;
@@ -310,6 +374,11 @@ let run ppf =
   Format.fprintf ppf
     "Crc32.update: %.2fx the bytewise CRC, %.0f MB/s (gate: >= %.1fx)@."
     crc_speedup crc_mb_s min_crc_speedup;
+  Format.fprintf ppf
+    "stream walks: %d LBR estimator, %d bias over %d streams, %d distinct \
+     pairs in %d archives (gate: <= distinct, per accumulator and archive)@."
+    total.lbr_walks total.bias_walks total.streams total.distinct
+    (List.length walks);
   let failures =
     List.filter_map
       (fun (failed, msg) -> if failed then Some msg else None)
@@ -323,6 +392,10 @@ let run ppf =
         ( crc_speedup < min_crc_speedup,
           Printf.sprintf "Crc32.update is less than %.1fx the bytewise CRC"
             min_crc_speedup );
+        ( over_walked <> [],
+          Printf.sprintf
+            "%d archive(s) walked more streams than distinct pairs fed"
+            (List.length over_walked) );
       ]
   in
   List.iter (fun msg -> Format.fprintf ppf "FAIL: %s@." msg) failures;

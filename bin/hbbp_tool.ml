@@ -34,11 +34,12 @@ let find_workload name =
 
 (* ---- graceful shutdown --------------------------------------------- *)
 
-(* SIGINT/SIGTERM latch a flag; resumable commands poll it at safe
+(* SIGINT/SIGTERM latch a flag; [collect] and [analyze] poll it at safe
    points (shard boundaries, archive boundaries), durably publish their
-   progress (manifest / checkpoint) and exit with the conventional
-   128+signal status.  The handlers only set the flag — all real work
-   happens on the main path, so no state is torn mid-write. *)
+   progress when they have somewhere to keep it (manifest / checkpoint)
+   and exit with the conventional 128+signal status.  The handlers only
+   set the flag — all real work happens on the main path, so no state
+   is torn mid-write. *)
 let stop_signal = Atomic.make 0
 let should_stop () = Atomic.get stop_signal <> 0
 
@@ -52,9 +53,9 @@ let install_signal_handlers () =
 
 (* Flush telemetry (the [with_telemetry] finalizer never runs once we
    [exit]) and leave with the typed shutdown status. *)
-let exit_interrupted ~hint =
+let exit_interrupted msg =
   Telemetry.finalize Format.std_formatter;
-  Format.eprintf "hbbp: interrupted; progress saved — %s@." hint;
+  Format.eprintf "hbbp: interrupted; %s@." msg;
   let s = Atomic.get stop_signal in
   exit (if s = Sys.sigterm then 143 else 130)
 
@@ -419,7 +420,7 @@ let collect_cmd =
                     p)
                 paths statuses
           | exception Pipeline.Interrupted ->
-              exit_interrupted ~hint:"rerun with --resume")
+              exit_interrupted "progress saved — rerun with --resume")
         names ws
     else begin
       let archives = Pipeline.collect_many ?jobs ws in
@@ -536,7 +537,10 @@ let analyze_cmd =
       Pipeline.analyze_archives ~repair ?checkpoint ~resume ~should_stop paths
     with
     | exception Pipeline.Interrupted ->
-        exit_interrupted ~hint:"rerun with --resume"
+        exit_interrupted
+          (if Option.is_some checkpoint then
+             "progress saved — rerun with --resume"
+           else "nothing saved — rerun with --checkpoint FILE to keep progress")
     | Error msg -> die "%s" msg
     | Ok (meta, r) ->
         let partial = r.Pipeline.r_partial in

@@ -110,7 +110,7 @@ module Acc = struct
     adjacent : tally;
     failed : tally;
     streams : Streams.t;
-    span : Stream_walk.span;
+    memo : Stream_walk.Memo.t;
     mutable snapshots : int;
     mutable deep_total : int;
   }
@@ -124,11 +124,12 @@ module Acc = struct
       adjacent = tally ();
       failed = tally ();
       streams = Streams.create ();
-      span = Stream_walk.span ();
+      memo = Stream_walk.Memo.create ();
       snapshots = 0;
       deep_total = 0;
     }
 
+  let walks acc = Stream_walk.Memo.walks acc.memo
   let tallies acc = [ acc.entry0; acc.deep; acc.adjacent; acc.failed ]
 
   let size static acc =
@@ -147,7 +148,9 @@ module Acc = struct
   (* Per branch: how many streams START at one of its records, and how
      many of those cannot be walked.  A missing LBR record after a branch
      merges the following stream, which then usually fails to walk — a
-     high failure rate is the observable signature of record loss. *)
+     high failure rate is the observable signature of record loss.
+     The walk outcome and the source's block come from [memo], so a
+     repeated stream costs one probe instead of three binary searches. *)
   let add static acc (s : Sample_db.lbr_sample) =
     let e = s.entries in
     let n = Hbbp_cpu.Lbr.entries e in
@@ -162,11 +165,12 @@ module Acc = struct
         let owner = e.((2 * k) - 2) in
         let target = e.((2 * k) - 1) in
         let src = e.(2 * k) in
-        let src_gid = Static.gid_ending_at static src in
+        let o = Stream_walk.Memo.lookup static acc.memo ~target ~src in
+        let src_gid = Stream_walk.Memo.src_gid o in
         add_count acc.deep src_gid src 1;
         acc.deep_total <- acc.deep_total + 1;
         add_count acc.adjacent !owner_gid owner 1;
-        (match Stream_walk.walk static acc.span ~target ~src with
+        (match Stream_walk.Memo.result o with
         | Stream_walk.Interval -> ()
         | Stream_walk.Inconsistent | Stream_walk.Bad ->
             add_count acc.failed !owner_gid owner 1);
@@ -194,7 +198,7 @@ module Acc = struct
       adjacent = merge_tally a.adjacent b.adjacent;
       failed = merge_tally a.failed b.failed;
       streams;
-      span = Stream_walk.span ();
+      memo = Stream_walk.Memo.create ();
       snapshots = a.snapshots + b.snapshots;
       deep_total = a.deep_total + b.deep_total;
     }

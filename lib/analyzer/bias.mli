@@ -48,12 +48,19 @@ val default_params : params
     [(owner source, target, source)] — everything {!finalize} needs, so
     detection is a single pass over the snapshots.  Merges across shards
     with plain addition and set union — exactly associative and
-    commutative.  [add] allocates nothing once a stream has been seen. *)
+    commutative.  [add] allocates nothing once a stream has been seen:
+    each distinct [(target, src)] stream is walked once and answered
+    from the accumulator's {!Stream_walk.Memo} after that.  The table is
+    a cache, not state: [merge], [export] and [import] drop it. *)
 module Acc : sig
   type acc
 
   val create : unit -> acc
   val add : Static.t -> acc -> Sample_db.lbr_sample -> unit
+
+  (** Streams this accumulator walked: the distinct [(target, src)]
+      pairs fed to it since it was created (0 after [merge]/[import]). *)
+  val walks : acc -> int
 
   (** Pure: returns a fresh accumulator, inputs are unchanged. *)
   val merge : acc -> acc -> acc

@@ -21,7 +21,11 @@ type t = {
    A walk covers an interval of block ids, so each row is kept as a
    difference array ([total_blocks + 1] long: +1 at the first block, -1
    past the last): a stream costs two bumps whatever its length.
-   [tallies] prefix-sums a row back into per-block visits. *)
+   [tallies] prefix-sums a row back into per-block visits.
+
+   Walk outcomes come from a {!Stream_walk.Memo}, so each distinct
+   stream is walked once per accumulator; the table is a cache, and
+   [merge], [export] and [import] start an empty one. *)
 module Acc = struct
   type acc = {
     total_blocks : int;
@@ -30,7 +34,7 @@ module Acc = struct
     mutable usable : int;
     mutable inconsistent : int;
     mutable discarded : int;
-    span : Stream_walk.span;
+    memo : Stream_walk.Memo.t;
     mutable firsts : int array;  (** One snapshot's usable streams. *)
     mutable lasts : int array;
   }
@@ -43,12 +47,13 @@ module Acc = struct
       usable = 0;
       inconsistent = 0;
       discarded = 0;
-      span = Stream_walk.span ();
+      memo = Stream_walk.Memo.create ();
       firsts = [||];
       lasts = [||];
     }
 
   let create static = create_sized (Static.total_blocks static)
+  let walks acc = Stream_walk.Memo.walks acc.memo
 
   let row acc k =
     if k >= Array.length acc.by_k then begin
@@ -76,10 +81,11 @@ module Acc = struct
         (* Flat snapshot: entry [k]'s source at [2k], target at [2k + 1]. *)
         let target = s.entries.((2 * idx) - 1) in
         let src = s.entries.(2 * idx) in
-        match Stream_walk.walk static acc.span ~target ~src with
+        let o = Stream_walk.Memo.lookup static acc.memo ~target ~src in
+        match Stream_walk.Memo.result o with
         | Stream_walk.Interval ->
-            acc.firsts.(!walked) <- acc.span.first;
-            acc.lasts.(!walked) <- acc.span.last;
+            acc.firsts.(!walked) <- Stream_walk.Memo.first o;
+            acc.lasts.(!walked) <- Stream_walk.Memo.last o;
             incr walked
         | Stream_walk.Inconsistent -> acc.inconsistent <- acc.inconsistent + 1
         | Stream_walk.Bad -> acc.discarded <- acc.discarded + 1

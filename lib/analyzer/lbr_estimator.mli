@@ -34,12 +34,22 @@ type t = {
     tally per snapshot stream count [k].  Integer tallies merge exactly
     (associative and commutative), and {!finalize} converts them to
     weights in a fixed order, so every partition of a snapshot stream
-    reconstructs bit-identically. *)
+    reconstructs bit-identically.
+
+    Each accumulator walks a distinct [(target, src)] stream once and
+    answers repeats from its {!Stream_walk.Memo}: [add] allocates
+    nothing for a stream seen before.  The table is a cache, not state:
+    [merge], [export] and [import] drop it, so checkpoints are unchanged
+    by it. *)
 module Acc : sig
   type acc
 
   val create : Static.t -> acc
   val add : Static.t -> acc -> Sample_db.lbr_sample -> unit
+
+  (** Streams this accumulator walked: the distinct [(target, src)]
+      pairs fed to it since it was created (0 after [merge]/[import]). *)
+  val walks : acc -> int
 
   (** Pure: returns a fresh accumulator, inputs are unchanged.
       @raise Invalid_argument when the block counts differ. *)

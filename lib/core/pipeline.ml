@@ -866,7 +866,7 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
     in
     (* Fold [path] into [merged] ([None] before the first archive). *)
     let step done_rev merged path =
-      if Option.is_some checkpoint && should_stop () then begin
+      if should_stop () then begin
         Option.iter (save done_rev) merged;
         raise Interrupted
       end;

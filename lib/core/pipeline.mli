@@ -330,7 +330,8 @@ val archive_partial :
     [Recover.collect_sharded]) when [should_stop] reported true at a
     safe point.  All progress up to that point has been durably
     published (checkpoint / manifest), so a later resume continues from
-    it. *)
+    it — except for an analysis run without a checkpoint, which saves
+    nothing. *)
 exception Interrupted
 
 (** [analyze_archives paths] — streaming multi-archive analysis: the
@@ -344,18 +345,19 @@ exception Interrupted
     to loading everything and running batch {!analyze_archive} on the
     concatenated records.
 
-    With [checkpoint], the merged state is saved there as a
-    {!Checkpoint} after every consumed archive.  [should_stop] is then
-    polled before each archive; when it reports true the state so far
-    is checkpointed and {!Interrupted} raised.  With [resume] as well,
+    [should_stop] is polled before each archive; when it reports true,
+    {!Interrupted} is raised.  With [checkpoint], the merged state is
+    saved there as a {!Checkpoint} after every consumed archive, so the
+    state so far survives the interruption; without one, nothing is
+    saved and no file is written.  With [resume] as well,
     a checkpoint that loads cleanly, restores cleanly against the first
     archive's static view, and names a prefix of [paths] is continued
     from ([checkpoint.restores] metric); any damage or mismatch
     silently falls back to a full run.  Success and a typed error both
     delete the checkpoint file; only {!Interrupted} leaves one behind.
     The result is byte-identical whether the run was checkpointed,
-    resumed or neither.  Without [checkpoint], [resume] and
-    [should_stop] are ignored: there is nowhere to save progress to.
+    resumed or neither.  Without [checkpoint], [resume] is ignored:
+    there is nowhere to resume from.
     @raise Invalid_argument when [paths] is empty. *)
 val analyze_archives :
   ?criteria:Criteria.t ->

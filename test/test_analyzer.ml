@@ -229,44 +229,85 @@ let compare_walks static starts ~target ~src =
   in
   (agree, want)
 
-(* Random (target, src) pairs over every registry static (disk and
-   kernel-patched) and the chain fixture.  [target] is usually a block
-   start; [src] is an instruction up to 600 blocks further on, a block
-   of another image, an arbitrary nearby address, or one below
-   [target]. *)
+(* One (target, src) pair over a static's [blocks] from a draw
+   [(kind, a, b, c)].  [target] is usually a block start; [src] is an
+   instruction up to 600 blocks further on, a block of another image, an
+   arbitrary nearby address, or one below [target].  Kind 10 draws both
+   endpoints anywhere, negative included, mostly outside every image. *)
+let stream_pair blocks (kind, a, b, c) =
+  if kind = 10 then ((a * 7919) - c, b - c)
+  else
+    let n = Array.length blocks in
+    let g, img, block = blocks.(a mod n) in
+    let target =
+      if c mod 10 = 0 then block.Basic_block.addr + (c mod 7)
+      else block.Basic_block.addr
+    in
+    let pick (_, _, (b : Basic_block.t)) =
+      b.addrs.(c mod Array.length b.addrs)
+    in
+    let src =
+      match kind with
+      | 0 | 1 | 2 | 3 | 4 -> pick blocks.(min (n - 1) (g + (b mod 601)))
+      | 5 | 6 -> (
+          let others =
+            List.filter (fun (_, name, _) -> name <> img) (Array.to_list blocks)
+          in
+          match others with
+          | [] -> pick blocks.(b mod n)
+          | _ -> pick (List.nth others (b mod List.length others)))
+      | 7 | 8 -> target + (b mod 4096)
+      | _ -> target - 1 - (b mod 64)
+    in
+    (target, src)
+
+(* Random pairs over every registry static (disk and kernel-patched) and
+   the chain fixture. *)
 let prop_walk_matches_oracle =
   QCheck2.Test.make ~name:"interval walk = list walk, every registry static"
     ~count:300
     QCheck2.Gen.(quad (0 -- 9) nat nat nat)
-    (fun (kind, a, b, c) ->
+    (fun draw ->
       List.for_all
         (fun (static, starts, blocks) ->
-          let n = Array.length blocks in
-          let g, img, block = blocks.(a mod n) in
-          let target =
-            if c mod 10 = 0 then block.Basic_block.addr + (c mod 7)
-            else block.Basic_block.addr
-          in
-          let pick (_, _, (b : Basic_block.t)) =
-            b.addrs.(c mod Array.length b.addrs)
-          in
-          let src =
-            match kind with
-            | 0 | 1 | 2 | 3 | 4 -> pick blocks.(min (n - 1) (g + (b mod 601)))
-            | 5 | 6 -> (
-                let others =
-                  List.filter
-                    (fun (_, name, _) -> name <> img)
-                    (Array.to_list blocks)
-                in
-                match others with
-                | [] -> pick blocks.(b mod n)
-                | _ -> pick (List.nth others (b mod List.length others)))
-            | 7 | 8 -> target + (b mod 4096)
-            | _ -> target - 1 - (b mod 64)
-          in
+          let target, src = stream_pair blocks draw in
           fst (compare_walks static starts ~target ~src))
         (Lazy.force walk_tables))
+
+(* [Stream_walk.Memo] against the bare walk it caches: on every lookup,
+   first sighting or repeat, the result, the covered blocks and the
+   source's block agree, and the table walks each distinct pair once.
+   Some static must see more than 256 distinct pairs, which grows a
+   table of 64 slots at least three times. *)
+let prop_memo_matches_walk =
+  QCheck2.Test.make ~name:"memoized walk = bare walk, every registry static"
+    ~count:10
+    QCheck2.Gen.(list_size (return 600) (quad (0 -- 10) nat nat nat))
+    (fun draws ->
+      let per_static =
+        List.map
+          (fun (static, _, blocks) ->
+            let memo = Stream_walk.Memo.create () in
+            let agrees (target, src) =
+              let o = Stream_walk.Memo.lookup static memo ~target ~src in
+              let span = Stream_walk.span () in
+              let r = Stream_walk.walk static span ~target ~src in
+              Stream_walk.Memo.result o = r
+              && Stream_walk.Memo.src_gid o = Static.gid_ending_at static src
+              && (r <> Stream_walk.Interval
+                 || Stream_walk.Memo.first o = span.first
+                    && Stream_walk.Memo.last o = span.last)
+            in
+            let pairs = List.map (stream_pair blocks) draws in
+            let distinct = List.length (List.sort_uniq compare pairs) in
+            ( List.for_all agrees pairs
+              && List.for_all agrees (List.rev pairs)
+              && Stream_walk.Memo.walks memo = distinct,
+              distinct ))
+          (Lazy.force walk_tables)
+      in
+      List.for_all fst per_static
+      && List.exists (fun (_, distinct) -> distinct > 256) per_static)
 
 (* Fixed cases on the chain fixture: each outcome the oracle can give,
    the cap, the end of an image and a source in another image. *)
@@ -599,6 +640,7 @@ let () =
           Alcotest.test_case "through jump" `Quick
             test_walk_through_jump_is_inconsistent;
           QCheck_alcotest.to_alcotest prop_walk_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_memo_matches_walk;
           Alcotest.test_case "oracle edge cases" `Quick
             test_walk_oracle_edges;
         ] );

@@ -479,6 +479,53 @@ let test_resume_carries_streams () =
         (digest whole) (digest resumed))
     [ 1; 3 ]
 
+(* Checkpoint bytes pinned: MD5 digests of the serialized partials of
+   two sharded analyses, taken before the accumulators cached their
+   stream walks.  The walk tables are caches that no checkpoint
+   carries, so the bytes (format version 2) must not move. *)
+let test_checkpoint_bytes_pinned () =
+  let wire name archive =
+    let base = fresh_base name in
+    let paths = Perf_data.save_sharded archive ~shards:4 ~path:base in
+    let blob = serialize_result (Pipeline.analyze_archives paths) in
+    cleanup base paths;
+    Digest.to_hex (Digest.bytes blob)
+  in
+  Alcotest.(check string) "reference workload, 4 shards"
+    "7a2ff594e7ab61675ea13a6a3f439a20"
+    (wire "pinned" (Lazy.force reference_archive));
+  Alcotest.(check string) "hello, 4 shards" "2ce4ab19d26c69ea5f40cc147bcc0abc"
+    (wire "pinned-hello"
+       (Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello")))
+
+(* Without a checkpoint an interrupt still stops the analysis at the
+   next archive boundary; it raises [Interrupted] and writes nothing. *)
+let test_interrupt_without_checkpoint () =
+  let dir = Filename.temp_dir "hbbp-recovery-interrupt" "" in
+  let paths =
+    Perf_data.save_sharded (Lazy.force reference_archive) ~shards:3
+      ~path:(Filename.concat dir "a.hbbp")
+  in
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let before = listing () in
+  List.iter
+    (fun n ->
+      let polls = ref 0 in
+      let should_stop () =
+        incr polls;
+        !polls > n
+      in
+      (match Pipeline.analyze_archives ~should_stop paths with
+      | _ -> Alcotest.failf "expected Interrupted after %d archives" n
+      | exception Pipeline.Interrupted -> ());
+      checki (Printf.sprintf "stopped at poll %d" (n + 1)) (n + 1) !polls;
+      Alcotest.(check (list string))
+        (Printf.sprintf "interrupted after %d archives: no file written" n)
+        before (listing ()))
+    [ 0; 2 ];
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (listing ());
+  Sys.rmdir dir
+
 (* A version-1 checkpoint predates the stream set: restoring it is a
    typed error, and a resume falls back to a clean full analysis. *)
 let test_v1_checkpoint_restarts () =
@@ -602,6 +649,10 @@ let () =
             test_resume_carries_streams;
           Alcotest.test_case "version-1 checkpoint restarts cleanly" `Quick
             test_v1_checkpoint_restarts;
+          Alcotest.test_case "checkpoint bytes pinned" `Quick
+            test_checkpoint_bytes_pinned;
+          Alcotest.test_case "interrupt without a checkpoint" `Quick
+            test_interrupt_without_checkpoint;
           Alcotest.test_case "missing archive is a typed error" `Quick
             test_missing_archive_is_typed;
           Alcotest.test_case "undisassemblable image is a typed error" `Quick

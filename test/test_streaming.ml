@@ -19,9 +19,15 @@ let checki = Alcotest.(check int)
 (* ------------------------------------------------------------------ *)
 (* Scratch files                                                       *)
 
+(* [f path] on a fresh temporary archive path; the file and the
+   manifest sidecar [Perf_data.save_sharded] publishes beside it are
+   removed afterwards. *)
 let with_tmp_file f =
   let path = Filename.temp_file "hbbp-stream" ".hbbp" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+  let remove p = try Sys.remove p with Sys_error _ -> () in
+  Fun.protect
+    ~finally:(fun () -> List.iter remove [ path; Manifest.path_for path ])
+    (fun () -> f path)
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -282,6 +288,101 @@ let prop_lbr_merge_shard_split =
       && compare (Lbr_estimator.finalize static ~period fold_r) batch = 0
       && compare (Lbr_estimator.finalize static ~period rev) batch = 0)
 
+(* [hello]: a workload whose bias detector flags branches, so bias
+   results exercise contamination, not just tallies. *)
+let hello_fixture =
+  lazy
+    (let archive =
+       Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello")
+     in
+     let static = Static.create_exn (Perf_data.analysis_process archive) in
+     (archive, static, Sample_db.of_records archive.Perf_data.records))
+
+let prop_bias_merge_shard_split =
+  QCheck2.Test.make ~name:"bias acc: any shard split detects as batch"
+    ~count:20 gen_cuts
+    (fun cuts ->
+      let _, static, db = Lazy.force hello_fixture in
+      let acc_of part =
+        let a = Bias.Acc.create () in
+        Array.iter (Bias.Acc.add static a) part;
+        a
+      in
+      let accs = List.map acc_of (split_at cuts db.Sample_db.lbr) in
+      let batch = Bias.detect static db.Sample_db.lbr in
+      let same acc = compare (Bias.finalize static acc ~replay:None) batch = 0 in
+      Bias.flagged_blocks batch <> []
+      && same (List.fold_left Bias.Acc.merge (acc_of [||]) accs)
+      && same (List.fold_right Bias.Acc.merge accs (acc_of [||]))
+      && same
+           (List.fold_left Bias.Acc.merge (acc_of [||]) (List.rev accs)))
+
+(* The walk tables are caches: an accumulator restored from a checkpoint
+   starts with an empty table while the original keeps its warm one,
+   and both must go on to the same results, fed alone or merged.  Each
+   table walks exactly the distinct (target, src) pairs it was fed. *)
+let prop_warm_and_cold_tables =
+  QCheck2.Test.make ~name:"warm and cold walk tables reconstruct alike"
+    ~count:20 QCheck2.Gen.nat
+    (fun cut ->
+      let archive, static, db = Lazy.force hello_fixture in
+      let lbr = db.Sample_db.lbr in
+      let n = Array.length lbr in
+      let cut = cut mod (n + 1) in
+      let head = Array.sub lbr 0 cut and tail = Array.sub lbr cut (n - cut) in
+      let distinct parts =
+        let pairs = Hashtbl.create 1024 in
+        List.iter
+          (Array.iter (fun (s : Sample_db.lbr_sample) ->
+               let e = s.Sample_db.entries in
+               for k = 1 to Lbr.entries e - 1 do
+                 Hashtbl.replace pairs (e.((2 * k) - 1), e.(2 * k)) ()
+               done))
+          parts;
+        Hashtbl.length pairs
+      in
+      let period = archive.Perf_data.lbr_period in
+      let lbr_ok =
+        let module A = Lbr_estimator.Acc in
+        let fed part =
+          let a = A.create static in
+          Array.iter (A.add static a) part;
+          a
+        in
+        let warm = fed head in
+        let cold = A.import (A.export warm) in
+        Array.iter (A.add static warm) tail;
+        Array.iter (A.add static cold) tail;
+        let batch = Lbr_estimator.estimate static ~period lbr in
+        let same a =
+          compare (Lbr_estimator.finalize static ~period a) batch = 0
+        in
+        same warm && same cold
+        && same (A.merge (fed head) (A.import (A.export (fed tail))))
+        && A.walks warm = distinct [ head; tail ]
+        && A.walks cold = distinct [ tail ]
+      in
+      let bias_ok =
+        let module A = Bias.Acc in
+        let fed part =
+          let a = A.create () in
+          Array.iter (A.add static a) part;
+          a
+        in
+        let warm = fed head in
+        let cold = A.import static (A.export static warm) in
+        Array.iter (A.add static warm) tail;
+        Array.iter (A.add static cold) tail;
+        let batch = Bias.detect static lbr in
+        let same a = compare (Bias.finalize static a ~replay:None) batch = 0 in
+        same warm && same cold
+        && same
+             (A.merge (fed head) (A.import static (A.export static (fed tail))))
+        && A.walks warm = distinct [ head; tail ]
+        && A.walks cold = distinct [ tail ]
+      in
+      lbr_ok && bias_ok)
+
 let prop_bbec_merge_laws =
   (* Integer-valued counts (what both estimators hold before period
      scaling) make float addition exact, so merge is associative and
@@ -415,8 +516,7 @@ let test_partial_merge_matches_batch () =
    batch does.  [hello] is a workload whose bias detector
    flags branches. *)
 let test_contamination_without_replay () =
-  let archive = Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello") in
-  let static = Static.create_exn (Perf_data.analysis_process archive) in
+  let archive, static, _ = Lazy.force hello_fixture in
   let ebs_period = archive.Perf_data.ebs_period
   and lbr_period = archive.Perf_data.lbr_period in
   let records = archive.Perf_data.records in
@@ -803,6 +903,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_ebs_merge_shard_split;
           QCheck_alcotest.to_alcotest prop_lbr_merge_shard_split;
+          QCheck_alcotest.to_alcotest prop_bias_merge_shard_split;
+          QCheck_alcotest.to_alcotest prop_warm_and_cold_tables;
           QCheck_alcotest.to_alcotest prop_bbec_merge_laws;
           Alcotest.test_case "Partial.merge + finalize = one-shot" `Quick
             test_partial_merge_matches_batch;
