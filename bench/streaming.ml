@@ -12,15 +12,19 @@
    - the minor words [Perf_data.Stream.next] allocates per record
      decoding those archives from disk;
    - the speedup of [Crc32.update] over a bytewise one-table CRC-32;
+   - the bytes [Perf_data.sharded_bytes ~shards:4] allocates per byte
+     it encodes, over every registry archive;
    - the stream walks each LBR-estimator and bias accumulator performs,
      fed one registry archive each (as one partial is), against the
      distinct (target, src) pairs fed to it, which the bench counts from
      the samples on its own.
-   The word and walk counts are exact and host-independent; the speedup
-   is a same-process ratio.  The bench exits non-zero above
-   [max_feed_words_per_record] or [max_next_words_per_record], below
-   [min_crc_speedup], or when an accumulator walks more streams than it
-   was fed distinct pairs.  Writes BENCH_streaming.json. *)
+   The word and walk counts are exact and host-independent; the byte
+   ratio read 1.009-1.012 over repeated runs, far inside its gate; the
+   speedup is a same-process ratio.  The bench exits non-zero above
+   [max_feed_words_per_record], [max_next_words_per_record] or
+   [max_encode_bytes_per_byte], below [min_crc_speedup], or when an
+   accumulator walks more streams than it was fed distinct pairs.
+   Writes BENCH_streaming.json. *)
 
 open Hbbp_core
 module Perf_data = Hbbp_collector.Perf_data
@@ -72,6 +76,11 @@ let max_feed_words_per_record = 64.0
    list's cons cells (3 + 3 for the reversal). *)
 let max_next_words_per_record = 52.0
 let min_crc_speedup = 2.5
+
+(* An encoded shard is one allocation of its exact size (plus its
+   header word); the rest is the list of shards and each shard's
+   record. *)
+let max_encode_bytes_per_byte = 1.25
 
 (* [records] cut into chunks of the streaming reader's default size. *)
 let rec chunks records =
@@ -172,6 +181,19 @@ let next_words_per_record archives =
           Perf_data.Stream.close s)
     archives;
   !words /. float_of_int !records
+
+(* Bytes allocated by [Perf_data.sharded_bytes ~shards:4] per byte of
+   the shards it returns, over [archives]. *)
+let encode_bytes_per_byte archives =
+  let allocated = ref 0.0 and encoded = ref 0 in
+  List.iter
+    (fun (a : Perf_data.t) ->
+      let b0 = Gc.allocated_bytes () in
+      let shards = Perf_data.sharded_bytes a ~shards:4 ~path:"bench.hbbp" in
+      allocated := !allocated +. (Gc.allocated_bytes () -. b0);
+      List.iter (fun (_, b) -> encoded := !encoded + Bytes.length b) shards)
+    archives;
+  !allocated /. float_of_int !encoded
 
 (* The bytewise one-table CRC-32 that slicing-by-8 replaced: the
    reference the speedup is measured against. *)
@@ -306,6 +328,7 @@ let run ppf =
   let feed_words = feed_words_per_record archives in
   let next_words = next_words_per_record archives in
   let walks = walk_counts archives in
+  let encode_bytes = encode_bytes_per_byte archives in
   let total =
     List.fold_left
       (fun t w ->
@@ -343,6 +366,7 @@ let run ppf =
   "chunk_records": %d,
   "feed_minor_words_per_record": %.3f,
   "next_minor_words_per_record": %.3f,
+  "encode_allocated_bytes_per_byte": %.3f,
   "lbr_streams": %d,
   "distinct_stream_pairs": %d,
   "lbr_estimator_walks": %d,
@@ -357,7 +381,7 @@ let run ppf =
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
-    Perf_data.Stream.default_chunk_records feed_words next_words
+    Perf_data.Stream.default_chunk_records feed_words next_words encode_bytes
     total.streams total.distinct total.lbr_walks total.bias_walks crc_speedup
     crc_mb_s (mode "batch" batch)
     (mode "streaming" streaming)
@@ -371,6 +395,10 @@ let run ppf =
     "Stream.next: %.3f minor words per record over the registry (gate: <= \
      %.0f)@."
     next_words max_next_words_per_record;
+  Format.fprintf ppf
+    "sharded_bytes: %.3f bytes allocated per encoded byte over the registry \
+     (gate: <= %.2f)@."
+    encode_bytes max_encode_bytes_per_byte;
   Format.fprintf ppf
     "Crc32.update: %.2fx the bytewise CRC, %.0f MB/s (gate: >= %.1fx)@."
     crc_speedup crc_mb_s min_crc_speedup;
@@ -389,6 +417,10 @@ let run ppf =
         ( next_words > max_next_words_per_record,
           Printf.sprintf "Stream.next allocates more than %.0f words per record"
             max_next_words_per_record );
+        ( encode_bytes > max_encode_bytes_per_byte,
+          Printf.sprintf
+            "sharded_bytes allocates more than %.2f bytes per encoded byte"
+            max_encode_bytes_per_byte );
         ( crc_speedup < min_crc_speedup,
           Printf.sprintf "Crc32.update is less than %.1fx the bytewise CRC"
             min_crc_speedup );

@@ -23,9 +23,6 @@ let magic_line = "hbbp-manifest v1"
 
 let path_for archive_path = archive_path ^ ".manifest"
 
-let shard_of_bytes ~index ~file data =
-  { index; file; size = Bytes.length data; crc32 = Crc32.bytes data }
-
 let to_string t =
   let b = Buffer.create 256 in
   Buffer.add_string b magic_line;

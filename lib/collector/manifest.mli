@@ -26,6 +26,10 @@ type shard = {
   file : string;  (** Basename, relative to the archive's directory. *)
   size : int;
   crc32 : int;
+      (** CRC-32 of the whole file.  The publishers take it from
+          {!Perf_data.shard_encoder}, which combines it from the CRCs
+          the encoder computes anyway ({!Hbbp_util.Crc32.combine}), so
+          writing a manifest reads no shard twice. *)
 }
 
 type t = {
@@ -37,9 +41,6 @@ type t = {
 
 (** [path_for archive_path] — the sidecar path, [archive_path ^ ".manifest"]. *)
 val path_for : string -> string
-
-(** Describe one published shard (computes the CRC). *)
-val shard_of_bytes : index:int -> file:string -> bytes -> shard
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

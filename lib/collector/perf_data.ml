@@ -90,105 +90,176 @@ let version = 2
 
 (* -- writer -- *)
 
-let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
-let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+(* The encoder sizes before it writes: a record's encoded length
+   follows from its fields, so one pass over the fields gives every
+   section's length and the archive's.  The result is allocated once,
+   at its exact size, and every field is written in place; a section's
+   CRC is the only field written after its payload. *)
 
-let w_string buf s =
-  w_i64 buf (String.length s);
-  Buffer.add_string buf s
+let z_string s = 8 + String.length s
+let z_bytes b = 8 + Bytes.length b
 
-let w_bytes buf b =
-  w_i64 buf (Bytes.length b);
-  Buffer.add_bytes buf b
-
-let w_list buf f items =
-  w_i64 buf (List.length items);
-  List.iter (f buf) items
-
-let w_ring buf = function Ring.User -> w_u8 buf 0 | Ring.Kernel -> w_u8 buf 1
-
-let w_image buf (img : Image.t) =
-  w_string buf img.name;
-  w_i64 buf img.base;
-  w_ring buf img.ring;
-  w_bytes buf img.code;
-  w_list buf
-    (fun buf (s : Symbol.t) ->
-      w_string buf s.name;
-      w_i64 buf s.addr;
-      w_i64 buf s.size)
+let z_image (img : Image.t) =
+  List.fold_left
+    (fun n (s : Symbol.t) -> n + z_string s.name + 16)
+    (z_string img.name + 8 + 1 + z_bytes img.code + 8)
     img.symbols
 
-let w_event buf e = w_string buf (Pmu_event.to_string e)
+let z_record = function
+  | Record.Comm { name; _ } -> 1 + 8 + z_string name
+  | Record.Mmap { name; _ } -> 1 + 16 + z_string name + 1
+  | Record.Fork _ -> 1 + 16
+  | Record.Sample s ->
+      1
+      + z_string (Pmu_event.to_string s.Record.event)
+      + 8 + 1 + 8 + 8
+      + (8 * Array.length s.Record.lbr)
+  | Record.Lost _ -> 1 + 8
 
-let w_record buf (r : Record.t) =
+(* The output and the offset of the next field. *)
+type writer = { out : bytes; mutable at : int }
+
+let w_u8 w v =
+  Bytes.set_uint8 w.out w.at (v land 0xff);
+  w.at <- w.at + 1
+
+let w_i64 w v =
+  Bytes.set_int64_le w.out w.at (Int64.of_int v);
+  w.at <- w.at + 8
+
+let w_string w s =
+  let n = String.length s in
+  w_i64 w n;
+  Bytes.blit_string s 0 w.out w.at n;
+  w.at <- w.at + n
+
+let w_bytes w b =
+  let n = Bytes.length b in
+  w_i64 w n;
+  Bytes.blit b 0 w.out w.at n;
+  w.at <- w.at + n
+
+let w_list w f items =
+  w_i64 w (List.length items);
+  List.iter (f w) items
+
+let w_ring w = function Ring.User -> w_u8 w 0 | Ring.Kernel -> w_u8 w 1
+
+let w_image w (img : Image.t) =
+  w_string w img.name;
+  w_i64 w img.base;
+  w_ring w img.ring;
+  w_bytes w img.code;
+  w_list w
+    (fun w (s : Symbol.t) ->
+      w_string w s.name;
+      w_i64 w s.addr;
+      w_i64 w s.size)
+    img.symbols
+
+let w_record w (r : Record.t) =
   match r with
   | Record.Comm { pid; name } ->
-      w_u8 buf 0;
-      w_i64 buf pid;
-      w_string buf name
+      w_u8 w 0;
+      w_i64 w pid;
+      w_string w name
   | Record.Mmap { addr; len; name; ring } ->
-      w_u8 buf 1;
-      w_i64 buf addr;
-      w_i64 buf len;
-      w_string buf name;
-      w_ring buf ring
+      w_u8 w 1;
+      w_i64 w addr;
+      w_i64 w len;
+      w_string w name;
+      w_ring w ring
   | Record.Fork { parent; child } ->
-      w_u8 buf 2;
-      w_i64 buf parent;
-      w_i64 buf child
+      w_u8 w 2;
+      w_i64 w parent;
+      w_i64 w child
   | Record.Sample s ->
-      w_u8 buf 3;
-      w_event buf s.Record.event;
-      w_i64 buf s.Record.ip;
-      w_ring buf s.Record.ring;
-      w_i64 buf s.Record.time;
+      w_u8 w 3;
+      w_string w (Pmu_event.to_string s.Record.event);
+      w_i64 w s.Record.ip;
+      w_ring w s.Record.ring;
+      w_i64 w s.Record.time;
       (* Entry count, then each entry's source and target: the flat
          snapshot's own interleaved order. *)
-      w_i64 buf (Lbr.entries s.Record.lbr);
-      Array.iter (w_i64 buf) s.Record.lbr
+      w_i64 w (Lbr.entries s.Record.lbr);
+      for k = 0 to Array.length s.Record.lbr - 1 do
+        w_i64 w s.Record.lbr.(k)
+      done
   | Record.Lost n ->
-      w_u8 buf 4;
-      w_i64 buf n
+      w_u8 w 4;
+      w_i64 w n
 
-let w_header_payload buf t =
-  w_string buf t.workload_name;
-  w_i64 buf t.ebs_period;
-  w_i64 buf t.lbr_period
+let w_kernel_text w (name, code) =
+  w_string w name;
+  w_bytes w code
 
-let w_kernel_text buf (name, code) =
-  w_string buf name;
-  w_bytes buf code
+(* [f] over the first [count] elements of [l]. *)
+let rec fold_prefix f acc count = function
+  | x :: rest when count > 0 -> fold_prefix f (f acc x) (count - 1) rest
+  | _ -> acc
 
-(* A section: payload length, item count, CRC-32 of the payload,
-   then the payload itself. *)
-let w_section buf ~count payload =
-  let p = Buffer.contents payload in
-  w_i64 buf (String.length p);
-  w_i64 buf count;
-  w_i64 buf (Crc32.string p);
-  Buffer.add_string buf p
+(* A section: payload length, item count, CRC-32 of the payload, then
+   the payload, which [write] fills with exactly [len] bytes.  Returns
+   the CRC-32 of the whole section, header included, combined from the
+   header's and the payload's: the archive's CRC needs no pass of its
+   own over the payload. *)
+let w_section w ~len ~count write =
+  let hdr = w.at in
+  w_i64 w len;
+  w_i64 w count;
+  w.at <- w.at + 8;
+  write w;
+  assert (w.at = hdr + 24 + len);
+  let crc = Crc32.bytes ~off:(hdr + 24) ~len w.out in
+  Bytes.set_int64_le w.out (hdr + 16) (Int64.of_int crc);
+  Crc32.combine (Crc32.bytes ~off:hdr ~len:24 w.out) crc len
+
+let prefix_len = String.length magic + 1
+
+(* [t] holding only the first [count] of [records], encoded, and the
+   CRC-32 of the encoding. *)
+let encode t ~records ~count =
+  let sum f items = List.fold_left (fun n x -> n + f x) 0 items in
+  let header = z_string t.workload_name + 16 in
+  let images = sum z_image t.analysis_images in
+  let kernel_text =
+    sum (fun (name, code) -> z_string name + z_bytes code) t.live_kernel_text
+  in
+  let record_bytes = fold_prefix (fun n r -> n + z_record r) 0 count records in
+  let w =
+    {
+      out =
+        Bytes.create
+          (prefix_len + (4 * 24) + header + images + kernel_text
+         + record_bytes);
+      at = 0;
+    }
+  in
+  Bytes.blit_string magic 0 w.out 0 (String.length magic);
+  w.at <- String.length magic;
+  w_u8 w version;
+  let section ~len ~count write crc =
+    Crc32.combine crc (w_section w ~len ~count write) (24 + len)
+  in
+  let crc =
+    Crc32.bytes ~len:prefix_len w.out
+    |> section ~len:header ~count:0 (fun w ->
+           w_string w t.workload_name;
+           w_i64 w t.ebs_period;
+           w_i64 w t.lbr_period)
+    |> section ~len:images
+         ~count:(List.length t.analysis_images)
+         (fun w -> List.iter (w_image w) t.analysis_images)
+    |> section ~len:kernel_text
+         ~count:(List.length t.live_kernel_text)
+         (fun w -> List.iter (w_kernel_text w) t.live_kernel_text)
+    |> section ~len:record_bytes ~count (fun w ->
+           fold_prefix (fun () r -> w_record w r) () count records)
+  in
+  (w.out, crc)
 
 let to_bytes t =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic;
-  w_u8 buf version;
-  let payload f =
-    let b = Buffer.create 4096 in
-    f b;
-    b
-  in
-  w_section buf ~count:0 (payload (fun b -> w_header_payload b t));
-  w_section buf
-    ~count:(List.length t.analysis_images)
-    (payload (fun b -> List.iter (w_image b) t.analysis_images));
-  w_section buf
-    ~count:(List.length t.live_kernel_text)
-    (payload (fun b -> List.iter (w_kernel_text b) t.live_kernel_text));
-  w_section buf
-    ~count:(List.length t.records)
-    (payload (fun b -> List.iter (w_record b) t.records));
-  Buffer.to_bytes buf
+  fst (encode t ~records:t.records ~count:(List.length t.records))
 
 (* -- reader -- *)
 
@@ -435,16 +506,6 @@ let of_bytes data =
     | v -> raise (Parse (Bad_version v))
   with Parse e -> Error e
 
-(* Durable publication: tmp + fsync + rename, so a kill at any byte
-   offset leaves the previous archive (or nothing) — never a torn
-   file.  Archive faults (bit flips / truncation) are applied to the
-   serialized bytes first, exactly as before: they model damage to the
-   data, not to the write path (that is the io.* family, injected
-   inside Durable itself). *)
-let save t ~path =
-  let data = Faults.mangle_archive (to_bytes t) in
-  Hbbp_durable.Durable.write_bytes ~path data
-
 let load ~path =
   let ic = open_in_bin path in
   Fun.protect
@@ -465,44 +526,76 @@ let shard_path path index shards =
   let stem = if ext = "" then path else Filename.remove_extension path in
   Printf.sprintf "%s.%dof%d%s" stem index shards ext
 
-(* The exact bytes each shard would hold on disk (mangled per the
-   armed archive-fault plan, like [save]) without writing anything —
-   the unit of work resumable collection compares and publishes. *)
-let sharded_bytes t ~shards ~path =
-  if shards < 1 then invalid_arg "Perf_data.sharded_bytes: shards < 1";
-  if shards = 1 then [ (path, Faults.mangle_archive (to_bytes t)) ]
-  else begin
-    let records = Array.of_list t.records in
-    let n = Array.length records in
-    List.init shards (fun i ->
-        let lo = i * n / shards and hi = (i + 1) * n / shards in
-        let slice = Array.to_list (Array.sub records lo (hi - lo)) in
-        ( shard_path path i shards,
-          Faults.mangle_archive (to_bytes { t with records = slice })
-        ))
-  end
+type shard = { shard_path : string; data : bytes; entry : Manifest.shard }
 
+(* Slice [i] of [shards] holds records [i * n / shards] up to
+   [(i + 1) * n / shards]: each slice is kept as the tail of the record
+   list where it starts, and its length, so no slice is copied. *)
+let shard_encoder t ~shards ~path =
+  if shards < 1 then invalid_arg "Perf_data.shard_encoder: shards < 1";
+  let n = List.length t.records in
+  let slices = Array.make shards (t.records, n) in
+  let rest = ref t.records in
+  for i = 0 to shards - 1 do
+    let lo = i * n / shards and hi = (i + 1) * n / shards in
+    slices.(i) <- (!rest, hi - lo);
+    for _ = lo to hi - 1 do
+      rest := List.tl !rest
+    done
+  done;
+  fun i ->
+    let records, count = slices.(i) in
+    let p = if shards = 1 then path else shard_path path i shards in
+    let encoded, crc = encode t ~records ~count in
+    (* An armed archive-fault plan damages the bytes after encoding;
+       only then does the manifest's CRC read them again. *)
+    let data = Faults.mangle_archive encoded in
+    let crc32 = if data == encoded then crc else Crc32.bytes data in
+    {
+      shard_path = p;
+      data;
+      entry =
+        { Manifest.index = i; file = Filename.basename p;
+          size = Bytes.length data; crc32 };
+    }
+
+(* Durable publication: tmp + fsync + rename, so a kill at any byte
+   offset leaves the previous archive (or nothing) — never a torn
+   file.  Archive faults (bit flips / truncation) were applied to the
+   encoded bytes: they model damage to the data, not to the write path
+   (that is the io.* family, injected inside Durable itself). *)
+let save t ~path =
+  let s = shard_encoder t ~shards:1 ~path 0 in
+  Hbbp_durable.Durable.write_bytes ~path s.data
+
+let sharded_bytes t ~shards ~path =
+  let shard = shard_encoder t ~shards ~path in
+  List.init shards (fun i ->
+      let s = shard i in
+      (s.shard_path, s.data))
+
+(* Each shard is encoded, published and dropped before the next is
+   encoded.  One progressive rewrite of the manifest per shard would
+   also be correct; a plain [save_sharded] is not resumable, so a
+   single complete manifest at the end records the collection for
+   later verification. *)
 let save_sharded t ~shards ~path =
-  let parts = sharded_bytes t ~shards ~path in
-  let written =
-    List.mapi
-      (fun i (p, data) ->
-        Hbbp_durable.Durable.write_bytes ~path:p data;
-        Manifest.shard_of_bytes ~index:i ~file:(Filename.basename p) data)
-      parts
+  let shard = shard_encoder t ~shards ~path in
+  let published =
+    List.init shards (fun i ->
+        let s = shard i in
+        Hbbp_durable.Durable.write_bytes ~path:s.shard_path s.data;
+        (s.shard_path, s.entry))
   in
-  (* One progressive rewrite per shard would also be correct; a plain
-     [save_sharded] is not resumable, so a single complete manifest at
-     the end records the collection for later verification. *)
   Manifest.save
     {
       Manifest.label = t.workload_name;
       shards;
-      written;
+      written = List.map snd published;
       complete = true;
     }
     ~archive_path:path;
-  List.map fst parts
+  List.map fst published
 
 (* ------------------------------------------------------------------ *)
 (* Chunked streaming reader                                            *)

@@ -75,7 +75,8 @@ type read = { archive : t; ledger : fault list }
 
 (** {1 Serialization} *)
 
-(** [to_bytes t] — serialize in the checksummed-section format. *)
+(** [to_bytes t] — serialize in the checksummed-section format, into
+    one [bytes] of the archive's exact size. *)
 val to_bytes : t -> bytes
 
 (** Total: returns [Ok] (with a ledger describing any salvage) or a
@@ -102,8 +103,9 @@ val load : path:string -> (read, error) result
     ["trace.0of3.hbbp"] … ["trace.2of3.hbbp"]; with [shards = 1] the
     archive is written to [path] unchanged.  Concatenating the shards'
     record streams in order reproduces [t.records] exactly.  Each
-    shard is published atomically, and a complete {!Manifest} sidecar
-    is written last.
+    shard is encoded, published atomically and dropped before the next
+    one is encoded, so the writer holds one encoded shard at a time; a
+    complete {!Manifest} sidecar is written last.
     @raise Invalid_argument when [shards < 1]. *)
 val save_sharded : t -> shards:int -> path:string -> string list
 
@@ -111,10 +113,31 @@ val save_sharded : t -> shards:int -> path:string -> string list
     ["trace.hbbp"] → ["trace.0of3.hbbp"]. *)
 val shard_path : string -> int -> int -> string
 
+(** One encoded shard. *)
+type shard = {
+  shard_path : string;  (** [path] itself when there is one shard. *)
+  data : bytes;
+      (** The bytes to publish, mangled by the armed archive-fault
+          plan ({!Hbbp_faults.Faults.mangle_archive}). *)
+  entry : Manifest.shard;
+      (** Its manifest line.  The CRC-32 of unmangled bytes is combined
+          from the header's and the sections' CRCs
+          ({!Hbbp_util.Crc32.combine}) and costs no pass over [data]. *)
+}
+
+(** [shard_encoder t ~shards ~path] slices [t.records] once (no record
+    is copied) and returns the encoder of shard [i]: one allocation of
+    the shard's exact size, with every field written in place.  The
+    per-shard step of {!save_sharded}, {!sharded_bytes} and resumable
+    collection.
+    @raise Invalid_argument when [shards < 1], or (from the returned
+    function) when [i] is not in [0, shards). *)
+val shard_encoder : t -> shards:int -> path:string -> int -> shard
+
 (** [sharded_bytes t ~shards ~path] — the exact
     (path, bytes) each shard of {!save_sharded} would publish, without
-    touching the filesystem (archive-fault mangling included).  The
-    unit of comparison for resumable collection. *)
+    touching the filesystem (archive-fault mangling included).  Holds
+    every shard at once; publishers use {!shard_encoder}. *)
 val sharded_bytes : t -> shards:int -> path:string -> (string * bytes) list
 
 (** {1 Chunked streaming reader}

@@ -27,6 +27,18 @@ let manifest_complete ~dir ~shards m =
   && List.length m.Manifest.written = shards
   && List.for_all (Manifest.shard_ok ~dir) m.Manifest.written
 
+(* Is [s] already on disk, byte for byte? *)
+let on_disk (s : Perf_data.shard) =
+  let n = Bytes.length s.Perf_data.data in
+  match
+    In_channel.with_open_bin s.Perf_data.shard_path (fun ic ->
+        In_channel.length ic = Int64.of_int n
+        && String.equal (really_input_string ic n)
+             (Bytes.unsafe_to_string s.Perf_data.data))
+  with
+  | exception Sys_error _ -> false
+  | same -> same
+
 let collect_sharded ?config ?(resume = false)
     ?(should_stop = fun () -> false) ?(inter_shard_delay_s = 0.0) ~shards
     ~path (w : Workload.t) =
@@ -55,7 +67,7 @@ let collect_sharded ?config ?(resume = false)
           (path :: Manifest.path_for path :: paths)
       end;
       let archive = Pipeline.collect_archive ?config w in
-      let parts = Perf_data.sharded_bytes archive ~shards ~path in
+      let shard = Perf_data.shard_encoder archive ~shards ~path in
       let written = ref [] in
       let save_manifest ~complete =
         Manifest.save
@@ -68,39 +80,29 @@ let collect_sharded ?config ?(resume = false)
           ~archive_path:path
       in
       let statuses =
-        List.mapi
-          (fun i (p, data) ->
+        List.init shards (fun i ->
             if should_stop () then begin
               save_manifest ~complete:false;
               raise Pipeline.Interrupted
             end;
             if inter_shard_delay_s > 0.0 && i > 0 then
               Unix.sleepf inter_shard_delay_s;
+            let s = shard i in
             let status =
-              let reusable =
-                resume
-                &&
-                match In_channel.with_open_bin p In_channel.input_all with
-                | exception Sys_error _ -> false
-                | existing -> String.equal existing (Bytes.to_string data)
-              in
-              if reusable then begin
+              if resume && on_disk s then begin
                 c "recover.shards_reused" 1;
                 Reused
               end
               else begin
-                Durable.write_bytes ~path:p data;
+                Durable.write_bytes ~path:s.Perf_data.shard_path
+                  s.Perf_data.data;
                 if resume then c "recover.shards_rewritten" 1;
                 Written
               end
             in
-            written :=
-              Manifest.shard_of_bytes ~index:i ~file:(Filename.basename p)
-                data
-              :: !written;
+            written := s.Perf_data.entry :: !written;
             save_manifest ~complete:false;
             status)
-          parts
       in
       save_manifest ~complete:true;
       (paths, statuses)

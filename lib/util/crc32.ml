@@ -84,3 +84,51 @@ let finish st = st lxor 0xFFFFFFFF
 
 let bytes ?off ?len data = finish (update (init ()) ?off ?len data)
 let string s = bytes (Bytes.unsafe_of_string s)
+
+(* Combining two CRCs, as zlib's [crc32_combine]: appending [len2]
+   bytes to a message multiplies its register by x^(8 * len2) modulo
+   the polynomial P(x), so [crc (a ^ b)] follows from [crc a], [crc b]
+   and [len b] alone.  Polynomials are reflected 32-bit words: bit 31
+   is x^0. *)
+
+(* [a] times [b] modulo P(x). *)
+let multmodp a b =
+  let p = ref 0 and b = ref b and m = ref (1 lsl 31) in
+  while !m <> 0 do
+    if a land !m <> 0 then p := !p lxor !b;
+    m := !m lsr 1;
+    b := if !b land 1 = 1 then (!b lsr 1) lxor 0xEDB88320 else !b lsr 1
+  done;
+  !p
+
+(* Entry [n] is x^(2^n) modulo P(x); built on first use, like
+   [tables]. *)
+let x2n : int array Atomic.t = Atomic.make [||]
+
+let get_x2n () =
+  let t = Atomic.get x2n in
+  if Array.length t > 0 then t
+  else begin
+    let t = Array.make 32 (1 lsl 30) (* x^1 *) in
+    for n = 1 to 31 do
+      t.(n) <- multmodp t.(n - 1) t.(n - 1)
+    done;
+    Atomic.set x2n t;
+    t
+  end
+
+(* x^(8 * len) modulo P(x), from the binary digits of [len]: the
+   powers of x have period 2^32 - 1, so the table index wraps at 32. *)
+let x8nmodp len =
+  let t = get_x2n () in
+  let p = ref (1 lsl 31) (* x^0 *) and n = ref len and k = ref 3 in
+  while !n <> 0 do
+    if !n land 1 = 1 then p := multmodp t.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
+
+let combine crc1 crc2 len2 =
+  if len2 < 0 then invalid_arg "Crc32.combine: negative length";
+  multmodp (x8nmodp len2) crc1 lxor crc2

@@ -9,7 +9,9 @@
     Two interfaces: the one-shot [bytes]/[string], and an incremental
     [init]/[update]/[finish] triple so streaming readers can checksum a
     section chunk by chunk without buffering it.  [bytes] is implemented
-    on top of the incremental form, so the two always agree. *)
+    on top of the incremental form, so the two always agree.  And
+    [combine], which joins the checksums of two adjacent slices without
+    reading their bytes again. *)
 
 (** Running checksum state.  Immutable: [update] returns a new state. *)
 type state
@@ -30,3 +32,11 @@ val finish : state -> int
 val bytes : ?off:int -> ?len:int -> bytes -> int
 
 val string : string -> int
+
+(** [combine crc1 crc2 len2] — the CRC-32 of a message [a ^ b], given
+    [crc1 = crc a], [crc2 = crc b] and [len2 = length b]: zlib's
+    [crc32_combine], a multiplication of [crc1] by x^(8 * len2) modulo
+    the polynomial, from a 32-entry table of x^(2^n) built on first
+    use.  Costs O(log len2) 32-bit multiplications, whatever the
+    length.  Raises [Invalid_argument] if [len2 < 0]. *)
+val combine : int -> int -> int -> int

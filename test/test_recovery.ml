@@ -183,10 +183,10 @@ let test_manifest_roundtrip () =
       shards = 2;
       written =
         [
-          Manifest.shard_of_bytes ~index:0 ~file:"shard 0of2.hbbp"
-            (Bytes.of_string "abc");
-          Manifest.shard_of_bytes ~index:1 ~file:"shard 1of2.hbbp"
-            (Bytes.of_string "defg");
+          { Manifest.index = 0; file = "shard 0of2.hbbp"; size = 3;
+            crc32 = Hbbp_util.Crc32.string "abc" };
+          { Manifest.index = 1; file = "shard 1of2.hbbp"; size = 4;
+            crc32 = Hbbp_util.Crc32.string "defg" };
         ];
       complete = true;
     }
@@ -425,16 +425,18 @@ let test_analyze_resume_identical () =
     (Bytes.equal uninterrupted fallback);
   cleanup base paths
 
-(* Resuming must carry the bias accumulator's stream set: on [hello],
-   where bias flags branches, contamination reads that set, so a resume
-   whose checkpoint dropped it would finalize different flags. *)
-let hello_shards =
-  lazy
-    (let base = fresh_base "hello" in
-     let archive =
-       Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello")
-     in
-     (base, Perf_data.save_sharded archive ~shards:4 ~path:base))
+(* The collected [hello] archive, shared; each test publishes its own
+   shards of it ([with_hello_shards]) and removes them, so no test
+   depends on another's order. *)
+let hello_archive =
+  lazy (Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello"))
+
+let with_hello_shards name f =
+  let base = fresh_base name in
+  let paths =
+    Perf_data.save_sharded (Lazy.force hello_archive) ~shards:4 ~path:base
+  in
+  Fun.protect ~finally:(fun () -> cleanup base paths) (fun () -> f base paths)
 
 let digest (r : Pipeline.reconstruction) =
   Digest.to_hex
@@ -462,8 +464,11 @@ let interrupt_after n ~checkpoint paths =
   | _ -> Alcotest.failf "expected Interrupted after %d archives" n
   | exception Pipeline.Interrupted -> ()
 
+(* Resuming must carry the bias accumulator's stream set: on [hello],
+   where bias flags branches, contamination reads that set, so a resume
+   whose checkpoint dropped it would finalize different flags. *)
 let test_resume_carries_streams () =
-  let base, paths = Lazy.force hello_shards in
+  with_hello_shards "hello-streams" @@ fun base paths ->
   let ckpt = base ^ ".ckpt" in
   let whole = analyzed (Pipeline.analyze_archives paths) in
   checkb "hello: bias flags blocks" true
@@ -495,8 +500,7 @@ let test_checkpoint_bytes_pinned () =
     "7a2ff594e7ab61675ea13a6a3f439a20"
     (wire "pinned" (Lazy.force reference_archive));
   Alcotest.(check string) "hello, 4 shards" "2ce4ab19d26c69ea5f40cc147bcc0abc"
-    (wire "pinned-hello"
-       (Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello")))
+    (wire "pinned-hello" (Lazy.force hello_archive))
 
 (* Without a checkpoint an interrupt still stops the analysis at the
    next archive boundary; it raises [Interrupted] and writes nothing. *)
@@ -529,7 +533,7 @@ let test_interrupt_without_checkpoint () =
 (* A version-1 checkpoint predates the stream set: restoring it is a
    typed error, and a resume falls back to a clean full analysis. *)
 let test_v1_checkpoint_restarts () =
-  let base, paths = Lazy.force hello_shards in
+  with_hello_shards "hello-v1" @@ fun base paths ->
   let ckpt = base ^ ".ckpt" in
   let whole = analyzed (Pipeline.analyze_archives paths) in
   interrupt_after 2 ~checkpoint:ckpt paths;
@@ -559,8 +563,7 @@ let test_v1_checkpoint_restarts () =
   checki "version-1 checkpoint not restored" restores0
     (Metrics.counter_value restores);
   Alcotest.(check string) "restarted analysis = uninterrupted"
-    (digest whole) (digest restarted);
-  cleanup base paths
+    (digest whole) (digest restarted)
 
 (* A typed error ends a checkpointed analysis like a success: it names
    the archive, and no checkpoint is left behind — even when archives

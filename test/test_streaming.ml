@@ -12,6 +12,8 @@ open Hbbp_collector
 open Hbbp_core
 open Hbbp_analyzer
 module Crc32 = Hbbp_util.Crc32
+module Faults = Hbbp_faults.Faults
+module Plan = Hbbp_faults.Fault_plan
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -133,6 +135,62 @@ let prop_crc_oracle =
              = expected)
            (List.init (len + 1) (fun k -> off + k)))
 
+(* Combining: the CRC of [a ^ b] from the CRCs of [a] and [b] and the
+   length of [b], over unaligned slices [off, cut) and [cut, stop) of
+   one buffer of up to 4 KiB; either slice may be empty. *)
+let prop_crc_combine =
+  QCheck2.Test.make ~name:"combine (crc a) (crc b) (len b) = crc (a ^ b)"
+    ~count:300
+    QCheck2.Gen.(quad (string_size (0 -- 4200)) nat nat nat)
+    (fun (s, x, y, z) ->
+      let data = Bytes.of_string s in
+      let n = Bytes.length data in
+      let off = x mod (n + 1) in
+      let stop = off + (y mod (n - off + 1)) in
+      let cut = off + (z mod (stop - off + 1)) in
+      Crc32.combine
+        (Crc32.bytes ~off ~len:(cut - off) data)
+        (Crc32.bytes ~off:cut ~len:(stop - cut) data)
+        (stop - cut)
+      = Crc32.bytes ~off ~len:(stop - off) data)
+
+(* Empty halves, every length 0-4096 appended to a short unaligned
+   prefix, and a few splits of ~1 MiB. *)
+let test_crc_combine_lengths () =
+  let st = Random.State.make [| 24 |] in
+  let v =
+    Bytes.init ((1 lsl 20) + 64) (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  let crc ~off ~len = Crc32.bytes ~off ~len v in
+  let check_split ~off ~cut ~stop =
+    if
+      Crc32.combine (crc ~off ~len:(cut - off))
+        (crc ~off:cut ~len:(stop - cut))
+        (stop - cut)
+      <> crc ~off ~len:(stop - off)
+    then Alcotest.failf "split %d/%d/%d differs" off cut stop
+  in
+  checki "both empty" 0 (Crc32.combine 0 0 0);
+  checki "empty b" (crc ~off:3 ~len:77)
+    (Crc32.combine (crc ~off:3 ~len:77) 0 0);
+  checki "empty a" (crc ~off:3 ~len:77)
+    (Crc32.combine 0 (crc ~off:3 ~len:77) 77);
+  for len = 0 to 4096 do
+    check_split ~off:5 ~cut:18 ~stop:(18 + len)
+  done;
+  List.iter
+    (fun (off, cut, stop) -> check_split ~off ~cut ~stop)
+    [
+      (0, 0, 1 lsl 20);
+      (0, 1 lsl 20, 1 lsl 20);
+      (1, 9, (1 lsl 20) + 9);
+      (7, (1 lsl 19) + 3, (1 lsl 20) + 63);
+      (0, 24, (1 lsl 20) - 1);
+    ];
+  match Crc32.combine 0 0 (-1) with
+  | _ -> Alcotest.fail "negative length accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures: one collected archive, its static view, its db     *)
 
@@ -143,6 +201,13 @@ let fixture =
      let static = Static.create_exn (Perf_data.analysis_process archive) in
      let db = Sample_db.of_records archive.Perf_data.records in
      (archive, static, db))
+
+(* Every registry workload's name and collected archive. *)
+let registry =
+  lazy
+    (let names = Hbbp_workloads.Registry.names in
+     let ws = List.map Hbbp_workloads.Registry.find names in
+     (names, Pipeline.collect_many ws))
 
 (* ------------------------------------------------------------------ *)
 (* Sample_db.Builder                                                   *)
@@ -427,9 +492,7 @@ let recon_equal (a : Pipeline.reconstruction) (b : Pipeline.reconstruction) =
   && compare a.Pipeline.r_quality b.Pipeline.r_quality = 0
 
 let test_streaming_identity_every_workload () =
-  let names = Hbbp_workloads.Registry.names in
-  let ws = List.map Hbbp_workloads.Registry.find names in
-  let archives = Pipeline.collect_many ws in
+  let names, archives = Lazy.force registry in
   List.iter2
     (fun name archive ->
       with_tmp_file @@ fun path ->
@@ -664,6 +727,202 @@ let test_encoder_bytes_pinned () =
     "digest" "4a3db7b1d075ef853d4a0e727c8876e4"
     (Digest.to_hex (Digest.bytes (Perf_data.to_bytes (tiny_archive ()))))
 
+(* The archive encoder as first shipped, kept as the oracle for the
+   exact-size one: every payload staged in its own [Buffer], copied
+   into the archive's, and the archive copied out; shards are
+   [Array.sub] slices of the record array. *)
+module Oracle_encoder = struct
+  let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
+  let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+
+  let w_string buf s =
+    w_i64 buf (String.length s);
+    Buffer.add_string buf s
+
+  let w_bytes buf b =
+    w_i64 buf (Bytes.length b);
+    Buffer.add_bytes buf b
+
+  let w_ring buf = function
+    | Ring.User -> w_u8 buf 0
+    | Ring.Kernel -> w_u8 buf 1
+
+  let w_image buf (img : Image.t) =
+    w_string buf img.name;
+    w_i64 buf img.base;
+    w_ring buf img.ring;
+    w_bytes buf img.code;
+    w_i64 buf (List.length img.symbols);
+    List.iter
+      (fun (s : Symbol.t) ->
+        w_string buf s.name;
+        w_i64 buf s.addr;
+        w_i64 buf s.size)
+      img.symbols
+
+  let w_record buf (r : Record.t) =
+    match r with
+    | Record.Comm { pid; name } ->
+        w_u8 buf 0;
+        w_i64 buf pid;
+        w_string buf name
+    | Record.Mmap { addr; len; name; ring } ->
+        w_u8 buf 1;
+        w_i64 buf addr;
+        w_i64 buf len;
+        w_string buf name;
+        w_ring buf ring
+    | Record.Fork { parent; child } ->
+        w_u8 buf 2;
+        w_i64 buf parent;
+        w_i64 buf child
+    | Record.Sample s ->
+        w_u8 buf 3;
+        w_string buf (Pmu_event.to_string s.Record.event);
+        w_i64 buf s.Record.ip;
+        w_ring buf s.Record.ring;
+        w_i64 buf s.Record.time;
+        w_i64 buf (Lbr.entries s.Record.lbr);
+        Array.iter (w_i64 buf) s.Record.lbr
+    | Record.Lost n ->
+        w_u8 buf 4;
+        w_i64 buf n
+
+  let w_section buf ~count payload =
+    let p = Buffer.contents payload in
+    w_i64 buf (String.length p);
+    w_i64 buf count;
+    w_i64 buf (Crc32.string p);
+    Buffer.add_string buf p
+
+  let to_bytes (t : Perf_data.t) =
+    let buf = Buffer.create (1 lsl 16) in
+    Buffer.add_string buf "HBBPDATA";
+    w_u8 buf 2;
+    let payload f =
+      let b = Buffer.create 4096 in
+      f b;
+      b
+    in
+    w_section buf ~count:0
+      (payload (fun b ->
+           w_string b t.workload_name;
+           w_i64 b t.ebs_period;
+           w_i64 b t.lbr_period));
+    w_section buf
+      ~count:(List.length t.analysis_images)
+      (payload (fun b -> List.iter (w_image b) t.analysis_images));
+    w_section buf
+      ~count:(List.length t.live_kernel_text)
+      (payload (fun b ->
+           List.iter
+             (fun (name, code) ->
+               w_string b name;
+               w_bytes b code)
+             t.live_kernel_text));
+    w_section buf ~count:(List.length t.records)
+      (payload (fun b -> List.iter (w_record b) t.records));
+    Buffer.to_bytes buf
+
+  let sharded_bytes (t : Perf_data.t) ~shards ~path =
+    if shards = 1 then [ (path, to_bytes t) ]
+    else
+      let records = Array.of_list t.records in
+      let n = Array.length records in
+      List.init shards (fun i ->
+          let lo = i * n / shards and hi = (i + 1) * n / shards in
+          ( Perf_data.shard_path path i shards,
+            to_bytes
+              {
+                t with
+                records = Array.to_list (Array.sub records lo (hi - lo));
+              } ))
+end
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [f dir] on a fresh empty directory, removed with whatever [f] left
+   in it. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_dir "hbbp-stream" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* For every registry workload at 1-5 shards, [sharded_bytes] equals
+   the oracle; [save_sharded] publishes those bytes, under those
+   names. *)
+let test_encoder_oracle_registry () =
+  let names, archives = Lazy.force registry in
+  with_tmp_dir @@ fun dir ->
+  List.iter2
+    (fun name archive ->
+      let path = Filename.concat dir (name ^ ".hbbp") in
+      for shards = 1 to 5 do
+        let what = Printf.sprintf "%s, %d shards" name shards in
+        let encoded = Perf_data.sharded_bytes archive ~shards ~path in
+        if encoded <> Oracle_encoder.sharded_bytes archive ~shards ~path then
+          Alcotest.failf "%s: sharded_bytes differs from the oracle" what;
+        let published = Perf_data.save_sharded archive ~shards ~path in
+        Alcotest.(check (list string))
+          (what ^ ": published paths") (List.map fst encoded) published;
+        List.iter
+          (fun (p, data) ->
+            if read_file p <> Bytes.to_string data then
+              Alcotest.failf "%s: %s differs from sharded_bytes" what p;
+            Sys.remove p)
+          encoded
+      done)
+    names archives
+
+(* Each manifest line's size and CRC are those of the published file:
+   unarmed, when the CRC is combined from the sections', and under
+   armed archive faults, which damage the bytes after encoding. *)
+let test_manifest_crcs () =
+  let archive, _, _ = Lazy.force fixture in
+  let encoded =
+    Perf_data.sharded_bytes archive ~shards:3 ~path:"m.hbbp"
+  in
+  List.iter
+    (fun spec ->
+      Fun.protect
+        ~finally:(fun () ->
+          Faults.disarm ();
+          Faults.reset_tally ())
+        (fun () ->
+          (match spec with
+          | None -> ()
+          | Some spec -> (
+              match Plan.of_string spec with
+              | Ok plan -> Faults.arm plan
+              | Error e -> Alcotest.failf "plan %S: %s" spec e));
+          let what = Option.value spec ~default:"unarmed" in
+          with_tmp_dir @@ fun dir ->
+          let path = Filename.concat dir "m.hbbp" in
+          let paths = Perf_data.save_sharded archive ~shards:3 ~path in
+          let m =
+            match Manifest.load ~archive_path:path with
+            | Some (Ok m) -> m
+            | Some (Error e) -> Alcotest.failf "%s: manifest: %s" what e
+            | None -> Alcotest.failf "%s: no manifest" what
+          in
+          checki (what ^ ": manifest lines") 3 (List.length m.Manifest.written);
+          List.iter2
+            (fun (p, (_, unmangled)) (e : Manifest.shard) ->
+              let data = read_file p in
+              checki (what ^ ": size") (String.length data) e.Manifest.size;
+              checki (what ^ ": crc32") (Crc32.string data) e.Manifest.crc32;
+              checkb
+                (what ^ ": damaged iff armed")
+                (spec <> None)
+                (data <> Bytes.to_string unmangled))
+            (List.combine paths encoded) m.Manifest.written))
+    [ None; Some "seed=3,arch.flips=3"; Some "seed=3,arch.truncate=-64" ]
+
 (* A version-1 header is refused, by the batch reader and the stream
    alike: the flat v1 format is no longer read. *)
 let test_v1_refused () =
@@ -889,6 +1148,9 @@ let () =
           Alcotest.test_case "known answers + every alignment" `Quick
             test_crc_known_answers;
           QCheck_alcotest.to_alcotest prop_crc_oracle;
+          QCheck_alcotest.to_alcotest prop_crc_combine;
+          Alcotest.test_case "combine: empty, 0-4096 and 1 MiB" `Quick
+            test_crc_combine_lengths;
           Alcotest.test_case "slice validation" `Quick
             test_crc_slice_validation;
         ] );
@@ -924,6 +1186,10 @@ let () =
             test_fuzz_stream_bit_flip_every_byte;
           Alcotest.test_case "encoder bytes pinned" `Quick
             test_encoder_bytes_pinned;
+          Alcotest.test_case "sharded_bytes = oracle = published, registry"
+            `Slow test_encoder_oracle_registry;
+          Alcotest.test_case "manifest CRC = file CRC, unarmed and armed"
+            `Quick test_manifest_crcs;
           Alcotest.test_case "version-1 header is refused" `Quick
             test_v1_refused;
           Alcotest.test_case "decoder faults are typed, stream = batch"
