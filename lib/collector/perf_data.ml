@@ -520,11 +520,13 @@ let load ~path =
 (* Sharded writing                                                     *)
 
 (* "trace.hbbp" → "trace.0of3.hbbp"; extensionless names get the shard
-   tag appended. *)
+   tag appended.  A single shard is the archive itself. *)
 let shard_path path index shards =
-  let ext = Filename.extension path in
-  let stem = if ext = "" then path else Filename.remove_extension path in
-  Printf.sprintf "%s.%dof%d%s" stem index shards ext
+  if shards = 1 then path
+  else
+    let ext = Filename.extension path in
+    let stem = if ext = "" then path else Filename.remove_extension path in
+    Printf.sprintf "%s.%dof%d%s" stem index shards ext
 
 type shard = { shard_path : string; data : bytes; entry : Manifest.shard }
 
@@ -545,7 +547,7 @@ let shard_encoder t ~shards ~path =
   done;
   fun i ->
     let records, count = slices.(i) in
-    let p = if shards = 1 then path else shard_path path i shards in
+    let p = shard_path path i shards in
     let encoded, crc = encode t ~records ~count in
     (* An armed archive-fault plan damages the bytes after encoding;
        only then does the manifest's CRC read them again. *)

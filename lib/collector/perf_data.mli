@@ -110,7 +110,8 @@ val load : path:string -> (read, error) result
 val save_sharded : t -> shards:int -> path:string -> string list
 
 (** [shard_path path i shards] — the name of shard [i]:
-    ["trace.hbbp"] → ["trace.0of3.hbbp"]. *)
+    ["trace.hbbp"] → ["trace.0of3.hbbp"]; [path] itself when
+    [shards = 1]. *)
 val shard_path : string -> int -> int -> string
 
 (** One encoded shard. *)

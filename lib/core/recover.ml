@@ -16,10 +16,6 @@ let c name n = Metrics.add (Metrics.counter name) n
 
 type shard_status = Reused | Written
 
-let shard_paths ~shards ~path =
-  if shards = 1 then [ path ]
-  else List.init shards (fun i -> Perf_data.shard_path path i shards)
-
 (* All shards the manifest names verify on disk and the set is
    complete for the requested sharding. *)
 let manifest_complete ~dir ~shards m =
@@ -44,7 +40,9 @@ let collect_sharded ?config ?(resume = false)
     ~path (w : Workload.t) =
   if shards < 1 then invalid_arg "Recover.collect_sharded: shards < 1";
   let dir = Filename.dirname path in
-  let paths = shard_paths ~shards ~path in
+  let paths =
+    List.init shards (fun i -> Perf_data.shard_path path i shards)
+  in
   let fast_path =
     if not resume then None
     else

@@ -11,9 +11,6 @@
     held the exact bytes; [Written] — it was (re)published. *)
 type shard_status = Reused | Written
 
-(** The shard files [collect_sharded ~shards ~path] publishes. *)
-val shard_paths : shards:int -> path:string -> string list
-
 (** [collect_sharded ~shards ~path w] — collect [w] and publish its
     shards with a progressive {!Manifest} sidecar.
 
