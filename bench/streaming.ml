@@ -6,7 +6,9 @@
    [Gc.top_heap_words] is a clean high-water mark (it never shrinks, so
    in-process comparison would measure whichever mode ran first).
 
-   Gates, all measured in this one process:
+   Gates, all but the last measured in this one process:
+   - the bytes [Machine.create] allocates for hello (regions are backed
+     on first touch, so not the 10 MiB they declare);
    - the minor words [Pipeline.Partial.feed] allocates per record, fed
      in default-sized chunks over every registry archive;
    - the minor words [Perf_data.Stream.next] allocates per record
@@ -17,12 +19,16 @@
    - the stream walks each LBR-estimator and bias accumulator performs,
      fed one registry archive each (as one partial is), against the
      distinct (target, src) pairs fed to it, which the bench counts from
-     the samples on its own.
+     the samples on its own;
+   - the top heap of one [Pipeline.run] of hello in a fresh child
+     process, which folds samples into its partial as they arrive
+     instead of holding the sample and record lists.
    The word and walk counts are exact and host-independent; the byte
    ratio read 1.009-1.012 over repeated runs, far inside its gate; the
    speedup is a same-process ratio.  The bench exits non-zero above
-   [max_feed_words_per_record], [max_next_words_per_record] or
-   [max_encode_bytes_per_byte], below [min_crc_speedup], or when an
+   [max_create_bytes], [max_feed_words_per_record],
+   [max_next_words_per_record], [max_encode_bytes_per_byte] or
+   [max_run_top_heap_bytes], below [min_crc_speedup], or when an
    accumulator walks more streams than it was fed distinct pairs.
    Writes BENCH_streaming.json. *)
 
@@ -35,8 +41,9 @@ let word_bytes = Sys.word_size / 8
 
 (* Child-process protocol: the parent re-execs this benchmark binary
    with the role/paths/output file in the environment; the child does
-   one measured analysis and writes "base_words peak_words records
-   seconds" to the output file. *)
+   one measured analysis (of the archives at the paths) or profile (of
+   the workload named by the one path, role "run") and writes
+   "base_words peak_words records seconds" to the output file. *)
 let role_var = "HBBP_BENCH_STREAMING_ROLE"
 let paths_var = "HBBP_BENCH_STREAMING_PATHS"
 let out_var = "HBBP_BENCH_STREAMING_OUT"
@@ -57,6 +64,9 @@ let child role paths out =
             failwith
               (Format.asprintf "BENCH streaming: %s: %a" path
                  Perf_data.pp_error e))
+    | "run" ->
+        let w = Hbbp_workloads.Registry.find (List.hd paths) in
+        (Pipeline.run w).Pipeline.record_count
     | _ -> (
         match Pipeline.analyze_archives paths with
         | Ok (_, r) ->
@@ -69,6 +79,8 @@ let child role paths out =
   Bench_util.write_out out "%d %d %d %.6f\n" base peak records dt;
   exit 0
 
+let max_create_bytes = 1 lsl 20
+let max_run_top_heap_bytes = 6 lsl 20
 let max_feed_words_per_record = 64.0
 
 (* A decoded 16-deep sample is ~47 words: the interleaved LBR array
@@ -238,7 +250,16 @@ let crc_speedup () =
     U.median (fun (_, s) -> float_of_int (Bytes.length data) /. s /. 1e6) samples
   )
 
+(* Bytes allocated by one [Machine.create] of [w]. *)
+let create_bytes (w : Workload.t) =
+  let b0 = Gc.allocated_bytes () in
+  let m = Hbbp_cpu.Machine.create ~process:w.live_process () in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity m);
+  int_of_float allocated
+
 type measurement = {
+  top_bytes : int;  (** The child's heap high-water mark. *)
   peak_bytes : int;  (** Analysis-attributable heap high-water mark. *)
   m_records : int;
   seconds : float;
@@ -269,7 +290,12 @@ let spawn_child role paths =
       let line = input_line ic in
       close_in ic;
       Scanf.sscanf line "%d %d %d %f" (fun base peak records seconds ->
-          { peak_bytes = (peak - base) * word_bytes; m_records = records; seconds }))
+          {
+            top_bytes = peak * word_bytes;
+            peak_bytes = (peak - base) * word_bytes;
+            m_records = records;
+            seconds;
+          }))
 
 let run ppf =
   (match
@@ -325,6 +351,9 @@ let run ppf =
   let ratio =
     float_of_int batch.peak_bytes /. float_of_int streaming.peak_bytes
   in
+  let hello = Hbbp_workloads.Registry.find "hello" in
+  let create = create_bytes hello in
+  let run = spawn_child "run" [ hello.name ] in
   let feed_words = feed_words_per_record archives in
   let next_words = next_words_per_record archives in
   let walks = walk_counts archives in
@@ -364,6 +393,9 @@ let run ppf =
   "ebs_period": %d,
   "lbr_period": %d,
   "chunk_records": %d,
+  "machine_create_allocated_bytes": %d,
+  "run_hello_top_heap_bytes": %d,
+  "run_hello_seconds": %.3f,
   "feed_minor_words_per_record": %.3f,
   "next_minor_words_per_record": %.3f,
   "encode_allocated_bytes_per_byte": %.3f,
@@ -381,12 +413,22 @@ let run ppf =
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
-    Perf_data.Stream.default_chunk_records feed_words next_words encode_bytes
+    Perf_data.Stream.default_chunk_records create run.top_bytes run.seconds
+    feed_words next_words encode_bytes
     total.streams total.distinct total.lbr_walks total.bias_walks crc_speedup
     crc_mb_s (mode "batch" batch)
     (mode "streaming" streaming)
     (mode "sharded" sharded) ratio;
   Format.fprintf ppf "wrote BENCH_streaming.json@.";
+  Format.fprintf ppf
+    "Machine.create: %d bytes allocated for hello (gate: <= %d)@." create
+    max_create_bytes;
+  Format.fprintf ppf
+    "Pipeline.run hello: %.2f MiB top heap in a fresh process, %d records \
+     (gate: <= %.0f MiB)@."
+    (float_of_int run.top_bytes /. 1048576.0)
+    run.m_records
+    (float_of_int max_run_top_heap_bytes /. 1048576.0);
   Format.fprintf ppf
     "Partial.feed: %.3f minor words per record over the registry (gate: <= \
      %.0f)@."
@@ -411,6 +453,12 @@ let run ppf =
     List.filter_map
       (fun (failed, msg) -> if failed then Some msg else None)
       [
+        ( create > max_create_bytes,
+          Printf.sprintf "Machine.create allocates more than %d bytes"
+            max_create_bytes );
+        ( run.top_bytes > max_run_top_heap_bytes,
+          Printf.sprintf "Pipeline.run hello tops the heap above %d bytes"
+            max_run_top_heap_bytes );
         ( feed_words > max_feed_words_per_record,
           Printf.sprintf "Partial.feed allocates more than %.0f words per record"
             max_feed_words_per_record );

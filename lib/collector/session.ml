@@ -24,33 +24,32 @@ let pmu t = t.pmu
 let ebs_period t = t.ebs_period
 let lbr_period t = t.lbr_period
 
+let header process ~pid ~name =
+  Record.Comm { pid; name }
+  :: List.map
+       (fun (img : Image.t) ->
+         Record.Mmap
+           {
+             addr = img.base;
+             len = Image.size img;
+             name = img.name;
+             ring = img.ring;
+           })
+       (Process.images process)
+
+let sample_record (s : Pmu.sample) =
+  Record.Sample
+    {
+      Record.event = s.event;
+      ip = s.ip;
+      lbr = s.lbr;
+      ring = s.ring;
+      time = s.cycles;
+    }
+
 let records t process ~pid ~name =
-  let header =
-    Record.Comm { pid; name }
-    :: List.map
-         (fun (img : Image.t) ->
-           Record.Mmap
-             {
-               addr = img.base;
-               len = Image.size img;
-               name = img.name;
-               ring = img.ring;
-             })
-         (Process.images process)
-  in
-  let samples =
-    List.map
-      (fun (s : Pmu.sample) ->
-        Record.Sample
-          {
-            Record.event = s.event;
-            ip = s.ip;
-            lbr = s.lbr;
-            ring = s.ring;
-            time = s.cycles;
-          })
-      (Pmu.samples t.pmu)
-  in
+  let header = header process ~pid ~name in
+  let samples = List.map sample_record (Pmu.samples t.pmu) in
   let stream = header @ samples in
   (* Collector-layer fault injection: when a plan with record faults is
      armed, drop/reorder records and — like perf reporting ring-buffer

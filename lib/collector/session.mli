@@ -34,6 +34,19 @@ val pmu : t -> Pmu.t
     single [option] load. *)
 val records : t -> Process.t -> pid:int -> name:string -> Record.t list
 
+(** {2 The stream's parts}
+
+    {!records} with faults disarmed is [header] followed by
+    [sample_record] of each of {!Pmu.samples}.  A consumer that installs
+    a {!Pmu.set_sink} on {!pmu} builds the same records from these as
+    the samples arrive, without holding the samples. *)
+
+(** The COMM record, then one MMAP record per image of the process. *)
+val header : Process.t -> pid:int -> name:string -> Record.t list
+
+(** The record one delivered sample becomes. *)
+val sample_record : Pmu.sample -> Record.t
+
 val ebs_period : t -> int
 val lbr_period : t -> int
 

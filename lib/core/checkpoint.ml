@@ -11,34 +11,63 @@ module Metrics = Hbbp_telemetry.Metrics
 module Codec = struct
   exception Bad of string
 
-  let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+  (* A frame is sized first, then written in place into one [bytes] of
+     exactly that size.  Each section's writer runs twice: over a sizer,
+     which only advances [at], to learn the section's length; then over
+     the frame, after the section's length and CRC slots. *)
+  type writer = { out : bytes; sizing : bool; mutable at : int }
 
-  let w_str buf s =
-    w_i64 buf (String.length s);
-    Buffer.add_string buf s
+  let w_u8 w v =
+    if not w.sizing then Bytes.set_uint8 w.out w.at v;
+    w.at <- w.at + 1
 
-  let w_list buf w items =
-    w_i64 buf (List.length items);
-    List.iter (w buf) items
+  let w_i64 w v =
+    if not w.sizing then Bytes.set_int64_le w.out w.at (Int64.of_int v);
+    w.at <- w.at + 8
 
-  let w_ints buf a =
-    w_i64 buf (Array.length a);
-    Array.iter (w_i64 buf) a
+  let w_bytes w b =
+    let n = Bytes.length b in
+    if not w.sizing then Bytes.blit b 0 w.out w.at n;
+    w.at <- w.at + n
+
+  let w_str w s =
+    w_i64 w (String.length s);
+    w_bytes w (Bytes.unsafe_of_string s)
+
+  let w_list w write items =
+    w_i64 w (List.length items);
+    List.iter (write w) items
+
+  let w_ints w a =
+    w_i64 w (Array.length a);
+    Array.iter (w_i64 w) a
 
   let frame ~magic ~version sections =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf magic;
-    Buffer.add_uint8 buf version;
-    List.iter
-      (fun write_payload ->
-        let p = Buffer.create 1024 in
-        write_payload p;
-        let payload = Buffer.to_bytes p in
-        w_i64 buf (Bytes.length payload);
-        w_i64 buf (Hbbp_util.Crc32.bytes payload);
-        Buffer.add_bytes buf payload)
-      sections;
-    Buffer.to_bytes buf
+    let sizes =
+      List.map
+        (fun write ->
+          let z = { out = Bytes.empty; sizing = true; at = 0 } in
+          write z;
+          z.at)
+        sections
+    in
+    let header = String.length magic + 1 in
+    let total = List.fold_left (fun n len -> n + 16 + len) header sizes in
+    let w = { out = Bytes.create total; sizing = false; at = 0 } in
+    w_bytes w (Bytes.unsafe_of_string magic);
+    w_u8 w version;
+    List.iter2
+      (fun write len ->
+        w_i64 w len;
+        let crc_at = w.at in
+        w.at <- crc_at + 8;
+        write w;
+        if w.at <> crc_at + 8 + len then
+          invalid_arg "Checkpoint.Codec.frame: section size changed";
+        Bytes.set_int64_le w.out crc_at
+          (Int64.of_int (Hbbp_util.Crc32.bytes ~off:(crc_at + 8) ~len w.out)))
+      sections sizes;
+    w.out
 
   type cursor = { data : bytes; mutable pos : int; limit : int }
 
@@ -118,8 +147,8 @@ let version = 1
 let to_bytes t =
   frame ~magic ~version
     [
-      (fun p -> w_list p w_str t.done_paths);
-      (fun p -> Buffer.add_bytes p t.partial);
+      (fun w -> w_list w w_str t.done_paths);
+      (fun w -> w_bytes w t.partial);
     ]
 
 let of_bytes data =

@@ -14,16 +14,29 @@
 module Codec : sig
   exception Bad of string
 
-  val w_i64 : Buffer.t -> int -> unit
-  val w_str : Buffer.t -> string -> unit
+  (** Where a section's writer puts its fields.  {!frame} runs every
+      writer twice, once to size its section and once to fill it, so a
+      writer must write the same fields both times. *)
+  type writer
+
+  val w_u8 : writer -> int -> unit
+  val w_i64 : writer -> int -> unit
+
+  (** The bytes themselves, without a length. *)
+  val w_bytes : writer -> bytes -> unit
+
+  (** Length, then the bytes. *)
+  val w_str : writer -> string -> unit
 
   (** Count, then each item. *)
-  val w_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+  val w_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
-  val w_ints : Buffer.t -> int array -> unit
+  val w_ints : writer -> int array -> unit
 
-  (** [frame ~magic ~version sections] — each writer fills one section. *)
-  val frame : magic:string -> version:int -> (Buffer.t -> unit) list -> bytes
+  (** [frame ~magic ~version sections] — each writer fills one section.
+      The frame is allocated once, at its exact size, and written in
+      place. *)
+  val frame : magic:string -> version:int -> (writer -> unit) list -> bytes
 
   type cursor
 

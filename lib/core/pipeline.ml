@@ -264,64 +264,66 @@ module Partial = struct
     | _ -> None
 
   let serialize t =
+    let raw, unattributed = Ebs_estimator.Acc.export t.ebs_acc in
+    let lbr = Lbr_estimator.Acc.export t.lbr_acc in
+    let bias = Bias.Acc.export t.static t.bias_acc in
+    let faults = List.rev t.faults_rev in
     frame ~magic ~version:serialize_version
       [
-        (fun p ->
-          w_i64 p t.ebs_period;
-          w_i64 p t.lbr_period;
-          w_i64 p t.records;
-          w_i64 p t.ebs_samples;
-          w_i64 p t.lbr_snapshots;
-          w_i64 p t.other_samples;
-          w_i64 p t.lost);
-        (fun p ->
-          let raw, unattributed = Ebs_estimator.Acc.export t.ebs_acc in
-          w_i64 p unattributed;
-          w_ints p raw);
-        (fun p ->
-          let r = Lbr_estimator.Acc.export t.lbr_acc in
-          w_i64 p r.Lbr_estimator.Acc.r_total_blocks;
-          w_i64 p r.Lbr_estimator.Acc.r_snapshots;
-          w_i64 p r.Lbr_estimator.Acc.r_usable;
-          w_i64 p r.Lbr_estimator.Acc.r_inconsistent;
-          w_i64 p r.Lbr_estimator.Acc.r_discarded;
-          w_list p w_ints (Array.to_list r.Lbr_estimator.Acc.r_by_k));
-        (fun p ->
-          let r = Bias.Acc.export t.static t.bias_acc in
-          w_i64 p r.Bias.Acc.r_snapshots;
-          w_i64 p r.Bias.Acc.r_deep_total;
+        (fun w ->
+          w_i64 w t.ebs_period;
+          w_i64 w t.lbr_period;
+          w_i64 w t.records;
+          w_i64 w t.ebs_samples;
+          w_i64 w t.lbr_snapshots;
+          w_i64 w t.other_samples;
+          w_i64 w t.lost);
+        (fun w ->
+          w_i64 w unattributed;
+          w_ints w raw);
+        (fun w ->
+          w_i64 w lbr.Lbr_estimator.Acc.r_total_blocks;
+          w_i64 w lbr.Lbr_estimator.Acc.r_snapshots;
+          w_i64 w lbr.Lbr_estimator.Acc.r_usable;
+          w_i64 w lbr.Lbr_estimator.Acc.r_inconsistent;
+          w_i64 w lbr.Lbr_estimator.Acc.r_discarded;
+          w_i64 w (Array.length lbr.Lbr_estimator.Acc.r_by_k);
+          Array.iter (w_ints w) lbr.Lbr_estimator.Acc.r_by_k);
+        (fun w ->
+          w_i64 w bias.Bias.Acc.r_snapshots;
+          w_i64 w bias.Bias.Acc.r_deep_total;
           List.iter
-            (w_list p (fun p (k, v) ->
-                 w_i64 p k;
-                 w_i64 p v))
+            (w_list w (fun w (k, v) ->
+                 w_i64 w k;
+                 w_i64 w v))
             [
-              r.Bias.Acc.r_entry0;
-              r.Bias.Acc.r_deep;
-              r.Bias.Acc.r_adjacent;
-              r.Bias.Acc.r_failed;
+              bias.Bias.Acc.r_entry0;
+              bias.Bias.Acc.r_deep;
+              bias.Bias.Acc.r_adjacent;
+              bias.Bias.Acc.r_failed;
             ];
-          w_list p
-            (fun p (owner, target, src) ->
-              w_i64 p owner;
-              w_i64 p target;
-              w_i64 p src)
-            r.Bias.Acc.r_streams);
-        (fun p ->
-          w_list p
-            (fun p -> function
+          w_list w
+            (fun w (owner, target, src) ->
+              w_i64 w owner;
+              w_i64 w target;
+              w_i64 w src)
+            bias.Bias.Acc.r_streams);
+        (fun w ->
+          w_list w
+            (fun w -> function
               | Perf_data.Checksum_mismatch s ->
-                  Buffer.add_uint8 p 0;
-                  Buffer.add_uint8 p (section_code s)
+                  w_u8 w 0;
+                  w_u8 w (section_code s)
               | Perf_data.Truncated_records { expected; salvaged } ->
-                  Buffer.add_uint8 p 1;
-                  w_i64 p (match expected with None -> -1 | Some e -> e);
-                  w_i64 p salvaged
+                  w_u8 w 1;
+                  w_i64 w (match expected with None -> -1 | Some e -> e);
+                  w_i64 w salvaged
               | Perf_data.Corrupt_records { index; reason; salvaged } ->
-                  Buffer.add_uint8 p 2;
-                  w_i64 p index;
-                  w_i64 p salvaged;
-                  w_str p reason)
-            (List.rev t.faults_rev));
+                  w_u8 w 2;
+                  w_i64 w index;
+                  w_i64 w salvaged;
+                  w_str w reason)
+            faults);
       ]
 
   let restore ~static data =
@@ -941,6 +943,10 @@ let record_run_metrics (p : profile) =
     c "sde.lost_kernel_instructions" p.sde_lost_kernel
   end
 
+(* Records [run] hands [Partial.feed] at a time while the workload
+   executes. *)
+let run_chunk_records = 1024
+
 let run ?(config = default_config) (w : Workload.t) =
   Trace.with_span ~cat:"pipeline" ~args:[ ("workload", w.Workload.name) ] "run"
   @@ fun () ->
@@ -974,6 +980,32 @@ let run ?(config = default_config) (w : Workload.t) =
   Machine.add_observer machine (Hbbp_instrument.Sde.observer sde);
   Machine.add_observer machine (Pmu.observer (Session.pmu session));
   Machine.add_observer machine (Pmu.observer counting);
+  (* Samples fold into the partial in fixed chunks as the PMU delivers
+     them, so the run holds one chunk of records, not the stream.  The
+     header records carry nothing the accumulators read, so they go in
+     last.  An armed stream-fault plan is the exception: its drop and
+     reorder draws are defined over the whole stream, which is therefore
+     materialized by [Session.records] after the run and fed at once. *)
+  let partial =
+    Partial.create ~static ~ebs_period:(Session.ebs_period session)
+      ~lbr_period:(Session.lbr_period session) ()
+  in
+  let streamed = Option.is_none (Hbbp_faults.Faults.stream_injector ()) in
+  let chunk = ref [] and pending = ref 0 and kept = ref [] in
+  let flush () =
+    if !pending > 0 then begin
+      let c = List.rev !chunk in
+      chunk := [];
+      pending := 0;
+      Partial.feed partial c;
+      if config.keep_records then kept := c :: !kept
+    end
+  in
+  if streamed then
+    Pmu.set_sink (Session.pmu session) (fun s ->
+        chunk := Session.sample_record s :: !chunk;
+        incr pending;
+        if !pending = run_chunk_records then flush ());
   let stats =
     Trace.with_span ~cat:"pipeline" "execute" (fun () ->
         Machine.run machine ~entry:w.entry
@@ -982,13 +1014,23 @@ let run ?(config = default_config) (w : Workload.t) =
   (* Collection output and reconstruction. *)
   let records =
     Trace.with_span ~cat:"pipeline" "collect" (fun () ->
-        Session.records session w.live_process ~pid:1 ~name:w.name)
+        if streamed then begin
+          flush ();
+          let header = Session.header w.live_process ~pid:1 ~name:w.name in
+          Partial.feed partial header;
+          if config.keep_records then header @ List.concat (List.rev !kept)
+          else []
+        end
+        else
+          let records =
+            Session.records session w.live_process ~pid:1 ~name:w.name
+          in
+          Partial.feed partial records;
+          if config.keep_records then records else [])
   in
   let r =
-    reconstruct ~criteria:config.criteria ~thresholds:config.thresholds
-      ~repair:config.repair ~static
-      ~ebs_period:(Session.ebs_period session)
-      ~lbr_period:(Session.lbr_period session) records
+    finalize ~criteria:config.criteria ~thresholds:config.thresholds
+      ~repair:config.repair partial
   in
   let ebs = r.r_ebs and lbr = r.r_lbr and bias = r.r_bias and hbbp = r.r_hbbp in
   let reference, reference_mix =
@@ -1027,8 +1069,8 @@ let run ?(config = default_config) (w : Workload.t) =
       sde_total = Hbbp_instrument.Sde.total_instructions sde;
       sde_lost_kernel = Hbbp_instrument.Sde.lost_kernel_instructions sde;
       pmu_counts = Pmu.counts counting;
-      records = (if config.keep_records then records else []);
-      record_count = List.length records;
+      records;
+      record_count = Partial.record_count partial;
       quality = r.r_quality;
       repair_report = r.r_repair;
     }

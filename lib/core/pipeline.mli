@@ -137,6 +137,14 @@ type profile = {
           [hbbp] is the repaired BBEC iff the mode was [Apply]. *)
 }
 
+(** [run ?config w] — profile [w] in one execution.  The sampling PMU's
+    samples are folded into the reconstruction in fixed chunks as they
+    are delivered, so the run holds one chunk of records rather than
+    the stream; [keep_records] also keeps the chunks.  With an armed
+    stream-fault plan the record list is materialized after the run
+    instead, since the plan's drop and reorder draws are defined over
+    all of it.  Either way the profile is the one the batch
+    {!reconstruct} of the stream gives. *)
 val run : ?config:config -> Workload.t -> profile
 
 (** [run_many ?jobs workloads] — profile every workload, fanned out over

@@ -51,6 +51,8 @@ type t = {
   lbr : Lbr.t;
   prng : Prng.t;
   mutable samples_rev : sample list;
+  mutable sink : (sample -> unit) option;
+      (* Where delivered samples go; [None] is [samples_rev]. *)
   mutable pendings : pending list;
   mutable pmi_count : int;
   mutable last_cycles : int;
@@ -99,6 +101,7 @@ let create model configs =
     lbr = Lbr.create ~depth:model.lbr_depth;
     prng = Prng.create ~seed:model.seed;
     samples_rev = [];
+    sink = None;
     pendings = [];
     pmi_count = 0;
     last_cycles = 0;
@@ -283,8 +286,8 @@ let deliver t pending (r : Machine.retirement) =
     | None -> false
     | Some inj -> Faults.drop_sample inj
   in
-  if not lost then
-    t.samples_rev <-
+  if not lost then begin
+    let s =
       {
         event = counter.config.event;
         ip = r.node.Exec_graph.addr;
@@ -293,7 +296,11 @@ let deliver t pending (r : Machine.retirement) =
         retired_index = r.retired_index;
         cycles = r.cycles;
       }
-      :: t.samples_rev
+    in
+    match t.sink with
+    | None -> t.samples_rev <- s :: t.samples_rev
+    | Some f -> f s
+  end
 
 let skid_for t (e : Pmu_event.t) =
   match e with
@@ -550,6 +557,7 @@ let observer t : Machine.observer =
         });
   }
 
+let set_sink t f = t.sink <- Some f
 let samples t = List.rev t.samples_rev
 let counts t =
   Array.to_list

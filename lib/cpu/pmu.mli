@@ -56,7 +56,16 @@ val create : Pmu_model.t -> counter_config list -> t
 (** Register this PMU on a machine ({!Machine.add_observer}). *)
 val observer : t -> Machine.observer
 
-(** Samples in delivery order. *)
+(** [set_sink t f] hands every sample delivered from now on to [f], in
+    delivery order, instead of keeping it for {!samples}: a consumer
+    that folds samples as they arrive holds none of them.  [f] runs
+    inside the machine's observer callbacks and must not touch the
+    machine.  The sink survives {!reset}. *)
+val set_sink : t -> (sample -> unit) -> unit
+
+(** Samples in delivery order, kept by the default sink: all of them,
+    unless {!set_sink} installed another, which then received every
+    sample delivered after it. *)
 val samples : t -> sample list
 
 (** Final totals of every counter, including sampling ones. *)

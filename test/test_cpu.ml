@@ -69,6 +69,231 @@ let test_memory_overlap_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected overlap rejection"
 
+(* The eagerly zeroed memory that backing on first touch replaced, kept
+   as the oracle: every region is allocated and zeroed at creation. *)
+module Eager = struct
+  type region = { base : int; data : Bytes.t }
+  type t = { regions : region array; mutable hot : int }
+
+  let create specs =
+    let regions =
+      specs
+      |> List.map (fun (base, size) -> { base; data = Bytes.make size '\000' })
+      |> List.sort (fun a b -> compare a.base b.base)
+      |> Array.of_list
+    in
+    { regions; hot = 0 }
+
+  let rec scan t addr len k =
+    if k = Array.length t.regions then raise (Memory.Fault addr)
+    else
+      let r = t.regions.(k) in
+      let off = addr - r.base in
+      if off >= 0 && off + len <= Bytes.length r.data then begin
+        t.hot <- k;
+        r
+      end
+      else scan t addr len (k + 1)
+
+  let region_for t addr len =
+    let r = t.regions.(t.hot) in
+    let off = addr - r.base in
+    if off >= 0 && off + len <= Bytes.length r.data then r
+    else scan t addr len 0
+
+  let read_u8 t addr =
+    let r = region_for t addr 1 in
+    Bytes.get_uint8 r.data (addr - r.base)
+
+  let read_i64 t addr =
+    let r = region_for t addr 8 in
+    Bytes.get_int64_le r.data (addr - r.base)
+
+  let write_i64 t addr v =
+    let r = region_for t addr 8 in
+    Bytes.set_int64_le r.data (addr - r.base) v
+
+  let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
+  let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+
+  let read_f32 t addr =
+    let r = region_for t addr 4 in
+    Int32.float_of_bits (Bytes.get_int32_le r.data (addr - r.base))
+
+  let write_f32 t addr v =
+    let r = region_for t addr 4 in
+    Bytes.set_int32_le r.data (addr - r.base) (Int32.bits_of_float v)
+
+  let is_mapped t addr =
+    match region_for t addr 1 with _ -> true | exception Memory.Fault _ -> false
+end
+
+(* Where an access lands, resolved when it runs: relative to a declared
+   region's ends, to the backed window of that region in the memory
+   under test (which moves as the sequence grows it), to the initial
+   stack pointer, or anywhere at all. *)
+type place =
+  | From_lo of int * int  (** region, bytes above its first byte *)
+  | From_hi of int * int  (** region, bytes below its end *)
+  | Below_window of int * int  (** region, bytes below its window *)
+  | Above_window of int * int  (** region, bytes above its window's end *)
+  | Below_rsp of int
+  | Anywhere of int
+
+type access =
+  | Read_u8
+  | Read_f32
+  | Write_f32 of float
+  | Read_i64
+  | Write_i64 of int64
+  | Read_f64
+  | Write_f64 of float
+
+let regions = Array.of_list Layout.memory_regions
+
+let address (m : Memory.t) = function
+  | From_lo (k, d) -> fst regions.(k) + d
+  | From_hi (k, d) ->
+      let base, size = regions.(k) in
+      base + size - d
+  | Below_window (k, d) -> m.Memory.regions.(k).Memory.base - d
+  | Above_window (k, d) ->
+      let r = m.Memory.regions.(k) in
+      r.Memory.base + Bytes.length r.Memory.data + d
+  | Below_rsp d -> Layout.initial_rsp - d
+  | Anywhere a -> a
+
+let gen_place =
+  let open QCheck2.Gen in
+  let region = int_bound (Array.length regions - 1) in
+  oneof
+    [
+      map2 (fun k d -> From_lo (k, d)) region (int_range (-9) 16);
+      map2 (fun k d -> From_hi (k, d)) region (int_range (-8) 16);
+      map2 (fun k d -> From_lo (k, d)) region (int_bound ((1 lsl 20) - 1));
+      map2 (fun k d -> Below_window (k, d)) region (int_range (-16) 16);
+      map2 (fun k d -> Above_window (k, d)) region (int_range (-16) 16);
+      map2 (fun k d -> Below_window (k, d)) region (int_bound (1 lsl 22));
+      map2 (fun k d -> Above_window (k, d)) region (int_bound (1 lsl 22));
+      map (fun d -> Below_rsp d) (int_range (-24) 65536);
+      map (fun a -> Anywhere a) (int_bound 0xC000000);
+      oneofl [ Anywhere max_int; Anywhere (max_int - 3); Anywhere min_int;
+               Anywhere (-1); Anywhere 0 ];
+    ]
+
+let gen_access =
+  let open QCheck2.Gen in
+  let f = map Int64.float_of_bits int64 in
+  oneof
+    [
+      pure Read_u8;
+      pure Read_f32;
+      map (fun v -> Write_f32 v) f;
+      pure Read_i64;
+      map (fun v -> Write_i64 v) int64;
+      pure Read_f64;
+      map (fun v -> Write_f64 v) f;
+    ]
+
+let print_op (place, access) =
+  let place =
+    match place with
+    | From_lo (k, d) -> Printf.sprintf "lo(%d)+%d" k d
+    | From_hi (k, d) -> Printf.sprintf "hi(%d)-%d" k d
+    | Below_window (k, d) -> Printf.sprintf "window(%d)-%d" k d
+    | Above_window (k, d) -> Printf.sprintf "window_end(%d)+%d" k d
+    | Below_rsp d -> Printf.sprintf "rsp-%d" d
+    | Anywhere a -> Printf.sprintf "%#x" a
+  in
+  let access =
+    match access with
+    | Read_u8 -> "read_u8"
+    | Read_f32 -> "read_f32"
+    | Write_f32 v -> Printf.sprintf "write_f32 %h" v
+    | Read_i64 -> "read_i64"
+    | Write_i64 v -> Printf.sprintf "write_i64 %Ld" v
+    | Read_f64 -> "read_f64"
+    | Write_f64 v -> Printf.sprintf "write_f64 %h" v
+  in
+  access ^ " @ " ^ place
+
+(* Both memories run the same accesses; floats compare by their bits. *)
+let prop_memory_matches_eager =
+  QCheck2.Test.make ~name:"first-touch memory = eagerly zeroed memory"
+    ~count:300
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 120) (pair gen_place gen_access))
+    (fun ops ->
+      let m = Memory.create Layout.memory_regions
+      and e = Eager.create Layout.memory_regions in
+      let outcome f = match f () with v -> Ok v | exception Memory.Fault a -> Error a in
+      let bits x = Int64.bits_of_float x in
+      let written = ref [] in
+      List.for_all
+        (fun (place, access) ->
+          let addr = address m place in
+          let got, want =
+            match access with
+            | Read_u8 ->
+                ( outcome (fun () -> Int64.of_int (Memory.read_u8 m addr)),
+                  outcome (fun () -> Int64.of_int (Eager.read_u8 e addr)) )
+            | Read_f32 ->
+                ( outcome (fun () -> bits (Memory.read_f32 m addr)),
+                  outcome (fun () -> bits (Eager.read_f32 e addr)) )
+            | Write_f32 v ->
+                ( outcome (fun () -> Memory.write_f32 m addr v; 0L),
+                  outcome (fun () -> Eager.write_f32 e addr v; 0L) )
+            | Read_i64 ->
+                ( outcome (fun () -> Memory.read_i64 m addr),
+                  outcome (fun () -> Eager.read_i64 e addr) )
+            | Write_i64 v ->
+                ( outcome (fun () -> Memory.write_i64 m addr v; 0L),
+                  outcome (fun () -> Eager.write_i64 e addr v; 0L) )
+            | Read_f64 ->
+                ( outcome (fun () -> bits (Memory.read_f64 m addr)),
+                  outcome (fun () -> bits (Eager.read_f64 e addr)) )
+            | Write_f64 v ->
+                ( outcome (fun () -> Memory.write_f64 m addr v; 0L),
+                  outcome (fun () -> Eager.write_f64 e addr v; 0L) )
+          in
+          (match access with
+          | Write_f32 _ | Write_i64 _ | Write_f64 _ -> written := addr :: !written
+          | Read_u8 | Read_f32 | Read_i64 | Read_f64 -> ());
+          got = want
+          && List.for_all
+               (fun a -> Memory.is_mapped m a = Eager.is_mapped e a)
+               [ addr - 1; addr; addr + 7; addr + 8 ])
+        ops
+      && List.for_all
+           (fun addr ->
+             outcome (fun () -> Memory.read_i64 m addr)
+             = outcome (fun () -> Eager.read_i64 e addr))
+           !written)
+
+(* [is_mapped] answers from the declared bounds: asking about every
+   region's ends backs nothing. *)
+let test_is_mapped_grows_nothing () =
+  let m = Memory.create Layout.memory_regions in
+  List.iter
+    (fun (base, size) ->
+      checkb "first byte" true (Memory.is_mapped m base);
+      checkb "last byte" true (Memory.is_mapped m (base + size - 1));
+      checkb "past the end" false (Memory.is_mapped m (base + size)))
+    Layout.memory_regions;
+  Array.iter
+    (fun (r : Memory.region) -> checki "window" 0 (Bytes.length r.Memory.data))
+    m.Memory.regions
+
+(* A machine no longer zeroes its 10 MiB of declared regions up front. *)
+let test_machine_create_allocation () =
+  let w = Hbbp_workloads.Registry.find "hello" in
+  let b0 = Gc.allocated_bytes () in
+  let m = Machine.create ~process:w.Hbbp_core.Workload.live_process () in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity m);
+  if allocated >= 1048576.0 then
+    Alcotest.failf "Machine.create allocated %.0f bytes (limit 1 MiB)" allocated
+
 (* ------------------------------------------------------------------ *)
 (* Machine + semantics: run small programs and inspect final state.    *)
 
@@ -611,6 +836,11 @@ let () =
           Alcotest.test_case "rw" `Quick test_memory_rw;
           Alcotest.test_case "fault" `Quick test_memory_fault;
           Alcotest.test_case "overlap" `Quick test_memory_overlap_rejected;
+          QCheck_alcotest.to_alcotest prop_memory_matches_eager;
+          Alcotest.test_case "is_mapped grows nothing" `Quick
+            test_is_mapped_grows_nothing;
+          Alcotest.test_case "machine creation allocates < 1 MiB" `Quick
+            test_machine_create_allocation;
         ] );
       ( "semantics",
         [

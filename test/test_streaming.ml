@@ -1079,6 +1079,64 @@ let test_keep_records_default () =
   checki "same collection either way" p.Pipeline.record_count
     kept.Pipeline.record_count
 
+(* [Pipeline.run] folds samples into its partial in chunks as the PMU
+   delivers them; with [keep_records] it also returns the stream it fed.
+   The oracle is the list path: [collect_archive] materializes the
+   stream with [Session.records], and reconstructing that list in one
+   batch must give what the chunked fold gave, with the kept stream
+   equal to the list. *)
+let profile_fields (p : Pipeline.profile) =
+  ( (p.ebs, p.lbr, p.bias, p.hbbp),
+    (p.quality, p.repair_report, p.record_count, p.pmu_health) )
+
+let recon_fields (p : Pipeline.profile) records =
+  let c = p.Pipeline.config in
+  let r =
+    Pipeline.reconstruct ~criteria:c.Pipeline.criteria
+      ~thresholds:c.Pipeline.thresholds ~repair:c.Pipeline.repair
+      ~static:p.Pipeline.static ~ebs_period:p.Pipeline.sim_periods.Period.ebs
+      ~lbr_period:p.Pipeline.sim_periods.Period.lbr records
+  in
+  ( (r.r_ebs, r.r_lbr, r.r_bias, r.r_hbbp),
+    ( r.r_quality,
+      r.r_repair,
+      Pipeline.Partial.record_count r.r_partial,
+      p.Pipeline.pmu_health ) )
+
+let check_streamed_run name ~config w =
+  let streamed = Pipeline.run ~config w in
+  let kept =
+    Pipeline.run ~config:{ config with Pipeline.keep_records = true } w
+  in
+  let listed = (Pipeline.collect_archive ~config w).Perf_data.records in
+  checkb (name ^ ": streamed run = kept run") true
+    (compare (profile_fields streamed) (profile_fields kept) = 0);
+  checkb (name ^ ": kept stream = materialized list") true
+    (compare kept.Pipeline.records listed = 0);
+  checkb (name ^ ": streamed run = batch reconstruction of the list") true
+    (compare (profile_fields streamed) (recon_fields streamed listed) = 0)
+
+(* Every third registry workload, and hello (39 chunks, the kernel
+   path), keeps the test near 3 s. *)
+let test_streamed_run_registry () =
+  List.iteri
+    (fun k name ->
+      if k mod 3 = 0 || name = "hello" then
+        check_streamed_run name ~config:Pipeline.default_config
+          (Hbbp_workloads.Registry.find name))
+    Hbbp_workloads.Registry.names
+
+(* An armed stream-fault plan materializes the stream before feeding
+   it, since its draws are defined over the whole list. *)
+let test_streamed_run_stream_faults () =
+  let w = Hbbp_workloads.Registry.find "fitter-sse" in
+  Faults.arm (Result.get_ok (Plan.of_string "seed=5,rec.drop_sample=0.1"));
+  Fun.protect ~finally:Faults.disarm @@ fun () ->
+  check_streamed_run "fitter-sse, rec.drop_sample=0.1"
+    ~config:Pipeline.default_config w;
+  let p = Pipeline.run w in
+  checkb "drops degrade the profile" true (p.Pipeline.quality <> Pipeline.Full)
+
 let test_save_sharded_naming_and_concat () =
   let archive, _, _ = Lazy.force fixture in
   with_tmp_file @@ fun path ->
@@ -1203,6 +1261,10 @@ let () =
         [
           Alcotest.test_case "keep_records opt-in" `Quick
             test_keep_records_default;
+          Alcotest.test_case "streamed run = kept = batch, registry subset"
+            `Quick test_streamed_run_registry;
+          Alcotest.test_case "streamed run under stream faults" `Quick
+            test_streamed_run_stream_faults;
           Alcotest.test_case "sharded naming + concat" `Quick
             test_save_sharded_naming_and_concat;
         ] );
