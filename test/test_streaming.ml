@@ -718,6 +718,138 @@ let test_fuzz_stream_bit_flip_every_byte () =
     check_same_verdict ~what:(Printf.sprintf "flip at %d" off) path flipped
   done
 
+(* ------------------------------------------------------------------ *)
+(* Truncation oracle: the verdict on a cut archive, from the encoder   *)
+
+(* [ends.(k)] is where record [k] ends: the length of the archive
+   holding only the first [k] records.  [ends.(0)] is the encoding with
+   no records; each later end adds one record's size, the length of its
+   single-record encoding beyond that, so the table costs one encoding
+   per record instead of one per prefix. *)
+let record_ends (a : Perf_data.t) =
+  let size records =
+    Bytes.length (Perf_data.to_bytes { a with Perf_data.records })
+  in
+  let empty = size [] in
+  let ends = Array.make (List.length a.Perf_data.records + 1) empty in
+  List.iteri
+    (fun k r -> ends.(k + 1) <- ends.(k) + size [ r ] - empty)
+    a.Perf_data.records;
+  ends
+
+(* The records of a cut at [n] are those that end at or before it.  A
+   cut inside the prefix or the metadata sections is a hard truncation;
+   one inside the records section's 24-byte header leaves no declared
+   count; one in the payload keeps the whole records before it. *)
+let truncation_oracle ends n =
+  let payload = ends.(0) and total = Array.length ends - 1 in
+  if n < payload - 24 then Error Perf_data.Truncated
+  else if n < payload then
+    Ok (0, [ Perf_data.Truncated_records { expected = None; salvaged = 0 } ])
+  else
+    (* The largest [k] with [ends.(k) <= n]. *)
+    let rec search lo hi =
+      if lo = hi then lo
+      else
+        let mid = (lo + hi + 1) / 2 in
+        if ends.(mid) <= n then search mid hi else search lo (mid - 1)
+    in
+    let k = search 0 total in
+    Ok
+      ( k,
+        if k = total && n = ends.(total) then []
+        else
+          [ Perf_data.Truncated_records { expected = Some total; salvaged = k } ]
+      )
+
+let check_oracle ~what records ends n verdict =
+  let show_ledger l =
+    String.concat "; " (List.map (Format.asprintf "%a" Perf_data.pp_fault) l)
+  in
+  match (truncation_oracle ends n, verdict) with
+  | Error a, Error b when a = b -> ()
+  | Ok (k, ledger), Ok (got, got_ledger) ->
+      let rec prefix i = function
+        | [] -> i = k
+        | r :: rest -> i < k && r = records.(i) && prefix (i + 1) rest
+      in
+      if not (prefix 0 got) then
+        Alcotest.failf "%s, cut at %d: records are not the first %d (got %d)"
+          what n k (List.length got);
+      if ledger <> got_ledger then
+        Alcotest.failf "%s, cut at %d: ledger [%s], expected [%s]" what n
+          (show_ledger got_ledger) (show_ledger ledger)
+  | Error e, Ok _ ->
+      Alcotest.failf "%s, cut at %d: salvaged, expected %a" what n
+        Perf_data.pp_error e
+  | Ok _, Error e ->
+      Alcotest.failf "%s, cut at %d: %a, expected a salvage" what n
+        Perf_data.pp_error e
+  | Error a, Error b ->
+      Alcotest.failf "%s, cut at %d: %a, expected %a" what n
+        Perf_data.pp_error b Perf_data.pp_error a
+
+(* [a]'s encoding cut at each of [cuts], read in memory and from a file,
+   each checked against the oracle. *)
+let check_cuts (a : Perf_data.t) cuts =
+  let data = Perf_data.to_bytes a in
+  let ends = record_ends a in
+  checki "oracle length = encoding length" (Bytes.length data)
+    ends.(Array.length ends - 1);
+  let records = Array.of_list a.Perf_data.records in
+  with_tmp_file @@ fun path ->
+  List.iter
+    (fun n ->
+      let cut = Bytes.sub data 0 n in
+      check_oracle ~what:"of_bytes" records ends n
+        (Result.map
+           (fun { Perf_data.archive; ledger } ->
+             (archive.Perf_data.records, ledger))
+           (Perf_data.of_bytes cut));
+      write_file path cut;
+      check_oracle ~what:"Stream.open_file" records ends n
+        (Result.map
+           (fun s ->
+             let records = drain_stream s in
+             let ledger = Perf_data.Stream.ledger s in
+             Perf_data.Stream.close s;
+             (records, ledger))
+           (Perf_data.Stream.open_file path)))
+    cuts
+
+let test_oracle_tiny_every_offset () =
+  let a = tiny_archive () in
+  check_cuts a (List.init (Bytes.length (Perf_data.to_bytes a) + 1) Fun.id)
+
+(* The first 500 hello records (16-deep LBR snapshots, ~160 KB of
+   payload, so two 64 KiB refills): cut at every record end and one byte
+   either side, and at every offset within one record's size of each
+   64 KiB step into the records payload, where the reader refills its
+   buffer.  Each cut is decoded from its start, so the sweep's cost is
+   quadratic in the record count. *)
+let test_oracle_refill_boundaries () =
+  let hello, _, _ = Lazy.force hello_fixture in
+  let a =
+    { hello with
+      Perf_data.records = List.filteri (fun k _ -> k < 500) hello.Perf_data.records }
+  in
+  let ends = record_ends a in
+  let full = ends.(Array.length ends - 1) in
+  let widest =
+    Array.fold_left max 0 (Array.init (Array.length ends - 1) (fun k -> ends.(k + 1) - ends.(k)))
+  in
+  checkb "archive spans several refills" true (full - ends.(0) > 2 * 65536);
+  let near_ends = Array.to_list ends |> List.concat_map (fun e -> [ e - 1; e; e + 1 ]) in
+  let near_refills =
+    List.init ((full - ends.(0)) / 65536) (fun j ->
+        let b = ends.(0) + ((j + 1) * 65536) in
+        List.init ((2 * widest) + 1) (fun d -> b - widest + d))
+    |> List.concat
+  in
+  check_cuts a
+    (List.sort_uniq compare
+       (List.filter (fun n -> n >= 0 && n <= full) (near_ends @ near_refills)))
+
 (* The encoder's bytes for an archive holding every record kind, pinned
    to the digest of the format as first shipped: an encoder change (or
    a wrong CRC table, on which encoder and decoder would still agree)
@@ -1242,6 +1374,10 @@ let () =
             test_fuzz_stream_truncation_every_offset;
           Alcotest.test_case "bit flip at every byte" `Slow
             test_fuzz_stream_bit_flip_every_byte;
+          Alcotest.test_case "truncation oracle, every offset" `Quick
+            test_oracle_tiny_every_offset;
+          Alcotest.test_case "truncation oracle, record and refill edges"
+            `Slow test_oracle_refill_boundaries;
           Alcotest.test_case "encoder bytes pinned" `Quick
             test_encoder_bytes_pinned;
           Alcotest.test_case "sharded_bytes = oracle = published, registry"
