@@ -269,8 +269,7 @@ exception Parse of error
    section can never pull bytes from the next one, and no arithmetic
    on attacker-controlled lengths can overflow past the buffer.
    [declared] is where the section's header says its payload ends: past
-   [limit] when the payload is physically cut (or, while streaming, not
-   yet buffered), else [limit]. *)
+   [limit] when the payload is cut or not yet buffered, else [limit]. *)
 type cursor = { data : bytes; mutable pos : int; limit : int; declared : int }
 
 let cursor data ~pos ~limit = { data; pos; limit; declared = limit }
@@ -402,119 +401,11 @@ let r_record c =
   | 4 -> Record.Lost (r_i64 c)
   | tag -> raise (Parse (Corrupt (Printf.sprintf "record tag %d" tag)))
 
-(* Salvage loop: read up to [expected] records, keeping the parseable
-   prefix.  Returns the records, how many were salvaged and the error
-   that ended the walk (if any). *)
-let r_records_salvage c ~expected =
-  let rec go acc i =
-    if i >= expected then (List.rev acc, i, None)
-    else
-      match r_record c with
-      | r -> go (r :: acc) (i + 1)
-      | exception Parse e -> (List.rev acc, i, Some e)
-  in
-  go [] 0
-
 let records_fault ~expected ~salvaged = function
   | Truncated -> Truncated_records { expected; salvaged }
   | Corrupt reason -> Corrupt_records { index = salvaged; reason; salvaged }
   | Bad_magic | Bad_version _ ->
       Corrupt_records { index = salvaged; reason = "malformed"; salvaged }
-
-(* Read one section header and return a cursor bounded to its payload,
-   plus the declared item count and integrity flags.  [complete] is
-   false when the payload itself is cut short. *)
-let r_section c =
-  let len = r_i64 c in
-  let count = r_i64 c in
-  let crc = r_i64 c in
-  let avail = min len (remaining c) in
-  let complete = avail = len in
-  let crc_ok = complete && Crc32.bytes ~off:c.pos ~len c.data = crc in
-  let sub =
-    { data = c.data; pos = c.pos; limit = c.pos + avail;
-      declared = c.pos + len }
-  in
-  c.pos <- c.pos + avail;
-  (sub, count, complete, crc_ok)
-
-(* Metadata sections (header, images, kernel text) must be complete and
-   checksum-clean: without intact images there is nothing to analyze. *)
-let r_meta_section c ~section parse =
-  let sub, count, complete, crc_ok = r_section c in
-  if not complete then raise (Parse Truncated);
-  if not crc_ok then
-    raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
-  parse sub count
-
-let of_cursor c =
-  let workload_name = ref "" and ebs_period = ref 0 and lbr_period = ref 0 in
-  r_meta_section c ~section:Header (fun sub _ ->
-      workload_name := r_string sub;
-      ebs_period := r_i64 sub;
-      lbr_period := r_i64 sub);
-  let analysis_images =
-    r_meta_section c ~section:Images (fun sub count ->
-        List.init count (fun _ -> r_image sub))
-  in
-  let live_kernel_text =
-    r_meta_section c ~section:Kernel_text (fun sub count ->
-        List.init count (fun _ -> r_kernel_text sub))
-  in
-  (* The records section is salvageable: a truncated or corrupt stream
-     yields its parseable prefix plus a ledger, never a failure. *)
-  let ledger = ref [] in
-  let records =
-    match r_section c with
-    | exception Parse _ ->
-        ledger := [ Truncated_records { expected = None; salvaged = 0 } ];
-        []
-    | sub, expected, complete, crc_ok -> (
-        if complete && not crc_ok then
-          ledger := [ Checksum_mismatch Records ];
-        let records, salvaged, err = r_records_salvage sub ~expected in
-        match err with
-        | None ->
-            if not complete then
-              ledger :=
-                Truncated_records { expected = Some expected; salvaged }
-                :: !ledger;
-            records
-        | Some e ->
-            ledger :=
-              records_fault ~expected:(Some expected) ~salvaged e :: !ledger;
-            records)
-  in
-  {
-    archive =
-      { workload_name = !workload_name; ebs_period = !ebs_period;
-        lbr_period = !lbr_period; analysis_images; live_kernel_text; records };
-    ledger = List.rev !ledger;
-  }
-
-let of_bytes data =
-  try
-    if Bytes.length data < String.length magic then raise (Parse Truncated);
-    if
-      not (String.equal (Bytes.sub_string data 0 (String.length magic)) magic)
-    then raise (Parse Bad_magic);
-    let c =
-      cursor data ~pos:(String.length magic) ~limit:(Bytes.length data)
-    in
-    match r_u8 c with
-    | v when v = version -> Ok (of_cursor c)
-    | v -> raise (Parse (Bad_version v))
-  with Parse e -> Error e
-
-let load ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let data = Bytes.create n in
-      really_input ic data 0 n;
-      of_bytes data)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded writing                                                     *)
@@ -599,8 +490,9 @@ let save_sharded t ~shards ~path =
     ~archive_path:path;
   List.map fst published
 
+
 (* ------------------------------------------------------------------ *)
-(* Chunked streaming reader                                            *)
+(* The reader: one stream over a file or over bytes in memory          *)
 
 module Stream = struct
   let default_chunk_records = 256
@@ -609,269 +501,285 @@ module Stream = struct
      single record straddles more than this). *)
   let read_block = 1 lsl 16
 
-  type chunked = {
-    ic : in_channel;
-    mutable buf : bytes;  (** Pending (read but unparsed) payload bytes. *)
-    mutable b_start : int;
-    mutable b_stop : int;
-    mutable crc : Hbbp_util.Crc32.state;
-    crc_declared : int;
-    len : int;  (** Declared payload length. *)
-    avail : int;  (** Payload bytes physically present in the file. *)
-    expected : int;  (** Declared record count. *)
-    mutable fed : int;  (** Payload bytes consumed from the file. *)
-    mutable emitted : int;  (** Records handed out so far. *)
-    mutable parse_fault : fault option;
-    mutable finished : bool;
+  (* Where the archive's bytes come from.  [input buf off len] reads at
+     most [len] bytes into [buf] and returns how many, 0 at the end;
+     [left] counts the bytes not yet read. *)
+  type source = {
+    input : bytes -> int -> int -> int;
+    close : unit -> unit;
+    mutable left : int;
   }
+
+  let channel_source ic =
+    match in_channel_length ic with
+    | left -> { input = input ic; close = (fun () -> close_in_noerr ic); left }
+    | exception e ->
+        close_in_noerr ic;
+        raise e
+
+  let bytes_source data =
+    let pos = ref 0 in
+    {
+      input =
+        (fun buf off len ->
+          let n = min len (Bytes.length data - !pos) in
+          Bytes.blit data !pos buf off n;
+          pos := !pos + n;
+          n);
+      close = ignore;
+      left = Bytes.length data;
+    }
+
+  let read src buf off len =
+    let n = src.input buf off len in
+    src.left <- src.left - n;
+    n
+
+  (* The next [n] bytes, or as many as are left. *)
+  let take src n =
+    let b = Bytes.create (min n src.left) in
+    let rec fill off =
+      if off < Bytes.length b then
+        match read src b off (Bytes.length b - off) with
+        | 0 -> raise (Parse Truncated) (* the file shrank under us *)
+        | k -> fill (off + k)
+    in
+    fill 0;
+    b
+
+  let take_cursor src n =
+    let b = take src n in
+    cursor b ~pos:0 ~limit:(Bytes.length b)
 
   type stream = {
     meta : t;  (** [records = []]. *)
     chunk_records : int;
-    mutable s_ledger : fault list option;  (** [Some] once known. *)
-    source : chunked;
+    src : source;
+    mutable buf : bytes;  (** Pending (read but unparsed) payload bytes. *)
+    mutable b_start : int;
+    mutable b_stop : int;
+    mutable crc : Crc32.state;
+    crc_declared : int;
+    len : int;  (** Declared payload length. *)
+    avail : int;  (** Payload bytes present in the source. *)
+    expected : int;  (** Declared record count. *)
+    mutable fed : int;  (** Payload bytes read from the source. *)
+    mutable emitted : int;  (** Records handed out so far. *)
+    mutable s_ledger : fault list option;
+        (** [Some] exactly when the stream is finished. *)
   }
 
   let meta s = s.meta
 
-  (* -- byte plumbing for the chunked source -- *)
-
-  let refill (c : chunked) =
-    if c.fed >= c.avail then false
+  let refill s =
+    if s.fed >= s.avail then false
     else begin
-      if c.b_start > 0 then begin
-        Bytes.blit c.buf c.b_start c.buf 0 (c.b_stop - c.b_start);
-        c.b_stop <- c.b_stop - c.b_start;
-        c.b_start <- 0
+      if s.b_start > 0 then begin
+        Bytes.blit s.buf s.b_start s.buf 0 (s.b_stop - s.b_start);
+        s.b_stop <- s.b_stop - s.b_start;
+        s.b_start <- 0
       end;
-      if c.b_stop = Bytes.length c.buf then begin
-        let grown = Bytes.create (2 * Bytes.length c.buf) in
-        Bytes.blit c.buf 0 grown 0 c.b_stop;
-        c.buf <- grown
+      if s.b_stop = Bytes.length s.buf then begin
+        let grown = Bytes.create (2 * Bytes.length s.buf) in
+        Bytes.blit s.buf 0 grown 0 s.b_stop;
+        s.buf <- grown
       end;
-      let want = min (Bytes.length c.buf - c.b_stop) (c.avail - c.fed) in
-      let n = input c.ic c.buf c.b_stop want in
-      if n = 0 then false (* file shrank under us; treat as exhausted *)
+      let want = min (Bytes.length s.buf - s.b_stop) (s.avail - s.fed) in
+      let n = read s.src s.buf s.b_stop want in
+      if n = 0 then false (* the file shrank under us *)
       else begin
-        c.crc <- Hbbp_util.Crc32.update c.crc ~off:c.b_stop ~len:n c.buf;
-        c.b_stop <- c.b_stop + n;
-        c.fed <- c.fed + n;
+        s.crc <- Crc32.update s.crc ~off:s.b_stop ~len:n s.buf;
+        s.b_stop <- s.b_stop + n;
+        s.fed <- s.fed + n;
         true
       end
     end
 
-  (* Pull any payload bytes we never buffered through the CRC so the
-     checksum verdict covers the whole section, exactly like the batch
-     reader's whole-payload CRC. *)
-  let drain (c : chunked) =
-    if c.fed < c.avail then begin
-      let scratch = Bytes.create read_block in
-      let rec go () =
-        if c.fed < c.avail then begin
-          let n = input c.ic scratch 0 (min read_block (c.avail - c.fed)) in
-          if n > 0 then begin
-            c.crc <- Hbbp_util.Crc32.update c.crc ~off:0 ~len:n scratch;
-            c.fed <- c.fed + n;
-            go ()
-          end
-        end
-      in
-      go ()
+  (* Pull the payload bytes never buffered through the CRC, so the
+     checksum verdict covers the whole section.  The pending bytes are
+     no longer needed, so the buffer is the scratch space. *)
+  let rec drain s =
+    if s.fed < s.avail then begin
+      let n = read s.src s.buf 0 (min (Bytes.length s.buf) (s.avail - s.fed)) in
+      if n > 0 then begin
+        s.crc <- Crc32.update s.crc ~off:0 ~len:n s.buf;
+        s.fed <- s.fed + n;
+        drain s
+      end
     end
 
-  (* Final ledger, reproducing the batch reader's entries and order:
-     a records-section checksum mismatch first (only decidable for a
-     complete section), then the salvage fault — or, when every declared
-     record parsed but the payload was physically cut short, the
-     truncation entry the batch reader records for that case. *)
-  let finish (c : chunked) =
-    drain c;
-    c.finished <- true;
-    let crc_ok = Hbbp_util.Crc32.finish c.crc = c.crc_declared in
+  (* The ledger: a records-section checksum mismatch first (decidable
+     only for a complete section), then the fault that ended the salvage
+     or, when every declared record parsed but the payload was cut short,
+     that truncation. *)
+  let finish s fault =
+    drain s;
+    let complete = s.avail = s.len in
     let checksum =
-      if c.avail = c.len && not crc_ok then [ Checksum_mismatch Records ]
+      if complete && Crc32.finish s.crc <> s.crc_declared then
+        [ Checksum_mismatch Records ]
       else []
     in
-    checksum
-    @
-    match c.parse_fault with
-    | Some f -> [ f ]
-    | None ->
-        if c.avail < c.len && c.emitted >= c.expected then
-          [ Truncated_records
-              { expected = Some c.expected; salvaged = c.emitted } ]
-        else []
+    let ended =
+      match fault with
+      | Some f -> [ f ]
+      | None when not complete ->
+          [ Truncated_records { expected = Some s.expected; salvaged = s.emitted } ]
+      | None -> []
+    in
+    s.s_ledger <- Some (checksum @ ended)
 
-  (* Parse up to [limit] records out of the pending buffer, refilling on
-     demand.  A parse failure is only classified once the entire
-     remaining payload is buffered — at that point the cursor sees
-     exactly the bytes the batch reader would, so the fault (and the
-     salvaged prefix) match [of_bytes] verbatim. *)
-  let next_chunked (s : stream) (c : chunked) =
-    if c.finished then None
+  (* Parse up to [chunk_records] records out of the pending buffer,
+     refilling on demand.  A parse failure is final only once the rest
+     of the payload is buffered: the cursor then ends where the section's
+     bytes do, so where a record is cut or corrupt does not depend on
+     the refill size. *)
+  let next s =
+    if Option.is_some s.s_ledger then None
     else begin
       (* One cursor over the pending bytes, rebuilt only after a refill
          (which moves or replaces the buffer). *)
       let pending () =
-        { data = c.buf; pos = c.b_start; limit = c.b_stop;
-          declared = c.b_stop + c.len - c.fed }
+        { data = s.buf; pos = s.b_start; limit = s.b_stop;
+          declared = s.b_stop + s.len - s.fed }
       in
       let cur = ref (pending ()) in
       let out = ref [] and n_out = ref 0 in
-      let finished = ref false in
-      while (not !finished) && !n_out < s.chunk_records do
-        if c.emitted >= c.expected then begin
-          s.s_ledger <- Some (finish c);
-          finished := true
-        end
-        else begin
+      while Option.is_none s.s_ledger && !n_out < s.chunk_records do
+        if s.emitted >= s.expected then finish s None
+        else
           match r_record !cur with
           | r ->
-              c.b_start <- !cur.pos;
-              c.emitted <- c.emitted + 1;
+              s.b_start <- !cur.pos;
+              s.emitted <- s.emitted + 1;
               out := r :: !out;
               incr n_out
           | exception Parse e ->
-              if refill c then cur := pending ()
-              else begin
-                c.parse_fault <-
-                  Some
-                    (records_fault ~expected:(Some c.expected)
-                       ~salvaged:c.emitted e);
-                s.s_ledger <- Some (finish c);
-                finished := true
-              end
-        end
+              if refill s then cur := pending ()
+              else
+                finish s
+                  (Some
+                     (records_fault ~expected:(Some s.expected)
+                        ~salvaged:s.emitted e))
       done;
       match List.rev !out with [] -> None | chunk -> Some chunk
     end
 
-  let next s = next_chunked s s.source
-
-  (* The ledger is complete once the stream is exhausted; calling it
-     earlier drains the remaining records. *)
-  let ledger s =
+  (* Complete once the stream is finished; calling it earlier drains the
+     remaining records. *)
+  let rec ledger s =
     match s.s_ledger with
     | Some l -> l
     | None ->
-        let rec drain_all () =
-          match next s with Some _ -> drain_all () | None -> ()
-        in
-        drain_all ();
-        (match s.s_ledger with Some l -> l | None -> [])
+        ignore (next s);
+        ledger s
 
-  let close s = close_in s.source.ic
+  let close s = s.src.close ()
 
   (* -- opening -- *)
 
-  let read_exactly ic n =
-    let b = Bytes.create n in
-    really_input ic b 0 n;
-    b
+  (* A section header: payload length, item count, payload CRC-32. *)
+  let r_section_header src =
+    let c = take_cursor src 24 in
+    let len = r_i64 c in
+    let count = r_i64 c in
+    let crc = r_i64 c in
+    (len, count, crc)
 
-  (* A metadata section, streamed: header, bounded payload, CRC
-     verdict — same rules as the batch [r_meta_section] (must be
-     complete and checksum-clean). *)
-  let r_meta_section_stream ic ~total ~section parse =
-    let left = total - pos_in ic in
-    if left < 24 then raise (Parse Truncated);
-    let hdr = read_exactly ic 24 in
-    let hc = cursor hdr ~pos:0 ~limit:24 in
-    let len = r_i64 hc in
-    let count = r_i64 hc in
-    let crc = r_i64 hc in
-    if len > total - pos_in ic then raise (Parse Truncated);
-    let payload = read_exactly ic len in
+  (* Metadata sections (header, images, kernel text) must be complete and
+     checksum-clean: without intact images there is nothing to analyze. *)
+  let r_metadata src ~section parse =
+    let len, count, crc = r_section_header src in
+    if len > src.left then raise (Parse Truncated);
+    let payload = take src len in
     if Crc32.bytes payload <> crc then
       raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
     parse (cursor payload ~pos:0 ~limit:len) count
 
-  let open_sections ic ~total ~chunk_records =
-    let workload_name = ref "" and ebs_period = ref 0 and lbr_period = ref 0 in
-    r_meta_section_stream ic ~total ~section:Header (fun sub _ ->
-        workload_name := r_string sub;
-        ebs_period := r_i64 sub;
-        lbr_period := r_i64 sub);
-    let analysis_images =
-      r_meta_section_stream ic ~total ~section:Images (fun sub count ->
-          List.init count (fun _ -> r_image sub))
-    in
-    let live_kernel_text =
-      r_meta_section_stream ic ~total ~section:Kernel_text (fun sub count ->
-          List.init count (fun _ -> r_kernel_text sub))
-    in
-    let meta =
-      { workload_name = !workload_name; ebs_period = !ebs_period;
-        lbr_period = !lbr_period; analysis_images; live_kernel_text;
-        records = [] }
-    in
-    let chunked ~len ~expected ~crc_declared ~finished =
+  let r_prefix src =
+    let c = take_cursor src prefix_len in
+    let n = String.length magic in
+    need c n;
+    if not (String.equal (Bytes.sub_string c.data 0 n) magic) then
+      raise (Parse Bad_magic);
+    c.pos <- n;
+    match r_u8 c with
+    | v when v = version -> ()
+    | v -> raise (Parse (Bad_version v))
+
+  (* The prefix, the metadata and the records section's header; the
+     records are left for [next].  The records section is salvageable:
+     an unreadable header (cut or malformed) gives a finished, empty
+     stream.  The source is closed on every failure. *)
+  let open_source ~chunk_records src =
+    match
+      r_prefix src;
+      let workload_name, ebs_period, lbr_period =
+        r_metadata src ~section:Header (fun c _ ->
+            let workload_name = r_string c in
+            let ebs_period = r_i64 c in
+            (workload_name, ebs_period, r_i64 c))
+      in
+      let analysis_images =
+        r_metadata src ~section:Images (fun c count ->
+            List.init count (fun _ -> r_image c))
+      in
+      let live_kernel_text =
+        r_metadata src ~section:Kernel_text (fun c count ->
+            List.init count (fun _ -> r_kernel_text c))
+      in
+      let len, expected, crc_declared, s_ledger =
+        match r_section_header src with
+        | len, expected, crc -> (len, expected, crc, None)
+        | exception Parse _ ->
+            (0, 0, 0, Some [ Truncated_records { expected = None; salvaged = 0 } ])
+      in
       {
-        ic;
+        meta =
+          { workload_name; ebs_period; lbr_period; analysis_images;
+            live_kernel_text; records = [] };
+        chunk_records;
+        src;
         buf = Bytes.create read_block;
         b_start = 0;
         b_stop = 0;
-        crc = Hbbp_util.Crc32.init ();
+        crc = Crc32.init ();
         crc_declared;
-        avail = min len (total - pos_in ic);
         len;
+        avail = min len src.left;
         expected;
         fed = 0;
         emitted = 0;
-        parse_fault = None;
-        finished;
+        s_ledger;
       }
-    in
-    (* Records section header: unreadable (truncated or malformed) means
-       an already-finished, empty stream with the batch reader's
-       ledger. *)
-    match
-      let left = total - pos_in ic in
-      if left < 24 then raise (Parse Truncated);
-      let hdr = read_exactly ic 24 in
-      let hc = cursor hdr ~pos:0 ~limit:24 in
-      let len = r_i64 hc in
-      let count = r_i64 hc in
-      let crc = r_i64 hc in
-      (len, count, crc)
     with
-    | exception Parse _ ->
-        {
-          meta;
-          chunk_records;
-          s_ledger =
-            Some [ Truncated_records { expected = None; salvaged = 0 } ];
-          source =
-            chunked ~len:0 ~expected:0 ~crc_declared:0 ~finished:true;
-        }
-    | len, expected, crc_declared ->
-        {
-          meta;
-          chunk_records;
-          s_ledger = None;
-          source = chunked ~len ~expected ~crc_declared ~finished:false;
-        }
+    | s -> Ok s
+    | exception e -> (
+        src.close ();
+        match e with Parse e -> Error e | e -> raise e)
 
+  (* A [Sys_error] raised once the file is open (a directory, a read
+     error) names the path, as [open_in_bin]'s own does. *)
   let open_file ?(chunk_records = default_chunk_records) path =
     if chunk_records < 1 then
       invalid_arg "Perf_data.Stream.open_file: chunk_records < 1";
     let ic = open_in_bin path in
-    match
-      let total = in_channel_length ic in
-      if total < String.length magic then raise (Parse Truncated);
-      let m = read_exactly ic (String.length magic) in
-      if not (String.equal (Bytes.to_string m) magic) then
-        raise (Parse Bad_magic);
-      if total < String.length magic + 1 then raise (Parse Truncated);
-      match input_byte ic with
-      | v when v = version -> open_sections ic ~total ~chunk_records
-      | v -> raise (Parse (Bad_version v))
-    with
-    | s -> Ok s
-    | exception Parse e ->
-        close_in_noerr ic;
-        Error e
-    | exception End_of_file ->
-        close_in_noerr ic;
-        Error Truncated
+    try open_source ~chunk_records (channel_source ic)
+    with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg))
 end
+
+(* A whole archive is one fold over the stream: every record in one
+   chunk, then the ledger. *)
+let read_all = function
+  | Error _ as e -> e
+  | Ok s ->
+      Fun.protect ~finally:(fun () -> Stream.close s) @@ fun () ->
+      let records = Option.value (Stream.next s) ~default:[] in
+      let ledger = Stream.ledger s in
+      Ok { archive = { (Stream.meta s) with records }; ledger }
+
+let of_bytes data =
+  read_all
+    (Stream.open_source ~chunk_records:max_int (Stream.bytes_source data))
+
+let load ~path = read_all (Stream.open_file ~chunk_records:max_int path)

@@ -17,7 +17,10 @@
     Reading {b salvages} rather than aborts: a truncated or corrupt
     record stream yields its parseable prefix plus a typed fault
     {!ledger}; only damage to the metadata sections (without which
-    nothing can be analyzed) is a hard {!error}. *)
+    nothing can be analyzed) is a hard {!error}.  There is one reader,
+    {!Stream}, over either a file or bytes already in memory;
+    {!of_bytes} and {!load} drain it whole, so every way of reading an
+    archive applies the same header, section and salvage rules. *)
 
 open Hbbp_program
 
@@ -80,7 +83,8 @@ type read = { archive : t; ledger : fault list }
 val to_bytes : t -> bytes
 
 (** Total: returns [Ok] (with a ledger describing any salvage) or a
-    typed [Error] — never raises, whatever the input bytes. *)
+    typed [Error] — never raises, whatever the input bytes.  The
+    {!Stream} reader over the bytes, drained into one record list. *)
 val of_bytes : bytes -> (read, error) result
 
 (** [save t ~path] — write the archive (current version) atomically
@@ -90,7 +94,9 @@ val of_bytes : bytes -> (read, error) result
     bytes are mangled (bit flips / truncation) before hitting disk. *)
 val save : t -> path:string -> unit
 
-(** [load ~path] — read and {!of_bytes} the file.
+(** [load ~path] — {!of_bytes} of the file's contents, read through the
+    same {!Stream} reader straight off the file (the file is never
+    buffered whole).
     @raise Sys_error when it cannot be opened or read. *)
 val load : path:string -> (read, error) result
 
@@ -141,20 +147,19 @@ val shard_encoder : t -> shards:int -> path:string -> int -> shard
     every shard at once; publishers use {!shard_encoder}. *)
 val sharded_bytes : t -> shards:int -> path:string -> (string * bytes) list
 
-(** {1 Chunked streaming reader}
+(** {1 The archive reader}
 
     Reads an archive's records in bounded chunks instead of
     materializing the whole list: metadata sections are parsed up front
-    (they must be held anyway), then records are yielded straight off
-    the file through a small pending buffer, with the section CRC folded
-    incrementally ({!Hbbp_util.Crc32.update}).  Salvage semantics are
-    {b identical} to {!of_bytes}: the records handed out and the final
-    {!Stream.ledger} match the batch reader byte for byte, whatever the
-    damage.  (A parse fault is only classified once the remaining
-    payload is fully buffered, so a damaged archive can cost its tail in
-    memory — but clean archives stream in O(chunk) space.)  The
-    analysis drivers all fold a stream through
-    [Hbbp_core.Pipeline.archive_partial]. *)
+    (they must be held anyway), then records are yielded through a
+    small pending buffer refilled from the source, a file here or bytes
+    in memory for {!of_bytes}, with the section CRC folded
+    incrementally ({!Hbbp_util.Crc32.update}).  A parse fault is only
+    classified once the remaining payload is fully buffered, so where a
+    record is cut or corrupt does not depend on the chunk or refill
+    size; a damaged archive can cost its tail in memory, but clean
+    archives stream in O(chunk) space.  The analysis drivers all fold a
+    stream through [Hbbp_core.Pipeline.archive_partial]. *)
 module Stream : sig
   type stream
 
@@ -163,11 +168,12 @@ module Stream : sig
       the minor heap instead of being promoted. *)
   val default_chunk_records : int
 
-  (** Open an archive for streaming.  Fails with the same typed errors
-      as {!of_bytes} (bad magic/version, or damaged {e metadata}
-      sections — record damage is salvaged, not an error).
+  (** Open an archive for streaming.  Fails with a typed error on a bad
+      magic or version, or damaged {e metadata} sections (record damage
+      is salvaged, not an error), and closes the file on every failure.
       @raise Invalid_argument when [chunk_records < 1].
-      @raise Sys_error when the file cannot be opened. *)
+      @raise Sys_error when the file cannot be opened or read (a
+      directory, say); the message names the path. *)
   val open_file : ?chunk_records:int -> string -> (stream, error) result
 
   (** The archive's metadata with [records = []] — enough for
@@ -178,9 +184,9 @@ module Stream : sig
       exhausted. *)
   val next : stream -> Record.t list option
 
-  (** Salvage ledger, equal to what {!of_bytes} would report.  Complete
-      once {!next} returned [None]; calling it earlier drains (and
-      discards) the remaining records first. *)
+  (** Salvage ledger, the one {!of_bytes} reports for the same bytes.
+      Complete once {!next} returned [None]; calling it earlier drains
+      (and discards) the remaining records first. *)
   val ledger : stream -> fault list
 
   val close : stream -> unit

@@ -1,9 +1,11 @@
-(* Streaming/merge equivalence tests: the chunked reader, the
-   incremental CRC, the mergeable accumulators and the multi-archive
-   pipeline must all be *bit-identical* to their batch counterparts —
-   over every bundled workload, over random shard splits (including
-   empty shards), and over damaged archives, where the streaming
-   reader's salvage ledger must match the batch reader's exactly. *)
+(* Streaming/merge equivalence tests: the incremental CRC, the
+   mergeable accumulators and the multi-archive pipeline must all be
+   *bit-identical* to their one-shot counterparts — over every bundled
+   workload and over random shard splits (including empty shards).  The
+   archive reader, one [Perf_data.Stream] over a file or over bytes in
+   memory, is checked against an oracle derived from the encoder on cut
+   archives, and its file-backed and in-memory forms against each other
+   on damaged ones. *)
 
 open Hbbp_program
 open Hbbp_program.Asm
@@ -252,15 +254,15 @@ let test_builder_matches_of_records () =
 let test_builder_on_salvaged_truncation () =
   let archive, _, _ = Lazy.force fixture in
   let data = Perf_data.to_bytes archive in
-  (* Cut inside the records section so batch salvage yields a proper
-     prefix with a ledger. *)
+  (* Cut inside the records section so salvage yields a proper prefix
+     with a ledger. *)
   let cut = Bytes.length data * 4 / 5 in
   let truncated = Bytes.sub data 0 cut in
   let { Perf_data.archive = salvaged; ledger } =
     match Perf_data.of_bytes truncated with
     | Ok read -> read
     | Error e ->
-        Alcotest.failf "batch salvage failed: %a" Perf_data.pp_error e
+        Alcotest.failf "in-memory salvage failed: %a" Perf_data.pp_error e
   in
   checkb "truncation left a ledger" true (ledger <> []);
   checkb "a record prefix survived" true (salvaged.Perf_data.records <> []);
@@ -282,8 +284,8 @@ let test_builder_on_salvaged_truncation () =
   pump ();
   let stream_ledger = Perf_data.Stream.ledger s in
   Perf_data.Stream.close s;
-  checkb "stream ledger = batch ledger" true (compare stream_ledger ledger = 0);
-  checkb "builder over streamed salvage = of_records over batch salvage" true
+  checkb "file ledger = in-memory ledger" true (compare stream_ledger ledger = 0);
+  checkb "builder over streamed salvage = of_records over in-memory salvage" true
     (compare
        (Sample_db.Builder.finalize b)
        (Sample_db.of_records salvaged.Perf_data.records)
@@ -611,7 +613,7 @@ let test_contamination_without_replay () =
     (recon_equal batch merged)
 
 (* ------------------------------------------------------------------ *)
-(* Damaged archives: streaming salvage = batch salvage, byte for byte  *)
+(* Damaged archives: file-backed salvage = in-memory salvage           *)
 
 (* Same construction as test_faults's fuzz target: small enough that a
    per-offset sweep with file I/O stays fast, with every record
@@ -662,12 +664,13 @@ let tiny_archive () =
       ];
   }
 
-(* Batch-vs-stream verdict on one byte string.  [chunk_records:1]
-   maximises refill/retry churn in the streaming reader. *)
+(* In-memory vs file-backed verdict on one byte string.
+   [chunk_records:1] maximises refill/retry churn in the file-backed
+   reader. *)
 let check_same_verdict ~what path data =
   write_file path data;
-  let batch = Perf_data.of_bytes data in
-  let stream =
+  let in_memory = Perf_data.of_bytes data in
+  let file =
     match Perf_data.Stream.open_file ~chunk_records:1 path with
     | Error e -> Error e
     | Ok s ->
@@ -676,27 +679,27 @@ let check_same_verdict ~what path data =
         Perf_data.Stream.close s;
         Ok (records, ledger)
   in
-  match (batch, stream) with
+  match (in_memory, file) with
   | Ok { Perf_data.archive; ledger }, Ok (records, s_ledger) ->
       if compare archive.Perf_data.records records <> 0 then
-        Alcotest.failf "%s: records differ (batch %d, stream %d)" what
+        Alcotest.failf "%s: records differ (in memory %d, file %d)" what
           (List.length archive.Perf_data.records)
           (List.length records);
       if compare ledger s_ledger <> 0 then
-        Alcotest.failf "%s: ledgers differ (batch %s / stream %s)" what
+        Alcotest.failf "%s: ledgers differ (in memory %s / file %s)" what
           (String.concat "; "
              (List.map (Format.asprintf "%a" Perf_data.pp_fault) ledger))
           (String.concat "; "
              (List.map (Format.asprintf "%a" Perf_data.pp_fault) s_ledger))
   | Error a, Error b ->
       if compare a b <> 0 then
-        Alcotest.failf "%s: errors differ (batch %a, stream %a)" what
+        Alcotest.failf "%s: errors differ (in memory %a, file %a)" what
           Perf_data.pp_error a Perf_data.pp_error b
   | Ok _, Error e ->
-      Alcotest.failf "%s: batch salvaged, stream errored %a" what
+      Alcotest.failf "%s: in memory salvaged, file errored %a" what
         Perf_data.pp_error e
   | Error e, Ok _ ->
-      Alcotest.failf "%s: batch errored %a, stream salvaged" what
+      Alcotest.failf "%s: in memory errored %a, file salvaged" what
         Perf_data.pp_error e
 
 let test_fuzz_stream_truncation_every_offset () =
@@ -1055,8 +1058,8 @@ let test_manifest_crcs () =
             (List.combine paths encoded) m.Manifest.written))
     [ None; Some "seed=3,arch.flips=3"; Some "seed=3,arch.truncate=-64" ]
 
-(* A version-1 header is refused, by the batch reader and the stream
-   alike: the flat v1 format is no longer read. *)
+(* A version-1 header is refused, in memory and from a file alike: the
+   flat v1 format is no longer read. *)
 let test_v1_refused () =
   let data = Perf_data.to_bytes (tiny_archive ()) in
   Bytes.set_uint8 data 8 1;
@@ -1185,6 +1188,30 @@ let test_missing_archive_is_typed () =
       expect_error ~what:"missing archive" ~prefix:(missing ^ ": ")
         (Pipeline.analyze_archives paths))
     [ [ missing ]; [ path; missing ] ]
+
+(* Descriptors this process holds open, where the system lists them. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | fds -> Some (Array.length fds)
+  | exception Sys_error _ -> None
+
+(* A directory given as an archive: the open fails, names the path, and
+   closes the channel it opened, both in the reader and in the
+   per-archive step. *)
+let test_directory_archive_is_typed () =
+  with_tmp_dir @@ fun dir ->
+  let fds = open_fds () in
+  (match Perf_data.Stream.open_file dir with
+  | Ok s ->
+      Perf_data.Stream.close s;
+      Alcotest.fail "Stream.open_file opened a directory"
+  | Error _ -> ()
+  | exception Sys_error msg ->
+      if not (String.starts_with ~prefix:(dir ^ ": ") msg) then
+        Alcotest.failf "%S does not name %S" msg dir);
+  expect_error ~what:"directory archive" ~prefix:(dir ^ ": ")
+    (Pipeline.analyze_archives [ dir ]);
+  checkb "no descriptor leaked" true (open_fds () = fds)
 
 let test_undisassemblable_is_typed () =
   with_tmp_file @@ fun path ->
@@ -1392,6 +1419,8 @@ let () =
             test_missing_archive_is_typed;
           Alcotest.test_case "undisassemblable image is a typed error" `Quick
             test_undisassemblable_is_typed;
+          Alcotest.test_case "directory archive is a typed error" `Quick
+            test_directory_archive_is_typed;
         ] );
       ( "records",
         [
