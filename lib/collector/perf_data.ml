@@ -407,6 +407,91 @@ let records_fault ~expected ~salvaged = function
   | Bad_magic | Bad_version _ ->
       Corrupt_records { index = salvaged; reason = "malformed"; salvaged }
 
+(* -- byte sources and section readers -- *)
+
+(* These stay outside [Stream]: its module block is allocated at
+   start-up, and with them inside it falls in a size class of its own,
+   one more 32 KiB pool of peak heap in every process. *)
+
+(* Where the archive's bytes come from.  [input buf off len] reads at
+   most [len] bytes into [buf] and returns how many, 0 at the end;
+   [left] counts the bytes not yet read. *)
+type source = {
+  input : bytes -> int -> int -> int;
+  close : unit -> unit;
+  mutable left : int;
+}
+
+let channel_source ic =
+  match in_channel_length ic with
+  | left -> { input = input ic; close = (fun () -> close_in_noerr ic); left }
+  | exception e ->
+      close_in_noerr ic;
+      raise e
+
+let bytes_source data =
+  let pos = ref 0 in
+  {
+    input =
+      (fun buf off len ->
+        let n = min len (Bytes.length data - !pos) in
+        Bytes.blit data !pos buf off n;
+        pos := !pos + n;
+        n);
+    close = ignore;
+    left = Bytes.length data;
+  }
+
+let read src buf off len =
+  let n = src.input buf off len in
+  src.left <- src.left - n;
+  n
+
+(* The next [n] bytes, or as many as are left. *)
+let take src n =
+  let b = Bytes.create (min n src.left) in
+  let rec fill off =
+    if off < Bytes.length b then
+      match read src b off (Bytes.length b - off) with
+      | 0 -> raise (Parse Truncated) (* the file shrank under us *)
+      | k -> fill (off + k)
+  in
+  fill 0;
+  b
+
+let take_cursor src n =
+  let b = take src n in
+  cursor b ~pos:0 ~limit:(Bytes.length b)
+
+(* A section header: payload length, item count, payload CRC-32. *)
+let r_section_header src =
+  let c = take_cursor src 24 in
+  let len = r_i64 c in
+  let count = r_i64 c in
+  let crc = r_i64 c in
+  (len, count, crc)
+
+(* Metadata sections (header, images, kernel text) must be complete and
+   checksum-clean: without intact images there is nothing to analyze. *)
+let r_metadata src ~section parse =
+  let len, count, crc = r_section_header src in
+  if len > src.left then raise (Parse Truncated);
+  let payload = take src len in
+  if Crc32.bytes payload <> crc then
+    raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
+  parse (cursor payload ~pos:0 ~limit:len) count
+
+let r_prefix src =
+  let c = take_cursor src prefix_len in
+  let n = String.length magic in
+  need c n;
+  if not (String.equal (Bytes.sub_string c.data 0 n) magic) then
+    raise (Parse Bad_magic);
+  c.pos <- n;
+  match r_u8 c with
+  | v when v = version -> ()
+  | v -> raise (Parse (Bad_version v))
+
 (* ------------------------------------------------------------------ *)
 (* Sharded writing                                                     *)
 
@@ -490,7 +575,6 @@ let save_sharded t ~shards ~path =
     ~archive_path:path;
   List.map fst published
 
-
 (* ------------------------------------------------------------------ *)
 (* The reader: one stream over a file or over bytes in memory          *)
 
@@ -500,56 +584,6 @@ module Stream = struct
   (* Refill granularity of the pending buffer (it grows as needed when a
      single record straddles more than this). *)
   let read_block = 1 lsl 16
-
-  (* Where the archive's bytes come from.  [input buf off len] reads at
-     most [len] bytes into [buf] and returns how many, 0 at the end;
-     [left] counts the bytes not yet read. *)
-  type source = {
-    input : bytes -> int -> int -> int;
-    close : unit -> unit;
-    mutable left : int;
-  }
-
-  let channel_source ic =
-    match in_channel_length ic with
-    | left -> { input = input ic; close = (fun () -> close_in_noerr ic); left }
-    | exception e ->
-        close_in_noerr ic;
-        raise e
-
-  let bytes_source data =
-    let pos = ref 0 in
-    {
-      input =
-        (fun buf off len ->
-          let n = min len (Bytes.length data - !pos) in
-          Bytes.blit data !pos buf off n;
-          pos := !pos + n;
-          n);
-      close = ignore;
-      left = Bytes.length data;
-    }
-
-  let read src buf off len =
-    let n = src.input buf off len in
-    src.left <- src.left - n;
-    n
-
-  (* The next [n] bytes, or as many as are left. *)
-  let take src n =
-    let b = Bytes.create (min n src.left) in
-    let rec fill off =
-      if off < Bytes.length b then
-        match read src b off (Bytes.length b - off) with
-        | 0 -> raise (Parse Truncated) (* the file shrank under us *)
-        | k -> fill (off + k)
-    in
-    fill 0;
-    b
-
-  let take_cursor src n =
-    let b = take src n in
-    cursor b ~pos:0 ~limit:(Bytes.length b)
 
   type stream = {
     meta : t;  (** [records = []]. *)
@@ -600,7 +634,8 @@ module Stream = struct
      no longer needed, so the buffer is the scratch space. *)
   let rec drain s =
     if s.fed < s.avail then begin
-      let n = read s.src s.buf 0 (min (Bytes.length s.buf) (s.avail - s.fed)) in
+      let want = min (Bytes.length s.buf) (s.avail - s.fed) in
+      let n = read s.src s.buf 0 want in
       if n > 0 then begin
         s.crc <- Crc32.update s.crc ~off:0 ~len:n s.buf;
         s.fed <- s.fed + n;
@@ -624,7 +659,8 @@ module Stream = struct
       match fault with
       | Some f -> [ f ]
       | None when not complete ->
-          [ Truncated_records { expected = Some s.expected; salvaged = s.emitted } ]
+          [ Truncated_records
+              { expected = Some s.expected; salvaged = s.emitted } ]
       | None -> []
     in
     s.s_ledger <- Some (checksum @ ended)
@@ -678,35 +714,6 @@ module Stream = struct
 
   (* -- opening -- *)
 
-  (* A section header: payload length, item count, payload CRC-32. *)
-  let r_section_header src =
-    let c = take_cursor src 24 in
-    let len = r_i64 c in
-    let count = r_i64 c in
-    let crc = r_i64 c in
-    (len, count, crc)
-
-  (* Metadata sections (header, images, kernel text) must be complete and
-     checksum-clean: without intact images there is nothing to analyze. *)
-  let r_metadata src ~section parse =
-    let len, count, crc = r_section_header src in
-    if len > src.left then raise (Parse Truncated);
-    let payload = take src len in
-    if Crc32.bytes payload <> crc then
-      raise (Parse (Corrupt (section_name section ^ " checksum mismatch")));
-    parse (cursor payload ~pos:0 ~limit:len) count
-
-  let r_prefix src =
-    let c = take_cursor src prefix_len in
-    let n = String.length magic in
-    need c n;
-    if not (String.equal (Bytes.sub_string c.data 0 n) magic) then
-      raise (Parse Bad_magic);
-    c.pos <- n;
-    match r_u8 c with
-    | v when v = version -> ()
-    | v -> raise (Parse (Bad_version v))
-
   (* The prefix, the metadata and the records section's header; the
      records are left for [next].  The records section is salvageable:
      an unreadable header (cut or malformed) gives a finished, empty
@@ -732,7 +739,8 @@ module Stream = struct
         match r_section_header src with
         | len, expected, crc -> (len, expected, crc, None)
         | exception Parse _ ->
-            (0, 0, 0, Some [ Truncated_records { expected = None; salvaged = 0 } ])
+            let cut = Truncated_records { expected = None; salvaged = 0 } in
+            (0, 0, 0, Some [ cut ])
       in
       {
         meta =
@@ -780,6 +788,6 @@ let read_all = function
 
 let of_bytes data =
   read_all
-    (Stream.open_source ~chunk_records:max_int (Stream.bytes_source data))
+    (Stream.open_source ~chunk_records:max_int (bytes_source data))
 
 let load ~path = read_all (Stream.open_file ~chunk_records:max_int path)

@@ -284,8 +284,10 @@ let test_builder_on_salvaged_truncation () =
   pump ();
   let stream_ledger = Perf_data.Stream.ledger s in
   Perf_data.Stream.close s;
-  checkb "file ledger = in-memory ledger" true (compare stream_ledger ledger = 0);
-  checkb "builder over streamed salvage = of_records over in-memory salvage" true
+  checkb "file ledger = in-memory ledger" true
+    (compare stream_ledger ledger = 0);
+  checkb "builder over streamed salvage = of_records over in-memory salvage"
+    true
     (compare
        (Sample_db.Builder.finalize b)
        (Sample_db.of_records salvaged.Perf_data.records)
@@ -762,8 +764,10 @@ let truncation_oracle ends n =
       ( k,
         if k = total && n = ends.(total) then []
         else
-          [ Perf_data.Truncated_records { expected = Some total; salvaged = k } ]
-      )
+          [
+            Perf_data.Truncated_records
+              { expected = Some total; salvaged = k };
+          ] )
 
 let check_oracle ~what records ends n verdict =
   let show_ledger l =
@@ -833,20 +837,26 @@ let test_oracle_tiny_every_offset () =
 let test_oracle_refill_boundaries () =
   let hello, _, _ = Lazy.force hello_fixture in
   let a =
-    { hello with
-      Perf_data.records = List.filteri (fun k _ -> k < 500) hello.Perf_data.records }
+    {
+      hello with
+      Perf_data.records =
+        List.filteri (fun k _ -> k < 500) hello.Perf_data.records;
+    }
   in
   let ends = record_ends a in
   let full = ends.(Array.length ends - 1) in
-  let widest =
-    Array.fold_left max 0 (Array.init (Array.length ends - 1) (fun k -> ends.(k + 1) - ends.(k)))
-  in
+  let widest = ref 0 in
+  for k = 1 to Array.length ends - 1 do
+    widest := max !widest (ends.(k) - ends.(k - 1))
+  done;
   checkb "archive spans several refills" true (full - ends.(0) > 2 * 65536);
-  let near_ends = Array.to_list ends |> List.concat_map (fun e -> [ e - 1; e; e + 1 ]) in
+  let near_ends =
+    List.concat_map (fun e -> [ e - 1; e; e + 1 ]) (Array.to_list ends)
+  in
   let near_refills =
     List.init ((full - ends.(0)) / 65536) (fun j ->
         let b = ends.(0) + ((j + 1) * 65536) in
-        List.init ((2 * widest) + 1) (fun d -> b - widest + d))
+        List.init ((2 * !widest) + 1) (fun d -> b - !widest + d))
     |> List.concat
   in
   check_cuts a
