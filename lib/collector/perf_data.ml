@@ -629,19 +629,12 @@ module Stream = struct
       end
     end
 
-  (* Pull the payload bytes never buffered through the CRC, so the
-     checksum verdict covers the whole section.  The pending bytes are
-     no longer needed, so the buffer is the scratch space. *)
+  (* Pull the payload bytes never buffered through the CRC, dropping
+     the pending ones, so the checksum verdict covers the whole
+     section. *)
   let rec drain s =
-    if s.fed < s.avail then begin
-      let want = min (Bytes.length s.buf) (s.avail - s.fed) in
-      let n = read s.src s.buf 0 want in
-      if n > 0 then begin
-        s.crc <- Crc32.update s.crc ~off:0 ~len:n s.buf;
-        s.fed <- s.fed + n;
-        drain s
-      end
-    end
+    s.b_start <- s.b_stop;
+    if refill s then drain s
 
   (* The ledger: a records-section checksum mismatch first (decidable
      only for a complete section), then the fault that ended the salvage

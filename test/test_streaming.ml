@@ -769,11 +769,13 @@ let truncation_oracle ends n =
               { expected = Some total; salvaged = k };
           ] )
 
-let check_oracle ~what records ends n verdict =
+(* [verdict] against [expected]: [Ok (k, ledger)] is the first [k] of
+   [records] with that ledger. *)
+let check_verdict ~what records expected verdict =
   let show_ledger l =
     String.concat "; " (List.map (Format.asprintf "%a" Perf_data.pp_fault) l)
   in
-  match (truncation_oracle ends n, verdict) with
+  match (expected, verdict) with
   | Error a, Error b when a = b -> ()
   | Ok (k, ledger), Ok (got, got_ledger) ->
       let rec prefix i = function
@@ -781,23 +783,38 @@ let check_oracle ~what records ends n verdict =
         | r :: rest -> i < k && r = records.(i) && prefix (i + 1) rest
       in
       if not (prefix 0 got) then
-        Alcotest.failf "%s, cut at %d: records are not the first %d (got %d)"
-          what n k (List.length got);
+        Alcotest.failf "%s: records are not the first %d (got %d)" what k
+          (List.length got);
       if ledger <> got_ledger then
-        Alcotest.failf "%s, cut at %d: ledger [%s], expected [%s]" what n
+        Alcotest.failf "%s: ledger [%s], expected [%s]" what
           (show_ledger got_ledger) (show_ledger ledger)
   | Error e, Ok _ ->
-      Alcotest.failf "%s, cut at %d: salvaged, expected %a" what n
-        Perf_data.pp_error e
+      Alcotest.failf "%s: salvaged, expected %a" what Perf_data.pp_error e
   | Ok _, Error e ->
-      Alcotest.failf "%s, cut at %d: %a, expected a salvage" what n
-        Perf_data.pp_error e
+      Alcotest.failf "%s: %a, expected a salvage" what Perf_data.pp_error e
   | Error a, Error b ->
-      Alcotest.failf "%s, cut at %d: %a, expected %a" what n
-        Perf_data.pp_error b Perf_data.pp_error a
+      Alcotest.failf "%s: %a, expected %a" what Perf_data.pp_error b
+        Perf_data.pp_error a
 
-(* [a]'s encoding cut at each of [cuts], read in memory and from a file,
-   each checked against the oracle. *)
+(* [data] read in memory and from a file (at [path]), each verdict
+   checked against [expected]. *)
+let check_readers ~what path records expected data =
+  check_verdict ~what:("of_bytes, " ^ what) records expected
+    (Result.map
+       (fun { Perf_data.archive; ledger } ->
+         (archive.Perf_data.records, ledger))
+       (Perf_data.of_bytes data));
+  write_file path data;
+  check_verdict ~what:("Stream.open_file, " ^ what) records expected
+    (Result.map
+       (fun s ->
+         let records = drain_stream s in
+         let ledger = Perf_data.Stream.ledger s in
+         Perf_data.Stream.close s;
+         (records, ledger))
+       (Perf_data.Stream.open_file path))
+
+(* [a]'s encoding cut at each of [cuts], checked against the oracle. *)
 let check_cuts (a : Perf_data.t) cuts =
   let data = Perf_data.to_bytes a in
   let ends = record_ends a in
@@ -807,21 +824,9 @@ let check_cuts (a : Perf_data.t) cuts =
   with_tmp_file @@ fun path ->
   List.iter
     (fun n ->
-      let cut = Bytes.sub data 0 n in
-      check_oracle ~what:"of_bytes" records ends n
-        (Result.map
-           (fun { Perf_data.archive; ledger } ->
-             (archive.Perf_data.records, ledger))
-           (Perf_data.of_bytes cut));
-      write_file path cut;
-      check_oracle ~what:"Stream.open_file" records ends n
-        (Result.map
-           (fun s ->
-             let records = drain_stream s in
-             let ledger = Perf_data.Stream.ledger s in
-             Perf_data.Stream.close s;
-             (records, ledger))
-           (Perf_data.Stream.open_file path)))
+      check_readers
+        ~what:(Printf.sprintf "cut at %d" n)
+        path records (truncation_oracle ends n) (Bytes.sub data 0 n))
     cuts
 
 let test_oracle_tiny_every_offset () =
@@ -862,6 +867,58 @@ let test_oracle_refill_boundaries () =
   check_cuts a
     (List.sort_uniq compare
        (List.filter (fun n -> n >= 0 && n <= full) (near_ends @ near_refills)))
+
+(* Record damage whose verdict follows from the encoder, on the 500
+   hello records.  A records section that declares [k] of its records
+   yields those [k], and the reader still runs the rest of the payload
+   through the checksum, which holds: the ledger is clean.  A flipped
+   low bit of a sample's last LBR entry keeps every record, that one
+   changed, and fails the checksum. *)
+let test_records_damage_from_encoder () =
+  let hello, _, _ = Lazy.force hello_fixture in
+  let a =
+    {
+      hello with
+      Perf_data.records =
+        List.filteri (fun k _ -> k < 500) hello.Perf_data.records;
+    }
+  in
+  let data = Perf_data.to_bytes a in
+  let ends = record_ends a in
+  let records = Array.of_list a.Perf_data.records in
+  let n = Array.length records in
+  with_tmp_file @@ fun path ->
+  List.iter
+    (fun k ->
+      let declared = Bytes.copy data in
+      (* The section header is payload length, record count, CRC. *)
+      Bytes.set_int64_le declared (ends.(0) - 16) (Int64.of_int k);
+      check_readers
+        ~what:(Printf.sprintf "%d of %d records declared" k n)
+        path records
+        (Ok (k, []))
+        declared)
+    [ 0; 1; n / 2; n - 1 ];
+  let last =
+    let rec find k =
+      match records.(k) with
+      | Record.Sample s when Array.length s.Record.lbr > 0 -> (k, s)
+      | _ -> find (k - 1)
+    in
+    find (n - 1)
+  in
+  let k, s = last in
+  let flipped = Bytes.copy data in
+  (* A sample ends with its last LBR entry, little-endian. *)
+  let at = ends.(k + 1) - 8 in
+  Bytes.set_uint8 flipped at (Bytes.get_uint8 flipped at lxor 1);
+  let lbr = Array.copy s.Record.lbr in
+  lbr.(Array.length lbr - 1) <- lbr.(Array.length lbr - 1) lxor 1;
+  let changed = Array.copy records in
+  changed.(k) <- Record.Sample { s with Record.lbr };
+  check_readers ~what:"flipped LBR entry" path changed
+    (Ok (n, [ Perf_data.Checksum_mismatch Perf_data.Records ]))
+    flipped
 
 (* The encoder's bytes for an archive holding every record kind, pinned
    to the digest of the format as first shipped: an encoder change (or
@@ -1415,6 +1472,8 @@ let () =
             test_oracle_tiny_every_offset;
           Alcotest.test_case "truncation oracle, record and refill edges"
             `Slow test_oracle_refill_boundaries;
+          Alcotest.test_case "declared count and checksum, from the encoder"
+            `Quick test_records_damage_from_encoder;
           Alcotest.test_case "encoder bytes pinned" `Quick
             test_encoder_bytes_pinned;
           Alcotest.test_case "sharded_bytes = oracle = published, registry"
