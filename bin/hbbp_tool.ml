@@ -79,17 +79,26 @@ let metrics_arg =
     & opt (some (enum [ ("json", `Json); ("table", `Table) ])) None
     & info [ "metrics" ] ~docv:"FORMAT"
         ~doc:
-          "After the run, print the metrics-registry snapshot as $(b,json) \
-           or $(b,table). Defaults to $(b,HBBP_METRICS) when set.")
+          "After the run, print the metrics rendered from the run's span \
+           tree as $(b,json) or $(b,table): counts summed over spans, \
+           per-run values listed per workload, pool and allocation rows \
+           derived from the spans. Defaults to $(b,HBBP_METRICS) when \
+           set.")
 
-(* Arm telemetry before the work, flush it after (also on [die]/raise:
-   [exit] does not run the finalizer, which is fine — a failed run has
-   nothing worth flushing). *)
-let with_telemetry trace metrics f =
+(* Arm telemetry before the work, run it in the command's root span,
+   flush after (also on [die]/raise: [exit] does not run the finalizer,
+   which is fine — a failed run has nothing worth flushing). *)
+let with_telemetry command trace metrics f =
   Telemetry.configure ?trace ?metrics ();
-  let v = f () in
+  let v = Telemetry.with_root command f in
   Telemetry.finalize Format.std_formatter;
   v
+
+(* Name the archive's workload on the command's root span, so that the
+   per-run metrics of an archive's reconstructions list under it. *)
+let label_run (meta : Hbbp_collector.Perf_data.t) =
+  Hbbp_telemetry.Trace.annotate (fun () ->
+      [ ("workload", meta.Hbbp_collector.Perf_data.workload_name) ])
 
 (* ---- fault injection ------------------------------------------------ *)
 
@@ -108,8 +117,8 @@ let faults_arg =
            stay disarmed otherwise.")
 
 (* Arm the plan around the work, always disarm, and surface what was
-   actually injected: a stderr tally, plus faults.* counters when the
-   metrics registry is on (added here, not in lib/faults, so the fault
+   actually injected: a stderr tally, plus faults.* args on the
+   command's root span (added here, not in lib/faults, so the fault
    library stays dependency-free). *)
 let with_faults spec f =
   let spec =
@@ -128,13 +137,10 @@ let with_faults spec f =
       Fun.protect ~finally:Hbbp_faults.Faults.disarm @@ fun () ->
       let v = f () in
       let tally = Hbbp_faults.Faults.tally () in
-      if Hbbp_telemetry.Metrics.enabled () then
-        List.iter
-          (fun (k, n) ->
-            Hbbp_telemetry.Metrics.add
-              (Hbbp_telemetry.Metrics.counter ("faults." ^ k))
-              n)
-          tally;
+      Hbbp_telemetry.Trace.annotate (fun () ->
+          List.map
+            (fun (k, n) -> Hbbp_telemetry.Trace.int_arg ("faults." ^ k) n)
+            tally);
       if tally <> [] then begin
         Format.eprintf "hbbp: faults injected (plan %s):@."
           (Hbbp_faults.Fault_plan.to_string plan);
@@ -198,7 +204,7 @@ let profile_cmd =
     let names = positional @ named in
     if names = [] then die "profile: no workload given (see 'hbbp list')";
     let ws = List.map find_workload names in
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "profile" trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let profiles = Pipeline.run_many ?jobs ws in
     List.iter
@@ -326,7 +332,7 @@ let train_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit graphviz instead of ASCII.")
   in
   let run dot jobs faults trace metrics =
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "train" trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let tree, dataset =
       Training.build ?jobs (Hbbp_workloads.Training_set.all ())
@@ -394,7 +400,7 @@ let collect_cmd =
     if shards < 1 then die "collect: --shards must be at least 1";
     let ws = List.map find_workload names in
     install_signal_handlers ();
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "collect" trace metrics @@ fun () ->
     with_faults faults @@ fun () ->
     let single = match names with [ _ ] -> true | _ -> false in
     let delay = shard_delay () in
@@ -526,54 +532,61 @@ let analyze_cmd =
   in
   let run paths top checkpoint resume repair profile_out trace metrics =
     install_signal_handlers ();
-    with_telemetry trace metrics @@ fun () ->
-    let checkpoint =
-      match (checkpoint, resume) with
-      | (Some _ as c), _ -> c
-      | None, true -> Some (List.hd paths ^ ".ckpt")
-      | None, false -> None
+    (* The exit status waits for the telemetry flush: a degraded
+       reconstruction is the one whose metrics matter most. *)
+    let degraded =
+      with_telemetry "analyze" trace metrics @@ fun () ->
+      let checkpoint =
+        match (checkpoint, resume) with
+        | (Some _ as c), _ -> c
+        | None, true -> Some (List.hd paths ^ ".ckpt")
+        | None, false -> None
+      in
+      match
+        Pipeline.analyze_archives ~repair ?checkpoint ~resume ~should_stop
+          paths
+      with
+      | exception Pipeline.Interrupted ->
+          exit_interrupted
+            (if Option.is_some checkpoint then
+               "progress saved — rerun with --resume"
+             else "nothing saved — rerun with --checkpoint FILE to keep progress")
+      | Error msg -> die "%s" msg
+      | Ok (meta, r) ->
+          label_run meta;
+          let partial = r.Pipeline.r_partial in
+          List.iter
+            (fun f ->
+              Format.eprintf "hbbp: warning: %a@."
+                Hbbp_collector.Perf_data.pp_fault f)
+            (Pipeline.Partial.faults partial);
+          Format.printf
+            "workload %s: %d archive(s), %d records, %d blocks, %d LBR \
+             snapshots, %d flagged@."
+            meta.Hbbp_collector.Perf_data.workload_name (List.length paths)
+            (Pipeline.Partial.record_count partial)
+            (Static.total_blocks r.Pipeline.r_static)
+            r.Pipeline.r_lbr.Lbr_estimator.snapshots
+            (List.length (Bias.flagged_blocks r.Pipeline.r_bias));
+          Format.printf "quality: %a@." Pipeline.pp_quality
+            r.Pipeline.r_quality;
+          Option.iter
+            (fun rep ->
+              Format.printf "%a@." Hbbp_verifier.Repair.pp_report rep)
+            r.Pipeline.r_repair;
+          Format.printf "@.Instruction mix (HBBP):@.";
+          Pivot.render Format.std_formatter
+            (Views.top_mnemonics top
+               (Mix.of_bbec r.Pipeline.r_static r.Pipeline.r_hbbp));
+          Option.iter
+            (fun path ->
+              emit_profile
+                ~workload:meta.Hbbp_collector.Perf_data.workload_name
+                ~mode:repair path r)
+            profile_out;
+          r.Pipeline.r_quality <> Pipeline.Full
     in
-    match
-      Pipeline.analyze_archives ~repair ?checkpoint ~resume ~should_stop paths
-    with
-    | exception Pipeline.Interrupted ->
-        exit_interrupted
-          (if Option.is_some checkpoint then
-             "progress saved — rerun with --resume"
-           else "nothing saved — rerun with --checkpoint FILE to keep progress")
-    | Error msg -> die "%s" msg
-    | Ok (meta, r) ->
-        let partial = r.Pipeline.r_partial in
-        List.iter
-          (fun f ->
-            Format.eprintf "hbbp: warning: %a@."
-              Hbbp_collector.Perf_data.pp_fault f)
-          (Pipeline.Partial.faults partial);
-        Format.printf
-          "workload %s: %d archive(s), %d records, %d blocks, %d LBR \
-           snapshots, %d flagged@."
-          meta.Hbbp_collector.Perf_data.workload_name (List.length paths)
-          (Pipeline.Partial.record_count partial)
-          (Static.total_blocks r.Pipeline.r_static)
-          r.Pipeline.r_lbr.Lbr_estimator.snapshots
-          (List.length (Bias.flagged_blocks r.Pipeline.r_bias));
-        Format.printf "quality: %a@." Pipeline.pp_quality r.Pipeline.r_quality;
-        Option.iter
-          (fun rep -> Format.printf "%a@." Hbbp_verifier.Repair.pp_report rep)
-          r.Pipeline.r_repair;
-        Format.printf "@.Instruction mix (HBBP):@.";
-        Pivot.render Format.std_formatter
-          (Views.top_mnemonics top
-             (Mix.of_bbec r.Pipeline.r_static r.Pipeline.r_hbbp));
-        Option.iter
-          (fun path ->
-            emit_profile
-              ~workload:meta.Hbbp_collector.Perf_data.workload_name
-              ~mode:repair path r)
-          profile_out;
-        (match r.Pipeline.r_quality with
-        | Pipeline.Full -> ()
-        | Pipeline.Degraded _ -> exit 2)
+    if degraded then exit 2
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -598,17 +611,6 @@ let stats_cmd =
   let print_stats header meta (r : Pipeline.reconstruction) =
     let partial = r.Pipeline.r_partial in
     let lbr = r.Pipeline.r_lbr in
-    let streams =
-      lbr.Lbr_estimator.usable_streams
-      + lbr.Lbr_estimator.inconsistent_streams
-      + lbr.Lbr_estimator.discarded_streams
-    in
-    let failure_rate =
-      if streams = 0 then 0.0
-      else
-        float_of_int (streams - lbr.Lbr_estimator.usable_streams)
-        /. float_of_int streams
-    in
     Format.printf "%s: workload %s@." header
       meta.Hbbp_collector.Perf_data.workload_name;
     Format.printf "  records             %8d@."
@@ -628,7 +630,8 @@ let stats_cmd =
       "  streams             %8d usable, %d inconsistent, %d discarded \
        (%.1f%% walk failures)@."
       lbr.Lbr_estimator.usable_streams lbr.Lbr_estimator.inconsistent_streams
-      lbr.Lbr_estimator.discarded_streams (100.0 *. failure_rate);
+      lbr.Lbr_estimator.discarded_streams
+      (100.0 *. Pipeline.stream_failure_rate lbr);
     Format.printf "  bias-flagged blocks %8d@."
       (List.length (Bias.flagged_blocks r.Pipeline.r_bias));
     Format.printf "  static blocks       %8d@."
@@ -657,7 +660,7 @@ let stats_cmd =
   in
   let run paths health trace metrics =
     let degraded =
-      with_telemetry trace metrics @@ fun () ->
+      with_telemetry "stats" trace metrics @@ fun () ->
       let ok = function Ok v -> v | Error msg -> die "%s" msg in
       (* Each archive is decoded once, into a partial finalized for its
          own stat block. *)
@@ -668,6 +671,7 @@ let stats_cmd =
       let path0 = List.hd paths in
       let s0 = ok (Pipeline.open_archive path0) in
       let meta0 = Hbbp_collector.Perf_data.Stream.meta s0 in
+      label_run meta0;
       let static0 = ok (Pipeline.archive_static path0 meta0) in
       let p0, v0 = own path0 meta0 static0 s0 in
       (* An archive whose metadata matches the first one's (a shard of
@@ -893,7 +897,7 @@ let lint_cmd =
     let archives, workloads =
       List.partition Sys.file_exists targets
     in
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "lint" trace metrics @@ fun () ->
     let results =
       List.map (lint_workload ~flow) workloads
       @ (if archives = [] then [] else [ lint_archives archives ])
@@ -1036,7 +1040,7 @@ let repair_cmd =
             meta.Hbbp_collector.Perf_data.workload_name ) )
   in
   let run targets json profile_out trace metrics =
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "repair" trace metrics @@ fun () ->
     let archives, workloads = List.partition Sys.file_exists targets in
     let results =
       List.map repair_workload workloads
@@ -1131,7 +1135,7 @@ let doctor_cmd =
       match positional @ named with [] -> [ "mcf"; "hello" ] | ns -> ns
     in
     let ws = List.map find_workload names in
-    with_telemetry trace metrics @@ fun () ->
+    with_telemetry "doctor" trace metrics @@ fun () ->
     let reports =
       List.map (fun w -> Doctor.run ?max_jobs ?shards w) ws
     in

@@ -43,7 +43,8 @@ let () =
   let workload = Workload.of_user_image image ~entry_symbol:"main" in
 
   (* 2. Arm telemetry: a Chrome trace of the run plus the metrics
-     registry.  Both are off by default; this is all it takes. *)
+     rendered from its spans.  Both are off by default; this is all it
+     takes. *)
   Hbbp_telemetry.Telemetry.configure ~trace:"quickstart_trace.json"
     ~metrics:`Table ();
 

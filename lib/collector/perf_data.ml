@@ -759,14 +759,25 @@ module Stream = struct
         src.close ();
         match e with Parse e -> Error e | e -> raise e)
 
-  (* A [Sys_error] raised once the file is open (a directory, a read
-     error) names the path, as [open_in_bin]'s own does. *)
+  (* A [Sys_error] raised once the file is open (not a regular file, a
+     read error) names the path, as [open_in_bin]'s own does.  The kind
+     is checked first: a directory opens, but its length is
+     meaningless. *)
   let open_file ?(chunk_records = default_chunk_records) path =
     if chunk_records < 1 then
       invalid_arg "Perf_data.Stream.open_file: chunk_records < 1";
     let ic = open_in_bin path in
-    try open_source ~chunk_records (channel_source ic)
-    with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg))
+    let fail msg =
+      close_in_noerr ic;
+      raise (Sys_error (path ^ ": " ^ msg))
+    in
+    match (Unix.fstat (Unix.descr_of_in_channel ic)).Unix.st_kind with
+    | Unix.S_REG -> (
+        try open_source ~chunk_records (channel_source ic)
+        with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg)))
+    | Unix.S_DIR -> fail "is a directory"
+    | _ -> fail "not a regular file"
+    | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
 end
 
 (* A whole archive is one fold over the stream: every record in one

@@ -6,7 +6,6 @@
    a complete checkpoint — the previous one or the new one. *)
 
 module Durable = Hbbp_durable.Durable
-module Metrics = Hbbp_telemetry.Metrics
 
 module Codec = struct
   exception Bad of string
@@ -162,11 +161,7 @@ let of_bytes data =
   in
   { done_paths; partial }
 
-let save t ~path =
-  let data = to_bytes t in
-  Durable.write_bytes ~path data;
-  Metrics.add (Metrics.counter "checkpoint.saves") 1;
-  Metrics.add (Metrics.counter "checkpoint.bytes") (Bytes.length data)
+let save t ~path = Durable.write_bytes ~path (to_bytes t)
 
 let load ~path =
   if not (Sys.file_exists path) then None

@@ -70,7 +70,7 @@ val to_bytes : t -> bytes
     a damaged checkpoint is reported, never silently trusted. *)
 val of_bytes : bytes -> (t, string) result
 
-(** Atomic durable write; counts [checkpoint.saves] / [checkpoint.bytes]. *)
+(** Atomic durable write ({!Hbbp_durable.Durable.write_bytes}). *)
 val save : t -> path:string -> unit
 
 (** [None] when no checkpoint file exists. *)

@@ -20,6 +20,9 @@
    - allocation sites: each span's self allocation on its own track,
      keyed [cat/name].
 
+   The per-domain and allocation numbers come from the same span
+   reduction that [--metrics] renders ([Telemetry.reduce]).
+
    Every job count must produce the identical reconstruction (the
    pool's determinism contract); the doctor cross-checks that too. *)
 
@@ -28,19 +31,13 @@ open Hbbp_collector
 module Pool = Hbbp_util.Domain_pool
 module Trace = Hbbp_telemetry.Trace
 module Runtime_profiler = Hbbp_telemetry.Runtime_profiler
+module Telemetry = Hbbp_telemetry.Telemetry
 module Json = Hbbp_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Report types                                                        *)
 
-type domain_gc = {
-  dg_domain : int;  (** Runtime domain id ([Domain.self]). *)
-  dg_tasks : int;
-  dg_busy_s : float;  (** Sum of this domain's task spans. *)
-  dg_minor : int;
-  dg_major : int;
-  dg_allocated_words : int;
-}
+type domain_gc = Telemetry.domain
 
 type jobs_run = {
   jr_jobs : int;
@@ -79,10 +76,6 @@ let secs (s : Trace.span) = s.dur_us /. 1e6
 let is (cat, name) (s : Trace.span) = s.cat = cat && s.name = name
 let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
-(* A profiler arg of a span; the profiler omits zeros. *)
-let arg (s : Trace.span) key =
-  Option.fold ~none:0 ~some:int_of_string (List.assoc_opt key s.args)
-
 (* The last [doctor/analyze] span recorded on this domain, and the
    list of it and every span recorded inside it.  [Trace.spans] lists a
    span before the spans nested in it, so everything inside lies in the
@@ -105,50 +98,16 @@ let analyze_spans () =
       in
       (a, a :: List.filter inside rest)
 
-(* Each span's self allocation, keyed [cat/name]: its inclusive
-   [gc.alloc] minus its direct children's on the same track.  In
-   [Trace.spans] order a span's parent is the last span seen one level
-   up on its track. *)
-let self_alloc spans =
-  let open_at = Hashtbl.create 16 in
-  List.map
-    (fun (s : Trace.span) ->
-      let self = ref (arg s "gc.alloc") in
-      (match Hashtbl.find_opt open_at (s.track, s.depth - 1) with
-      | Some parent -> parent := !parent - arg s "gc.alloc"
-      | None -> ());
-      Hashtbl.replace open_at (s.track, s.depth) self;
-      (s.cat ^ "/" ^ s.name, self))
-    spans
-  |> List.map (fun (key, self) -> (key, !self))
-
-(* Everything measured in one pass, from its analyze span [a] and the
-   spans inside it. *)
-let jobs_run ~jobs (a : Trace.span) spans =
+(* Everything measured in one pass, from its analyze span [a], the
+   spans inside it and their reduction. *)
+let jobs_run ~jobs (a : Trace.span) spans (r : Telemetry.reduction) =
   let merge = sum secs (List.filter (is ("doctor", "merge")) spans) in
   let stream = secs a -. merge in
   let tasks = List.filter (is ("pool", "task")) spans in
-  let domains =
-    List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.track) tasks)
-    |> List.map (fun track ->
-           let ts =
-             List.filter (fun (s : Trace.span) -> s.track = track) tasks
-           in
-           let total key =
-             List.fold_left (fun acc s -> acc + arg s key) 0 ts
-           in
-           {
-             dg_domain = track;
-             dg_tasks = List.length ts;
-             dg_busy_s = sum secs ts;
-             dg_minor = total "gc.minor";
-             dg_major = total "gc.major";
-             dg_allocated_words = total "gc.alloc";
-           })
-  in
-  let busy = sum (fun d -> d.dg_busy_s) domains in
+  let busy_s (d : domain_gc) = d.busy_s in
+  let busy = sum busy_s r.domains in
   let mean n x = if n = 0 then 0.0 else x /. float_of_int n in
-  let mean_busy = mean (List.length domains) busy in
+  let mean_busy = mean (List.length r.domains) busy in
   {
     jr_jobs = jobs;
     jr_wall_s = secs a;
@@ -164,12 +123,12 @@ let jobs_run ~jobs (a : Trace.span) spans =
        max/mean > 1. *)
     jr_imbalance =
       (if mean_busy > 0.0 then
-         List.fold_left (fun m d -> Float.max m d.dg_busy_s) 0.0 domains
+         List.fold_left (fun m d -> Float.max m (busy_s d)) 0.0 r.domains
          /. mean_busy
        else 1.0);
     jr_task_mean_s = mean (List.length tasks) (sum secs tasks);
     jr_task_max_s = List.fold_left (fun m s -> Float.max m (secs s)) 0.0 tasks;
-    jr_domains = domains;
+    jr_domains = r.domains;
   }
 
 (* One full analysis pass at a given job count: the reconstruction, its
@@ -198,7 +157,8 @@ let analyze_at ~static ~meta ~paths ~jobs =
     | [] -> invalid_arg "Doctor: no shards"
   in
   let a, spans = analyze_spans () in
-  (r, jobs_run ~jobs a spans, self_alloc spans)
+  let reduction = Telemetry.reduce spans in
+  (r, jobs_run ~jobs a spans reduction, reduction.self_alloc)
 
 (* Self allocation summed over every pass, by [cat/name], descending. *)
 let alloc_sites results =
@@ -317,11 +277,10 @@ let to_json (r : report) =
       jr.jr_task_max_s
       (String.concat ","
          (List.map
-            (fun d ->
+            (fun (d : domain_gc) ->
               Printf.sprintf
                 "{\"domain\":%d,\"tasks\":%d,\"busy_s\":%.6f,\"minor_collections\":%d,\"major_collections\":%d,\"allocated_words\":%d}"
-                d.dg_domain d.dg_tasks d.dg_busy_s d.dg_minor d.dg_major
-                d.dg_allocated_words)
+                d.domain d.tasks d.busy_s d.minor d.major d.allocated_words)
             jr.jr_domains))
   in
   Buffer.add_string buf
@@ -356,12 +315,11 @@ let pp ppf (r : report) =
   | Some last when last.jr_domains <> [] ->
       Format.fprintf ppf "  per-domain GC at -j %d:@." last.jr_jobs;
       List.iter
-        (fun d ->
+        (fun (d : domain_gc) ->
           Format.fprintf ppf
             "    domain %-3d %5d task(s) %8.4fs busy, %6d minor / %4d major \
              collections, %d words@."
-            d.dg_domain d.dg_tasks d.dg_busy_s d.dg_minor d.dg_major
-            d.dg_allocated_words)
+            d.domain d.tasks d.busy_s d.minor d.major d.allocated_words)
         last.jr_domains
   | _ -> ());
   (match r.rep_alloc_sites with

@@ -23,15 +23,10 @@
     job count must produce an identical reconstruction
     ([rep_consistent]). *)
 
-type domain_gc = {
-  dg_domain : int;  (** Runtime domain id ([Domain.self]). *)
-  dg_tasks : int;
-  dg_busy_s : float;  (** Sum of this domain's [pool/task] spans. *)
-  dg_minor : int;
-      (** Minor collections (process-wide) while this domain's tasks ran. *)
-  dg_major : int;
-  dg_allocated_words : int;  (** Words this domain allocated in its tasks. *)
-}
+(** One domain's [pool/task] spans in a pass: tasks, busy time (the
+    sum of the spans), minor and major collections (process-wide, while
+    its tasks ran) and the words it allocated in them. *)
+type domain_gc = Hbbp_telemetry.Telemetry.domain
 
 (** One analysis pass at a fixed job count. *)
 type jobs_run = {

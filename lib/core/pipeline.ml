@@ -4,7 +4,6 @@ open Hbbp_cpu
 open Hbbp_analyzer
 open Hbbp_collector
 module Trace = Hbbp_telemetry.Trace
-module Metrics = Hbbp_telemetry.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Reconstruction quality and graceful degradation                     *)
@@ -459,48 +458,45 @@ type reconstruction = {
   r_partial : Partial.t;
 }
 
-(* Sampling-health counters of one reconstruction: everything the paper
+(* The share of the LBR streams that failed to walk. *)
+let stream_failure_rate (lbr : Lbr_estimator.t) =
+  let streams =
+    lbr.usable_streams + lbr.inconsistent_streams + lbr.discarded_streams
+  in
+  if streams = 0 then 0.0
+  else float_of_int (streams - lbr.usable_streams) /. float_of_int streams
+
+(* Sampling-health args of one reconstruction: everything the paper
    blames estimator error on, as observed by the analyzer itself. *)
-let record_reconstruction_metrics (r : reconstruction) =
-  if Metrics.enabled () then begin
-    let c name n = Metrics.add (Metrics.counter name) n in
-    let ebs_samples =
-      Array.fold_left ( + ) r.r_ebs.Ebs_estimator.unattributed
-        r.r_ebs.Ebs_estimator.raw
-    in
-    c "ebs.samples" ebs_samples;
-    c "ebs.unattributed_samples" r.r_ebs.Ebs_estimator.unattributed;
-    c "lbr.snapshots" r.r_lbr.Lbr_estimator.snapshots;
-    c "lbr.streams_usable" r.r_lbr.Lbr_estimator.usable_streams;
-    c "lbr.streams_inconsistent" r.r_lbr.Lbr_estimator.inconsistent_streams;
-    c "lbr.streams_discarded" r.r_lbr.Lbr_estimator.discarded_streams;
-    let streams =
-      r.r_lbr.Lbr_estimator.usable_streams
-      + r.r_lbr.Lbr_estimator.inconsistent_streams
-      + r.r_lbr.Lbr_estimator.discarded_streams
-    in
-    Metrics.set
-      (Metrics.gauge "lbr.stream_failure_rate")
-      (if streams = 0 then 0.0
-       else
-         float_of_int (streams - r.r_lbr.Lbr_estimator.usable_streams)
-         /. float_of_int streams);
-    c "bias.flagged_blocks" (List.length (Bias.flagged_blocks r.r_bias));
-    match r.r_quality with
-    | Full -> ()
-    | Degraded reasons ->
-        c "degrade.reconstructions" 1;
-        c "degrade.reasons" (List.length reasons);
-        List.iter
-          (function
-            | Fallback `Ebs_only -> c "degrade.fallback_ebs_only" 1
-            | Fallback `Lbr_only -> c "degrade.fallback_lbr_only" 1
-            | Archive_fault _ -> c "degrade.archive_faults" 1
-            | Lost_records n -> c "degrade.lost_records" n
-            | Flow_violation _ -> c "degrade.flow_violations" 1
-            | Ebs_starved _ | Lbr_starved _ -> ())
-          reasons
-  end
+let reconstruction_args ~(ebs : Ebs_estimator.t) ~(lbr : Lbr_estimator.t)
+    ~bias quality =
+  let reasons = match quality with Full -> [] | Degraded rs -> rs in
+  let tally key n = if n > 0 then [ Trace.int_arg key n ] else [] in
+  let count p = List.length (List.filter p reasons) in
+  [
+    Trace.int_arg "ebs.samples"
+      (Array.fold_left ( + ) ebs.unattributed ebs.raw);
+    Trace.int_arg "ebs.unattributed_samples" ebs.unattributed;
+    Trace.int_arg "lbr.snapshots" lbr.snapshots;
+    Trace.int_arg "lbr.streams_usable" lbr.usable_streams;
+    Trace.int_arg "lbr.streams_inconsistent" lbr.inconsistent_streams;
+    Trace.int_arg "lbr.streams_discarded" lbr.discarded_streams;
+    Trace.float_arg "lbr.stream_failure_rate" (stream_failure_rate lbr);
+    Trace.int_arg "bias.flagged_blocks"
+      (List.length (Bias.flagged_blocks bias));
+  ]
+  @ tally "degrade.reconstructions" (Bool.to_int (reasons <> []))
+  @ tally "degrade.reasons" (List.length reasons)
+  @ tally "degrade.fallback_ebs_only" (count (( = ) (Fallback `Ebs_only)))
+  @ tally "degrade.fallback_lbr_only" (count (( = ) (Fallback `Lbr_only)))
+  @ tally "degrade.archive_faults"
+      (count (function Archive_fault _ -> true | _ -> false))
+  @ tally "degrade.flow_violations"
+      (count (function Flow_violation _ -> true | _ -> false))
+  @ tally "degrade.lost_records"
+      (List.fold_left
+         (fun n -> function Lost_records k -> n + k | _ -> n)
+         0 reasons)
 
 (* Channel health against the configured thresholds: the analyzer-side
    analogue of the PMU's own sampling-health accounting.  A channel is
@@ -520,17 +516,7 @@ let assess_quality (th : thresholds) ~ledger ~lost ~(ebs : Ebs_estimator.t)
     ebs_total < th.min_ebs_samples
     || unattributed_share > th.max_unattributed_share
   in
-  let streams =
-    lbr.Lbr_estimator.usable_streams
-    + lbr.Lbr_estimator.inconsistent_streams
-    + lbr.Lbr_estimator.discarded_streams
-  in
-  let failure_rate =
-    if streams = 0 then 0.0
-    else
-      float_of_int (streams - lbr.Lbr_estimator.usable_streams)
-      /. float_of_int streams
-  in
+  let failure_rate = stream_failure_rate lbr in
   let lbr_bad =
     lbr.Lbr_estimator.snapshots < th.min_lbr_snapshots
     || failure_rate > th.max_stream_failure
@@ -570,6 +556,7 @@ let fallback_criteria = function
 let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
     ?(repair = Report) ?replay:_ (p : Partial.t) =
   let span name f = Trace.with_span ~cat:"analyze" name f in
+  span "finalize" @@ fun () ->
   let static = Partial.static p in
   let ebs =
     span "ebs_finalize" (fun () ->
@@ -600,31 +587,26 @@ let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
   (* Kirchhoff cross-check of the fused counts: badly non-conserving
      flow means the reconstruction is internally inconsistent no matter
      how healthy each channel looked on its own. *)
+  let violated (flow : Hbbp_verifier.Flow.report) =
+    flow.conservation_error > thresholds.max_conservation_error
+  in
   let fstruct, flow =
     Trace.with_span ~cat:"verify" "flow_check" (fun () ->
         let s = Hbbp_verifier.Flow.structure static in
-        (s, Hbbp_verifier.Flow.check_with s hbbp))
+        let flow = Hbbp_verifier.Flow.check_with s hbbp in
+        Trace.annotate (fun () ->
+            [
+              Trace.int_arg "verify.flow_checks" 1;
+              Trace.int_arg "verify.flow_violations"
+                (Bool.to_int (violated flow));
+              Trace.float_arg "verify.conservation_error"
+                flow.conservation_error;
+              Trace.float_arg "verify.flow_residual" flow.total_residual;
+            ]);
+        (s, flow))
   in
-  if Metrics.enabled () then begin
-    Metrics.set
-      (Metrics.gauge "verify.conservation_error")
-      flow.Hbbp_verifier.Flow.conservation_error;
-    Metrics.set
-      (Metrics.gauge "verify.flow_residual")
-      flow.Hbbp_verifier.Flow.total_residual;
-    Metrics.add
-      (Metrics.counter "verify.flow_checks")
-      1;
-    if
-      flow.Hbbp_verifier.Flow.conservation_error
-      > thresholds.max_conservation_error
-    then Metrics.add (Metrics.counter "verify.flow_violations") 1
-  end;
   let quality =
-    if
-      flow.Hbbp_verifier.Flow.conservation_error
-      > thresholds.max_conservation_error
-    then begin
+    if violated flow then begin
       let reason =
         Flow_violation
           {
@@ -663,52 +645,39 @@ let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
             ~lbr_weight:lbr.Lbr_estimator.weight
             (Static.total_blocks static)
         in
-        let rep =
-          Trace.with_span ~cat:"verify" "repair" (fun () ->
-              Hbbp_verifier.Repair.repair ~weights fstruct hbbp)
-        in
-        if Metrics.enabled () then begin
-          Metrics.add (Metrics.counter "repair.runs") 1;
-          Metrics.set
-            (Metrics.gauge "repair.pre_conservation_error")
-            rep.Hbbp_verifier.Repair.pre.Hbbp_verifier.Flow.conservation_error;
-          Metrics.set
-            (Metrics.gauge "repair.post_conservation_error")
-            rep.Hbbp_verifier.Repair.post.Hbbp_verifier.Flow.conservation_error;
-          Metrics.add
-            (Metrics.counter "repair.adjusted_blocks")
-            rep.Hbbp_verifier.Repair.adjusted_blocks;
-          Metrics.add
-            (Metrics.counter "repair.sweeps")
-            rep.Hbbp_verifier.Repair.iterations;
-          Metrics.set
-            (Metrics.gauge "repair.moved_mass")
-            rep.Hbbp_verifier.Repair.moved_mass;
-          if repair = Apply then
-            Metrics.add (Metrics.counter "repair.applied") 1
-        end;
-        Some rep
+        Trace.with_span ~cat:"verify" "repair" (fun () ->
+            let rep = Hbbp_verifier.Repair.repair ~weights fstruct hbbp in
+            Trace.annotate (fun () ->
+                [
+                  Trace.int_arg "repair.runs" 1;
+                  Trace.int_arg "repair.applied" (Bool.to_int (repair = Apply));
+                  Trace.int_arg "repair.adjusted_blocks" rep.adjusted_blocks;
+                  Trace.int_arg "repair.sweeps" rep.iterations;
+                  Trace.float_arg "repair.pre_conservation_error"
+                    rep.pre.conservation_error;
+                  Trace.float_arg "repair.post_conservation_error"
+                    rep.post.conservation_error;
+                  Trace.float_arg "repair.moved_mass" rep.moved_mass;
+                ]);
+            Some rep)
   in
   let hbbp =
     match (repair, repair_report) with
     | Apply, Some rep -> rep.Hbbp_verifier.Repair.repaired
     | _ -> hbbp
   in
-  let r =
-    {
-      r_static = static;
-      r_ebs = ebs;
-      r_lbr = lbr;
-      r_bias = bias;
-      r_hbbp = hbbp;
-      r_quality = quality;
-      r_flow = flow;
-      r_repair = repair_report;
-      r_partial = p;
-    }
-  in
-  record_reconstruction_metrics r;
-  r
+  Trace.annotate (fun () -> reconstruction_args ~ebs ~lbr ~bias quality);
+  {
+    r_static = static;
+    r_ebs = ebs;
+    r_lbr = lbr;
+    r_bias = bias;
+    r_hbbp = hbbp;
+    r_quality = quality;
+    r_flow = flow;
+    r_repair = repair_report;
+    r_partial = p;
+  }
 
 let reconstruct ?criteria ?thresholds ?repair ?(ledger = []) ~static
     ~ebs_period ~lbr_period records =
@@ -824,7 +793,8 @@ let restore_checkpoint ~static ~path paths =
           match Partial.restore ~static partial with
           | Error _ -> None
           | Ok p ->
-              Metrics.add (Metrics.counter "checkpoint.restores") 1;
+              Trace.annotate (fun () ->
+                  [ Trace.int_arg "checkpoint.restores" 1 ]);
               Some (List.rev done_paths, p, rest)))
   | Some (Ok _) | Some (Error _) | None -> None
 
@@ -909,39 +879,37 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
       Checkpoint.remove ~path;
       result
 
-(* Run-level counters: execution volume plus the PMU's sampling-health
+(* Run-level args: execution volume plus the PMU's sampling-health
    accounting (the repo observing its own collection quality, the way
-   the paper accounts for perf's). *)
-let record_run_metrics (p : profile) =
-  if Metrics.enabled () then begin
-    let c name n = Metrics.add (Metrics.counter name) n in
-    c "pipeline.runs" 1;
-    c "pipeline.retired" p.stats.Machine.retired;
-    c "pipeline.cycles" p.stats.Machine.cycles;
-    c "pipeline.taken_branches" p.stats.Machine.taken_branches;
-    c "pipeline.kernel_retired" p.stats.Machine.kernel_retired;
-    c "pipeline.records" p.record_count;
-    Metrics.set
-      (Metrics.gauge "pipeline.collection_overhead")
-      p.collection_overhead;
-    Metrics.set (Metrics.gauge "pipeline.sde_slowdown") p.sde_slowdown;
-    let h = p.pmu_health in
-    c "pmu.pmi_count" h.Pmu.pmi_count;
-    c "pmu.shadow_slides" h.Pmu.shadow_slides;
-    c "pmu.lbr_snapshots" h.Pmu.lbr_snapshots;
-    c "pmu.lbr_stuck_snapshots" h.Pmu.stuck_snapshots;
-    c "pmu.lbr_misrotated_snapshots" h.Pmu.misrotated_snapshots;
-    c "pmu.lbr_dropped_records" h.Pmu.dropped_records;
-    let skid =
-      Metrics.histogram
-        ~bounds:(Array.init (Pmu.max_skid_bucket + 1) float_of_int)
-        "pmu.skid_displacement"
-    in
-    Array.iteri
-      (fun d n -> if n > 0 then Metrics.observe ~n skid (float_of_int d))
-      h.Pmu.skid_hist;
-    c "sde.lost_kernel_instructions" p.sde_lost_kernel
-  end
+   the paper accounts for perf's).  The skid histogram is one count per
+   non-empty displacement bucket. *)
+let run_args (p : profile) =
+  let h = p.pmu_health in
+  [
+    Trace.int_arg "pipeline.runs" 1;
+    Trace.int_arg "pipeline.retired" p.stats.retired;
+    Trace.int_arg "pipeline.cycles" p.stats.cycles;
+    Trace.int_arg "pipeline.taken_branches" p.stats.taken_branches;
+    Trace.int_arg "pipeline.kernel_retired" p.stats.kernel_retired;
+    Trace.int_arg "pipeline.records" p.record_count;
+    Trace.float_arg "pipeline.collection_overhead" p.collection_overhead;
+    Trace.float_arg "pipeline.sde_slowdown" p.sde_slowdown;
+    Trace.int_arg "pmu.pmi_count" h.pmi_count;
+    Trace.int_arg "pmu.shadow_slides" h.shadow_slides;
+    Trace.int_arg "pmu.lbr_snapshots" h.lbr_snapshots;
+    Trace.int_arg "pmu.lbr_stuck_snapshots" h.stuck_snapshots;
+    Trace.int_arg "pmu.lbr_misrotated_snapshots" h.misrotated_snapshots;
+    Trace.int_arg "pmu.lbr_dropped_records" h.dropped_records;
+    Trace.int_arg "sde.lost_kernel_instructions" p.sde_lost_kernel;
+  ]
+  @ List.concat
+      (List.mapi
+         (fun d n ->
+           if n = 0 then []
+           else if d > Pmu.max_skid_bucket then
+             [ Trace.int_arg "pmu.skid.over" n ]
+           else [ Trace.int_arg (Printf.sprintf "pmu.skid.%02d" d) n ])
+         (Array.to_list h.skid_hist))
 
 (* Records [run] hands [Partial.feed] at a time while the workload
    executes. *)
@@ -1075,7 +1043,7 @@ let run ?(config = default_config) (w : Workload.t) =
       repair_report = r.r_repair;
     }
   in
-  record_run_metrics p;
+  Trace.annotate (fun () -> run_args p);
   p
 
 (* Each task builds its own machine, PMU session, SDE and PRNG from the

@@ -144,7 +144,9 @@ type profile = {
     stream-fault plan the record list is materialized after the run
     instead, since the plan's drop and reorder draws are defined over
     all of it.  Either way the profile is the one the batch
-    {!reconstruct} of the stream gives. *)
+    {!reconstruct} of the stream gives.  Its [pipeline/run] span
+    carries the run's execution and sampling-health args
+    ([pipeline.*], [pmu.*], [sde.*]). *)
 val run : ?config:config -> Workload.t -> profile
 
 (** [run_many ?jobs workloads] — profile every workload, fanned out over
@@ -239,12 +241,20 @@ type reconstruction = {
           totals. *)
 }
 
+(** The share of an LBR estimate's streams that failed to walk
+    (inconsistent or discarded); [0.] when there were none. *)
+val stream_failure_rate : Lbr_estimator.t -> float
+
 (** [finalize partial] — turn accumulated state into a reconstruction:
     estimator finalization, bias resolution and contamination (from the
     stream set the partial accumulated, {!Hbbp_analyzer.Bias.finalize}),
     quality assessment over the partial's merged totals (ledger faults,
     lost records, channel starvation → fallback), fusion.  [repair]
-    selects the count-repair policy (default [Report]).  [replay] is
+    selects the count-repair policy (default [Report]).  It runs in an
+    [analyze/finalize] span that carries the reconstruction's
+    sampling-health args ([ebs.*], [lbr.*], [bias.*], [degrade.*]);
+    its [verify/flow_check] and [verify/repair] spans carry the flow
+    and repair reports' ([verify.*], [repair.*]).  [replay] is
     ignored; it is kept only so that perfbench ([perfbench/layers.ml],
     which passes it) still compiles. *)
 val finalize :
@@ -360,7 +370,8 @@ exception Interrupted
     saved and no file is written.  With [resume] as well,
     a checkpoint that loads cleanly, restores cleanly against the first
     archive's static view, and names a prefix of [paths] is continued
-    from ([checkpoint.restores] metric); any damage or mismatch
+    from (a [checkpoint.restores] arg on the innermost open span); any
+    damage or mismatch
     silently falls back to a full run.  Success and a typed error both
     delete the checkpoint file; only {!Interrupted} leaves one behind.
     The result is byte-identical whether the run was checkpointed,

@@ -10,9 +10,6 @@
 
 open Hbbp_collector
 module Durable = Hbbp_durable.Durable
-module Metrics = Hbbp_telemetry.Metrics
-
-let c name n = Metrics.add (Metrics.counter name) n
 
 type shard_status = Reused | Written
 
@@ -53,17 +50,13 @@ let collect_sharded ?config ?(resume = false)
   match fast_path with
   | Some _ ->
       (* The previous run finished publishing: nothing to redo. *)
-      c "recover.manifest_hits" 1;
-      c "recover.shards_reused" shards;
       (paths, List.map (fun _ -> Reused) paths)
   | None ->
-      if resume then begin
-        c "recover.resumes" 1;
+      if resume then
         (* Interrupted writes may have left staging files behind. *)
         List.iter
           (fun p -> ignore (Durable.remove_stale ~path:p))
-          (path :: Manifest.path_for path :: paths)
-      end;
+          (path :: Manifest.path_for path :: paths);
       let archive = Pipeline.collect_archive ?config w in
       let shard = Perf_data.shard_encoder archive ~shards ~path in
       let written = ref [] in
@@ -87,14 +80,10 @@ let collect_sharded ?config ?(resume = false)
               Unix.sleepf inter_shard_delay_s;
             let s = shard i in
             let status =
-              if resume && on_disk s then begin
-                c "recover.shards_reused" 1;
-                Reused
-              end
+              if resume && on_disk s then Reused
               else begin
                 Durable.write_bytes ~path:s.Perf_data.shard_path
                   s.Perf_data.data;
-                if resume then c "recover.shards_rewritten" 1;
                 Written
               end
             in

@@ -17,9 +17,9 @@ type shard_status = Reused | Written
     With [resume]: a complete manifest whose shards all verify (size +
     CRC) skips the collection entirely; otherwise stale staging files
     are removed, the workload is re-collected, and each shard is
-    byte-compared against disk — identical files are kept ([Reused],
-    counted in [recover.shards_reused]), everything else is atomically
-    (re)written ([Written], counted in [recover.shards_rewritten]).
+    byte-compared against disk — identical files are kept ([Reused]),
+    everything else is atomically (re)written ([Written]).  The status
+    list is the resume's accounting, one entry per shard.
 
     [should_stop] is polled at shard boundaries; when it reports true
     the manifest so far is saved and {!Pipeline.Interrupted} raised.

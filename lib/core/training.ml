@@ -1,6 +1,5 @@
 open Hbbp_analyzer
 module Trace = Hbbp_telemetry.Trace
-module Metrics = Hbbp_telemetry.Metrics
 
 type example = { features : float array; label : int; weight : float }
 
@@ -43,11 +42,12 @@ let dataset examples =
 let train ?params ?min_exec profiles =
   let all =
     Trace.with_span ~cat:"train" "training.examples" (fun () ->
-        List.concat_map (fun p -> examples ?min_exec p) profiles)
+        let all = List.concat_map (fun p -> examples ?min_exec p) profiles in
+        Trace.annotate (fun () ->
+            [ Trace.int_arg "training.examples" (List.length all) ]);
+        all)
   in
   let d = dataset all in
-  if Metrics.enabled () then
-    Metrics.add (Metrics.counter "training.examples") (List.length all);
   let tree =
     Trace.with_span ~cat:"train" "training.cart_train" (fun () ->
         Hbbp_mltree.Cart.train ?params d)

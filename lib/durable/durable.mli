@@ -36,8 +36,9 @@ val remove_stale : path:string -> int
 (** {1 Tally}
 
     Process-wide counters ([durable.writes], [durable.bytes]) since
-    the last {!reset_tally}, surfaced as metrics by the telemetry
-    layer. *)
+    the last {!reset_tally}.  The telemetry front door records what a
+    command added to them as args of its root span
+    ([Hbbp_telemetry.Telemetry.with_root]). *)
 
 val tally : unit -> (string * int) list
 val reset_tally : unit -> unit

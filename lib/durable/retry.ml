@@ -27,8 +27,8 @@ let () =
              (Printexc.to_string last))
     | _ -> None)
 
-(* Process-wide tallies, mirrored into the telemetry registry by
-   [Telemetry.finalize] the same way [Faults.tally] is. *)
+(* Process-wide tallies, recorded on a command's root span by
+   [Telemetry.with_root] as the CLI records [Faults.tally]. *)
 let attempts_cell = Atomic.make 0
 let exhausted_cell = Atomic.make 0
 

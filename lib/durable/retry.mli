@@ -35,8 +35,9 @@ val with_retry : ?policy:policy -> ?is_transient:(exn -> bool) -> (unit -> 'a) -
 (** {1 Tally}
 
     Process-wide counters of retries taken and retries exhausted since
-    the last {!reset_tally} — surfaced as [retry.*] metrics by the
-    telemetry layer. *)
+    the last {!reset_tally}.  The telemetry front door records what a
+    command added to them as [retry.*] args of its root span
+    ([Hbbp_telemetry.Telemetry.with_root]). *)
 
 val tally : unit -> (string * int) list
 val reset_tally : unit -> unit

@@ -23,38 +23,24 @@ type event =
       e_args : (string * string) list;
     }
 
-(* One atomic word gates every instrumentation site: bit 0 = span
-   recording (tracing proper), bit 1 = the runtime profiler's boundary
-   probe armed.  The disabled [with_span] fast path is a single atomic
-   load and compare with zero — the same cost as the original boolean —
-   which is what keeps the disabled span budget at ~2 ns. *)
-let trace_bit = 1
-let probe_bit = 2
-let mode = Atomic.make 0
+(* One atomic flag gates every instrumentation site: the disabled
+   [with_span] fast path is a single atomic load, which is what keeps the
+   disabled span budget at ~2 ns. *)
+let recording = Atomic.make false
 
-let enabled () = Atomic.get mode land trace_bit <> 0
+let enabled () = Atomic.get recording
 
-(* Span-boundary hook.  [probe] is consulted at span open/close (the
-   runtime profiler captures GC deltas there).  It is set quiescently —
-   before the instrumented work starts — and read without a lock; an
-   OCaml ref read cannot tear. *)
+(* Span-boundary hook.  [probe] is consulted at span open/close while
+   recording (the runtime profiler captures GC deltas there).  It is set
+   quiescently — before the instrumented work starts — and read without
+   a lock; an OCaml ref read cannot tear. *)
 type probe = {
   p_open : unit -> unit;
-  p_close : name:string -> cat:string -> (string * string) list;
+  p_close : unit -> (string * string) list;
 }
 
 let probe : probe option ref = ref None
-
-let set_probe p =
-  probe := p;
-  let rec go () =
-    let m = Atomic.get mode in
-    let m' =
-      if Option.is_some p then m lor probe_bit else m land lnot probe_bit
-    in
-    if m <> m' && not (Atomic.compare_and_set mode m m') then go ()
-  in
-  go ()
+let set_probe p = probe := p
 
 (* Trace epoch: gettimeofday at [enable]; span timestamps are relative
    to it.  The wall clock can step backwards (NTP); [now] monotonizes it
@@ -84,7 +70,10 @@ type buffer = {
   mutable next_seq : int;
   mutable spans_rev : (int * span) list;
   mutable events_rev : event list;
-  mutable open_names : string list;
+  (* One cell per open span, innermost first: the args [annotate] added
+     to it, newest first. *)
+  mutable open_args : (string * string) list ref list;
+  mutable annotations : int;
 }
 
 let registry_lock = Mutex.create ()
@@ -99,7 +88,8 @@ let key =
           next_seq = 0;
           spans_rev = [];
           events_rev = [];
-          open_names = [];
+          open_args = [];
+          annotations = 0;
         }
       in
       Mutex.lock registry_lock;
@@ -107,30 +97,13 @@ let key =
       Mutex.unlock registry_lock;
       b)
 
-let current_span () =
-  match (Domain.DLS.get key).open_names with
-  | name :: _ -> Some name
-  | [] -> None
-
 let enable () =
-  let rec set_bit () =
-    let m = Atomic.get mode in
-    if m land trace_bit = 0 then begin
-      Atomic.set epoch (Unix.gettimeofday ());
-      if not (Atomic.compare_and_set mode m (m lor trace_bit)) then set_bit ()
-    end
-  in
-  set_bit ()
+  if not (Atomic.get recording) then begin
+    Atomic.set epoch (Unix.gettimeofday ());
+    Atomic.set recording true
+  end
 
-let disable () =
-  let rec clear () =
-    let m = Atomic.get mode in
-    if
-      m land trace_bit <> 0
-      && not (Atomic.compare_and_set mode m (m land lnot trace_bit))
-    then clear ()
-  in
-  clear ()
+let disable () = Atomic.set recording false
 
 let reset () =
   Mutex.lock registry_lock;
@@ -138,14 +111,15 @@ let reset () =
     (fun b ->
       b.spans_rev <- [];
       b.events_rev <- [];
-      b.open_names <- [];
+      b.open_args <- [];
+      b.annotations <- 0;
       b.depth <- 0;
       b.next_seq <- 0)
     !buffers;
   Mutex.unlock registry_lock
 
 let counter name values =
-  if Atomic.get mode land trace_bit <> 0 then begin
+  if Atomic.get recording then begin
     let b = Domain.DLS.get key in
     b.events_rev <-
       Counter { e_name = name; e_track = b.track; e_ts_us = now_us ();
@@ -154,7 +128,7 @@ let counter name values =
   end
 
 let instant ?(cat = "hbbp") ?(args = []) name =
-  if Atomic.get mode land trace_bit <> 0 then begin
+  if Atomic.get recording then begin
     let b = Domain.DLS.get key in
     b.events_rev <-
       Instant { e_name = name; e_cat = cat; e_track = b.track;
@@ -163,34 +137,29 @@ let instant ?(cat = "hbbp") ?(args = []) name =
   end
 
 let with_span ?(cat = "hbbp") ?(args = []) name f =
-  let m = Atomic.get mode in
-  if m = 0 then f ()
+  if not (Atomic.get recording) then f ()
   else begin
-    let tracing = m land trace_bit <> 0 in
     let b = Domain.DLS.get key in
     let depth = b.depth in
     b.depth <- depth + 1;
     let seq = b.next_seq in
     b.next_seq <- seq + 1;
-    (* Probe open runs before the new span is pushed: the GC delta since
-       the previous boundary belongs to the {e enclosing} span. *)
     (match !probe with Some p -> p.p_open () | None -> ());
-    b.open_names <- name :: b.open_names;
-    let t0 = if tracing then now_us () else 0.0 in
+    let added = ref [] in
+    b.open_args <- added :: b.open_args;
+    let t0 = now_us () in
     let finish () =
       let probe_args =
-        match !probe with Some p -> p.p_close ~name ~cat | None -> []
+        match !probe with Some p -> p.p_close () | None -> []
       in
-      if tracing then begin
-        let dur = Float.max 0.0 (now_us () -. t0) in
-        b.spans_rev <-
-          ( seq,
-            { name; cat; track = b.track; start_us = t0; dur_us = dur; depth;
-              args = args @ probe_args } )
-          :: b.spans_rev
-      end;
+      let dur = Float.max 0.0 (now_us () -. t0) in
+      b.spans_rev <-
+        ( seq,
+          { name; cat; track = b.track; start_us = t0; dur_us = dur; depth;
+            args = args @ List.rev_append !added probe_args } )
+        :: b.spans_rev;
       b.depth <- depth;
-      match b.open_names with _ :: tl -> b.open_names <- tl | [] -> ()
+      match b.open_args with _ :: tl -> b.open_args <- tl | [] -> ()
     in
     match f () with
     | v ->
@@ -201,6 +170,26 @@ let with_span ?(cat = "hbbp") ?(args = []) name f =
         finish ();
         Printexc.raise_with_backtrace e bt
   end
+
+let annotate args =
+  if Atomic.get recording then begin
+    let b = Domain.DLS.get key in
+    b.annotations <- b.annotations + 1;
+    match b.open_args with
+    | added :: _ -> added := List.rev_append (args ()) !added
+    | [] -> ()
+  end
+
+let int_arg key n = (key, string_of_int n)
+
+(* [%.17g] round-trips; an integral value gets a decimal point so it
+   never reads as a count. *)
+let float_arg key v =
+  let s = Printf.sprintf "%.17g" v in
+  let integral =
+    String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s
+  in
+  (key, if integral then s ^ ".0" else s)
 
 let spans () =
   Mutex.lock registry_lock;
@@ -228,6 +217,12 @@ let events () =
   Mutex.unlock registry_lock;
   let ts = function Counter c -> c.e_ts_us | Instant i -> i.e_ts_us in
   List.stable_sort (fun a b -> compare (ts a) (ts b)) all
+
+let annotation_count () =
+  Mutex.lock registry_lock;
+  let n = List.fold_left (fun acc b -> acc + b.annotations) 0 !buffers in
+  Mutex.unlock registry_lock;
+  n
 
 let event_count () =
   Mutex.lock registry_lock;

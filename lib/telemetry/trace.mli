@@ -7,20 +7,24 @@
     and renders each domain as its own row in Perfetto /
     [chrome://tracing].
 
-    Tracing is {b off by default}.  A disabled [with_span] costs one
-    atomic load and a closure call — nothing is timestamped, allocated
-    or recorded — which is what keeps the instrumented pipeline's
-    disabled overhead within noise (the bench [telemetry] target
-    measures exactly this).  Timestamps come from a monotonized
-    wall-clock (strictly non-decreasing across all domains).
+    The span tree is the one record of a run: [--trace] exports it,
+    [--metrics] renders it ({!Telemetry}), and [hbbp doctor] reads its
+    numbers from it.  A value a stage computes goes on that stage's
+    span as an argument, through {!annotate}.
+
+    Tracing is {b off by default}.  A disabled [with_span] or
+    [annotate] costs one atomic load and a closure call — nothing is
+    timestamped, allocated or recorded — which is what keeps the
+    instrumented pipeline's disabled overhead within noise (the bench
+    [telemetry] target measures exactly this).  Timestamps come from a
+    monotonized wall-clock (strictly non-decreasing across all
+    domains).
 
     Beyond spans, the module records {e counter} samples (rendered as
     counter tracks — e.g. heap size over time) and {e instant} events
     (vertical markers — e.g. a major GC), and exposes one span-boundary
     hook: a {!probe} the runtime profiler uses to capture GC deltas per
-    span.  The probe arms the instrumentation sites without turning
-    span recording on, so a metrics-only run still pays nothing for
-    trace buffers. *)
+    span. *)
 
 type span = {
   name : string;
@@ -66,6 +70,23 @@ val reset : unit -> unit
 val with_span :
   ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
+(** [annotate args] — append [args ()] to the innermost span open on
+    the calling domain, for values known only once the span's work is
+    done.  With recording off it does not call [args]; with no span
+    open it drops them. *)
+val annotate : (unit -> (string * string) list) -> unit
+
+(** [int_arg key n] — an integer argument.  [--metrics] sums an integer
+    argument whose key contains a dot over every span that carries it
+    (a count, e.g. [pipeline.retired]). *)
+val int_arg : string -> int -> string * string
+
+(** [float_arg key v] — a float argument, never written as an integer
+    ([2.] is ["2.0"]).  [--metrics] lists a float argument whose key
+    contains a dot once per run (a per-run value, e.g.
+    [pipeline.sde_slowdown]). *)
+val float_arg : string -> float -> string * string
+
 (** [counter name values] — record one sample of the named counter
     track ([values] are series-name/value pairs plotted together).
     No-op unless tracing is enabled. *)
@@ -75,19 +96,14 @@ val counter : string -> (string * float) list -> unit
     unless tracing is enabled. *)
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 
-(** Innermost span currently open on {e this} domain, if any — the
-    span the runtime profiler charges an interval's allocation to. *)
-val current_span : unit -> string option
-
 (** {1 Span-boundary hook} *)
 
-(** [p_open] runs when a span opens, [p_close] when it closes; the args
-    [p_close] returns are appended to the recorded span.  Both run even
-    when span recording is off (the hook arms the sites), so a
-    metrics-only run still gets GC deltas. *)
+(** While recording, [p_open] runs when a span opens and [p_close] when
+    it closes; the args [p_close] returns are appended to the recorded
+    span. *)
 type probe = {
   p_open : unit -> unit;
-  p_close : name:string -> cat:string -> (string * string) list;
+  p_close : unit -> (string * string) list;
 }
 
 (** Install (or clear, with [None]) the span-boundary probe.  Set only
@@ -101,6 +117,9 @@ val set_probe : probe option -> unit
 val spans : unit -> span list
 
 val span_count : unit -> int
+
+(** [annotate] calls made while recording, on every domain. *)
+val annotation_count : unit -> int
 
 (** All recorded counter/instant events, ordered by timestamp. *)
 val events : unit -> event list

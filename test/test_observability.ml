@@ -3,7 +3,7 @@
 
 open Hbbp_core
 module Trace = Hbbp_telemetry.Trace
-module Metrics = Hbbp_telemetry.Metrics
+module Telemetry = Hbbp_telemetry.Telemetry
 module Pool = Hbbp_util.Domain_pool
 
 let checkb = Alcotest.(check bool)
@@ -13,9 +13,7 @@ let checks = Alcotest.(check string)
 let clean f () =
   let finally () =
     Trace.disable ();
-    Trace.reset ();
-    Metrics.disable ();
-    Metrics.reset ()
+    Trace.reset ()
   in
   Fun.protect ~finally f
 
@@ -23,22 +21,21 @@ let clean f () =
 (* Pool timelines                                                      *)
 
 (* The [pool]/[task] spans are the pool's only timeline: one per task,
-   on the track of the domain that ran it, so the per-track span counts
-   must match the per-worker task counts of [Pool.stats]. *)
+   on the track of the domain that ran it — the caller's on the
+   sequential path, at most one worker's each otherwise — and the
+   reduction's per-domain task counts are those spans' counts. *)
 let test_pool_timeline () =
   let tasks = 8 in
   let check_timeline jobs =
     Trace.reset ();
     Trace.enable ();
-    let stats =
-      Pool.with_pool ~jobs (fun pool ->
-          let (_ : unit list) =
-            Pool.map pool
-              (fun _ -> ignore (Sys.opaque_identity (ref 0)))
-              (List.init tasks Fun.id)
-          in
-          Pool.stats pool)
-    in
+    Pool.with_pool ~jobs (fun pool ->
+        let (_ : unit list) =
+          Pool.map pool
+            (fun _ -> ignore (Sys.opaque_identity (ref 0)))
+            (List.init tasks Fun.id)
+        in
+        ());
     Trace.disable ();
     let task_spans =
       List.filter
@@ -46,22 +43,27 @@ let test_pool_timeline () =
         (Trace.spans ())
     in
     checki "one task span per task" tasks (List.length task_spans);
-    let per_track =
-      List.map
-        (fun track ->
-          List.length
-            (List.filter (fun (s : Trace.span) -> s.track = track) task_spans))
-        (List.sort_uniq compare
-           (List.map (fun (s : Trace.span) -> s.track) task_spans))
+    let tracks =
+      List.sort_uniq compare
+        (List.map (fun (s : Trace.span) -> s.track) task_spans)
     in
-    Alcotest.(check (list int))
-      "span counts per track = worker task counts"
-      (List.sort compare
-         (List.filter_map
-            (fun (s : Pool.worker_stats) ->
-              if s.tasks > 0 then Some s.tasks else None)
-            (Array.to_list stats)))
-      (List.sort compare per_track)
+    let caller = (Domain.self () :> int) in
+    if jobs = 1 then
+      Alcotest.(check (list int)) "sequential tasks on the caller's track"
+        [ caller ] tracks
+    else
+      checkb "parallel tasks on at most [jobs] worker tracks" true
+        (List.length tracks <= jobs && not (List.mem caller tracks));
+    Alcotest.(check (list (pair int int)))
+      "reduction task counts = span counts per track"
+      (List.map
+         (fun track ->
+           let mine (s : Trace.span) = s.track = track in
+           (track, List.length (List.filter mine task_spans)))
+         tracks)
+      (List.map
+         (fun (d : Telemetry.domain) -> (d.domain, d.tasks))
+         (Telemetry.reduce (Trace.spans ())).domains)
   in
   (* The sequential path must trace its tasks too. *)
   check_timeline 1;
@@ -108,12 +110,14 @@ let test_doctor_report () =
       checkb "task max >= mean" true (r.jr_task_max_s >= r.jr_task_mean_s);
       checkb "per-domain GC attributed" true (r.jr_domains <> []);
       let dg_tasks =
-        List.fold_left (fun a d -> a + d.Doctor.dg_tasks) 0 r.jr_domains
+        List.fold_left
+          (fun a (d : Doctor.domain_gc) -> a + d.tasks)
+          0 r.jr_domains
       in
       checki "one pool/task span per shard" report.Doctor.rep_shards dg_tasks;
       checkb "task spans carry their allocation" true
         (List.for_all
-           (fun d -> d.Doctor.dg_allocated_words > 0)
+           (fun (d : Doctor.domain_gc) -> d.allocated_words > 0)
            r.jr_domains))
     report.Doctor.rep_runs;
   checkb "profiler attributed allocation spans" true
@@ -145,13 +149,11 @@ let test_doctor_report () =
   checkb "json has no sampler" false (contains "\"sampler\"")
 
 let test_doctor_leaves_telemetry_off () =
-  checkb "metrics off before" false (Metrics.enabled ());
   checkb "tracing off before" false (Trace.enabled ());
   let w = mk_workload ~seed:0xD0C8L "doc-b" in
   let (_ : Doctor.report) = Doctor.run ~max_jobs:1 ~shards:2 w in
   (* The doctor armed tracing + profiler for itself and must restore the
      caller's (off) state, leaving no span behind. *)
-  checkb "metrics still off" false (Metrics.enabled ());
   checkb "tracing restored to off" false (Trace.enabled ());
   checki "no spans left" 0 (Trace.span_count ());
   checkb "profiler restored to off" false
@@ -163,7 +165,18 @@ let test_doctor_leaves_telemetry_off () =
   checkb "doctor spans kept" true
     (List.exists
        (fun (s : Trace.span) -> s.cat = "doctor" && s.name = "doctor")
-       (Trace.spans ()))
+       (Trace.spans ()));
+  (* A metrics-armed run (recording and profiler on) keeps both on, and
+     the doctor's task spans reach the rendered metrics. *)
+  let module Profiler = Hbbp_telemetry.Runtime_profiler in
+  Trace.reset ();
+  Profiler.enable ();
+  Fun.protect ~finally:Profiler.disable @@ fun () ->
+  let (_ : Doctor.report) = Doctor.run ~max_jobs:1 ~shards:2 w in
+  checkb "profiler still on" true (Profiler.enabled ());
+  match List.assoc_opt "pool.tasks" (Telemetry.metrics (Trace.spans ())) with
+  | Some (Telemetry.Derived n) -> checkb "doctor tasks rendered" true (n >= 2.0)
+  | _ -> Alcotest.fail "no pool.tasks row"
 
 (* Everything the doctor writes is scratch: the base file, the shards
    and their manifest all go when it returns. *)

@@ -11,7 +11,7 @@ module Perf_data = Hbbp_collector.Perf_data
 module Manifest = Hbbp_collector.Manifest
 module Durable = Hbbp_durable.Durable
 module Retry = Hbbp_durable.Retry
-module Metrics = Hbbp_telemetry.Metrics
+module Trace = Hbbp_telemetry.Trace
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -326,23 +326,44 @@ let test_kill_chaos () =
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           ignore (Unix.waitpid [] pid));
       (* Either the kill landed (a real resume) or the child finished
-         first (the complete-manifest fast path) — both are accounted. *)
-      let resumes = Metrics.counter "recover.resumes" in
-      let hits = Metrics.counter "recover.manifest_hits" in
-      let before =
-        Metrics.counter_value resumes + Metrics.counter_value hits
-      in
-      let paths, _ =
+         first (the complete-manifest fast path) — both settle every
+         shard, and a second resume finds them all in place. *)
+      let paths, statuses =
         Recover.collect_sharded ~resume:true ~shards ~path:base w
       in
-      checki "resume or fast path accounted" (before + 1)
-        (Metrics.counter_value resumes + Metrics.counter_value hits);
+      checki "every shard settled" shards (List.length statuses);
+      let _, again =
+        Recover.collect_sharded ~resume:true ~shards ~path:base w
+      in
+      checkb "a converged resume reuses every shard" true
+        (again = List.init shards (fun _ -> Recover.Reused));
       check_archive_set ~shards ~base paths;
       cleanup base paths)
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed streaming analysis                                     *)
+
+(* [f ()] inside a recorded span, and the [checkpoint.restores] args it
+   left on that span. *)
+let restores f =
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let v = Trace.with_span "restores" f in
+  ( v,
+    List.fold_left
+      (fun acc (s : Trace.span) ->
+        acc
+        + List.fold_left
+            (fun acc (k, n) ->
+              if k = "checkpoint.restores" then acc + int_of_string n else acc)
+            0 s.args)
+      0 (Trace.spans ()) )
 
 let serialize_result = function
   | Ok ((_ : Perf_data.t), r) ->
@@ -404,13 +425,12 @@ let test_analyze_resume_identical () =
   | _ -> Alcotest.fail "expected Interrupted"
   | exception Pipeline.Interrupted -> ());
   checkb "checkpoint exists after interruption" true (Sys.file_exists ckpt);
-  let restores = Metrics.counter "checkpoint.restores" in
-  let restores0 = Metrics.counter_value restores in
-  let resumed =
-    serialize_result
-      (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+  let resumed, restores =
+    restores (fun () ->
+        serialize_result
+          (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths))
   in
-  checki "restore accounted" (restores0 + 1) (Metrics.counter_value restores);
+  checki "restore accounted" 1 restores;
   checkb "resumed analysis byte-identical" true
     (Bytes.equal uninterrupted resumed);
   checkb "checkpoint removed after resumed success" false
@@ -555,13 +575,12 @@ let test_v1_checkpoint_restarts () =
   | Error e ->
       Alcotest.(check string) "typed restore error" "unsupported version 1" e);
   Checkpoint.save { ck with Checkpoint.partial = v1 } ~path:ckpt;
-  let restores = Metrics.counter "checkpoint.restores" in
-  let restores0 = Metrics.counter_value restores in
-  let restarted =
-    analyzed (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+  let restarted, restores =
+    restores (fun () ->
+        analyzed
+          (Pipeline.analyze_archives ~resume:true ~checkpoint:ckpt paths))
   in
-  checki "version-1 checkpoint not restored" restores0
-    (Metrics.counter_value restores);
+  checki "version-1 checkpoint not restored" 0 restores;
   Alcotest.(check string) "restarted analysis = uninterrupted"
     (digest whole) (digest restarted)
 

@@ -311,43 +311,48 @@ let test_apply_does_not_launder_quality () =
         (rep.Repair.post.Flow.total_residual
         < rep.Repair.pre.Flow.total_residual)
 
+(* The [verify/repair] span carries the run's repair report as args. *)
 let test_repair_metrics_and_span () =
-  let module Metrics = Hbbp_telemetry.Metrics in
   let module Trace = Hbbp_telemetry.Trace in
-  Metrics.reset ();
-  Metrics.enable ();
   Trace.reset ();
   Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Metrics.disable ();
-      Metrics.reset ();
       Trace.disable ();
       Trace.reset ())
     (fun () ->
       let w = Hbbp_workloads.Registry.find "train-short-int" in
-      let (_ : Pipeline.profile) =
+      let p =
         Pipeline.run
           ~config:{ Pipeline.default_config with repair = Pipeline.Apply }
           w
       in
-      let snap = Metrics.snapshot () in
-      (match Metrics.find snap "repair.runs" with
-      | Some (Metrics.Counter n) -> checkb "repair ran" true (n >= 1)
-      | _ -> Alcotest.fail "repair.runs counter missing");
-      (match Metrics.find snap "repair.applied" with
-      | Some (Metrics.Counter n) -> checkb "apply counted" true (n >= 1)
-      | _ -> Alcotest.fail "repair.applied counter missing");
-      (match Metrics.find snap "repair.post_conservation_error" with
-      | Some (Metrics.Gauge g) ->
-          checkb "post error gauge finite" true (Float.is_finite g)
-      | _ -> Alcotest.fail "repair.post_conservation_error gauge missing");
-      checkb "verify.repair span recorded" true
-        (List.exists
-           (fun (s : Trace.span) ->
-             String.equal s.Trace.name "repair"
-             && String.equal s.Trace.cat "verify")
-           (Trace.spans ())))
+      let rep =
+        match p.Pipeline.repair_report with
+        | Some rep -> rep
+        | None -> Alcotest.fail "Apply carries no repair report"
+      in
+      match
+        List.filter
+          (fun (s : Trace.span) -> s.name = "repair" && s.cat = "verify")
+          (Trace.spans ())
+      with
+      | [ s ] ->
+          let arg key =
+            match List.assoc_opt key s.args with
+            | Some v -> v
+            | None -> Alcotest.failf "verify/repair has no %s arg" key
+          in
+          Alcotest.(check string) "repair ran" "1" (arg "repair.runs");
+          Alcotest.(check string) "apply counted" "1" (arg "repair.applied");
+          Alcotest.(check string) "sweeps" (string_of_int rep.Repair.iterations)
+            (arg "repair.sweeps");
+          Alcotest.(check (float 0.0)) "post error is the report's"
+            rep.Repair.post.Flow.conservation_error
+            (float_of_string (arg "repair.post_conservation_error"))
+      | spans ->
+          Alcotest.failf "%d verify/repair spans, expected 1"
+            (List.length spans))
 
 (* ------------------------------------------------------------------ *)
 (* Profile export                                                      *)

@@ -838,7 +838,9 @@ let test_oracle_tiny_every_offset () =
    either side, and at every offset within one record's size of each
    64 KiB step into the records payload, where the reader refills its
    buffer.  Each cut is decoded from its start, so the sweep's cost is
-   quadratic in the record count. *)
+   quadratic in the record count.  Every cut meets the same two refill
+   phases, so the whole hello archive is decoded as well: its refills
+   land at every phase a record boundary can take. *)
 let test_oracle_refill_boundaries () =
   let hello, _, _ = Lazy.force hello_fixture in
   let a =
@@ -866,7 +868,14 @@ let test_oracle_refill_boundaries () =
   in
   check_cuts a
     (List.sort_uniq compare
-       (List.filter (fun n -> n >= 0 && n <= full) (near_ends @ near_refills)))
+       (List.filter (fun n -> n >= 0 && n <= full) (near_ends @ near_refills)));
+  let records = Array.of_list hello.Perf_data.records in
+  checkb "the whole archive spans many refills" true
+    (Bytes.length (Perf_data.to_bytes hello) > 16 * 65536);
+  with_tmp_file @@ fun path ->
+  check_readers ~what:"whole hello archive" path records
+    (Ok (Array.length records, []))
+    (Perf_data.to_bytes hello)
 
 (* Record damage whose verdict follows from the encoder, on the 500
    hello records.  A records section that declares [k] of its records
@@ -1262,22 +1271,22 @@ let open_fds () =
   | fds -> Some (Array.length fds)
   | exception Sys_error _ -> None
 
-(* A directory given as an archive: the open fails, names the path, and
-   closes the channel it opened, both in the reader and in the
-   per-archive step. *)
+(* A directory given as an archive: the open fails, says the path is a
+   directory, and closes the channel it opened, both in the reader and
+   in the per-archive step. *)
 let test_directory_archive_is_typed () =
   with_tmp_dir @@ fun dir ->
   let fds = open_fds () in
+  let said = dir ^ ": is a directory" in
   (match Perf_data.Stream.open_file dir with
   | Ok s ->
       Perf_data.Stream.close s;
       Alcotest.fail "Stream.open_file opened a directory"
-  | Error _ -> ()
-  | exception Sys_error msg ->
-      if not (String.starts_with ~prefix:(dir ^ ": ") msg) then
-        Alcotest.failf "%S does not name %S" msg dir);
-  expect_error ~what:"directory archive" ~prefix:(dir ^ ": ")
-    (Pipeline.analyze_archives [ dir ]);
+  | Error e -> Alcotest.failf "%a, expected %S" Perf_data.pp_error e said
+  | exception Sys_error msg -> Alcotest.(check string) "reader diagnostic" said msg);
+  (match Pipeline.analyze_archives [ dir ] with
+  | Ok _ -> Alcotest.fail "analyzed a directory"
+  | Error msg -> Alcotest.(check string) "analysis diagnostic" said msg);
   checkb "no descriptor leaked" true (open_fds () = fds)
 
 let test_undisassemblable_is_typed () =

@@ -1,12 +1,12 @@
-(* Tests for the telemetry layer: metrics-registry semantics (including
-   atomicity under the domain pool), span nesting and ordering in the
-   Chrome trace export, the shared JSON string escaper, Domain_pool stats
-   and pool.* metric accounting, and the invariant that enabling
-   telemetry leaves Pipeline.run profiles byte-identical. *)
+(* Tests for the telemetry layer: span nesting and ordering in the
+   Chrome trace export, annotations and the metrics rendered from the
+   span tree (including under the domain pool and across job counts),
+   the shared JSON string escaper, the pool and allocation reduction,
+   and the invariant that enabling telemetry leaves Pipeline.run
+   profiles byte-identical. *)
 
 open Hbbp_core
 module Trace = Hbbp_telemetry.Trace
-module Metrics = Hbbp_telemetry.Metrics
 module Telemetry = Hbbp_telemetry.Telemetry
 module Profiler = Hbbp_telemetry.Runtime_profiler
 module Pool = Hbbp_util.Domain_pool
@@ -19,78 +19,111 @@ let checks = Alcotest.(check string)
    empty. *)
 let clean f () =
   let finally () =
+    Profiler.disable ();
     Trace.disable ();
-    Trace.reset ();
-    Metrics.disable ();
-    Metrics.reset ()
+    Trace.reset ()
   in
   Fun.protect ~finally f
 
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let metric name =
+  List.assoc_opt name (Telemetry.metrics (Trace.spans ()))
+
+let sum name =
+  match metric name with
+  | Some (Telemetry.Sum n) -> n
+  | _ -> Alcotest.failf "no summed metric %s" name
+
+let derived name =
+  match metric name with
+  | Some (Telemetry.Derived v) -> v
+  | _ -> Alcotest.failf "no derived metric %s" name
+
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
+(* Metrics rendered from the span tree                                 *)
 
+(* Integer args are summed over spans, float args listed per run
+   (labelled by the nearest [workload] arg, sorted by it), and args
+   without a dot or under [gc.] are not metrics. *)
 let test_metrics_kinds () =
-  Metrics.enable ();
-  let c = Metrics.counter "t.counter" in
-  Metrics.incr c;
-  Metrics.add c 41;
-  checki "counter accumulates" 42 (Metrics.counter_value c);
-  checki "same name, same counter" 42
-    (Metrics.counter_value (Metrics.counter "t.counter"));
-  let g = Metrics.gauge "t.gauge" in
-  Metrics.set g 1.5;
-  Metrics.set g 2.5;
-  Alcotest.(check (float 1e-9)) "gauge keeps last" 2.5 (Metrics.gauge_value g);
-  let h = Metrics.histogram ~bounds:[| 1.0; 10.0 |] "t.hist" in
-  Metrics.observe h 0.5;
-  Metrics.observe h 5.0;
-  Metrics.observe h 100.0;
-  (match Metrics.find (Metrics.snapshot ()) "t.hist" with
-  | Some (Metrics.Histogram { buckets; count; sum; _ }) ->
-      checki "bucket <=1" 1 buckets.(0);
-      checki "bucket <=10" 1 buckets.(1);
-      checki "overflow bucket" 1 buckets.(2);
-      checki "count" 3 count;
-      Alcotest.(check (float 1e-9)) "sum" 105.5 sum
-  | _ -> Alcotest.fail "histogram missing from snapshot");
-  (match Metrics.gauge "t.counter" with
-  | _ -> Alcotest.fail "kind mismatch must raise"
-  | exception Invalid_argument _ -> ());
-  (* A metrics snapshot is sorted by name. *)
-  let names = List.map fst (Metrics.snapshot ()) in
-  checkb "snapshot sorted" true (names = List.sort compare names)
+  Trace.enable ();
+  List.iter
+    (fun (w, n, x) ->
+      Trace.with_span ~args:[ ("workload", w) ] "run" (fun () ->
+          Trace.with_span "stage" (fun () ->
+              Trace.annotate (fun () ->
+                  [ Trace.int_arg "t.count" n; Trace.float_arg "t.value" x ]));
+          Trace.annotate (fun () ->
+              [
+                Trace.int_arg "t.count" 1; ("plain", "7"); ("gc.alloc", "9");
+              ])))
+    [ ("zeta", 40, 2.0); ("alpha", 1, 0.25) ];
+  Trace.with_span "unlabelled" (fun () ->
+      Trace.annotate (fun () -> [ Trace.float_arg "t.value" 1.5 ]));
+  checki "counts summed over spans" 43 (sum "t.count");
+  (match metric "t.value" with
+  | Some (Telemetry.Per_run runs) ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        "one value per run, sorted by run"
+        [ ("-", 1.5); ("alpha", 0.25); ("zeta", 2.0) ]
+        runs
+  | _ -> Alcotest.fail "t.value is not per-run");
+  checkb "an integral float stays per-run" true
+    (snd (Trace.float_arg "k.v" 2.0) = "2.0");
+  checkb "undotted args are not metrics" true (metric "plain" = None);
+  checkb "gc args are totals over the roots, not sums over spans" true
+    (metric "gc.alloc" = Some (Telemetry.Derived 18.0));
+  let names = List.map fst (Telemetry.metrics (Trace.spans ())) in
+  checkb "rows sorted by name" true (names = List.sort compare names);
+  let json = Telemetry.to_json (Telemetry.metrics (Trace.spans ())) in
+  checkb "json per-run rows name their run" true
+    (contains json
+       ("\"t.value\":{\"type\":\"per_run\","
+       ^ "\"runs\":[{\"run\":\"-\",\"value\":1.5}"))
 
+(* Annotations made concurrently from pool workers land on their own
+   task spans, and none is lost: the rendered sum is exact. *)
 let test_metrics_atomic_under_pool () =
-  Metrics.enable ();
-  let c = Metrics.counter "t.pool_counter" in
-  let h = Metrics.histogram ~bounds:[| 10.0 |] "t.pool_hist" in
-  let per_task = 10_000 and tasks = 32 in
+  Trace.enable ();
+  let per_task = 1_000 and tasks = 32 in
   Pool.with_pool ~jobs:4 (fun pool ->
       let (_ : unit list) =
         Pool.map pool
           (fun _ ->
             for _ = 1 to per_task do
-              Metrics.incr c;
-              Metrics.observe h 1.0
+              Trace.annotate (fun () -> [ Trace.int_arg "t.pool_counter" 1 ])
             done)
           (List.init tasks Fun.id)
       in
       ());
-  checki "no lost counter increments" (per_task * tasks)
-    (Metrics.counter_value c);
-  match Metrics.find (Metrics.snapshot ()) "t.pool_hist" with
-  | Some (Metrics.Histogram { count; sum; _ }) ->
-      checki "no lost observations" (per_task * tasks) count;
-      Alcotest.(check (float 1e-3))
-        "histogram sum exact" (float_of_int (per_task * tasks)) sum
-  | _ -> Alcotest.fail "histogram missing"
+  checki "no lost annotations" (per_task * tasks) (sum "t.pool_counter");
+  checki "every call counted" (per_task * tasks) (Trace.annotation_count ());
+  checkb "each on its task span" true
+    (List.for_all
+       (fun (s : Trace.span) ->
+         s.cat = "pool" && s.name = "task" && List.length s.args = per_task)
+       (Trace.spans ()))
 
+(* With recording off, [annotate] neither calls its thunk nor records
+   anything. *)
 let test_metrics_disabled_invisible () =
-  (* Not enabled: instrumented code guards on [enabled], so the registry
-     must report empty after a guarded run. *)
-  checkb "disabled by default" false (Metrics.enabled ());
-  if Metrics.enabled () then Metrics.incr (Metrics.counter "t.ghost");
-  checki "nothing recorded" 0 (List.length (Metrics.snapshot ()))
+  checkb "disabled by default" false (Trace.enabled ());
+  let called = ref false in
+  Trace.with_span "off" (fun () ->
+      Trace.annotate (fun () ->
+          called := true;
+          [ Trace.int_arg "t.ghost" 1 ]));
+  Trace.annotate (fun () ->
+      called := true;
+      []);
+  checkb "thunk not called" false !called;
+  checki "no span" 0 (Trace.span_count ());
+  checki "no annotation" 0 (Trace.annotation_count ());
+  checki "no metric" 0 (List.length (Telemetry.metrics (Trace.spans ())))
 
 (* ------------------------------------------------------------------ *)
 (* Span tracing                                                        *)
@@ -193,69 +226,72 @@ let test_spans_across_domains () =
     >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Domain_pool stats                                                   *)
+(* Pool accounting from the task spans                                 *)
 
+(* The reduction reads one task span per task, on the track of the
+   domain that ran it: the sequential path runs them all on the
+   caller's domain. *)
 let test_pool_stats_accounting () =
   let spin () = ignore (Sys.opaque_identity (ref 0)) in
   let check_pool jobs =
+    Trace.reset ();
+    Trace.enable ();
     Pool.with_pool ~jobs (fun pool ->
         let (_ : unit list) =
           Pool.map pool (fun _ -> spin ()) (List.init 12 Fun.id)
         in
-        let stats = Pool.stats pool in
-        checki "one cell per worker" jobs (Array.length stats);
-        let tasks =
-          Array.fold_left (fun acc s -> acc + s.Pool.tasks) 0 stats
-        in
-        checki "all tasks accounted" 12 tasks;
-        Array.iter
-          (fun (s : Pool.worker_stats) ->
-            checkb "busy time non-negative" true (s.busy_s >= 0.0);
-            checkb "wait time non-negative" true (s.wait_s >= 0.0))
-          stats)
+        ());
+    Trace.disable ();
+    let r = Telemetry.reduce (Trace.spans ()) in
+    checkb "at most one entry per worker" true (List.length r.domains <= jobs);
+    checki "all tasks accounted" 12
+      (List.fold_left
+         (fun acc (d : Telemetry.domain) -> acc + d.tasks)
+         0 r.domains);
+    List.iter
+      (fun (d : Telemetry.domain) ->
+        checkb "busy time non-negative" true (d.busy_s >= 0.0))
+      r.domains;
+    if jobs = 1 then
+      Alcotest.(check (list int)) "the caller's domain ran them"
+        [ (Domain.self () :> int) ]
+        (List.map (fun (d : Telemetry.domain) -> d.domain) r.domains)
   in
-  (* The sequential path must report equivalent accounting, not zeros. *)
   check_pool 1;
   check_pool 3
 
-(* [shutdown] folds every pool into the same [pool.*] metrics: the time
-   gauges must hold the sums over both pools, and each utilization the
-   busy share of those sums — not the last pool's numbers beside the
-   task counts of both. *)
+(* The rendered [pool.*] rows cover every pool whose tasks were
+   recorded: the task count and busy seconds are the sums over both
+   pools' task spans, per domain and in total. *)
 let test_pool_metrics_accumulate () =
-  Metrics.enable ();
+  Trace.enable ();
   let run_pool jobs =
-    let pool = Pool.create ~jobs () in
-    let (_ : unit list) =
-      Pool.map pool (fun _ -> Unix.sleepf 0.002) (List.init 6 Fun.id)
-    in
-    Pool.shutdown pool;
-    Pool.stats pool
+    Pool.with_pool ~jobs (fun pool ->
+        let (_ : unit list) =
+          Pool.map pool (fun _ -> Unix.sleepf 0.002) (List.init 6 Fun.id)
+        in
+        ())
   in
-  let a = run_pool 2 and b = run_pool 1 in
-  let field k get =
-    let at s = if k < Array.length s then get s.(k) else 0.0 in
-    at a +. at b
+  run_pool 2;
+  run_pool 1;
+  let tasks =
+    List.filter (fun (s : Trace.span) -> s.cat = "pool") (Trace.spans ())
   in
-  let gauge name = Metrics.gauge_value (Metrics.gauge name) in
+  let secs ts =
+    List.fold_left (fun a (s : Trace.span) -> a +. (s.dur_us /. 1e6)) 0.0 ts
+  in
   let checkf = Alcotest.(check (float 1e-9)) in
-  let share busy_s wait_s = Pool.utilization { tasks = 0; busy_s; wait_s } in
-  checki "tasks add up" 12
-    (Metrics.counter_value (Metrics.counter "pool.tasks"));
-  let total_busy = ref 0.0 and total_wait = ref 0.0 in
-  for k = 0 to 1 do
-    let name part = Printf.sprintf "pool.domain%d.%s" k part in
-    let busy = field k (fun s -> s.Pool.busy_s) in
-    let wait = field k (fun s -> s.Pool.wait_s) in
-    total_busy := !total_busy +. busy;
-    total_wait := !total_wait +. wait;
-    checkf "busy_s is the sum over pools" busy (gauge (name "busy_s"));
-    checkf "wait_s is the sum over pools" wait (gauge (name "wait_s"));
-    checkf "domain utilization of the sums" (share busy wait)
-      (gauge (name "utilization"))
-  done;
-  checkf "pool utilization of the sums" (share !total_busy !total_wait)
-    (gauge "pool.utilization")
+  checkf "tasks add up" 12.0 (derived "pool.tasks");
+  checkf "busy_s is the sum over pools" (secs tasks) (derived "pool.busy_s");
+  List.iter
+    (fun track ->
+      let mine = List.filter (fun (s : Trace.span) -> s.track = track) tasks in
+      checkf "domain tasks" (float_of_int (List.length mine))
+        (derived (Printf.sprintf "pool.domain%d.tasks" track));
+      checkf "domain busy_s" (secs mine)
+        (derived (Printf.sprintf "pool.domain%d.busy_s" track)))
+    (List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.track) tasks));
+  checkb "busy time spent" true (derived "pool.busy_s" >= 12.0 *. 0.002)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline determinism with telemetry enabled                         *)
@@ -298,25 +334,66 @@ let test_telemetry_does_not_change_profiles () =
   let keep = { Pipeline.default_config with Pipeline.keep_records = true } in
   let off = List.map (Pipeline.run ~config:keep) ws in
   Trace.enable ();
-  Metrics.enable ();
   let on = List.map (Pipeline.run ~config:keep) ws in
   Trace.disable ();
-  Metrics.disable ();
   List.iter2
     (fun a b ->
       checkb "profile byte-identical with telemetry enabled" true
         (profiles_equal a b))
     off on;
   checkb "pipeline emitted spans" true (Trace.span_count () > 0);
-  match Metrics.find (Metrics.snapshot ()) "pipeline.runs" with
-  | Some (Metrics.Counter n) -> checki "runs counted" 2 n
-  | _ -> Alcotest.fail "pipeline.runs counter missing"
+  checki "runs counted" 2 (sum "pipeline.runs")
+
+(* The rendered rows of a multi-workload run are a function of the
+   workloads, not of the job count.  Left out: the [gc.*] rows, which
+   count process-wide collections; the [pool.*] rows, which name the
+   worker domains and hold their busy seconds; and the [alloc.*] rows,
+   which charge each span its own domain's allocation — the root span
+   pays for spawning the workers, and a run on a fresh worker domain
+   allocates a few words more than on the caller's. *)
+let test_metrics_independent_of_jobs () =
+  let ws = List.map Hbbp_workloads.Registry.find [ "hello"; "mcf" ] in
+  let rendered jobs =
+    Trace.reset ();
+    Trace.enable ();
+    Profiler.enable ();
+    let profiles = Pipeline.run_many ~jobs ws in
+    Profiler.disable ();
+    Trace.disable ();
+    let rows =
+      List.filter
+        (fun (name, _) ->
+          not
+            (List.exists
+               (fun prefix -> String.starts_with ~prefix name)
+               [ "gc."; "pool."; "alloc." ]))
+        (Telemetry.metrics (Trace.spans ()))
+    in
+    (profiles, Format.asprintf "%a" Telemetry.pp_table rows)
+  in
+  let profiles, one = rendered 1 in
+  let _, two = rendered 2 in
+  checks "-j 1 and -j 2 render the same rows" one two;
+  checkb "per-run rows are listed per workload" true
+    (contains one "pipeline.sde_slowdown" && contains one " hello "
+    && contains one " mcf ");
+  let total f = List.fold_left (fun acc p -> acc + f p) 0 profiles in
+  checki "pipeline.retired = sum over the profiles"
+    (total (fun (p : Pipeline.profile) -> p.stats.retired))
+    (sum "pipeline.retired");
+  checki "pmu.pmi_count = sum over the profiles"
+    (total (fun (p : Pipeline.profile) -> p.pmu_health.pmi_count))
+    (sum "pmu.pmi_count")
 
 (* ------------------------------------------------------------------ *)
 (* Runtime profiler                                                    *)
 
+let self_alloc site =
+  Option.value ~default:0
+    (List.assoc_opt site (Telemetry.reduce (Trace.spans ())).self_alloc)
+
 let test_profiler_gc_metrics () =
-  Metrics.enable ();
+  Trace.enable ();
   Profiler.enable ();
   Fun.protect
     ~finally:(fun () -> Profiler.disable ())
@@ -326,34 +403,33 @@ let test_profiler_gc_metrics () =
               (* Allocate enough that the word delta is
                  unmistakably nonzero. *)
               ignore (Sys.opaque_identity (Array.init 100_000 string_of_int)))));
-  let snap = Metrics.snapshot () in
-  (match Metrics.find snap "gc.allocated_words" with
-  | Some (Metrics.Counter n) -> checkb "allocation accounted" true (n > 0)
-  | _ -> Alcotest.fail "gc.allocated_words counter missing");
+  checkb "allocation accounted" true (derived "gc.alloc" > 0.0);
   (* Exclusive attribution: the allocation happened inside rp-inner, so
      the inner span owns (nearly all of) it; rp-outer must not
      double-count. *)
-  let span_words name =
-    match Metrics.find snap ("alloc.span." ^ name ^ ".words") with
-    | Some (Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  let inner = span_words "rp-inner" and outer = span_words "rp-outer" in
+  let inner = self_alloc "hbbp/rp-inner"
+  and outer = self_alloc "hbbp/rp-outer" in
   checkb "inner span owns the allocation" true (inner > 100_000);
   checkb "outer span does not double-count" true (outer < inner);
-  match Metrics.find snap "gc.heap_words" with
-  | Some (Metrics.Gauge v) -> checkb "heap gauge sampled" true (v > 0.0)
-  | _ -> Alcotest.fail "gc.heap_words gauge missing"
+  checkb "self allocations sum to the total" true
+    (float_of_int (inner + outer) = derived "gc.alloc");
+  checkb "heap sampled on the gc counter track" true
+    (List.exists
+       (function
+         | Trace.Counter { e_name = "gc"; e_values; _ } ->
+             List.assoc "heap_words" e_values > 0.0
+         | _ -> false)
+       (Trace.events ()))
 
 let test_profiler_disabled_leaves_no_trace () =
-  Metrics.enable ();
+  Trace.enable ();
   Profiler.enable ();
   Profiler.disable ();
   Trace.with_span "rp-after" (fun () ->
       ignore (Sys.opaque_identity (Array.make 1000 0)));
-  let snap = Metrics.snapshot () in
-  checkb "no gc metrics after disable" true
-    (Metrics.find snap "gc.allocated_words" = None)
+  checkb "no gc args after disable" true
+    (List.for_all (fun (s : Trace.span) -> s.args = []) (Trace.spans ()));
+  checkb "no gc metrics after disable" true (metric "gc.alloc" = None)
 
 (* A span on the main domain that waits on a pool is charged only for
    what the main domain allocated; the workers' allocation lands on
@@ -361,7 +437,7 @@ let test_profiler_disabled_leaves_no_trace () =
 let test_profiler_worker_allocation () =
   let refs_per_task = 300_000 in
   let allocated = 2 * 2 * refs_per_task in
-  Metrics.enable ();
+  Trace.enable ();
   Profiler.enable ();
   Fun.protect ~finally:Profiler.disable (fun () ->
       Trace.with_span "rp-wait" (fun () ->
@@ -371,23 +447,16 @@ let test_profiler_worker_allocation () =
                 ignore (Sys.opaque_identity (ref 0))
               done)
             [ refs_per_task; refs_per_task ]));
-  let span_words name =
-    let key = "alloc.span." ^ name ^ ".words" in
-    match Metrics.find (Metrics.snapshot ()) key with
-    | Some (Metrics.Counter n) -> n
-    | _ -> 0
-  in
   checkb "waiting span not charged for the workers" true
-    (span_words "rp-wait" < allocated / 10);
+    (self_alloc "hbbp/rp-wait" < allocated / 10);
   checkb "task spans carry the workers' allocation" true
-    (span_words "task" >= allocated)
+    (self_alloc "pool/task" >= allocated)
 
 let test_profiled_byte_identity () =
   let ws = [ mk_workload ~seed:0xACEDL "prof-a" ] in
   let keep = { Pipeline.default_config with Pipeline.keep_records = true } in
   let off = List.map (Pipeline.run ~config:keep) ws in
   Trace.enable ();
-  Metrics.enable ();
   Profiler.enable ();
   let on =
     Fun.protect ~finally:Profiler.disable (fun () ->
@@ -395,17 +464,13 @@ let test_profiled_byte_identity () =
   in
   List.iter2
     (fun a b ->
-      checkb "profiles byte-identical with trace, metrics and profiler" true
+      checkb "profiles byte-identical with spans and profiler" true
         (profiles_equal a b))
     off on;
-  let any_span_alloc =
-    List.exists
-      (fun (name, v) ->
-        String.starts_with ~prefix:"alloc.span." name
-        && match v with Metrics.Counter n -> n > 0 | _ -> false)
-      (Metrics.snapshot ())
-  in
-  checkb "span allocation attributed" true any_span_alloc;
+  checkb "span allocation attributed" true
+    (List.exists
+       (fun (_, n) -> n > 0)
+       (Telemetry.reduce (Trace.spans ())).self_alloc);
   checkb "spans carry inclusive allocation" true
     (List.exists
        (fun (s : Trace.span) -> List.mem_assoc "gc.alloc" s.args)
@@ -441,40 +506,51 @@ let test_configure_finalize_lifecycle () =
          close_in ic;
          len > 0);
       checkb "tracing off after finalize" false (Trace.enabled ());
-      checkb "metrics off after finalize" false (Metrics.enabled ());
       checkb "profiler off after finalize" false (Profiler.enabled ());
       (* finalize-then-span: a silent no-op, nothing recorded. *)
       Trace.with_span "ghost" (fun () -> ());
       checki "no spans after finalize" 0 (Trace.span_count ());
       (* finalize is idempotent. *)
       Telemetry.finalize null_ppf;
-      (* Re-configure after finalize: starts from an empty registry. *)
+      (* Re-configure after finalize: starts from empty buffers. *)
       Telemetry.configure ~trace:trace_path ();
       checkb "re-armed after finalize" true (Trace.enabled ());
       checki "fresh span buffer" 0 (Trace.span_count ());
       Trace.with_span "reborn" (fun () -> ());
       checki "recording again" 1 (Trace.span_count ()))
 
+(* [--metrics] alone records spans, renders them from the command's
+   root span down, and writes no trace file. *)
 let test_configure_metrics_only () =
+  let out = Buffer.create 256 in
   Fun.protect
     ~finally:(fun () -> Telemetry.finalize null_ppf)
     (fun () ->
       Telemetry.configure ~metrics:`Json ();
-      checkb "metrics armed" true (Metrics.enabled ());
-      checkb "tracing stays off" false (Trace.enabled ());
-      checkb "active" true (Telemetry.active ()))
+      checkb "span recording armed" true (Trace.enabled ());
+      checkb "active" true (Telemetry.active ());
+      Telemetry.with_root "test" (fun () ->
+          Trace.annotate (fun () -> [ Trace.int_arg "t.root" 3 ]));
+      Telemetry.finalize (Format.formatter_of_buffer out));
+  let text = Buffer.contents out in
+  checkb "metrics printed" true
+    (contains text "\"t.root\":{\"type\":\"sum\",\"value\":3}");
+  checkb "no trace written" false (contains text "wrote trace");
+  checkb "recording off after finalize" false (Trace.enabled ())
 
 let () =
   Alcotest.run "telemetry"
     [
       ( "metrics",
         [
-          Alcotest.test_case "kinds and registry" `Quick
+          Alcotest.test_case "kinds rendered from the span tree" `Quick
             (clean test_metrics_kinds);
           Alcotest.test_case "atomic under domain pool" `Quick
             (clean test_metrics_atomic_under_pool);
           Alcotest.test_case "disabled records nothing" `Quick
             (clean test_metrics_disabled_invisible);
+          Alcotest.test_case "same rows at -j 1 and -j 2" `Quick
+            (clean test_metrics_independent_of_jobs);
         ] );
       ( "trace",
         [

@@ -488,38 +488,40 @@ let test_worst_offender_tie_order () =
            r.Flow.worst)
        r.Flow.worst)
 
+(* The [verify/flow_check] span carries the flow report as args. *)
 let test_verify_metrics_exported () =
-  let module Metrics = Hbbp_telemetry.Metrics in
   let module Trace = Hbbp_telemetry.Trace in
-  Metrics.reset ();
-  Metrics.enable ();
   Trace.reset ();
   Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Metrics.disable ();
-      Metrics.reset ();
       Trace.disable ();
       Trace.reset ())
     (fun () ->
       let static, records = skewed_fixture () in
-      let (_ : Pipeline.reconstruction) =
+      let r =
         Pipeline.reconstruct ~static ~ebs_period:1 ~lbr_period:1 records
       in
-      let snap = Metrics.snapshot () in
-      (match Metrics.find snap "verify.conservation_error" with
-      | Some (Metrics.Gauge g) ->
-          checkb "conservation gauge near 1" true (g > 0.5)
-      | _ -> Alcotest.fail "verify.conservation_error gauge missing");
-      (match Metrics.find snap "verify.flow_violations" with
-      | Some (Metrics.Counter n) -> checki "violation counted" 1 n
-      | _ -> Alcotest.fail "verify.flow_violations counter missing");
-      checkb "flow_check span recorded" true
-        (List.exists
-           (fun (s : Trace.span) ->
-             String.equal s.Trace.name "flow_check"
-             && String.equal s.Trace.cat "verify")
-           (Trace.spans ())))
+      match
+        List.filter
+          (fun (s : Trace.span) -> s.name = "flow_check" && s.cat = "verify")
+          (Trace.spans ())
+      with
+      | [ s ] ->
+          let arg key =
+            match List.assoc_opt key s.args with
+            | Some v -> v
+            | None -> Alcotest.failf "verify/flow_check has no %s arg" key
+          in
+          let error = float_of_string (arg "verify.conservation_error") in
+          checkb "conservation error near 1" true (error > 0.5);
+          Alcotest.(check (float 0.0)) "the report's error"
+            r.Pipeline.r_flow.Flow.conservation_error error;
+          Alcotest.(check string) "violation counted" "1"
+            (arg "verify.flow_violations")
+      | spans ->
+          Alcotest.failf "%d verify/flow_check spans, expected 1"
+            (List.length spans))
 
 let () =
   Alcotest.run "verifier"
