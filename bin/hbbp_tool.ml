@@ -663,10 +663,14 @@ let stats_cmd =
       with_telemetry "stats" trace metrics @@ fun () ->
       let ok = function Ok v -> v | Error msg -> die "%s" msg in
       (* Each archive is decoded once, into a partial finalized for its
-         own stat block. *)
+         own stat block, in a span that names its workload. *)
       let own path m static s =
         let p = ok (Pipeline.archive_partial ~static ~meta:m path s) in
-        (p, (path, print_stats path m (Pipeline.finalize p)))
+        let workload = m.Hbbp_collector.Perf_data.workload_name in
+        Hbbp_telemetry.Trace.with_span ~cat:"stats"
+          ~args:[ ("workload", workload) ]
+          "archive"
+        @@ fun () -> (p, (path, print_stats path m (Pipeline.finalize p)))
       in
       let path0 = List.hd paths in
       let s0 = ok (Pipeline.open_archive path0) in
