@@ -22,13 +22,17 @@
      the samples on its own;
    - the top heap of one [Pipeline.run] of hello in a fresh child
      process, which folds samples into its partial as they arrive
-     instead of holding the sample and record lists.
+     instead of holding the sample and record lists;
+   - the top heap of one [Pipeline.collect_archive] of hello in a fresh
+     child process, which holds the record list the session stream
+     writes but not the PMU samples it was written from.
    The word and walk counts are exact and host-independent; the byte
    ratio read 1.009-1.012 over repeated runs, far inside its gate; the
    speedup is a same-process ratio.  The bench exits non-zero above
    [max_create_bytes], [max_feed_words_per_record],
-   [max_next_words_per_record], [max_encode_bytes_per_byte] or
-   [max_run_top_heap_bytes], below [min_crc_speedup], or when an
+   [max_next_words_per_record], [max_encode_bytes_per_byte],
+   [max_run_top_heap_bytes] or [max_collect_top_heap_bytes], below
+   [min_crc_speedup], or when an
    accumulator walks more streams than it was fed distinct pairs.
    Writes BENCH_streaming.json. *)
 
@@ -41,8 +45,9 @@ let word_bytes = Sys.word_size / 8
 
 (* Child-process protocol: the parent re-execs this benchmark binary
    with the role/paths/output file in the environment; the child does
-   one measured analysis (of the archives at the paths) or profile (of
-   the workload named by the one path, role "run") and writes
+   one measured analysis (of the archives at the paths), profile or
+   collection (of the workload named by the one path, role "run" or
+   "collect") and writes
    "base_words peak_words records seconds" to the output file. *)
 let role_var = "HBBP_BENCH_STREAMING_ROLE"
 let paths_var = "HBBP_BENCH_STREAMING_PATHS"
@@ -67,6 +72,9 @@ let child role paths out =
     | "run" ->
         let w = Hbbp_workloads.Registry.find (List.hd paths) in
         (Pipeline.run w).Pipeline.record_count
+    | "collect" ->
+        let w = Hbbp_workloads.Registry.find (List.hd paths) in
+        List.length (Pipeline.collect_archive w).Perf_data.records
     | _ -> (
         match Pipeline.analyze_archives paths with
         | Ok (_, r) ->
@@ -81,6 +89,10 @@ let child role paths out =
 
 let max_create_bytes = 1 lsl 20
 let max_run_top_heap_bytes = 6 lsl 20
+
+(* Holding hello's 39,390 records tops the heap at ~14 MiB; holding its
+   PMU samples as well, ~17 MiB. *)
+let max_collect_top_heap_bytes = 16 lsl 20
 let max_feed_words_per_record = 64.0
 
 (* A decoded 16-deep sample is ~47 words: the interleaved LBR array
@@ -354,6 +366,7 @@ let run ppf =
   let hello = Hbbp_workloads.Registry.find "hello" in
   let create = create_bytes hello in
   let run = spawn_child "run" [ hello.name ] in
+  let collect = spawn_child "collect" [ hello.name ] in
   let feed_words = feed_words_per_record archives in
   let next_words = next_words_per_record archives in
   let walks = walk_counts archives in
@@ -396,6 +409,8 @@ let run ppf =
   "machine_create_allocated_bytes": %d,
   "run_hello_top_heap_bytes": %d,
   "run_hello_seconds": %.3f,
+  "collect_hello_top_heap_bytes": %d,
+  "collect_hello_seconds": %.3f,
   "feed_minor_words_per_record": %.3f,
   "next_minor_words_per_record": %.3f,
   "encode_allocated_bytes_per_byte": %.3f,
@@ -414,6 +429,7 @@ let run ppf =
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
     Perf_data.Stream.default_chunk_records create run.top_bytes run.seconds
+    collect.top_bytes collect.seconds
     feed_words next_words encode_bytes
     total.streams total.distinct total.lbr_walks total.bias_walks crc_speedup
     crc_mb_s (mode "batch" batch)
@@ -429,6 +445,12 @@ let run ppf =
     (float_of_int run.top_bytes /. 1048576.0)
     run.m_records
     (float_of_int max_run_top_heap_bytes /. 1048576.0);
+  Format.fprintf ppf
+    "Pipeline.collect_archive hello: %.2f MiB top heap in a fresh process, \
+     %d records (gate: <= %.0f MiB)@."
+    (float_of_int collect.top_bytes /. 1048576.0)
+    collect.m_records
+    (float_of_int max_collect_top_heap_bytes /. 1048576.0);
   Format.fprintf ppf
     "Partial.feed: %.3f minor words per record over the registry (gate: <= \
      %.0f)@."
@@ -459,6 +481,10 @@ let run ppf =
         ( run.top_bytes > max_run_top_heap_bytes,
           Printf.sprintf "Pipeline.run hello tops the heap above %d bytes"
             max_run_top_heap_bytes );
+        ( collect.top_bytes > max_collect_top_heap_bytes,
+          Printf.sprintf
+            "Pipeline.collect_archive hello tops the heap above %d bytes"
+            max_collect_top_heap_bytes );
         ( feed_words > max_feed_words_per_record,
           Printf.sprintf "Partial.feed allocates more than %.0f words per record"
             max_feed_words_per_record );

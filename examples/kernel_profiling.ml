@@ -12,11 +12,8 @@ open Hbbp_analyzer
 module K = Hbbp_workloads.Kernelbench
 
 let () =
-  let p =
-    Pipeline.run
-      ~config:{ Pipeline.default_config with Pipeline.keep_records = true }
-      (K.workload ())
-  in
+  let w = K.workload () in
+  let p = Pipeline.run w in
   let stats = p.Pipeline.stats in
   Format.printf
     "run: %d instructions (%d in the kernel).  Instrumentation lost all %d \
@@ -34,8 +31,12 @@ let () =
 
   (* The self-modifying-code wrinkle: analyzing against the on-disk
      kernel text produces impossible streams until it is patched with
-     the live text. *)
-  let db = Sample_db.of_records p.Pipeline.records in
+     the live text.  The samples come from the stream collection
+     writes, the one the run fed. *)
+  let db =
+    Sample_db.of_records
+      (Pipeline.collect_archive w).Hbbp_collector.Perf_data.records
+  in
   let period = p.Pipeline.sim_periods.Hbbp_collector.Period.lbr in
   let unpatched =
     Lbr_estimator.estimate p.Pipeline.static_unpatched ~period

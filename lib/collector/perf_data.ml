@@ -12,7 +12,7 @@ type t = {
   records : Record.t list;
 }
 
-let of_session ~workload_name ~session ~analysis ~live =
+let of_records ~workload_name ~session ~analysis ~live records =
   {
     workload_name;
     ebs_period = Session.ebs_period session;
@@ -25,8 +25,12 @@ let of_session ~workload_name ~session ~analysis ~live =
             Some (img.name, Bytes.copy img.code)
           else None)
         (Process.images live);
-    records = Session.records session live ~pid:1 ~name:workload_name;
+    records;
   }
+
+let of_session ~workload_name ~session ~analysis ~live =
+  of_records ~workload_name ~session ~analysis ~live
+    (Session.records session live ~pid:1 ~name:workload_name)
 
 let analysis_process t =
   let images =

@@ -33,10 +33,19 @@ type t = {
   records : Record.t list;
 }
 
-(** [of_session ~workload_name ~session ~analysis ~live] assembles the
-    archive from a finished collection: [analysis] is the process an
-    offline analyzer could reconstruct (disk kernel), [live] the process
-    that ran. *)
+(** [of_records ~workload_name ~session ~analysis ~live records] — the
+    archive of a collection that wrote [records]: [analysis] is the
+    process an offline analyzer could reconstruct (disk kernel), [live]
+    the process that ran. *)
+val of_records :
+  workload_name:string ->
+  session:Session.t ->
+  analysis:Process.t ->
+  live:Process.t ->
+  Record.t list ->
+  t
+
+(** {!of_records} of {!Session.records} after a finished collection. *)
 val of_session :
   workload_name:string ->
   session:Session.t ->

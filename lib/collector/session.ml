@@ -24,48 +24,56 @@ let pmu t = t.pmu
 let ebs_period t = t.ebs_period
 let lbr_period t = t.lbr_period
 
-let header process ~pid ~name =
-  Record.Comm { pid; name }
-  :: List.map
-       (fun (img : Image.t) ->
-         Record.Mmap
+let classify : Record.t -> Faults.record_class = function
+  | Record.Comm _ -> Faults.Rec_comm
+  | Record.Mmap _ -> Faults.Rec_mmap
+  | Record.Sample _ -> Faults.Rec_sample
+  | Record.Fork _ | Record.Lost _ -> Faults.Rec_other
+
+(* Pushes the header through the armed plan's collector faults and
+   returns the sample pusher and the close. *)
+let open_stream process ~pid ~name emit =
+  let push, close =
+    Faults.record_filter ~classify ~lost:(fun n -> Record.Lost n) emit
+  in
+  push (Record.Comm { pid; name });
+  List.iter
+    (fun (img : Image.t) ->
+      push
+        (Record.Mmap
            {
              addr = img.base;
              len = Image.size img;
              name = img.name;
              ring = img.ring;
-           })
-       (Process.images process)
+           }))
+    (Process.images process);
+  let push_sample (s : Pmu.sample) =
+    push
+      (Record.Sample
+         {
+           Record.event = s.event;
+           ip = s.ip;
+           lbr = s.lbr;
+           ring = s.ring;
+           time = s.cycles;
+         })
+  in
+  (push_sample, close)
 
-let sample_record (s : Pmu.sample) =
-  Record.Sample
-    {
-      Record.event = s.event;
-      ip = s.ip;
-      lbr = s.lbr;
-      ring = s.ring;
-      time = s.cycles;
-    }
+let stream t process ~pid ~name emit =
+  let push_sample, close = open_stream process ~pid ~name emit in
+  Pmu.set_sink t.pmu push_sample;
+  close
 
 let records t process ~pid ~name =
-  let header = header process ~pid ~name in
-  let samples = List.map sample_record (Pmu.samples t.pmu) in
-  let stream = header @ samples in
-  (* Collector-layer fault injection: when a plan with record faults is
-     armed, drop/reorder records and — like perf reporting ring-buffer
-     overruns — close the stream with a LOST record summarizing the
-     damage, so analyzers can see that data went missing. *)
-  match Faults.stream_injector () with
-  | None -> stream
-  | Some inj ->
-      let classify : Record.t -> Faults.record_class = function
-        | Record.Comm _ -> Faults.Rec_comm
-        | Record.Mmap _ -> Faults.Rec_mmap
-        | Record.Sample _ -> Faults.Rec_sample
-        | Record.Fork _ | Record.Lost _ -> Faults.Rec_other
-      in
-      let kept, dropped = Faults.apply_stream inj ~classify stream in
-      if dropped > 0 then kept @ [ Record.Lost dropped ] else kept
+  let acc = ref [] in
+  let push_sample, close =
+    open_stream process ~pid ~name (fun r -> acc := r :: !acc)
+  in
+  List.iter push_sample (Pmu.samples t.pmu);
+  close ();
+  List.rev !acc
 
 let overhead_fraction ~(paper : Period.pair) ~(stats : Machine.run_stats)
     ~(model : Pmu_model.t) =

@@ -24,28 +24,30 @@ val configure : Pmu_model.t -> Period.pair -> t
     {!Pmu.observer}). *)
 val pmu : t -> Pmu.t
 
-(** [records t process ~pid ~name] — the perf.data-style stream: COMM and
-    MMAP records for every image, then all samples.
+(** {2 The record stream}
 
-    When a fault plan with collector faults is armed
-    ({!Hbbp_faults.Faults.arm}), records are dropped/reordered per the
-    plan and a trailing [Lost] record reports how many were dropped
-    (perf's ring-buffer-overrun convention).  Disarmed, the hook is a
-    single [option] load. *)
+    The perf.data-style stream: the COMM record, one MMAP record per
+    image of the process, then one [Sample] record per delivered sample,
+    in delivery order.  When a fault plan with collector faults is armed
+    ({!Hbbp_faults.Faults.arm}), records are dropped and reordered as
+    they are written ({!Hbbp_faults.Faults.record_filter}) and the
+    stream closes with a [Lost] record counting the drops (perf's
+    ring-buffer-overrun convention).  Disarmed, the hook is a single
+    [option] load per stream. *)
+
+(** [stream t process ~pid ~name emit] opens the stream into [emit]
+    before the run: it pushes the header, then installs a
+    {!Pmu.set_sink} on {!pmu} that pushes each sample as it is
+    delivered, so nothing holds the samples.  Call the returned close
+    after the run. *)
+val stream :
+  t -> Process.t -> pid:int -> name:string -> (Record.t -> unit) ->
+  (unit -> unit)
+
+(** [records t process ~pid ~name] — the same stream, written after the
+    run from the samples the PMU's default sink kept ({!Pmu.samples}),
+    as a list. *)
 val records : t -> Process.t -> pid:int -> name:string -> Record.t list
-
-(** {2 The stream's parts}
-
-    {!records} with faults disarmed is [header] followed by
-    [sample_record] of each of {!Pmu.samples}.  A consumer that installs
-    a {!Pmu.set_sink} on {!pmu} builds the same records from these as
-    the samples arrive, without holding the samples. *)
-
-(** The COMM record, then one MMAP record per image of the process. *)
-val header : Process.t -> pid:int -> name:string -> Record.t list
-
-(** The record one delivered sample becomes. *)
-val sample_record : Pmu.sample -> Record.t
 
 val ebs_period : t -> int
 val lbr_period : t -> int

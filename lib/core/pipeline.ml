@@ -83,7 +83,6 @@ type config = {
   max_instructions : int;
   count_events : Pmu_event.t list;
   thresholds : thresholds;
-  keep_records : bool;
   engine : Machine.engine;
   repair : repair_mode;
 }
@@ -97,7 +96,6 @@ let default_config =
     max_instructions = 2_000_000_000;
     count_events = [ Pmu_event.Inst_retired_any ];
     thresholds = default_thresholds;
-    keep_records = false;
     engine = Machine.Superblock;
     repair = Report;
   }
@@ -123,7 +121,6 @@ type profile = {
   sde_total : int64;
   sde_lost_kernel : int;
   pmu_counts : (Pmu_event.t * int64) list;
-  records : Record.t list;
   record_count : int;
   quality : quality;
   repair_report : Hbbp_verifier.Repair.report option;
@@ -686,29 +683,36 @@ let reconstruct ?criteria ?thresholds ?repair ?(ledger = []) ~static
   Partial.feed p records;
   finalize ?criteria ?thresholds ?repair p
 
+let sim_periods config (w : Workload.t) =
+  match config.periods with
+  | `Auto -> Period.simulation w.runtime_class
+  | `Fixed pair -> pair
+
 let collect_archive ?(config = default_config) (w : Workload.t) =
   Trace.with_span ~cat:"pipeline"
     ~args:[ ("workload", w.Workload.name) ]
     "collect_archive"
   @@ fun () ->
-  let sim_periods =
-    match config.periods with
-    | `Auto -> Period.simulation w.Workload.runtime_class
-    | `Fixed pair -> pair
-  in
   let machine =
     Machine.create ~process:w.Workload.live_process ~engine:config.engine ()
   in
-  let session = Session.configure config.model sim_periods in
+  let session = Session.configure config.model (sim_periods config w) in
   Machine.add_observer machine (Pmu.observer (Session.pmu session));
+  let records = ref [] in
+  let close =
+    Session.stream session w.Workload.live_process ~pid:1
+      ~name:w.Workload.name (fun r -> records := r :: !records)
+  in
   let (_ : Machine.run_stats) =
     Trace.with_span ~cat:"pipeline" "execute" (fun () ->
         Machine.run machine ~entry:w.Workload.entry
           ~max_instructions:config.max_instructions ())
   in
   Trace.with_span ~cat:"pipeline" "archive" (fun () ->
-      Perf_data.of_session ~workload_name:w.Workload.name ~session
-        ~analysis:w.Workload.analysis_process ~live:w.Workload.live_process)
+      close ();
+      Perf_data.of_records ~workload_name:w.Workload.name ~session
+        ~analysis:w.Workload.analysis_process ~live:w.Workload.live_process
+        (List.rev !records))
 
 let analyze_archive ?criteria ?thresholds ?repair ?ledger
     (archive : Perf_data.t) =
@@ -918,11 +922,8 @@ let run_chunk_records = 1024
 let run ?(config = default_config) (w : Workload.t) =
   Trace.with_span ~cat:"pipeline" ~args:[ ("workload", w.Workload.name) ] "run"
   @@ fun () ->
-  let sim_periods, paper_periods =
-    match config.periods with
-    | `Auto -> (Period.simulation w.runtime_class, Period.paper w.runtime_class)
-    | `Fixed pair -> (pair, Period.paper w.runtime_class)
-  in
+  let sim_periods = sim_periods config w
+  and paper_periods = Period.paper w.runtime_class in
   (* Static views: what the analyzer finds on disk, and the same view
      with kernel text patched from the live image (the paper's remedy). *)
   let static_unpatched, static =
@@ -948,54 +949,36 @@ let run ?(config = default_config) (w : Workload.t) =
   Machine.add_observer machine (Hbbp_instrument.Sde.observer sde);
   Machine.add_observer machine (Pmu.observer (Session.pmu session));
   Machine.add_observer machine (Pmu.observer counting);
-  (* Samples fold into the partial in fixed chunks as the PMU delivers
-     them, so the run holds one chunk of records, not the stream.  The
-     header records carry nothing the accumulators read, so they go in
-     last.  An armed stream-fault plan is the exception: its drop and
-     reorder draws are defined over the whole stream, which is therefore
-     materialized by [Session.records] after the run and fed at once. *)
+  (* The session stream folds into the partial in fixed chunks as the
+     PMU delivers samples, so the run holds one chunk of records, not
+     the stream. *)
   let partial =
     Partial.create ~static ~ebs_period:(Session.ebs_period session)
       ~lbr_period:(Session.lbr_period session) ()
   in
-  let streamed = Option.is_none (Hbbp_faults.Faults.stream_injector ()) in
-  let chunk = ref [] and pending = ref 0 and kept = ref [] in
+  let chunk = ref [] and pending = ref 0 in
   let flush () =
     if !pending > 0 then begin
       let c = List.rev !chunk in
       chunk := [];
       pending := 0;
-      Partial.feed partial c;
-      if config.keep_records then kept := c :: !kept
+      Partial.feed partial c
     end
   in
-  if streamed then
-    Pmu.set_sink (Session.pmu session) (fun s ->
-        chunk := Session.sample_record s :: !chunk;
+  let close =
+    Session.stream session w.live_process ~pid:1 ~name:w.name (fun r ->
+        chunk := r :: !chunk;
         incr pending;
-        if !pending = run_chunk_records then flush ());
+        if !pending = run_chunk_records then flush ())
+  in
   let stats =
     Trace.with_span ~cat:"pipeline" "execute" (fun () ->
         Machine.run machine ~entry:w.entry
           ~max_instructions:config.max_instructions ())
   in
-  (* Collection output and reconstruction. *)
-  let records =
-    Trace.with_span ~cat:"pipeline" "collect" (fun () ->
-        if streamed then begin
-          flush ();
-          let header = Session.header w.live_process ~pid:1 ~name:w.name in
-          Partial.feed partial header;
-          if config.keep_records then header @ List.concat (List.rev !kept)
-          else []
-        end
-        else
-          let records =
-            Session.records session w.live_process ~pid:1 ~name:w.name
-          in
-          Partial.feed partial records;
-          if config.keep_records then records else [])
-  in
+  Trace.with_span ~cat:"pipeline" "collect" (fun () ->
+      close ();
+      flush ());
   let r =
     finalize ~criteria:config.criteria ~thresholds:config.thresholds
       ~repair:config.repair partial
@@ -1037,7 +1020,6 @@ let run ?(config = default_config) (w : Workload.t) =
       sde_total = Hbbp_instrument.Sde.total_instructions sde;
       sde_lost_kernel = Hbbp_instrument.Sde.lost_kernel_instructions sde;
       pmu_counts = Pmu.counts counting;
-      records;
       record_count = Partial.record_count partial;
       quality = r.r_quality;
       repair_report = r.r_repair;

@@ -87,11 +87,6 @@ type config = {
   count_events : Pmu_event.t list;
       (** Extra counting-mode events for cross-checking. *)
   thresholds : thresholds;
-  keep_records : bool;
-      (** Retain the raw record stream on {!profile.records}.  Default
-          {b false} (breaking change): reconstruction state is bounded,
-          so holding every record alive is opt-in.  [record_count] is
-          always populated. *)
   engine : Machine.engine;
       (** Execution engine for the simulated runs.  Both engines retire
           bit-identical streams; this only selects dispatch cost.
@@ -128,23 +123,22 @@ type profile = {
   sde_total : int64;
   sde_lost_kernel : int;
   pmu_counts : (Pmu_event.t * int64) list;
-  records : Record.t list;
-      (** Raw record stream — [[]] unless {!config.keep_records}. *)
-  record_count : int;  (** Records collected (kept or not). *)
+  record_count : int;
+      (** Records the run's stream fed the reconstruction (the stream
+          itself is {!collect_archive}'s record list under the same
+          config and fault plan). *)
   quality : quality;  (** Degradation verdict of the reconstruction. *)
   repair_report : Hbbp_verifier.Repair.report option;
       (** Count-repair report ([None] when {!config.repair} is [Off]).
           [hbbp] is the repaired BBEC iff the mode was [Apply]. *)
 }
 
-(** [run ?config w] — profile [w] in one execution.  The sampling PMU's
-    samples are folded into the reconstruction in fixed chunks as they
-    are delivered, so the run holds one chunk of records rather than
-    the stream; [keep_records] also keeps the chunks.  With an armed
-    stream-fault plan the record list is materialized after the run
-    instead, since the plan's drop and reorder draws are defined over
-    all of it.  Either way the profile is the one the batch
-    {!reconstruct} of the stream gives.  Its [pipeline/run] span
+(** [run ?config w] — profile [w] in one execution.  The session's
+    record stream ({!Hbbp_collector.Session.stream}, stream faults
+    included) is folded into the reconstruction in fixed chunks as the
+    samples are delivered, so the run holds one chunk of records rather
+    than the stream.  The profile is the one the batch {!reconstruct}
+    of {!collect_archive}'s record list gives.  Its [pipeline/run] span
     carries the run's execution and sampling-health args
     ([pipeline.*], [pmu.*], [sde.*]). *)
 val run : ?config:config -> Workload.t -> profile
@@ -286,7 +280,10 @@ val reconstruct :
   reconstruction
 
 (** [collect_archive ?config workload] — run only the collection side and
-    package it as a portable archive. *)
+    package it as a portable archive.  Its records are the session's
+    stream ({!Hbbp_collector.Session.stream}) as it was written: the
+    one {!run} feeds its reconstruction under the same config and fault
+    plan. *)
 val collect_archive : ?config:config -> Workload.t -> Perf_data.t
 
 (** [collect_many ?jobs workloads] — parallel {!collect_archive} with the

@@ -115,19 +115,6 @@ let lbr_fault inj =
 (* ------------------------------------------------------------------ *)
 (* Collector layer                                                     *)
 
-type stream_injector = { coll : Fault_plan.collector; sprng : Fault_prng.t }
-
-let stream_injector () =
-  match Atomic.get current with
-  | Some p when Fault_plan.collector_active p.Fault_plan.collector ->
-      Some
-        {
-          coll = p.Fault_plan.collector;
-          (* Offset the seed so collector draws never mirror PMU draws. *)
-          sprng = Fault_prng.create ~seed:(Int64.add p.Fault_plan.seed 0x5EEDL);
-        }
-  | Some _ | None -> None
-
 type record_class = Rec_comm | Rec_mmap | Rec_sample | Rec_other
 
 (* Fisher–Yates over one window, in place. *)
@@ -140,52 +127,54 @@ let shuffle prng arr =
     arr.(j) <- tmp
   done
 
-let apply_stream inj ~classify records =
-  let c = inj.coll in
-  let dropped = ref 0 in
-  let kept =
-    List.filter
-      (fun r ->
-        let rate =
-          match classify r with
-          | Rec_comm -> c.Fault_plan.drop_comm_rate
-          | Rec_mmap -> c.Fault_plan.drop_mmap_rate
-          | Rec_sample -> c.Fault_plan.drop_sample_rate
-          | Rec_other -> 0.0
-        in
-        let drop = Fault_prng.bool inj.sprng rate in
-        if drop then begin
-          incr dropped;
-          (match classify r with
-          | Rec_comm -> bump "records.dropped_comm" 1
-          | Rec_mmap -> bump "records.dropped_mmap" 1
-          | Rec_sample -> bump "records.dropped_sample" 1
-          | Rec_other -> ())
-        end;
-        not drop)
-      records
-  in
-  let kept =
-    if c.Fault_plan.reorder_window > 1 then begin
-      let arr = Array.of_list kept in
-      let w = c.Fault_plan.reorder_window in
-      let n = Array.length arr in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min w (n - !pos) in
-        if len > 1 then begin
-          let window = Array.sub arr !pos len in
-          shuffle inj.sprng window;
-          Array.blit window 0 arr !pos len;
+(* The draws follow the records: a record's drop draw comes when it
+   arrives, a window's shuffle draws when the window is released, as
+   perf's ring buffer loses data while the stream is written. *)
+let record_filter ~classify ~lost emit =
+  match Atomic.get current with
+  | Some p when Fault_plan.collector_active p.Fault_plan.collector ->
+      let c = p.Fault_plan.collector in
+      (* Offset the seed so collector draws never mirror PMU draws. *)
+      let prng =
+        Fault_prng.create ~seed:(Int64.add p.Fault_plan.seed 0x5EEDL)
+      in
+      let dropped = ref 0 and held = ref [] and n_held = ref 0 in
+      let release () =
+        let window = Array.of_list (List.rev !held) in
+        held := [];
+        n_held := 0;
+        if Array.length window > 1 then begin
+          shuffle prng window;
           bump "records.reordered_windows" 1
         end;
-        pos := !pos + w
-      done;
-      Array.to_list arr
-    end
-    else kept
-  in
-  (kept, !dropped)
+        Array.iter emit window
+      in
+      let push r =
+        let rate, tally =
+          match classify r with
+          | Rec_comm -> (c.Fault_plan.drop_comm_rate, "records.dropped_comm")
+          | Rec_mmap -> (c.Fault_plan.drop_mmap_rate, "records.dropped_mmap")
+          | Rec_sample ->
+              (c.Fault_plan.drop_sample_rate, "records.dropped_sample")
+          | Rec_other -> (0.0, "")
+        in
+        if Fault_prng.bool prng rate then begin
+          incr dropped;
+          bump tally 1
+        end
+        else if c.Fault_plan.reorder_window <= 1 then emit r
+        else begin
+          held := r :: !held;
+          incr n_held;
+          if !n_held = c.Fault_plan.reorder_window then release ()
+        end
+      in
+      let close () =
+        release ();
+        if !dropped > 0 then emit (lost !dropped)
+      in
+      (push, close)
+  | Some _ | None -> (emit, ignore)
 
 (* ------------------------------------------------------------------ *)
 (* IO layer                                                            *)

@@ -2,7 +2,8 @@
 
     A {!Fault_plan.t} is {e armed} process-wide; each pipeline layer asks
     for its injector at construction time and gets [None] unless a plan
-    with faults for that layer is armed.  The disarmed fast path is a
+    with faults for that layer is armed (the collector's record stream
+    gets its consumer back unfiltered).  The disarmed fast path is a
     single load of an immutable [option] field at each hook site —
     provably free (the fault bench and the byte-identity test enforce
     it).
@@ -54,19 +55,20 @@ val lbr_fault : pmu_injector -> lbr_fault
 
 (** {1 Collector layer} *)
 
-type stream_injector
-
-(** [None] when disarmed or the armed plan has no collector faults. *)
-val stream_injector : unit -> stream_injector option
-
 type record_class = Rec_comm | Rec_mmap | Rec_sample | Rec_other
 
-(** [apply_stream inj ~classify records] — drop records per-class and
-    reorder within the plan's window; returns the surviving stream and
-    the number of dropped records (so the caller can emit a synthetic
-    [Lost] record, the way perf reports ring-buffer loss). *)
-val apply_stream :
-  stream_injector -> classify:('a -> record_class) -> 'a list -> 'a list * int
+(** [record_filter ~classify ~lost emit] — [(push, close)], the armed
+    plan's collector faults in front of [emit], acting as records are
+    written.  [push] drops each record at its class's rate; survivors
+    are held in windows of the plan's reorder size, each shuffled and
+    passed to [emit] when it fills.  [close] passes on the last partial
+    window, then [lost n] if [n > 0] records were dropped.  With no
+    collector faults armed, [push] is [emit] and [close] does nothing. *)
+val record_filter :
+  classify:('a -> record_class) ->
+  lost:(int -> 'a) ->
+  ('a -> unit) ->
+  ('a -> unit) * (unit -> unit)
 
 (** {1 IO layer}
 

@@ -185,17 +185,14 @@ let test_offline_analysis_matches_online () =
   (* The same records analyzed offline must give the same HBBP BBECs as
      the live pipeline. *)
   let w = Hbbp_workloads.Spec.find "mcf" in
-  let config =
-    { Hbbp_core.Pipeline.default_config with
-      Hbbp_core.Pipeline.keep_records = true }
-  in
-  let p = Hbbp_core.Pipeline.run ~config w in
+  let p = Hbbp_core.Pipeline.run w in
+  let archive = Hbbp_core.Pipeline.collect_archive w in
   let static = p.Hbbp_core.Pipeline.static in
   let r =
     Hbbp_core.Pipeline.reconstruct ~static
       ~ebs_period:p.Hbbp_core.Pipeline.sim_periods.Period.ebs
       ~lbr_period:p.Hbbp_core.Pipeline.sim_periods.Period.lbr
-      p.Hbbp_core.Pipeline.records
+      archive.Perf_data.records
   in
   Hbbp_analyzer.Static.iter
     (fun gid _ _ ->

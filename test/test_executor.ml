@@ -144,8 +144,7 @@ let test_runaway_budgets () =
 (* ------------------------------------------------------------------ *)
 (* Archive and reconstruction identity through the pipeline.           *)
 
-let config_for engine =
-  { Pipeline.default_config with Pipeline.engine; keep_records = true }
+let config_for engine = { Pipeline.default_config with Pipeline.engine }
 
 let test_archives_byte_identical () =
   List.iter
@@ -179,7 +178,6 @@ let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   && compare a.hbbp.counts b.hbbp.counts = 0
   && compare a.reference_mix b.reference_mix = 0
   && compare a.pmu_counts b.pmu_counts = 0
-  && compare a.records b.records = 0
   && compare a.quality b.quality = 0
 
 let test_reconstructions_identical () =

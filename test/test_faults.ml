@@ -18,12 +18,9 @@ module Durable = Hbbp_durable.Durable
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* profile.records is opt-in since the streaming refactor; these tests
-   reconstruct from it. *)
-let keep_config =
-  { Pipeline.default_config with Pipeline.keep_records = true }
-
-let run_keep w = Pipeline.run ~config:keep_config w
+(* The record stream a run of [w] feeds under the armed plan, as
+   collection writes it. *)
+let stream_of w = (Pipeline.collect_archive w).Perf_data.records
 
 (* Every test leaves the global fault state as it found it: disarmed and
    with a clean tally. *)
@@ -70,7 +67,7 @@ let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   && compare a.hbbp.counts b.hbbp.counts = 0
   && compare a.reference_mix b.reference_mix = 0
   && compare a.pmu_counts b.pmu_counts = 0
-  && compare a.records b.records = 0
+  && compare a.record_count b.record_count = 0
   && compare a.quality b.quality = 0
 
 let avg_err (p : Pipeline.profile) =
@@ -146,13 +143,16 @@ let test_plan_bad_specs () =
 
 let test_disarmed_identity () =
   let w = mk_workload ~seed:0xFA01L "ident" in
-  let p_off = run_keep w in
+  let p_off = Pipeline.run w in
+  let data = Perf_data.to_bytes (Pipeline.collect_archive w) in
   Faults.arm Plan.none;
-  let p_inert = run_keep w in
+  let p_inert = Pipeline.run w in
+  let data_inert = Perf_data.to_bytes (Pipeline.collect_archive w) in
   Faults.disarm ();
   checkb "arming the inert plan leaves profiles byte-identical" true
     (profiles_equal p_off p_inert);
-  let data = Perf_data.to_bytes (Pipeline.collect_archive w) in
+  checkb "arming the inert plan leaves archives byte-identical" true
+    (Bytes.equal data data_inert);
   checkb "disarmed mangle is physically the identity" true
     (Faults.mangle_archive data == data);
   Faults.arm Plan.none;
@@ -166,20 +166,22 @@ let test_disarmed_identity () =
 
 let test_pmu_drops () =
   let w = mk_workload ~seed:0xFA02L "pmudrop" in
-  let clean_p = run_keep w in
+  let clean_p = Pipeline.run w in
+  let n_clean = List.length (Record.samples (stream_of w)) in
   Faults.reset_tally ();
   Faults.arm (plan_of_spec "seed=11,pmu.drop=0.05");
-  let p = run_keep w in
-  Faults.disarm ();
-  let n_clean = List.length (Record.samples clean_p.Pipeline.records) in
-  let n = List.length (Record.samples p.Pipeline.records) in
-  checkb "samples were dropped" true (n < n_clean);
+  let n = List.length (Record.samples (stream_of w)) in
   let tallied =
     match List.assoc_opt "pmu.samples_dropped" (Faults.tally ()) with
     | Some v -> v
     | None -> 0
   in
+  let p = Pipeline.run w in
+  Faults.disarm ();
+  checkb "samples were dropped" true (n < n_clean);
   checki "tally matches the stream" (n_clean - n) tallied;
+  checki "the run fed the same stream"
+    (clean_p.Pipeline.record_count - tallied) p.Pipeline.record_count;
   checkb "PMIs still counted (the interrupt happened)" true
     (p.Pipeline.pmu_health.Pmu.pmi_count
     = clean_p.Pipeline.pmu_health.Pmu.pmi_count)
@@ -188,7 +190,7 @@ let test_lbr_corruption () =
   let w = mk_workload ~seed:0xFA03L "lbr" in
   Faults.reset_tally ();
   Faults.arm (plan_of_spec "seed=13,lbr.stuck=0.3,lbr.misrotate=0.3,lbr.truncate=4");
-  let p = run_keep w in
+  let records = stream_of w in
   Faults.disarm ();
   let t = Faults.tally () in
   checkb "forced stuck snapshots tallied" true
@@ -198,7 +200,7 @@ let test_lbr_corruption () =
   List.iter
     (fun (s : Record.sample) ->
       checkb "snapshots truncated to 4" true (Lbr.entries s.Record.lbr <= 4))
-    (Record.samples p.Pipeline.records)
+    (Record.samples records)
 
 
 (* Each forced LBR fault acts on the right slots of the flat snapshot
@@ -213,7 +215,7 @@ let test_lbr_fault_slots () =
   let snapshots () =
     List.map
       (fun (s : Record.sample) -> (s.Record.event, s.Record.ip, s.Record.lbr))
-      (Record.samples (run_keep w).Pipeline.records)
+      (Record.samples (stream_of w))
   in
   let clean = snapshots () in
   let faulted spec =
@@ -262,9 +264,9 @@ let test_lbr_fault_slots () =
 let test_stream_faults_degrade () =
   let w = mk_workload ~seed:0xFA04L "stream" in
   Faults.arm (plan_of_spec "seed=5,rec.drop_sample=0.1,rec.reorder=8");
-  let p = run_keep w in
+  let p = Pipeline.run w in
+  let lost = lost_in (stream_of w) in
   Faults.disarm ();
-  let lost = lost_in p.Pipeline.records in
   checkb "drops reported via a trailing Lost record" true (lost > 0);
   match p.Pipeline.quality with
   | Pipeline.Full -> Alcotest.fail "expected degraded quality"
@@ -273,6 +275,89 @@ let test_stream_faults_degrade () =
         (List.exists
            (function Pipeline.Lost_records n -> n = lost | _ -> false)
            reasons)
+
+(* The collector filter draws as records are written: a drop draw per
+   record, shuffle draws when a window of survivors fills.  A plan with
+   one kind of draw writes the same stream however the draws would
+   interleave, so its stream is pinned by the archive digest of the
+   "stream" workload (652 records clean: the last window of 8 is
+   partial, the last of 7 holds one record). *)
+let pinned_streams =
+  [
+    ("seed=5,rec.drop_sample=0.1", 586, "3d30cc658324dc946686bc2fb62f78fd");
+    ( "seed=5,rec.drop_sample=0.1,rec.drop_comm=1.0,rec.drop_mmap=0.5",
+      584,
+      "6f670da05d8f8660f53c20060533e8ee" );
+    ("seed=5,rec.reorder=8", 652, "e684481267be673076e3628bfa68d4a5");
+    ("seed=5,rec.reorder=7", 652, "9fd1f476fc558d6ef1d5a21d19467691");
+  ]
+
+let test_single_kind_streams_pinned () =
+  let w = mk_workload ~seed:0xFA04L "stream" in
+  List.iter
+    (fun (spec, n, digest) ->
+      Faults.arm (plan_of_spec spec);
+      let a = Pipeline.collect_archive w in
+      Faults.disarm ();
+      checki (spec ^ ": records") n (List.length a.Perf_data.records);
+      Alcotest.(check string)
+        (spec ^ ": archive digest") digest
+        (Digest.to_hex (Digest.bytes (Perf_data.to_bytes a))))
+    pinned_streams
+
+(* Drops and shuffles together: the output, cut into windows of the
+   reorder size, is each window's run of consecutive survivors in some
+   order, and the trailing Lost record counts what went missing. *)
+let test_drop_and_reorder_windows () =
+  let w = mk_workload ~seed:0xFA04L "stream" in
+  let clean = stream_of w in
+  let index = Hashtbl.create 1024 in
+  List.iteri (fun k r -> Hashtbl.replace index r k) clean;
+  checki "clean records are distinct" (List.length clean)
+    (Hashtbl.length index);
+  let window = 8 in
+  let faulted () =
+    Faults.arm (plan_of_spec "seed=5,rec.drop_sample=0.1,rec.reorder=8");
+    let a = Pipeline.collect_archive w in
+    Faults.disarm ();
+    a
+  in
+  let a = faulted () in
+  let body, lost =
+    match List.rev a.Perf_data.records with
+    | Record.Lost n :: rest -> (List.rev rest, n)
+    | _ -> Alcotest.fail "expected a trailing Lost record"
+  in
+  checkb "records were dropped" true (lost > 0);
+  checki "Lost n = inputs - outputs" (List.length clean - List.length body)
+    lost;
+  let idx =
+    Array.of_list
+      (List.map
+         (fun r ->
+           match Hashtbl.find_opt index r with
+           | Some k -> k
+           | None -> Alcotest.fail "output record not in the clean stream")
+         body)
+  in
+  let n = Array.length idx and last = ref (-1) and reordered = ref false in
+  let start = ref 0 in
+  while !start < n do
+    let win = Array.sub idx !start (min window (n - !start)) in
+    let sorted = Array.copy win in
+    Array.sort compare sorted;
+    if sorted <> win then reordered := true;
+    checkb "window follows the previous one" true (sorted.(0) > !last);
+    Array.iteri
+      (fun k i ->
+        if k > 0 then checkb "no record twice" true (i > sorted.(k - 1)))
+      sorted;
+    last := sorted.(Array.length sorted - 1);
+    start := !start + window
+  done;
+  checkb "some window reordered" true !reordered;
+  checkb "two runs give the same bytes" true
+    (Bytes.equal (Perf_data.to_bytes a) (Perf_data.to_bytes (faulted ())))
 
 (* ------------------------------------------------------------------ *)
 (* Archive mangling, salvage and the fault ledger                      *)
@@ -505,8 +590,8 @@ let bbec_counts_equal (a : Pipeline.reconstruction)
 
 let test_threshold_boundaries () =
   let w = mk_workload ~seed:0xFA07L "thresh" in
-  let p = run_keep w in
-  let r = reconstruct_of p p.Pipeline.records in
+  let p = Pipeline.run w and records = stream_of w in
+  let r = reconstruct_of p records in
   checkb "clean run is full quality" true
     (r.Pipeline.r_quality = Pipeline.Full);
   let snaps = r.Pipeline.r_lbr.Hbbp_analyzer.Lbr_estimator.snapshots in
@@ -521,12 +606,12 @@ let test_threshold_boundaries () =
     { Pipeline.default_thresholds with Pipeline.min_lbr_snapshots = snaps }
   in
   checkb "snapshots = min is full" true
-    ((reconstruct_of p ~thresholds:at p.Pipeline.records).Pipeline.r_quality
+    ((reconstruct_of p ~thresholds:at records).Pipeline.r_quality
     = Pipeline.Full);
   let past =
     { Pipeline.default_thresholds with Pipeline.min_lbr_snapshots = snaps + 1 }
   in
-  let r' = reconstruct_of p ~thresholds:past p.Pipeline.records in
+  let r' = reconstruct_of p ~thresholds:past records in
   (match r'.Pipeline.r_quality with
   | Pipeline.Full -> Alcotest.fail "expected degraded"
   | Pipeline.Degraded reasons ->
@@ -540,7 +625,7 @@ let test_threshold_boundaries () =
   let all_ebs =
     reconstruct_of p
       ~criteria:(Criteria.Length_rule { cutoff = 0; bias_to_ebs = false })
-      p.Pipeline.records
+      records
   in
   checkb "EBS-only fallback equals cutoff-0 fusion" true
     (bbec_counts_equal r' all_ebs);
@@ -549,7 +634,7 @@ let test_threshold_boundaries () =
     { Pipeline.default_thresholds with Pipeline.min_ebs_samples = ebs_total }
   in
   checkb "samples = min is full" true
-    ((reconstruct_of p ~thresholds:at p.Pipeline.records).Pipeline.r_quality
+    ((reconstruct_of p ~thresholds:at records).Pipeline.r_quality
     = Pipeline.Full);
   let past =
     {
@@ -557,7 +642,7 @@ let test_threshold_boundaries () =
       Pipeline.min_ebs_samples = ebs_total + 1;
     }
   in
-  let r'' = reconstruct_of p ~thresholds:past p.Pipeline.records in
+  let r'' = reconstruct_of p ~thresholds:past records in
   match r''.Pipeline.r_quality with
   | Pipeline.Full -> Alcotest.fail "expected degraded"
   | Pipeline.Degraded reasons ->
@@ -574,9 +659,9 @@ let strip_event event records =
 
 let test_stripped_channel_fallback () =
   let w = mk_workload ~seed:0xFA08L "strip" in
-  let p = run_keep w in
+  let p = Pipeline.run w and records = stream_of w in
   (* No EBS samples at all → reconstruct from LBR alone. *)
-  let no_ebs = strip_event Pmu_event.Inst_retired_prec_dist p.Pipeline.records in
+  let no_ebs = strip_event Pmu_event.Inst_retired_prec_dist records in
   let r = reconstruct_of p no_ebs in
   (match r.Pipeline.r_quality with
   | Pipeline.Full -> Alcotest.fail "no EBS: expected degraded"
@@ -589,7 +674,7 @@ let test_stripped_channel_fallback () =
         (List.mem (Pipeline.Fallback `Lbr_only) reasons));
   (* No LBR samples at all → reconstruct from EBS alone. *)
   let no_lbr =
-    strip_event Pmu_event.Br_inst_retired_near_taken p.Pipeline.records
+    strip_event Pmu_event.Br_inst_retired_near_taken records
   in
   let r = reconstruct_of p no_lbr in
   match r.Pipeline.r_quality with
@@ -655,7 +740,7 @@ let dump_artifact ~seed ~spec data =
 
 let test_chaos_grid () =
   let w = mk_workload ~seed:0xC0DEL "chaos" in
-  let clean_p = run_keep w in
+  let clean_p = Pipeline.run w in
   let clean_err = avg_err clean_p in
   List.iter
     (fun seed ->
@@ -664,22 +749,22 @@ let test_chaos_grid () =
           let full = Printf.sprintf "seed=%d,%s" seed spec in
           let plan = plan_of_spec full in
           (* Injection itself must never raise. *)
-          let p, data =
+          let p, archive, data =
             try
               Faults.reset_tally ();
               Faults.arm plan;
-              let p = run_keep w in
+              let p = Pipeline.run w in
               let archive = Pipeline.collect_archive w in
               let data = Faults.mangle_archive (Perf_data.to_bytes archive) in
               Faults.disarm ();
-              (p, data)
+              (p, archive, data)
             with e ->
               Faults.disarm ();
               Alcotest.failf "chaos %s: uncaught exception %s" full
                 (Printexc.to_string e)
           in
           (* Collection loss above threshold must be labelled. *)
-          let lost = lost_in p.Pipeline.records in
+          let lost = lost_in archive.Perf_data.records in
           (if
              lost
              > Pipeline.default_thresholds.Pipeline.max_lost_records
@@ -805,7 +890,7 @@ let test_chaos_determinism () =
   let run_once () =
     Faults.reset_tally ();
     Faults.arm (plan_of_spec spec);
-    let p = run_keep w in
+    let p = Pipeline.run w in
     let data =
       Faults.mangle_archive (Perf_data.to_bytes (Pipeline.collect_archive w))
     in
@@ -835,6 +920,10 @@ let () =
           tc "lbr corruption" `Quick test_lbr_corruption;
           tc "lbr faults act on the right slots" `Quick test_lbr_fault_slots;
           tc "stream faults degrade" `Quick test_stream_faults_degrade;
+          tc "drop-only and reorder-only streams pinned" `Quick
+            test_single_kind_streams_pinned;
+          tc "drop and reorder per window" `Quick
+            test_drop_and_reorder_windows;
         ] );
       ( "archive",
         [

@@ -80,9 +80,6 @@ let workloads () =
     mk_workload ~seed:0xF00DL "par-c";
   ]
 
-let keep_config =
-  { Pipeline.default_config with Pipeline.keep_records = true }
-
 (* Byte-identity of everything downstream analysis consumes. *)
 let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   compare a.stats b.stats = 0
@@ -96,24 +93,39 @@ let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   && compare a.hbbp.counts b.hbbp.counts = 0
   && compare a.reference_mix b.reference_mix = 0
   && compare a.pmu_counts b.pmu_counts = 0
-  && compare a.records b.records = 0
+
+let archive_bytes = List.map Hbbp_collector.Perf_data.to_bytes
 
 let test_run_many_matches_sequential () =
-  let seq = Pipeline.run_many ~jobs:1 ~config:keep_config (workloads ()) in
-  let par = Pipeline.run_many ~jobs:4 ~config:keep_config (workloads ()) in
+  let seq = Pipeline.run_many ~jobs:1 (workloads ()) in
+  let par = Pipeline.run_many ~jobs:4 (workloads ()) in
   checki "same cardinality" (List.length seq) (List.length par);
   List.iter2
     (fun a b -> checkb "profile byte-identical across job counts" true
         (profiles_equal a b))
     seq par;
-  let direct = List.map (Pipeline.run ~config:keep_config) (workloads ()) in
+  let direct = List.map Pipeline.run (workloads ()) in
   List.iter2
     (fun a b -> checkb "run_many jobs:1 = plain run" true (profiles_equal a b))
+    seq direct;
+  (* The record streams the runs fed, as collection writes them. *)
+  let seq = archive_bytes (Pipeline.collect_many ~jobs:1 (workloads ())) in
+  let par = archive_bytes (Pipeline.collect_many ~jobs:4 (workloads ())) in
+  let direct =
+    archive_bytes (List.map Pipeline.collect_archive (workloads ()))
+  in
+  List.iter2
+    (fun a b -> checkb "archive byte-identical across job counts" true
+        (Bytes.equal a b))
+    seq par;
+  List.iter2
+    (fun a b -> checkb "collect_many jobs:1 = plain collect" true
+        (Bytes.equal a b))
     seq direct
 
 let test_run_many_mixes_and_errors_identical () =
-  let seq = Pipeline.run_many ~jobs:1 ~config:keep_config (workloads ()) in
-  let par = Pipeline.run_many ~jobs:4 ~config:keep_config (workloads ()) in
+  let seq = Pipeline.run_many ~jobs:1 (workloads ()) in
+  let par = Pipeline.run_many ~jobs:4 (workloads ()) in
   List.iter2
     (fun (a : Pipeline.profile) (b : Pipeline.profile) ->
       checkb "HBBP mix identical" true

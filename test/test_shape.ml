@@ -6,11 +6,7 @@ open Hbbp_core
 
 let checkb = Alcotest.(check bool)
 
-let profile w =
-  (* records are opt-in now; the kernel-patch test re-estimates from them. *)
-  Pipeline.run
-    ~config:{ Pipeline.default_config with Pipeline.keep_records = true }
-    w
+let profile w = Pipeline.run w
 
 let err p bbec = (Pipeline.error_report p bbec).Error.avg_weighted_error
 let hbbp_err p = err p p.Pipeline.hbbp
@@ -76,9 +72,11 @@ let test_kernel_agreement () =
 let test_kernel_patch_matters () =
   let w = Hbbp_workloads.Kernelbench.workload () in
   let p = profile w in
-  (* Re-estimate LBR against the UNPATCHED static view. *)
+  (* Re-estimate LBR against the UNPATCHED static view, from the stream
+     the run fed (collection writes the same one). *)
   let db =
-    Hbbp_analyzer.Sample_db.of_records p.Pipeline.records
+    Hbbp_analyzer.Sample_db.of_records
+      (Pipeline.collect_archive w).Hbbp_collector.Perf_data.records
   in
   let unpatched =
     Hbbp_analyzer.Lbr_estimator.estimate p.Pipeline.static_unpatched

@@ -1297,29 +1297,13 @@ let test_undisassemblable_is_typed () =
     (Pipeline.analyze_archives [ path ])
 
 (* ------------------------------------------------------------------ *)
-(* keep_records opt-in and sharded writing                             *)
+(* The run's stream and sharded writing                                *)
 
-let test_keep_records_default () =
-  let w = Hbbp_workloads.Registry.find "mcf" in
-  let p = Pipeline.run w in
-  checki "records dropped by default" 0 (List.length p.Pipeline.records);
-  checkb "record_count still populated" true (p.Pipeline.record_count > 0);
-  let kept =
-    Pipeline.run
-      ~config:{ Pipeline.default_config with Pipeline.keep_records = true }
-      w
-  in
-  checki "keep_records retains the stream" kept.Pipeline.record_count
-    (List.length kept.Pipeline.records);
-  checki "same collection either way" p.Pipeline.record_count
-    kept.Pipeline.record_count
-
-(* [Pipeline.run] folds samples into its partial in chunks as the PMU
-   delivers them; with [keep_records] it also returns the stream it fed.
-   The oracle is the list path: [collect_archive] materializes the
-   stream with [Session.records], and reconstructing that list in one
-   batch must give what the chunked fold gave, with the kept stream
-   equal to the list. *)
+(* [Pipeline.run] folds the session's record stream into its partial in
+   chunks as the PMU delivers samples.  The oracle is the list path:
+   [collect_archive] builds its record list from the same stream, and
+   reconstructing that list in one batch must give what the chunked fold
+   gave, record count included. *)
 let profile_fields (p : Pipeline.profile) =
   ( (p.ebs, p.lbr, p.bias, p.hbbp),
     (p.quality, p.repair_report, p.record_count, p.pmu_health) )
@@ -1340,14 +1324,7 @@ let recon_fields (p : Pipeline.profile) records =
 
 let check_streamed_run name ~config w =
   let streamed = Pipeline.run ~config w in
-  let kept =
-    Pipeline.run ~config:{ config with Pipeline.keep_records = true } w
-  in
   let listed = (Pipeline.collect_archive ~config w).Perf_data.records in
-  checkb (name ^ ": streamed run = kept run") true
-    (compare (profile_fields streamed) (profile_fields kept) = 0);
-  checkb (name ^ ": kept stream = materialized list") true
-    (compare kept.Pipeline.records listed = 0);
   checkb (name ^ ": streamed run = batch reconstruction of the list") true
     (compare (profile_fields streamed) (recon_fields streamed listed) = 0)
 
@@ -1361,16 +1338,21 @@ let test_streamed_run_registry () =
           (Hbbp_workloads.Registry.find name))
     Hbbp_workloads.Registry.names
 
-(* An armed stream-fault plan materializes the stream before feeding
-   it, since its draws are defined over the whole list. *)
+(* An armed stream-fault plan drops and reorders records as the run
+   writes them, so the run still holds one chunk, and collection writes
+   the same faulted stream. *)
 let test_streamed_run_stream_faults () =
   let w = Hbbp_workloads.Registry.find "fitter-sse" in
-  Faults.arm (Result.get_ok (Plan.of_string "seed=5,rec.drop_sample=0.1"));
-  Fun.protect ~finally:Faults.disarm @@ fun () ->
-  check_streamed_run "fitter-sse, rec.drop_sample=0.1"
-    ~config:Pipeline.default_config w;
-  let p = Pipeline.run w in
-  checkb "drops degrade the profile" true (p.Pipeline.quality <> Pipeline.Full)
+  List.iter
+    (fun spec ->
+      Faults.arm (Result.get_ok (Plan.of_string spec));
+      Fun.protect ~finally:Faults.disarm @@ fun () ->
+      check_streamed_run ("fitter-sse, " ^ spec)
+        ~config:Pipeline.default_config w;
+      let p = Pipeline.run w in
+      checkb (spec ^ ": drops degrade the profile") true
+        (p.Pipeline.quality <> Pipeline.Full))
+    [ "seed=5,rec.drop_sample=0.1"; "seed=5,rec.drop_sample=0.1,rec.reorder=8" ]
 
 let test_save_sharded_naming_and_concat () =
   let archive, _, _ = Lazy.force fixture in
@@ -1502,9 +1484,7 @@ let () =
         ] );
       ( "records",
         [
-          Alcotest.test_case "keep_records opt-in" `Quick
-            test_keep_records_default;
-          Alcotest.test_case "streamed run = kept = batch, registry subset"
+          Alcotest.test_case "streamed run = batch of the list, registry subset"
             `Quick test_streamed_run_registry;
           Alcotest.test_case "streamed run under stream faults" `Quick
             test_streamed_run_stream_faults;

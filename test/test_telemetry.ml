@@ -325,22 +325,31 @@ let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   && compare a.hbbp.counts b.hbbp.counts = 0
   && compare a.reference_mix b.reference_mix = 0
   && compare a.pmu_counts b.pmu_counts = 0
-  && compare a.records b.records = 0
+
+(* The profiles of [ws], and the record streams their runs feed, as
+   collection writes them. *)
+let profiles_and_archives ws =
+  ( List.map Pipeline.run ws,
+    List.map
+      (fun w ->
+        Hbbp_collector.Perf_data.to_bytes (Pipeline.collect_archive w))
+      ws )
 
 let test_telemetry_does_not_change_profiles () =
   let ws =
     [ mk_workload ~seed:0xBEEFL "tel-a"; mk_workload ~seed:0x5EEDL "tel-b" ]
   in
-  let keep = { Pipeline.default_config with Pipeline.keep_records = true } in
-  let off = List.map (Pipeline.run ~config:keep) ws in
+  let off, off_archives = profiles_and_archives ws in
   Trace.enable ();
-  let on = List.map (Pipeline.run ~config:keep) ws in
+  let on, on_archives = profiles_and_archives ws in
   Trace.disable ();
   List.iter2
     (fun a b ->
       checkb "profile byte-identical with telemetry enabled" true
         (profiles_equal a b))
     off on;
+  checkb "archives byte-identical with telemetry enabled" true
+    (List.for_all2 Bytes.equal off_archives on_archives);
   checkb "pipeline emitted spans" true (Trace.span_count () > 0);
   checki "runs counted" 2 (sum "pipeline.runs")
 
@@ -454,19 +463,19 @@ let test_profiler_worker_allocation () =
 
 let test_profiled_byte_identity () =
   let ws = [ mk_workload ~seed:0xACEDL "prof-a" ] in
-  let keep = { Pipeline.default_config with Pipeline.keep_records = true } in
-  let off = List.map (Pipeline.run ~config:keep) ws in
+  let off, off_archives = profiles_and_archives ws in
   Trace.enable ();
   Profiler.enable ();
-  let on =
-    Fun.protect ~finally:Profiler.disable (fun () ->
-        List.map (Pipeline.run ~config:keep) ws)
+  let on, on_archives =
+    Fun.protect ~finally:Profiler.disable (fun () -> profiles_and_archives ws)
   in
   List.iter2
     (fun a b ->
       checkb "profiles byte-identical with spans and profiler" true
         (profiles_equal a b))
     off on;
+  checkb "archives byte-identical with spans and profiler" true
+    (List.for_all2 Bytes.equal off_archives on_archives);
   checkb "span allocation attributed" true
     (List.exists
        (fun (_, n) -> n > 0)
