@@ -13,27 +13,32 @@
      in default-sized chunks over every registry archive;
    - the minor words [Perf_data.Stream.next] allocates per record
      decoding those archives from disk;
+   - the minor words [Pipeline.Partial.feed_stream] allocates per
+     record, decoding those archives from disk straight into a partial
+     (the archive fold [Pipeline.analyze_archives] takes);
    - the speedup of [Crc32.update] over a bytewise one-table CRC-32;
    - the bytes [Perf_data.sharded_bytes ~shards:4] allocates per byte
-     it encodes, over every registry archive;
-   - the stream walks each LBR-estimator and bias accumulator performs,
-     fed one registry archive each (as one partial is), against the
-     distinct (target, src) pairs fed to it, which the bench counts from
-     the samples on its own;
+     it encodes, over every registry archive, and the bytes it encodes
+     against the same archives' size in format version 2;
+   - the stream walks of one partial per registry archive, whose
+     LBR-estimator and bias accumulators share one walk table, against
+     the distinct (target, src) pairs fed to it, which the bench counts
+     from the samples on its own;
    - the top heap of one [Pipeline.run] of hello in a fresh child
      process, which folds samples into its partial as they arrive
      instead of holding the sample and record lists;
    - the top heap of one [Pipeline.collect_archive] of hello in a fresh
      child process, which holds the record list the session stream
      writes but not the PMU samples it was written from.
-   The word and walk counts are exact and host-independent; the byte
-   ratio read 1.009-1.012 over repeated runs, far inside its gate; the
-   speedup is a same-process ratio.  The bench exits non-zero above
-   [max_create_bytes], [max_feed_words_per_record],
-   [max_next_words_per_record], [max_encode_bytes_per_byte],
+   The word, byte and walk counts are exact and host-independent; the
+   allocation ratio read 1.009-1.012 over repeated runs, far inside its
+   gate; the speedup is a same-process ratio.  The bench exits non-zero
+   above [max_create_bytes], [max_feed_words_per_record],
+   [max_next_words_per_record], [max_fold_words_per_record],
+   [max_encode_bytes_per_byte], [max_archive_bytes_ratio],
    [max_run_top_heap_bytes] or [max_collect_top_heap_bytes], below
-   [min_crc_speedup], or when an
-   accumulator walks more streams than it was fed distinct pairs.
+   [min_crc_speedup], or when a partial walks more streams than it was
+   fed distinct pairs.
    Writes BENCH_streaming.json. *)
 
 open Hbbp_core
@@ -53,8 +58,12 @@ let role_var = "HBBP_BENCH_STREAMING_ROLE"
 let paths_var = "HBBP_BENCH_STREAMING_PATHS"
 let out_var = "HBBP_BENCH_STREAMING_OUT"
 
+(* [Gc.stat], not [Gc.quick_stat]: the quick counters are refreshed
+   only when a major cycle ends, so a child that completes none (a
+   streaming analysis that decodes straight into its partial) would
+   read a top heap of 0. *)
 let child role paths out =
-  let base = (Gc.quick_stat ()).Gc.top_heap_words in
+  let base = (Gc.stat ()).Gc.top_heap_words in
   let t0 = now () in
   let records =
     match role with
@@ -83,7 +92,7 @@ let child role paths out =
         | Error msg -> failwith ("BENCH streaming: " ^ msg))
   in
   let dt = now () -. t0 in
-  let peak = (Gc.quick_stat ()).Gc.top_heap_words in
+  let peak = (Gc.stat ()).Gc.top_heap_words in
   Bench_util.write_out out "%d %d %d %.6f\n" base peak records dt;
   exit 0
 
@@ -99,7 +108,18 @@ let max_feed_words_per_record = 64.0
    (33), the sample record (6), its [Sample] box (2) and the chunk
    list's cons cells (3 + 3 for the reversal). *)
 let max_next_words_per_record = 52.0
+
+(* Decoding into a partial builds no record: what is left is the
+   sample record each accumulator takes (3 words) and, amortized, the
+   chunk spans and the reader's scratch arrays. *)
+let max_fold_words_per_record = 8.0
 let min_crc_speedup = 2.5
+
+(* The registry's 4-shard archives in format version 2, where every LBR
+   entry was two 8-byte addresses; version 3 stores them as varint
+   deltas. *)
+let v2_registry_archive_bytes = 50_080_747
+let max_archive_bytes_ratio = 0.45
 
 (* An encoded shard is one allocation of its exact size (plus its
    header word); the rest is the list of shards and each shard's
@@ -142,25 +162,25 @@ let feed_words_per_record archives =
 type walk_count = {
   streams : int;  (** Adjacent (target, src) pairs fed, repeats included. *)
   distinct : int;  (** Distinct pairs among them. *)
-  lbr_walks : int;  (** [Lbr_estimator.Acc.walks] after feeding them. *)
-  bias_walks : int;  (** [Bias.Acc.walks] after feeding them. *)
+  walks : int;  (** [Partial.walks] after feeding them. *)
 }
 
-(* One LBR-estimator and one bias accumulator per archive, fed its LBR
-   snapshots as [Partial.feed] feeds them, and the pairs counted here
-   without them: every adjacent pair of a snapshot of two or more
+(* One partial per archive, fed its records, and the pairs counted here
+   without it: every adjacent pair of an LBR snapshot of two or more
    entries. *)
 let walk_counts archives =
   let open Hbbp_analyzer in
   List.map
     (fun (a : Perf_data.t) ->
       let static = Static.create_exn (Perf_data.analysis_process a) in
-      let lbr = Lbr_estimator.Acc.create static and bias = Bias.Acc.create () in
+      let p =
+        Pipeline.Partial.create ~static ~ebs_period:a.Perf_data.ebs_period
+          ~lbr_period:a.Perf_data.lbr_period ()
+      in
+      Pipeline.Partial.feed p a.Perf_data.records;
       let pairs = Hashtbl.create 1024 and streams = ref 0 in
       Array.iter
         (fun (s : Sample_db.lbr_sample) ->
-          Lbr_estimator.Acc.add static lbr s;
-          Bias.Acc.add static bias s;
           let e = s.Sample_db.entries in
           for k = 1 to Hbbp_cpu.Lbr.entries e - 1 do
             Hashtbl.replace pairs (e.((2 * k) - 1), e.(2 * k)) ();
@@ -170,45 +190,60 @@ let walk_counts archives =
       {
         streams = !streams;
         distinct = Hashtbl.length pairs;
-        lbr_walks = Lbr_estimator.Acc.walks lbr;
-        bias_walks = Bias.Acc.walks bias;
+        walks = Pipeline.Partial.walks p;
       })
     archives
 
-(* Minor words [Stream.next] allocates per record, decoding every
-   archive from a v2 file (opening it, which parses the metadata
-   sections, is not counted). *)
-let next_words_per_record archives =
+let open_stream path =
+  match Perf_data.Stream.open_file path with
+  | Ok s -> s
+  | Error e ->
+      failwith (Format.asprintf "BENCH streaming: %a" Perf_data.pp_error e)
+
+(* Minor words per record, decoding every archive from a file: through
+   [Stream.next], and through [Partial.feed_stream] into a partial
+   (opening the file, which parses the metadata sections, and creating
+   the partial are not counted). *)
+let decode_words_per_record archives =
   let path = Filename.temp_file "hbbp-bench-next" ".hbbp" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let words = ref 0.0 and records = ref 0 in
+  let next_words = ref 0.0 and fold_words = ref 0.0 and records = ref 0 in
   List.iter
     (fun (a : Perf_data.t) ->
       Perf_data.save a ~path;
-      match Perf_data.Stream.open_file path with
-      | Error e ->
-          failwith
-            (Format.asprintf "BENCH streaming: %a" Perf_data.pp_error e)
-      | Ok s ->
-          let rec go () =
-            let w0 = Gc.minor_words () in
-            let chunk = Perf_data.Stream.next s in
-            words := !words +. (Gc.minor_words () -. w0);
-            match chunk with
-            | Some rs ->
-                records := !records + List.length rs;
-                go ()
-            | None -> ()
-          in
-          go ();
-          Perf_data.Stream.close s)
+      let s = open_stream path in
+      let rec go () =
+        let w0 = Gc.minor_words () in
+        let chunk = Perf_data.Stream.next s in
+        next_words := !next_words +. (Gc.minor_words () -. w0);
+        match chunk with
+        | Some rs ->
+            records := !records + List.length rs;
+            go ()
+        | None -> ()
+      in
+      go ();
+      Perf_data.Stream.close s;
+      let static =
+        Hbbp_analyzer.Static.create_exn (Perf_data.analysis_process a)
+      in
+      let p =
+        Pipeline.Partial.create ~static ~ebs_period:a.Perf_data.ebs_period
+          ~lbr_period:a.Perf_data.lbr_period ()
+      in
+      let s = open_stream path in
+      let w0 = Gc.minor_words () in
+      Pipeline.Partial.feed_stream p s;
+      fold_words := !fold_words +. (Gc.minor_words () -. w0);
+      Perf_data.Stream.close s)
     archives;
-  !words /. float_of_int !records
+  let per_record w = w /. float_of_int !records in
+  (per_record !next_words, per_record !fold_words)
 
 (* Bytes allocated by [Perf_data.sharded_bytes ~shards:4] per byte of
-   the shards it returns, over [archives]. *)
-let encode_bytes_per_byte archives =
+   the shards it returns over [archives], and those bytes. *)
+let encode_bytes archives =
   let allocated = ref 0.0 and encoded = ref 0 in
   List.iter
     (fun (a : Perf_data.t) ->
@@ -217,7 +252,7 @@ let encode_bytes_per_byte archives =
       allocated := !allocated +. (Gc.allocated_bytes () -. b0);
       List.iter (fun (_, b) -> encoded := !encoded + Bytes.length b) shards)
     archives;
-  !allocated /. float_of_int !encoded
+  (!allocated /. float_of_int !encoded, !encoded)
 
 (* The bytewise one-table CRC-32 that slicing-by-8 replaced: the
    reference the speedup is measured against. *)
@@ -360,42 +395,43 @@ let run ppf =
         (float_of_int m.m_records /. m.seconds))
     [ ("batch", batch); ("streaming", streaming); ("4 shards", sharded) ]
   ;
+  (* Of whole-process top heaps: the streaming child's heap barely grows
+     past its start-up size, so a ratio of analysis-attributable peaks
+     would mostly measure start-up. *)
   let ratio =
-    float_of_int batch.peak_bytes /. float_of_int streaming.peak_bytes
+    float_of_int batch.top_bytes /. float_of_int streaming.top_bytes
   in
   let hello = Hbbp_workloads.Registry.find "hello" in
   let create = create_bytes hello in
   let run = spawn_child "run" [ hello.name ] in
   let collect = spawn_child "collect" [ hello.name ] in
   let feed_words = feed_words_per_record archives in
-  let next_words = next_words_per_record archives in
+  let next_words, fold_words = decode_words_per_record archives in
   let walks = walk_counts archives in
-  let encode_bytes = encode_bytes_per_byte archives in
+  let encode_bytes, archive_bytes = encode_bytes archives in
+  let archive_ratio =
+    float_of_int archive_bytes /. float_of_int v2_registry_archive_bytes
+  in
   let total =
     List.fold_left
       (fun t w ->
         {
           streams = t.streams + w.streams;
           distinct = t.distinct + w.distinct;
-          lbr_walks = t.lbr_walks + w.lbr_walks;
-          bias_walks = t.bias_walks + w.bias_walks;
+          walks = t.walks + w.walks;
         })
-      { streams = 0; distinct = 0; lbr_walks = 0; bias_walks = 0 }
+      { streams = 0; distinct = 0; walks = 0 }
       walks
   in
-  let over_walked =
-    List.filter
-      (fun w -> w.lbr_walks > w.distinct || w.bias_walks > w.distinct)
-      walks
-  in
+  let over_walked = List.filter (fun w -> w.walks > w.distinct) walks in
   let crc_speedup, crc_mb_s = crc_speedup () in
-  Format.fprintf ppf "peak-heap ratio batch/streaming: %.2fx@." ratio;
+  Format.fprintf ppf "top-heap ratio batch/streaming: %.2fx@." ratio;
   if batch.m_records <> n_records || streaming.m_records <> n_records then
     failwith "BENCH streaming: modes disagree on record count";
   let mode label m =
     Printf.sprintf
-      {|"%s": { "seconds": %.3f, "peak_heap_bytes": %d, "records_per_sec": %.0f }|}
-      label m.seconds m.peak_bytes
+      {|"%s": { "seconds": %.3f, "peak_heap_bytes": %d, "top_heap_bytes": %d, "records_per_sec": %.0f }|}
+      label m.seconds m.peak_bytes m.top_bytes
       (float_of_int m.m_records /. m.seconds)
   in
   U.write_out "BENCH_streaming.json"
@@ -413,25 +449,29 @@ let run ppf =
   "collect_hello_seconds": %.3f,
   "feed_minor_words_per_record": %.3f,
   "next_minor_words_per_record": %.3f,
+  "fold_minor_words_per_record": %.3f,
   "encode_allocated_bytes_per_byte": %.3f,
+  "registry_archive_bytes": %d,
+  "registry_archive_bytes_v2": %d,
+  "archive_bytes_ratio_over_v2": %.4f,
   "lbr_streams": %d,
   "distinct_stream_pairs": %d,
-  "lbr_estimator_walks": %d,
-  "bias_walks": %d,
+  "partial_walks": %d,
   "crc32_speedup_over_bytewise": %.2f,
   "crc32_mb_per_s": %.0f,
   %s,
   %s,
   %s,
-  "peak_ratio_batch_over_streaming": %.3f
+  "top_heap_ratio_batch_over_streaming": %.3f
 }
 |}
     (U.json_header ~bench:"streaming")
     name n_records archive.Perf_data.ebs_period archive.Perf_data.lbr_period
     Perf_data.Stream.default_chunk_records create run.top_bytes run.seconds
     collect.top_bytes collect.seconds
-    feed_words next_words encode_bytes
-    total.streams total.distinct total.lbr_walks total.bias_walks crc_speedup
+    feed_words next_words fold_words encode_bytes archive_bytes
+    v2_registry_archive_bytes archive_ratio total.streams total.distinct
+    total.walks crc_speedup
     crc_mb_s (mode "batch" batch)
     (mode "streaming" streaming)
     (mode "sharded" sharded) ratio;
@@ -460,17 +500,25 @@ let run ppf =
      %.0f)@."
     next_words max_next_words_per_record;
   Format.fprintf ppf
+    "Partial.feed_stream: %.3f minor words per record decoding the registry \
+     into partials (gate: <= %.0f)@."
+    fold_words max_fold_words_per_record;
+  Format.fprintf ppf
     "sharded_bytes: %.3f bytes allocated per encoded byte over the registry \
      (gate: <= %.2f)@."
     encode_bytes max_encode_bytes_per_byte;
   Format.fprintf ppf
+    "registry archives: %d bytes in 4 shards, %.4fx the %d of format \
+     version 2 (gate: <= %.2fx)@."
+    archive_bytes archive_ratio v2_registry_archive_bytes
+    max_archive_bytes_ratio;
+  Format.fprintf ppf
     "Crc32.update: %.2fx the bytewise CRC, %.0f MB/s (gate: >= %.1fx)@."
     crc_speedup crc_mb_s min_crc_speedup;
   Format.fprintf ppf
-    "stream walks: %d LBR estimator, %d bias over %d streams, %d distinct \
-     pairs in %d archives (gate: <= distinct, per accumulator and archive)@."
-    total.lbr_walks total.bias_walks total.streams total.distinct
-    (List.length walks);
+    "stream walks: %d over %d streams, %d distinct pairs in %d archives \
+     (gate: <= distinct, per partial)@."
+    total.walks total.streams total.distinct (List.length walks);
   let failures =
     List.filter_map
       (fun (failed, msg) -> if failed then Some msg else None)
@@ -491,6 +539,14 @@ let run ppf =
         ( next_words > max_next_words_per_record,
           Printf.sprintf "Stream.next allocates more than %.0f words per record"
             max_next_words_per_record );
+        ( fold_words > max_fold_words_per_record,
+          Printf.sprintf
+            "Partial.feed_stream allocates more than %.0f words per record"
+            max_fold_words_per_record );
+        ( archive_ratio > max_archive_bytes_ratio,
+          Printf.sprintf
+            "registry archives are more than %.2fx their version-2 size"
+            max_archive_bytes_ratio );
         ( encode_bytes > max_encode_bytes_per_byte,
           Printf.sprintf
             "sharded_bytes allocates more than %.2f bytes per encoded byte"
@@ -500,7 +556,7 @@ let run ppf =
             min_crc_speedup );
         ( over_walked <> [],
           Printf.sprintf
-            "%d archive(s) walked more streams than distinct pairs fed"
+            "%d partial(s) walked more streams than distinct pairs fed"
             (List.length over_walked) );
       ]
   in

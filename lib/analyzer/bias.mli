@@ -51,19 +51,23 @@ val default_params : params
     commutative.  [add] allocates nothing once a stream has been seen:
     each distinct [(target, src)] stream is walked once and answered
     from the accumulator's {!Stream_walk.Memo} after that.  The table is
-    a cache, not state: [merge], [export] and [import] drop it. *)
+    a cache, not state: [create] and [merge] take one to share ([?memo],
+    a fresh one by default), [export] and [import] drop it. *)
 module Acc : sig
   type acc
 
-  val create : unit -> acc
+  val create : ?memo:Stream_walk.Memo.t -> unit -> acc
   val add : Static.t -> acc -> Sample_db.lbr_sample -> unit
 
-  (** Streams this accumulator walked: the distinct [(target, src)]
-      pairs fed to it since it was created (0 after [merge]/[import]). *)
+  (** Streams walked through this accumulator's table: the distinct
+      [(target, src)] pairs fed to it, or to any accumulator sharing it,
+      since the table was created (0 after [import], or after [merge]
+      into a fresh table). *)
   val walks : acc -> int
 
-  (** Pure: returns a fresh accumulator, inputs are unchanged. *)
-  val merge : acc -> acc -> acc
+  (** Pure: returns a fresh accumulator over [memo] (default: a fresh
+      table), inputs are unchanged. *)
+  val merge : ?memo:Stream_walk.Memo.t -> acc -> acc -> acc
 
   (** Checkpoint support: per-branch tallies as assoc lists sorted by
       source address, and the stream set as sorted triples

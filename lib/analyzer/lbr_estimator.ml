@@ -24,8 +24,9 @@ type t = {
    [tallies] prefix-sums a row back into per-block visits.
 
    Walk outcomes come from a {!Stream_walk.Memo}, so each distinct
-   stream is walked once per accumulator; the table is a cache, and
-   [merge], [export] and [import] start an empty one. *)
+   stream is walked once per table; the table is a cache, given by the
+   caller or else a fresh one, and [export] and [import] start an empty
+   one. *)
 module Acc = struct
   type acc = {
     total_blocks : int;
@@ -39,7 +40,7 @@ module Acc = struct
     mutable lasts : int array;
   }
 
-  let create_sized total_blocks =
+  let create_sized ?(memo = Stream_walk.Memo.create ()) total_blocks =
     {
       total_blocks;
       by_k = [||];
@@ -47,12 +48,12 @@ module Acc = struct
       usable = 0;
       inconsistent = 0;
       discarded = 0;
-      memo = Stream_walk.Memo.create ();
+      memo;
       firsts = [||];
       lasts = [||];
     }
 
-  let create static = create_sized (Static.total_blocks static)
+  let create ?memo static = create_sized ?memo (Static.total_blocks static)
   let walks acc = Stream_walk.Memo.walks acc.memo
 
   let row acc k =
@@ -109,7 +110,7 @@ module Acc = struct
     done;
     out
 
-  let merge a b =
+  let merge ?memo a b =
     if a.total_blocks <> b.total_blocks then
       invalid_arg "Lbr_estimator.Acc.merge: block count mismatch";
     let n_k = max (Array.length a.by_k) (Array.length b.by_k) in
@@ -123,7 +124,7 @@ module Acc = struct
           | [||], r | r, [||] -> Array.copy r
           | ra, rb -> Array.mapi (fun g n -> n + rb.(g)) ra)
     in
-    { (create_sized a.total_blocks) with
+    { (create_sized ?memo a.total_blocks) with
       by_k;
       snapshots = a.snapshots + b.snapshots;
       usable = a.usable + b.usable;

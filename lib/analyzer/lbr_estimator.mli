@@ -39,21 +39,27 @@ type t = {
     Each accumulator walks a distinct [(target, src)] stream once and
     answers repeats from its {!Stream_walk.Memo}: [add] allocates
     nothing for a stream seen before.  The table is a cache, not state:
-    [merge], [export] and [import] drop it, so checkpoints are unchanged
-    by it. *)
+    [create] and [merge] take one to share ([?memo], a fresh one by
+    default; a partial gives its LBR-estimator and bias accumulators the
+    same one), [export] and [import] drop it, so checkpoints are
+    unchanged by it.  A table must only ever see one [static], on one
+    domain at a time. *)
 module Acc : sig
   type acc
 
-  val create : Static.t -> acc
+  val create : ?memo:Stream_walk.Memo.t -> Static.t -> acc
   val add : Static.t -> acc -> Sample_db.lbr_sample -> unit
 
-  (** Streams this accumulator walked: the distinct [(target, src)]
-      pairs fed to it since it was created (0 after [merge]/[import]). *)
+  (** Streams walked through this accumulator's table: the distinct
+      [(target, src)] pairs fed to it, or to any accumulator sharing it,
+      since the table was created (0 after [import], or after [merge]
+      into a fresh table). *)
   val walks : acc -> int
 
-  (** Pure: returns a fresh accumulator, inputs are unchanged.
+  (** Pure: returns a fresh accumulator over [memo] (default: a fresh
+      table), inputs are unchanged.
       @raise Invalid_argument when the block counts differ. *)
-  val merge : acc -> acc -> acc
+  val merge : ?memo:Stream_walk.Memo.t -> acc -> acc -> acc
 
   (** Checkpoint support: the full integer state of one accumulator.
       Rows of [r_by_k] with length 0 are "no stream of that depth

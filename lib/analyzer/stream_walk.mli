@@ -33,9 +33,10 @@ val walk : Static.t -> span -> target:int -> src:int -> result
     walking that stream, so each distinct stream is walked once.  The
     outcome depends on the static code alone, never on the sample.
 
-    The table is a cache, not state: each accumulator owns one (the
-    pool's domains share a {!Static.t}, so a table there would race),
-    and [merge], [export] and [import] start a fresh one.  Slots are
+    The table is a cache, not state: one per partial, shared by its
+    LBR-estimator and bias accumulators, which look up the same pairs
+    (the pool's domains share a {!Static.t}, so a table there would
+    race); [export] and [import] start a fresh one.  Slots are
     three ints in one flat array and the table doubles at half load;
     a hit allocates nothing. *)
 module Memo : sig

@@ -85,12 +85,16 @@ type read = { archive : t; ledger : fault list }
 
 let magic = "HBBPDATA"
 
-(* Version 2: length-prefixed primitives grouped into four sections —
+(* Version 3: length-prefixed primitives grouped into four sections —
    header, images, kernel text, records — each preceded by (payload
    length, item count, CRC-32).  Readers can verify integrity before
    parsing and salvage the record stream independently of the
-   metadata. *)
-let version = 2
+   metadata.  A sample's LBR snapshot is its entry count, then two
+   zigzag LEB128 varints per entry: its source minus the previous
+   entry's target (the sample's ip for entry 0), and its target minus
+   its source.  Within one snapshot the addresses lie close together,
+   so most deltas take one or two bytes instead of eight. *)
+let version = 3
 
 (* -- writer -- *)
 
@@ -109,6 +113,30 @@ let z_image (img : Image.t) =
     (z_string img.name + 8 + 1 + z_bytes img.code + 8)
     img.symbols
 
+(* Zigzag maps a signed delta to an unsigned one, small magnitudes to
+   small values: 0, -1, 1, -2 ... become 0, 1, 2, 3 ...  Both directions
+   are bijections on the 63-bit ints. *)
+let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
+let unzigzag z = (z lsr 1) lxor (-(z land 1))
+
+(* LEB128 length of [u], read as an unsigned 63-bit value: seven bits
+   per byte, at most nine bytes. *)
+let rec z_uvarint u =
+  if u land lnot 0x7f = 0 then 1 else 1 + z_uvarint (u lsr 7)
+
+let z_svarint v = z_uvarint (zigzag v)
+
+(* A snapshot's entry count and delta varints; [ip] anchors entry 0. *)
+let z_lbr ~ip (lbr : Lbr.snapshot) =
+  let n = Lbr.entries lbr in
+  let size = ref (z_uvarint n) and prev = ref ip in
+  for k = 0 to n - 1 do
+    let src = lbr.(2 * k) and tgt = lbr.((2 * k) + 1) in
+    size := !size + z_svarint (src - !prev) + z_svarint (tgt - src);
+    prev := tgt
+  done;
+  !size
+
 let z_record = function
   | Record.Comm { name; _ } -> 1 + 8 + z_string name
   | Record.Mmap { name; _ } -> 1 + 16 + z_string name + 1
@@ -116,8 +144,8 @@ let z_record = function
   | Record.Sample s ->
       1
       + z_string (Pmu_event.to_string s.Record.event)
-      + 8 + 1 + 8 + 8
-      + (8 * Array.length s.Record.lbr)
+      + 8 + 1 + 8
+      + z_lbr ~ip:s.Record.ip s.Record.lbr
   | Record.Lost _ -> 1 + 8
 
 (* The output and the offset of the next field. *)
@@ -130,6 +158,26 @@ let w_u8 w v =
 let w_i64 w v =
   Bytes.set_int64_le w.out w.at (Int64.of_int v);
   w.at <- w.at + 8
+
+let rec w_uvarint w u =
+  if u land lnot 0x7f = 0 then w_u8 w u
+  else begin
+    w_u8 w (u lor 0x80);
+    w_uvarint w (u lsr 7)
+  end
+
+let w_svarint w v = w_uvarint w (zigzag v)
+
+let w_lbr w ~ip (lbr : Lbr.snapshot) =
+  let n = Lbr.entries lbr in
+  w_uvarint w n;
+  let prev = ref ip in
+  for k = 0 to n - 1 do
+    let src = lbr.(2 * k) and tgt = lbr.((2 * k) + 1) in
+    w_svarint w (src - !prev);
+    w_svarint w (tgt - src);
+    prev := tgt
+  done
 
 let w_string w s =
   let n = String.length s in
@@ -183,12 +231,7 @@ let w_record w (r : Record.t) =
       w_i64 w s.Record.ip;
       w_ring w s.Record.ring;
       w_i64 w s.Record.time;
-      (* Entry count, then each entry's source and target: the flat
-         snapshot's own interleaved order. *)
-      w_i64 w (Lbr.entries s.Record.lbr);
-      for k = 0 to Array.length s.Record.lbr - 1 do
-        w_i64 w s.Record.lbr.(k)
-      done
+      w_lbr w ~ip:s.Record.ip s.Record.lbr
   | Record.Lost n ->
       w_u8 w 4;
       w_i64 w n
@@ -313,14 +356,41 @@ let r_bytes c =
    count field raises a typed error instead of attempting a giant
    allocation.  A count the declared payload could hold but the bytes
    present cannot is a cut, not a corruption. *)
-let r_count c ~min_item_size =
-  let n = r_i64 c in
+let check_count c n ~min_item_size =
   if min_item_size > 0 && n > remaining c / min_item_size then
     raise
       (Parse
          (if n <= (c.declared - c.pos) / min_item_size then Truncated
           else Corrupt (Printf.sprintf "implausible count %d" n)));
   n
+
+let r_count c ~min_item_size = check_count c (r_i64 c) ~min_item_size
+
+(* An unsigned LEB128 varint of at most nine bytes (63 bits).  Only the
+   shortest encoding is accepted, so every value has one encoding: a
+   last byte of 0 after others is overlong, and a ninth byte that asks
+   for a tenth overflows. *)
+let rec r_uvarint_at c pos acc shift =
+  if pos >= c.limit then raise (Parse Truncated);
+  let b = Bytes.get_uint8 c.data pos in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then begin
+    if b = 0 && shift > 0 then raise (Parse (Corrupt "overlong varint"));
+    c.pos <- pos + 1;
+    acc
+  end
+  else if shift = 56 then raise (Parse (Corrupt "varint overflows 63 bits"))
+  else r_uvarint_at c (pos + 1) acc (shift + 7)
+
+let r_uvarint c = r_uvarint_at c c.pos 0 0
+
+(* [prev] plus a zigzag delta.  An address below 0 is corrupt, as a
+   negative 8-byte field always was; since [prev] is not negative, a
+   sum that wraps past [max_int] lands below 0 too. *)
+let r_address c ~prev =
+  let a = prev + unzigzag (r_uvarint c) in
+  if a < 0 then raise (Parse (Corrupt "negative address"));
+  a
 
 let r_list c ?(min_item_size = 1) f =
   let n = r_count c ~min_item_size in
@@ -375,34 +445,66 @@ let r_event c =
   c.pos <- c.pos + n;
   e
 
-let r_record c =
+(* Where a sample's LBR entries are decoded: one array per entry count,
+   reused by every sample of that count, so a clean stream allocates
+   one array per count it holds rather than one per sample.  Counts
+   past any LBR's depth, which only a damaged archive declares, get a
+   fresh array instead of a table slot. *)
+let scratch_depth = 64
+
+let scratch_for (t : Lbr.snapshot array) n =
+  if n >= scratch_depth then Array.make (2 * n) 0
+  else begin
+    if Array.length t.(n) <> 2 * n then t.(n) <- Array.make (2 * n) 0;
+    t.(n)
+  end
+
+(* Every entry takes at least two one-byte varints. *)
+let r_lbr scratch c ~ip =
+  let n = check_count c (r_uvarint c) ~min_item_size:2 in
+  let e = scratch_for scratch n in
+  let prev = ref ip in
+  for k = 0 to n - 1 do
+    let src = r_address c ~prev:!prev in
+    let tgt = r_address c ~prev:src in
+    e.(2 * k) <- src;
+    e.((2 * k) + 1) <- tgt;
+    prev := tgt
+  done;
+  e
+
+type consumer = {
+  sample : Pmu_event.t -> int -> Ring.t -> int -> Lbr.snapshot -> unit;
+  other : Record.t -> unit;
+}
+
+(* The one record parser: parse the record at [c] whole, then hand it to
+   [k] — a sample field by field, with its entries in [scratch], any
+   other record built.  A record that fails to parse hands nothing. *)
+let r_record scratch c k =
   match r_u8 c with
   | 0 ->
       let pid = r_i64 c in
       let name = r_string c in
-      Record.Comm { pid; name }
+      k.other (Record.Comm { pid; name })
   | 1 ->
       let addr = r_i64 c in
       let len = r_i64 c in
       let name = r_string c in
       let ring = r_ring c in
-      Record.Mmap { addr; len; name; ring }
+      k.other (Record.Mmap { addr; len; name; ring })
   | 2 ->
       let parent = r_i64 c in
       let child = r_i64 c in
-      Record.Fork { parent; child }
+      k.other (Record.Fork { parent; child })
   | 3 ->
       let event = r_event c in
       let ip = r_i64 c in
       let ring = r_ring c in
       let time = r_i64 c in
-      let n = r_count c ~min_item_size:16 in
-      let lbr = Array.make (2 * n) 0 in
-      for k = 0 to (2 * n) - 1 do
-        lbr.(k) <- r_i64 c
-      done;
-      Record.Sample { Record.event; ip; lbr; ring; time }
-  | 4 -> Record.Lost (r_i64 c)
+      let lbr = r_lbr scratch c ~ip in
+      k.sample event ip ring time lbr
+  | 4 -> k.other (Record.Lost (r_i64 c))
   | tag -> raise (Parse (Corrupt (Printf.sprintf "record tag %d" tag)))
 
 let records_fault ~expected ~salvaged = function
@@ -583,6 +685,11 @@ let save_sharded t ~shards ~path =
 (* The reader: one stream over a file or over bytes in memory          *)
 
 module Stream = struct
+  type nonrec consumer = consumer = {
+    sample : Pmu_event.t -> int -> Ring.t -> int -> Lbr.snapshot -> unit;
+    other : Record.t -> unit;
+  }
+
   let default_chunk_records = 256
 
   (* Refill granularity of the pending buffer (it grows as needed when a
@@ -605,6 +712,7 @@ module Stream = struct
     mutable emitted : int;  (** Records handed out so far. *)
     mutable s_ledger : fault list option;
         (** [Some] exactly when the stream is finished. *)
+    scratch : Lbr.snapshot array;  (** [scratch_for]'s table. *)
   }
 
   let meta s = s.meta
@@ -663,12 +771,12 @@ module Stream = struct
     s.s_ledger <- Some (checksum @ ended)
 
   (* Parse up to [chunk_records] records out of the pending buffer,
-     refilling on demand.  A parse failure is final only once the rest
-     of the payload is buffered: the cursor then ends where the section's
-     bytes do, so where a record is cut or corrupt does not depend on
-     the refill size. *)
-  let next s =
-    if Option.is_some s.s_ledger then None
+     handing each to [k], refilling on demand.  A parse failure is final
+     only once the rest of the payload is buffered: the cursor then ends
+     where the section's bytes do, so where a record is cut or corrupt
+     does not depend on the refill size. *)
+  let fold s k =
+    if Option.is_some s.s_ledger then 0
     else begin
       (* One cursor over the pending bytes, rebuilt only after a refill
          (which moves or replaces the buffer). *)
@@ -677,15 +785,14 @@ module Stream = struct
           declared = s.b_stop + s.len - s.fed }
       in
       let cur = ref (pending ()) in
-      let out = ref [] and n_out = ref 0 in
+      let n_out = ref 0 in
       while Option.is_none s.s_ledger && !n_out < s.chunk_records do
         if s.emitted >= s.expected then finish s None
         else
-          match r_record !cur with
-          | r ->
+          match r_record s.scratch !cur k with
+          | () ->
               s.b_start <- !cur.pos;
               s.emitted <- s.emitted + 1;
-              out := r :: !out;
               incr n_out
           | exception Parse e ->
               if refill s then cur := pending ()
@@ -695,8 +802,23 @@ module Stream = struct
                      (records_fault ~expected:(Some s.expected)
                         ~salvaged:s.emitted e))
       done;
-      match List.rev !out with [] -> None | chunk -> Some chunk
+      !n_out
     end
+
+  (* The consumer that builds the records, each sample with its own
+     copy of the scratch entries. *)
+  let next s =
+    let out = ref [] in
+    let k =
+      {
+        sample =
+          (fun event ip ring time lbr ->
+            let lbr = Array.copy lbr in
+            out := Record.Sample { Record.event; ip; lbr; ring; time } :: !out);
+        other = (fun r -> out := r :: !out);
+      }
+    in
+    if fold s k = 0 then None else Some (List.rev !out)
 
   (* Complete once the stream is finished; calling it earlier drains the
      remaining records. *)
@@ -756,6 +878,7 @@ module Stream = struct
         fed = 0;
         emitted = 0;
         s_ledger;
+        scratch = Array.make scratch_depth [||];
       }
     with
     | s -> Ok s

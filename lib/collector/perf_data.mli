@@ -7,12 +7,19 @@
       (paper section III.C: the self-modifying kernel remedy needs it);
     - the record stream (comm/mmap/samples/lost).
 
-    The format (version 2) is a length-prefixed little-endian binary
+    The format (version 3) is a length-prefixed little-endian binary
     with a magic header and {b four checksummed sections} (header,
     images, kernel text, records): each section carries its payload
     length, item count and CRC-32, so readers detect truncation and bit
-    rot before parsing.  Any other version byte, including the retired
-    version 1 (flat, no integrity data), is [Bad_version].
+    rot before parsing.  A sample's LBR snapshot is stored as deltas:
+    its entry count as an unsigned LEB128 varint, then per entry two
+    zigzag LEB128 varints, the entry's source minus the previous
+    entry's target (minus the sample's ip for entry 0) and its target
+    minus its source.  Only the shortest varint encoding of a value is
+    accepted, and a delta that leads below address 0 is corrupt.  Any
+    other version byte, including the retired version 1 (flat, no
+    integrity data) and version 2 (LBR entries as fixed 8-byte
+    addresses), is [Bad_version].
 
     Reading {b salvages} rather than aborts: a truncated or corrupt
     record stream yields its parseable prefix plus a typed fault
@@ -172,6 +179,18 @@ val sharded_bytes : t -> shards:int -> path:string -> (string * bytes) list
 module Stream : sig
   type stream
 
+  (** What {!fold} hands each record to. *)
+  type consumer = {
+    sample :
+      Hbbp_cpu.Pmu_event.t -> int -> Ring.t -> int -> Hbbp_cpu.Lbr.snapshot ->
+      unit;
+        (** [sample event ip ring time entries] — one sample, field by
+            field.  [entries] is the reader's scratch array for that
+            entry count, overwritten by the next sample of the same
+            count: a consumer that keeps it must copy it. *)
+    other : Record.t -> unit;  (** Every record that is not a sample. *)
+  }
+
   (** Default records per {!next} chunk (256): a chunk of decoded
       16-deep LBR snapshots is then ~18k words, small enough to die in
       the minor heap instead of being promoted. *)
@@ -189,8 +208,17 @@ module Stream : sig
       {!analysis_process} and shard-compatibility checks. *)
   val meta : stream -> t
 
+  (** [fold s k] — parse the next records (at most [chunk_records]) and
+      hand each to [k] in order; returns how many, 0 when exhausted.
+      The one record parser: {!next}, {!of_bytes} and {!load} are its
+      consumers, so salvage and ledger are the same whichever way an
+      archive is read.  A record is handed only once it parsed whole.
+      When [k] raises, the exception escapes and [s] must not be read
+      further. *)
+  val fold : stream -> consumer -> int
+
   (** Next chunk of records (at most [chunk_records]), [None] when
-      exhausted. *)
+      exhausted: {!fold} with a consumer that builds the records. *)
   val next : stream -> Record.t list option
 
   (** Salvage ledger, the one {!of_bytes} reports for the same bytes.

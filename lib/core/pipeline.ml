@@ -161,14 +161,17 @@ module Partial = struct
     mutable faults_rev : Perf_data.fault list;
   }
 
+  (* The LBR-estimator and bias accumulators look up the same streams,
+     so they share one walk table. *)
   let create ~static ~ebs_period ~lbr_period () =
+    let memo = Stream_walk.Memo.create () in
     {
       static;
       ebs_period;
       lbr_period;
       ebs_acc = Ebs_estimator.Acc.create static;
-      lbr_acc = Lbr_estimator.Acc.create static;
-      bias_acc = Bias.Acc.create ();
+      lbr_acc = Lbr_estimator.Acc.create ~memo static;
+      bias_acc = Bias.Acc.create ~memo ();
       records = 0;
       ebs_samples = 0;
       lbr_snapshots = 0;
@@ -186,26 +189,32 @@ module Partial = struct
   let other_samples t = t.other_samples
   let lost_records t = t.lost
   let faults t = List.rev t.faults_rev
+  let walks t = Lbr_estimator.Acc.walks t.lbr_acc
+
+  (* One sample, field by field.  Neither LBR accumulator keeps
+     [entries], so it may be the archive reader's scratch array. *)
+  let add_sample t event ip ring entries =
+    t.records <- t.records + 1;
+    match event with
+    | Pmu_event.Inst_retired_prec_dist ->
+        t.ebs_samples <- t.ebs_samples + 1;
+        Ebs_estimator.Acc.add t.static t.ebs_acc { Sample_db.ip; ring }
+    | Pmu_event.Br_inst_retired_near_taken ->
+        t.lbr_snapshots <- t.lbr_snapshots + 1;
+        let sample = { Sample_db.entries; ring } in
+        Lbr_estimator.Acc.add t.static t.lbr_acc sample;
+        Bias.Acc.add t.static t.bias_acc sample
+    | _ -> t.other_samples <- t.other_samples + 1
 
   let add t (r : Record.t) =
-    t.records <- t.records + 1;
     match r with
-    | Record.Sample s -> (
-        match s.Record.event with
-        | Pmu_event.Inst_retired_prec_dist ->
-            t.ebs_samples <- t.ebs_samples + 1;
-            Ebs_estimator.Acc.add t.static t.ebs_acc
-              { Sample_db.ip = s.Record.ip; ring = s.Record.ring }
-        | Pmu_event.Br_inst_retired_near_taken ->
-            t.lbr_snapshots <- t.lbr_snapshots + 1;
-            let sample =
-              { Sample_db.entries = s.Record.lbr; ring = s.Record.ring }
-            in
-            Lbr_estimator.Acc.add t.static t.lbr_acc sample;
-            Bias.Acc.add t.static t.bias_acc sample
-        | _ -> t.other_samples <- t.other_samples + 1)
-    | Record.Lost n -> t.lost <- t.lost + n
-    | Record.Comm _ | Record.Mmap _ | Record.Fork _ -> ()
+    | Record.Sample s ->
+        add_sample t s.Record.event s.Record.ip s.Record.ring s.Record.lbr
+    | Record.Lost n ->
+        t.records <- t.records + 1;
+        t.lost <- t.lost + n
+    | Record.Comm _ | Record.Mmap _ | Record.Fork _ ->
+        t.records <- t.records + 1
 
   let feed t chunk =
     Trace.with_span ~cat:"analyze" "chunk" (fun () -> List.iter (add t) chunk)
@@ -213,18 +222,37 @@ module Partial = struct
   let note_faults t faults =
     List.iter (fun f -> t.faults_rev <- f :: t.faults_rev) faults
 
+  (* The archive's remaining records, decoded straight into [t] one
+     chunk at a time (no record is built but the rare non-sample ones),
+     then its ledger. *)
+  let feed_stream t s =
+    let k =
+      {
+        Perf_data.Stream.sample =
+          (fun event ip ring _time entries ->
+            add_sample t event ip ring entries);
+        other = add t;
+      }
+    in
+    let chunk () = Perf_data.Stream.fold s k > 0 in
+    while Trace.with_span ~cat:"analyze" "chunk" chunk do
+      ()
+    done;
+    note_faults t (Perf_data.Stream.ledger s)
+
   let merge a b =
     if not (a.static == b.static) then
       invalid_arg "Pipeline.Partial.merge: partials must share one static view";
     if a.ebs_period <> b.ebs_period || a.lbr_period <> b.lbr_period then
       invalid_arg "Pipeline.Partial.merge: sampling period mismatch";
+    let memo = Stream_walk.Memo.create () in
     {
       static = a.static;
       ebs_period = a.ebs_period;
       lbr_period = a.lbr_period;
       ebs_acc = Ebs_estimator.Acc.merge a.ebs_acc b.ebs_acc;
-      lbr_acc = Lbr_estimator.Acc.merge a.lbr_acc b.lbr_acc;
-      bias_acc = Bias.Acc.merge a.bias_acc b.bias_acc;
+      lbr_acc = Lbr_estimator.Acc.merge ~memo a.lbr_acc b.lbr_acc;
+      bias_acc = Bias.Acc.merge ~memo a.bias_acc b.bias_acc;
       records = a.records + b.records;
       ebs_samples = a.ebs_samples + b.ebs_samples;
       lbr_snapshots = a.lbr_snapshots + b.lbr_snapshots;
@@ -761,14 +789,9 @@ let archive_partial ~static ~meta path s =
     Partial.create ~static ~ebs_period:m.Perf_data.ebs_period
       ~lbr_period:m.Perf_data.lbr_period ()
   in
-  let rec pump () =
-    match Perf_data.Stream.next s with
-    | Some chunk ->
-        Partial.feed p chunk;
-        pump ()
-    | None -> Partial.note_faults p (Perf_data.Stream.ledger s)
-  in
-  match pump () with () -> Ok p | exception Sys_error msg -> Error msg
+  match Partial.feed_stream p s with
+  | () -> Ok p
+  | exception Sys_error msg -> Error msg
 
 exception Interrupted
 

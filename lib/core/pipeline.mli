@@ -167,12 +167,23 @@ module Partial : sig
   type t
 
   (** All partials destined to merge must share the {e same} [static]
-      (physical equality is checked) and periods. *)
+      (physical equality is checked) and periods.  The partial's
+      LBR-estimator and bias accumulators share one
+      {!Stream_walk.Memo}, as do those of a [merge]. *)
   val create :
     static:Static.t -> ebs_period:int -> lbr_period:int -> unit -> t
 
   (** Feed one record chunk (emits one telemetry span per chunk). *)
   val feed : t -> Record.t list -> unit
+
+  (** [feed_stream t s] — every record [s] has left, decoded straight
+      into [t] through {!Perf_data.Stream.fold} (a sample's fields and
+      the reader's scratch LBR array, no {!Record.t}; one
+      [analyze/chunk] span per chunk of the stream), then [s]'s ledger,
+      as {!note_faults}.  Equal to {!feed} of the records
+      {!Perf_data.Stream.next} would give, followed by {!note_faults}.
+      @raise Sys_error when the archive cannot be read. *)
+  val feed_stream : t -> Perf_data.Stream.stream -> unit
 
   (** Append archive-salvage faults to this partial's ledger; they reach
       the quality verdict at finalization. *)
@@ -192,6 +203,10 @@ module Partial : sig
   val other_samples : t -> int
   val lost_records : t -> int
   val faults : t -> Perf_data.fault list
+
+  (** Distinct LBR streams walked through the partial's shared table:
+      at most the distinct [(target, src)] pairs it was fed. *)
+  val walks : t -> int
 
   (** {2 Checkpointing}
 

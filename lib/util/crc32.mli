@@ -2,7 +2,7 @@
     table lookups per 8-byte word, read with two little-endian 32-bit
     loads, and a bytewise loop for the last [len mod 8] bytes.
 
-    Used by the v2 archive format to give every section an integrity
+    Used by the archive format to give every section an integrity
     checksum, so the reader can tell torn writes and bit rot from valid
     data before parsing.
 

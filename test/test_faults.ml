@@ -279,18 +279,37 @@ let test_stream_faults_degrade () =
 (* The collector filter draws as records are written: a drop draw per
    record, shuffle draws when a window of survivors fills.  A plan with
    one kind of draw writes the same stream however the draws would
-   interleave, so its stream is pinned by the archive digest of the
-   "stream" workload (652 records clean: the last window of 8 is
-   partial, the last of 7 holds one record). *)
+   interleave, so its stream is pinned by the digest of the "stream"
+   workload's records (652 records clean: the last window of 8 is
+   partial, the last of 7 holds one record).  The digest is over a text
+   rendering of every record field, LBR entries included, so it does
+   not move with the archive format.  The values were computed with the
+   version-2 encoder, while the archive digests that pinned these
+   streams before still held. *)
 let pinned_streams =
   [
-    ("seed=5,rec.drop_sample=0.1", 586, "3d30cc658324dc946686bc2fb62f78fd");
+    ("seed=5,rec.drop_sample=0.1", 586, "d5d7767fbec4dee6f4a47fff0e5934a7");
     ( "seed=5,rec.drop_sample=0.1,rec.drop_comm=1.0,rec.drop_mmap=0.5",
       584,
-      "6f670da05d8f8660f53c20060533e8ee" );
-    ("seed=5,rec.reorder=8", 652, "e684481267be673076e3628bfa68d4a5");
-    ("seed=5,rec.reorder=7", 652, "9fd1f476fc558d6ef1d5a21d19467691");
+      "d8922986be0dc73cc09654169db7257f" );
+    ("seed=5,rec.reorder=8", 652, "a3a30069f726c4ebc97f922b126072ea");
+    ("seed=5,rec.reorder=7", 652, "fced74a247aff9a61f41906b64028948");
   ]
+
+let records_digest records =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun r ->
+      Buffer.add_string b (Format.asprintf "%a" Record.pp r);
+      (match r with
+      | Record.Sample s ->
+          Array.iter
+            (fun v -> Buffer.add_string b (Printf.sprintf " %x" v))
+            s.Record.lbr
+      | _ -> ());
+      Buffer.add_char b '\n')
+    records;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_single_kind_streams_pinned () =
   let w = mk_workload ~seed:0xFA04L "stream" in
@@ -301,8 +320,8 @@ let test_single_kind_streams_pinned () =
       Faults.disarm ();
       checki (spec ^ ": records") n (List.length a.Perf_data.records);
       Alcotest.(check string)
-        (spec ^ ": archive digest") digest
-        (Digest.to_hex (Digest.bytes (Perf_data.to_bytes a))))
+        (spec ^ ": records digest") digest
+        (records_digest a.Perf_data.records))
     pinned_streams
 
 (* Drops and shuffles together: the output, cut into windows of the

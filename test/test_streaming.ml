@@ -726,6 +726,14 @@ let test_fuzz_stream_bit_flip_every_byte () =
 (* ------------------------------------------------------------------ *)
 (* Truncation oracle: the verdict on a cut archive, from the encoder   *)
 
+(* The LEB128 bytes of [u] as an unsigned 63-bit value, and of [v]
+   zigzagged: the archive's LBR varints, written here on their own. *)
+let rec uvarint u =
+  if u >= 0 && u < 0x80 then String.make 1 (Char.chr u)
+  else String.make 1 (Char.chr (0x80 lor (u land 0x7f))) ^ uvarint (u lsr 7)
+
+let svarint v = uvarint (if v >= 0 then 2 * v else (-2 * (v + 1)) + 1)
+
 (* [ends.(k)] is where record [k] ends: the length of the archive
    holding only the first [k] records.  [ends.(0)] is the encoding with
    no records; each later end adds one record's size, the length of its
@@ -833,21 +841,21 @@ let test_oracle_tiny_every_offset () =
   let a = tiny_archive () in
   check_cuts a (List.init (Bytes.length (Perf_data.to_bytes a) + 1) Fun.id)
 
-(* The first 500 hello records (16-deep LBR snapshots, ~160 KB of
-   payload, so two 64 KiB refills): cut at every record end and one byte
-   either side, and at every offset within one record's size of each
-   64 KiB step into the records payload, where the reader refills its
-   buffer.  Each cut is decoded from its start, so the sweep's cost is
-   quadratic in the record count.  Every cut meets the same two refill
-   phases, so the whole hello archive is decoded as well: its refills
-   land at every phase a record boundary can take. *)
+(* The first 1,700 hello records (16-deep LBR snapshots as deltas,
+   ~146 KB of payload, so two 64 KiB refills): cut at every record end
+   and one byte either side, and at every offset within one record's
+   size of each 64 KiB step into the records payload, where the reader
+   refills its buffer.  Each cut is decoded from its start, so the
+   sweep's cost is quadratic in the record count.  Every cut meets the
+   same two refill phases, so the whole hello archive is decoded as
+   well: its refills land at every phase a record boundary can take. *)
 let test_oracle_refill_boundaries () =
   let hello, _, _ = Lazy.force hello_fixture in
   let a =
     {
       hello with
       Perf_data.records =
-        List.filteri (fun k _ -> k < 500) hello.Perf_data.records;
+        List.filteri (fun k _ -> k < 1700) hello.Perf_data.records;
     }
   in
   let ends = record_ends a in
@@ -880,9 +888,11 @@ let test_oracle_refill_boundaries () =
 (* Record damage whose verdict follows from the encoder, on the 500
    hello records.  A records section that declares [k] of its records
    yields those [k], and the reader still runs the rest of the payload
-   through the checksum, which holds: the ledger is clean.  A flipped
-   low bit of a sample's last LBR entry keeps every record, that one
-   changed, and fails the checksum. *)
+   through the checksum, which holds: the ledger is clean.  A sample
+   ends with its last entry's target-minus-source varint; flipping bit
+   1 of that varint's first byte flips bit 0 of the zigzag-decoded
+   delta, so every record is kept, that one's last target changed, and
+   the checksum fails. *)
 let test_records_damage_from_encoder () =
   let hello, _, _ = Lazy.force hello_fixture in
   let a =
@@ -917,12 +927,12 @@ let test_records_damage_from_encoder () =
     find (n - 1)
   in
   let k, s = last in
-  let flipped = Bytes.copy data in
-  (* A sample ends with its last LBR entry, little-endian. *)
-  let at = ends.(k + 1) - 8 in
-  Bytes.set_uint8 flipped at (Bytes.get_uint8 flipped at lxor 1);
   let lbr = Array.copy s.Record.lbr in
-  lbr.(Array.length lbr - 1) <- lbr.(Array.length lbr - 1) lxor 1;
+  let src = lbr.(Array.length lbr - 2) and tgt = lbr.(Array.length lbr - 1) in
+  let flipped = Bytes.copy data in
+  let at = ends.(k + 1) - String.length (svarint (tgt - src)) in
+  Bytes.set_uint8 flipped at (Bytes.get_uint8 flipped at lxor 2);
+  lbr.(Array.length lbr - 1) <- src + ((tgt - src) lxor 1);
   let changed = Array.copy records in
   changed.(k) <- Record.Sample { s with Record.lbr };
   check_readers ~what:"flipped LBR entry" path changed
@@ -930,18 +940,20 @@ let test_records_damage_from_encoder () =
     flipped
 
 (* The encoder's bytes for an archive holding every record kind, pinned
-   to the digest of the format as first shipped: an encoder change (or
-   a wrong CRC table, on which encoder and decoder would still agree)
-   cannot drift unseen. *)
+   to the digest of the current format (version 3) as first shipped: an
+   encoder change (or a wrong CRC table, on which encoder and decoder
+   would still agree) cannot drift unseen.  Only a version bump may
+   move it. *)
 let test_encoder_bytes_pinned () =
   Alcotest.(check string)
-    "digest" "4a3db7b1d075ef853d4a0e727c8876e4"
+    "digest" "719a9c332a6fd0ef2f90ddab59124489"
     (Digest.to_hex (Digest.bytes (Perf_data.to_bytes (tiny_archive ()))))
 
 (* The archive encoder as first shipped, kept as the oracle for the
    exact-size one: every payload staged in its own [Buffer], copied
    into the archive's, and the archive copied out; shards are
-   [Array.sub] slices of the record array. *)
+   [Array.sub] slices of the record array.  Its LBR deltas are this
+   file's own varints, written without a sizing pass. *)
 module Oracle_encoder = struct
   let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
   let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
@@ -993,8 +1005,14 @@ module Oracle_encoder = struct
         w_i64 buf s.Record.ip;
         w_ring buf s.Record.ring;
         w_i64 buf s.Record.time;
-        w_i64 buf (Lbr.entries s.Record.lbr);
-        Array.iter (w_i64 buf) s.Record.lbr
+        Buffer.add_string buf (uvarint (Lbr.entries s.Record.lbr));
+        let prev = ref s.Record.ip in
+        for k = 0 to Lbr.entries s.Record.lbr - 1 do
+          let src = Lbr.src s.Record.lbr k and tgt = Lbr.tgt s.Record.lbr k in
+          Buffer.add_string buf (svarint (src - !prev));
+          Buffer.add_string buf (svarint (tgt - src));
+          prev := tgt
+        done
     | Record.Lost n ->
         w_u8 buf 4;
         w_i64 buf n
@@ -1009,7 +1027,7 @@ module Oracle_encoder = struct
   let to_bytes (t : Perf_data.t) =
     let buf = Buffer.create (1 lsl 16) in
     Buffer.add_string buf "HBBPDATA";
-    w_u8 buf 2;
+    w_u8 buf 3;
     let payload f =
       let b = Buffer.create 4096 in
       f b;
@@ -1134,24 +1152,28 @@ let test_manifest_crcs () =
             (List.combine paths encoded) m.Manifest.written))
     [ None; Some "seed=3,arch.flips=3"; Some "seed=3,arch.truncate=-64" ]
 
-(* A version-1 header is refused, in memory and from a file alike: the
-   flat v1 format is no longer read. *)
-let test_v1_refused () =
+(* A retired version's header is refused, in memory and from a file
+   alike: neither the flat v1 format nor v2's fixed-width LBR entries
+   are read any more. *)
+let check_version_refused v =
   let data = Perf_data.to_bytes (tiny_archive ()) in
-  Bytes.set_uint8 data 8 1;
+  Bytes.set_uint8 data 8 v;
   (match Perf_data.of_bytes data with
-  | Error (Perf_data.Bad_version 1) -> ()
-  | _ -> Alcotest.fail "of_bytes: expected Bad_version 1");
+  | Error (Perf_data.Bad_version v') when v' = v -> ()
+  | _ -> Alcotest.failf "of_bytes: expected Bad_version %d" v);
   with_tmp_file @@ fun path ->
   write_file path data;
   match Perf_data.Stream.open_file path with
-  | Error (Perf_data.Bad_version 1) -> ()
+  | Error (Perf_data.Bad_version v') when v' = v -> ()
   | Ok s ->
       Perf_data.Stream.close s;
-      Alcotest.fail "Stream.open_file: opened a v1 archive"
+      Alcotest.failf "Stream.open_file: opened a v%d archive" v
   | Error e ->
-      Alcotest.failf "Stream.open_file: expected Bad_version 1, got %a"
+      Alcotest.failf "Stream.open_file: expected Bad_version %d, got %a" v
         Perf_data.pp_error e
+
+let test_v1_refused () = check_version_refused 1
+let test_v2_refused () = check_version_refused 2
 
 (* [tiny_archive]'s bytes with the records section replaced by
    [records] (declared [count] records, correct CRC), so the only damage
@@ -1171,9 +1193,11 @@ let with_records_section ~count records =
   Buffer.add_bytes buf payload;
   Buffer.to_bytes buf
 
-(* A [Lost 1] record, then a sample whose event name, LBR count and
-   entries are given. *)
-let lost_then_sample ~event ~lbr_count ~entries =
+(* A [Lost 1] record, then a sample at ip [crafted_ip] whose event name
+   and LBR bytes (entry count and delta varints) are given. *)
+let crafted_ip = 0x1000
+
+let lost_then_sample ~event ~lbr =
   let b = Buffer.create 256 in
   let w_i64 v = Buffer.add_int64_le b (Int64.of_int v) in
   Buffer.add_uint8 b 4;
@@ -1181,12 +1205,20 @@ let lost_then_sample ~event ~lbr_count ~entries =
   Buffer.add_uint8 b 3;
   w_i64 (String.length event);
   Buffer.add_string b event;
-  w_i64 0x1000 (* ip *);
+  w_i64 crafted_ip;
   Buffer.add_uint8 b 0 (* user ring *);
   w_i64 7 (* time *);
-  w_i64 lbr_count;
-  List.iter w_i64 entries;
+  Buffer.add_string b lbr;
   b
+
+(* The LBR bytes of flat [entries], deltas taken from [crafted_ip]. *)
+let lbr_bytes entries =
+  let rec deltas prev = function
+    | src :: tgt :: rest ->
+        svarint (src - prev) ^ svarint (tgt - src) ^ deltas tgt rest
+    | _ -> ""
+  in
+  uvarint (List.length entries / 2) ^ deltas crafted_ip entries
 
 let check_decode_fault ~what data expected =
   with_tmp_file @@ fun path ->
@@ -1202,26 +1234,47 @@ let test_decoder_typed_faults () =
   let corrupt reason =
     Perf_data.Corrupt_records { index = 1; reason; salvaged = 1 }
   in
+  let branch lbr =
+    with_records_section ~count:2
+      (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN" ~lbr)
+  in
   check_decode_fault ~what:"unknown event name"
     (with_records_section ~count:2
-       (lost_then_sample ~event:"INST_RETIRED:ANYWAY" ~lbr_count:0
-          ~entries:[]))
+       (lost_then_sample ~event:"INST_RETIRED:ANYWAY" ~lbr:(uvarint 0)))
     (corrupt "event INST_RETIRED:ANYWAY");
+  (* Entry counts the section cannot hold: every entry takes at least
+     two bytes. *)
   check_decode_fault ~what:"implausible LBR count"
-    (with_records_section ~count:2
-       (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN"
-          ~lbr_count:(1 lsl 40) ~entries:[ 1; 2 ]))
+    (branch (uvarint (1 lsl 40) ^ lbr_bytes [ 1; 2 ]))
     (corrupt (Printf.sprintf "implausible count %d" (1 lsl 40)));
-  (* Cut inside the second entry: the count guard sees the missing bytes
-     before any entry is read, and the section header declares them, so
-     this is a truncation. *)
-  let whole =
-    with_records_section ~count:2
-      (lost_then_sample ~event:"BR_INST_RETIRED:NEAR_TAKEN" ~lbr_count:2
-         ~entries:[ 0x10; 0x20; 0x30; 0x40 ])
-  in
+  check_decode_fault ~what:"LBR count one past the payload"
+    (branch (uvarint 3 ^ svarint 0 ^ svarint 1 ^ svarint 0 ^ svarint 1))
+    (corrupt "implausible count 3");
+  (* Varints: a padded encoding, of an entry or of the count, and one
+     that asks for a tenth byte (past 63 bits). *)
+  check_decode_fault ~what:"overlong varint"
+    (branch (uvarint 1 ^ "\x80\x00" ^ svarint 4))
+    (corrupt "overlong varint");
+  check_decode_fault ~what:"overlong count"
+    (branch ("\x81\x00" ^ svarint 0 ^ svarint 4))
+    (corrupt "overlong varint");
+  check_decode_fault ~what:"varint overflows 63 bits"
+    (branch (uvarint 1 ^ String.make 9 '\xff' ^ "\x01" ^ svarint 4))
+    (corrupt "varint overflows 63 bits");
+  (* Addresses below 0: a source before address 0, and a target whose
+     delta wraps past [max_int]. *)
+  check_decode_fault ~what:"source below 0"
+    (branch (uvarint 1 ^ svarint (-crafted_ip - 1) ^ svarint 4))
+    (corrupt "negative address");
+  check_decode_fault ~what:"target wraps past max_int"
+    (branch (uvarint 1 ^ svarint 0 ^ svarint max_int))
+    (corrupt "negative address");
+  (* Cut inside the second entry: the count guard passes (the bytes
+     present could hold two entries), the last varint is missing, and
+     the section header declares it, so this is a truncation. *)
+  let whole = branch (lbr_bytes [ 0x10; 0x20; 0x30; 0x40 ]) in
   check_decode_fault ~what:"truncated mid-entry"
-    (Bytes.sub whole 0 (Bytes.length whole - 12))
+    (Bytes.sub whole 0 (Bytes.length whole - 1))
     (Perf_data.Truncated_records { expected = Some 2; salvaged = 1 });
   (* The intact version decodes to the flat snapshot, in order. *)
   match Perf_data.of_bytes whole with
@@ -1230,6 +1283,103 @@ let test_decoder_typed_faults () =
       checkb "flat snapshot decoded in order" true
         (s.Record.lbr = [| 0x10; 0x20; 0x30; 0x40 |])
   | _ -> Alcotest.fail "intact crafted archive did not decode"
+
+(* Random snapshots survive the round trip, in memory and from a file
+   read one record per chunk.  Addresses mix 0, [max_int], values near
+   either end, powers of two and uniform draws, so deltas take every
+   varint length, including the widest ones a jump between 0 and
+   [max_int] needs in either direction.  Snapshots hold up to 16
+   entries, or 60 to 70, either side of the reader's 64 cached entry
+   counts. *)
+let prop_lbr_roundtrip =
+  let open QCheck2.Gen in
+  let address =
+    oneof
+      [
+        pure 0;
+        pure max_int;
+        map (fun d -> max_int - d) (0 -- 1000);
+        0 -- 1000;
+        map (fun k -> 1 lsl k) (0 -- 61);
+        int_range 0 max_int;
+      ]
+  in
+  let sample =
+    map
+      (fun (ip, entries) ->
+        Record.Sample
+          {
+            Record.event = Pmu_event.Br_inst_retired_near_taken;
+            ip;
+            lbr =
+              Array.of_list (List.concat_map (fun (s, t) -> [ s; t ]) entries);
+            ring = Ring.User;
+            time = ip;
+          })
+      (pair address
+         (list_size (oneof [ 0 -- 16; 60 -- 70 ]) (pair address address)))
+  in
+  QCheck2.Test.make ~name:"LBR deltas round-trip (0, max_int, wraps)"
+    ~count:200 (list_size (1 -- 8) sample) (fun records ->
+      let a = { (tiny_archive ()) with Perf_data.records } in
+      let data = Perf_data.to_bytes a in
+      (match Perf_data.of_bytes data with
+      | Ok { Perf_data.archive; ledger = [] } ->
+          archive.Perf_data.records = records
+      | _ -> false)
+      && with_tmp_file (fun path ->
+             write_file path data;
+             match Perf_data.Stream.open_file ~chunk_records:1 path with
+             | Error _ -> false
+             | Ok s ->
+                 let got = drain_stream s in
+                 let ledger = Perf_data.Stream.ledger s in
+                 Perf_data.Stream.close s;
+                 got = records && ledger = []))
+
+(* Decoding straight into a partial ([Partial.feed_stream], the archive
+   fold) leaves the state [Partial.feed] of the records [Stream.next]
+   decodes leaves, ledger included: on the tiny archive cut at every
+   offset and with a bit flipped at every byte, and on hello whole.
+   Partials are compared by their checkpoint bytes. *)
+let test_feed_stream_matches_feed () =
+  let check ~what static path data =
+    write_file path data;
+    let partial () =
+      Pipeline.Partial.create ~static ~ebs_period:97 ~lbr_period:13 ()
+    in
+    let read f =
+      match Perf_data.Stream.open_file ~chunk_records:3 path with
+      | Error _ -> None
+      | Ok s ->
+          let p = partial () in
+          f p s;
+          Perf_data.Stream.close s;
+          Some (Pipeline.Partial.serialize p)
+    in
+    let folded = read Pipeline.Partial.feed_stream in
+    let fed =
+      read (fun p s ->
+          Pipeline.Partial.feed p (drain_stream s);
+          Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s))
+    in
+    if folded <> fed then Alcotest.failf "%s: feed_stream <> feed" what
+  in
+  let tiny = tiny_archive () in
+  let static = Static.create_exn (Perf_data.analysis_process tiny) in
+  let data = Perf_data.to_bytes tiny in
+  with_tmp_file @@ fun path ->
+  for n = 0 to Bytes.length data do
+    check ~what:(Printf.sprintf "cut at %d" n) static path (Bytes.sub data 0 n)
+  done;
+  for off = 0 to Bytes.length data - 1 do
+    let flipped = Bytes.copy data in
+    Bytes.set_uint8 flipped off
+      (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
+    check ~what:(Printf.sprintf "flip at %d" off) static path flipped
+  done;
+  let hello, static, _ = Lazy.force hello_fixture in
+  check ~what:"hello" static path (Perf_data.to_bytes hello)
 
 (* The per-archive step renders every failure as an error naming the
    archive, never an exception: a path that does not exist (first or
@@ -1473,8 +1623,13 @@ let () =
             `Quick test_manifest_crcs;
           Alcotest.test_case "version-1 header is refused" `Quick
             test_v1_refused;
+          Alcotest.test_case "version-2 header is refused" `Quick
+            test_v2_refused;
+          QCheck_alcotest.to_alcotest prop_lbr_roundtrip;
           Alcotest.test_case "decoder faults are typed, stream = batch"
             `Quick test_decoder_typed_faults;
+          Alcotest.test_case "feed_stream = feed of the decoded records"
+            `Quick test_feed_stream_matches_feed;
           Alcotest.test_case "missing archive is a typed error" `Quick
             test_missing_archive_is_typed;
           Alcotest.test_case "undisassemblable image is a typed error" `Quick
