@@ -189,7 +189,7 @@ module Acc = struct
     Hashtbl.iter (fun src n -> add_count out (-1) src n) b.spill;
     out
 
-  let merge ?(memo = Stream_walk.Memo.create ()) a b =
+  let merge a b =
     let streams = Streams.copy a.streams in
     Streams.iter (Streams.add streams) b.streams;
     {
@@ -198,7 +198,7 @@ module Acc = struct
       adjacent = merge_tally a.adjacent b.adjacent;
       failed = merge_tally a.failed b.failed;
       streams;
-      memo;
+      memo = Stream_walk.Memo.create ();
       snapshots = a.snapshots + b.snapshots;
       deep_total = a.deep_total + b.deep_total;
     }

@@ -51,8 +51,9 @@ val default_params : params
     commutative.  [add] allocates nothing once a stream has been seen:
     each distinct [(target, src)] stream is walked once and answered
     from the accumulator's {!Stream_walk.Memo} after that.  The table is
-    a cache, not state: [create] and [merge] take one to share ([?memo],
-    a fresh one by default), [export] and [import] drop it. *)
+    a cache, not state: [create] takes one to share ([?memo], a fresh
+    one by default), [merge] and [import] start a fresh one and [export]
+    drops it. *)
 module Acc : sig
   type acc
 
@@ -65,9 +66,9 @@ module Acc : sig
       into a fresh table). *)
   val walks : acc -> int
 
-  (** Pure: returns a fresh accumulator over [memo] (default: a fresh
-      table), inputs are unchanged. *)
-  val merge : ?memo:Stream_walk.Memo.t -> acc -> acc -> acc
+  (** Pure: returns a fresh accumulator over a fresh table, inputs are
+      unchanged. *)
+  val merge : acc -> acc -> acc
 
   (** Checkpoint support: per-branch tallies as assoc lists sorted by
       source address, and the stream set as sorted triples

@@ -110,7 +110,7 @@ module Acc = struct
     done;
     out
 
-  let merge ?memo a b =
+  let merge a b =
     if a.total_blocks <> b.total_blocks then
       invalid_arg "Lbr_estimator.Acc.merge: block count mismatch";
     let n_k = max (Array.length a.by_k) (Array.length b.by_k) in
@@ -124,7 +124,7 @@ module Acc = struct
           | [||], r | r, [||] -> Array.copy r
           | ra, rb -> Array.mapi (fun g n -> n + rb.(g)) ra)
     in
-    { (create_sized ?memo a.total_blocks) with
+    { (create_sized a.total_blocks) with
       by_k;
       snapshots = a.snapshots + b.snapshots;
       usable = a.usable + b.usable;

@@ -39,10 +39,10 @@ type t = {
     Each accumulator walks a distinct [(target, src)] stream once and
     answers repeats from its {!Stream_walk.Memo}: [add] allocates
     nothing for a stream seen before.  The table is a cache, not state:
-    [create] and [merge] take one to share ([?memo], a fresh one by
-    default; a partial gives its LBR-estimator and bias accumulators the
-    same one), [export] and [import] drop it, so checkpoints are
-    unchanged by it.  A table must only ever see one [static], on one
+    [create] takes one to share ([?memo], a fresh one by default; a
+    partial gives its LBR-estimator and bias accumulators the same one),
+    [merge] and [import] start a fresh one and [export] drops it, so
+    checkpoints are unchanged by it.  A table must only ever see one [static], on one
     domain at a time. *)
 module Acc : sig
   type acc
@@ -56,10 +56,10 @@ module Acc : sig
       into a fresh table). *)
   val walks : acc -> int
 
-  (** Pure: returns a fresh accumulator over [memo] (default: a fresh
-      table), inputs are unchanged.
+  (** Pure: returns a fresh accumulator over a fresh table, inputs are
+      unchanged.
       @raise Invalid_argument when the block counts differ. *)
-  val merge : ?memo:Stream_walk.Memo.t -> acc -> acc -> acc
+  val merge : acc -> acc -> acc
 
   (** Checkpoint support: the full integer state of one accumulator.
       Rows of [r_by_k] with length 0 are "no stream of that depth

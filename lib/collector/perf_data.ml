@@ -355,8 +355,10 @@ let r_bytes c =
    it (every item needs at least [min_item_size] bytes), so a flipped
    count field raises a typed error instead of attempting a giant
    allocation.  A count the declared payload could hold but the bytes
-   present cannot is a cut, not a corruption. *)
+   present cannot is a cut, not a corruption.  A negative count (a
+   varint with bit 62 set) is corrupt. *)
 let check_count c n ~min_item_size =
+  if n < 0 then raise (Parse (Corrupt "negative count"));
   if min_item_size > 0 && n > remaining c / min_item_size then
     raise
       (Parse
@@ -804,6 +806,8 @@ module Stream = struct
       done;
       !n_out
     end
+
+  let at_end s = Option.is_some s.s_ledger || s.emitted >= s.expected
 
   (* The consumer that builds the records, each sample with its own
      copy of the scratch entries. *)

@@ -217,6 +217,12 @@ module Stream : sig
       further. *)
   val fold : stream -> consumer -> int
 
+  (** [at_end s] — no record is left for {!fold} to hand out: every
+      declared record was handed out, or the stream ended at a fault.
+      When it is [false], {!fold} still returns 0 if the next record is
+      damaged or cut. *)
+  val at_end : stream -> bool
+
   (** Next chunk of records (at most [chunk_records]), [None] when
       exhausted: {!fold} with a consumer that builds the records. *)
   val next : stream -> Record.t list option

@@ -224,7 +224,8 @@ module Partial = struct
 
   (* The archive's remaining records, decoded straight into [t] one
      chunk at a time (no record is built but the rare non-sample ones),
-     then its ledger. *)
+     then its ledger.  A span opens only while records are left, so a
+     clean archive has one per non-empty chunk. *)
   let feed_stream t s =
     let k =
       {
@@ -234,9 +235,9 @@ module Partial = struct
         other = add t;
       }
     in
-    let chunk () = Perf_data.Stream.fold s k > 0 in
-    while Trace.with_span ~cat:"analyze" "chunk" chunk do
-      ()
+    let chunk () = ignore (Perf_data.Stream.fold s k) in
+    while not (Perf_data.Stream.at_end s) do
+      Trace.with_span ~cat:"analyze" "chunk" chunk
     done;
     note_faults t (Perf_data.Stream.ledger s)
 
@@ -245,14 +246,13 @@ module Partial = struct
       invalid_arg "Pipeline.Partial.merge: partials must share one static view";
     if a.ebs_period <> b.ebs_period || a.lbr_period <> b.lbr_period then
       invalid_arg "Pipeline.Partial.merge: sampling period mismatch";
-    let memo = Stream_walk.Memo.create () in
     {
       static = a.static;
       ebs_period = a.ebs_period;
       lbr_period = a.lbr_period;
       ebs_acc = Ebs_estimator.Acc.merge a.ebs_acc b.ebs_acc;
-      lbr_acc = Lbr_estimator.Acc.merge ~memo a.lbr_acc b.lbr_acc;
-      bias_acc = Bias.Acc.merge ~memo a.bias_acc b.bias_acc;
+      lbr_acc = Lbr_estimator.Acc.merge a.lbr_acc b.lbr_acc;
+      bias_acc = Bias.Acc.merge a.bias_acc b.bias_acc;
       records = a.records + b.records;
       ebs_samples = a.ebs_samples + b.ebs_samples;
       lbr_snapshots = a.lbr_snapshots + b.lbr_snapshots;

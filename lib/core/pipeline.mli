@@ -169,7 +169,9 @@ module Partial : sig
   (** All partials destined to merge must share the {e same} [static]
       (physical equality is checked) and periods.  The partial's
       LBR-estimator and bias accumulators share one
-      {!Stream_walk.Memo}, as do those of a [merge]. *)
+      {!Stream_walk.Memo}.  A partial from {!merge} or {!restore} is
+      merged or finalized, not fed, so its accumulators each start a
+      fresh table instead. *)
   val create :
     static:Static.t -> ebs_period:int -> lbr_period:int -> unit -> t
 
@@ -179,7 +181,8 @@ module Partial : sig
   (** [feed_stream t s] — every record [s] has left, decoded straight
       into [t] through {!Perf_data.Stream.fold} (a sample's fields and
       the reader's scratch LBR array, no {!Record.t}; one
-      [analyze/chunk] span per chunk of the stream), then [s]'s ledger,
+      [analyze/chunk] span per chunk while records are left, so a clean
+      archive has one per non-empty chunk), then [s]'s ledger,
       as {!note_faults}.  Equal to {!feed} of the records
       {!Perf_data.Stream.next} would give, followed by {!note_faults}.
       @raise Sys_error when the archive cannot be read. *)
@@ -204,8 +207,9 @@ module Partial : sig
   val lost_records : t -> int
   val faults : t -> Perf_data.fault list
 
-  (** Distinct LBR streams walked through the partial's shared table:
-      at most the distinct [(target, src)] pairs it was fed. *)
+  (** Distinct LBR streams walked through the partial's LBR-estimator
+      table (shared with its bias accumulator since {!create}): at most
+      the distinct [(target, src)] pairs it was fed. *)
   val walks : t -> int
 
   (** {2 Checkpointing}

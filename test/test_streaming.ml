@@ -1250,6 +1250,11 @@ let test_decoder_typed_faults () =
   check_decode_fault ~what:"LBR count one past the payload"
     (branch (uvarint 3 ^ svarint 0 ^ svarint 1 ^ svarint 0 ^ svarint 1))
     (corrupt "implausible count 3");
+  (* A nine-byte count varint whose last byte sets bit 62: it decodes
+     below 0, which no count may be. *)
+  check_decode_fault ~what:"count varint with bit 62 set"
+    (branch (String.make 8 '\x80' ^ "\x40" ^ svarint 0 ^ svarint 4))
+    (corrupt "negative count");
   (* Varints: a padded encoding, of an entry or of the count, and one
      that asks for a tenth byte (past 63 bits). *)
   check_decode_fault ~what:"overlong varint"
@@ -1380,6 +1385,65 @@ let test_feed_stream_matches_feed () =
   done;
   let hello, static, _ = Lazy.force hello_fixture in
   check ~what:"hello" static path (Perf_data.to_bytes hello)
+
+(* [feed_stream] opens one [analyze/chunk] span per chunk that
+   [Stream.next] would give, and none once the records are done: chunk
+   sizes that divide the record count and sizes that do not, on the
+   tiny archive, on one without records, and on hello. *)
+let test_feed_stream_spans () =
+  let module Trace = Hbbp_telemetry.Trace in
+  let chunk_spans static path ~chunk_records =
+    let p = Pipeline.Partial.create ~static ~ebs_period:97 ~lbr_period:13 () in
+    match Perf_data.Stream.open_file ~chunk_records path with
+    | Error e -> Alcotest.failf "open: %a" Perf_data.pp_error e
+    | Ok s ->
+        Trace.reset ();
+        Trace.enable ();
+        Fun.protect
+          ~finally:(fun () ->
+            Trace.disable ();
+            Perf_data.Stream.close s)
+          (fun () -> Pipeline.Partial.feed_stream p s);
+        let n =
+          List.length
+            (List.filter
+               (fun (sp : Trace.span) -> sp.cat = "analyze" && sp.name = "chunk")
+               (Trace.spans ()))
+        in
+        Trace.reset ();
+        n
+  in
+  let chunks path ~chunk_records =
+    match Perf_data.Stream.open_file ~chunk_records path with
+    | Error e -> Alcotest.failf "open: %a" Perf_data.pp_error e
+    | Ok s ->
+        let rec count n =
+          match Perf_data.Stream.next s with
+          | Some _ -> count (n + 1)
+          | None -> n
+        in
+        let n = count 0 in
+        Perf_data.Stream.close s;
+        n
+  in
+  let check ~what static (a : Perf_data.t) =
+    with_tmp_file @@ fun path ->
+    Perf_data.save a ~path;
+    let n = List.length a.Perf_data.records in
+    List.iter
+      (fun chunk_records ->
+        checki
+          (Printf.sprintf "%s, chunk_records=%d" what chunk_records)
+          (chunks path ~chunk_records)
+          (chunk_spans static path ~chunk_records))
+      (List.sort_uniq compare [ 1; 3; max 1 n; n + 1; 256 ])
+  in
+  let tiny = tiny_archive () in
+  let static = Static.create_exn (Perf_data.analysis_process tiny) in
+  check ~what:"tiny" static tiny;
+  check ~what:"no records" static { tiny with Perf_data.records = [] };
+  let hello, static, _ = Lazy.force hello_fixture in
+  check ~what:"hello" static hello
 
 (* The per-archive step renders every failure as an error naming the
    archive, never an exception: a path that does not exist (first or
@@ -1630,6 +1694,8 @@ let () =
             `Quick test_decoder_typed_faults;
           Alcotest.test_case "feed_stream = feed of the decoded records"
             `Quick test_feed_stream_matches_feed;
+          Alcotest.test_case "feed_stream: one chunk span per chunk" `Quick
+            test_feed_stream_spans;
           Alcotest.test_case "missing archive is a typed error" `Quick
             test_missing_archive_is_typed;
           Alcotest.test_case "undisassemblable image is a typed error" `Quick
