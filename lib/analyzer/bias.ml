@@ -1,3 +1,5 @@
+module Codec = Hbbp_util.Codec
+
 type branch_stat = {
   src : int;
   entry0_count : int;
@@ -221,46 +223,52 @@ module Acc = struct
       t.dense;
     List.sort (fun (a, _) (b, _) -> compare (a : int) b) !out
 
-  (* Checkpoint support.  Tallies export as key-sorted assoc lists by
-     source address and the stream set as sorted triples, so the
-     serialized form is deterministic however the accumulator was
-     populated; [finalize] sorts its stats anyway, so import order
-     cannot perturb results. *)
-  type repr = {
-    r_entry0 : (int * int) list;
-    r_deep : (int * int) list;
-    r_adjacent : (int * int) list;
-    r_failed : (int * int) list;
-    r_streams : (int * int * int) list;
-    r_snapshots : int;
-    r_deep_total : int;
-  }
+  (* Checkpoint section.  Tallies travel as source-sorted (source,
+     count) lists and the stream set as sorted triples, so the bytes
+     are deterministic however the accumulator was populated; [finalize]
+     sorts its stats anyway, so the order [read] refills in cannot
+     perturb results. *)
+  let write ~static w acc =
+    Codec.w_i64 w acc.snapshots;
+    Codec.w_i64 w acc.deep_total;
+    List.iter
+      (fun t ->
+        Codec.w_list w
+          (fun w (src, n) ->
+            Codec.w_i64 w src;
+            Codec.w_i64 w n)
+          (bindings static t))
+      (tallies acc);
+    Codec.w_list w
+      (fun w (owner, target, src) ->
+        Codec.w_i64 w owner;
+        Codec.w_i64 w target;
+        Codec.w_i64 w src)
+      (Streams.to_sorted_list acc.streams)
 
-  let export static acc =
-    {
-      r_entry0 = bindings static acc.entry0;
-      r_deep = bindings static acc.deep;
-      r_adjacent = bindings static acc.adjacent;
-      r_failed = bindings static acc.failed;
-      r_streams = Streams.to_sorted_list acc.streams;
-      r_snapshots = acc.snapshots;
-      r_deep_total = acc.deep_total;
-    }
-
-  let import static r =
+  let read ~static c =
     let acc = create () in
     size static acc;
-    let fill t =
-      List.iter (fun (src, n) ->
-          add_count t (Static.gid_ending_at static src) src n)
+    acc.snapshots <- Codec.r_i64 c;
+    acc.deep_total <- Codec.r_i64 c;
+    let pair c =
+      let src = Codec.r_i64 c in
+      (src, Codec.r_i64 c)
     in
-    fill acc.entry0 r.r_entry0;
-    fill acc.deep r.r_deep;
-    fill acc.adjacent r.r_adjacent;
-    fill acc.failed r.r_failed;
-    List.iter (fun (o, tg, s) -> Streams.add acc.streams o tg s) r.r_streams;
-    acc.snapshots <- r.r_snapshots;
-    acc.deep_total <- r.r_deep_total;
+    List.iter
+      (fun t ->
+        List.iter
+          (fun (src, n) -> add_count t (Static.gid_ending_at static src) src n)
+          (Codec.r_list c pair))
+      (tallies acc);
+    let triple c =
+      let owner = Codec.r_i64 c in
+      let target = Codec.r_i64 c in
+      (owner, target, Codec.r_i64 c)
+    in
+    List.iter
+      (fun (owner, target, src) -> Streams.add acc.streams owner target src)
+      (Codec.r_list c triple);
     acc
 end
 

@@ -52,7 +52,7 @@ val default_params : params
     each distinct [(target, src)] stream is walked once and answered
     from the accumulator's {!Stream_walk.Memo} after that.  The table is
     a cache, not state: [create] takes one to share ([?memo], a fresh
-    one by default), [merge] and [import] start a fresh one and [export]
+    one by default), [merge] and [read] start a fresh one and [write]
     drops it. *)
 module Acc : sig
   type acc
@@ -62,7 +62,7 @@ module Acc : sig
 
   (** Streams walked through this accumulator's table: the distinct
       [(target, src)] pairs fed to it, or to any accumulator sharing it,
-      since the table was created (0 after [import], or after [merge]
+      since the table was created (0 after [read], or after [merge]
       into a fresh table). *)
   val walks : acc -> int
 
@@ -70,25 +70,18 @@ module Acc : sig
       unchanged. *)
   val merge : acc -> acc -> acc
 
-  (** Checkpoint support: per-branch tallies as assoc lists sorted by
-      source address, and the stream set as sorted triples
-      (deterministic serialization); [import static (export static acc)]
-      is behaviourally identical to [acc] — [finalize] sorts its stats,
-      so iteration order never reaches the output.  Both take the static
-      view the accumulator was fed against. *)
-  type repr = {
-    r_entry0 : (int * int) list;
-    r_deep : (int * int) list;
-    r_adjacent : (int * int) list;
-    r_failed : (int * int) list;
-    r_streams : (int * int * int) list;
-        (** Distinct [(owner source, target, source)] streams. *)
-    r_snapshots : int;
-    r_deep_total : int;
-  }
+  (** Checkpoint section ({!Hbbp_util.Codec}): the snapshot and
+      deep-entry totals, the four per-branch tallies as (source, count)
+      lists sorted by source, then the stream set as sorted
+      [(owner source, target, source)] triples, so the bytes do not
+      depend on how the accumulator was populated.  [read ~static] of
+      what [write ~static] wrote behaves like the original —
+      [finalize] sorts its stats, so iteration order never reaches the
+      output.  Both take the static view the accumulator was fed
+      against. *)
+  val write : static:Static.t -> Hbbp_util.Codec.writer -> acc -> unit
 
-  val export : Static.t -> acc -> repr
-  val import : Static.t -> repr -> acc
+  val read : static:Static.t -> Hbbp_util.Codec.cursor -> acc
 end
 
 (** [finalize static acc ~replay] — resolve flags from the merged

@@ -1,3 +1,5 @@
+module Codec = Hbbp_util.Codec
+
 type t = { bbec : Bbec.t; raw : int array; unattributed : int; period : int }
 
 (* Mergeable accumulator: the whole EBS estimate is determined by the
@@ -23,10 +25,18 @@ module Acc = struct
       unattributed = a.unattributed + b.unattributed;
     }
 
-  (* Checkpoint support: the accumulator state is integers only, so a
-     round trip through export/import is exact. *)
-  let export acc = (Array.copy acc.raw, acc.unattributed)
-  let import (raw, unattributed) = { raw = Array.copy raw; unattributed }
+  (* Checkpoint section: the state is integers only, so the round trip
+     is exact. *)
+  let write w acc =
+    Codec.w_i64 w acc.unattributed;
+    Codec.w_ints w acc.raw
+
+  let read ~static c =
+    let unattributed = Codec.r_i64 c in
+    let raw = Codec.r_ints c in
+    if Array.length raw <> Static.total_blocks static then
+      raise (Codec.Bad "EBS block count does not match the static view");
+    { raw; unattributed }
 end
 
 let finalize static ~period (acc : Acc.acc) =

@@ -30,11 +30,14 @@ module Acc : sig
       @raise Invalid_argument when the block counts differ. *)
   val merge : acc -> acc -> acc
 
-  (** Checkpoint support: (per-block raw tallies, unattributed count).
-      [import (export acc)] is an exact copy. *)
-  val export : acc -> int array * int
+  (** Checkpoint section ({!Hbbp_util.Codec}): the unattributed count,
+      then the per-block tallies.  [read ~static] of what [write] wrote
+      is an exact copy.
+      @raise Hbbp_util.Codec.Bad when the block count is not
+      [static]'s. *)
+  val write : Hbbp_util.Codec.writer -> acc -> unit
 
-  val import : int array * int -> acc
+  val read : static:Static.t -> Hbbp_util.Codec.cursor -> acc
 end
 
 (** [finalize static ~period acc] — scale the merged tally into a BBEC

@@ -1,3 +1,5 @@
+module Codec = Hbbp_util.Codec
+
 type t = {
   bbec : Bbec.t;
   weight : float array;
@@ -25,8 +27,8 @@ type t = {
 
    Walk outcomes come from a {!Stream_walk.Memo}, so each distinct
    stream is walked once per table; the table is a cache, given by the
-   caller or else a fresh one, and [export] and [import] start an empty
-   one. *)
+   caller or else a fresh one, and a [read] accumulator starts an
+   empty one. *)
 module Acc = struct
   type acc = {
     total_blocks : int;
@@ -132,45 +134,45 @@ module Acc = struct
       discarded = a.discarded + b.discarded;
     }
 
-  (* Checkpoint support: integer state only, so the round trip is
-     exact.  Rows travel as per-block visit tallies; empty rows stay
-     empty (length 0), preserving the sparse representation [merge] and
-     [finalize] rely on. *)
-  type repr = {
-    r_total_blocks : int;
-    r_by_k : int array array;
-    r_snapshots : int;
-    r_usable : int;
-    r_inconsistent : int;
-    r_discarded : int;
-  }
+  (* Checkpoint section: integer state only, so the round trip is
+     exact.  Rows travel as per-block visit tallies; an unused row
+     travels empty (length 0), keeping the sparse representation
+     [merge] and [finalize] rely on. *)
+  let write w acc =
+    Codec.w_i64 w acc.total_blocks;
+    Codec.w_i64 w acc.snapshots;
+    Codec.w_i64 w acc.usable;
+    Codec.w_i64 w acc.inconsistent;
+    Codec.w_i64 w acc.discarded;
+    Codec.w_i64 w (Array.length acc.by_k);
+    Array.iter
+      (fun r -> Codec.w_ints w (if Array.length r = 0 then r else tallies acc r))
+      acc.by_k
 
-  let export acc =
-    {
-      r_total_blocks = acc.total_blocks;
-      r_by_k =
-        Array.map (fun r -> if Array.length r = 0 then r else tallies acc r)
-          acc.by_k;
-      r_snapshots = acc.snapshots;
-      r_usable = acc.usable;
-      r_inconsistent = acc.inconsistent;
-      r_discarded = acc.discarded;
-    }
-
-  let import r =
+  let read ~static c =
+    let total_blocks = Codec.r_i64 c in
+    if total_blocks <> Static.total_blocks static then
+      raise (Codec.Bad "LBR block count does not match the static view");
+    let snapshots = Codec.r_i64 c in
+    let usable = Codec.r_i64 c in
+    let inconsistent = Codec.r_i64 c in
+    let discarded = Codec.r_i64 c in
+    let rows = Codec.r_list c Codec.r_ints in
     let differences row =
-      if Array.length row = 0 then [||]
-      else
-        Array.init (r.r_total_blocks + 1) (fun gid ->
-            (if gid < r.r_total_blocks then row.(gid) else 0)
-            - if gid > 0 then row.(gid - 1) else 0)
+      match Array.length row with
+      | 0 -> row
+      | n when n = total_blocks ->
+          Array.init (total_blocks + 1) (fun gid ->
+              (if gid < total_blocks then row.(gid) else 0)
+              - if gid > 0 then row.(gid - 1) else 0)
+      | _ -> raise (Codec.Bad "LBR row length mismatch")
     in
-    { (create_sized r.r_total_blocks) with
-      by_k = Array.map differences r.r_by_k;
-      snapshots = r.r_snapshots;
-      usable = r.r_usable;
-      inconsistent = r.r_inconsistent;
-      discarded = r.r_discarded;
+    { (create_sized total_blocks) with
+      by_k = Array.of_list (List.map differences rows);
+      snapshots;
+      usable;
+      inconsistent;
+      discarded;
     }
 end
 

@@ -41,9 +41,9 @@ type t = {
     nothing for a stream seen before.  The table is a cache, not state:
     [create] takes one to share ([?memo], a fresh one by default; a
     partial gives its LBR-estimator and bias accumulators the same one),
-    [merge] and [import] start a fresh one and [export] drops it, so
-    checkpoints are unchanged by it.  A table must only ever see one [static], on one
-    domain at a time. *)
+    [merge] and [read] start a fresh one and [write] drops it, so
+    checkpoints are unchanged by it.  A table must only ever see one
+    [static], on one domain at a time. *)
 module Acc : sig
   type acc
 
@@ -52,7 +52,7 @@ module Acc : sig
 
   (** Streams walked through this accumulator's table: the distinct
       [(target, src)] pairs fed to it, or to any accumulator sharing it,
-      since the table was created (0 after [import], or after [merge]
+      since the table was created (0 after [read], or after [merge]
       into a fresh table). *)
   val walks : acc -> int
 
@@ -61,21 +61,16 @@ module Acc : sig
       @raise Invalid_argument when the block counts differ. *)
   val merge : acc -> acc -> acc
 
-  (** Checkpoint support: the full integer state of one accumulator.
-      Rows of [r_by_k] with length 0 are "no stream of that depth
-      seen" (the sparse representation); [import (export acc)] is an
-      exact copy. *)
-  type repr = {
-    r_total_blocks : int;
-    r_by_k : int array array;
-    r_snapshots : int;
-    r_usable : int;
-    r_inconsistent : int;
-    r_discarded : int;
-  }
+  (** Checkpoint section ({!Hbbp_util.Codec}): the block count, the
+      four stream counters, then one per-block visit tally per snapshot
+      stream count; a row of length 0 is "no stream of that depth
+      seen" (the sparse representation).  [read ~static] of what
+      [write] wrote is an exact copy.
+      @raise Hbbp_util.Codec.Bad when the block count or a row's length
+      is not [static]'s. *)
+  val write : Hbbp_util.Codec.writer -> acc -> unit
 
-  val export : acc -> repr
-  val import : repr -> acc
+  val read : static:Static.t -> Hbbp_util.Codec.cursor -> acc
 end
 
 (** [finalize static ~period acc] — convert the merged visit tallies to

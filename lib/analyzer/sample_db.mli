@@ -23,28 +23,6 @@ type t = {
   other : int;  (** Samples of events the analyzer does not consume. *)
 }
 
-(** Incremental construction for chunked record streams: feed records as
-    they arrive, merge builders from contiguous shards, finalize once.
-    [of_records] is implemented on top of this, so the two agree
-    exactly. *)
-module Builder : sig
-  type db := t
-
-  type t
-
-  val create : unit -> t
-
-  (** Feed one record (arrival order matters: samples keep stream
-      order). *)
-  val add : t -> Hbbp_collector.Record.t -> unit
-
-  val add_list : t -> Hbbp_collector.Record.t list -> unit
-
-  (** [merge a b] — the builder for [a]'s records followed by [b]'s.
-      Associative; pure (neither input is consumed). *)
-  val merge : t -> t -> t
-
-  val finalize : t -> db
-end
-
+(** [of_records records] — the EBS and LBR samples in stream order,
+    lost-record and other-sample tallies. *)
 val of_records : Hbbp_collector.Record.t list -> t

@@ -36,9 +36,9 @@ val walk : Static.t -> span -> target:int -> src:int -> result
     The table is a cache, not state: one per partial, shared by its
     LBR-estimator and bias accumulators, which look up the same pairs
     (the pool's domains share a {!Static.t}, so a table there would
-    race); [export] and [import] start a fresh one.  Slots are
-    three ints in one flat array and the table doubles at half load;
-    a hit allocates nothing. *)
+    race); an accumulator read back from a checkpoint starts a fresh
+    one.  Slots are three ints in one flat array and the table doubles
+    at half load; a hit allocates nothing. *)
 module Memo : sig
   type t
 

@@ -262,211 +262,87 @@ module Partial = struct
     }
 
   (* ---------------------------------------------------------------- *)
-  (* Checkpoint serialization: the {!Checkpoint.Codec} framing over the
-     accumulator state.  Everything in a partial is integer-domain
-     (tallies, counts, sorted assoc lists), so serialize/restore is an
-     exact round trip and a resumed analysis finalizes to the same
+  (* Checkpoint serialization: one {!Hbbp_util.Codec} frame of the
+     tallies, each accumulator's own section and the fault ledger.
+     Everything in a partial is integer-domain, so serialize/restore is
+     an exact round trip and a resumed analysis finalizes to the same
      bytes as an uninterrupted one. *)
 
-  open Checkpoint.Codec
+  open Hbbp_util.Codec
 
   let magic = "HBBPPART"
   (* Version 2 added the bias accumulator's stream set. *)
   let serialize_version = 2
 
-  let section_code = function
-    | Perf_data.Header -> 0
-    | Perf_data.Images -> 1
-    | Perf_data.Kernel_text -> 2
-    | Perf_data.Records -> 3
+  let sections =
+    [| Perf_data.Header; Perf_data.Images; Perf_data.Kernel_text;
+       Perf_data.Records |]
 
-  let section_of_code = function
-    | 0 -> Some Perf_data.Header
-    | 1 -> Some Perf_data.Images
-    | 2 -> Some Perf_data.Kernel_text
-    | 3 -> Some Perf_data.Records
-    | _ -> None
+  let w_fault w = function
+    | Perf_data.Checksum_mismatch s ->
+        w_u8 w 0;
+        w_u8 w (Option.get (Array.find_index (( = ) s) sections))
+    | Perf_data.Truncated_records { expected; salvaged } ->
+        w_u8 w 1;
+        w_i64 w (Option.value expected ~default:(-1));
+        w_i64 w salvaged
+    | Perf_data.Corrupt_records { index; reason; salvaged } ->
+        w_u8 w 2;
+        w_i64 w index;
+        w_i64 w salvaged;
+        w_str w reason
+
+  let r_fault s =
+    match r_u8 s with
+    | 0 -> (
+        match r_u8 s with
+        | code when code < Array.length sections ->
+            Perf_data.Checksum_mismatch sections.(code)
+        | code -> raise (Bad (Printf.sprintf "bad section code %d" code)))
+    | 1 ->
+        let expected = r_i64 s in
+        let salvaged = r_i64 s in
+        Perf_data.Truncated_records
+          { expected = (if expected < 0 then None else Some expected);
+            salvaged }
+    | 2 ->
+        let index = r_i64 s in
+        let salvaged = r_i64 s in
+        Perf_data.Corrupt_records { index; salvaged; reason = r_str s }
+    | t -> raise (Bad (Printf.sprintf "bad fault tag %d" t))
 
   let serialize t =
-    let raw, unattributed = Ebs_estimator.Acc.export t.ebs_acc in
-    let lbr = Lbr_estimator.Acc.export t.lbr_acc in
-    let bias = Bias.Acc.export t.static t.bias_acc in
-    let faults = List.rev t.faults_rev in
     frame ~magic ~version:serialize_version
       [
         (fun w ->
-          w_i64 w t.ebs_period;
-          w_i64 w t.lbr_period;
-          w_i64 w t.records;
-          w_i64 w t.ebs_samples;
-          w_i64 w t.lbr_snapshots;
-          w_i64 w t.other_samples;
-          w_i64 w t.lost);
-        (fun w ->
-          w_i64 w unattributed;
-          w_ints w raw);
-        (fun w ->
-          w_i64 w lbr.Lbr_estimator.Acc.r_total_blocks;
-          w_i64 w lbr.Lbr_estimator.Acc.r_snapshots;
-          w_i64 w lbr.Lbr_estimator.Acc.r_usable;
-          w_i64 w lbr.Lbr_estimator.Acc.r_inconsistent;
-          w_i64 w lbr.Lbr_estimator.Acc.r_discarded;
-          w_i64 w (Array.length lbr.Lbr_estimator.Acc.r_by_k);
-          Array.iter (w_ints w) lbr.Lbr_estimator.Acc.r_by_k);
-        (fun w ->
-          w_i64 w bias.Bias.Acc.r_snapshots;
-          w_i64 w bias.Bias.Acc.r_deep_total;
-          List.iter
-            (w_list w (fun w (k, v) ->
-                 w_i64 w k;
-                 w_i64 w v))
-            [
-              bias.Bias.Acc.r_entry0;
-              bias.Bias.Acc.r_deep;
-              bias.Bias.Acc.r_adjacent;
-              bias.Bias.Acc.r_failed;
-            ];
-          w_list w
-            (fun w (owner, target, src) ->
-              w_i64 w owner;
-              w_i64 w target;
-              w_i64 w src)
-            bias.Bias.Acc.r_streams);
-        (fun w ->
-          w_list w
-            (fun w -> function
-              | Perf_data.Checksum_mismatch s ->
-                  w_u8 w 0;
-                  w_u8 w (section_code s)
-              | Perf_data.Truncated_records { expected; salvaged } ->
-                  w_u8 w 1;
-                  w_i64 w (match expected with None -> -1 | Some e -> e);
-                  w_i64 w salvaged
-              | Perf_data.Corrupt_records { index; reason; salvaged } ->
-                  w_u8 w 2;
-                  w_i64 w index;
-                  w_i64 w salvaged;
-                  w_str w reason)
-            faults);
+          List.iter (w_i64 w)
+            [ t.ebs_period; t.lbr_period; t.records; t.ebs_samples;
+              t.lbr_snapshots; t.other_samples; t.lost ]);
+        (fun w -> Ebs_estimator.Acc.write w t.ebs_acc);
+        (fun w -> Lbr_estimator.Acc.write w t.lbr_acc);
+        (fun w -> Bias.Acc.write ~static:t.static w t.bias_acc);
+        (fun w -> w_list w w_fault (List.rev t.faults_rev));
       ]
 
   let restore ~static data =
     unframe ~magic ~version:serialize_version data @@ fun c ->
-    let ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
-        other_samples, lost =
-      r_section c (fun s ->
-          let ebs_period = r_i64 s in
-          let lbr_period = r_i64 s in
-          let records = r_i64 s in
-          let ebs_samples = r_i64 s in
-          let lbr_snapshots = r_i64 s in
-          let other_samples = r_i64 s in
-          let lost = r_i64 s in
-          ( ebs_period, lbr_period, records, ebs_samples, lbr_snapshots,
-            other_samples, lost ))
-    in
-    let ebs_acc =
-      r_section c (fun s ->
-          let unattributed = r_i64 s in
-          let raw = r_ints s in
-          if Array.length raw <> Static.total_blocks static then
-            raise (Bad "EBS block count does not match the static view");
-          Ebs_estimator.Acc.import (raw, unattributed))
-    in
-    let lbr_acc =
-      r_section c (fun s ->
-          let total_blocks = r_i64 s in
-          if total_blocks <> Static.total_blocks static then
-            raise (Bad "LBR block count does not match the static view");
-          let snapshots = r_i64 s in
-          let usable = r_i64 s in
-          let inconsistent = r_i64 s in
-          let discarded = r_i64 s in
-          let by_k = Array.of_list (r_list s r_ints) in
-          Array.iter
-            (fun row ->
-              let n = Array.length row in
-              if n <> 0 && n <> total_blocks then
-                raise (Bad "LBR row length mismatch"))
-            by_k;
-          Lbr_estimator.Acc.import
-            {
-              Lbr_estimator.Acc.r_total_blocks = total_blocks;
-              r_by_k = by_k;
-              r_snapshots = snapshots;
-              r_usable = usable;
-              r_inconsistent = inconsistent;
-              r_discarded = discarded;
-            })
-    in
-    let bias_acc =
-      r_section c (fun s ->
-          let snapshots = r_i64 s in
-          let deep_total = r_i64 s in
-          let pair s =
-            let k = r_i64 s in
-            let v = r_i64 s in
-            (k, v)
-          in
-          let entry0 = r_list s pair in
-          let deep = r_list s pair in
-          let adjacent = r_list s pair in
-          let failed = r_list s pair in
-          let streams =
-            r_list s (fun s ->
-                let owner = r_i64 s in
-                let target = r_i64 s in
-                let src = r_i64 s in
-                (owner, target, src))
-          in
-          Bias.Acc.import static
-            {
-              Bias.Acc.r_entry0 = entry0;
-              r_deep = deep;
-              r_adjacent = adjacent;
-              r_failed = failed;
-              r_streams = streams;
-              r_snapshots = snapshots;
-              r_deep_total = deep_total;
-            })
-    in
-    let faults =
-      r_section c (fun s ->
-          r_list s (fun s ->
-              match r_u8 s with
-              | 0 -> (
-                  let code = r_u8 s in
-                  match section_of_code code with
-                  | Some sec -> Perf_data.Checksum_mismatch sec
-                  | None ->
-                      raise (Bad (Printf.sprintf "bad section code %d" code)))
-              | 1 ->
-                  let expected = r_i64 s in
-                  let salvaged = r_i64 s in
-                  Perf_data.Truncated_records
-                    {
-                      expected = (if expected < 0 then None else Some expected);
-                      salvaged;
-                    }
-              | 2 ->
-                  let index = r_i64 s in
-                  let salvaged = r_i64 s in
-                  let reason = r_str s in
-                  Perf_data.Corrupt_records { index; reason; salvaged }
-              | t -> raise (Bad (Printf.sprintf "bad fault tag %d" t))))
-    in
+    let tallies = r_section c (fun s -> Array.init 7 (fun _ -> r_i64 s)) in
+    let ebs_acc = r_section c (Ebs_estimator.Acc.read ~static) in
+    let lbr_acc = r_section c (Lbr_estimator.Acc.read ~static) in
+    let bias_acc = r_section c (Bias.Acc.read ~static) in
+    let faults = r_section c (fun s -> r_list s r_fault) in
     {
       static;
-      ebs_period;
-      lbr_period;
+      ebs_period = tallies.(0);
+      lbr_period = tallies.(1);
       ebs_acc;
       lbr_acc;
       bias_acc;
-      records;
-      ebs_samples;
-      lbr_snapshots;
-      other_samples;
-      lost;
+      records = tallies.(2);
+      ebs_samples = tallies.(3);
+      lbr_snapshots = tallies.(4);
+      other_samples = tallies.(5);
+      lost = tallies.(6);
       faults_rev = List.rev faults;
     }
 end
@@ -752,8 +628,8 @@ let analyze_archive ?criteria ?thresholds ?repair ?ledger
 (* ------------------------------------------------------------------ *)
 (* The per-archive step every archive-reading driver folds through     *)
 
-let open_archive ?chunk_records path =
-  match Perf_data.Stream.open_file ?chunk_records path with
+let open_archive path =
+  match Perf_data.Stream.open_file path with
   | Ok s -> Ok s
   | Error e -> Error (Format.asprintf "%s: %a" path Perf_data.pp_error e)
   | exception Sys_error msg -> Error msg
@@ -832,7 +708,7 @@ let restore_checkpoint ~static ~path paths =
    archive is opened once.  Partials merge associatively over integers,
    so restoring a checkpointed prefix and folding the rest finalizes
    byte-identically to an uninterrupted run. *)
-let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
+let analyze_archives ?criteria ?thresholds ?repair ?checkpoint
     ?(resume = false) ?(should_stop = fun () -> false) paths =
   if paths = [] then invalid_arg "Pipeline.analyze_archives: no archives";
   let ( let* ) = Result.bind in
@@ -847,7 +723,7 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
       checkpoint
   in
   let analyze () =
-    let* s = open_archive ?chunk_records first in
+    let* s = open_archive first in
     let meta = Perf_data.Stream.meta s in
     let s0 = ref (Some s) in
     let close_s0 () =
@@ -861,7 +737,7 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records ?checkpoint
       | Some s ->
           s0 := None;
           Ok s
-      | None -> open_archive ?chunk_records path
+      | None -> open_archive path
     in
     (* Fold [path] into [merged] ([None] before the first archive). *)
     let step done_rev merged path =

@@ -215,8 +215,9 @@ module Partial : sig
   (** {2 Checkpointing}
 
       A partial serializes to a versioned, CRC-guarded binary blob
-      ({!Checkpoint.Codec} framing over the accumulator state).
-      The state is integer-domain throughout, so
+      ({!Hbbp_util.Codec} framing): a section of tallies, one section
+      that each accumulator writes and reads itself, and the fault
+      ledger.  The state is integer-domain throughout, so
       [restore ~static (serialize p)] rebuilds a partial that
       finalizes {e byte-identically} to [p] — the property [--resume]
       rests on. *)
@@ -333,8 +334,7 @@ val analyze_archive :
 (** [open_archive path] — {!Perf_data.Stream.open_file}, with a typed
     read error or an OS error (missing or unreadable file) rendered
     into [Error]. *)
-val open_archive :
-  ?chunk_records:int -> string -> (Perf_data.Stream.stream, string) result
+val open_archive : string -> (Perf_data.Stream.stream, string) result
 
 (** [archive_static path meta] — the shared static view of an archive's
     metadata ({!Perf_data.analysis_process}, live kernel text patched
@@ -398,7 +398,6 @@ val analyze_archives :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
   ?repair:repair_mode ->
-  ?chunk_records:int ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?should_stop:(unit -> bool) ->

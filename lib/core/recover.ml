@@ -13,12 +13,19 @@ module Durable = Hbbp_durable.Durable
 
 type shard_status = Reused | Written
 
-(* All shards the manifest names verify on disk and the set is
-   complete for the requested sharding. *)
-let manifest_complete ~dir ~shards m =
+(* The manifest is complete, names exactly the shards a fresh
+   collection into [path] writes — indices 0 to [shards - 1] in order,
+   each under its own file name — and every one verifies on disk. *)
+let manifest_complete ~path ~shards m =
+  let names_shard i (s : Manifest.shard) =
+    s.Manifest.index = i
+    && String.equal s.Manifest.file
+         (Filename.basename (Perf_data.shard_path path i shards))
+    && Manifest.shard_ok ~dir:(Filename.dirname path) s
+  in
   m.Manifest.complete && m.Manifest.shards = shards
   && List.length m.Manifest.written = shards
-  && List.for_all (Manifest.shard_ok ~dir) m.Manifest.written
+  && List.for_all2 names_shard (List.init shards Fun.id) m.Manifest.written
 
 (* Is [s] already on disk, byte for byte? *)
 let on_disk (s : Perf_data.shard) =
@@ -36,7 +43,6 @@ let collect_sharded ?config ?(resume = false)
     ?(should_stop = fun () -> false) ?(inter_shard_delay_s = 0.0) ~shards
     ~path (w : Workload.t) =
   if shards < 1 then invalid_arg "Recover.collect_sharded: shards < 1";
-  let dir = Filename.dirname path in
   let paths =
     List.init shards (fun i -> Perf_data.shard_path path i shards)
   in
@@ -44,7 +50,7 @@ let collect_sharded ?config ?(resume = false)
     if not resume then None
     else
       match Manifest.load ~archive_path:path with
-      | Some (Ok m) when manifest_complete ~dir ~shards m -> Some m
+      | Some (Ok m) when manifest_complete ~path ~shards m -> Some m
       | Some (Ok _) | Some (Error _) | None -> None
   in
   match fast_path with

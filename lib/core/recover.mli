@@ -14,11 +14,14 @@ type shard_status = Reused | Written
 (** [collect_sharded ~shards ~path w] — collect [w] and publish its
     shards with a progressive {!Manifest} sidecar.
 
-    With [resume]: a complete manifest whose shards all verify (size +
-    CRC) skips the collection entirely; otherwise stale staging files
-    are removed, the workload is re-collected, and each shard is
-    byte-compared against disk — identical files are kept ([Reused]),
-    everything else is atomically (re)written ([Written]).  The status
+    With [resume]: a complete manifest that names exactly the shards
+    this call writes (indices [0 .. shards - 1] in order, each under
+    its {!Hbbp_collector.Perf_data.shard_path} name), all of which
+    verify (size + CRC), skips the collection entirely; otherwise
+    stale staging files are removed, the workload is re-collected, and
+    each shard is byte-compared against disk — identical files are
+    kept ([Reused]), everything else is atomically (re)written
+    ([Written]).  The status
     list is the resume's accounting, one entry per shard.
 
     [should_stop] is polled at shard boundaries; when it reports true

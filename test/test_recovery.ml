@@ -37,6 +37,13 @@ let mk_workload ~seed name =
 let workload = lazy (mk_workload ~seed:0x5EC0L "recover")
 let reference_archive = lazy (Pipeline.collect_archive (Lazy.force workload))
 
+(* The collected [hello] archive, shared; each test publishes its own
+   shards of it and removes them, so no test depends on another's
+   order.  Its bias detector flags branches, so its partials carry a
+   stream set that contamination reads. *)
+let hello_archive =
+  lazy (Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello"))
+
 let fresh_base name = Filename.temp_file ("hbbp-recovery-" ^ name) ".hbbp"
 let read_back path = In_channel.with_open_bin path In_channel.input_all
 
@@ -174,6 +181,200 @@ let test_crafted_lengths () =
   | Ok _ -> Alcotest.fail "partial with a huge array count accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Field-level fuzz of the partial and checkpoint readers              *)
+
+(* A field of a framed blob: its offset, and the section whose CRC
+   covers it ([None] for the version byte, which no CRC covers). *)
+type field = { sec : (int * int) option; at : int; u8 : bool }
+
+let i64_at data at = Int64.to_int (Bytes.get_int64_le data at)
+
+(* The [(payload offset, length)] of each section of a frame. *)
+let frame_sections ~magic data =
+  let rec go pos acc =
+    if pos >= Bytes.length data then List.rev acc
+    else
+      let len = i64_at data pos in
+      go (pos + 16 + len) ((pos + 16, len) :: acc)
+  in
+  go (String.length magic + 1) []
+
+let version_field ~magic = { sec = None; at = String.length magic; u8 = true }
+
+(* Every field of a serialized partial.  Its tallies and accumulator
+   sections hold i64s only; the fault ledger is walked by its tags. *)
+let partial_fields data =
+  match frame_sections ~magic:"HBBPPART" data with
+  | [ tallies; ebs; lbr; bias; ((foff, _) as faults) ] ->
+      let i64 sec at = { sec = Some sec; at; u8 = false } in
+      let u8 at = { sec = Some faults; at; u8 = true } in
+      let slots ((off, len) as sec) =
+        List.init (len / 8) (fun j -> i64 sec (off + (8 * j)))
+      in
+      let rec ledger pos n =
+        if n = 0 then []
+        else
+          let i64s k = List.init k (fun j -> i64 faults (pos + 1 + (8 * j))) in
+          match Bytes.get_uint8 data pos with
+          | 0 -> [ u8 pos; u8 (pos + 1) ] @ ledger (pos + 2) (n - 1)
+          | 1 -> (u8 pos :: i64s 2) @ ledger (pos + 17) (n - 1)
+          | _ ->
+              (u8 pos :: i64s 3)
+              @ ledger (pos + 25 + i64_at data (pos + 17)) (n - 1)
+      in
+      (version_field ~magic:"HBBPPART"
+       :: List.concat_map slots [ tallies; ebs; lbr; bias ])
+      @ (i64 faults foff :: ledger (foff + 8) (i64_at data foff))
+  | _ -> Alcotest.fail "a partial has five sections"
+
+(* The checkpoint's own fields: the path count and each path's length
+   (the partial travels as opaque bytes). *)
+let checkpoint_fields data =
+  match frame_sections ~magic:"HBBPCKPT" data with
+  | [ ((off, _) as paths); _ ] ->
+      let rec lengths pos n =
+        if n = 0 then []
+        else
+          { sec = Some paths; at = pos; u8 = false }
+          :: lengths (pos + 8 + i64_at data pos) (n - 1)
+      in
+      version_field ~magic:"HBBPCKPT"
+      :: { sec = Some paths; at = off; u8 = false }
+      :: lengths (off + 8) (i64_at data off)
+  | _ -> Alcotest.fail "a checkpoint has two sections"
+
+(* [data] with [f] set to each mutant value in turn, its section CRC
+   re-sealed so that the mutant reaches the field's reader: an i64
+   becomes 0, -1, one off its value, [1 lsl 40] or [max_int]; a u8
+   takes every value. *)
+let mutants data f =
+  let values =
+    if f.u8 then List.init 256 Fun.id
+    else
+      let v = i64_at data f.at in
+      List.sort_uniq compare [ 0; -1; v - 1; v + 1; 1 lsl 40; max_int ]
+  in
+  List.map
+    (fun v ->
+      let b = Bytes.copy data in
+      if f.u8 then Bytes.set_uint8 b f.at v
+      else Bytes.set_int64_le b f.at (Int64.of_int v);
+      Option.iter
+        (fun (off, len) ->
+          Bytes.set_int64_le b (off - 8)
+            (Int64.of_int (Hbbp_util.Crc32.bytes ~off ~len b)))
+        f.sec;
+      (f.at, v, b))
+    values
+
+let no_escape what f =
+  match f () with
+  | () -> ()
+  | exception e ->
+      Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+
+(* A restored partial must merge with itself and finalize. *)
+let restore_and_finalize ~static blob =
+  match Pipeline.Partial.restore ~static blob with
+  | Error _ -> ()
+  | Ok p -> ignore (Pipeline.finalize (Pipeline.Partial.merge p p))
+
+(* A real partial of [hello] over two shards, with one fault of each
+   kind in its ledger so that every fault tag is on the wire. *)
+let fuzz_partial =
+  lazy
+    (let base = fresh_base "fuzz" in
+     let paths =
+       Perf_data.save_sharded (Lazy.force hello_archive) ~shards:2 ~path:base
+     in
+     let p =
+       match Pipeline.analyze_archives paths with
+       | Ok (_, r) -> r.Pipeline.r_partial
+       | Error e -> Alcotest.failf "analyze: %s" e
+     in
+     cleanup base paths;
+     Pipeline.Partial.note_faults p
+       [
+         Perf_data.Checksum_mismatch Perf_data.Images;
+         Perf_data.Truncated_records { expected = Some 9; salvaged = 4 };
+         Perf_data.Corrupt_records
+           { index = 3; reason = "bad"; salvaged = 3 };
+       ];
+     (Pipeline.Partial.static p, Pipeline.Partial.serialize p))
+
+let test_fuzz_partial_fields () =
+  let static, blob = Lazy.force fuzz_partial in
+  let fields = partial_fields blob in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (at, v, bad) ->
+          no_escape
+            (Printf.sprintf "partial field at %d set to %d" at v)
+            (fun () -> restore_and_finalize ~static bad))
+        (mutants blob f))
+    fields
+
+let test_fuzz_checkpoint_fields () =
+  let static, blob = Lazy.force fuzz_partial in
+  let data =
+    Checkpoint.to_bytes
+      { Checkpoint.done_paths = [ "a.0of2.hbbp"; "a.1of2.hbbp" ];
+        partial = blob }
+  in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (at, v, bad) ->
+          no_escape
+            (Printf.sprintf "checkpoint field at %d set to %d" at v)
+            (fun () ->
+              match Checkpoint.of_bytes bad with
+              | Error _ -> ()
+              | Ok ck -> restore_and_finalize ~static ck.Checkpoint.partial))
+        (mutants data f))
+    (checkpoint_fields data)
+
+(* Each accumulator's reader checks its section against the static
+   view it is given: a partial restored over another program is a typed
+   error naming the first accumulator whose block count differs, and an
+   LBR row must be empty or one tally per block. *)
+let test_sections_check_the_static_view () =
+  let module Codec = Hbbp_util.Codec in
+  let module Static = Hbbp_analyzer.Static in
+  let hello_static, hello_blob = Lazy.force fuzz_partial in
+  let other =
+    Static.create_exn
+      (Perf_data.analysis_process (Lazy.force reference_archive))
+  in
+  let expect what msg = function
+    | Error e -> Alcotest.(check string) what msg e
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  expect "partial over another program"
+    "EBS block count does not match the static view"
+    (Pipeline.Partial.restore ~static:other hello_blob);
+  let read_section write read =
+    Codec.unframe ~magic:"ACC" ~version:0
+      (Codec.frame ~magic:"ACC" ~version:0 [ write ])
+      (fun c -> Codec.r_section c read)
+  in
+  let lbr = Hbbp_analyzer.Lbr_estimator.Acc.create hello_static in
+  expect "LBR section over another program"
+    "LBR block count does not match the static view"
+    (read_section
+       (fun w -> Hbbp_analyzer.Lbr_estimator.Acc.write w lbr)
+       (Hbbp_analyzer.Lbr_estimator.Acc.read ~static:other));
+  let n = Static.total_blocks hello_static in
+  expect "LBR row one tally short" "LBR row length mismatch"
+    (read_section
+       (fun w ->
+         List.iter (Codec.w_i64 w) [ n; 0; 0; 0; 0; 2 ];
+         Codec.w_ints w [||];
+         Codec.w_ints w (Array.make (n - 1) 1))
+       (Hbbp_analyzer.Lbr_estimator.Acc.read ~static:hello_static))
+
+(* ------------------------------------------------------------------ *)
 (* Manifest format                                                     *)
 
 let test_manifest_roundtrip () =
@@ -299,6 +500,35 @@ let test_collect_interrupt () =
   checki "published prefix reused" 2 (count Recover.Reused st);
   check_archive_set ~shards ~base paths;
   cleanup base paths
+
+(* A complete manifest that names the one verified first shard four
+   times is not the set a fresh collection writes: the resume collects
+   again and publishes the three missing shards instead of reporting
+   them reused. *)
+let test_crafted_manifest_not_trusted () =
+  let shards = 4 in
+  let dir = Filename.temp_dir "hbbp-recovery-manifest" "" in
+  let base = Filename.concat dir "hello.hbbp" in
+  let w = Lazy.force workload in
+  let paths, _ = Recover.collect_sharded ~shards ~path:base w in
+  let m =
+    match Manifest.load ~archive_path:base with
+    | Some (Ok m) -> m
+    | _ -> Alcotest.fail "manifest unreadable"
+  in
+  let first = List.hd m.Manifest.written in
+  Alcotest.(check string) "first shard's name" "hello.0of4.hbbp"
+    first.Manifest.file;
+  Manifest.save
+    { m with Manifest.written = List.init shards (fun _ -> first) }
+    ~archive_path:base;
+  List.iteri (fun i p -> if i > 0 then Sys.remove p) paths;
+  let _, st = Recover.collect_sharded ~resume:true ~shards ~path:base w in
+  checkb "missing shards written, the present one reused" true
+    (st = Recover.[ Reused; Written; Written; Written ]);
+  check_archive_set ~shards ~base paths;
+  cleanup base paths;
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Kill-chaos: SIGKILL mid-collection, resume, byte-identity           *)
@@ -445,12 +675,6 @@ let test_analyze_resume_identical () =
     (Bytes.equal uninterrupted fallback);
   cleanup base paths
 
-(* The collected [hello] archive, shared; each test publishes its own
-   shards of it ([with_hello_shards]) and removes them, so no test
-   depends on another's order. *)
-let hello_archive =
-  lazy (Pipeline.collect_archive (Hbbp_workloads.Registry.find "hello"))
-
 let with_hello_shards name f =
   let base = fresh_base name in
   let paths =
@@ -505,22 +729,37 @@ let test_resume_carries_streams () =
     [ 1; 3 ]
 
 (* Checkpoint bytes pinned: MD5 digests of the serialized partials of
-   two sharded analyses, taken before the accumulators cached their
-   stream walks.  The walk tables are caches that no checkpoint
-   carries, so the bytes (format version 2) must not move. *)
+   sharded analyses, taken before the accumulators cached their stream
+   walks and before each accumulator wrote its own section, and of a
+   checkpoint file holding one of them.  Neither the walk tables (caches
+   that no checkpoint carries) nor where the section codecs live may
+   move the bytes (partial format version 2, checkpoint version 1). *)
 let test_checkpoint_bytes_pinned () =
-  let wire name archive =
+  let blob name archive =
     let base = fresh_base name in
     let paths = Perf_data.save_sharded archive ~shards:4 ~path:base in
     let blob = serialize_result (Pipeline.analyze_archives paths) in
     cleanup base paths;
-    Digest.to_hex (Digest.bytes blob)
+    blob
   in
+  let md5 b = Digest.to_hex (Digest.bytes b) in
   Alcotest.(check string) "reference workload, 4 shards"
     "7a2ff594e7ab61675ea13a6a3f439a20"
-    (wire "pinned" (Lazy.force reference_archive));
+    (md5 (blob "pinned" (Lazy.force reference_archive)));
+  let hello = blob "pinned-hello" (Lazy.force hello_archive) in
   Alcotest.(check string) "hello, 4 shards" "2ce4ab19d26c69ea5f40cc147bcc0abc"
-    (wire "pinned-hello" (Lazy.force hello_archive))
+    (md5 hello);
+  Alcotest.(check string) "mcf, 4 shards" "8e45502faef25f2572488558b6dc8729"
+    (md5
+       (blob "pinned-mcf"
+          (Pipeline.collect_archive (Hbbp_workloads.Registry.find "mcf"))));
+  Alcotest.(check string) "checkpoint holding hello's partial"
+    "7229faadd7f37e810521b6c0756ca263"
+    (md5
+       (Checkpoint.to_bytes
+          { Checkpoint.done_paths =
+              List.init 4 (Printf.sprintf "hello.%dof4.hbbp");
+            partial = hello }))
 
 (* Without a checkpoint an interrupt still stops the analysis at the
    next archive boundary; it raises [Interrupted] and writes nothing. *)
@@ -653,6 +892,12 @@ let () =
             test_partial_roundtrip;
           Alcotest.test_case "crafted lengths are typed errors" `Quick
             test_crafted_lengths;
+          Alcotest.test_case "partial fields fuzzed one at a time" `Quick
+            test_fuzz_partial_fields;
+          Alcotest.test_case "checkpoint fields fuzzed one at a time" `Quick
+            test_fuzz_checkpoint_fields;
+          Alcotest.test_case "sections check the static view" `Quick
+            test_sections_check_the_static_view;
         ] );
       ( "collect",
         [
@@ -660,6 +905,8 @@ let () =
             test_collect_resume;
           Alcotest.test_case "interrupt publishes progress" `Quick
             test_collect_interrupt;
+          Alcotest.test_case "a manifest naming one shard four times" `Quick
+            test_crafted_manifest_not_trusted;
           Alcotest.test_case "kill-chaos converges byte-identical" `Quick
             test_kill_chaos;
         ] );

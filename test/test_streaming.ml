@@ -212,46 +212,9 @@ let registry =
      (names, Pipeline.collect_many ws))
 
 (* ------------------------------------------------------------------ *)
-(* Sample_db.Builder                                                   *)
+(* Sample_db over a salvaged stream                                    *)
 
-let test_builder_matches_of_records () =
-  let archive, _, db = Lazy.force fixture in
-  let records = archive.Perf_data.records in
-  (* Feed in uneven chunks through separate builders, then merge. *)
-  List.iter
-    (fun chunk_size ->
-      let rec chunks = function
-        | [] -> []
-        | l ->
-            let rec take n = function
-              | x :: rest when n > 0 ->
-                  let got, rem = take (n - 1) rest in
-                  (x :: got, rem)
-              | l -> ([], l)
-            in
-            let got, rem = take chunk_size l in
-            got :: chunks rem
-      in
-      let builders =
-        List.map
-          (fun chunk ->
-            let b = Sample_db.Builder.create () in
-            Sample_db.Builder.add_list b chunk;
-            b)
-          (chunks records)
-      in
-      let merged =
-        match builders with
-        | [] -> Sample_db.Builder.create ()
-        | b :: rest -> List.fold_left Sample_db.Builder.merge b rest
-      in
-      checkb
-        (Printf.sprintf "builder(chunk=%d) = of_records" chunk_size)
-        true
-        (compare (Sample_db.Builder.finalize merged) db = 0))
-    [ 1; 7; 256; 100_000 ]
-
-let test_builder_on_salvaged_truncation () =
+let test_sample_db_on_salvaged_truncation () =
   let archive, _, _ = Lazy.force fixture in
   let data = Perf_data.to_bytes archive in
   (* Cut inside the records section so salvage yields a proper prefix
@@ -273,23 +236,14 @@ let test_builder_on_salvaged_truncation () =
     | Ok s -> s
     | Error e -> Alcotest.failf "stream open: %a" Perf_data.pp_error e
   in
-  let b = Sample_db.Builder.create () in
-  let rec pump () =
-    match Perf_data.Stream.next s with
-    | Some chunk ->
-        Sample_db.Builder.add_list b chunk;
-        pump ()
-    | None -> ()
-  in
-  pump ();
+  let streamed = drain_stream s in
   let stream_ledger = Perf_data.Stream.ledger s in
   Perf_data.Stream.close s;
   checkb "file ledger = in-memory ledger" true
     (compare stream_ledger ledger = 0);
-  checkb "builder over streamed salvage = of_records over in-memory salvage"
-    true
+  checkb "of_records over streamed salvage = over in-memory salvage" true
     (compare
-       (Sample_db.Builder.finalize b)
+       (Sample_db.of_records streamed)
        (Sample_db.of_records salvaged.Perf_data.records)
     = 0)
 
@@ -386,6 +340,19 @@ let prop_bias_merge_shard_split =
       && same
            (List.fold_left Bias.Acc.merge (acc_of [||]) (List.rev accs)))
 
+(* [acc] written into a checkpoint section and read back. *)
+let through_section write read acc =
+  let module Codec = Hbbp_util.Codec in
+  let data =
+    Codec.frame ~magic:"ACC" ~version:0 [ (fun w -> write w acc) ]
+  in
+  match
+    Codec.unframe ~magic:"ACC" ~version:0 data (fun c ->
+        Codec.r_section c read)
+  with
+  | Ok acc -> acc
+  | Error e -> Alcotest.failf "accumulator section: %s" e
+
 (* The walk tables are caches: an accumulator restored from a checkpoint
    starts with an empty table while the original keeps its warm one,
    and both must go on to the same results, fed alone or merged.  Each
@@ -418,8 +385,9 @@ let prop_warm_and_cold_tables =
           Array.iter (A.add static a) part;
           a
         in
+        let restored = through_section A.write (A.read ~static) in
         let warm = fed head in
-        let cold = A.import (A.export warm) in
+        let cold = restored warm in
         Array.iter (A.add static warm) tail;
         Array.iter (A.add static cold) tail;
         let batch = Lbr_estimator.estimate static ~period lbr in
@@ -427,7 +395,7 @@ let prop_warm_and_cold_tables =
           compare (Lbr_estimator.finalize static ~period a) batch = 0
         in
         same warm && same cold
-        && same (A.merge (fed head) (A.import (A.export (fed tail))))
+        && same (A.merge (fed head) (restored (fed tail)))
         && A.walks warm = distinct [ head; tail ]
         && A.walks cold = distinct [ tail ]
       in
@@ -438,15 +406,15 @@ let prop_warm_and_cold_tables =
           Array.iter (A.add static a) part;
           a
         in
+        let restored = through_section (A.write ~static) (A.read ~static) in
         let warm = fed head in
-        let cold = A.import static (A.export static warm) in
+        let cold = restored warm in
         Array.iter (A.add static warm) tail;
         Array.iter (A.add static cold) tail;
         let batch = Bias.detect static lbr in
         let same a = compare (Bias.finalize static a ~replay:None) batch = 0 in
         same warm && same cold
-        && same
-             (A.merge (fed head) (A.import static (A.export static (fed tail))))
+        && same (A.merge (fed head) (restored (fed tail)))
         && A.walks warm = distinct [ head; tail ]
         && A.walks cold = distinct [ tail ]
       in
@@ -515,10 +483,17 @@ let test_streaming_identity_every_workload () =
         ok_or_fail (name ^ ": streamed") (Pipeline.analyze_archives [ path ])
       in
       check_same "streamed" streamed;
-      let _, tiny_chunks =
-        ok_or_fail
-          (name ^ ": tiny chunks")
-          (Pipeline.analyze_archives ~chunk_records:17 [ path ])
+      let tiny_chunks =
+        let what = name ^ ": tiny chunks" in
+        let s =
+          match Perf_data.Stream.open_file ~chunk_records:17 path with
+          | Ok s -> s
+          | Error e -> Alcotest.failf "%s: %a" what Perf_data.pp_error e
+        in
+        let meta = Perf_data.Stream.meta s in
+        let static = ok_or_fail what (Pipeline.archive_static path meta) in
+        Pipeline.finalize
+          (ok_or_fail what (Pipeline.archive_partial ~static ~meta path s))
       in
       check_same "chunk_records=17" tiny_chunks;
       let shard_paths = Perf_data.save_sharded archive ~shards:3 ~path in
@@ -841,30 +816,42 @@ let test_oracle_tiny_every_offset () =
   let a = tiny_archive () in
   check_cuts a (List.init (Bytes.length (Perf_data.to_bytes a) + 1) Fun.id)
 
-(* The first 1,700 hello records (16-deep LBR snapshots as deltas,
-   ~146 KB of payload, so two 64 KiB refills): cut at every record end
-   and one byte either side, and at every offset within one record's
-   size of each 64 KiB step into the records payload, where the reader
-   refills its buffer.  Each cut is decoded from its start, so the
-   sweep's cost is quadratic in the record count.  Every cut meets the
-   same two refill phases, so the whole hello archive is decoded as
-   well: its refills land at every phase a record boundary can take. *)
+(* Records as wide as the format makes them: full-depth (16-entry)
+   snapshots whose every delta is a nine-byte varint — sources near
+   [max_int], targets near 0.  Their low bits come from a fixed seed, so
+   records differ in their bytes, not only in their positions. *)
+let wide_records n =
+  let rng = Random.State.make [| 0x51DE |] in
+  List.init n (fun k ->
+      let lbr =
+        Array.init 32 (fun j ->
+            let low = Random.State.bits rng in
+            if j land 1 = 0 then max_int - low else low)
+      in
+      Record.Sample
+        { Record.event = Pmu_event.Br_inst_retired_near_taken; ip = k; lbr;
+          ring = Ring.User; time = k })
+
+(* A few hundred wide records (~341 bytes each, ~131 KB of payload, so
+   two 64 KiB refills), cut at every record end and one byte either
+   side, and at every offset within one record's size of each 64 KiB
+   step into the records payload, where the reader refills its buffer.
+   Each cut is decoded from its start, so the sweep's cost is quadratic
+   in the record count; wide records keep that count low.  Every cut
+   meets the same refill phases, so the phase is varied apart: a
+   leading [Comm] record of every length up to one wide record's size
+   shifts the records across the first refill, and each such archive is
+   decoded whole.  The whole hello archive is decoded as well. *)
 let test_oracle_refill_boundaries () =
-  let hello, _, _ = Lazy.force hello_fixture in
-  let a =
-    {
-      hello with
-      Perf_data.records =
-        List.filteri (fun k _ -> k < 1700) hello.Perf_data.records;
-    }
-  in
+  let tiny = tiny_archive () in
+  let a = { tiny with Perf_data.records = wide_records 390 } in
   let ends = record_ends a in
   let full = ends.(Array.length ends - 1) in
   let widest = ref 0 in
   for k = 1 to Array.length ends - 1 do
     widest := max !widest (ends.(k) - ends.(k - 1))
   done;
-  checkb "archive spans several refills" true (full - ends.(0) > 2 * 65536);
+  checkb "archive spans two refills" true (full - ends.(0) > 2 * 65536);
   let near_ends =
     List.concat_map (fun e -> [ e - 1; e; e + 1 ]) (Array.to_list ends)
   in
@@ -877,10 +864,24 @@ let test_oracle_refill_boundaries () =
   check_cuts a
     (List.sort_uniq compare
        (List.filter (fun n -> n >= 0 && n <= full) (near_ends @ near_refills)));
-  let records = Array.of_list hello.Perf_data.records in
-  checkb "the whole archive spans many refills" true
-    (Bytes.length (Perf_data.to_bytes hello) > 16 * 65536);
   with_tmp_file @@ fun path ->
+  let wide = wide_records 200 in
+  checkb "each phase's archive spans a refill" true
+    (Bytes.length (Perf_data.to_bytes { tiny with Perf_data.records = wide })
+     - ends.(0)
+    > 65536 + !widest);
+  for pad = 0 to !widest - 1 do
+    let records = Record.Comm { pid = 1; name = String.make pad 'p' } :: wide in
+    check_readers
+      ~what:(Printf.sprintf "refill phase %d" pad)
+      path (Array.of_list records)
+      (Ok (List.length records, []))
+      (Perf_data.to_bytes { tiny with Perf_data.records })
+  done;
+  let hello, _, _ = Lazy.force hello_fixture in
+  let records = Array.of_list hello.Perf_data.records in
+  checkb "the whole hello archive spans many refills" true
+    (Bytes.length (Perf_data.to_bytes hello) > 16 * 65536);
   check_readers ~what:"whole hello archive" path records
     (Ok (Array.length records, []))
     (Perf_data.to_bytes hello)
@@ -1643,12 +1644,10 @@ let () =
           Alcotest.test_case "slice validation" `Quick
             test_crc_slice_validation;
         ] );
-      ( "builder",
+      ( "sample_db",
         [
-          Alcotest.test_case "chunked = of_records" `Quick
-            test_builder_matches_of_records;
           Alcotest.test_case "salvaged truncation" `Quick
-            test_builder_on_salvaged_truncation;
+            test_sample_db_on_salvaged_truncation;
         ] );
       ( "merge",
         [
