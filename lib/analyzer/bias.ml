@@ -92,10 +92,17 @@ module Streams = struct
 
   let copy t = { t with keys = Array.copy t.keys; used = Bytes.copy t.used }
 
+  (* Compared as ints, not polymorphically: the checkpoint writer sorts
+     twice per section, once to size it and once to fill it. *)
   let to_sorted_list t =
     let out = ref [] in
     iter (fun o tg s -> out := (o, tg, s) :: !out) t;
-    List.sort compare !out
+    List.sort
+      (fun (o, tg, s) (o', tg', s') ->
+        match Int.compare o o' with
+        | 0 -> ( match Int.compare tg tg' with 0 -> Int.compare s s' | c -> c)
+        | c -> c)
+      !out
 end
 
 module Acc = struct
