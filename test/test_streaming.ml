@@ -1644,7 +1644,7 @@ let () =
           Alcotest.test_case "slice validation" `Quick
             test_crc_slice_validation;
         ] );
-      ( "sample_db",
+      ( "samples",
         [
           Alcotest.test_case "salvaged truncation" `Quick
             test_sample_db_on_salvaged_truncation;
